@@ -195,6 +195,25 @@ impl SystemConfig {
             ..SystemConfig::paper()
         }
     }
+
+    /// The configuration `mode` can actually read: every field the mode
+    /// provably never reads is reset to its paper value, so two configs
+    /// that differ only there project to the same one. Today that is
+    /// `pf` for non-programmable modes — `make_engine`'s programmable
+    /// arms are its only reader — and the identity otherwise. The sweep
+    /// farm keys *and* runs every cell on this projection;
+    /// `tests/sweep_farm.rs` is the tripwire for an engine that starts
+    /// reading a projected field.
+    pub fn effective_for(&self, mode: PrefetchMode) -> Self {
+        SystemConfig {
+            pf: if mode.is_programmable() {
+                self.pf
+            } else {
+                PrefetcherParams::paper()
+            },
+            ..*self
+        }
+    }
 }
 
 impl Default for SystemConfig {

@@ -276,7 +276,8 @@ pub fn run_isolated_budgeted<R>(
 ///   same way;
 /// * `tear=J@B` — the result-cache write of job `J` is torn
 ///   (truncated) at `B` bytes, leaving a corrupt entry for the next
-///   reader to evict;
+///   reader to evict (a job that hits the cache writes nothing, so
+///   nothing tears: name a job that simulates);
 /// * `trace=W@OFF` — one byte of workload `W`'s trace file is flipped
 ///   (XOR `0x55`) at offset `OFF mod len` before the sweep loads it;
 /// * `hang=J@P` — cell `J` spins until its watchdog token cancels it
@@ -547,11 +548,27 @@ pub fn failures_json(records: &[FailureRecord]) -> String {
 /// # Errors
 /// I/O failure creating the directory or writing the file.
 pub fn write_failures(path: &Path, records: &[FailureRecord]) -> io::Result<()> {
+    write_atomic(path, failures_json(records).as_bytes())
+}
+
+/// Write-then-rename, creating the parent directory: readers (other
+/// shards on a shared directory included) only ever observe complete
+/// files. The temp name is unique per *writer* — pid plus a
+/// process-wide counter — because two workers of one process may
+/// publish the same path (two sweep jobs sharing a result-cache key);
+/// a per-process name would let one's rename publish the other's
+/// half-written bytes.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    static WRITER: AtomicU64 = AtomicU64::new(0);
     if let Some(dir) = path.parent() {
         fs::create_dir_all(dir)?;
     }
-    let tmp = path.with_extension(format!("tmp{}", std::process::id()));
-    fs::write(&tmp, failures_json(records))?;
+    let tmp = path.with_extension(format!(
+        "tmp{}-{}",
+        std::process::id(),
+        WRITER.fetch_add(1, Ordering::Relaxed)
+    ));
+    fs::write(&tmp, bytes)?;
     fs::rename(&tmp, path)
 }
 

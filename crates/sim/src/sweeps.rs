@@ -25,6 +25,16 @@
 //! near-free and a workload regeneration or config change invalidates
 //! exactly the affected cells.
 //!
+//! The config in that key — and the config the cell *runs* on — is the
+//! **effective** one, [`SystemConfig::effective_for`]: fields the mode
+//! cannot read (`cfg.pf` for fixed-function engines) are reset, so grid
+//! cells that differ only there are one cell and share one cache entry
+//! (the composed grid's 6144 jobs are 2080 distinct cells). One
+//! representative job per distinct key runs before the rest, so within
+//! a [`run_sweep`] over a cache dir no key is simulated twice and the
+//! hit/miss split is the same for any `jobs`; without a cache dir
+//! every job simulates (on the projected config).
+//!
 //! The job list is **partitionable across processes**: shard `k` of `n`
 //! runs jobs `i ≡ k (mod n)` ([`crate::experiments::shard_indices`])
 //! and writes a shard JSON ([`ShardRun::to_json`]); [`merge_shards`]
@@ -37,8 +47,8 @@
 use crate::config::{PrefetchMode, SystemConfig};
 use crate::experiments::{map_indexed, shard_indices};
 use crate::faults::{
-    run_isolated, run_isolated_budgeted, FailureClass, FailureRecord, FaultPlan, Journal,
-    RetryPolicy,
+    run_isolated, run_isolated_budgeted, write_atomic, FailureClass, FailureRecord, FaultPlan,
+    Journal, RetryPolicy,
 };
 use crate::replay::{replay_params, replay_run_watched, KeyedCapture};
 use crate::system::{run, run_watched};
@@ -47,7 +57,7 @@ use etpp_mem::cancel::CancelToken;
 use etpp_telemetry::{json_escape, Registry};
 use etpp_trace::format::{fnv1a, FNV_OFFSET};
 use etpp_workloads::BuiltWorkload;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -293,12 +303,18 @@ pub fn composed_grid() -> SweepSpec {
 // ---------------------------------------------------------------------------
 
 /// Canonical configuration hash for one cell: FNV-1a over the `Debug`
-/// rendering of the *fully-mutated* [`SystemConfig`] (every field, so
-/// any config drift invalidates), the mode key, the escalation
-/// decision the cell executed under, the replay front-end parameters,
-/// and [`SWEEP_SCHEMA_VERSION`]. Two sweeps that arrive at the same
-/// configuration by different axis paths share cache entries.
+/// rendering of the fully-mutated [`SystemConfig`] *as `mode` can read
+/// it* ([`SystemConfig::effective_for`] — every field of that, so any
+/// config drift the cell could observe invalidates, and none it could
+/// not), the mode key, the escalation decision the cell executed
+/// under, the replay front-end parameters, and
+/// [`SWEEP_SCHEMA_VERSION`]. Two cells that arrive at the same
+/// effective configuration — by different axis paths, or by differing
+/// only in fields their mode ignores — share one cache entry;
+/// `exec_cell` runs on the same projection, so key and simulation
+/// cannot disagree.
 pub fn cell_config_hash(cfg: &SystemConfig, mode: PrefetchMode, escalate: bool) -> u64 {
+    let cfg = cfg.effective_for(mode);
     let mut h = FNV_OFFSET;
     h = fnv1a(b"etpp-sweep-cell", h);
     h = fnv1a(format!("{cfg:?}").as_bytes(), h);
@@ -427,20 +443,15 @@ fn parse_cell_record(raw: &str) -> Option<CellData> {
 }
 
 fn write_cell_data(path: &Path, d: &CellData, tear: Option<u64>) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        fs::create_dir_all(dir)?;
-    }
-    // Write-then-rename so concurrent shards on a shared cache dir can
-    // only ever observe complete records.
-    let tmp = path.with_extension(format!("tmp{}", std::process::id()));
     let mut bytes = cell_record(d).into_bytes();
     if let Some(k) = tear {
         // Fault injection: a torn write — the rename still happens, so
         // the next reader sees a syntactically broken record.
         bytes.truncate((k as usize).min(bytes.len()));
     }
-    fs::write(&tmp, bytes)?;
-    fs::rename(&tmp, path)
+    // Write-then-rename so concurrent shards on a shared cache dir can
+    // only ever observe complete records.
+    write_atomic(path, &bytes)
 }
 
 // ---------------------------------------------------------------------------
@@ -595,6 +606,12 @@ impl ShardRun {
         self.registry.counter("sweep.cache.escalated")
     }
 
+    /// Distinct result-cache keys among this shard's jobs — the most
+    /// cells it could have had to simulate.
+    pub fn distinct_cells(&self) -> u64 {
+        self.registry.counter("sweep.cells.distinct")
+    }
+
     /// Corrupt cache entries evicted (then treated as misses) this run.
     pub fn corrupt_evicted(&self) -> u64 {
         self.registry.counter("sweep.cache.corrupt_evicted")
@@ -636,7 +653,9 @@ impl ShardRun {
     pub fn cache_summary(&self) -> String {
         let (h, m, e) = (self.cache_hits(), self.cache_misses(), self.escalations());
         let mut s = format!(
-            "cache: {h} hit / {m} miss / {e} escalated ({:.1}% hit)",
+            "{} cells, {} distinct; cache: {h} hit / {m} miss / {e} escalated ({:.1}% hit)",
+            self.cells.len(),
+            self.distinct_cells(),
             100.0 * h as f64 / (h + m).max(1) as f64
         );
         let (c, r, q, j) = (
@@ -672,7 +691,12 @@ impl ShardRun {
 }
 
 /// Looks a cell up in the cache (when enabled), else executes it and
-/// stores the result. Returns the data plus whether it was a hit.
+/// stores the result. `key` is the cell's `(trace content hash,
+/// `[`cell_config_hash`]`)` — hashed once per job by the caller, which
+/// also schedules by it. Returns the data plus whether it was a hit;
+/// exactly one of `sweep.cache.{hit,miss}` is bumped per call that
+/// returns, so an attempt that unwinds inside the simulation counts
+/// (and stores) nothing.
 ///
 /// A present-but-invalid entry (torn write, bit flip, schema drift) is
 /// **atomically evicted** — `remove_file` then treated as a plain miss —
@@ -681,7 +705,7 @@ impl ShardRun {
 #[allow(clippy::too_many_arguments)]
 fn cached_exec(
     cache_dir: Option<&Path>,
-    trace_hash: u64,
+    key: (u64, u64),
     cfg: &SystemConfig,
     mode: PrefetchMode,
     wl: &BuiltWorkload,
@@ -691,8 +715,8 @@ fn cached_exec(
     cancel: Option<&CancelToken>,
     counters: &SweepCounters,
 ) -> (CellData, bool) {
-    let path =
-        cache_dir.map(|d| cell_cache_path(d, trace_hash, cell_config_hash(cfg, mode, escalate)));
+    debug_assert_eq!(key.1, cell_config_hash(cfg, mode, escalate));
+    let path = cache_dir.map(|d| cell_cache_path(d, key.0, key.1));
     if let Some(p) = &path {
         match fs::read_to_string(p) {
             Ok(raw) => match parse_cell_record(&raw) {
@@ -716,8 +740,8 @@ fn cached_exec(
             Err(_) => {}
         }
     }
-    counters.misses.fetch_add(1, Ordering::Relaxed);
     let d = exec_cell(cfg, mode, wl, records, escalate, cancel);
+    counters.misses.fetch_add(1, Ordering::Relaxed);
     if d.path == CellPath::Cycle {
         counters.escalated.fetch_add(1, Ordering::Relaxed);
     }
@@ -734,7 +758,8 @@ fn cached_exec(
 /// core when replay is impossible for the mode or corrupts the image.
 /// `cancel` (the attempt's watchdog token) is threaded into whichever
 /// loop actually runs; both paths check it at visit granularity only,
-/// so armed results stay bit-identical to unarmed ones.
+/// so armed results stay bit-identical to unarmed ones. Runs on the
+/// same [`SystemConfig::effective_for`] projection the cache key hashes.
 fn exec_cell(
     cfg: &SystemConfig,
     mode: PrefetchMode,
@@ -743,6 +768,7 @@ fn exec_cell(
     escalate: bool,
     cancel: Option<&CancelToken>,
 ) -> CellData {
+    let cfg = &cfg.effective_for(mode);
     if !escalate {
         if let Ok(r) = replay_run_watched(cfg, mode, wl, records, cancel) {
             if r.validated {
@@ -776,6 +802,23 @@ fn exec_cell(
             validated: true,
         },
     }
+}
+
+/// [`map_indexed`] over `phases[0]` and then, once every one of those
+/// has returned, over `phases[1]`; `f` receives the phase's elements and
+/// the results come back in ascending element order.
+fn map_in_phases<R: Send>(
+    jobs: usize,
+    phases: [&[usize]; 2],
+    f: impl Fn(usize) -> R + Sync,
+) -> Vec<R> {
+    let mut out: Vec<(usize, R)> = Vec::new();
+    for phase in phases {
+        let results = map_indexed(jobs, phase.len(), |i| f(phase[i]));
+        out.extend(phase.iter().copied().zip(results));
+    }
+    out.sort_by_key(|&(j, _)| j);
+    out.into_iter().map(|(_, r)| r).collect()
 }
 
 #[derive(Default)]
@@ -963,6 +1006,7 @@ pub fn run_sweep(
     let my_jobs = shard_indices(total, k, n);
     let counters = SweepCounters::default();
     let cache_dir = opts.cache_dir.as_deref();
+    let baseline_hash = |escalate| cell_config_hash(&spec.base, PrefetchMode::None, escalate);
     let plan = opts.faults.as_ref();
     let completed = AtomicU64::new(0);
     // The decode-error and livelock statics are process-wide; snapshot
@@ -1050,7 +1094,7 @@ pub fn run_sweep(
                     workload: wl.name.to_string(),
                     mode: "baseline".to_string(),
                     settings: "-".to_string(),
-                    config_hash: cell_config_hash(&spec.base, PrefetchMode::None, false),
+                    config_hash: baseline_hash(false),
                     class: jb.class,
                     attempts: jb.attempts.unwrap_or(0),
                     error,
@@ -1074,7 +1118,7 @@ pub fn run_sweep(
                 }
                 let (base, _) = cached_exec(
                     cache_dir,
-                    cap.content_hash,
+                    (cap.content_hash, baseline_hash(false)),
                     &spec.base,
                     PrefetchMode::None,
                     wl,
@@ -1109,7 +1153,7 @@ pub fn run_sweep(
                     // any other escalated cell.
                     cached_exec(
                         cache_dir,
-                        cap.content_hash,
+                        (cap.content_hash, baseline_hash(true)),
                         &spec.base,
                         PrefetchMode::None,
                         wl,
@@ -1158,7 +1202,7 @@ pub fn run_sweep(
                         workload: wl.name.to_string(),
                         mode: "baseline".to_string(),
                         settings: "-".to_string(),
-                        config_hash: cell_config_hash(&spec.base, PrefetchMode::None, false),
+                        config_hash: baseline_hash(false),
                         class: fail.class,
                         attempts: fail.attempts,
                         error: fail.error,
@@ -1191,42 +1235,64 @@ pub fn run_sweep(
         }
     };
 
+    // Key every job by the config its mode can read — the result-cache
+    // key — and schedule one representative per distinct key ahead of
+    // everyone else: over a cache dir a follower then hits the entry
+    // its representative wrote, so parallel workers never race to
+    // simulate one key and the hit/miss split does not depend on
+    // `jobs`. Journal-resumed jobs execute nothing, so they represent
+    // nothing.
+    let keys: Vec<(u64, u64)> = map_indexed(opts.jobs, my_jobs.len(), |j| {
+        let (wi, mi, value_idx) = spec.decode(my_jobs[j]);
+        let escalate = baselines[wi].is_some_and(|b| b.escalate);
+        let cfg = spec.config_for(&value_idx);
+        (
+            captures[wi].content_hash,
+            cell_config_hash(&cfg, spec.modes[mi], escalate),
+        )
+    });
+    let (mut distinct, mut claimed) = (HashSet::new(), HashSet::new());
+    let (representatives, followers): (Vec<usize>, Vec<usize>) =
+        (0..my_jobs.len()).partition(|&j| {
+            distinct.insert(keys[j]);
+            !resumed_cells.contains_key(&my_jobs[j]) && claimed.insert(keys[j])
+        });
+
     let cell_outcomes: Vec<(CellResult, Option<FailureRecord>)> =
-        map_indexed(opts.jobs, my_jobs.len(), |j| {
+        map_in_phases(opts.jobs, [&representatives, &followers], |j| {
             let job = my_jobs[j];
             let (wi, mi, value_idx) = spec.decode(job);
             let mode = spec.modes[mi];
             let cfg = spec.config_for(&value_idx);
             let settings = spec.settings_for(&value_idx);
             let (wl, cap) = (&workloads[wi], &captures[wi]);
-            let failed_cell =
-                |attempts: u32, class: FailureClass, error: String, escalate: bool| {
-                    (
-                        CellResult {
-                            index: job,
-                            workload: wl.name,
-                            mode,
-                            settings: settings.clone(),
-                            path: CellPath::Failed,
-                            cycles: 0,
-                            host_iters: 0,
-                            dep_stalls: 0,
-                            validated: false,
-                            speedup: None,
-                            cached: false,
-                        },
-                        Some(FailureRecord {
-                            index: Some(job),
-                            workload: wl.name.to_string(),
-                            mode: mode.key().to_string(),
-                            settings: settings_string(&settings),
-                            config_hash: cell_config_hash(&cfg, mode, escalate),
-                            class,
-                            attempts,
-                            error,
-                        }),
-                    )
-                };
+            let failed_cell = |attempts: u32, class: FailureClass, error: String| {
+                (
+                    CellResult {
+                        index: job,
+                        workload: wl.name,
+                        mode,
+                        settings: settings.clone(),
+                        path: CellPath::Failed,
+                        cycles: 0,
+                        host_iters: 0,
+                        dep_stalls: 0,
+                        validated: false,
+                        speedup: None,
+                        cached: false,
+                    },
+                    Some(FailureRecord {
+                        index: Some(job),
+                        workload: wl.name.to_string(),
+                        mode: mode.key().to_string(),
+                        settings: settings_string(&settings),
+                        config_hash: keys[j].1,
+                        class,
+                        attempts,
+                        error,
+                    }),
+                )
+            };
             let Some(bl) = baselines[wi] else {
                 // Structured replacement for the old "baseline computed
                 // for every used workload" panic: an internally missing
@@ -1236,7 +1302,6 @@ pub fn run_sweep(
                     0,
                     FailureClass::Panic,
                     format!("internal: no baseline for workload {}", wl.name),
-                    false,
                 );
             };
             if let Some(jc) = resumed_cells.get(&job) {
@@ -1249,7 +1314,7 @@ pub fn run_sweep(
                     workload: wl.name.to_string(),
                     mode: mode.key().to_string(),
                     settings: settings_string(&settings),
-                    config_hash: cell_config_hash(&cfg, mode, bl.escalate),
+                    config_hash: keys[j].1,
                     class: jc.class,
                     attempts: jc.attempts.unwrap_or(0),
                     error,
@@ -1284,7 +1349,7 @@ pub fn run_sweep(
                     }
                     cached_exec(
                         cache_dir,
-                        cap.content_hash,
+                        keys[j],
                         &cfg,
                         mode,
                         wl,
@@ -1329,7 +1394,7 @@ pub fn run_sweep(
                         // `sweep.quarantined` alone.
                         FailureClass::Livelock | FailureClass::Panic => {}
                     }
-                    let (cr, rec) = failed_cell(fail.attempts, fail.class, fail.error, bl.escalate);
+                    let (cr, rec) = failed_cell(fail.attempts, fail.class, fail.error);
                     append(journal_cell_entry(&cr, rec.as_ref()));
                     (cr, rec)
                 }
@@ -1358,6 +1423,7 @@ pub fn run_sweep(
     let mut registry = Registry::new();
     registry.set_counter("sweep.cache.hit", counters.hits.load(Ordering::Relaxed));
     registry.set_counter("sweep.cache.miss", counters.misses.load(Ordering::Relaxed));
+    registry.set_counter("sweep.cells.distinct", distinct.len() as u64);
     registry.set_counter(
         "sweep.cache.escalated",
         counters.escalated.load(Ordering::Relaxed),
@@ -2021,16 +2087,20 @@ mod tests {
     #[test]
     fn config_hash_separates_cells() {
         let spec = probe_spec();
-        let a = cell_config_hash(&spec.config_for(&[0, 0]), PrefetchMode::Manual, false);
-        let b = cell_config_hash(&spec.config_for(&[1, 0]), PrefetchMode::Manual, false);
-        let c = cell_config_hash(&spec.config_for(&[0, 0]), PrefetchMode::Stride, false);
-        let d = cell_config_hash(&spec.config_for(&[0, 0]), PrefetchMode::Manual, true);
-        assert_ne!(a, b, "axis value must change the key");
-        assert_ne!(a, c, "mode must change the key");
-        assert_ne!(a, d, "escalation path must change the key");
+        let key =
+            |vi: &[usize], mode, escalate| cell_config_hash(&spec.config_for(vi), mode, escalate);
+        let a = key(&[0, 0], PrefetchMode::Manual, false);
+        assert_ne!(a, key(&[1, 0], PrefetchMode::Manual, false), "pf axis");
+        assert_ne!(a, key(&[0, 1], PrefetchMode::Manual, false), "mem axis");
+        assert_ne!(a, key(&[0, 0], PrefetchMode::Stride, false), "mode");
+        assert_ne!(a, key(&[0, 0], PrefetchMode::Manual, true), "escalation");
         // Same config via different construction shares the entry.
-        let again = cell_config_hash(&spec.config_for(&[0, 0]), PrefetchMode::Manual, false);
-        assert_eq!(a, again);
+        assert_eq!(a, key(&[0, 0], PrefetchMode::Manual, false));
+        // A fixed-function engine cannot read `cfg.pf`, so a pf axis
+        // must not split its key — while `pf_buffer` (cfg.mem) still does.
+        let s = key(&[0, 0], PrefetchMode::Stride, false);
+        assert_eq!(s, key(&[1, 0], PrefetchMode::Stride, false), "pf axis");
+        assert_ne!(s, key(&[0, 1], PrefetchMode::Stride, false), "mem axis");
     }
 
     #[test]

@@ -318,6 +318,75 @@ fn hung_cell_is_cancelled_quarantined_as_timeout_and_surviving_rows_match() {
     }
 }
 
+/// Stride cannot read `obs_queue`, so jobs 2, 3, 10 and 11 follow jobs
+/// 0, 1, 8 and 9 (same result-cache key, simulated first). Panics still
+/// fire per job; a quarantined representative writes no entry, so its
+/// follower simulates for itself; and an entry its representative tore
+/// costs the follower an eviction and a re-execution, never a result.
+#[test]
+fn faults_compose_with_jobs_that_share_a_result_key() {
+    let spec = probe_spec();
+    let wls = build_two();
+    let traces = TempDir::new("shared-traces");
+    let cache = TempDir::new("shared-cache");
+    let captures = capture_all(&traces.0, &wls);
+
+    let faulted = {
+        let o = SweepOptions {
+            faults: Some("panic=0@9;panic=3@2;tear=9@4".parse().unwrap()),
+            ..opts(2, (0, 1), Some(cache.0.clone()))
+        };
+        sweeps::run_sweep(&spec, &wls, &captures, &o)
+    };
+    assert_eq!(faulted.distinct_cells(), 12, "2 x (2 Stride + 4 Manual)");
+    assert_eq!(faulted.retries(), 4, "2 for job 0 + 2 for follower job 3");
+    assert_eq!(faulted.quarantined(), 1, "only the representative dies");
+    assert_eq!(faulted.failures.len(), 1);
+    assert_eq!(faulted.failures[0].index, Some(0));
+    // The record names the (projected) cache entry the cell would have
+    // written — the one its follower did write.
+    let escalate = faulted.baselines[0].escalate;
+    let key_of = |job: usize| {
+        let (_, mi, vi) = spec.decode(job);
+        sweeps::cell_config_hash(&spec.config_for(&vi), spec.modes[mi], escalate)
+    };
+    assert_eq!(faulted.failures[0].config_hash, key_of(0));
+    assert_eq!(key_of(0), key_of(2));
+    for (job, cached) in [(2, false), (3, true), (10, true), (11, false)] {
+        let c = &faulted.cells[job];
+        assert!(c.cached == cached && c.validated, "job {job}: {c:?}");
+    }
+    assert_eq!(faulted.corrupt_evicted(), 1, "job 11 evicts job 9's tear");
+    assert_eq!(
+        faulted.cells[9].cycles, faulted.cells[11].cycles,
+        "the tear cost a re-execution, not a result"
+    );
+    // 2 baselines + 15 surviving cells looked up: every key simulated
+    // once (job 0's by its follower) plus job 11's re-execution.
+    assert_eq!(faulted.cache_misses(), 2 + 12 + 1);
+    assert_eq!(faulted.cache_hits(), 2);
+
+    // Clean pass over the same cache: nothing is left to repair, and
+    // every surviving cell matches.
+    let clean = sweeps::run_sweep(
+        &spec,
+        &wls,
+        &captures,
+        &opts(2, (0, 1), Some(cache.0.clone())),
+    );
+    assert_eq!(clean.corrupt_evicted(), 0);
+    assert_eq!(clean.cache_misses(), 0);
+    assert_eq!(clean.cache_hits(), 2 + 16);
+    assert_eq!(clean.quarantined(), 0);
+    for (f, c) in faulted.cells.iter().zip(&clean.cells).skip(1) {
+        assert_eq!(
+            (f.index, f.path, f.cycles, f.validated),
+            (c.index, c.path, c.cycles, c.validated)
+        );
+    }
+    assert_eq!(clean.cells[0].cycles, clean.cells[2].cycles);
+}
+
 /// `slow=J@D` delays a cell without killing it: under a sane budget the
 /// sweep completes with nothing quarantined and renders byte-identical
 /// to an uninjected run.
@@ -367,7 +436,8 @@ fn killed_sweep_resumes_from_journal_without_reexecuting_cells() {
     let journal = sweep_dir.0.join("journal-0-of-1.jsonl");
 
     // jobs=1 keeps the worker pool on its serial path, so "5 cells
-    // completed" deterministically means flat indices 0..5.
+    // completed" deterministically means the first five representatives
+    // (flat indices 0, 1, 4, 5, 6: jobs 2 and 3 follow 0 and 1).
     let kill_opts = SweepOptions {
         faults: Some("kill=5".parse().unwrap()),
         journal: Some(journal.clone()),

@@ -1,12 +1,14 @@
 //! Sweep-farm contracts: merged tables are byte-identical for any
-//! (jobs, shard-count) split of the same sweep, and the content-hash
-//! result cache hits on every warm lookup while a config change misses
-//! exactly the changed cells.
+//! (jobs, shard-count) split of the same sweep, the content-hash result
+//! cache hits on every warm lookup while a config change misses exactly
+//! the cells that can observe it, and the effective-config projection
+//! behind that key changes no simulated number.
 
-use etpp::sim::replay::load_or_capture_keyed;
+use etpp::sim::replay::{load_or_capture_keyed, replay_run};
 use etpp::sim::sweeps::{self, axes, SweepOptions, SweepSpec};
 use etpp::sim::{PrefetchMode, SystemConfig};
 use etpp::workloads::{workload_by_name, Scale};
+use std::collections::HashSet;
 use std::path::PathBuf;
 
 fn probe_spec() -> SweepSpec {
@@ -52,26 +54,49 @@ fn merged_tables_are_byte_identical_for_any_jobs_and_shard_split() {
     let wls = std::slice::from_ref(&wl);
     let caps = std::slice::from_ref(&cap);
 
-    let render = |jobs: usize, n_shards: usize| -> String {
+    let render = |jobs: usize, n_shards: usize, cache: Option<&TempDir>| -> String {
         let files: Vec<sweeps::ShardFile> = (0..n_shards)
             .map(|k| {
-                let run = sweeps::run_sweep(&spec, wls, caps, &opts(jobs, (k, n_shards), None));
+                let o = opts(jobs, (k, n_shards), cache.map(|c| c.0.clone()));
+                let run = sweeps::run_sweep(&spec, wls, caps, &o);
+                // Every lookup (cells + the baseline) is a hit or a miss.
+                let lookups = run.cells.len() as u64 + 1;
+                assert_eq!(run.cache_hits() + run.cache_misses(), lookups);
                 sweeps::parse_shard(&run.to_json()).expect("own shard file parses")
             })
             .collect();
         sweeps::render_merged(&sweeps::merge_shards(&files).expect("full coverage"))
     };
 
-    let reference = render(1, 1);
+    let reference = render(1, 1, None);
     assert!(
         reference.contains("obs_queue=10 pf_buffer=16"),
         "settings rendered:\n{reference}"
     );
+    // The dedupe is invisible in the tables: Stride rows that share one
+    // simulation still render one row each, with equal cycles.
+    let stride_cycles = |settings: &str| {
+        let row = reference
+            .lines()
+            .find(|l| l.contains("| Stride |") && l.contains(settings))
+            .expect("stride row rendered");
+        row.split('|').nth(6).expect("cycles column").to_string()
+    };
+    assert_eq!(
+        stride_cycles("obs_queue=10 pf_buffer=16"),
+        stride_cycles("obs_queue=40 pf_buffer=16")
+    );
     for (jobs, shards) in [(4, 1), (1, 4), (4, 4), (2, 3)] {
         assert_eq!(
             reference,
-            render(jobs, shards),
+            render(jobs, shards, None),
             "jobs={jobs} shards={shards} changed the merged tables"
+        );
+        let cache = TempDir::new(&format!("split-{jobs}-{shards}"));
+        assert_eq!(
+            reference,
+            render(jobs, shards, Some(&cache)),
+            "jobs={jobs} shards={shards} over a result cache changed the merged tables"
         );
     }
 }
@@ -88,10 +113,19 @@ fn result_cache_hits_warm_and_invalidates_exactly_changed_cells() {
         sweeps::run_sweep(spec, wls, caps, &opts(2, (0, 1), Some(tmp.0.clone())))
     };
 
-    // Cold: every lookup (8 cells + the baseline) executes and populates.
+    // Cold: every distinct key executes and populates — the baseline,
+    // 4 Manual cells, and 2 Stride cells (Stride cannot read obs_queue,
+    // so its obs_queue=10/40 cells share one entry per pf_buffer); the
+    // 2 Stride followers hit.
     let cold = run(&spec);
-    assert_eq!(cold.cache_hits(), 0, "cold run must not hit");
-    assert_eq!(cold.cache_misses(), 9);
+    assert_eq!(cold.distinct_cells(), 6);
+    assert_eq!(cold.cache_misses(), 7);
+    assert_eq!(cold.cache_hits(), 2, "the Stride followers");
+    for c in &cold.cells {
+        let follower = c.mode == PrefetchMode::Stride
+            && c.settings.iter().any(|&(n, v)| n == "obs_queue" && v == 40);
+        assert_eq!(c.cached, follower, "cell {} cache attribution", c.index);
+    }
 
     // Warm: every lookup hits; the merged tables (which exclude cache
     // status — it is the one legitimately nondeterministic field) come
@@ -106,16 +140,17 @@ fn result_cache_hits_warm_and_invalidates_exactly_changed_cells() {
     assert_eq!(tables(&cold), tables(&warm));
     assert!(warm.cells.iter().all(|c| c.cached));
 
-    // A changed axis value invalidates exactly the changed cells: the
-    // baseline and the obs_queue=10 half still hit, the new obs_queue=80
-    // half misses.
+    // A changed axis value invalidates exactly the cells that can
+    // observe it: the baseline, the obs_queue=10 half and every Stride
+    // cell still hit; only the Manual obs_queue=80 cells are new.
     let mut changed = probe_spec();
     changed.axes[0] = axes::obs_queue(&[10, 80]);
     let partial = run(&changed);
-    assert_eq!(partial.cache_hits(), 5, "baseline + 4 unchanged cells");
-    assert_eq!(partial.cache_misses(), 4, "4 obs_queue=80 cells are new");
+    assert_eq!(partial.cache_hits(), 7, "baseline + 6 unaffected cells");
+    assert_eq!(partial.cache_misses(), 2, "2 Manual obs_queue=80 cells");
     for c in &partial.cells {
-        let expect_hit = c.settings.iter().any(|&(n, v)| n == "obs_queue" && v == 10);
+        let expect_hit = c.mode == PrefetchMode::Stride
+            || c.settings.iter().any(|&(n, v)| n == "obs_queue" && v == 10);
         assert_eq!(
             c.cached, expect_hit,
             "cell {:?} cache attribution wrong",
@@ -144,5 +179,107 @@ fn composed_grid_covers_the_documented_cross_product() {
     }
     for mode in [PrefetchMode::RptStride, PrefetchMode::PcDelta] {
         assert!(spec.modes.contains(&mode), "missing zoo mode {mode:?}");
+    }
+}
+
+/// The dedupe is exact: a fixed-function mode's key moves with
+/// `pf_buffer` only, a programmable mode's with every axis.
+#[test]
+fn composed_grid_has_exactly_2080_distinct_cells() {
+    let spec = sweeps::composed_grid();
+    let total = spec.total_jobs(2);
+    let keys: HashSet<(usize, u64)> = (0..total)
+        .map(|job| {
+            let (wi, mi, vi) = spec.decode(job);
+            let hash = sweeps::cell_config_hash(&spec.config_for(&vi), spec.modes[mi], false);
+            (wi, hash)
+        })
+        .collect();
+    // 2 workloads × (4 fixed-function modes × 4 pf_buffer values +
+    // 2 programmable modes × the full 512-point axis product).
+    assert_eq!(total, 6144);
+    assert_eq!(keys.len(), 2 * (4 * 4 + 2 * 512));
+}
+
+/// The tripwire behind the effective-config key: no fixed-function
+/// engine, and neither driver under it, may read a field
+/// `effective_for` resets. Every `cfg.pf` axis of the composed grid is
+/// pushed to its low extreme in one config and its high extreme in
+/// another; both simulators must return the projected config's numbers
+/// exactly.
+#[test]
+fn effective_config_projection_changes_no_simulated_number() {
+    let base = SystemConfig::paper();
+    let spec = sweeps::composed_grid();
+    let pf_axes: Vec<&sweeps::Axis> = spec
+        .axes
+        .iter()
+        .filter(|a| {
+            let mut cfg = base;
+            (a.apply)(&mut cfg, a.values[0]);
+            cfg.pf != base.pf
+        })
+        .collect();
+    assert_eq!(pf_axes.len(), 5, "every composed axis but pf_buffer");
+    let configs = [false, true].map(|high| {
+        let mut cfg = base;
+        for a in &pf_axes {
+            let v = if high {
+                a.values.last()
+            } else {
+                a.values.first()
+            };
+            (a.apply)(&mut cfg, *v.expect("axis has values"));
+        }
+        cfg
+    });
+
+    let same = |a: &SystemConfig, b: &SystemConfig| {
+        a.core == b.core
+            && a.pf == b.pf
+            && format!("{:?}", a.mem) == format!("{:?}", b.mem)
+            && (a.max_cycles, a.per_cycle_reference) == (b.max_cycles, b.per_cycle_reference)
+    };
+    for name in ["IntSort", "HJ-8"] {
+        let wl = workload_by_name(name).unwrap().build(Scale::Tiny);
+        let cap = load_or_capture_keyed(None, &base, &wl, "tiny", etpp::trace::FORMAT_VERSION);
+        for mode in PrefetchMode::ALL {
+            if mode.is_programmable() {
+                for cfg in &configs {
+                    assert!(
+                        same(cfg, &cfg.effective_for(mode)),
+                        "{mode:?} must keep {cfg:?}"
+                    );
+                }
+                continue;
+            }
+            if mode == PrefetchMode::Software {
+                continue; // no engine to build
+            }
+            let replayed = |cfg: &SystemConfig| {
+                let r = replay_run(cfg, mode, &wl, &cap.trace.records).expect("replayable");
+                (r.cycles, r.mem, r.validated)
+            };
+            let simulated = |cfg: &SystemConfig| {
+                let r = etpp::sim::run(cfg, mode, &wl).expect("runnable");
+                (r.cycles, r.mem, r.core, r.validated)
+            };
+            let (want_replay, want_cycle) = (replayed(&base), simulated(&base));
+            for cfg in &configs {
+                assert!(same(&cfg.effective_for(mode), &base));
+                assert_eq!(
+                    replayed(cfg),
+                    want_replay,
+                    "{name} {mode:?} replay reads {:?}",
+                    cfg.pf
+                );
+                assert_eq!(
+                    simulated(cfg),
+                    want_cycle,
+                    "{name} {mode:?} cycle core reads {:?}",
+                    cfg.pf
+                );
+            }
+        }
     }
 }
