@@ -39,9 +39,12 @@
 //! runs only jobs `i ≡ K (mod N)` and writes
 //! `--sweep-dir`/shard-K-of-N.json (default `target/sweeps`); a full
 //! `--sweep` (no `--shard`) also prints the merged tables.
-//! `--sweep-merge DIR` parses every shard JSON in DIR, verifies exact
-//! job coverage, and prints tables that are byte-identical for any
-//! (jobs, shard-count) split of the same sweep.
+//! `--sweep-merge DIR` parses every `shard-*.json` in DIR (the
+//! failures files and journals `--sweep` leaves beside them are not
+//! shards), verifies exact job coverage, and prints tables that are
+//! byte-identical for any (jobs, shard-count) split of the same sweep.
+//! The file names and formats belong to `etpp_sim::sweeps` (every file
+//! is rows of `etpp_sim::rows`); this binary only picks the directory.
 //!
 //! Sweeps are **fail-soft** (see the README's Robustness section): a
 //! panicking cell is retried with deterministic backoff and then
@@ -523,6 +526,7 @@ fn run_sweep_cmd(cli: &SweepCli) {
     let label = scale_label(cli.scale);
     let spec = sweeps::composed_grid();
     let (jobs, shard) = (cli.jobs, cli.shard);
+    let failures_path = sweeps::SweepFile::Failures.path(&cli.sweep_dir, shard);
 
     let t0 = Instant::now();
     let names = ["IntSort", "HJ-8"];
@@ -573,12 +577,6 @@ fn run_sweep_cmd(cli: &SweepCli) {
         }
     }
     if !capture_failures.is_empty() {
-        if let Err(e) = std::fs::create_dir_all(&cli.sweep_dir) {
-            io_fail("create sweep dir", &cli.sweep_dir, &e);
-        }
-        let failures_path = cli
-            .sweep_dir
-            .join(format!("failures-{}-of-{}.json", shard.0, shard.1));
         if let Err(e) = faults::write_failures(&failures_path, &capture_failures) {
             io_fail("write failures file", &failures_path, &e);
         }
@@ -620,9 +618,6 @@ fn run_sweep_cmd(cli: &SweepCli) {
         }
     }
 
-    let journal = cli
-        .sweep_dir
-        .join(format!("journal-{}-of-{}.jsonl", shard.0, shard.1));
     let opts = sweeps::SweepOptions {
         cache_dir: Some(cli.cache_dir.clone()),
         shard,
@@ -631,7 +626,7 @@ fn run_sweep_cmd(cli: &SweepCli) {
             ..Default::default()
         },
         faults: cli.fault_plan.clone(),
-        journal: Some(journal),
+        journal: Some(sweeps::SweepFile::Journal.path(&cli.sweep_dir, shard)),
         resume: cli.resume,
         cell_budget: cli.cell_budget,
         decode_errors_from: Some(decode_errors_from),
@@ -649,12 +644,6 @@ fn run_sweep_cmd(cli: &SweepCli) {
         run.cache_summary()
     );
 
-    if let Err(e) = std::fs::create_dir_all(&cli.sweep_dir) {
-        io_fail("create sweep dir", &cli.sweep_dir, &e);
-    }
-    let failures_path = cli
-        .sweep_dir
-        .join(format!("failures-{}-of-{}.json", shard.0, shard.1));
     if let Err(e) = faults::write_failures(&failures_path, &run.failures) {
         io_fail("write failures file", &failures_path, &e);
     }
@@ -665,9 +654,7 @@ fn run_sweep_cmd(cli: &SweepCli) {
             failures_path.display()
         );
     }
-    let path = cli
-        .sweep_dir
-        .join(format!("shard-{}-of-{}.json", shard.0, shard.1));
+    let path = sweeps::SweepFile::Shard.path(&cli.sweep_dir, shard);
     if let Err(e) = std::fs::write(&path, run.to_json()) {
         io_fail("write shard file", &path, &e);
     }
@@ -689,36 +676,12 @@ fn run_sweep_cmd(cli: &SweepCli) {
     }
 }
 
-/// `--sweep-merge DIR`: parse every shard JSON in DIR, verify exact job
-/// coverage, and print the merged tables. Exits 1 on coverage gaps or
-/// mismatched shards.
+/// `--sweep-merge DIR`: parse every shard file in DIR, verify exact job
+/// coverage, and print the merged tables. Exits 2 when DIR holds no
+/// readable shard files, 1 on coverage gaps or mismatched shards.
 fn run_sweep_merge(dir: &std::path::Path) {
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
-        .unwrap_or_else(|e| {
-            usage_error(&format!(
-                "--sweep-merge: cannot read {}: {e}",
-                dir.display()
-            ))
-        })
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "json"))
-        .collect();
-    paths.sort();
-    if paths.is_empty() {
-        usage_error(&format!(
-            "--sweep-merge: no shard JSONs in {}",
-            dir.display()
-        ));
-    }
-    let mut files = Vec::new();
-    for p in &paths {
-        let body = std::fs::read_to_string(p)
-            .unwrap_or_else(|e| usage_error(&format!("cannot read {}: {e}", p.display())));
-        match sweeps::parse_shard(&body) {
-            Ok(f) => files.push(f),
-            Err(e) => usage_error(&format!("{}: {e}", p.display())),
-        }
-    }
+    let files =
+        sweeps::read_shard_dir(dir).unwrap_or_else(|e| usage_error(&format!("--sweep-merge: {e}")));
     eprintln!("[merge] {} shard files from {}", files.len(), dir.display());
     match sweeps::merge_shards(&files) {
         Ok(m) => println!("{}", sweeps::render_merged(&m)),

@@ -51,6 +51,10 @@
 //! report, `--compare` lists their rows as coverage drift, not
 //! failures.
 //!
+//! The report is written and read back (`--compare`) with the sweep
+//! farm's row codec, `etpp_sim::rows`: every cell is one row on its own
+//! line, nested `lifecycle`/`visits` objects included.
+//!
 //! `--jobs N` shards the (workload × path × mode) cell grid across N
 //! worker threads; each cell's `wall_s` is still measured around its
 //! own single-threaded simulation inside the worker, so
@@ -74,10 +78,12 @@
 use etpp_mem::LifecycleCounts;
 use etpp_sim::experiments::{map_indexed, sample_interval};
 use etpp_sim::replay as rp;
+use etpp_sim::rows::{row, write_rows, Row, RowWriter};
 use etpp_sim::sweeps;
 use etpp_sim::{
     run_telemetry, run_watched, PrefetchMode, SystemConfig, TelemetrySpec, VisitCounts, Watchdog,
 };
+use etpp_telemetry::json_escape;
 use etpp_workloads::{BuiltWorkload, Scale, Workload};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -147,10 +153,6 @@ struct WorkloadReport {
     trace_accesses: u64,
     cycle: Vec<CycleRow>,
     replay: Vec<ReplayRow>,
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Cache-effectiveness counters of one sweep pass (cold or warm) over
@@ -259,89 +261,71 @@ fn render_json(
         .collect::<Vec<_>>()
         .join(", ");
     let _ = writeln!(j, "  \"modes\": [{mode_list}],");
-    let _ = writeln!(
-        j,
-        "  \"watchdog\": {{\"armed\": true, \"budget_s\": {}}},",
-        WATCHDOG_BUDGET.as_secs()
-    );
-    let sweep_pass = |p: &SweepPass| {
-        format!(
-            "{{\"hit\": {}, \"miss\": {}, \"escalated\": {}, \"wall_s\": {:.6}}}",
-            p.hit, p.miss, p.escalated, p.wall_s
-        )
+    let watchdog = row(|w| {
+        w.raw("armed", true)
+            .raw("budget_s", WATCHDOG_BUDGET.as_secs());
+    });
+    let _ = writeln!(j, "  \"watchdog\": {watchdog},");
+    let pass = |w: &mut RowWriter<'_>, p: &SweepPass| {
+        w.raw("hit", p.hit)
+            .raw("miss", p.miss)
+            .raw("escalated", p.escalated)
+            .raw("wall_s", format_args!("{:.6}", p.wall_s));
     };
-    let _ = writeln!(
-        j,
-        "  \"sweep\": {{\"cells\": {}, \"cold\": {}, \"warm\": {}}},",
-        sweep.cells,
-        sweep_pass(&sweep.cold),
-        sweep_pass(&sweep.warm)
-    );
+    let stanza = row(|w| {
+        w.raw("cells", sweep.cells)
+            .nested("cold", |n| pass(n, &sweep.cold))
+            .nested("warm", |n| pass(n, &sweep.warm));
+    });
+    let _ = writeln!(j, "  \"sweep\": {stanza},");
     j.push_str("  \"workloads\": [\n");
+    // One cell per line: `parse_report` (and `--compare`) read them as rows.
     for (wi, w) in reports.iter().enumerate() {
         let _ = writeln!(j, "    {{\n      \"name\": \"{}\",", json_escape(w.name));
         let _ = writeln!(j, "      \"trace_accesses\": {},", w.trace_accesses);
-        j.push_str("      \"cycle\": [\n");
-        for (i, r) in w.cycle.iter().enumerate() {
-            let visits = r
-                .visits
-                .iter()
-                .filter(|(_, count)| *count > 0)
-                .map(|(key, count)| format!("\"{key}\": {count}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            let lifecycle = r.lifecycle.as_ref().map_or(String::from("null"), |l| {
-                format!(
-                    "{{\"issued\": {}, \"accurate\": {}, \"late\": {}, \
-                     \"early_evicted\": {}, \"useless\": {}}}",
-                    l.issued, l.accurate, l.late, l.early_evicted, l.useless
-                )
+        j.push_str("      \"cycle\": ");
+        write_rows(&mut j, "      ", &w.cycle, |row, r| {
+            row.str("mode", r.mode.key())
+                .raw("cycles", r.cycles)
+                .raw("host_iters", r.host_iters)
+                .raw("fast_forward", format_args!("{:.3}", r.ff()))
+                .raw("wall_s", format_args!("{:.6}", r.wall_s))
+                .raw("accesses_per_s", format_args!("{:.1}", r.accesses_per_s))
+                .raw("validated", r.validated)
+                .raw("late_pf_merges", r.late_pf_merges);
+            match &r.lifecycle {
+                Some(l) => row.nested("lifecycle", |n| {
+                    n.raw("issued", l.issued)
+                        .raw("accurate", l.accurate)
+                        .raw("late", l.late)
+                        .raw("early_evicted", l.early_evicted)
+                        .raw("useless", l.useless);
+                }),
+                None => row.raw("lifecycle", "null"),
+            }
+            .nested("visits", |n| {
+                for (key, count) in r.visits.iter().filter(|(_, count)| *count > 0) {
+                    n.raw(key, count);
+                }
             });
-            let _ = write!(
-                j,
-                "        {{\"mode\": \"{}\", \"cycles\": {}, \"host_iters\": {}, \
-                 \"fast_forward\": {:.3}, \"wall_s\": {:.6}, \"accesses_per_s\": {:.1}, \
-                 \"validated\": {}, \"late_pf_merges\": {}, \"lifecycle\": {lifecycle}, \
-                 \"visits\": {{{visits}}}}}",
-                r.mode.key(),
-                r.cycles,
-                r.host_iters,
-                r.ff(),
-                r.wall_s,
-                r.accesses_per_s,
-                r.validated,
-                r.late_pf_merges
-            );
-            j.push_str(if i + 1 < w.cycle.len() { ",\n" } else { "\n" });
-        }
-        j.push_str("      ],\n      \"replay\": [\n");
-        for (i, r) in w.replay.iter().enumerate() {
-            let speedup = r
-                .host_speedup
-                .map_or("null".to_string(), |s| format!("{s:.3}"));
-            let agreement = r
-                .cycle_agreement
-                .map_or("null".to_string(), |a| format!("{a:.3}"));
-            let _ = write!(
-                j,
-                "        {{\"mode\": \"{}\", \"cycles\": {}, \"host_iters\": {}, \
-                 \"fast_forward\": {:.3}, \"wall_s\": {:.6}, \"accesses_per_s\": {:.1}, \
-                 \"host_speedup\": {}, \"cycle_agreement\": {}, \"dep_stalls\": {}, \
-                 \"validated\": {}}}",
-                r.mode.key(),
-                r.cycles,
-                r.host_iters,
-                r.ff(),
-                r.wall_s,
-                r.accesses_per_s,
-                speedup,
-                agreement,
-                r.dep_stalls,
-                r.validated
-            );
-            j.push_str(if i + 1 < w.replay.len() { ",\n" } else { "\n" });
-        }
-        j.push_str("      ]\n    }");
+        });
+        j.push_str(",\n      \"replay\": ");
+        write_rows(&mut j, "      ", &w.replay, |row, r| {
+            row.str("mode", r.mode.key())
+                .raw("cycles", r.cycles)
+                .raw("host_iters", r.host_iters)
+                .raw("fast_forward", format_args!("{:.3}", r.ff()))
+                .raw("wall_s", format_args!("{:.6}", r.wall_s))
+                .raw("accesses_per_s", format_args!("{:.1}", r.accesses_per_s))
+                .opt("host_speedup", r.host_speedup.map(|s| format!("{s:.3}")))
+                .opt(
+                    "cycle_agreement",
+                    r.cycle_agreement.map(|a| format!("{a:.3}")),
+                )
+                .raw("dep_stalls", r.dep_stalls)
+                .raw("validated", r.validated);
+        });
+        j.push_str("\n    }");
         j.push_str(if wi + 1 < reports.len() { ",\n" } else { "\n" });
     }
     j.push_str("  ]\n}\n");
@@ -351,26 +335,6 @@ fn render_json(
 // ---------------------------------------------------------------------------
 // --compare: host-profile regression gate against a previous report
 // ---------------------------------------------------------------------------
-
-/// Extracts `"key": <number>` from a one-cell JSON line (speedcheck's
-/// own output format; not a general JSON parser).
-fn field_num(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts `"key": "<string>"` from a line of speedcheck JSON.
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    Some(rest[..rest.find('"')?].to_string())
-}
 
 /// One parsed throughput cell: host accesses/s plus the deterministic
 /// fast-forward factor (absent in schema-1 cycle rows).
@@ -388,28 +352,35 @@ struct Report {
     cells: Vec<Cell>,
 }
 
+/// Reads a report with the shared row reader: each cell is one row on
+/// its own line (nested `lifecycle`/`visits` objects included); the
+/// `"scale"`/`"name"` lines around them are one-member lists.
 fn parse_report(json: &str) -> Report {
     let mut scale = String::new();
     let mut cells = Vec::new();
     let mut workload = String::new();
-    let mut path = String::new();
+    let mut path = "";
     for line in json.lines() {
-        if let Some(s) = field_str(line, "scale") {
-            scale = s;
-        } else if let Some(name) = field_str(line, "name") {
-            workload = name;
-        } else if line.trim_start().starts_with("\"cycle\": [") {
-            path = "cycle".to_string();
-        } else if line.trim_start().starts_with("\"replay\": [") {
-            path = "replay".to_string();
-        } else if let (Some(mode), Some(aps)) =
-            (field_str(line, "mode"), field_num(line, "accesses_per_s"))
-        {
-            cells.push(Cell {
-                key: (workload.clone(), path.clone(), mode),
-                accesses_per_s: aps,
-                fast_forward: field_num(line, "fast_forward"),
-            });
+        let t = line.trim();
+        let t = t.strip_suffix(',').unwrap_or(t);
+        if t.starts_with("\"cycle\": [") {
+            path = "cycle";
+        } else if t.starts_with("\"replay\": [") {
+            path = "replay";
+        } else if let Some(row) = Row::parse(t) {
+            if let (Ok(mode), Ok(aps)) = (row.str("mode"), row.get("accesses_per_s")) {
+                cells.push(Cell {
+                    key: (workload.clone(), path.to_string(), mode.into_owned()),
+                    accesses_per_s: aps,
+                    fast_forward: row.get("fast_forward").ok(),
+                });
+            }
+        } else if let Some(row) = Row::members(t) {
+            if let Ok(s) = row.str("scale") {
+                scale = s.into_owned();
+            } else if let Ok(name) = row.str("name") {
+                workload = name.into_owned();
+            }
         }
     }
     Report { scale, cells }

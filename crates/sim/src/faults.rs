@@ -10,7 +10,9 @@
 //! backoff, and finally *quarantined* as a [`JobFailure`] while the
 //! rest of the grid completes. Quarantines surface three ways: a
 //! `FAILED` row in the merged tables, a [`FailureRecord`] in the
-//! per-run `failures.json`, and the `sweep.quarantined` counter.
+//! per-run `failures.json`, and the `sweep.quarantined` counter. The
+//! record is one row ([`crate::rows`]) with one writer and one reader,
+//! spelled the same in the journal, the shard file and `failures.json`.
 //!
 //! Faults themselves are injectable on purpose: a [`FaultPlan`] is a
 //! pure function of job index and attempt number (no wall clock, no
@@ -18,13 +20,13 @@
 //! convergence between a faulted-and-recovered run and a clean one.
 //!
 //! The [`Journal`] is the checkpoint–resume half: an append-only,
-//! fsync-per-entry line file where every line carries its own FNV-1a
-//! integrity hash (`payload|fnv16hex`), so a crash mid-write leaves at
-//! worst one torn tail line that resume detects and truncates.
+//! fsync-per-entry file of sealed lines ([`crate::rows::seal`]:
+//! `payload|fnv16hex`), so a crash mid-write leaves at worst one torn
+//! tail line that resume detects and truncates.
 
+use crate::rows::{seal, unseal, write_rows, Row, RowWriter};
 use crate::watchdog::{Cancelled, LivelockAbort, BUDGET_ESCALATION};
 use etpp_mem::cancel::{CancelReason, CancelToken};
-use etpp_trace::format::{fnv1a, FNV_OFFSET};
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::fs;
@@ -498,7 +500,8 @@ pub fn apply_trace_flips(plan: &FaultPlan, trace_paths: &[PathBuf]) -> io::Resul
 // Quarantine records (failures.json)
 // ---------------------------------------------------------------------------
 
-/// One quarantined job, as written to the per-run `failures.json`.
+/// One quarantined job: the failure row of the journal, the shard file
+/// and the per-run `failures.json`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FailureRecord {
     /// Flat job index; `None` for a workload-baseline failure.
@@ -519,26 +522,64 @@ pub struct FailureRecord {
     pub error: String,
 }
 
-/// Renders failure records as a JSON array, one record per line.
-pub fn failures_json(records: &[FailureRecord]) -> String {
-    let mut j = String::from("[\n");
-    for (i, f) in records.iter().enumerate() {
-        j.push_str(&format!(
-            "  {{\"index\": {}, \"workload\": \"{}\", \"mode\": \"{}\", \"settings\": \"{}\", \
-             \"config_hash\": \"{:016x}\", \"class\": \"{}\", \"attempts\": {}, \
-             \"error\": \"{}\"}}{}\n",
-            f.index.map_or("null".to_string(), |i| i.to_string()),
-            f.workload,
-            f.mode,
-            f.settings,
-            f.config_hash,
-            f.class.key(),
-            f.attempts,
-            etpp_telemetry::json_escape(&f.error),
-            if i + 1 < records.len() { "," } else { "" }
-        ));
+impl FailureRecord {
+    /// The record of `fail`, a job that exhausted its retry schedule.
+    pub fn of(
+        fail: JobFailure,
+        index: Option<usize>,
+        workload: &str,
+        mode: &str,
+        settings: String,
+        config_hash: u64,
+    ) -> FailureRecord {
+        FailureRecord {
+            index,
+            workload: workload.to_string(),
+            mode: mode.to_string(),
+            settings,
+            config_hash,
+            class: fail.class,
+            attempts: fail.attempts,
+            error: fail.error,
+        }
     }
-    j.push_str("]\n");
+
+    /// Spells the record's fields into a row.
+    pub fn write(&self, w: &mut RowWriter<'_>) {
+        w.opt("index", self.index)
+            .str("workload", &self.workload)
+            .str("mode", &self.mode)
+            .str("settings", &self.settings)
+            .raw("config_hash", format_args!("\"{:016x}\"", self.config_hash))
+            .str("class", self.class.key())
+            .raw("attempts", self.attempts)
+            .str("error", &self.error);
+    }
+
+    /// Reads back what [`FailureRecord::write`] spelled, byte-exact.
+    ///
+    /// # Errors
+    /// Names the missing or malformed field.
+    pub fn read(row: &Row<'_>) -> Result<FailureRecord, String> {
+        Ok(FailureRecord {
+            index: row.get("index").ok(),
+            workload: row.str("workload")?.into_owned(),
+            mode: row.str("mode")?.into_owned(),
+            settings: row.str("settings")?.into_owned(),
+            config_hash: u64::from_str_radix(&row.str("config_hash")?, 16)
+                .map_err(|e| format!("field \"config_hash\": {e}"))?,
+            class: FailureClass::from_key(&row.str("class").unwrap_or_default()),
+            attempts: row.get("attempts")?,
+            error: row.str("error")?.into_owned(),
+        })
+    }
+}
+
+/// Renders failure records as a JSON array, one row per line.
+pub fn failures_json(records: &[FailureRecord]) -> String {
+    let mut j = String::new();
+    write_rows(&mut j, "", records, |w, f| f.write(w));
+    j.push('\n');
     j
 }
 
@@ -576,24 +617,11 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
 // Progress journal (checkpoint–resume)
 // ---------------------------------------------------------------------------
 
-fn line_hash(payload: &str) -> u64 {
-    fnv1a(payload.as_bytes(), FNV_OFFSET)
-}
-
-/// Validates one journal line (`payload|fnv16hex\n`), returning the
-/// payload. A line missing its newline (torn write) or failing its
-/// hash is invalid.
-fn parse_journal_line(line: &str) -> Option<&str> {
-    let body = line.strip_suffix('\n')?;
-    let (payload, hash) = body.rsplit_once('|')?;
-    (u64::from_str_radix(hash, 16).ok()? == line_hash(payload)).then_some(payload)
-}
-
 /// The append-only, fsync'd progress journal a sweep shard writes so
 /// `--resume` can skip completed cells after a crash.
 ///
-/// Line format: `payload|fnv1a(payload) as 016x hex`, newline
-/// terminated, fsync'd per append. Line 0 is a header describing the
+/// Every line is one [`seal`]ed payload, fsync'd per append. Line 0
+/// is a header describing the
 /// sweep identity (spec, scale, shard, trace hashes); [`Journal::resume`]
 /// discards the whole file if the header does not match — a journal
 /// from a different sweep must never donate progress. A torn tail
@@ -628,12 +656,14 @@ impl Journal {
     /// # Errors
     /// I/O failure opening or truncating the file.
     pub fn resume(path: &Path, header: &str) -> io::Result<(Journal, Vec<String>)> {
-        let existing = fs::read_to_string(path).unwrap_or_default();
+        // Bytes, not a string: a flip that breaks UTF-8 costs the lines
+        // from there on, not the whole journal.
+        let existing = fs::read(path).unwrap_or_default();
         let mut valid_len = 0usize;
         let mut entries = Vec::new();
         let mut header_ok = false;
-        for line in existing.split_inclusive('\n') {
-            let Some(payload) = parse_journal_line(line) else {
+        for line in existing.split_inclusive(|&b| b == b'\n') {
+            let Some(payload) = std::str::from_utf8(line).ok().and_then(unseal) else {
                 break;
             };
             if !header_ok {
@@ -660,9 +690,7 @@ impl Journal {
     /// # Errors
     /// I/O failure writing or syncing.
     pub fn append(&mut self, payload: &str) -> io::Result<()> {
-        debug_assert!(!payload.contains('\n'), "journal entries are single lines");
-        self.file
-            .write_all(format!("{payload}|{:016x}\n", line_hash(payload)).as_bytes())?;
+        self.file.write_all(seal(payload).as_bytes())?;
         self.file.sync_data()
     }
 }
@@ -862,6 +890,22 @@ mod tests {
         let (_, entries) = Journal::resume(&path, "HDR").unwrap();
         assert_eq!(entries, vec!["one", "two", "three"]);
 
+        // A flipped byte costs that line and everything after it — even
+        // one that breaks UTF-8 — never the lines before it.
+        let intact = fs::read(&path).unwrap();
+        let at = intact.len() - seal("three").len() - 3;
+        for flip in [0x01, 0x80] {
+            let mut bytes = intact.clone();
+            bytes[at] ^= flip;
+            fs::write(&path, &bytes).unwrap();
+            let (mut j, entries) = Journal::resume(&path, "HDR").unwrap();
+            assert_eq!(entries, vec!["one"], "flip {flip:#x}");
+            j.append("again").unwrap();
+            drop(j);
+            let (_, entries) = Journal::resume(&path, "HDR").unwrap();
+            assert_eq!(entries, vec!["one", "again"], "truncated, then appended");
+        }
+
         // A different header discards everything.
         let (_, entries) = Journal::resume(&path, "OTHER").unwrap();
         assert!(entries.is_empty());
@@ -879,7 +923,7 @@ mod tests {
                 config_hash: 0xdead,
                 class: FailureClass::Panic,
                 attempts: 3,
-                error: "panic \"quoted\"".into(),
+                error: "panic \"quoted\" C:\\x | a\nb ß✓".into(),
             },
             FailureRecord {
                 index: Some(5),
@@ -899,6 +943,23 @@ mod tests {
         assert!(j.contains("000000000000dead"), "{j}");
         assert!(j.contains("\"class\": \"panic\""), "{j}");
         assert!(j.contains("\"class\": \"timeout\""), "{j}");
+        assert_eq!(failures_json(&[]), "[\n]\n");
+        // One row per line between the brackets, and every row reads
+        // back as the record it was written from, byte for byte.
+        let lines: Vec<&str> = j.lines().collect();
+        assert_eq!((lines[0], lines[3]), ("[", "]"));
+        let back: Vec<FailureRecord> = lines[1..3]
+            .iter()
+            .map(|l| FailureRecord::read(&Row::parse(l).unwrap()).unwrap())
+            .collect();
+        assert_eq!(back, recs);
+        // A row without a class (written before classes existed) reads
+        // as a panic; one without an error text is malformed.
+        let classless = lines[2].replace("\"class\": \"timeout\", ", "");
+        let old = FailureRecord::read(&Row::parse(&classless).unwrap()).unwrap();
+        assert_eq!(old.class, FailureClass::Panic);
+        let err = FailureRecord::read(&Row::parse("{\"index\": 1}").unwrap()).unwrap_err();
+        assert!(err.contains("\"workload\""), "{err}");
     }
 
     #[test]

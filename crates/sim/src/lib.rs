@@ -17,6 +17,7 @@ pub mod experiments;
 pub mod faults;
 pub mod replay;
 pub mod report;
+pub mod rows;
 pub mod sweeps;
 pub mod system;
 pub mod telemetry;
@@ -31,7 +32,7 @@ pub use replay::{
     try_load_or_capture_keyed, KeyedCapture, ReplayRun,
 };
 pub use sweeps::{
-    composed_grid, merge_shards, parse_shard, render_merged, run_sweep, MergedSweep, ShardRun,
+    composed_grid, merge_shards, parse_shard, render_merged, run_sweep, ShardFile, ShardRun,
     SweepOptions, SweepSpec,
 };
 pub use system::{

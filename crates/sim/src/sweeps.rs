@@ -43,18 +43,27 @@
 //! shard-count) split — the same determinism contract
 //! [`crate::experiments::map_indexed`] pins for threads, extended to
 //! processes.
+//!
+//! On disk everything is a **row** ([`crate::rows`]): a cell's payload
+//! ([`CellData`]), a baseline ([`WorkloadBaseline`]) and a quarantine
+//! ([`FailureRecord`]) each have exactly one field writer and one field
+//! reader, and the four files are arrangements of those rows — the
+//! cache record is one sealed cell payload, a journal line is a sealed
+//! `kind` + row (+ nested failure row), the shard file and
+//! `failures.json` are arrays of rows, one per line.
 
 use crate::config::{PrefetchMode, SystemConfig};
 use crate::experiments::{map_indexed, shard_indices};
 use crate::faults::{
     run_isolated, run_isolated_budgeted, write_atomic, FailureClass, FailureRecord, FaultPlan,
-    Journal, RetryPolicy,
+    JobFailure, Journal, RetryPolicy,
 };
 use crate::replay::{replay_params, replay_run_watched, KeyedCapture};
+use crate::rows::{row, seal, unseal, write_rows, Row, RowWriter};
 use crate::system::{run, run_watched};
 use crate::watchdog::Watchdog;
 use etpp_mem::cancel::CancelToken;
-use etpp_telemetry::{json_escape, Registry};
+use etpp_telemetry::Registry;
 use etpp_trace::format::{fnv1a, FNV_OFFSET};
 use etpp_workloads::BuiltWorkload;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -67,9 +76,10 @@ use std::time::{Duration, Instant};
 
 /// Version of the result-cache record and shard-file layout. Part of
 /// every cache key and file name: bumping it orphans (never corrupts)
-/// old entries. v2 added the self-integrity trailer on cache records,
-/// the `failed` cell path, and the shard-file `failures` section.
-pub const SWEEP_SCHEMA_VERSION: u32 = 2;
+/// old entries. v2 added the `failed` cell path and the shard-file
+/// `failures` section; v3 moved every file onto the one row codec and
+/// the one `payload|fnv` frame of [`crate::rows`].
+pub const SWEEP_SCHEMA_VERSION: u32 = 3;
 
 /// Default escalation gate on the stream-level absolute-cycle
 /// agreement: a baseline replay within ±15% of the capture run's cycle
@@ -262,11 +272,11 @@ pub fn settings_string(settings: &[(&'static str, u64)]) -> String {
     if settings.is_empty() {
         return "-".to_string();
     }
-    settings
-        .iter()
-        .map(|(n, v)| format!("{n}={v}"))
-        .collect::<Vec<_>>()
-        .join(" ")
+    let mut out = String::new();
+    for (i, (n, v)) in settings.iter().enumerate() {
+        let _ = write!(out, "{}{n}={v}", if i == 0 { "" } else { " " });
+    }
+    out
 }
 
 /// The ROADMAP's composed grid, grown now that cells are cheap:
@@ -367,83 +377,69 @@ impl CellPath {
     }
 }
 
-/// The cached payload of one executed cell (identity lives in the file
-/// name; speedups are derived at assembly from the workload baseline).
+/// The payload of one executed cell: what the result cache stores
+/// (identity lives in the file name) and what a journal entry and a
+/// shard cell row carry; speedups are derived at assembly from the
+/// workload baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct CellData {
-    path: CellPath,
-    cycles: u64,
-    host_iters: u64,
-    dep_stalls: u64,
-    validated: bool,
+pub struct CellData {
+    /// Which path produced the numbers.
+    pub path: CellPath,
+    /// Simulated cycles (0 when skipped or failed).
+    pub cycles: u64,
+    /// Host driver iterations.
+    pub host_iters: u64,
+    /// Dependence-edge stalls (replay path only).
+    pub dep_stalls: u64,
+    /// Post-run image checksum matched.
+    pub validated: bool,
 }
 
-/// Magic field every cache record carries; a record without it (schema
-/// drift, stray file) is corrupt by definition.
-const CELL_MAGIC: &str = "etpp-sweep-cell";
+impl CellData {
+    /// A quarantined cell: no numbers, rendered as a `FAILED` row.
+    const FAILED: CellData = CellData {
+        path: CellPath::Failed,
+        cycles: 0,
+        host_iters: 0,
+        dep_stalls: 0,
+        validated: false,
+    };
 
-fn cell_data_json(d: &CellData) -> String {
-    format!(
-        "{{\"magic\": \"{CELL_MAGIC}\", \"schema\": {SWEEP_SCHEMA_VERSION}, \"path\": \"{}\", \
-         \"cycles\": {}, \"host_iters\": {}, \"dep_stalls\": {}, \"validated\": {}}}\n",
-        d.path.as_str(),
-        d.cycles,
-        d.host_iters,
-        d.dep_stalls,
-        d.validated
-    )
-}
-
-fn parse_cell_data(json: &str) -> Option<CellData> {
-    if field_str(json, "magic")? != CELL_MAGIC {
-        return None;
+    fn write(&self, w: &mut RowWriter<'_>) {
+        w.str("path", self.path.as_str())
+            .raw("cycles", self.cycles)
+            .raw("host_iters", self.host_iters)
+            .raw("dep_stalls", self.dep_stalls)
+            .raw("validated", self.validated);
     }
-    if field_num(json, "schema")? as u32 != SWEEP_SCHEMA_VERSION {
-        return None;
+
+    fn read(row: &Row<'_>) -> Result<CellData, String> {
+        let path = row.str("path")?;
+        Ok(CellData {
+            path: CellPath::from_str(&path).ok_or_else(|| format!("unknown path {path:?}"))?,
+            cycles: row.get("cycles")?,
+            host_iters: row.get("host_iters")?,
+            dep_stalls: row.get("dep_stalls")?,
+            validated: row.get("validated")?,
+        })
     }
-    Some(CellData {
-        path: CellPath::from_str(&field_str(json, "path")?)?,
-        cycles: field_num(json, "cycles")? as u64,
-        host_iters: field_num(json, "host_iters")? as u64,
-        dep_stalls: field_num(json, "dep_stalls")? as u64,
-        validated: field_bool(json, "validated")?,
-    })
-}
 
-/// The full on-disk cache record: the JSON body plus a self-integrity
-/// trailer (`fnv <hash16> len <bytes>`) over the body, so a torn or
-/// bit-flipped record is detectable without trusting any of its bytes.
-fn cell_record(d: &CellData) -> String {
-    let body = cell_data_json(d);
-    format!(
-        "{body}fnv {:016x} len {}\n",
-        fnv1a(body.as_bytes(), FNV_OFFSET),
-        body.len()
-    )
-}
-
-/// Validates a cache record's trailer (magic, length, content hash) and
-/// parses the body. `None` means corrupt/truncated/drifted — the caller
-/// evicts the entry and treats the lookup as a miss.
-fn parse_cell_record(raw: &str) -> Option<CellData> {
-    let trailer_at = raw.rfind("fnv ")?;
-    let (body, trailer) = raw.split_at(trailer_at);
-    // The trailer must byte-match what the writer would emit for this
-    // body — any truncation, extension, or flip (of trailer *or* body)
-    // misses.
-    let expect = format!(
-        "fnv {:016x} len {}\n",
-        fnv1a(body.as_bytes(), FNV_OFFSET),
-        body.len()
-    );
-    if trailer != expect {
-        return None;
+    /// The on-disk cache record: the payload row, sealed.
+    pub fn to_record(&self) -> String {
+        seal(&row(|w| self.write(w)))
     }
-    parse_cell_data(body)
+
+    /// Reads a cache record back. `None` means corrupt, truncated or
+    /// drifted — the caller evicts the entry and treats the lookup as a
+    /// miss.
+    pub fn from_record(raw: &[u8]) -> Option<CellData> {
+        let payload = unseal(std::str::from_utf8(raw).ok()?)?;
+        CellData::read(&Row::parse(payload)?).ok()
+    }
 }
 
-fn write_cell_data(path: &Path, d: &CellData, tear: Option<u64>) -> std::io::Result<()> {
-    let mut bytes = cell_record(d).into_bytes();
+fn store_cell(path: &Path, d: &CellData, tear: Option<u64>) -> std::io::Result<()> {
+    let mut bytes = d.to_record().into_bytes();
     if let Some(k) = tear {
         // Fault injection: a torn write — the rename still happens, so
         // the next reader sees a syntactically broken record.
@@ -518,10 +514,11 @@ impl SweepOptions {
 
 /// Per-workload baseline: the replay-first no-prefetch run the
 /// agreement gate judges, and the denominator every cell speedup uses.
-#[derive(Debug, Clone)]
+/// One type in memory, in the journal and in the shard file.
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadBaseline {
     /// Benchmark name.
-    pub workload: &'static str,
+    pub workload: String,
     /// Baseline (no-prefetch, base-config) cycles on the path the gate
     /// chose — replay cycles normally, cycle-core cycles if the
     /// baseline replay itself broke.
@@ -535,6 +532,30 @@ pub struct WorkloadBaseline {
     /// The speedup denominator: replay cycles when the stream is
     /// trusted, the capture run's cycle count when escalated.
     pub reference_cycles: u64,
+}
+
+impl WorkloadBaseline {
+    /// `agreement` is spelled by `f64`'s shortest-round-trip `Display`,
+    /// so it reads back bit-exact and resumed merges stay byte-identical.
+    fn write(&self, w: &mut RowWriter<'_>) {
+        w.str("workload", &self.workload)
+            .raw("replay_cycles", self.replay_cycles)
+            .raw("capture_cycles", self.capture_cycles)
+            .opt("agreement", self.agreement)
+            .raw("escalate", self.escalate)
+            .raw("reference_cycles", self.reference_cycles);
+    }
+
+    fn read(row: &Row<'_>) -> Result<WorkloadBaseline, String> {
+        Ok(WorkloadBaseline {
+            workload: row.str("workload")?.into_owned(),
+            replay_cycles: row.get("replay_cycles")?,
+            capture_cycles: row.get("capture_cycles")?,
+            agreement: row.get("agreement").ok(),
+            escalate: row.get("escalate")?,
+            reference_cycles: row.get("reference_cycles")?,
+        })
+    }
 }
 
 /// One assembled sweep cell.
@@ -562,6 +583,18 @@ pub struct CellResult {
     pub speedup: Option<f64>,
     /// Served from the result cache.
     pub cached: bool,
+}
+
+impl CellResult {
+    fn data(&self) -> CellData {
+        CellData {
+            path: self.path,
+            cycles: self.cycles,
+            host_iters: self.host_iters,
+            dep_stalls: self.dep_stalls,
+            validated: self.validated,
+        }
+    }
 }
 
 /// The output of one sweep shard: its cells, the baselines behind
@@ -658,33 +691,18 @@ impl ShardRun {
             self.distinct_cells(),
             100.0 * h as f64 / (h + m).max(1) as f64
         );
-        let (c, r, q, j) = (
-            self.corrupt_evicted(),
-            self.retries(),
-            self.quarantined(),
-            self.journal_hits(),
-        );
-        if c > 0 {
-            let _ = write!(s, ", {c} corrupt evicted");
-        }
-        if r > 0 {
-            let _ = write!(s, ", {r} retried");
-        }
-        if q > 0 {
-            let _ = write!(s, ", {q} quarantined");
-        }
-        let (t, x, l) = (self.timeouts(), self.cancelled(), self.livelock_aborts());
-        if t > 0 {
-            let _ = write!(s, ", {t} timed out");
-        }
-        if x > 0 {
-            let _ = write!(s, ", {x} cancelled");
-        }
-        if l > 0 {
-            let _ = write!(s, ", {l} livelock aborts");
-        }
-        if j > 0 {
-            let _ = write!(s, ", {j} resumed from journal");
+        for (count, what) in [
+            (self.corrupt_evicted(), "corrupt evicted"),
+            (self.retries(), "retried"),
+            (self.quarantined(), "quarantined"),
+            (self.timeouts(), "timed out"),
+            (self.cancelled(), "cancelled"),
+            (self.livelock_aborts(), "livelock aborts"),
+            (self.journal_hits(), "resumed from journal"),
+        ] {
+            if count > 0 {
+                let _ = write!(s, ", {count} {what}");
+            }
         }
         s
     }
@@ -718,26 +736,16 @@ fn cached_exec(
     debug_assert_eq!(key.1, cell_config_hash(cfg, mode, escalate));
     let path = cache_dir.map(|d| cell_cache_path(d, key.0, key.1));
     if let Some(p) = &path {
-        match fs::read_to_string(p) {
-            Ok(raw) => match parse_cell_record(&raw) {
-                Some(d) => {
-                    counters.hits.fetch_add(1, Ordering::Relaxed);
-                    return (d, true);
-                }
-                None => {
-                    counters.corrupt_evicted.fetch_add(1, Ordering::Relaxed);
-                    let _ = fs::remove_file(p);
-                    eprintln!("[sweep] evicted corrupt cache entry {}", p.display());
-                }
-            },
-            // Invalid UTF-8 is corruption too; anything else (ENOENT,
-            // EACCES...) is just a miss.
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                counters.corrupt_evicted.fetch_add(1, Ordering::Relaxed);
-                let _ = fs::remove_file(p);
-                eprintln!("[sweep] evicted corrupt cache entry {}", p.display());
+        // Unreadable (ENOENT, EACCES...) is just a miss; readable but
+        // not a valid record is corruption.
+        if let Ok(raw) = fs::read(p) {
+            if let Some(d) = CellData::from_record(&raw) {
+                counters.hits.fetch_add(1, Ordering::Relaxed);
+                return (d, true);
             }
-            Err(_) => {}
+            counters.corrupt_evicted.fetch_add(1, Ordering::Relaxed);
+            let _ = fs::remove_file(p);
+            eprintln!("[sweep] evicted corrupt cache entry {}", p.display());
         }
     }
     let d = exec_cell(cfg, mode, wl, records, escalate, cancel);
@@ -746,7 +754,7 @@ fn cached_exec(
         counters.escalated.fetch_add(1, Ordering::Relaxed);
     }
     if let Some(p) = &path {
-        if let Err(e) = write_cell_data(p, &d, tear) {
+        if let Err(e) = store_cell(p, &d, tear) {
             eprintln!("[sweep] could not cache {}: {e}", p.display());
         }
     }
@@ -838,139 +846,86 @@ struct SweepCounters {
 // Progress-journal entries (checkpoint–resume)
 // ---------------------------------------------------------------------------
 
-/// The journal's line-0 header: the full sweep identity (spec, scale,
-/// shard, gate bits, trace content hashes). Resume discards a journal
-/// whose header differs — progress from a different sweep, scale, or
-/// trace corpus must never be donated. Deliberately excludes the fault
-/// plan: a run killed *by* an injected fault resumes under a clean
-/// plan against the same journal.
-fn journal_header(
-    spec: &SweepSpec,
-    opts: &SweepOptions,
-    trace_format: u16,
-    total: usize,
-    captures: &[KeyedCapture],
-) -> String {
-    let hashes: Vec<String> = captures
-        .iter()
-        .map(|c| format!("{:016x}", c.content_hash))
-        .collect();
-    format!(
-        "{{\"kind\": \"header\", \"schema\": {SWEEP_SCHEMA_VERSION}, \"sweep\": \"{}\", \
-         \"scale\": \"{}\", \"trace_format\": {trace_format}, \"shard\": {}, \"of\": {}, \
-         \"total_jobs\": {total}, \"gate_bits\": \"{:016x}\", \"traces\": \"{}\"}}",
-        spec.name,
-        opts.scale_label,
-        opts.shard.0,
-        opts.shard.1,
-        opts.gate.to_bits(),
-        hashes.join(",")
-    )
+impl ShardRun {
+    /// The identity a shard's files open with; merges and resumes refuse
+    /// to mix sweeps, scales, trace formats or shard universes.
+    fn write_header(&self, w: &mut RowWriter<'_>) {
+        w.raw("schema", SWEEP_SCHEMA_VERSION)
+            .str("sweep", self.sweep)
+            .str("scale", &self.scale)
+            .raw("trace_format", self.trace_format)
+            .raw("shard", self.shard.0)
+            .raw("of", self.shard.1)
+            .raw("total_jobs", self.total_jobs);
+    }
+
+    /// The journal's line-0 header: the shard identity plus the gate
+    /// bits and trace content hashes. Resume discards a journal whose
+    /// header differs — progress from a different sweep, scale, or trace
+    /// corpus must never be donated. Deliberately excludes the fault
+    /// plan: a run killed *by* an injected fault resumes under a clean
+    /// plan against the same journal.
+    fn journal_header(&self, gate: f64, captures: &[KeyedCapture]) -> String {
+        let hashes: Vec<String> = captures
+            .iter()
+            .map(|c| format!("{:016x}", c.content_hash))
+            .collect();
+        row(|w| {
+            w.str("kind", "header");
+            self.write_header(w);
+            w.raw("gate_bits", format_args!("\"{:016x}\"", gate.to_bits()))
+                .str("traces", &hashes.join(","));
+        })
+    }
 }
 
-/// Appends `, "class": "...", "attempts": N, "error": "..."` when the
-/// entry records a quarantine, so resume reconstructs the failure too.
-fn failure_suffix(failure: Option<&FailureRecord>) -> String {
-    failure.map_or(String::new(), |f| {
-        format!(
-            ", \"class\": \"{}\", \"attempts\": {}, \"error\": \"{}\"",
-            f.class.key(),
-            f.attempts,
-            json_escape(&f.error)
-        )
+/// One journal entry: `kind`, the finished job's own row fields, and —
+/// when the job was quarantined — its failure row nested under
+/// `"failure"`, so resume reconstructs exactly the record the first run
+/// reported.
+fn journal_entry(
+    kind: &str,
+    fields: impl FnOnce(&mut RowWriter<'_>),
+    failure: Option<&FailureRecord>,
+) -> String {
+    row(|w| {
+        w.str("kind", kind);
+        fields(w);
+        if let Some(f) = failure {
+            w.nested("failure", |n| f.write(n));
+        }
     })
 }
 
-fn journal_baseline_entry(b: &WorkloadBaseline, failure: Option<&FailureRecord>) -> String {
-    format!(
-        "{{\"kind\": \"baseline\", \"workload\": \"{}\", \"replay_cycles\": {}, \
-         \"capture_cycles\": {}, \"agreement_bits\": \"{}\", \"escalate\": {}, \
-         \"reference_cycles\": {}{}}}",
-        b.workload,
-        b.replay_cycles,
-        b.capture_cycles,
-        b.agreement
-            .map_or("none".to_string(), |a| format!("{:016x}", a.to_bits())),
-        b.escalate,
-        b.reference_cycles,
-        failure_suffix(failure)
-    )
+/// Journal entries that survived the seal check, indexed for resume:
+/// cells by flat job index, baselines by workload name. An entry whose
+/// row does not read back whole is dropped (its job simply re-runs).
+#[derive(Default)]
+struct Resumed {
+    cells: HashMap<usize, (CellData, Option<FailureRecord>)>,
+    baselines: HashMap<String, (WorkloadBaseline, Option<FailureRecord>)>,
 }
 
-fn journal_cell_entry(c: &CellResult, failure: Option<&FailureRecord>) -> String {
-    format!(
-        "{{\"kind\": \"cell\", \"index\": {}, \"path\": \"{}\", \"cycles\": {}, \
-         \"host_iters\": {}, \"dep_stalls\": {}, \"validated\": {}{}}}",
-        c.index,
-        c.path.as_str(),
-        c.cycles,
-        c.host_iters,
-        c.dep_stalls,
-        c.validated,
-        failure_suffix(failure)
-    )
-}
-
-/// A baseline reconstructed from the journal (agreement is bit-exact —
-/// `f64::to_bits` hex — so resumed merges stay byte-identical).
-struct JournalBaseline {
-    replay_cycles: u64,
-    capture_cycles: u64,
-    agreement: Option<f64>,
-    escalate: bool,
-    reference_cycles: u64,
-    class: FailureClass,
-    attempts: Option<u32>,
-    error: Option<String>,
-}
-
-fn parse_journal_baseline(line: &str) -> Option<(String, JournalBaseline)> {
-    let bits = field_str(line, "agreement_bits")?;
-    Some((
-        field_str(line, "workload")?,
-        JournalBaseline {
-            replay_cycles: field_num(line, "replay_cycles")? as u64,
-            capture_cycles: field_num(line, "capture_cycles")? as u64,
-            agreement: if bits == "none" {
-                None
-            } else {
-                Some(f64::from_bits(u64::from_str_radix(&bits, 16).ok()?))
-            },
-            escalate: field_bool(line, "escalate")?,
-            reference_cycles: field_num(line, "reference_cycles")? as u64,
-            class: FailureClass::from_key(&field_str(line, "class").unwrap_or_default()),
-            attempts: field_num(line, "attempts").map(|v| v as u32),
-            error: field_str(line, "error"),
-        },
-    ))
-}
-
-/// A completed cell reconstructed from the journal.
-struct JournalCell {
-    path: CellPath,
-    cycles: u64,
-    host_iters: u64,
-    dep_stalls: u64,
-    validated: bool,
-    class: FailureClass,
-    attempts: Option<u32>,
-    error: Option<String>,
-}
-
-fn parse_journal_cell(line: &str) -> Option<(usize, JournalCell)> {
-    Some((
-        field_num(line, "index")? as usize,
-        JournalCell {
-            path: CellPath::from_str(&field_str(line, "path")?)?,
-            cycles: field_num(line, "cycles")? as u64,
-            host_iters: field_num(line, "host_iters")? as u64,
-            dep_stalls: field_num(line, "dep_stalls")? as u64,
-            validated: field_bool(line, "validated")?,
-            class: FailureClass::from_key(&field_str(line, "class").unwrap_or_default()),
-            attempts: field_num(line, "attempts").map(|v| v as u32),
-            error: field_str(line, "error"),
-        },
-    ))
+impl Resumed {
+    fn index(&mut self, entry: &str) -> Option<()> {
+        let row = Row::parse(entry)?;
+        let failure = match row.nested("failure") {
+            Ok(raw) => Some(FailureRecord::read(&Row::parse(raw)?).ok()?),
+            Err(_) => None,
+        };
+        match &*row.str("kind").ok()? {
+            "cell" => {
+                let cell = (CellData::read(&row).ok()?, failure);
+                self.cells.insert(row.get("index").ok()?, cell);
+            }
+            "baseline" => {
+                let b = WorkloadBaseline::read(&row).ok()?;
+                self.baselines.insert(b.workload.clone(), (b, failure));
+            }
+            _ => {}
+        }
+        Some(())
+    }
 }
 
 /// Runs one shard of `spec` over `workloads` (with `captures[i]` the
@@ -1004,6 +959,19 @@ pub fn run_sweep(
     let (k, n) = opts.shard;
     let total = spec.total_jobs(workloads.len());
     let my_jobs = shard_indices(total, k, n);
+    // The shard's identity is known before any job runs (the journal
+    // header needs it); its rows are filled in at the end.
+    let run = ShardRun {
+        sweep: spec.name,
+        scale: opts.scale_label.clone(),
+        trace_format,
+        shard: (k, n),
+        total_jobs: total,
+        baselines: Vec::new(),
+        cells: Vec::new(),
+        failures: Vec::new(),
+        registry: Registry::new(),
+    };
     let counters = SweepCounters::default();
     let cache_dir = opts.cache_dir.as_deref();
     let baseline_hash = |escalate| cell_config_hash(&spec.base, PrefetchMode::None, escalate);
@@ -1020,26 +988,13 @@ pub fn run_sweep(
 
     // Checkpoint–resume: open (or start) the progress journal and
     // index whatever completed entries survive its integrity checks.
-    let mut resumed_cells: HashMap<usize, JournalCell> = HashMap::new();
-    let mut resumed_baselines: HashMap<String, JournalBaseline> = HashMap::new();
+    let mut resumed = Resumed::default();
     let journal: Option<Mutex<Journal>> = opts.journal.as_ref().and_then(|path| {
-        let header = journal_header(spec, opts, trace_format, total, captures);
+        let header = run.journal_header(opts.gate, captures);
         let opened = if opts.resume {
             Journal::resume(path, &header).map(|(j, entries)| {
                 for e in &entries {
-                    match field_str(e, "kind").as_deref() {
-                        Some("cell") => {
-                            if let Some((idx, jc)) = parse_journal_cell(e) {
-                                resumed_cells.insert(idx, jc);
-                            }
-                        }
-                        Some("baseline") => {
-                            if let Some((wl, jb)) = parse_journal_baseline(e) {
-                                resumed_baselines.insert(wl, jb);
-                            }
-                        }
-                        _ => {}
-                    }
+                    let _ = resumed.index(e);
                 }
                 j
             })
@@ -1087,47 +1042,31 @@ pub fn run_sweep(
             let wi = used[ui];
             let (wl, cap) = (&workloads[wi], &captures[wi]);
             let capture_cycles = cap.trace.meta.capture_cycles;
-            if let Some(jb) = resumed_baselines.get(wl.name) {
+            if let Some((b, failure)) = resumed.baselines.get(wl.name) {
                 counters.journal_hits.fetch_add(1, Ordering::Relaxed);
-                let failure = jb.error.clone().map(|error| FailureRecord {
-                    index: None,
-                    workload: wl.name.to_string(),
-                    mode: "baseline".to_string(),
-                    settings: "-".to_string(),
-                    config_hash: baseline_hash(false),
-                    class: jb.class,
-                    attempts: jb.attempts.unwrap_or(0),
-                    error,
-                });
-                return (
-                    WorkloadBaseline {
-                        workload: wl.name,
-                        replay_cycles: jb.replay_cycles,
-                        capture_cycles: jb.capture_cycles,
-                        agreement: jb.agreement,
-                        escalate: jb.escalate,
-                        reference_cycles: jb.reference_cycles,
-                    },
-                    failure,
-                );
+                return (b.clone(), failure.clone());
             }
+            let exec = |escalate: bool| {
+                cached_exec(
+                    cache_dir,
+                    (cap.content_hash, baseline_hash(escalate)),
+                    &spec.base,
+                    PrefetchMode::None,
+                    wl,
+                    &cap.trace.records,
+                    escalate,
+                    None,
+                    None,
+                    &counters,
+                )
+                .0
+            };
             let wall_start = Instant::now();
             let computed = run_isolated(&opts.retry, wi, &counters.retries, |attempt| {
                 if let Some(p) = plan {
                     p.maybe_panic_baseline(wi, attempt);
                 }
-                let (base, _) = cached_exec(
-                    cache_dir,
-                    (cap.content_hash, baseline_hash(false)),
-                    &spec.base,
-                    PrefetchMode::None,
-                    wl,
-                    &cap.trace.records,
-                    false,
-                    None,
-                    None,
-                    &counters,
-                );
+                let base = exec(false);
                 let agreement = (base.path == CellPath::Replay && capture_cycles > 0)
                     .then(|| base.cycles as f64 / capture_cycles as f64);
                 let escalate = match (base.path, agreement) {
@@ -1151,23 +1090,10 @@ pub fn run_sweep(
                     // Escalated with no recorded reference (v1 stream whose
                     // replay broke): measure the cycle baseline, cached like
                     // any other escalated cell.
-                    cached_exec(
-                        cache_dir,
-                        (cap.content_hash, baseline_hash(true)),
-                        &spec.base,
-                        PrefetchMode::None,
-                        wl,
-                        &cap.trace.records,
-                        true,
-                        None,
-                        None,
-                        &counters,
-                    )
-                    .0
-                    .cycles
+                    exec(true).cycles
                 };
                 WorkloadBaseline {
-                    workload: wl.name,
+                    workload: wl.name.to_string(),
                     replay_cycles: base.cycles,
                     capture_cycles,
                     agreement,
@@ -1179,43 +1105,34 @@ pub fn run_sweep(
                 u64::try_from(wall_start.elapsed().as_micros()).unwrap_or(u64::MAX),
                 Ordering::Relaxed,
             );
-            match computed {
-                Ok(b) => {
-                    append(journal_baseline_entry(&b, None));
-                    (b, None)
-                }
+            let (b, failure) = match computed {
+                Ok(b) => (b, None),
                 Err(fail) => {
                     // Structured degradation instead of aborting the
                     // shard: the workload's cells escalate to the cycle
                     // core with the capture run as denominator.
                     counters.quarantined.fetch_add(1, Ordering::Relaxed);
+                    eprintln!(
+                        "[sweep] baseline for {} quarantined after {} attempts ({}); \
+                         its cells escalate to the cycle core",
+                        wl.name, fail.attempts, fail.error
+                    );
                     let b = WorkloadBaseline {
-                        workload: wl.name,
+                        workload: wl.name.to_string(),
                         replay_cycles: 0,
                         capture_cycles,
                         agreement: None,
                         escalate: true,
                         reference_cycles: capture_cycles,
                     };
-                    let rec = FailureRecord {
-                        index: None,
-                        workload: wl.name.to_string(),
-                        mode: "baseline".to_string(),
-                        settings: "-".to_string(),
-                        config_hash: baseline_hash(false),
-                        class: fail.class,
-                        attempts: fail.attempts,
-                        error: fail.error,
-                    };
-                    eprintln!(
-                        "[sweep] baseline for {} quarantined after {} attempts ({}); \
-                         its cells escalate to the cycle core",
-                        wl.name, rec.attempts, rec.error
-                    );
-                    append(journal_baseline_entry(&b, Some(&rec)));
+                    let settings = "-".to_string();
+                    let key = baseline_hash(false);
+                    let rec = FailureRecord::of(fail, None, wl.name, "baseline", settings, key);
                     (b, Some(rec))
                 }
-            }
+            };
+            append(journal_entry("baseline", |w| b.write(w), failure.as_ref()));
+            (b, failure)
         });
     let mut baselines: Vec<Option<&WorkloadBaseline>> = vec![None; workloads.len()];
     for (ui, &wi) in used.iter().enumerate() {
@@ -1255,7 +1172,7 @@ pub fn run_sweep(
     let (representatives, followers): (Vec<usize>, Vec<usize>) =
         (0..my_jobs.len()).partition(|&j| {
             distinct.insert(keys[j]);
-            !resumed_cells.contains_key(&my_jobs[j]) && claimed.insert(keys[j])
+            !resumed.cells.contains_key(&my_jobs[j]) && claimed.insert(keys[j])
         });
 
     let cell_outcomes: Vec<(CellResult, Option<FailureRecord>)> =
@@ -1264,122 +1181,67 @@ pub fn run_sweep(
             let (wi, mi, value_idx) = spec.decode(job);
             let mode = spec.modes[mi];
             let cfg = spec.config_for(&value_idx);
-            let settings = spec.settings_for(&value_idx);
             let (wl, cap) = (&workloads[wi], &captures[wi]);
-            let failed_cell = |attempts: u32, class: FailureClass, error: String| {
-                (
-                    CellResult {
-                        index: job,
-                        workload: wl.name,
-                        mode,
-                        settings: settings.clone(),
-                        path: CellPath::Failed,
-                        cycles: 0,
-                        host_iters: 0,
-                        dep_stalls: 0,
-                        validated: false,
-                        speedup: None,
-                        cached: false,
-                    },
-                    Some(FailureRecord {
-                        index: Some(job),
-                        workload: wl.name.to_string(),
-                        mode: mode.key().to_string(),
-                        settings: settings_string(&settings),
-                        config_hash: keys[j].1,
-                        class,
-                        attempts,
-                        error,
-                    }),
-                )
+            // Every job — resumed, cached, simulated or quarantined —
+            // becomes a row through this one assembly.
+            let assemble = |d: CellData, cached: bool| CellResult {
+                index: job,
+                workload: wl.name,
+                mode,
+                settings: spec.settings_for(&value_idx),
+                path: d.path,
+                cycles: d.cycles,
+                host_iters: d.host_iters,
+                dep_stalls: d.dep_stalls,
+                validated: d.validated,
+                speedup: baselines[wi]
+                    .map(|bl| bl.reference_cycles)
+                    .filter(|&r| r > 0 && !matches!(d.path, CellPath::Skip | CellPath::Failed))
+                    .map(|r| r as f64 / d.cycles.max(1) as f64),
+                cached,
             };
-            let Some(bl) = baselines[wi] else {
+            if let Some((d, failure)) = resumed.cells.get(&job) {
+                counters.journal_hits.fetch_add(1, Ordering::Relaxed);
+                return (assemble(*d, false), failure.clone());
+            }
+            let outcome = match baselines[wi] {
                 // Structured replacement for the old "baseline computed
                 // for every used workload" panic: an internally missing
                 // baseline quarantines this one cell, not the shard.
-                counters.quarantined.fetch_add(1, Ordering::Relaxed);
-                return failed_cell(
-                    0,
-                    FailureClass::Panic,
-                    format!("internal: no baseline for workload {}", wl.name),
-                );
-            };
-            if let Some(jc) = resumed_cells.get(&job) {
-                counters.journal_hits.fetch_add(1, Ordering::Relaxed);
-                let speedup = (!matches!(jc.path, CellPath::Skip | CellPath::Failed)
-                    && bl.reference_cycles > 0)
-                    .then(|| bl.reference_cycles as f64 / jc.cycles.max(1) as f64);
-                let failure = jc.error.clone().map(|error| FailureRecord {
-                    index: Some(job),
-                    workload: wl.name.to_string(),
-                    mode: mode.key().to_string(),
-                    settings: settings_string(&settings),
-                    config_hash: keys[j].1,
-                    class: jc.class,
-                    attempts: jc.attempts.unwrap_or(0),
-                    error,
-                });
-                return (
-                    CellResult {
-                        index: job,
-                        workload: wl.name,
-                        mode,
-                        settings,
-                        path: jc.path,
-                        cycles: jc.cycles,
-                        host_iters: jc.host_iters,
-                        dep_stalls: jc.dep_stalls,
-                        validated: jc.validated,
-                        speedup,
-                        cached: false,
+                None => Err(JobFailure {
+                    index: job,
+                    attempts: 0,
+                    class: FailureClass::Panic,
+                    error: format!("internal: no baseline for workload {}", wl.name),
+                }),
+                Some(bl) => run_isolated_budgeted(
+                    &opts.retry,
+                    job,
+                    &counters.retries,
+                    cell_budget,
+                    |attempt, token| {
+                        if let Some(p) = plan {
+                            p.maybe_slow(job);
+                            p.maybe_hang(job, token);
+                            p.maybe_panic(job, attempt);
+                        }
+                        cached_exec(
+                            cache_dir,
+                            keys[j],
+                            &cfg,
+                            mode,
+                            wl,
+                            &cap.trace.records,
+                            bl.escalate,
+                            plan.and_then(|p| p.tear_at(job)),
+                            token,
+                            &counters,
+                        )
                     },
-                    failure,
-                );
-            }
-            let outcome = run_isolated_budgeted(
-                &opts.retry,
-                job,
-                &counters.retries,
-                cell_budget,
-                |attempt, token| {
-                    if let Some(p) = plan {
-                        p.maybe_slow(job);
-                        p.maybe_hang(job, token);
-                        p.maybe_panic(job, attempt);
-                    }
-                    cached_exec(
-                        cache_dir,
-                        keys[j],
-                        &cfg,
-                        mode,
-                        wl,
-                        &cap.trace.records,
-                        bl.escalate,
-                        plan.and_then(|p| p.tear_at(job)),
-                        token,
-                        &counters,
-                    )
-                },
-            );
-            let result = match outcome {
-                Ok((d, hit)) => {
-                    let cr = CellResult {
-                        index: job,
-                        workload: wl.name,
-                        mode,
-                        settings,
-                        path: d.path,
-                        cycles: d.cycles,
-                        host_iters: d.host_iters,
-                        dep_stalls: d.dep_stalls,
-                        validated: d.validated,
-                        speedup: (d.path != CellPath::Skip && bl.reference_cycles > 0)
-                            .then(|| bl.reference_cycles as f64 / d.cycles.max(1) as f64),
-                        cached: hit,
-                    };
-                    append(journal_cell_entry(&cr, None));
-                    (cr, None)
-                }
+                ),
+            };
+            let (d, hit, failure) = match outcome {
+                Ok((d, hit)) => (d, hit, None),
                 Err(fail) => {
                     counters.quarantined.fetch_add(1, Ordering::Relaxed);
                     match fail.class {
@@ -1394,15 +1256,27 @@ pub fn run_sweep(
                         // `sweep.quarantined` alone.
                         FailureClass::Livelock | FailureClass::Panic => {}
                     }
-                    let (cr, rec) = failed_cell(fail.attempts, fail.class, fail.error);
-                    append(journal_cell_entry(&cr, rec.as_ref()));
-                    (cr, rec)
+                    let settings = settings_string(&spec.settings_for(&value_idx));
+                    let rec = FailureRecord::of(
+                        fail,
+                        Some(job),
+                        wl.name,
+                        mode.key(),
+                        settings,
+                        keys[j].1,
+                    );
+                    (CellData::FAILED, false, Some(rec))
                 }
             };
+            let fields = |w: &mut RowWriter<'_>| {
+                w.raw("index", job);
+                d.write(w);
+            };
+            append(journal_entry("cell", fields, failure.as_ref()));
             if let Some(p) = plan {
                 p.maybe_kill(completed.fetch_add(1, Ordering::Relaxed) + 1);
             }
-            result
+            (assemble(d, hit), failure)
         });
     let (cells, cell_failures): (Vec<CellResult>, Vec<Option<FailureRecord>>) =
         cell_outcomes.into_iter().unzip();
@@ -1411,61 +1285,44 @@ pub fn run_sweep(
         .filter_map(|(_, f)| f.clone())
         .chain(cell_failures.into_iter().flatten())
         .collect();
-    failures.sort_by(|a, b| {
-        (a.index, &a.workload, &a.mode, &a.settings).cmp(&(
-            b.index,
-            &b.workload,
-            &b.mode,
-            &b.settings,
-        ))
-    });
+    failures.sort_by(failure_order);
 
     let mut registry = Registry::new();
-    registry.set_counter("sweep.cache.hit", counters.hits.load(Ordering::Relaxed));
-    registry.set_counter("sweep.cache.miss", counters.misses.load(Ordering::Relaxed));
-    registry.set_counter("sweep.cells.distinct", distinct.len() as u64);
-    registry.set_counter(
-        "sweep.cache.escalated",
-        counters.escalated.load(Ordering::Relaxed),
-    );
-    registry.set_counter(
-        "sweep.cache.corrupt_evicted",
-        counters.corrupt_evicted.load(Ordering::Relaxed),
-    );
-    registry.set_counter("sweep.retry", counters.retries.load(Ordering::Relaxed));
-    registry.set_counter(
-        "sweep.quarantined",
-        counters.quarantined.load(Ordering::Relaxed),
-    );
-    registry.set_counter(
-        "sweep.journal.hit",
-        counters.journal_hits.load(Ordering::Relaxed),
-    );
-    registry.set_counter("sweep.timeout", counters.timeouts.load(Ordering::Relaxed));
-    registry.set_counter(
-        "sweep.cancelled",
-        counters.cancelled.load(Ordering::Relaxed),
-    );
-    // Snapshot deltas, not process-wide absolutes: the statics outlive
-    // this run and would otherwise report another sweep's errors.
-    registry.set_counter(
-        "trace.decode_errors",
-        crate::faults::trace_decode_errors().saturating_sub(decode_errors_from),
-    );
-    registry.set_counter(
-        "driver.livelock_aborts",
-        crate::watchdog::livelock_aborts().saturating_sub(livelock_from),
-    );
+    let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+    for (name, value) in [
+        ("sweep.cache.hit", count(&counters.hits)),
+        ("sweep.cache.miss", count(&counters.misses)),
+        ("sweep.cells.distinct", distinct.len() as u64),
+        ("sweep.cache.escalated", count(&counters.escalated)),
+        (
+            "sweep.cache.corrupt_evicted",
+            count(&counters.corrupt_evicted),
+        ),
+        ("sweep.retry", count(&counters.retries)),
+        ("sweep.quarantined", count(&counters.quarantined)),
+        ("sweep.journal.hit", count(&counters.journal_hits)),
+        ("sweep.timeout", count(&counters.timeouts)),
+        ("sweep.cancelled", count(&counters.cancelled)),
+        // Snapshot deltas, not process-wide absolutes: the statics
+        // outlive this run and would otherwise report another sweep's
+        // errors.
+        (
+            "trace.decode_errors",
+            crate::faults::trace_decode_errors().saturating_sub(decode_errors_from),
+        ),
+        (
+            "driver.livelock_aborts",
+            crate::watchdog::livelock_aborts().saturating_sub(livelock_from),
+        ),
+    ] {
+        registry.set_counter(name, value);
+    }
     ShardRun {
-        sweep: spec.name,
-        scale: opts.scale_label.clone(),
-        trace_format,
-        shard: (k, n),
-        total_jobs: total,
         baselines: baselines_used.into_iter().map(|(b, _)| b).collect(),
         cells,
         failures,
         registry,
+        ..run
     }
 }
 
@@ -1473,141 +1330,45 @@ pub fn run_sweep(
 // Shard files: serialisation, parsing, merging, rendering
 // ---------------------------------------------------------------------------
 
-fn fmt_opt(v: Option<f64>) -> String {
-    v.map_or("null".to_string(), |x| format!("{x:.4}"))
+/// Deterministic quarantine order: baseline failures first (`None`
+/// sorts before `Some`), then ascending by flat index.
+fn failure_order(a: &FailureRecord, b: &FailureRecord) -> std::cmp::Ordering {
+    fn key(f: &FailureRecord) -> (Option<usize>, &str, &str, &str) {
+        (f.index, &f.workload, &f.mode, &f.settings)
+    }
+    key(a).cmp(&key(b))
 }
 
 impl ShardRun {
-    /// Serialises the shard for cross-process merging. One cell per
-    /// line (the parser is line-oriented, like the speedcheck report).
+    /// Serialises the shard for cross-process merging: the header row,
+    /// then the baseline, cell and failure rows, one per line (what
+    /// keeps [`parse_shard`] a single forward pass).
     pub fn to_json(&self) -> String {
-        let mut j = String::new();
-        let _ = writeln!(j, "{{");
-        let _ = writeln!(j, "  \"schema\": {SWEEP_SCHEMA_VERSION},");
-        let _ = writeln!(j, "  \"sweep\": \"{}\",", self.sweep);
-        let _ = writeln!(j, "  \"scale\": \"{}\",", self.scale);
-        let _ = writeln!(j, "  \"trace_format\": {},", self.trace_format);
-        let _ = writeln!(j, "  \"shard\": {},", self.shard.0);
-        let _ = writeln!(j, "  \"of\": {},", self.shard.1);
-        let _ = writeln!(j, "  \"total_jobs\": {},", self.total_jobs);
-        j.push_str("  \"baselines\": [\n");
-        for (i, b) in self.baselines.iter().enumerate() {
-            let _ = write!(
-                j,
-                "    {{\"workload\": \"{}\", \"replay_cycles\": {}, \"capture_cycles\": {}, \
-                 \"agreement\": {}, \"escalate\": {}, \"reference_cycles\": {}}}",
-                b.workload,
-                b.replay_cycles,
-                b.capture_cycles,
-                fmt_opt(b.agreement),
-                b.escalate,
-                b.reference_cycles
-            );
-            j.push_str(if i + 1 < self.baselines.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        j.push_str("  ],\n  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            let _ = write!(
-                j,
-                "    {{\"index\": {}, \"workload\": \"{}\", \"mode\": \"{}\", \
-                 \"settings\": \"{}\", \"path\": \"{}\", \"cycles\": {}, \
-                 \"host_iters\": {}, \"dep_stalls\": {}, \"validated\": {}, \
-                 \"speedup\": {}, \"cache\": \"{}\"}}",
-                c.index,
-                c.workload,
-                c.mode.key(),
-                settings_string(&c.settings),
-                c.path.as_str(),
-                c.cycles,
-                c.host_iters,
-                c.dep_stalls,
-                c.validated,
-                fmt_opt(c.speedup),
-                if c.cached { "hit" } else { "miss" }
-            );
-            j.push_str(if i + 1 < self.cells.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        j.push_str("  ],\n  \"failures\": [\n");
-        for (i, f) in self.failures.iter().enumerate() {
-            let _ = write!(
-                j,
-                "    {{\"index\": {}, \"workload\": \"{}\", \"mode\": \"{}\", \
-                 \"settings\": \"{}\", \"config_hash\": \"{:016x}\", \"class\": \"{}\", \
-                 \"attempts\": {}, \"error\": \"{}\"}}",
-                f.index.map_or("null".to_string(), |i| i.to_string()),
-                f.workload,
-                f.mode,
-                f.settings,
-                f.config_hash,
-                f.class.key(),
-                f.attempts,
-                json_escape(&f.error)
-            );
-            j.push_str(if i + 1 < self.failures.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        j.push_str("  ]\n}\n");
+        let mut j = String::with_capacity(320 * (self.cells.len() + 4));
+        j.push_str("{\n  \"header\": ");
+        let mut w = RowWriter::open(&mut j);
+        self.write_header(&mut w);
+        w.close();
+        j.push_str(",\n  \"baselines\": ");
+        write_rows(&mut j, "  ", &self.baselines, |w, b| b.write(w));
+        j.push_str(",\n  \"cells\": ");
+        write_rows(&mut j, "  ", &self.cells, |w, c| {
+            w.raw("index", c.index)
+                .str("workload", c.workload)
+                .str("mode", c.mode.key())
+                .str("settings", &settings_string(&c.settings));
+            c.data().write(w);
+            match c.speedup {
+                Some(s) => w.raw("speedup", format_args!("{s:.4}")),
+                None => w.raw("speedup", "null"),
+            }
+            .str("cache", if c.cached { "hit" } else { "miss" });
+        });
+        j.push_str(",\n  \"failures\": ");
+        write_rows(&mut j, "  ", &self.failures, |w, f| f.write(w));
+        j.push_str("\n}\n");
         j
     }
-}
-
-/// Extracts `"key": <number>` from one line of sweep JSON.
-fn field_num(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts `"key": "<string>"` from one line of sweep JSON.
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// Extracts `"key": true|false` from one line of sweep JSON.
-fn field_bool(line: &str, key: &str) -> Option<bool> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-/// A parsed shard-file baseline row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParsedBaseline {
-    /// Benchmark name.
-    pub workload: String,
-    /// Baseline cycles on the chosen path.
-    pub replay_cycles: u64,
-    /// Capture run's cycle count (0 = v1).
-    pub capture_cycles: u64,
-    /// Stream agreement (None without a reference).
-    pub agreement: Option<f64>,
-    /// Whether the workload escalated.
-    pub escalate: bool,
 }
 
 /// A parsed shard-file cell row.
@@ -1621,7 +1382,7 @@ pub struct ParsedCell {
     pub mode: String,
     /// Canonical settings string.
     pub settings: String,
-    /// Execution path (`replay`/`cycle`/`skip`).
+    /// Execution path (`replay`/`cycle`/`skip`/`failed`).
     pub path: String,
     /// Simulated cycles.
     pub cycles: u64,
@@ -1631,27 +1392,24 @@ pub struct ParsedCell {
     pub validated: bool,
 }
 
-/// A parsed shard-file quarantine row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParsedFailure {
-    /// Flat job index (`None` = a workload-baseline failure).
-    pub index: Option<usize>,
-    /// Benchmark name.
-    pub workload: String,
-    /// Mode key, or `"baseline"`.
-    pub mode: String,
-    /// Canonical settings string.
-    pub settings: String,
-    /// Classified cause (records written before classes existed parse
-    /// as [`FailureClass::Panic`]).
-    pub class: FailureClass,
-    /// Attempts consumed before quarantine.
-    pub attempts: u32,
-    /// Final panic message.
-    pub error: String,
+impl ParsedCell {
+    fn read(row: &Row<'_>) -> Result<ParsedCell, String> {
+        let d = CellData::read(row)?;
+        Ok(ParsedCell {
+            index: row.get("index")?,
+            workload: row.str("workload")?.into_owned(),
+            mode: row.str("mode")?.into_owned(),
+            settings: row.str("settings")?.into_owned(),
+            path: d.path.as_str().to_string(),
+            cycles: d.cycles,
+            speedup: row.get("speedup").ok(),
+            validated: d.validated,
+        })
+    }
 }
 
-/// A parsed shard file.
+/// A parsed shard file — or several merged into the one an unsharded
+/// run writes ([`merge_shards`]).
 #[derive(Debug)]
 pub struct ShardFile {
     /// Sweep name.
@@ -1667,140 +1425,120 @@ pub struct ShardFile {
     /// Full-sweep job count.
     pub total_jobs: usize,
     /// Baselines this shard recorded.
-    pub baselines: Vec<ParsedBaseline>,
+    pub baselines: Vec<WorkloadBaseline>,
     /// Cells this shard ran.
     pub cells: Vec<ParsedCell>,
     /// Jobs this shard quarantined.
-    pub failures: Vec<ParsedFailure>,
+    pub failures: Vec<FailureRecord>,
 }
 
 /// Parses one shard file written by [`ShardRun::to_json`].
 ///
 /// # Errors
-/// A human-readable message naming the missing or malformed field.
+/// A human-readable message naming the section and the missing or
+/// malformed field.
 pub fn parse_shard(json: &str) -> Result<ShardFile, String> {
-    let mut sweep = None;
-    let mut scale = None;
-    let mut trace_format = None;
-    let mut shard = None;
-    let mut of = None;
-    let mut total_jobs = None;
-    let mut schema = None;
-    let mut baselines = Vec::new();
-    let mut cells = Vec::new();
-    let mut failures = Vec::new();
+    let mut file: Option<ShardFile> = None;
     let mut section = "";
     for line in json.lines() {
-        let t = line.trim_start();
-        if t.starts_with("\"baselines\": [") {
-            section = "baselines";
-        } else if t.starts_with("\"cells\": [") {
-            section = "cells";
-        } else if t.starts_with("\"failures\": [") {
-            section = "failures";
-        } else if section == "baselines" && t.starts_with('{') {
-            baselines.push(ParsedBaseline {
-                workload: field_str(line, "workload").ok_or("baseline missing workload")?,
-                replay_cycles: field_num(line, "replay_cycles")
-                    .ok_or("baseline missing replay_cycles")? as u64,
-                capture_cycles: field_num(line, "capture_cycles")
-                    .ok_or("baseline missing capture_cycles")?
-                    as u64,
-                agreement: field_num(line, "agreement"),
-                escalate: field_bool(line, "escalate").ok_or("baseline missing escalate")?,
+        let t = line.trim();
+        if let Some(name) = t.strip_prefix('"').and_then(|t| t.strip_suffix("\": [")) {
+            section = name;
+        } else if let Some(header) = t.strip_prefix("\"header\": ") {
+            let row = Row::parse(header).ok_or("malformed header row")?;
+            let schema: u32 = row.get("schema")?;
+            if schema != SWEEP_SCHEMA_VERSION {
+                return Err(format!(
+                    "shard schema {schema} != supported {SWEEP_SCHEMA_VERSION}"
+                ));
+            }
+            file = Some(ShardFile {
+                sweep: row.str("sweep")?.into_owned(),
+                scale: row.str("scale")?.into_owned(),
+                trace_format: row.get("trace_format")?,
+                shard: row.get("shard")?,
+                of: row.get("of")?,
+                total_jobs: row.get("total_jobs")?,
+                baselines: Vec::new(),
+                cells: Vec::new(),
+                failures: Vec::new(),
             });
-        } else if section == "cells" && t.starts_with('{') {
-            cells.push(ParsedCell {
-                index: field_num(line, "index").ok_or("cell missing index")? as usize,
-                workload: field_str(line, "workload").ok_or("cell missing workload")?,
-                mode: field_str(line, "mode").ok_or("cell missing mode")?,
-                settings: field_str(line, "settings").ok_or("cell missing settings")?,
-                path: field_str(line, "path").ok_or("cell missing path")?,
-                cycles: field_num(line, "cycles").ok_or("cell missing cycles")? as u64,
-                speedup: field_num(line, "speedup"),
-                validated: field_bool(line, "validated").ok_or("cell missing validated")?,
-            });
-        } else if section == "failures" && t.starts_with('{') {
-            failures.push(ParsedFailure {
-                index: field_num(line, "index").map(|v| v as usize),
-                workload: field_str(line, "workload").ok_or("failure missing workload")?,
-                mode: field_str(line, "mode").ok_or("failure missing mode")?,
-                settings: field_str(line, "settings").ok_or("failure missing settings")?,
-                class: FailureClass::from_key(&field_str(line, "class").unwrap_or_default()),
-                attempts: field_num(line, "attempts").ok_or("failure missing attempts")? as u32,
-                error: field_str(line, "error").unwrap_or_default(),
-            });
-        } else {
-            if let Some(v) = field_str(line, "sweep") {
-                sweep = Some(v);
-            }
-            if let Some(v) = field_str(line, "scale") {
-                scale = Some(v);
-            }
-            if let Some(v) = field_num(line, "trace_format") {
-                trace_format = Some(v as u16);
-            }
-            if let Some(v) = field_num(line, "schema") {
-                schema = Some(v as u32);
-            }
-            if let Some(v) = field_num(line, "shard") {
-                shard = Some(v as usize);
-            }
-            if let Some(v) = field_num(line, "of") {
-                of = Some(v as usize);
-            }
-            if let Some(v) = field_num(line, "total_jobs") {
-                total_jobs = Some(v as usize);
+        } else if t.len() > 1 && t.starts_with('{') {
+            let file = file.as_mut().ok_or("row before the shard header")?;
+            let row = Row::parse(t).ok_or_else(|| format!("malformed {section} row: {t}"))?;
+            let named = |e| format!("{section} row: {e}");
+            match section {
+                "baselines" => file
+                    .baselines
+                    .push(WorkloadBaseline::read(&row).map_err(named)?),
+                "cells" => file.cells.push(ParsedCell::read(&row).map_err(named)?),
+                "failures" => file
+                    .failures
+                    .push(FailureRecord::read(&row).map_err(named)?),
+                other => return Err(format!("row in unknown section {other:?}")),
             }
         }
     }
-    if schema != Some(SWEEP_SCHEMA_VERSION) {
-        return Err(format!(
-            "shard schema {schema:?} != supported {SWEEP_SCHEMA_VERSION}"
-        ));
-    }
-    Ok(ShardFile {
-        sweep: sweep.ok_or("missing sweep name")?,
-        scale: scale.ok_or("missing scale")?,
-        trace_format: trace_format.ok_or("missing trace_format")?,
-        shard: shard.ok_or("missing shard index")?,
-        of: of.ok_or("missing shard count")?,
-        total_jobs: total_jobs.ok_or("missing total_jobs")?,
-        baselines,
-        cells,
-        failures,
-    })
+    file.ok_or_else(|| "not a shard file: no header row".to_string())
 }
 
-/// A complete, coverage-checked sweep reassembled from shard files.
-#[derive(Debug)]
-pub struct MergedSweep {
-    /// Sweep name.
-    pub sweep: String,
-    /// Scale label.
-    pub scale: String,
-    /// Trace format.
-    pub trace_format: u16,
-    /// Number of shards merged.
-    pub shards: usize,
-    /// Baselines, deduped, sorted by workload name.
-    pub baselines: Vec<ParsedBaseline>,
-    /// All cells, ascending by flat index, exactly `0..total_jobs`.
-    pub cells: Vec<ParsedCell>,
-    /// Quarantined jobs across all shards, deduped, baseline failures
-    /// first then ascending by flat index.
-    pub failures: Vec<ParsedFailure>,
+/// The files one shard of a sweep leaves in its `--sweep-dir`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SweepFile {
+    /// `shard-K-of-N.json`: [`ShardRun::to_json`].
+    Shard,
+    /// `failures-K-of-N.json`: [`crate::faults::failures_json`].
+    Failures,
+    /// `journal-K-of-N.jsonl`: the progress journal behind `--resume`.
+    Journal,
 }
 
-fn approx_eq(a: Option<f64>, b: Option<f64>) -> bool {
-    match (a, b) {
-        (None, None) => true,
-        (Some(x), Some(y)) => format!("{x:.4}") == format!("{y:.4}"),
-        _ => false,
+impl SweepFile {
+    /// Where shard `k` of `n` keeps this file inside `dir`.
+    pub fn path(self, dir: &Path, (k, n): (usize, usize)) -> PathBuf {
+        let (stem, ext) = match self {
+            SweepFile::Shard => ("shard", "json"),
+            SweepFile::Failures => ("failures", "json"),
+            SweepFile::Journal => ("journal", "jsonl"),
+        };
+        dir.join(format!("{stem}-{k}-of-{n}.{ext}"))
     }
 }
 
-/// Merges a set of shard files into one coverage-checked sweep.
+/// Reads every shard file (`shard-*.json`, and only those — the
+/// failures files and journals beside them are not shards) of a sweep
+/// directory, in name order.
+///
+/// # Errors
+/// An unreadable directory or file, a directory without shard files, or
+/// a shard that does not parse — each naming the path.
+pub fn read_shard_dir(dir: &Path) -> Result<Vec<ShardFile>, String> {
+    let entries = fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
+    let mut paths: Vec<PathBuf> = entries
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with("shard-") && n.ends_with(".json"))
+        })
+        .collect();
+    paths.sort();
+    if paths.is_empty() {
+        return Err(format!("no shard-*.json files in {}", dir.display()));
+    }
+    paths
+        .iter()
+        .map(|p| {
+            let body = fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()))?;
+            parse_shard(&body).map_err(|e| format!("{}: {e}", p.display()))
+        })
+        .collect()
+}
+
+/// Merges a set of shard files into one coverage-checked sweep: the
+/// file an unsharded run would have written (shard 0 of 1) — baselines
+/// deduped and sorted by workload name, cells exactly `0..total_jobs`
+/// ascending, quarantines deduped with baseline failures first.
 ///
 /// # Errors
 /// * inconsistent headers (different sweep/scale/format/total/shard
@@ -1809,7 +1547,7 @@ fn approx_eq(a: Option<f64>, b: Option<f64>) -> bool {
 ///   exactly once (the error lists the missing indices — this is the
 ///   check the nightly merge job fails on);
 /// * baselines recorded differently by two shards (stale-cache mixing).
-pub fn merge_shards(files: &[ShardFile]) -> Result<MergedSweep, String> {
+pub fn merge_shards(files: &[ShardFile]) -> Result<ShardFile, String> {
     let first = files.first().ok_or("no shard files to merge")?;
     let mut seen_shards = Vec::new();
     for f in files {
@@ -1874,16 +1612,13 @@ pub fn merge_shards(files: &[ShardFile]) -> Result<MergedSweep, String> {
         ));
     }
 
-    // Baselines: shards sharing a workload must agree exactly — a
-    // mismatch means shards ran against different caches or configs.
-    let mut by_wl: BTreeMap<&str, &ParsedBaseline> = BTreeMap::new();
+    // Baselines: shards sharing a workload must agree exactly (the
+    // shard file carries them bit-exact) — a mismatch means shards ran
+    // against different caches or configs.
+    let mut by_wl: BTreeMap<&str, &WorkloadBaseline> = BTreeMap::new();
     for b in files.iter().flat_map(|f| &f.baselines) {
         if let Some(prev) = by_wl.get(b.workload.as_str()) {
-            let same = prev.replay_cycles == b.replay_cycles
-                && prev.capture_cycles == b.capture_cycles
-                && prev.escalate == b.escalate
-                && approx_eq(prev.agreement, b.agreement);
-            if !same {
+            if *prev != b {
                 return Err(format!(
                     "inconsistent baselines for {} across shards: {prev:?} vs {b:?}",
                     b.workload
@@ -1894,26 +1629,20 @@ pub fn merge_shards(files: &[ShardFile]) -> Result<MergedSweep, String> {
         }
     }
 
-    // Quarantines: concatenate, order deterministically (baseline
-    // failures first — None sorts before Some — then by index), and
-    // dedup exact repeats (a resumed shard reports the same quarantine
-    // as its first run).
-    let mut failures: Vec<ParsedFailure> = files.iter().flat_map(|f| f.failures.clone()).collect();
-    failures.sort_by(|a, b| {
-        (a.index, &a.workload, &a.mode, &a.settings).cmp(&(
-            b.index,
-            &b.workload,
-            &b.mode,
-            &b.settings,
-        ))
-    });
+    // Quarantines: concatenate, order deterministically, and dedup
+    // exact repeats (a resumed shard reports the same quarantine as its
+    // first run).
+    let mut failures: Vec<FailureRecord> = files.iter().flat_map(|f| f.failures.clone()).collect();
+    failures.sort_by(failure_order);
     failures.dedup();
 
-    Ok(MergedSweep {
+    Ok(ShardFile {
         sweep: first.sweep.clone(),
         scale: first.scale.clone(),
         trace_format: first.trace_format,
-        shards: files.len(),
+        shard: 0,
+        of: 1,
+        total_jobs: total,
         baselines: by_wl.into_values().cloned().collect(),
         cells: cells.into_iter().cloned().collect(),
         failures,
@@ -1928,7 +1657,7 @@ fn mode_label_for_key(key: &str) -> String {
 /// **only deterministic simulation data** — no cache status, no wall
 /// times — so the output is byte-identical for any (jobs, shard-count)
 /// split of the same sweep (pinned by `tests/sweep_farm.rs`).
-pub fn render_merged(m: &MergedSweep) -> String {
+pub fn render_merged(m: &ShardFile) -> String {
     let mut out = format!(
         "# Sweep: {} — scale {}, trace v{}, {} jobs\n\n",
         m.sweep,
@@ -1998,7 +1727,9 @@ pub fn render_merged(m: &MergedSweep) -> String {
                 f.settings,
                 f.class,
                 f.attempts,
-                f.error.replace('|', "/")
+                // The text is the panic message, byte for byte: keep it
+                // inside its table cell.
+                f.error.replace('|', "/").replace('\n', " ")
             );
         }
     }
@@ -2112,37 +1843,58 @@ mod tests {
             dep_stalls: 42,
             validated: true,
         };
-        assert_eq!(parse_cell_data(&cell_data_json(&d)), Some(d));
-        // A schema bump orphans the record.
-        let stale = cell_data_json(&d).replace(
-            &format!("\"schema\": {SWEEP_SCHEMA_VERSION}"),
-            "\"schema\": 0",
+        let record = d.to_record();
+        assert!(
+            record.starts_with("{\"path\": \"replay\", \"cycles\": 123456, "),
+            "{record}"
         );
-        assert_eq!(parse_cell_data(&stale), None);
+        assert_eq!(CellData::from_record(record.as_bytes()), Some(d));
+        // Counts above 2^53 survive: integers never pass through f64.
+        let big = CellData {
+            cycles: u64::MAX,
+            ..d
+        };
+        assert_eq!(CellData::from_record(big.to_record().as_bytes()), Some(big));
+        // A schema bump orphans the record by file name: the version is
+        // part of every path (and of the config hash), so a reader never
+        // opens another schema's entry.
+        assert_eq!(SWEEP_SCHEMA_VERSION, 3);
+        let path = cell_cache_path(Path::new("cache"), 0xaa, 0xbb);
+        assert_eq!(
+            path,
+            Path::new("cache/00000000000000aa-00000000000000bb-s3.json")
+        );
     }
 
     #[test]
     fn cell_record_trailer_rejects_corruption() {
-        let d = CellData {
-            path: CellPath::Failed,
-            cycles: 0,
-            host_iters: 0,
-            dep_stalls: 0,
-            validated: false,
-        };
-        let record = cell_record(&d);
-        assert_eq!(parse_cell_record(&record), Some(d));
-        // Torn write: any truncation invalidates the trailer.
-        for cut in [0, 1, record.len() / 2, record.len() - 1] {
-            assert_eq!(parse_cell_record(&record[..cut]), None, "cut at {cut}");
+        let d = CellData::FAILED;
+        let record = d.to_record();
+        assert_eq!(CellData::from_record(record.as_bytes()), Some(d));
+        // Torn write: any truncation invalidates the frame.
+        for cut in 0..record.len() {
+            assert_eq!(
+                CellData::from_record(&record.as_bytes()[..cut]),
+                None,
+                "cut at {cut}"
+            );
         }
         // A flipped byte in the body breaks the content hash.
         let flipped = record.replacen("cycles", "cycIes", 1);
-        assert_eq!(parse_cell_record(&flipped), None);
-        // A record missing the magic field is schema drift.
-        let drifted = cell_record(&d).replace(CELL_MAGIC, "other-cache-kind");
-        assert_eq!(parse_cell_record(&drifted), None);
-        assert_eq!(parse_cell_record("not a record at all"), None);
+        assert_eq!(CellData::from_record(flipped.as_bytes()), None);
+        // A correctly sealed row that is not a whole cell payload is
+        // schema drift, as is an unknown path.
+        let drifted = seal("{\"path\": \"replay\", \"cycles\": 1}");
+        assert_eq!(CellData::from_record(drifted.as_bytes()), None);
+        let unknown = seal(&row(|w| d.write(w)).replace("failed", "warp"));
+        assert_eq!(CellData::from_record(unknown.as_bytes()), None);
+        // Not a record, a second record appended, invalid UTF-8.
+        assert_eq!(CellData::from_record(b"not a record at all"), None);
+        assert_eq!(
+            CellData::from_record(format!("{record}{record}").as_bytes()),
+            None
+        );
+        assert_eq!(CellData::from_record(b"\xff\xfe|0\n"), None);
     }
 
     #[test]
@@ -2182,22 +1934,40 @@ mod tests {
         assert!(err.contains("does not match"), "{err}");
     }
 
+    /// Error text the old scanners truncated at the first `"`.
+    const NASTY: &str =
+        "called `Result::unwrap()` on an `Err` value: \"boom\" C:\\tmp | line1\nline2\tß→✓";
+
+    fn nasty_failure() -> FailureRecord {
+        FailureRecord {
+            index: Some(2),
+            workload: "IntSort".into(),
+            mode: "stride".into(),
+            settings: "obs_queue=10 pf_buffer=64".into(),
+            config_hash: 0xabcd,
+            class: FailureClass::Timeout,
+            attempts: 3,
+            error: NASTY.into(),
+        }
+    }
+
     #[test]
     fn shard_json_round_trips() {
+        let baseline = WorkloadBaseline {
+            workload: "IntSort".into(),
+            replay_cycles: 1000,
+            capture_cycles: 1100,
+            agreement: Some(1000.0 / 1100.0),
+            escalate: false,
+            reference_cycles: 1000,
+        };
         let run = ShardRun {
             sweep: "probe",
             scale: "tiny".into(),
             trace_format: 2,
             shard: (1, 4),
             total_jobs: 24,
-            baselines: vec![WorkloadBaseline {
-                workload: "IntSort",
-                replay_cycles: 1000,
-                capture_cycles: 1100,
-                agreement: Some(1000.0 / 1100.0),
-                escalate: false,
-                reference_cycles: 1000,
-            }],
+            baselines: vec![baseline.clone()],
             cells: vec![CellResult {
                 index: 1,
                 workload: "IntSort",
@@ -2211,47 +1981,76 @@ mod tests {
                 speedup: Some(2.0),
                 cached: false,
             }],
-            failures: vec![FailureRecord {
-                index: Some(2),
-                workload: "IntSort".into(),
-                mode: "stride".into(),
-                settings: "obs_queue=10 pf_buffer=64".into(),
-                config_hash: 0xabcd,
-                class: FailureClass::Timeout,
-                attempts: 3,
-                error: "injected \"panic\"".into(),
-            }],
+            failures: vec![nasty_failure()],
             registry: Registry::new(),
         };
-        let f = parse_shard(&run.to_json()).unwrap();
+        let json = run.to_json();
+        // One row per line, `"key": value` spacing (CI greps rely on it).
+        assert!(json.contains("\n    {\"index\": 1, \"workload\": \"IntSort\", "));
+        assert!(json.contains("\"speedup\": 2.0000, \"cache\": \"miss\"}"));
+        let f = parse_shard(&json).unwrap();
         assert_eq!(f.sweep, "probe");
+        assert_eq!(f.scale, "tiny");
+        assert_eq!(f.trace_format, 2);
         assert_eq!((f.shard, f.of, f.total_jobs), (1, 4, 24));
-        assert_eq!(f.baselines.len(), 1);
-        assert_eq!(f.baselines[0].capture_cycles, 1100);
-        assert!(!f.baselines[0].escalate);
+        // Baselines come back whole and bit-exact, agreement included.
+        assert_eq!(f.baselines, vec![baseline]);
         assert_eq!(f.cells.len(), 1);
+        assert_eq!(f.cells[0].index, 1);
+        assert_eq!(f.cells[0].workload, "IntSort");
         assert_eq!(f.cells[0].settings, "obs_queue=10 pf_buffer=16");
         assert_eq!(f.cells[0].mode, "manual");
+        assert_eq!(f.cells[0].path, "replay");
+        assert_eq!(f.cells[0].cycles, 500);
+        assert!(f.cells[0].validated);
         assert_eq!(f.cells[0].speedup, Some(2.0));
-        assert_eq!(f.failures.len(), 1);
-        assert_eq!(f.failures[0].index, Some(2));
-        assert_eq!(f.failures[0].mode, "stride");
-        assert_eq!(f.failures[0].class, FailureClass::Timeout);
-        assert_eq!(f.failures[0].attempts, 3);
+        // The failure row is the record itself: class, attempts, config
+        // hash and the error text byte for byte.
+        assert_eq!(f.failures, run.failures);
+        assert_eq!(f.failures[0].error, NASTY);
+
+        // Rendered, the multi-line error stays one table row.
+        let table = render_merged(&f);
+        let rows = table.lines().filter(|l| l.starts_with("| 2 |")).count();
+        assert_eq!(rows, 1, "{table}");
+        assert!(table.contains("\"boom\" C:\\tmp / line1 line2"), "{table}");
+
+        // A skipped cell has no speedup; an empty shard still parses.
+        let mut run = run;
+        run.cells[0].speedup = None;
+        run.baselines.clear();
+        run.failures.clear();
+        let f = parse_shard(&run.to_json()).unwrap();
+        assert_eq!(f.cells[0].speedup, None);
+        assert!(f.baselines.is_empty() && f.failures.is_empty());
+
+        // Errors name what is wrong.
+        let err = parse_shard(&json.replace("\"schema\": 3", "\"schema\": 2")).unwrap_err();
+        assert!(err.contains("shard schema 2 != supported 3"), "{err}");
+        let err = parse_shard(&json.replace("\"cycles\": 500, ", "")).unwrap_err();
+        assert!(
+            err.contains("cells row") && err.contains("\"cycles\""),
+            "{err}"
+        );
+        let err = parse_shard("[\n]\n").unwrap_err();
+        assert!(err.contains("no header"), "{err}");
     }
 
     #[test]
     fn journal_entries_round_trip_bit_exact() {
         let b = WorkloadBaseline {
-            workload: "HJ-8",
+            workload: "HJ-8".into(),
             replay_cycles: 12345,
             capture_cycles: 13000,
             agreement: Some(12345.0 / 13000.0),
             escalate: false,
             reference_cycles: 12345,
         };
-        let (wl, jb) = parse_journal_baseline(&journal_baseline_entry(&b, None)).unwrap();
-        assert_eq!(wl, "HJ-8");
+        let mut resumed = Resumed::default();
+        let entry = journal_entry("baseline", |w| b.write(w), None);
+        assert!(!entry.contains('\n'), "journal entries are single lines");
+        resumed.index(&entry).expect("own entry indexes");
+        let (jb, failure) = &resumed.baselines["HJ-8"];
         assert_eq!(jb.replay_cycles, 12345);
         // Bit-exact, not approximate: resumed merges must stay
         // byte-identical.
@@ -2259,39 +2058,49 @@ mod tests {
             jb.agreement.map(f64::to_bits),
             b.agreement.map(f64::to_bits)
         );
-        assert!(jb.error.is_none());
-
-        let c = CellResult {
-            index: 17,
-            workload: "HJ-8",
-            mode: PrefetchMode::Manual,
-            settings: vec![("obs_queue", 10)],
-            path: CellPath::Failed,
-            cycles: 0,
-            host_iters: 0,
-            dep_stalls: 0,
-            validated: false,
-            speedup: None,
-            cached: false,
+        assert_eq!(*jb, b);
+        assert!(failure.is_none());
+        // No reference (v1 stream) is `null`, not a number.
+        let v1 = WorkloadBaseline {
+            agreement: None,
+            ..b.clone()
         };
+        resumed
+            .index(&journal_entry("baseline", |w| v1.write(w), None))
+            .unwrap();
+        assert_eq!(resumed.baselines["HJ-8"].0, v1);
+
         let rec = FailureRecord {
             index: Some(17),
-            workload: "HJ-8".into(),
-            mode: "manual".into(),
-            settings: "obs_queue=10".into(),
-            config_hash: 1,
             class: FailureClass::Livelock,
-            attempts: 3,
-            error: "boom".into(),
+            ..nasty_failure()
         };
-        let (idx, jc) = parse_journal_cell(&journal_cell_entry(&c, Some(&rec))).unwrap();
-        assert_eq!(idx, 17);
-        assert_eq!(jc.path, CellPath::Failed);
-        assert_eq!(jc.class, FailureClass::Livelock);
-        assert_eq!(jc.attempts, Some(3));
-        assert_eq!(jc.error.as_deref(), Some("boom"));
-        // A pre-class journal line (no "class" field) parses as panic.
-        let (_, old) = parse_journal_cell(&journal_cell_entry(&c, None)).unwrap();
-        assert_eq!(old.class, FailureClass::Panic);
+        let cell = |w: &mut RowWriter<'_>| {
+            w.raw("index", 17);
+            CellData::FAILED.write(w);
+        };
+        let entry = journal_entry("cell", cell, Some(&rec));
+        assert!(!entry.contains('\n'));
+        resumed.index(&entry).unwrap();
+        let (jc, failure) = &resumed.cells[&17];
+        assert_eq!(*jc, CellData::FAILED);
+        // The whole record comes back — class, attempts, config hash
+        // and the error text byte for byte — so a resumed run reports
+        // exactly the quarantine its first run did.
+        assert_eq!(failure.as_ref(), Some(&rec));
+        // A clean cell carries no failure.
+        resumed.index(&journal_entry("cell", cell, None)).unwrap();
+        assert_eq!(resumed.cells[&17], (CellData::FAILED, None));
+        // Entries that do not read back whole donate nothing.
+        let before = resumed.cells.len();
+        for bad in [
+            "not json",
+            "{\"kind\": \"cell\", \"index\": 3}",
+            "{\"kind\": \"cell\", \"index\": 3, \"path\": \"replay\", \"cycles\": 1, \
+             \"host_iters\": 1, \"dep_stalls\": 0, \"validated\": true, \"failure\": {}}",
+        ] {
+            assert!(resumed.index(bad).is_none(), "{bad}");
+        }
+        assert_eq!(resumed.cells.len(), before);
     }
 }

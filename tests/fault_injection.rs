@@ -477,6 +477,56 @@ fn killed_sweep_resumes_from_journal_without_reexecuting_cells() {
     assert_eq!(render(&clean), render(&resumed));
 }
 
+/// A quarantine survives the crash with its cell: the journal entry
+/// carries the whole failure record, so the resumed run reports exactly
+/// the `failures` (and tables) of a run that was never killed — what
+/// lets `merge_shards` dedup a resumed shard's quarantines.
+#[test]
+fn resumed_quarantine_equals_the_uninterrupted_runs() {
+    let spec = probe_spec();
+    let wls = build_two();
+    let traces = TempDir::new("requarantine-traces");
+    let sweep_dir = TempDir::new("requarantine-sweep");
+    let captures = capture_all(&traces.0, &wls);
+    let journal = sweeps::SweepFile::Journal.path(&sweep_dir.0, (0, 1));
+
+    // jobs=1: the first eight completions are representatives 0, 1, 4,
+    // 5, 6, 7, 8, 9 — job 5 exhausts its retries before the kill.
+    let kill_opts = SweepOptions {
+        faults: Some("panic=5@9;kill=8".parse().unwrap()),
+        journal: Some(journal.clone()),
+        ..opts(1, (0, 1), None)
+    };
+    catch_unwind(AssertUnwindSafe(|| {
+        sweeps::run_sweep(&spec, &wls, &captures, &kill_opts)
+    }))
+    .expect_err("kill=8 must abort the sweep");
+
+    let resume_opts = SweepOptions {
+        journal: Some(journal),
+        resume: true,
+        ..opts(1, (0, 1), None)
+    };
+    let resumed = sweeps::run_sweep(&spec, &wls, &captures, &resume_opts);
+    assert_eq!(resumed.journal_hits(), 2 + 8);
+    assert_eq!(resumed.quarantined(), 0, "nothing fails in the resumed run");
+
+    let uninterrupted = SweepOptions {
+        faults: Some("panic=5@9".parse().unwrap()),
+        ..opts(1, (0, 1), None)
+    };
+    let whole = sweeps::run_sweep(&spec, &wls, &captures, &uninterrupted);
+    assert_eq!(whole.failures.len(), 1);
+    assert_eq!(whole.failures[0].index, Some(5));
+    assert_eq!(resumed.failures, whole.failures);
+    let file = |r: &sweeps::ShardRun| sweeps::parse_shard(&r.to_json()).expect("parses");
+    assert_eq!(file(&resumed).failures, whole.failures);
+    assert_eq!(
+        merged_render(vec![file(&resumed)]),
+        merged_render(vec![file(&whole)])
+    );
+}
+
 /// `--strict` restores abort-on-first-failure: the injected panic
 /// propagates instead of being quarantined.
 #[test]

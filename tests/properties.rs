@@ -339,6 +339,265 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Sweep-farm storage: the row codec and its readers never panic
+// ---------------------------------------------------------------------------
+
+use etpp::sim::faults::{FailureClass, FailureRecord, Journal};
+use etpp::sim::rows::{seal, unseal, Row, RowWriter};
+use etpp::sim::sweeps::{self, CellData, CellPath, CellResult, ShardRun, WorkloadBaseline};
+use etpp::sim::PrefetchMode;
+
+/// Any code points at all, weighted towards the ones a codec gets
+/// wrong: quotes, backslashes, control characters, separators.
+fn arb_text() -> impl Strategy<Value = String> {
+    proptest::collection::vec((0u8..4, any::<u32>()), 0..40).prop_map(|picks| {
+        picks
+            .into_iter()
+            .map(|(kind, x)| match kind {
+                0 => b"\"\\\n\t\r|{}[],: u/"[x as usize % 15] as char,
+                1 => char::from_u32(x % 0x20).unwrap(),
+                2 => char::from_u32(x % 0x11_0000).unwrap_or('\u{fffd}'),
+                _ => (b'a' + (x % 26) as u8) as char,
+            })
+            .collect()
+    })
+}
+
+/// A small but fully populated shard: two baselines (one without a
+/// reference), a replayed, a skipped and a failed cell, one quarantine.
+fn probe_shard(error: &str) -> ShardRun {
+    let cell = |index, path, cycles, speedup| CellResult {
+        index,
+        workload: "IntSort",
+        mode: PrefetchMode::Manual,
+        settings: vec![("obs_queue", 10), ("pf_buffer", 16)],
+        path,
+        cycles,
+        host_iters: cycles / 7,
+        dep_stalls: 3,
+        validated: path != CellPath::Failed,
+        speedup,
+        cached: index == 1,
+    };
+    let baseline = |workload: &str, agreement| WorkloadBaseline {
+        workload: workload.to_string(),
+        replay_cycles: 1000,
+        capture_cycles: 1100,
+        agreement,
+        escalate: false,
+        reference_cycles: 1000,
+    };
+    ShardRun {
+        sweep: "probe",
+        scale: "tiny".into(),
+        trace_format: 2,
+        shard: (0, 1),
+        total_jobs: 3,
+        baselines: vec![
+            baseline("IntSort", Some(1000.0 / 1100.0)),
+            baseline("HJ-8", None),
+        ],
+        cells: vec![
+            cell(0, CellPath::Replay, 500, Some(2.0)),
+            cell(1, CellPath::Skip, 0, None),
+            cell(2, CellPath::Failed, 0, None),
+        ],
+        failures: vec![FailureRecord {
+            index: Some(2),
+            workload: "IntSort".into(),
+            mode: "manual".into(),
+            settings: "obs_queue=10 pf_buffer=16".into(),
+            config_hash: 0xfeed,
+            class: FailureClass::Livelock,
+            attempts: 2,
+            error: error.to_string(),
+        }],
+        registry: etpp_telemetry::Registry::new(),
+    }
+}
+
+/// What a shard file's rows say, for "is this the same row" checks.
+fn shard_rows(f: &sweeps::ShardFile) -> (Vec<String>, Vec<WorkloadBaseline>, Vec<FailureRecord>) {
+    let cells = f.cells.iter().map(|c| format!("{c:?}")).collect();
+    (cells, f.baselines.clone(), f.failures.clone())
+}
+
+/// A journal file with a header and four entries, and the entries.
+fn probe_journal(path: &std::path::Path, texts: &[String]) -> Vec<String> {
+    let entries: Vec<String> = texts
+        .iter()
+        .enumerate()
+        .map(|(i, t)| {
+            let mut line = String::new();
+            let mut w = RowWriter::open(&mut line);
+            w.str("kind", "cell").raw("index", i).str("error", t);
+            w.close();
+            line
+        })
+        .collect();
+    let mut j = Journal::create(path, "HDR").unwrap();
+    for e in &entries {
+        j.append(e).unwrap();
+    }
+    entries
+}
+
+/// Flips one byte (`mask + 1` is in `1..=255`, always a real change).
+fn flipped(bytes: &[u8], at: u64, mask: u8) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    let i = (at % out.len() as u64) as usize;
+    out[i] ^= mask + 1;
+    out
+}
+
+fn scratch_file(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("etpp-props-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join("journal.jsonl")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+    /// Any string survives writer → reader (and the integrity frame)
+    /// byte for byte, as a value next to other fields and nested.
+    #[test]
+    fn any_string_survives_the_row_codec(text in arb_text(), other in arb_text(), n in any::<u64>()) {
+        let mut line = String::new();
+        let mut w = RowWriter::open(&mut line);
+        w.raw("n", n)
+            .str("text", &text)
+            .nested("inner", |i| {
+                i.str("other", &other);
+            })
+            .str("tail", &other);
+        w.close();
+        prop_assert!(!line.contains('\n'), "rows are single lines: {line:?}");
+        let sealed = seal(&line);
+        prop_assert_eq!(unseal(&sealed), Some(line.as_str()));
+        let row = Row::parse(&line).expect("own row parses");
+        prop_assert_eq!(row.get::<u64>("n"), Ok(n));
+        prop_assert_eq!(row.str("text").as_deref(), Ok(text.as_str()));
+        prop_assert_eq!(row.str("tail").as_deref(), Ok(other.as_str()));
+        let inner = Row::parse(row.nested("inner").unwrap()).expect("nested row parses");
+        prop_assert_eq!(inner.str("other").as_deref(), Ok(other.as_str()));
+
+        // The same text through every place a failure row is written.
+        let run = probe_shard(&text);
+        let back = sweeps::parse_shard(&run.to_json()).expect("own shard parses");
+        prop_assert_eq!(&back.failures, &run.failures);
+        let listed = etpp::sim::faults::failures_json(&run.failures);
+        let line = listed.lines().nth(1).expect("one row between the brackets");
+        let read = FailureRecord::read(&Row::parse(line).expect("row parses"));
+        prop_assert_eq!(read.as_ref(), Ok(&run.failures[0]));
+    }
+
+    /// The three readers take arbitrary bytes and single-byte flips of
+    /// valid files without panicking, and what they do accept is a row
+    /// that was written: a sealed reader (cache record, journal) returns
+    /// the original row or none; the journal keeps a prefix.
+    #[test]
+    fn storage_readers_never_panic_or_invent_rows(
+        junk in proptest::collection::vec(any::<u8>(), 0..300),
+        texts in proptest::collection::vec(arb_text(), 4..5),
+        cycles in any::<u64>(),
+        at in any::<u64>(),
+        mask in 0u8..255,
+    ) {
+        // Cache record.
+        let d = CellData {
+            path: CellPath::Cycle,
+            cycles,
+            host_iters: cycles / 3,
+            dep_stalls: at,
+            validated: mask % 2 == 0,
+        };
+        let record = d.to_record().into_bytes();
+        prop_assert_eq!(CellData::from_record(&record), Some(d));
+        prop_assert_eq!(CellData::from_record(&junk), None);
+        let got = CellData::from_record(&flipped(&record, at, mask));
+        prop_assert!(got.is_none() || got == Some(d), "flip invented {got:?}");
+
+        // Shard file (unsealed: a flip may change a digit, so the
+        // contract is "no panic", and junk is an error).
+        let shard = probe_shard(&texts[0]).to_json();
+        prop_assert!(sweeps::parse_shard(&String::from_utf8_lossy(&junk)).is_err());
+        let _ = sweeps::parse_shard(&String::from_utf8_lossy(&flipped(shard.as_bytes(), at, mask)));
+
+        // Journal.
+        let path = scratch_file("fuzz");
+        let entries = probe_journal(&path, &texts);
+        let intact = std::fs::read(&path).unwrap();
+        std::fs::write(&path, flipped(&intact, at, mask)).unwrap();
+        let (_, kept) = Journal::resume(&path, "HDR").unwrap();
+        prop_assert!(entries.starts_with(&kept), "flip invented an entry: {kept:?}");
+        // Whatever survived is what the file now holds.
+        let (_, again) = Journal::resume(&path, "HDR").unwrap();
+        prop_assert_eq!(&again, &kept);
+        std::fs::write(&path, &junk).unwrap();
+        let (_, kept) = Journal::resume(&path, "HDR").unwrap();
+        prop_assert!(kept.is_empty(), "junk donated {kept:?}");
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+}
+
+/// Every truncation length of a valid cache record, shard file and
+/// journal: the sealed readers return nothing (record) or a prefix
+/// (journal); the shard reader returns an error or a prefix of the rows.
+#[test]
+fn every_truncation_of_a_valid_file_reads_as_a_prefix_or_nothing() {
+    let d = CellData {
+        path: CellPath::Replay,
+        cycles: 123_456,
+        host_iters: 789,
+        dep_stalls: 42,
+        validated: true,
+    };
+    let record = d.to_record().into_bytes();
+    for cut in 0..record.len() {
+        assert_eq!(CellData::from_record(&record[..cut]), None, "cut {cut}");
+    }
+
+    let shard = probe_shard("a \"quoted\" \\ line\nbreak é").to_json();
+    let whole = shard_rows(&sweeps::parse_shard(&shard).unwrap());
+    for cut in (0..shard.len()).filter(|&c| shard.is_char_boundary(c)) {
+        if let Ok(f) = sweeps::parse_shard(&shard[..cut]) {
+            let part = shard_rows(&f);
+            assert!(
+                whole.0.starts_with(&part.0)
+                    && whole.1.starts_with(&part.1)
+                    && whole.2.starts_with(&part.2),
+                "cut {cut} read rows that were never written"
+            );
+        }
+    }
+
+    let path = scratch_file("truncate");
+    let texts: Vec<String> = ["plain", "a|b", "q\"uote", "new\nline"]
+        .map(String::from)
+        .to_vec();
+    let entries = probe_journal(&path, &texts);
+    let intact = std::fs::read(&path).unwrap();
+    let header_len = seal("HDR").len();
+    for cut in 0..=intact.len() {
+        std::fs::write(&path, &intact[..cut]).unwrap();
+        let (_, kept) = Journal::resume(&path, "HDR").unwrap();
+        assert!(entries.starts_with(&kept), "cut {cut}");
+        // Exactly the whole lines before the cut survive, and the torn
+        // tail is gone from the file.
+        let whole_lines = intact[..cut].iter().filter(|&&b| b == b'\n').count();
+        assert_eq!(kept.len(), whole_lines.saturating_sub(1), "cut {cut}");
+        let len = std::fs::metadata(&path).unwrap().len() as usize;
+        let expect = if whole_lines == 0 {
+            header_len
+        } else {
+            intact[..cut].iter().rposition(|&b| b == b'\n').unwrap() + 1
+        };
+        assert_eq!(len, expect, "cut {cut}");
+    }
+    let _ = std::fs::remove_dir_all(path.parent().unwrap());
+}
+
+// ---------------------------------------------------------------------------
 // Backward compatibility: the checked-in v1 golden fixture stays readable
 // ---------------------------------------------------------------------------
 

@@ -157,6 +157,113 @@ fn result_cache_hits_warm_and_invalidates_exactly_changed_cells() {
             c.settings
         );
     }
+
+    // A schema bump orphans entries by file name: rename every record
+    // to the previous schema's name and nothing is opened — the run is
+    // cold again — while the old files are left as they were.
+    let suffix = format!("-s{}.json", sweeps::SWEEP_SCHEMA_VERSION);
+    let mut old = Vec::new();
+    for entry in std::fs::read_dir(&tmp.0).unwrap() {
+        let p = entry.unwrap().path();
+        let name = p.file_name().unwrap().to_str().unwrap().to_string();
+        let stem = name.strip_suffix(&suffix).expect("every entry is -s3");
+        let renamed = p.with_file_name(format!("{stem}-s2.json"));
+        std::fs::rename(&p, &renamed).unwrap();
+        old.push((renamed.clone(), std::fs::read(&renamed).unwrap()));
+    }
+    assert_eq!(old.len(), 6 + 1 + 2, "spec + baseline + the changed spec");
+    let orphaned = run(&spec);
+    assert_eq!(orphaned.cache_misses(), 7, "no -s2 entry may be served");
+    assert_eq!(orphaned.corrupt_evicted(), 0, "nor opened and evicted");
+    for (path, bytes) in &old {
+        assert_eq!(&std::fs::read(path).unwrap(), bytes);
+    }
+}
+
+/// `repro --sweep --shard K/N --sweep-dir DIR` leaves three files per
+/// shard in DIR (shard, failures, journal); `repro --sweep-merge DIR`
+/// must merge the shards and only the shards.
+#[test]
+fn a_sweep_dir_as_repro_writes_it_merges() {
+    use etpp::sim::faults::{write_failures, FaultPlan};
+    use sweeps::SweepFile;
+    let spec = probe_spec();
+    let wl = workload_by_name("IntSort").unwrap().build(Scale::Tiny);
+    let cap = load_or_capture_keyed(None, &spec.base, &wl, "tiny", etpp::trace::FORMAT_VERSION);
+    let wls = std::slice::from_ref(&wl);
+    let caps = std::slice::from_ref(&cap);
+    let dir = TempDir::new("sweep-dir");
+
+    // Job 5 (shard 1) exhausts its retries, so one failures file is
+    // non-empty — the shape that used to be parsed as a shard.
+    let plan: FaultPlan = "panic=5@9".parse().unwrap();
+    for k in 0..2 {
+        let shard = (k, 2);
+        let o = SweepOptions {
+            faults: Some(plan.clone()),
+            journal: Some(SweepFile::Journal.path(&dir.0, shard)),
+            ..opts(2, shard, None)
+        };
+        let run = sweeps::run_sweep(&spec, wls, caps, &o);
+        write_failures(&SweepFile::Failures.path(&dir.0, shard), &run.failures).unwrap();
+        std::fs::write(SweepFile::Shard.path(&dir.0, shard), run.to_json()).unwrap();
+    }
+    let mut names: Vec<String> = std::fs::read_dir(&dir.0)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    assert_eq!(
+        names,
+        [
+            "failures-0-of-2.json",
+            "failures-1-of-2.json",
+            "journal-0-of-2.jsonl",
+            "journal-1-of-2.jsonl",
+            "shard-0-of-2.json",
+            "shard-1-of-2.json",
+        ]
+    );
+
+    let files = sweeps::read_shard_dir(&dir.0).expect("the directory merges as written");
+    assert_eq!(files.len(), 2);
+    let merged = sweeps::merge_shards(&files).expect("two shards cover the sweep");
+    assert_eq!(merged.cells.len(), 8);
+    assert_eq!(merged.failures.len(), 1);
+    assert_eq!(merged.failures[0].index, Some(5));
+    let tables = sweeps::render_merged(&merged);
+    assert!(tables.contains("## Quarantined cells"), "{tables}");
+
+    // The same tables as the unsharded run of the same plan.
+    let whole = SweepOptions {
+        faults: Some(plan),
+        ..opts(2, (0, 1), None)
+    };
+    let one = sweeps::run_sweep(&spec, wls, caps, &whole);
+    let one = sweeps::parse_shard(&one.to_json()).unwrap();
+    let one = sweeps::merge_shards(std::slice::from_ref(&one)).unwrap();
+    assert_eq!(tables, sweeps::render_merged(&one));
+
+    // A lost shard is a coverage error; a directory without shards, or
+    // a shard that does not parse, is an error naming the path.
+    std::fs::remove_file(SweepFile::Shard.path(&dir.0, (1, 2))).unwrap();
+    let lone = sweeps::read_shard_dir(&dir.0).unwrap();
+    let err = sweeps::merge_shards(&lone).unwrap_err();
+    assert!(err.contains("missing [1, 3, 5, 7]"), "{err}");
+    std::fs::write(
+        SweepFile::Shard.path(&dir.0, (1, 2)),
+        "{\n  \"header\": {}\n}\n",
+    )
+    .unwrap();
+    let err = sweeps::read_shard_dir(&dir.0).unwrap_err();
+    assert!(
+        err.contains("shard-1-of-2.json") && err.contains("\"schema\""),
+        "{err}"
+    );
+    let empty = TempDir::new("sweep-dir-empty");
+    write_failures(&SweepFile::Failures.path(&empty.0, (0, 1)), &[]).unwrap();
+    let err = sweeps::read_shard_dir(&empty.0).unwrap_err();
+    assert!(err.contains("no shard-*.json"), "{err}");
 }
 
 #[test]
