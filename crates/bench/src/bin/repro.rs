@@ -3,11 +3,10 @@
 //! ```text
 //! repro [--scale tiny|small|paper] [--jobs N] \
 //!       [table1|table2|fig7|fig8|fig9a|fig9b|fig10|fig11|traffic|swpf|telemetry|all]
-//! repro --replay [--trace-dir DIR] [--trace-format 1|2] [--jobs N] \
-//!       [--scale tiny|small|paper]
+//! repro --replay [--trace-dir DIR] [--jobs N] [--scale tiny|small|paper]
 //! repro --telemetry DIR [--scale tiny|small|paper] [--jobs N]
 //! repro --sweep [--shard K/N] [--sweep-dir DIR] [--cache-dir DIR] \
-//!       [--scale tiny|small|paper] [--trace-dir DIR] [--trace-format 1|2] [--jobs N] \
+//!       [--scale tiny|small|paper] [--trace-dir DIR] [--jobs N] \
 //!       [--resume] [--strict] [--fault-inject PLAN] [--cell-budget SECS]
 //! repro --sweep-merge DIR
 //! ```
@@ -23,11 +22,10 @@
 //! on disk under `--trace-dir`, default `target/traces`) and then replayed
 //! against every prefetcher across `--jobs` worker threads. Replay
 //! reproduces relative speedup orderings at a fraction of the cost; see
-//! `etpp-trace` for the fidelity contract. `--trace-format` selects the
-//! on-disk capture format (default 2: dependence-annotated, replayed
-//! with the dependence-aware front end and reported with an
-//! absolute-cycle agreement column against the capture run; 1 opts back
-//! into the legacy fixed-window model).
+//! `etpp-trace` for the fidelity contract. Captures are
+//! dependence-annotated, replayed with the dependence-aware front end
+//! and reported with an absolute-cycle agreement table against the
+//! capture run.
 //!
 //! `--sweep` runs the composed ablation grid (observation-queue depth ×
 //! EWMA look-ahead scale × prefetch-buffer capacity × engine mode, on
@@ -69,8 +67,10 @@
 //! `--cell-budget SECS` overrides the budget (fractional seconds
 //! accepted; `0` disarms the watchdog entirely).
 //!
-//! Unknown flags and experiment names are fatal (exit 2): a typo'd
-//! `--shard` must never silently run the full grid.
+//! Unknown flags and experiment names, experiment names a mode would
+//! ignore (`--replay fig7`) and out-of-range values (`--jobs 0`) are
+//! fatal (exit 2): a typo'd `--shard` must never silently run the full
+//! grid.
 //!
 //! `--telemetry DIR` enables the observability stack on the telemetry
 //! grid (IntSort + HJ-8 across the main engines): prefetch-lifecycle
@@ -135,7 +135,6 @@ fn main() {
     let mut sweep_merge: Option<PathBuf> = None;
     let mut telemetry_dir: Option<PathBuf> = None;
     let mut trace_dir = PathBuf::from("target/traces");
-    let mut trace_format = etpp_trace::FORMAT_VERSION;
     let mut jobs = std::thread::available_parallelism().map_or(4, |n| n.get());
     let mut strict = false;
     let mut resume = false;
@@ -197,25 +196,12 @@ fn main() {
             )));
         } else if a == "--trace-dir" {
             trace_dir = PathBuf::from(next_value(&mut it, "--trace-dir needs a path"));
-        } else if a == "--trace-format" {
-            let v = next_value(&mut it, "--trace-format needs a version");
-            trace_format = v
-                .parse()
-                .unwrap_or_else(|_| usage_error(&format!("--trace-format: 1 or 2, got {v:?}")));
-            if !(etpp_trace::MIN_FORMAT_VERSION..=etpp_trace::FORMAT_VERSION)
-                .contains(&trace_format)
-            {
-                usage_error(&format!(
-                    "--trace-format: {}..={} supported, got {trace_format}",
-                    etpp_trace::MIN_FORMAT_VERSION,
-                    etpp_trace::FORMAT_VERSION
-                ));
-            }
         } else if a == "--jobs" {
             let v = next_value(&mut it, "--jobs needs a count");
-            jobs = v
-                .parse()
-                .unwrap_or_else(|_| usage_error(&format!("--jobs: positive integer, got {v:?}")));
+            jobs =
+                v.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
+                    usage_error(&format!("--jobs: positive integer, got {v:?}"))
+                });
         } else if a.starts_with('-') {
             usage_error(&format!("unknown flag: {a}"));
         } else {
@@ -261,7 +247,6 @@ fn main() {
         run_sweep_cmd(&SweepCli {
             scale,
             trace_dir,
-            trace_format,
             jobs,
             shard: shard.unwrap_or((0, 1)),
             cache_dir,
@@ -275,12 +260,9 @@ fn main() {
     }
     if replay {
         if !what.is_empty() {
-            eprintln!(
-                "warning: --replay runs the fig7/fig11 replay grids; ignoring: {}",
-                what.join(" ")
-            );
+            usage_error("--replay runs alone (it has its own fig7/fig11 replay grids)");
         }
-        run_replay(scale, &trace_dir, trace_format, jobs);
+        run_replay(scale, &trace_dir, jobs);
         return;
     }
     // `--telemetry DIR` alone runs just the telemetry grid; alongside
@@ -498,7 +480,6 @@ fn scale_label(scale: Scale) -> &'static str {
 struct SweepCli {
     scale: Scale,
     trace_dir: PathBuf,
-    trace_format: u16,
     jobs: usize,
     shard: (usize, usize),
     cache_dir: PathBuf,
@@ -553,7 +534,7 @@ fn run_sweep_cmd(cli: &SweepCli) {
                 &cfg,
                 &workloads[i],
                 label,
-                cli.trace_format,
+                etpp_trace::FORMAT_VERSION,
             )
         });
     let mut captures: Vec<rp::KeyedCapture> = Vec::with_capacity(capture_results.len());
@@ -599,7 +580,7 @@ fn run_sweep_cmd(cli: &SweepCli) {
     if let Some(plan) = &cli.fault_plan {
         let paths: Vec<PathBuf> = workloads
             .iter()
-            .map(|w| rp::trace_path(&cli.trace_dir, w, label, cli.trace_format))
+            .map(|w| rp::trace_path(&cli.trace_dir, w, label))
             .collect();
         let touched = faults::apply_trace_flips(plan, &paths)
             .unwrap_or_else(|e| io_fail("corrupt trace under", &cli.trace_dir, &e));
@@ -608,13 +589,14 @@ fn run_sweep_cmd(cli: &SweepCli) {
                 "[faults] flipped a byte in {}; reloading",
                 paths[wi].display()
             );
-            captures[wi] = rp::load_or_capture_keyed(
+            captures[wi] = rp::try_load_or_capture_keyed(
                 Some(&cli.trace_dir),
                 &cfg,
                 &workloads[wi],
                 label,
-                cli.trace_format,
-            );
+                etpp_trace::FORMAT_VERSION,
+            )
+            .unwrap();
         }
     }
 
@@ -694,18 +676,16 @@ fn run_sweep_merge(dir: &std::path::Path) {
 
 /// The trace-replay fast path: capture (or load) every workload's demand
 /// stream, then replay the Figure 7 and Figure 11 grids in parallel.
-fn run_replay(scale: Scale, trace_dir: &std::path::Path, trace_format: u16, jobs: usize) {
+fn run_replay(scale: Scale, trace_dir: &std::path::Path, jobs: usize) {
     let cfg = SystemConfig::paper();
     let label = scale_label(scale);
     println!(
-        "# ETPP reproduction (trace replay) — scale: {scale:?}, jobs: {jobs}, \
-         trace format: v{trace_format}\n\n\
+        "# ETPP reproduction (trace replay) — scale: {scale:?}, jobs: {jobs}\n\n\
          Speedups are relative to a no-prefetch *replay* baseline over the same\n\
          captured stream; orderings are comparable with cycle-level results.\n\
-         Dependence-annotated (v2) streams replay with the dependence-aware\n\
+         Streams are dependence-annotated and replay with the dependence-aware\n\
          front end, whose absolute cycle counts track the cycle core (see the\n\
-         agreement table below); v1 streams replay with the legacy fixed\n\
-         window, whose absolute counts are not comparable.\n"
+         agreement table below).\n"
     );
 
     let t0 = Instant::now();
@@ -718,17 +698,24 @@ fn run_replay(scale: Scale, trace_dir: &std::path::Path, trace_format: u16, jobs
 
     // Capture (or load from cache) every workload's stream, `jobs` at a time.
     let t0 = Instant::now();
-    let captures: Vec<(etpp_trace::CapturedTrace, rp::CaptureSource)> =
-        ex::map_indexed(jobs, workloads.len(), |i| {
-            rp::load_or_capture_as(Some(trace_dir), &cfg, &workloads[i], label, trace_format)
-        });
+    let captures: Vec<rp::KeyedCapture> = ex::map_indexed(jobs, workloads.len(), |i| {
+        rp::try_load_or_capture_keyed(
+            Some(trace_dir),
+            &cfg,
+            &workloads[i],
+            label,
+            etpp_trace::FORMAT_VERSION,
+        )
+        .unwrap()
+    });
     eprintln!("[capture] {} traces in {:?}", captures.len(), t0.elapsed());
 
     println!("## Trace corpus\n");
     println!("| Benchmark | Records | Accesses | Capture cycles | Source | File |");
     println!("|---|---|---|---|---|---|");
-    for (w, (t, src)) in workloads.iter().zip(&captures) {
-        let path = rp::trace_path(trace_dir, w, label, trace_format);
+    for (w, cap) in workloads.iter().zip(&captures) {
+        let (t, src) = (&cap.trace, cap.source);
+        let path = rp::trace_path(trace_dir, w, label);
         let size = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
         println!(
             "| {} | {} | {} | {} | {:?} | {} ({:.1} MiB) |",
@@ -738,7 +725,7 @@ fn run_replay(scale: Scale, trace_dir: &std::path::Path, trace_format: u16, jobs
             if t.meta.capture_cycles > 0 {
                 t.meta.capture_cycles.to_string()
             } else {
-                "n/a (v1)".to_string()
+                "n/a".to_string()
             },
             src,
             path.display(),
@@ -747,7 +734,7 @@ fn run_replay(scale: Scale, trace_dir: &std::path::Path, trace_format: u16, jobs
     }
     println!();
 
-    let traces: Vec<etpp_trace::CapturedTrace> = captures.into_iter().map(|(t, _)| t).collect();
+    let traces: Vec<etpp_trace::CapturedTrace> = captures.into_iter().map(|c| c.trace).collect();
 
     let t0 = Instant::now();
     // The Figure 7 modes that replay supports (Software needs the
@@ -772,7 +759,6 @@ fn run_replay(scale: Scale, trace_dir: &std::path::Path, trace_format: u16, jobs
 
     // Absolute-cycle agreement: no-prefetch replay vs the capture run's
     // recorded cycle count (the cycle core over the identical stream).
-    // Only v2 headers carry the reference, so a v1 sweep skips this.
     if traces.iter().any(|t| t.meta.capture_cycles > 0) {
         println!("## Replay absolute-cycle agreement (baseline vs capture run)\n");
         println!("| Benchmark | Cycle core | Replay | Replay/cycle |");

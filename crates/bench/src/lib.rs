@@ -1,10 +1,8 @@
-//! Benchmark harness support: scale selection and shared run helpers.
-//!
-//! The `repro` binary regenerates every table and figure of the paper's
-//! evaluation (`cargo run --release -p etpp-bench --bin repro -- all`);
-//! the Criterion benches in `benches/` time the simulator itself on the
-//! same experiment kernels so simulator-performance regressions are
-//! visible.
+//! Support for the `repro` binary, which regenerates every table and
+//! figure of the paper's evaluation
+//! (`cargo run --release -p etpp-bench --bin repro -- all`). Simulator
+//! performance is measured elsewhere: `speedcheck` (the CI smoke gate)
+//! and the standalone `benchmark/` harness.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

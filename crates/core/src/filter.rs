@@ -73,13 +73,6 @@ impl FilterTable {
         }
     }
 
-    /// Clears every slot.
-    pub fn clear_all(&mut self) {
-        for e in &mut self.entries {
-            *e = None;
-        }
-    }
-
     /// Entry at `id`, if configured.
     pub fn get(&self, id: usize) -> Option<&FilterEntry> {
         self.entries.get(id).and_then(|e| e.as_ref())

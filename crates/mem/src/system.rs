@@ -311,11 +311,6 @@ impl MemorySystem {
         &self.image
     }
 
-    /// Mutable access to the image (the core commits store data here).
-    pub fn image_mut(&mut self) -> &mut MemoryImage {
-        &mut self.image
-    }
-
     /// Number of free L1 MSHRs.
     pub fn l1_mshrs_free(&self) -> usize {
         self.l1_mshrs.free()

@@ -12,7 +12,7 @@
 //! cycle-level simulation per point.
 
 use crate::config::{PrefetchMode, SystemConfig};
-use crate::replay::load_or_capture_keyed;
+use crate::replay::try_load_or_capture_keyed;
 use crate::sweeps::{axes, run_sweep, Axis, SweepOptions, SweepSpec};
 use etpp_workloads::BuiltWorkload;
 
@@ -36,7 +36,9 @@ fn single_axis(wl: &BuiltWorkload, axis: Axis, jobs: usize) -> Vec<AblationPoint
         modes: vec![PrefetchMode::Manual],
         axes: vec![axis],
     };
-    let cap = load_or_capture_keyed(None, &spec.base, wl, "ablation", etpp_trace::FORMAT_VERSION);
+    let cap =
+        try_load_or_capture_keyed(None, &spec.base, wl, "ablation", etpp_trace::FORMAT_VERSION)
+            .unwrap();
     let shard = run_sweep(
         &spec,
         std::slice::from_ref(wl),

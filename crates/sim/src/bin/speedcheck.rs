@@ -25,8 +25,8 @@
 //! programmable mode (`converted`) so the regression gate guards the
 //! hot path the paper is about. Schema 4 adds `cycle_agreement` to
 //! every replay row — replayed cycles over the cycle core's cycles for
-//! the same (workload, mode) — now that dependence-aware replay (trace
-//! format v2) makes absolute cycle counts comparable, plus the
+//! the same (workload, mode) — now that dependence-aware replay makes
+//! absolute cycle counts comparable, plus the
 //! `dep_stalls` serialisation count behind it. Schema 5 puts prefetch
 //! *quality* next to throughput: every cycle row carries
 //! `late_pf_merges` (demand misses that caught an in-flight prefetch),
@@ -181,11 +181,7 @@ struct SweepStanza {
 fn run_sweep_stanza(
     cfg: &SystemConfig,
     workloads: &[BuiltWorkload],
-    captures: &[(
-        etpp_trace::CapturedTrace,
-        rp::CaptureSource,
-        std::time::Duration,
-    )],
+    captures: &[rp::KeyedCapture],
     scale_label: &str,
     jobs: usize,
 ) -> SweepStanza {
@@ -195,19 +191,6 @@ fn run_sweep_stanza(
         modes: vec![PrefetchMode::Stride, PrefetchMode::Manual],
         axes: vec![sweeps::axes::obs_queue(&[10, 40])],
     };
-    let keyed: Vec<rp::KeyedCapture> = workloads
-        .iter()
-        .zip(captures)
-        .map(|(_, (trace, source, _))| rp::KeyedCapture {
-            content_hash: etpp_trace::content_hash_versioned(
-                &trace.records,
-                etpp_trace::FORMAT_VERSION,
-            ),
-            trace: trace.clone(),
-            source: *source,
-            trace_format: etpp_trace::FORMAT_VERSION,
-        })
-        .collect();
     let cache = std::env::temp_dir().join(format!("etpp-speedcheck-sweep-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&cache);
     let opts = sweeps::SweepOptions {
@@ -216,7 +199,7 @@ fn run_sweep_stanza(
     };
     let pass = || {
         let t = Instant::now();
-        let run = sweeps::run_sweep(&spec, workloads, &keyed, &opts);
+        let run = sweeps::run_sweep(&spec, workloads, captures, &opts);
         (
             SweepPass {
                 hit: run.cache_hits(),
@@ -598,19 +581,29 @@ fn main() {
         );
         workloads.push(wl);
     }
-    let captures = map_indexed(jobs, workloads.len(), |i| {
+    let captures: Vec<rp::KeyedCapture> = map_indexed(jobs, workloads.len(), |i| {
         let t = Instant::now();
-        let (trace, src) = rp::load_or_capture(None, &cfg, &workloads[i], scale_label);
-        (trace, src, t.elapsed())
-    });
-    for (wl, (trace, _, took)) in workloads.iter().zip(&captures) {
+        let cap = rp::try_load_or_capture_keyed(
+            None,
+            &cfg,
+            &workloads[i],
+            scale_label,
+            etpp_trace::FORMAT_VERSION,
+        )
+        .unwrap();
+        (cap, t.elapsed())
+    })
+    .into_iter()
+    .map(|(cap, took)| {
         eprintln!(
             "{}: capture {} records ({} accesses) in {took:?}",
-            wl.name,
-            trace.records.len(),
-            trace.access_count(),
+            cap.trace.meta.workload,
+            cap.trace.records.len(),
+            cap.trace.access_count(),
         );
-    }
+        cap
+    })
+    .collect();
 
     // One job per (workload, path, mode) cell. `wall_s` wraps only the
     // cell's own single-threaded simulation, measured inside the
@@ -664,7 +657,7 @@ fn main() {
                 Err(why) => Row::Skipped("cycle", mode, why.to_string()),
             }
         } else {
-            let records = &captures[wi].0.records;
+            let records = &captures[wi].trace.records;
             let wd = Watchdog::with_budget(WATCHDOG_BUDGET);
             let t = Instant::now();
             match rp::replay_run_watched(&cfg, mode, wl, records, Some(wd.token())) {
@@ -676,7 +669,7 @@ fn main() {
                         host_iters: r.host_iters,
                         dep_stalls: r.dep_stalls,
                         wall_s: wall,
-                        accesses_per_s: captures[wi].0.access_count() as f64 / wall,
+                        accesses_per_s: captures[wi].trace.access_count() as f64 / wall,
                         host_speedup: None, // filled in below from the cycle row
                         cycle_agreement: None, // likewise
                         validated: r.validated,
@@ -736,7 +729,7 @@ fn main() {
         }
         reports.push(WorkloadReport {
             name: wl.name,
-            trace_accesses: captures[wi].0.access_count(),
+            trace_accesses: captures[wi].trace.access_count(),
             cycle: cycle_rows,
             replay: replay_rows,
         });

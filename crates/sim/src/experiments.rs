@@ -9,14 +9,11 @@
 //! of the worker count or scheduling.
 
 use crate::config::{PrefetchMode, SystemConfig};
-use crate::faults::{run_isolated_budgeted, JobFailure, RetryPolicy};
 use crate::system::{run, run_telemetry, RunResult, Skip};
 use crate::telemetry::{TelemetryReport, TelemetrySpec};
-use etpp_mem::CancelToken;
 use etpp_workloads::{all_workloads, BuiltWorkload, Scale};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// Runs `f(0..n)` across `jobs` shared-queue worker threads and returns
 /// the results in index order — the deterministic worker-pool primitive
@@ -55,59 +52,6 @@ where
                 .expect("worker filled slot")
         })
         .collect()
-}
-
-/// [`map_indexed`] with per-job panic isolation: each job runs inside
-/// [`crate::faults::run_isolated`], so a panicking cell is retried
-/// under `policy` and then quarantined as an `Err(JobFailure)` slot
-/// while every other job still completes — the fail-soft worker pool
-/// the sweep farm runs on. `f` receives `(job index, attempt number)`;
-/// `retries` is bumped once per retry for telemetry.
-///
-/// Determinism note: result *order* stays index-addressed like
-/// [`map_indexed`]; in strict mode (`policy.strict`) the first panic
-/// propagates and aborts the pool, restoring pre-isolation behaviour.
-pub fn map_indexed_isolated<R, F>(
-    jobs: usize,
-    n: usize,
-    policy: &RetryPolicy,
-    retries: &AtomicU64,
-    f: F,
-) -> Vec<Result<R, JobFailure>>
-where
-    R: Send,
-    F: Fn(usize, u32) -> R + Sync,
-{
-    map_indexed_isolated_budgeted(jobs, n, policy, retries, None, |i, attempt, _| {
-        f(i, attempt)
-    })
-}
-
-/// [`map_indexed_isolated`] with a per-job wall-clock budget: every
-/// attempt of every job runs under a fresh [`CancelToken`] whose
-/// deadline is `budget` (escalated for the single timeout retry — see
-/// [`crate::faults::run_isolated_budgeted`]), handed to `f` as its
-/// third argument so the job can thread it into the simulation. A job
-/// that overruns is cancelled cooperatively and quarantined as a
-/// `timeout` while the rest of the pool completes. `None` (or a zero
-/// budget) disarms the watchdog; `f` then sees no token.
-pub fn map_indexed_isolated_budgeted<R, F>(
-    jobs: usize,
-    n: usize,
-    policy: &RetryPolicy,
-    retries: &AtomicU64,
-    budget: Option<Duration>,
-    f: F,
-) -> Vec<Result<R, JobFailure>>
-where
-    R: Send,
-    F: Fn(usize, u32, Option<&CancelToken>) -> R + Sync,
-{
-    map_indexed(jobs, n, |i| {
-        run_isolated_budgeted(policy, i, retries, budget, |attempt, token| {
-            f(i, attempt, token)
-        })
-    })
 }
 
 /// The job indices shard `k` of `n` owns out of a flat `total`-job
@@ -555,6 +499,9 @@ pub fn geomean(cells: &[SpeedupCell], mode: PrefetchMode) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::{run_isolated, run_isolated_budgeted, FailureClass, RetryPolicy};
+    use std::sync::atomic::AtomicU64;
+    use std::time::Duration;
 
     #[test]
     fn fig7_tiny_grid_shapes_hold() {
@@ -667,21 +614,23 @@ mod tests {
     }
 
     #[test]
-    fn map_indexed_isolated_quarantines_only_the_panicking_jobs() {
+    fn isolated_pool_quarantines_only_the_panicking_jobs() {
         let policy = RetryPolicy {
             backoff_ms: 0,
             ..RetryPolicy::default()
         };
         let retries = AtomicU64::new(0);
         // Job 5 fails permanently, job 7 recovers on its second attempt.
-        let out = map_indexed_isolated(4, 10, &policy, &retries, |i, attempt| {
-            if i == 5 {
-                panic!("permanent failure in job {i}");
-            }
-            if i == 7 && attempt == 0 {
-                panic!("transient failure in job {i}");
-            }
-            i * 2
+        let out = map_indexed(4, 10, |i| {
+            run_isolated(&policy, i, &retries, |attempt| {
+                if i == 5 {
+                    panic!("permanent failure in job {i}");
+                }
+                if i == 7 && attempt == 0 {
+                    panic!("transient failure in job {i}");
+                }
+                i * 2
+            })
         });
         for (i, slot) in out.iter().enumerate() {
             match slot {
@@ -697,20 +646,15 @@ mod tests {
     }
 
     #[test]
-    fn map_indexed_isolated_budgeted_times_out_only_the_overrunning_job() {
-        use crate::faults::FailureClass;
+    fn budgeted_pool_times_out_only_the_overrunning_job() {
         let policy = RetryPolicy {
             backoff_ms: 0,
             ..RetryPolicy::default()
         };
         let retries = AtomicU64::new(0);
-        let out = map_indexed_isolated_budgeted(
-            2,
-            4,
-            &policy,
-            &retries,
-            Some(Duration::from_millis(15)),
-            |i, attempt, token| {
+        let budget = Some(Duration::from_millis(15));
+        let out = map_indexed(2, 4, |i| {
+            run_isolated_budgeted(&policy, i, &retries, budget, |attempt, token| {
                 let token = token.expect("budget arms every job");
                 if i == 2 {
                     // A hung job: spin until the deadline cancels it.
@@ -720,8 +664,8 @@ mod tests {
                     }
                 }
                 i
-            },
-        );
+            })
+        });
         for (i, slot) in out.iter().enumerate() {
             match slot {
                 Ok(v) => assert_eq!((*v, i != 2), (i, true)),

@@ -14,7 +14,9 @@ use crate::config::{PrefetchMode, SystemConfig};
 use crate::experiments::{map_indexed, SpeedupCell};
 use crate::system::{make_engine, run_captured, Skip};
 use etpp_mem::{CancelToken, MemStats};
-use etpp_trace::{CapturedTrace, ReplayParams, TraceReader, TraceRecord, TraceWriter};
+use etpp_trace::{
+    CapturedTrace, ReplayParams, TraceReader, TraceRecord, TraceWriter, FORMAT_VERSION,
+};
 use etpp_workloads::{checksum_region, BuiltWorkload};
 use std::collections::HashMap;
 use std::fs;
@@ -38,7 +40,7 @@ pub struct ReplayRun {
     pub host_iters: u64,
     /// Demand accesses replayed.
     pub accesses: u64,
-    /// Loads serialised by a recorded dependence edge (v2 streams).
+    /// Loads serialised by a recorded dependence edge.
     pub dep_stalls: u64,
     /// Memory-side statistics.
     pub mem: MemStats,
@@ -49,14 +51,15 @@ pub struct ReplayRun {
 /// Stable cache key for a workload's captured trace: hashes the
 /// micro-op trace content (not just the name) plus the on-disk format
 /// version, so regenerating a workload with different parameters — or
-/// asking for a different trace format — invalidates the cached
-/// capture instead of silently serving stale bytes.
-pub fn workload_trace_key(wl: &BuiltWorkload, scale_label: &str, trace_format: u16) -> u64 {
+/// a build with a different [`etpp_trace::FORMAT_VERSION`] —
+/// invalidates the cached capture instead of silently serving stale
+/// bytes.
+pub fn workload_trace_key(wl: &BuiltWorkload, scale_label: &str) -> u64 {
     use etpp_trace::format::{fnv1a, FNV_OFFSET};
     let mut h = FNV_OFFSET;
     h = fnv1a(wl.name.as_bytes(), h);
     h = fnv1a(scale_label.as_bytes(), h);
-    h = fnv1a(&(trace_format as u64).to_le_bytes(), h);
+    h = fnv1a(&(FORMAT_VERSION as u64).to_le_bytes(), h);
     h = fnv1a(&(wl.trace.len() as u64).to_le_bytes(), h);
     for op in &wl.trace.ops {
         h = fnv1a(&op.pc.to_le_bytes(), h);
@@ -67,15 +70,15 @@ pub fn workload_trace_key(wl: &BuiltWorkload, scale_label: &str, trace_format: u
     h
 }
 
-/// Path of the cached capture for `wl` inside `dir` at the given
-/// on-disk format version (v1 and v2 captures coexist side by side).
-pub fn trace_path(dir: &Path, wl: &BuiltWorkload, scale_label: &str, trace_format: u16) -> PathBuf {
+/// Path of the cached capture for `wl` inside `dir`. The format version
+/// is part of the name, so a build never opens another version's files.
+pub fn trace_path(dir: &Path, wl: &BuiltWorkload, scale_label: &str) -> PathBuf {
     dir.join(format!(
         "{}-{}-v{}-{:016x}.etpt",
         wl.name.replace('/', "_"),
         scale_label,
-        trace_format,
-        workload_trace_key(wl, scale_label, trace_format)
+        FORMAT_VERSION,
+        workload_trace_key(wl, scale_label)
     ))
 }
 
@@ -86,41 +89,6 @@ pub enum CaptureSource {
     Cached,
     /// Captured fresh from a cycle-level baseline run.
     Captured,
-}
-
-/// Loads the cached capture for `wl`, or captures it from a cycle-level
-/// no-prefetch run (and stores it in `dir`, if given), at the default
-/// [`etpp_trace::FORMAT_VERSION`].
-///
-/// # Panics
-/// Panics if the baseline cycle-level run fails validation — a trace from
-/// a wrong run must never enter the cache. Workers that must quarantine
-/// rather than die use [`try_load_or_capture_as`].
-pub fn load_or_capture(
-    dir: Option<&Path>,
-    cfg: &SystemConfig,
-    wl: &BuiltWorkload,
-    scale_label: &str,
-) -> (CapturedTrace, CaptureSource) {
-    load_or_capture_as(dir, cfg, wl, scale_label, etpp_trace::FORMAT_VERSION)
-}
-
-/// [`load_or_capture`] at an explicit on-disk format version (the
-/// `--trace-format` CLI knob). Version 1 persists without dependence
-/// edges, so traces loaded back from a v1 cache replay with the legacy
-/// fixed-window front end.
-///
-/// # Panics
-/// Panics on a capture failure (see [`try_load_or_capture_as`]).
-pub fn load_or_capture_as(
-    dir: Option<&Path>,
-    cfg: &SystemConfig,
-    wl: &BuiltWorkload,
-    scale_label: &str,
-    trace_format: u16,
-) -> (CapturedTrace, CaptureSource) {
-    try_load_or_capture_as(dir, cfg, wl, scale_label, trace_format)
-        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The in-process single-flight map: one lock per on-disk trace path,
@@ -135,55 +103,14 @@ fn capture_lock(path: &Path) -> Arc<Mutex<()>> {
     map.entry(path.to_path_buf()).or_default().clone()
 }
 
-/// [`load_or_capture_as`] with error propagation instead of panics: a
-/// baseline capture that cannot run, or whose validation fails, comes
-/// back as `Err` so an isolated worker can quarantine the workload
-/// through the faults machinery instead of dying. Concurrent calls for
-/// the same on-disk path are single-flighted (see [`capture_lock`]).
-///
-/// # Errors
-/// A human-readable message naming the workload and the capture
-/// failure (skip reason or validation mismatch).
-pub fn try_load_or_capture_as(
-    dir: Option<&Path>,
-    cfg: &SystemConfig,
-    wl: &BuiltWorkload,
-    scale_label: &str,
-    trace_format: u16,
-) -> Result<(CapturedTrace, CaptureSource), String> {
-    let Some(dir) = dir else {
-        return capture_fresh(None, cfg, wl, scale_label, trace_format);
-    };
-    let path = trace_path(dir, wl, scale_label, trace_format);
-    let lock = capture_lock(&path);
-    let _single_flight = lock.lock().unwrap_or_else(|p| p.into_inner());
-    if let Ok(f) = fs::File::open(&path) {
-        match TraceReader::new(BufReader::new(f)).and_then(|r| r.read_to_end()) {
-            Ok(t) => return Ok((t, CaptureSource::Cached)),
-            Err(e) => {
-                // Corruption-tolerant: a bad on-disk trace names
-                // itself, counts as a decode error, and falls
-                // through to a fresh capture — never a panic.
-                crate::faults::note_trace_decode_error();
-                eprintln!("[trace] discarding bad cache {}: {e}", path.display());
-            }
-        }
-    }
-    capture_fresh(Some(dir), cfg, wl, scale_label, trace_format)
-}
-
-/// The capture half of [`try_load_or_capture_as`]: a cycle-level
-/// no-prefetch run, the v1 field strip, and (with a cache dir) the
-/// atomic persist. Callers holding a [`capture_lock`] guard stay
-/// single-flight through the persist.
+/// The capture half of [`try_load_or_capture_keyed`]: a validated
+/// cycle-level no-prefetch run.
 fn capture_fresh(
-    dir: Option<&Path>,
     cfg: &SystemConfig,
     wl: &BuiltWorkload,
     scale_label: &str,
-    trace_format: u16,
-) -> Result<(CapturedTrace, CaptureSource), String> {
-    let (result, mut trace) = run_captured(cfg, PrefetchMode::None, wl, scale_label)
+) -> Result<CapturedTrace, String> {
+    let (result, trace) = run_captured(cfg, PrefetchMode::None, wl, scale_label)
         .map_err(|skip| format!("{}: baseline capture cannot run ({skip})", wl.name))?;
     if !result.validated {
         return Err(format!(
@@ -191,23 +118,7 @@ fn capture_fresh(
             wl.name
         ));
     }
-    if trace_format < 2 {
-        // What goes into a v1 cache must be what comes back out of it:
-        // strip the v1-unrepresentable fields up front so fresh-capture
-        // and cache-hit runs of a v1 sweep behave identically.
-        trace.meta.capture_cycles = 0;
-        for r in &mut trace.records {
-            if let TraceRecord::Access { dep, .. } = r {
-                *dep = 0;
-            }
-        }
-    }
-    if let Some(dir) = dir {
-        if let Err(e) = persist(dir, wl, scale_label, &trace, trace_format) {
-            eprintln!("[trace] could not cache {}: {e}", wl.name);
-        }
-    }
-    Ok((trace, CaptureSource::Captured))
+    Ok(trace)
 }
 
 /// A captured trace bundled with the identity the sweep-farm result
@@ -221,37 +132,29 @@ pub struct KeyedCapture {
     pub trace: CapturedTrace,
     /// How the capture was obtained.
     pub source: CaptureSource,
-    /// `etpp_trace::content_hash_versioned(records, trace_format)`,
-    /// computed once at load so sweep cells don't re-hash millions of
-    /// records per cache probe.
+    /// `etpp_trace::content_hash(records)`, computed once at load so
+    /// sweep cells don't re-hash millions of records per cache probe.
     pub content_hash: u64,
     /// The on-disk format version the hash was computed under.
     pub trace_format: u16,
 }
 
-/// [`load_or_capture_as`] plus the content-hash identity sweep result
-/// caches key cells on (see [`crate::sweeps`]).
+/// Loads the cached capture for `wl` from `dir`, or captures it from a
+/// cycle-level no-prefetch run (and stores it in `dir`, if given). A
+/// cached file that does not read back clean — corrupt, truncated, or
+/// headed with another format version — names itself on stderr, counts
+/// as a decode error and is recaptured over; never a panic. Concurrent
+/// calls for the same on-disk path are single-flighted (see
+/// [`capture_lock`]). Callers with nowhere to report a failed baseline
+/// `.unwrap()` the result.
 ///
-/// # Panics
-/// Panics on a capture failure (see [`try_load_or_capture_keyed`]).
-pub fn load_or_capture_keyed(
-    dir: Option<&Path>,
-    cfg: &SystemConfig,
-    wl: &BuiltWorkload,
-    scale_label: &str,
-    trace_format: u16,
-) -> KeyedCapture {
-    try_load_or_capture_keyed(dir, cfg, wl, scale_label, trace_format)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`load_or_capture_keyed`] with error propagation: the sweep driver's
-/// capture phase uses this so a broken baseline quarantines the
-/// workload (a [`crate::faults::FailureRecord`] in `failures.json`)
-/// instead of panicking the worker pool.
+/// `trace_format` is vestigial: [`FORMAT_VERSION`] is the only value
+/// accepted (ROADMAP item 5 drops the argument with its last caller).
 ///
 /// # Errors
-/// See [`try_load_or_capture_as`].
+/// A human-readable message naming the workload and the capture
+/// failure (skip reason or validation mismatch — a trace from a wrong
+/// run must never enter the cache), or the unsupported `trace_format`.
 pub fn try_load_or_capture_keyed(
     dir: Option<&Path>,
     cfg: &SystemConfig,
@@ -259,42 +162,58 @@ pub fn try_load_or_capture_keyed(
     scale_label: &str,
     trace_format: u16,
 ) -> Result<KeyedCapture, String> {
-    let (trace, source) = try_load_or_capture_as(dir, cfg, wl, scale_label, trace_format)?;
-    let content_hash = etpp_trace::content_hash_versioned(&trace.records, trace_format);
-    Ok(KeyedCapture {
+    if trace_format != FORMAT_VERSION {
+        return Err(format!(
+            "{}: trace format {trace_format} is not supported (this build captures and \
+             reads version {FORMAT_VERSION})",
+            wl.name
+        ));
+    }
+    let keyed = |trace: CapturedTrace, source| KeyedCapture {
+        content_hash: etpp_trace::content_hash(&trace.records),
         trace,
         source,
-        content_hash,
         trace_format,
-    })
+    };
+    let Some(dir) = dir else {
+        return capture_fresh(cfg, wl, scale_label).map(|t| keyed(t, CaptureSource::Captured));
+    };
+    let path = trace_path(dir, wl, scale_label);
+    let lock = capture_lock(&path);
+    let _single_flight = lock.lock().unwrap_or_else(|p| p.into_inner());
+    if let Ok(f) = fs::File::open(&path) {
+        match TraceReader::new(BufReader::new(f)).and_then(|r| r.read_to_end()) {
+            Ok(t) => return Ok(keyed(t, CaptureSource::Cached)),
+            Err(e) => {
+                crate::faults::note_trace_decode_error();
+                eprintln!("[trace] discarding bad cache {}: {e}", path.display());
+            }
+        }
+    }
+    let trace = capture_fresh(cfg, wl, scale_label)?;
+    if let Err(e) = persist(&path, &trace) {
+        eprintln!("[trace] could not cache {}: {e}", wl.name);
+    }
+    Ok(keyed(trace, CaptureSource::Captured))
 }
 
-fn persist(
-    dir: &Path,
-    wl: &BuiltWorkload,
-    scale_label: &str,
-    trace: &CapturedTrace,
-    trace_format: u16,
-) -> std::io::Result<()> {
+fn persist(path: &Path, trace: &CapturedTrace) -> std::io::Result<()> {
     // Unique tmp per (process, call): two writers racing on the same
     // capture — shard processes, or threads that missed the in-process
     // single-flight — each write their own tmp and the `rename` makes
     // whichever lands last fully visible; a reader can never observe a
     // torn file.
     static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-    fs::create_dir_all(dir)?;
-    let path = trace_path(dir, wl, scale_label, trace_format);
+    if let Some(dir) = path.parent() {
+        fs::create_dir_all(dir)?;
+    }
     let tmp = path.with_extension(format!(
         "etpt.tmp.{}.{}",
         std::process::id(),
         TMP_SEQ.fetch_add(1, Ordering::Relaxed)
     ));
     let write = || -> std::io::Result<()> {
-        let mut w = TraceWriter::with_version(
-            BufWriter::new(fs::File::create(&tmp)?),
-            &trace.meta,
-            trace_format,
-        )?;
+        let mut w = TraceWriter::new(BufWriter::new(fs::File::create(&tmp)?), &trace.meta)?;
         for r in &trace.records {
             w.record(r)?;
         }
@@ -304,25 +223,13 @@ fn persist(
         let _ = fs::remove_file(&tmp);
         return Err(e);
     }
-    fs::rename(&tmp, &path)
+    fs::rename(&tmp, path)
 }
 
-/// The replay front-end parameters the runner uses for every stream.
-///
-/// An 8-deep issue window tracks the effective memory-level parallelism
-/// of the 40-entry-ROB core through its address-independent runs;
-/// recorded dependence edges (v2 streams) add the pointer-chase
-/// serialisation on top — measured at Small scale this combination
-/// dominates both the bare window and wider dependence-aware windows
-/// for absolute-cycle agreement (see `tests/replay_fidelity.rs`). On a
-/// v1 stream (no edges) `dependence_aware` is a no-op, so this is
-/// bit-for-bit the pre-v2 behaviour.
+/// The replay front-end parameters the runner uses for every stream
+/// (and that sweep result-cache keys hash): [`ReplayParams::default`].
 pub fn replay_params() -> ReplayParams {
-    ReplayParams {
-        window: 8,
-        dependence_aware: true,
-        ..ReplayParams::default()
-    }
+    ReplayParams::default()
 }
 
 /// Replays `records` under `mode`'s engine and validates the result,
@@ -337,7 +244,7 @@ pub fn replay_run(
     wl: &BuiltWorkload,
     records: &[TraceRecord],
 ) -> Result<ReplayRun, Skip> {
-    replay_run_with(cfg, mode, wl, records, &replay_params())
+    replay_run_watched(cfg, mode, wl, records, None)
 }
 
 /// [`replay_run`] under a sweep cell's watchdog token: the replay loop
@@ -356,32 +263,9 @@ pub fn replay_run_watched(
     records: &[TraceRecord],
     cancel: Option<&CancelToken>,
 ) -> Result<ReplayRun, Skip> {
-    replay_exec(cfg, mode, wl, records, &replay_params(), cancel)
-}
-
-/// [`replay_run`] under explicit front-end parameters (the fidelity
-/// suite pins v1-vs-v2 behaviour by forcing each model).
-pub fn replay_run_with(
-    cfg: &SystemConfig,
-    mode: PrefetchMode,
-    wl: &BuiltWorkload,
-    records: &[TraceRecord],
-    params: &ReplayParams,
-) -> Result<ReplayRun, Skip> {
-    replay_exec(cfg, mode, wl, records, params, None)
-}
-
-fn replay_exec(
-    cfg: &SystemConfig,
-    mode: PrefetchMode,
-    wl: &BuiltWorkload,
-    records: &[TraceRecord],
-    params: &ReplayParams,
-    cancel: Option<&CancelToken>,
-) -> Result<ReplayRun, Skip> {
     let mut engine = make_engine(cfg, mode, wl)?;
     let res = etpp_trace::replay_cancellable(
-        params,
+        &replay_params(),
         cfg.mem,
         wl.image.clone(),
         records,
@@ -472,12 +356,16 @@ mod tests {
     use super::*;
     use etpp_workloads::{Scale, Workload};
 
+    fn capture(dir: Option<&Path>, cfg: &SystemConfig, wl: &BuiltWorkload) -> KeyedCapture {
+        try_load_or_capture_keyed(dir, cfg, wl, "tiny", FORMAT_VERSION).unwrap()
+    }
+
     #[test]
     fn capture_then_replay_validates_and_prefetch_helps() {
         let wl = etpp_workloads::intsort::IntSort.build(Scale::Tiny);
         let cfg = SystemConfig::paper();
-        let (trace, src) = load_or_capture(None, &cfg, &wl, "tiny");
-        assert_eq!(src, CaptureSource::Captured);
+        let KeyedCapture { trace, source, .. } = capture(None, &cfg, &wl);
+        assert_eq!(source, CaptureSource::Captured);
         assert!(trace.access_count() > 0);
 
         let base = replay_run(&cfg, PrefetchMode::None, &wl, &trace.records).unwrap();
@@ -496,7 +384,7 @@ mod tests {
     fn software_mode_is_skipped_in_replay() {
         let wl = etpp_workloads::intsort::IntSort.build(Scale::Tiny);
         let cfg = SystemConfig::paper();
-        let (trace, _) = load_or_capture(None, &cfg, &wl, "tiny");
+        let trace = capture(None, &cfg, &wl).trace;
         assert!(replay_run(&cfg, PrefetchMode::Software, &wl, &trace.records).is_err());
     }
 
@@ -507,57 +395,18 @@ mod tests {
         let dir = std::env::temp_dir().join(format!(
             "etpp-trace-test-{}-{:016x}",
             std::process::id(),
-            workload_trace_key(&wl, "tiny", etpp_trace::FORMAT_VERSION)
+            workload_trace_key(&wl, "tiny")
         ));
-        let (first, src1) = load_or_capture(Some(&dir), &cfg, &wl, "tiny");
-        assert_eq!(src1, CaptureSource::Captured);
+        let first = capture(Some(&dir), &cfg, &wl);
+        assert_eq!(first.source, CaptureSource::Captured);
         assert!(
-            first.meta.capture_cycles > 0,
-            "v2 captures must record the capture run's cycle count"
+            first.trace.meta.capture_cycles > 0,
+            "captures must record the capture run's cycle count"
         );
-        let (second, src2) = load_or_capture(Some(&dir), &cfg, &wl, "tiny");
-        assert_eq!(src2, CaptureSource::Cached);
-        assert_eq!(first.records, second.records);
-        assert_eq!(first.meta, second.meta);
-        assert_eq!(
-            etpp_trace::content_hash(&first.records),
-            etpp_trace::content_hash(&second.records)
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn v1_cache_is_keyed_separately_and_carries_no_edges() {
-        let wl = etpp_workloads::intsort::IntSort.build(Scale::Tiny);
-        let cfg = SystemConfig::paper();
-        let dir = std::env::temp_dir().join(format!(
-            "etpp-trace-v1-test-{}-{:016x}",
-            std::process::id(),
-            workload_trace_key(&wl, "tiny", 1)
-        ));
-        assert_ne!(
-            trace_path(&dir, &wl, "tiny", 1),
-            trace_path(&dir, &wl, "tiny", 2),
-            "v1 and v2 captures must not collide in the cache"
-        );
-        let (v1, _) = load_or_capture_as(Some(&dir), &cfg, &wl, "tiny", 1);
-        let (v1_cached, src) = load_or_capture_as(Some(&dir), &cfg, &wl, "tiny", 1);
-        assert_eq!(src, CaptureSource::Cached);
-        assert_eq!(v1.records, v1_cached.records);
-        assert_eq!(v1.meta.capture_cycles, 0);
-        assert!(
-            v1.records
-                .iter()
-                .all(|r| !matches!(r, TraceRecord::Access { dep, .. } if *dep > 0)),
-            "a v1 capture must carry no dependence edges"
-        );
-        let (v2, _) = load_or_capture(None, &cfg, &wl, "tiny");
-        assert!(
-            v2.records
-                .iter()
-                .any(|r| matches!(r, TraceRecord::Access { dep, .. } if *dep > 0)),
-            "IntSort's scatter phase must record dependence edges at v2"
-        );
+        let second = capture(Some(&dir), &cfg, &wl);
+        assert_eq!(second.source, CaptureSource::Cached);
+        assert_eq!(first.trace, second.trace);
+        assert_eq!(first.content_hash, second.content_hash);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -568,14 +417,14 @@ mod tests {
         let dir = std::env::temp_dir().join(format!(
             "etpp-trace-singleflight-{}-{:016x}",
             std::process::id(),
-            workload_trace_key(&wl, "tiny", etpp_trace::FORMAT_VERSION)
+            workload_trace_key(&wl, "tiny")
         ));
         let _ = fs::remove_dir_all(&dir);
         let sources: Vec<CaptureSource> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
                     let (dir, cfg, wl) = (&dir, &cfg, &wl);
-                    s.spawn(move || load_or_capture(Some(dir), cfg, wl, "tiny").1)
+                    s.spawn(move || capture(Some(dir), cfg, wl).source)
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -595,9 +444,9 @@ mod tests {
             .collect();
         assert_eq!(names.len(), 1, "no tmp leftovers: {names:?}");
         assert!(names[0].ends_with(".etpt"), "{names:?}");
-        let (reread, src) = load_or_capture(Some(&dir), &cfg, &wl, "tiny");
-        assert_eq!(src, CaptureSource::Cached);
-        assert!(reread.access_count() > 0);
+        let reread = capture(Some(&dir), &cfg, &wl);
+        assert_eq!(reread.source, CaptureSource::Cached);
+        assert!(reread.trace.access_count() > 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -607,19 +456,24 @@ mod tests {
         // A wrong reference checksum makes the baseline capture fail
         // validation — the classic "trace from a wrong run" hazard.
         wl.expected ^= 0xdead_beef;
-        let err = try_load_or_capture_as(None, &SystemConfig::paper(), &wl, "tiny", 2)
+        let err = try_load_or_capture_keyed(None, &SystemConfig::paper(), &wl, "tiny", 2)
             .expect_err("corrupted expectation must fail the capture");
         assert!(err.contains("failed validation"), "{err}");
         assert!(err.contains("IntSort"), "{err}");
-        let keyed = try_load_or_capture_keyed(None, &SystemConfig::paper(), &wl, "tiny", 2);
-        assert!(keyed.is_err());
+        // The retired format is refused up front, naming both versions.
+        let err = try_load_or_capture_keyed(None, &SystemConfig::paper(), &wl, "tiny", 1)
+            .expect_err("only FORMAT_VERSION is accepted");
+        assert!(
+            err.contains("format 1") && err.contains("version 2"),
+            "{err}"
+        );
     }
 
     #[test]
     fn watched_replay_is_bit_identical_and_aborts_typed_when_fired() {
         let wl = etpp_workloads::intsort::IntSort.build(Scale::Tiny);
         let cfg = SystemConfig::paper();
-        let (trace, _) = load_or_capture(None, &cfg, &wl, "tiny");
+        let trace = capture(None, &cfg, &wl).trace;
         let plain = replay_run(&cfg, PrefetchMode::Manual, &wl, &trace.records).unwrap();
         let token = CancelToken::with_budget(std::time::Duration::from_secs(3600));
         let watched = replay_run_watched(
@@ -662,7 +516,7 @@ mod tests {
         ];
         let captures: Vec<CapturedTrace> = workloads
             .iter()
-            .map(|w| load_or_capture(None, &cfg, w, "tiny").0)
+            .map(|w| capture(None, &cfg, w).trace)
             .collect();
         let grid = replay_grid(
             &cfg,

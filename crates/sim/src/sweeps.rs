@@ -6,8 +6,8 @@
 //! one **flat, index-addressable job list**. Every cell runs
 //! **replay-first** over the workload's captured demand stream — the
 //! fast path — and only *disagreeing* streams escalate to the
-//! cycle-level core, gated by the per-workload `cycle_agreement` the v2
-//! trace format records at capture (`TraceMeta::capture_cycles`):
+//! cycle-level core, gated by the per-workload `cycle_agreement` the
+//! trace records at capture (`TraceMeta::capture_cycles`):
 //!
 //! * stream agreement `|replay/capture − 1| ≤ gate` → every cell of
 //!   that workload replays (the common case; the cycle core does no
@@ -83,7 +83,7 @@ pub const SWEEP_SCHEMA_VERSION: u32 = 3;
 
 /// Default escalation gate on the stream-level absolute-cycle
 /// agreement: a baseline replay within ±15% of the capture run's cycle
-/// count is trusted for the whole grid (Small-scale v2 agreement is
+/// count is trusted for the whole grid (Small-scale agreement is
 /// 0.86–0.99, see `tests/replay_fidelity.rs`; Tiny-scale streams may
 /// escalate, which is exactly the gate doing its job).
 pub const DEFAULT_AGREEMENT_GATE: f64 = 0.15;
@@ -523,9 +523,9 @@ pub struct WorkloadBaseline {
     /// chose — replay cycles normally, cycle-core cycles if the
     /// baseline replay itself broke.
     pub replay_cycles: u64,
-    /// The capture run's cycle-core cycle count (v2 streams; 0 on v1).
+    /// The capture run's cycle-core cycle count (0 = not recorded).
     pub capture_cycles: u64,
-    /// `replay_cycles / capture_cycles` (`None` without a v2 reference).
+    /// `replay_cycles / capture_cycles` (`None` without a reference).
     pub agreement: Option<f64>,
     /// Whether this workload's cells escalate to the cycle core.
     pub escalate: bool,
@@ -605,7 +605,8 @@ pub struct ShardRun {
     pub sweep: &'static str,
     /// Scale label (from the options).
     pub scale: String,
-    /// Trace format the captures were keyed under.
+    /// Trace format the captures were keyed under (a shard from a
+    /// build with another format refuses to merge with this one's).
     pub trace_format: u16,
     /// `(k, n)` shard identity.
     pub shard: (usize, usize),
@@ -949,13 +950,6 @@ pub fn run_sweep(
     opts: &SweepOptions,
 ) -> ShardRun {
     assert_eq!(workloads.len(), captures.len());
-    let trace_format = captures
-        .first()
-        .map_or(etpp_trace::FORMAT_VERSION, |c| c.trace_format);
-    assert!(
-        captures.iter().all(|c| c.trace_format == trace_format),
-        "one sweep must not mix trace formats"
-    );
     let (k, n) = opts.shard;
     let total = spec.total_jobs(workloads.len());
     let my_jobs = shard_indices(total, k, n);
@@ -964,7 +958,7 @@ pub fn run_sweep(
     let run = ShardRun {
         sweep: spec.name,
         scale: opts.scale_label.clone(),
-        trace_format,
+        trace_format: etpp_trace::FORMAT_VERSION,
         shard: (k, n),
         total_jobs: total,
         baselines: Vec::new(),
@@ -1070,9 +1064,9 @@ pub fn run_sweep(
                 let agreement = (base.path == CellPath::Replay && capture_cycles > 0)
                     .then(|| base.cycles as f64 / capture_cycles as f64);
                 let escalate = match (base.path, agreement) {
-                    // v2 stream replayed fine: trust it iff it agrees.
+                    // The stream replayed fine: trust it iff it agrees.
                     (CellPath::Replay, Some(a)) => (a - 1.0).abs() > opts.gate,
-                    // v1 stream (no reference): trust replay — there is
+                    // No recorded reference: trust replay — there is
                     // nothing to disagree with, and escalating everything
                     // would defeat the farm. Orderings remain valid;
                     // absolutes are not.
@@ -1087,9 +1081,8 @@ pub fn run_sweep(
                 } else if capture_cycles > 0 {
                     capture_cycles
                 } else {
-                    // Escalated with no recorded reference (v1 stream whose
-                    // replay broke): measure the cycle baseline, cached like
-                    // any other escalated cell.
+                    // Escalated with no recorded reference: measure the
+                    // cycle baseline, cached like any other escalated cell.
                     exec(true).cycles
                 };
                 WorkloadBaseline {
@@ -1677,7 +1670,7 @@ pub fn render_merged(m: &ShardFile) -> String {
             if b.capture_cycles > 0 {
                 b.capture_cycles.to_string()
             } else {
-                "n/a (v1)".to_string()
+                "n/a".to_string()
             },
             b.replay_cycles,
             b.agreement.map_or("n/a".to_string(), |a| format!("{a:.4}")),
@@ -2060,15 +2053,15 @@ mod tests {
         );
         assert_eq!(*jb, b);
         assert!(failure.is_none());
-        // No reference (v1 stream) is `null`, not a number.
-        let v1 = WorkloadBaseline {
+        // No reference is `null`, not a number.
+        let unreferenced = WorkloadBaseline {
             agreement: None,
             ..b.clone()
         };
         resumed
-            .index(&journal_entry("baseline", |w| v1.write(w), None))
+            .index(&journal_entry("baseline", |w| unreferenced.write(w), None))
             .unwrap();
-        assert_eq!(resumed.baselines["HJ-8"].0, v1);
+        assert_eq!(resumed.baselines["HJ-8"].0, unreferenced);
 
         let rec = FailureRecord {
             index: Some(17),

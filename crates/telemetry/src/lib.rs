@@ -155,25 +155,6 @@ impl Hist {
         self.sum = self.sum.wrapping_add(other.sum);
         self.max = self.max.max(other.max);
     }
-
-    /// Compact one-line rendering of the non-empty buckets, e.g.
-    /// `[64,128):12 [128,256):3` — for tables and debugging.
-    pub fn render_compact(&self) -> String {
-        let mut out = String::new();
-        for (b, &n) in self.buckets.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            if !out.is_empty() {
-                out.push(' ');
-            }
-            let _ = write!(out, "[{},{}):{n}", Self::bucket_lo(b), Self::bucket_hi(b));
-        }
-        if out.is_empty() {
-            out.push_str("(empty)");
-        }
-        out
-    }
 }
 
 /// A named, mergeable snapshot of counters and histograms.
@@ -199,11 +180,6 @@ impl Registry {
         self.counters.insert(name.to_string(), value);
     }
 
-    /// Adds to a counter, creating it at 0 first.
-    pub fn add_counter(&mut self, name: &str, value: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += value;
-    }
-
     /// Reads a counter (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
@@ -218,16 +194,6 @@ impl Registry {
     /// Reads a histogram by name.
     pub fn hist(&self, name: &str) -> Option<&Hist> {
         self.hists.get(name)
-    }
-
-    /// Counter names in sorted order.
-    pub fn counter_names(&self) -> impl Iterator<Item = &str> {
-        self.counters.keys().map(|s| s.as_str())
-    }
-
-    /// Histogram names in sorted order.
-    pub fn hist_names(&self) -> impl Iterator<Item = &str> {
-        self.hists.keys().map(|s| s.as_str())
     }
 
     /// Merges another registry into this one: counters add, histograms

@@ -1,17 +1,18 @@
 //! The trace record model and its delta-encoded binary layout.
 //!
-//! ## Layout (versions 1 and 2)
+//! ## Layout (version 2)
 //!
 //! ```text
 //! magic  "ETPT"                       4 bytes
 //! version u16 LE                      2 bytes
 //! workload-name  len:u16 LE + utf8
 //! scale          len:u16 LE + utf8
-//! capture-cycles varint               (v2 only: capture-run cycle count)
+//! capture-cycles varint               (capture-run cycle count)
 //! records        tagged, delta-encoded (see below)
 //! end marker     0xFF
 //! record count   varint
-//! content hash   u64 LE  (FNV-1a over every encoded record byte)
+//! content hash   u64 LE  (FNV-1a over the header fields, then every
+//!                         encoded record byte)
 //! ```
 //!
 //! Each record starts with a tag byte (`0` load, `1` store, `2` config).
@@ -23,9 +24,9 @@
 //! (so replay can commit real values and still validate checksums);
 //! config records carry a compact [`ConfigOp`] encoding.
 //!
-//! ## Version 2: load→load dependence edges
+//! ## Load→load dependence edges
 //!
-//! Version 2 load records additionally carry the record's *dependence
+//! Load records additionally carry the record's *dependence
 //! distance*: how many captured load records back the load sits whose
 //! result feeds this load's address (0 = address independent of any
 //! in-flight load). The capture hooks in `etpp_cpu::Core` track
@@ -36,18 +37,15 @@
 //! the edges to model pointer-chase serialisation instead of a fixed
 //! issue window (see [`crate::replay`]).
 //!
-//! Readers accept [`MIN_FORMAT_VERSION`]`..=`[`FORMAT_VERSION`] and
-//! dispatch on the header version; a version-1 stream decodes with
-//! every dependence distance (and the capture-cycle count) zero.
+//! Readers accept exactly [`FORMAT_VERSION`]: a file whose header names
+//! any other version is refused by name (`unsupported trace version N`),
+//! which the capture cache treats like any other bad file — discard and
+//! recapture.
 
 use etpp_mem::{AccessKind, ConfigOp, FilterFlags, RangeId, TagId};
 
-/// On-disk format version written by default by this build.
+/// The on-disk format version this build writes and reads.
 pub const FORMAT_VERSION: u16 = 2;
-
-/// Oldest on-disk format version this build still reads (and can be
-/// asked to write, for consumers without dependence-aware replay).
-pub const MIN_FORMAT_VERSION: u16 = 1;
 
 /// Magic bytes opening every trace file.
 pub const MAGIC: [u8; 4] = *b"ETPT";
@@ -65,7 +63,7 @@ pub struct TraceMeta {
     pub workload: String,
     /// Input scale the trace was captured at (`"tiny"`, `"small"`, ...).
     pub scale: String,
-    /// Total cycles of the capture run (v2 headers; 0 = unknown/v1).
+    /// Total cycles of the capture run (0 = unknown).
     /// Lets replay consumers report absolute-cycle agreement against
     /// the cycle core without re-running the capture.
     pub capture_cycles: u64,
@@ -81,8 +79,7 @@ impl TraceMeta {
         }
     }
 
-    /// Attaches the capture run's total cycle count (stored in v2
-    /// headers).
+    /// Attaches the capture run's total cycle count.
     pub fn with_capture_cycles(mut self, cycles: u64) -> Self {
         self.capture_cycles = cycles;
         self
@@ -109,7 +106,7 @@ pub enum TraceRecord {
         /// Load→load dependence distance in captured-load ordinals:
         /// this load's address is fed by the load `dep` load records
         /// earlier in the stream. 0 = no recorded producer (always 0
-        /// for stores and for streams decoded from version-1 traces).
+        /// for stores).
         dep: u32,
     },
     /// A retired prefetcher-configuration instruction.
@@ -185,19 +182,13 @@ pub fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
 /// FNV-1a offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// Content hash of an encoded record stream (what the footer stores),
-/// under the default [`FORMAT_VERSION`] encoding.
+/// Content hash of an encoded record stream (what
+/// [`crate::TraceWriter::finish`] returns).
 ///
 /// Exposed so callers can key disk caches by trace content without
 /// re-reading files: encode, hash, compare.
 pub fn content_hash(records: &[TraceRecord]) -> u64 {
-    content_hash_versioned(records, FORMAT_VERSION)
-}
-
-/// [`content_hash`] under a specific format version's encoding (the
-/// footer of a version-`v` file stores the version-`v` hash).
-pub fn content_hash_versioned(records: &[TraceRecord], version: u16) -> u64 {
-    let mut enc = Encoder::new(version);
+    let mut enc = Encoder::default();
     let mut buf = Vec::new();
     let mut h = FNV_OFFSET;
     for r in records {
@@ -212,11 +203,10 @@ pub fn content_hash_versioned(records: &[TraceRecord], version: u16) -> u64 {
 // record encoder/decoder with delta state
 // ---------------------------------------------------------------------------
 
-/// Streaming encoder state: previous cycle/pc/vaddr (and, for v2, the
-/// previous load's dependence distance) for delta coding.
-#[derive(Debug, Clone)]
+/// Streaming encoder state: previous cycle/pc/vaddr and the previous
+/// load's dependence distance, for delta coding.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Encoder {
-    version: u16,
     prev_cycle: u64,
     prev_pc: u32,
     prev_vaddr: u64,
@@ -224,20 +214,7 @@ pub(crate) struct Encoder {
 }
 
 impl Encoder {
-    pub(crate) fn new(version: u16) -> Self {
-        debug_assert!((MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version));
-        Encoder {
-            version,
-            prev_cycle: 0,
-            prev_pc: 0,
-            prev_vaddr: 0,
-            prev_dep: 0,
-        }
-    }
-
-    /// Appends the encoding of `r` to `out`. Encoding a v2 record
-    /// stream at version 1 silently drops the dependence edges (the
-    /// v1 layout has nowhere to put them).
+    /// Appends the encoding of `r` to `out`.
     pub(crate) fn encode(&mut self, r: &TraceRecord, out: &mut Vec<u8>) {
         match r {
             TraceRecord::Access {
@@ -261,11 +238,10 @@ impl Encoder {
                         out.push(*size);
                         write_varint(out, *value);
                     }
-                    AccessKind::Load if self.version >= 2 => {
+                    AccessKind::Load => {
                         write_varint(out, zigzag(*dep as i64 - self.prev_dep as i64));
                         self.prev_dep = *dep;
                     }
-                    AccessKind::Load => {}
                 }
                 self.prev_cycle = *cycle;
                 self.prev_pc = *pc;
@@ -282,9 +258,8 @@ impl Encoder {
 }
 
 /// Streaming decoder state mirroring [`Encoder`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Decoder {
-    version: u16,
     prev_cycle: u64,
     prev_pc: u32,
     prev_vaddr: u64,
@@ -336,17 +311,6 @@ impl ByteCursor<'_> {
 }
 
 impl Decoder {
-    pub(crate) fn new(version: u16) -> Self {
-        debug_assert!((MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version));
-        Decoder {
-            version,
-            prev_cycle: 0,
-            prev_pc: 0,
-            prev_vaddr: 0,
-            prev_dep: 0,
-        }
-    }
-
     /// Decodes one record starting at `cur` (tag already consumed).
     pub(crate) fn decode(
         &mut self,
@@ -365,12 +329,10 @@ impl Decoder {
                     let size = cur.u8()?;
                     let value = cur.varint()?;
                     (AccessKind::Store, value, size, 0)
-                } else if self.version >= 2 {
+                } else {
                     let dep = (self.prev_dep as i64).wrapping_add(unzigzag(cur.varint()?)) as u32;
                     self.prev_dep = dep;
                     (AccessKind::Load, 0, 0, dep)
-                } else {
-                    (AccessKind::Load, 0, 0, 0)
                 };
                 self.prev_cycle = cycle;
                 self.prev_pc = pc;
@@ -539,7 +501,7 @@ mod tests {
     #[test]
     fn sequential_accesses_encode_small() {
         // A 64-byte-strided stream should cost only a few bytes per record.
-        let mut enc = Encoder::new(FORMAT_VERSION);
+        let mut enc = Encoder::default();
         let mut out = Vec::new();
         for i in 0..1000u64 {
             enc.encode(
@@ -567,8 +529,7 @@ mod tests {
     #[test]
     fn pointer_chase_deps_encode_as_single_zero_bytes() {
         // A dep-distance-1 chain delta-encodes every dep after the first
-        // as zigzag(0) = one zero byte: v2 costs exactly one byte per
-        // load over v1 on this stream.
+        // edge as zigzag(0) = one zero byte: tag + four one-byte deltas.
         let mk = |dep| TraceRecord::Access {
             cycle: 0,
             pc: 0x40,
@@ -578,80 +539,14 @@ mod tests {
             size: 0,
             dep,
         };
-        let records: Vec<TraceRecord> = (0..100).map(|i| mk(if i == 0 { 0 } else { 1 })).collect();
-        let mut v1 = Vec::new();
-        let mut v2 = Vec::new();
-        let mut e1 = Encoder::new(1);
-        let mut e2 = Encoder::new(2);
-        for r in &records {
-            e1.encode(r, &mut v1);
-            e2.encode(r, &mut v2);
-        }
-        assert_eq!(v2.len(), v1.len() + records.len());
-    }
-
-    #[test]
-    fn v2_deps_roundtrip_and_v1_drops_them() {
-        let records: Vec<TraceRecord> = (0..50u64)
-            .map(|i| TraceRecord::Access {
-                cycle: i,
-                pc: 0x40,
-                vaddr: 0x1000 + i * 8,
-                kind: AccessKind::Load,
-                value: 0,
-                size: 0,
-                dep: (i % 7) as u32,
-            })
-            .collect();
-        for version in [MIN_FORMAT_VERSION, FORMAT_VERSION] {
-            let mut enc = Encoder::new(version);
-            let mut dec = Decoder::new(version);
-            let mut buf = Vec::new();
-            for r in &records {
-                enc.encode(r, &mut buf);
+        let mut enc = Encoder::default();
+        let mut buf = Vec::new();
+        for i in 0..100 {
+            buf.clear();
+            enc.encode(&mk(if i == 0 { 0 } else { 1 }), &mut buf);
+            if i >= 2 {
+                assert_eq!(buf, [TAG_LOAD, 0, 0, 0, 0], "record {i}");
             }
-            let mut cur = ByteCursor {
-                bytes: &buf,
-                pos: 0,
-            };
-            for r in &records {
-                let tag = cur.u8().unwrap();
-                let back = dec.decode(tag, &mut cur).unwrap();
-                if version >= 2 {
-                    assert_eq!(&back, r, "v2 must preserve dependence edges");
-                } else {
-                    match (&back, r) {
-                        (
-                            TraceRecord::Access { dep: got, .. },
-                            TraceRecord::Access {
-                                cycle,
-                                pc,
-                                vaddr,
-                                kind,
-                                value,
-                                size,
-                                ..
-                            },
-                        ) => {
-                            assert_eq!(*got, 0, "v1 has no dependence edges");
-                            assert_eq!(
-                                back,
-                                TraceRecord::Access {
-                                    cycle: *cycle,
-                                    pc: *pc,
-                                    vaddr: *vaddr,
-                                    kind: *kind,
-                                    value: *value,
-                                    size: *size,
-                                    dep: 0,
-                                }
-                            );
-                        }
-                        _ => panic!("expected access"),
-                    }
-                }
-            }
-            assert_eq!(cur.pos, buf.len());
         }
     }
 
@@ -717,7 +612,7 @@ mod tests {
     }
 
     #[test]
-    fn content_hash_versions_diverge_only_when_deps_matter() {
+    fn content_hash_covers_dependence_edges() {
         let mk = |dep| TraceRecord::Access {
             cycle: 3,
             pc: 9,
@@ -727,15 +622,6 @@ mod tests {
             size: 0,
             dep,
         };
-        // v1 ignores the dep field entirely...
-        assert_eq!(
-            content_hash_versioned(&[mk(0)], 1),
-            content_hash_versioned(&[mk(5)], 1)
-        );
-        // ...while v2 hashes it.
-        assert_ne!(
-            content_hash_versioned(&[mk(0)], 2),
-            content_hash_versioned(&[mk(5)], 2)
-        );
+        assert_ne!(content_hash(&[mk(0)]), content_hash(&[mk(5)]));
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::format::{
     fnv1a, ByteCursor, CapturedTrace, Decoder, Encoder, FormatError, TraceMeta, TraceRecord,
-    FNV_OFFSET, FORMAT_VERSION, MAGIC, MIN_FORMAT_VERSION, TAG_END,
+    FNV_OFFSET, FORMAT_VERSION, MAGIC, TAG_END,
 };
 use std::io::{self, Read, Write};
 
@@ -48,17 +48,12 @@ fn fmt_err<T>(msg: impl Into<String>) -> Result<T, TraceIoError> {
     Err(TraceIoError::Format(FormatError(msg.into())))
 }
 
-/// Seed of the footer hash. Version 2 folds the header metadata
-/// (version, workload, scale, capture-cycle count) into the seed, so a
-/// corrupted header field fails the same loud check as a flipped
-/// record byte; version 1 keeps the legacy records-only hash so files
-/// written by older builds stay readable.
-fn header_seed(version: u16, meta: &TraceMeta) -> u64 {
-    if version < 2 {
-        return FNV_OFFSET;
-    }
+/// Seed of the footer hash: the header metadata (version, workload,
+/// scale, capture-cycle count) is folded in, so a corrupted header
+/// field fails the same loud check as a flipped record byte.
+fn header_seed(meta: &TraceMeta) -> u64 {
     let mut bytes = Vec::with_capacity(meta.workload.len() + meta.scale.len() + 16);
-    bytes.extend_from_slice(&version.to_le_bytes());
+    bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     for s in [&meta.workload, &meta.scale] {
         bytes.extend_from_slice(&(s.len() as u16).to_le_bytes());
         bytes.extend_from_slice(s.as_bytes());
@@ -67,17 +62,17 @@ fn header_seed(version: u16, meta: &TraceMeta) -> u64 {
     fnv1a(&bytes, FNV_OFFSET)
 }
 
-/// Streaming writer for the versioned trace format.
+/// Streaming writer for the trace format.
 pub struct TraceWriter<W: Write> {
     out: W,
     enc: Encoder,
     buf: Vec<u8>,
     /// Records-only content hash (seed [`FNV_OFFSET`]): the value
     /// [`TraceWriter::finish`] returns, comparable with
-    /// [`crate::format::content_hash_versioned`].
+    /// [`crate::format::content_hash`].
     hash: u64,
-    /// Footer hash: records folded over [`header_seed`], so v2 headers
-    /// are integrity-checked too.
+    /// Footer hash: records folded over [`header_seed`], so the header
+    /// is integrity-checked too.
     file_hash: u64,
     count: u64,
     finished: bool,
@@ -86,40 +81,20 @@ pub struct TraceWriter<W: Write> {
 impl<W: Write> TraceWriter<W> {
     /// Writes a [`FORMAT_VERSION`] header and returns a writer ready
     /// for records.
-    pub fn new(out: W, meta: &TraceMeta) -> io::Result<Self> {
-        Self::with_version(out, meta, FORMAT_VERSION)
-    }
-
-    /// Writes the header at a specific format version.
-    ///
-    /// Version [`MIN_FORMAT_VERSION`] (1) drops the dependence edges
-    /// and the capture-cycle count — it exists so consumers without
-    /// dependence-aware replay can still be fed.
-    ///
-    /// # Panics
-    /// Panics when `version` is outside
-    /// [`MIN_FORMAT_VERSION`]`..=`[`FORMAT_VERSION`].
-    pub fn with_version(mut out: W, meta: &TraceMeta, version: u16) -> io::Result<Self> {
-        assert!(
-            (MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version),
-            "cannot write trace version {version} (this build writes \
-             {MIN_FORMAT_VERSION}..={FORMAT_VERSION})"
-        );
+    pub fn new(mut out: W, meta: &TraceMeta) -> io::Result<Self> {
         out.write_all(&MAGIC)?;
-        out.write_all(&version.to_le_bytes())?;
+        out.write_all(&FORMAT_VERSION.to_le_bytes())?;
         write_str(&mut out, &meta.workload)?;
         write_str(&mut out, &meta.scale)?;
-        if version >= 2 {
-            let mut buf = Vec::with_capacity(10);
-            crate::format::write_varint(&mut buf, meta.capture_cycles);
-            out.write_all(&buf)?;
-        }
+        let mut buf = Vec::with_capacity(32);
+        crate::format::write_varint(&mut buf, meta.capture_cycles);
+        out.write_all(&buf)?;
         Ok(TraceWriter {
             out,
-            enc: Encoder::new(version),
-            buf: Vec::with_capacity(32),
+            enc: Encoder::default(),
+            buf,
             hash: FNV_OFFSET,
-            file_hash: header_seed(version, meta),
+            file_hash: header_seed(meta),
             count: 0,
             finished: false,
         })
@@ -143,7 +118,7 @@ impl<W: Write> TraceWriter<W> {
 
     /// Writes the footer (end marker, count, header-seeded file hash)
     /// and returns the underlying writer plus the records-only content
-    /// hash (the cache-key value; identical to the footer's on v1).
+    /// hash (the cache-key value).
     pub fn finish(mut self) -> io::Result<(W, u64)> {
         self.finished = true;
         self.out.write_all(&[TAG_END])?;
@@ -202,7 +177,6 @@ fn read_varint<R: Read>(src: &mut R) -> Result<u64, TraceIoError> {
 pub struct TraceReader<R: Read> {
     src: R,
     meta: TraceMeta,
-    version: u16,
     bytes: Vec<u8>,
     pos: usize,
     dec: Decoder,
@@ -213,11 +187,9 @@ pub struct TraceReader<R: Read> {
 }
 
 impl<R: Read> TraceReader<R> {
-    /// Parses the header; fails on bad magic or unsupported version.
-    /// Any version in [`MIN_FORMAT_VERSION`]`..=`[`FORMAT_VERSION`] is
-    /// accepted — the record decoder dispatches on the header version,
-    /// so v1 traces stay readable (their dependence distances and
-    /// capture-cycle count decode as zero).
+    /// Parses the header; fails on bad magic or on any version other
+    /// than [`FORMAT_VERSION`] (named in the error, so a file from an
+    /// older or newer build says what it is).
     pub fn new(mut src: R) -> Result<Self, TraceIoError> {
         let mut magic = [0u8; 4];
         src.read_exact(&mut magic)?;
@@ -227,34 +199,28 @@ impl<R: Read> TraceReader<R> {
         let mut ver = [0u8; 2];
         src.read_exact(&mut ver)?;
         let version = u16::from_le_bytes(ver);
-        if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return fmt_err(format!(
-                "unsupported trace version {version} (this build reads versions \
-                 {MIN_FORMAT_VERSION}..={FORMAT_VERSION})"
+                "unsupported trace version {version} (this build reads version {FORMAT_VERSION})"
             ));
         }
         let workload = read_str(&mut src)?;
         let scale = read_str(&mut src)?;
-        let capture_cycles = if version >= 2 {
-            read_varint(&mut src)?
-        } else {
-            0
-        };
+        let capture_cycles = read_varint(&mut src)?;
         let meta = TraceMeta {
             workload,
             scale,
             capture_cycles,
         };
-        // Footer hash accumulator, seeded so v2 header corruption
-        // fails verification exactly like a flipped record byte.
-        let hash = header_seed(version, &meta);
+        // Footer hash accumulator, seeded so header corruption fails
+        // verification exactly like a flipped record byte.
+        let hash = header_seed(&meta);
         Ok(TraceReader {
             src,
             meta,
-            version,
             bytes: Vec::new(),
             pos: 0,
-            dec: Decoder::new(version),
+            dec: Decoder::default(),
             hash,
             count: 0,
             done: false,
@@ -265,12 +231,6 @@ impl<R: Read> TraceReader<R> {
     /// Header metadata.
     pub fn meta(&self) -> &TraceMeta {
         &self.meta
-    }
-
-    /// The file's format version (within
-    /// [`MIN_FORMAT_VERSION`]`..=`[`FORMAT_VERSION`]).
-    pub fn version(&self) -> u16 {
-        self.version
     }
 
     /// Reads every remaining record, verifying the footer.
@@ -321,8 +281,6 @@ impl<R: Read> TraceReader<R> {
             bytes: &self.bytes,
             pos: start,
         };
-        // Name the failing record ordinal so a corrupt trace diagnoses
-        // as "record N of file X", not a bare decoder error.
         // Name the failing record ordinal so a corrupt trace diagnoses
         // as "record N: ...", not a bare decoder error.
         let rec = self
@@ -425,52 +383,9 @@ mod tests {
 
         let r = TraceReader::new(buf.as_slice()).unwrap();
         assert_eq!(r.meta().workload, "HJ-8");
-        assert_eq!(r.version(), crate::format::FORMAT_VERSION);
         let back = r.read_to_end().unwrap();
         assert_eq!(back.records, records);
         assert_eq!(back.meta, meta);
-    }
-
-    #[test]
-    fn v1_roundtrip_drops_deps_and_capture_cycles() {
-        let records = sample_records();
-        let meta = TraceMeta::new("HJ-8", "tiny").with_capture_cycles(99);
-        let mut buf = Vec::new();
-        let mut w = TraceWriter::with_version(&mut buf, &meta, 1).unwrap();
-        for r in &records {
-            w.record(r).unwrap();
-        }
-        let (_, hash) = w.finish().unwrap();
-        assert_eq!(hash, crate::format::content_hash_versioned(&records, 1));
-
-        let r = TraceReader::new(buf.as_slice()).unwrap();
-        assert_eq!(r.version(), 1);
-        let back = r.read_to_end().unwrap();
-        assert_eq!(back.meta.capture_cycles, 0, "v1 headers carry no cycles");
-        let stripped: Vec<TraceRecord> = records
-            .iter()
-            .map(|r| match r.clone() {
-                TraceRecord::Access {
-                    cycle,
-                    pc,
-                    vaddr,
-                    kind,
-                    value,
-                    size,
-                    ..
-                } => TraceRecord::Access {
-                    cycle,
-                    pc,
-                    vaddr,
-                    kind,
-                    value,
-                    size,
-                    dep: 0,
-                },
-                c => c,
-            })
-            .collect();
-        assert_eq!(back.records, stripped);
     }
 
     #[test]
@@ -502,27 +417,26 @@ mod tests {
 
     #[test]
     fn unsupported_version_names_accepted_range() {
-        // MAGIC + version 99 + empty workload/scale strings.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&crate::format::MAGIC);
-        buf.extend_from_slice(&99u16.to_le_bytes());
-        buf.extend_from_slice(&[0, 0, 0, 0]);
-        let Err(err) = TraceReader::new(buf.as_slice()) else {
-            panic!("version 99 must be rejected");
-        };
-        let msg = err.to_string();
-        assert!(
-            msg.contains("unsupported trace version 99"),
-            "message must name the file's version: {msg}"
-        );
-        assert!(
-            msg.contains(&format!(
-                "{}..={}",
-                crate::format::MIN_FORMAT_VERSION,
-                crate::format::FORMAT_VERSION
-            )),
-            "message must name the accepted range: {msg}"
-        );
+        // MAGIC + version + empty workload/scale strings: the retired
+        // v1 and a future version are refused alike, by name.
+        for version in [1u16, 99] {
+            let mut buf = Vec::new();
+            buf.extend_from_slice(&crate::format::MAGIC);
+            buf.extend_from_slice(&version.to_le_bytes());
+            buf.extend_from_slice(&[0, 0, 0, 0]);
+            let Err(err) = TraceReader::new(buf.as_slice()) else {
+                panic!("version {version} must be rejected");
+            };
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("unsupported trace version {version}")),
+                "message must name the file's version: {msg}"
+            );
+            assert!(
+                msg.contains(&format!("reads version {FORMAT_VERSION}")),
+                "message must name the accepted version: {msg}"
+            );
+        }
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //!
 //! * [`format`] — a compact, versioned, delta-encoded binary record format
 //!   for retired demand accesses (PC, vaddr, kind, cycle, store data) and
-//!   prefetcher-configuration operations, with workload metadata; version
-//!   2 additionally records load→load dependence edges and the capture
-//!   run's cycle count (v1 traces stay readable);
+//!   prefetcher-configuration operations, with load→load dependence
+//!   edges, workload metadata and the capture run's cycle count;
 //! * [`io`] — a streaming [`TraceWriter`]/[`TraceReader`] pair over any
-//!   `Write`/`Read`, with an integrity hash covering every record;
+//!   `Write`/`Read`, with an integrity hash covering the header and
+//!   every record;
 //! * [`capture`] — an in-memory capture buffer fed by the hooks in
 //!   `etpp_cpu::Core` (retired memory ops, program order) and the
 //!   retired-configuration stream;
@@ -66,9 +66,6 @@ pub mod io;
 pub mod replay;
 
 pub use capture::CaptureBuffer;
-pub use format::{
-    content_hash, content_hash_versioned, CapturedTrace, TraceMeta, TraceRecord, FORMAT_VERSION,
-    MIN_FORMAT_VERSION,
-};
+pub use format::{content_hash, CapturedTrace, TraceMeta, TraceRecord, FORMAT_VERSION};
 pub use io::{TraceReader, TraceWriter};
 pub use replay::{replay, replay_cancellable, ReplayParams, ReplayResult};

@@ -15,15 +15,12 @@
 //! the memory system — including the prefetcher under test — services the
 //! stream. Relative speedups between prefetchers are preserved.
 //!
-//! With a format-v2 trace the front end is additionally
-//! *dependence-aware* ([`ReplayParams::dependence_aware`]): a load whose
-//! recorded address producer is still in flight waits for that producer's
-//! fill before issuing, exactly the serialisation that makes pointer
-//! chases slow on the real core. This replaces the purely optimistic
-//! fixed-window model for traversal workloads and brings replay's
+//! The front end is *dependence-aware*: a load whose recorded address
+//! producer is still in flight waits for that producer's fill before
+//! issuing, exactly the serialisation that makes pointer chases slow on
+//! the real core. On traversal workloads this is what brings replay's
 //! *absolute* cycle counts within a pinned tolerance of the cycle-level
-//! core (see `tests/replay_fidelity.rs`); v1 traces carry no edges and
-//! replay exactly as before.
+//! core (see `tests/replay_fidelity.rs`).
 //!
 //! The clock never ticks through dead cycles: each iteration jumps
 //! straight to the earliest *event horizon* across the memory system
@@ -43,27 +40,19 @@ use etpp_mem::{
     AccessKind, MemParams, MemStats, MemoryImage, MemorySystem, PrefetchEngine, Rejection,
 };
 
+/// Minimum cycles between successive issues (models front-end width).
+const ISSUE_GAP: u64 = 1;
+
+/// Store-buffer entries: stores whose cache access has not drained yet.
+/// Mirrors the cycle core's store queue — stores never block the load
+/// window.
+const STORE_BUFFER: usize = 32;
+
 /// Replay front-end parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct ReplayParams {
-    /// Maximum outstanding demand accesses (the capture core's load-queue
-    /// depth is the natural choice).
+    /// Maximum outstanding demand accesses.
     pub window: usize,
-    /// Minimum cycles between successive issues (models front-end width).
-    pub issue_gap: u64,
-    /// Store-buffer entries: stores whose cache access has not drained
-    /// yet. Mirrors the cycle core's store queue — stores never block the
-    /// load window.
-    pub store_buffer: usize,
-    /// Upper clip on the *recorded* inter-access gap honoured between
-    /// issues. Recorded gaps embed both compute time (which replay should
-    /// keep — it determines how much look-ahead a prefetcher needs) and
-    /// memory-stall time (which replay must discard — it is exactly what a
-    /// prefetcher removes). Clipping at a small bound keeps the former and
-    /// drops the latter. `0` ignores recorded gaps entirely — the default,
-    /// because a baseline capture cannot distinguish the two and charging
-    /// clipped stalls to every miss masks prefetcher benefit.
-    pub gap_cap: u64,
     /// Runaway guard.
     pub max_cycles: u64,
     /// Disable all event-horizon batching: advance the clock one cycle
@@ -71,24 +60,21 @@ pub struct ReplayParams {
     /// pre-batching simulator did. Slow; exists so the equivalence
     /// tests can pin the fast path against a unit-tick reference.
     pub per_cycle_reference: bool,
-    /// Honour recorded load→load dependence edges (trace format v2): a
-    /// load whose address producer's fill has not completed does not
-    /// issue, modelling pointer-chase serialisation instead of the
-    /// optimistic fixed window. No-op on v1 streams (no edges
-    /// recorded); `false` replays a v2 stream as if it were v1.
-    pub dependence_aware: bool,
 }
 
 impl Default for ReplayParams {
+    /// The front end every experiment runner replays with. An 8-deep
+    /// issue window tracks the effective memory-level parallelism of
+    /// the 40-entry-ROB core through its address-independent runs;
+    /// recorded dependence edges add the pointer-chase serialisation on
+    /// top — measured at Small scale this combination dominates wider
+    /// windows for absolute-cycle agreement (see
+    /// `tests/replay_fidelity.rs`).
     fn default() -> Self {
         ReplayParams {
-            window: 16,
-            issue_gap: 1,
-            store_buffer: 32,
-            gap_cap: 0,
+            window: 8,
             max_cycles: 20_000_000_000,
             per_cycle_reference: false,
-            dependence_aware: true,
         }
     }
 }
@@ -108,7 +94,7 @@ pub struct ReplayResult {
     pub configs: u64,
     /// Loads whose issue was serialised by a recorded dependence edge:
     /// they issued at exactly the cycle their address producer's fill
-    /// completed (dependence-aware replay only; 0 on v1 streams).
+    /// completed.
     /// Deterministic and identical between the fast path and the
     /// per-cycle reference.
     pub dep_stalls: u64,
@@ -118,13 +104,6 @@ pub struct ReplayResult {
     pub mem: MemStats,
     /// Post-replay memory image, for checksum validation.
     pub image: MemoryImage,
-}
-
-impl ReplayResult {
-    /// L1 read hit rate over the replayed stream.
-    pub fn l1_read_hit_rate(&self) -> f64 {
-        self.mem.l1.read_hit_rate()
-    }
 }
 
 /// Completed-load ring for dependence tracking. Sized for the common
@@ -215,7 +194,6 @@ pub fn replay_cancellable(
     let mut now: u64 = 0;
     let mut inflight: usize = 0;
     let mut next_issue_at: u64 = 0;
-    let mut prev_rec_cycle: Option<u64> = None;
     let mut accesses: u64 = 0;
     let mut configs: u64 = 0;
     let mut host_iters: u64 = 0;
@@ -228,15 +206,13 @@ pub fn replay_cancellable(
     let mut store_q: std::collections::VecDeque<u64> = std::collections::VecDeque::new();
     let mut stores_in_mem: etpp_mem::FastHashSet<u64> = etpp_mem::FastHashSet::default();
     let mut due: Vec<etpp_mem::Completion> = Vec::new();
-    // Dependence tracking (v2 streams only — a pure-v1 stream carries no
-    // edges, so the per-load bookkeeping is skipped entirely and replay
-    // behaves bit-for-bit as before): load records get 1-based issue
-    // ordinals, `load_done` rings their completion state, and
+    // Dependence tracking (skipped entirely on a stream that records no
+    // edge — the gate would never close): load records get 1-based issue
+    // ordinals, `load_done_at` rings their completion state, and
     // `inflight_ord` maps an in-flight access id back to its ordinal.
-    let track_deps = params.dependence_aware
-        && records
-            .iter()
-            .any(|r| matches!(r, TraceRecord::Access { dep, .. } if *dep > 0));
+    let track_deps = records
+        .iter()
+        .any(|r| matches!(r, TraceRecord::Access { dep, .. } if *dep > 0));
     let mut load_done_at = vec![0u64; if track_deps { DEP_RING } else { 0 }];
     let mut issued_loads: u64 = 0;
     let mut inflight_ord: etpp_mem::FastHashMap<u64, u64> = etpp_mem::FastHashMap::default();
@@ -295,23 +271,20 @@ pub fn replay_cancellable(
                     i += 1;
                 }
                 TraceRecord::Access {
-                    cycle,
                     pc,
                     vaddr,
                     kind,
                     value,
                     size,
                     dep,
+                    ..
                 } => {
                     if now < next_issue_at {
                         break;
                     }
-                    let rec_gap = prev_rec_cycle
-                        .map(|p| cycle.saturating_sub(p).min(params.gap_cap))
-                        .unwrap_or(0);
                     match kind {
                         AccessKind::Store => {
-                            if store_q.len() >= params.store_buffer {
+                            if store_q.len() >= STORE_BUFFER {
                                 break;
                             }
                             // Eager path: a store whose line is present (or
@@ -337,8 +310,7 @@ pub fn replay_cancellable(
                             }
                             mem.commit_store_data(*vaddr, *value, *size);
                             accesses += 1;
-                            prev_rec_cycle = Some(*cycle);
-                            next_issue_at = now + params.issue_gap.max(rec_gap);
+                            next_issue_at = now + ISSUE_GAP;
                             i += 1;
                         }
                         AccessKind::Load => {
@@ -380,11 +352,7 @@ pub fn replay_cancellable(
                                             DEP_INFLIGHT;
                                         inflight_ord.insert(id.0, issued_loads);
                                     }
-                                    // Charge the recorded compute gap to the
-                                    // next issue, clipped so capture-run
-                                    // stalls do not leak into replayed time.
-                                    prev_rec_cycle = Some(*cycle);
-                                    next_issue_at = now + params.issue_gap.max(rec_gap);
+                                    next_issue_at = now + ISSUE_GAP;
                                     i += 1;
                                 }
                                 Err(Rejection::Fault) => {
@@ -443,7 +411,7 @@ pub fn replay_cancellable(
                                     )
                                     .is_some())
                         }
-                        AccessKind::Store => store_q.len() < params.store_buffer,
+                        AccessKind::Store => store_q.len() < STORE_BUFFER,
                     },
                 };
                 if can_issue {
@@ -630,8 +598,7 @@ mod tests {
     fn beyond_ring_producers_consult_the_inflight_set() {
         // A producer more than DEP_RING load-records back has lost its
         // ring slot; satisfaction must fall back to the exact in-flight
-        // scan rather than assume completion (issue_gap 0 + cache hits
-        // can run through >1024 ordinals while a DRAM miss is pending).
+        // scan rather than assume completion.
         let ring = vec![0u64; DEP_RING];
         let mut inflight: etpp_mem::FastHashMap<u64, u64> = Default::default();
         let issued: u64 = 3000;
@@ -687,37 +654,7 @@ mod tests {
     }
 
     #[test]
-    fn dependence_edges_are_ignored_when_disabled() {
-        let (image, base) = image_with(1 << 22);
-        let chase = mk_dep_records(64, 4096, base, 1);
-        let mut e1 = NullEngine;
-        let v1_like = replay(
-            &ReplayParams {
-                dependence_aware: false,
-                ..ReplayParams::default()
-            },
-            MemParams::paper(),
-            image.clone(),
-            &chase,
-            &mut e1,
-        );
-        let mut e2 = NullEngine;
-        let indep = replay(
-            &ReplayParams::default(),
-            MemParams::paper(),
-            image,
-            &mk_records(64, 4096, base),
-            &mut e2,
-        );
-        assert_eq!(v1_like.dep_stalls, 0);
-        assert_eq!(
-            v1_like.cycles, indep.cycles,
-            "dependence_aware=false must replay a v2 stream exactly like v1"
-        );
-    }
-
-    #[test]
-    fn dependence_aware_fast_path_matches_per_cycle_reference() {
+    fn dependence_gated_fast_path_matches_per_cycle_reference() {
         // Mixed dep distances + interleaved stores: the event-horizon
         // fast-forward must stay bit-identical to unit ticking when the
         // front end parks on producer fills.

@@ -28,9 +28,10 @@ use etpp::baselines::{
 use etpp::mem::{DemandEvent, PrefetchEngine, LINE_SIZE};
 use etpp::sim::experiments as ex;
 use etpp::sim::{
-    load_or_capture, make_engine, replay_run, report, run, run_captured, run_telemetry,
+    make_engine, replay_run, report, run, run_captured, run_telemetry, try_load_or_capture_keyed,
     PrefetchMode, SystemConfig, TelemetrySpec,
 };
+use etpp::trace::FORMAT_VERSION;
 use etpp::workloads::{workload_by_name, BuiltWorkload, Scale, Workload};
 
 fn built(name: &str) -> BuiltWorkload {
@@ -108,12 +109,13 @@ fn zoo_replay_fast_path_matches_per_cycle_reference() {
     use etpp::trace::{replay, ReplayParams};
     let cfg = SystemConfig::paper();
     for wl in &suite_workloads() {
-        let (trace, _) = load_or_capture(None, &cfg, wl, "tiny");
+        let trace = try_load_or_capture_keyed(None, &cfg, wl, "tiny", FORMAT_VERSION)
+            .unwrap()
+            .trace;
         for mode in PrefetchMode::ZOO {
             let run_one = |per_cycle: bool| {
                 let mut engine = make_engine(&cfg, mode, wl).expect("zoo modes never skip");
                 let params = ReplayParams {
-                    window: 8,
                     per_cycle_reference: per_cycle,
                     ..ReplayParams::default()
                 };
@@ -367,7 +369,9 @@ fn adaptive_switches_once_at_the_phase_boundary_and_beats_both_statics() {
 fn every_zoo_mode_is_registered_and_replayable() {
     let cfg = SystemConfig::paper();
     let wl = built("IntSort");
-    let (trace, _) = load_or_capture(None, &cfg, &wl, "tiny");
+    let trace = try_load_or_capture_keyed(None, &cfg, &wl, "tiny", FORMAT_VERSION)
+        .unwrap()
+        .trace;
     for mode in PrefetchMode::ZOO {
         assert!(
             PrefetchMode::ALL.contains(&mode),

@@ -13,8 +13,10 @@
 //! under-reported pending work.
 
 use etpp::mem::{ConfigOp, DemandEvent, Line, MemoryImage, PrefetchEngine, PrefetchRequest, TagId};
-use etpp::sim::{load_or_capture, make_engine, run_captured, Engine, PrefetchMode, SystemConfig};
-use etpp::trace::{replay, ReplayParams, ReplayResult, TraceRecord};
+use etpp::sim::{
+    make_engine, run_captured, try_load_or_capture_keyed, Engine, PrefetchMode, SystemConfig,
+};
+use etpp::trace::{replay, ReplayParams, ReplayResult, TraceRecord, FORMAT_VERSION};
 use etpp::workloads::{checksum_region, workload_by_name, BuiltWorkload, Scale};
 
 /// Forwards to an inner engine, logging every popped request with its
@@ -75,7 +77,6 @@ fn replay_with(
 ) -> Outcome {
     let mut engine = make_engine(cfg, mode, wl).expect("engine modes only");
     let params = ReplayParams {
-        window: 8,
         per_cycle_reference,
         ..ReplayParams::default()
     };
@@ -100,7 +101,9 @@ fn assert_equivalent_with(mode: PrefetchMode, wl_name: &str, tweak: impl Fn(&mut
     let wl = workload_by_name(wl_name).unwrap().build(Scale::Tiny);
     let mut cfg = SystemConfig::paper();
     tweak(&mut cfg);
-    let (trace, _) = load_or_capture(None, &cfg, &wl, "tiny");
+    let trace = try_load_or_capture_keyed(None, &cfg, &wl, "tiny", FORMAT_VERSION)
+        .unwrap()
+        .trace;
 
     let fast = replay_with(&cfg, mode, &wl, wl.image.clone(), &trace.records, false);
     let reference = replay_with(&cfg, mode, &wl, wl.image.clone(), &trace.records, true);
@@ -449,7 +452,9 @@ fn armed_watchdog_is_bit_identical_when_the_budget_never_fires() {
     let cfg = SystemConfig::paper();
     for wl_name in ["IntSort", "HJ-8"] {
         let wl = workload_by_name(wl_name).unwrap().build(Scale::Tiny);
-        let (trace, _) = load_or_capture(None, &cfg, &wl, "tiny");
+        let trace = try_load_or_capture_keyed(None, &cfg, &wl, "tiny", FORMAT_VERSION)
+            .unwrap()
+            .trace;
         for mode in [
             PrefetchMode::None,
             PrefetchMode::Stride,
@@ -543,14 +548,12 @@ fn cycle_path_is_horizon_equivalent_at_small_scale() {
 fn programmable_hot_path_is_allocation_free_when_warm() {
     let wl = workload_by_name("HJ-8").unwrap().build(Scale::Tiny);
     let cfg = SystemConfig::paper();
-    let (trace, _) = load_or_capture(None, &cfg, &wl, "tiny");
+    let trace = try_load_or_capture_keyed(None, &cfg, &wl, "tiny", FORMAT_VERSION)
+        .unwrap()
+        .trace;
     let mut engine = make_engine(&cfg, PrefetchMode::Manual, &wl).unwrap();
-    let params = ReplayParams {
-        window: 8,
-        ..ReplayParams::default()
-    };
     replay(
-        &params,
+        &ReplayParams::default(),
         cfg.mem,
         wl.image.clone(),
         &trace.records,
@@ -561,7 +564,7 @@ fn programmable_hot_path_is_allocation_free_when_warm() {
     };
     let warm = p.scratch_regrows();
     replay(
-        &params,
+        &ReplayParams::default(),
         cfg.mem,
         wl.image.clone(),
         &trace.records,

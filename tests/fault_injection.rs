@@ -5,7 +5,7 @@
 //! resumes from its journal without re-executing completed cells.
 
 use etpp::sim::faults::{self, FatalFault, FaultPlan};
-use etpp::sim::replay::{self, load_or_capture_keyed};
+use etpp::sim::replay::{self, try_load_or_capture_keyed};
 use etpp::sim::sweeps::{self, axes, SweepOptions, SweepSpec};
 use etpp::sim::{PrefetchMode, SystemConfig};
 use etpp::workloads::{workload_by_name, BuiltWorkload, Scale};
@@ -59,13 +59,14 @@ fn capture_all(trace_dir: &std::path::Path, wls: &[BuiltWorkload]) -> Vec<replay
     let cfg = SystemConfig::paper();
     wls.iter()
         .map(|w| {
-            load_or_capture_keyed(
+            try_load_or_capture_keyed(
                 Some(trace_dir),
                 &cfg,
                 w,
                 "tiny",
                 etpp::trace::FORMAT_VERSION,
             )
+            .unwrap()
         })
         .collect()
 }
@@ -93,7 +94,7 @@ fn faulted_sweep_completes_and_quarantines_exactly_the_unrecoverable_cells() {
     let plan: FaultPlan = "panic=2@2;panic=5@9;tear=7@4;trace=0@100".parse().unwrap();
     let paths: Vec<PathBuf> = wls
         .iter()
-        .map(|w| replay::trace_path(&traces.0, w, "tiny", etpp::trace::FORMAT_VERSION))
+        .map(|w| replay::trace_path(&traces.0, w, "tiny"))
         .collect();
     let errors_before = faults::trace_decode_errors();
     let touched = faults::apply_trace_flips(&plan, &paths).unwrap();

@@ -3,9 +3,7 @@
 use etpp::cpu::{Core, CoreParams, TraceBuilder};
 use etpp::isa::{run_kernel, EventCtx, Inst, Kernel};
 use etpp::mem::{AccessKind, Cache, CacheParams, MemParams, MemoryImage, MemorySystem, NullEngine};
-use etpp::trace::{
-    content_hash_versioned, TraceMeta, TraceReader, TraceRecord, TraceWriter, FORMAT_VERSION,
-};
+use etpp::trace::{content_hash, TraceMeta, TraceReader, TraceRecord, TraceWriter};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
@@ -197,7 +195,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Trace format v2: dependence-annotated streams round-trip exactly
+// Trace format: dependence-annotated streams round-trip exactly
 // ---------------------------------------------------------------------------
 
 /// Raw generator output folded into a well-formed v2 record stream:
@@ -237,7 +235,7 @@ fn materialise_v2(raw: Vec<RawV2>) -> Vec<TraceRecord> {
 }
 
 proptest! {
-    /// Arbitrary dependence-annotated streams survive the v2 encoding
+    /// Arbitrary dependence-annotated streams survive the encoding
     /// bit-identically: write → read is the identity (edges included),
     /// re-encoding is byte-stable, and the content hash agrees between
     /// writer, reader and the standalone hasher.
@@ -262,10 +260,9 @@ proptest! {
         };
         let (bytes, written_hash) = write();
         prop_assert_eq!(write().0, bytes.clone(), "encoding must be deterministic");
-        prop_assert_eq!(written_hash, content_hash_versioned(&records, FORMAT_VERSION));
+        prop_assert_eq!(written_hash, content_hash(&records));
 
         let reader = TraceReader::new(bytes.as_slice()).unwrap();
-        prop_assert_eq!(reader.version(), FORMAT_VERSION);
         prop_assert_eq!(reader.meta(), &meta);
         let back = reader.read_to_end().unwrap();
         prop_assert_eq!(back.records, records);
@@ -279,38 +276,30 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
-    /// A corrupted byte stream — one flipped byte or a truncated tail,
-    /// against either format version — must surface as a reader error:
-    /// the decoder never panics, and when it does still accept the
-    /// stream (e.g. a flip inside the v1 header, which the footer hash
-    /// does not cover) it must yield exactly the clean record stream,
-    /// never silently different records.
+    /// A corrupted byte stream must surface as a reader error, never a
+    /// panic and never different records. The footer hash covers the
+    /// header and every record byte, so *every* one-byte flip is an
+    /// `Err`; a truncated tail is an `Err` too, except the no-op
+    /// truncation (`keep == len`), which must read back clean.
     #[test]
     fn corrupted_streams_error_instead_of_panicking(
         raw in proptest::collection::vec(
             ((0u64..10_000, any::<u32>(), any::<u64>()), (0u8..8, any::<u64>(), 0u32..5_000)),
             0..120,
         ),
-        version in 1u16..3,
         at in any::<u64>(),
         mask in 0u8..255,
         truncate in any::<bool>(),
     ) {
         let records = materialise_v2(raw);
         let meta = TraceMeta::new("prop-corrupt", "tiny").with_capture_cycles(records.len() as u64);
-        let mut clean = Vec::new();
-        let mut w = TraceWriter::with_version(&mut clean, &meta, version).unwrap();
+        let mut bytes = Vec::new();
+        let mut w = TraceWriter::new(&mut bytes, &meta).unwrap();
         for r in &records {
             w.record(r).unwrap();
         }
         w.finish().unwrap();
-        let expected = TraceReader::new(clean.as_slice())
-            .unwrap()
-            .read_to_end()
-            .unwrap()
-            .records;
 
-        let mut bytes = clean;
         if truncate {
             let keep = (at % (bytes.len() as u64 + 1)) as usize;
             bytes.truncate(keep);
@@ -328,12 +317,15 @@ proptest! {
         let read = match outcome {
             Ok(r) => r,
             Err(_) => panic!(
-                "decoder panicked on corrupt input (version {version}, \
-                 truncate {truncate}, at {at}, mask {mask})"
+                "decoder panicked on corrupt input (truncate {truncate}, at {at}, mask {mask})"
             ),
         };
-        if let Ok(back) = read {
-            prop_assert_eq!(back, expected, "corruption silently changed the stream");
+        if truncate {
+            if let Ok(back) = read {
+                prop_assert_eq!(back, records, "truncation silently changed the stream");
+            }
+        } else {
+            prop_assert!(read.is_err(), "a flipped byte read back as a valid trace");
         }
     }
 }
@@ -598,75 +590,6 @@ fn every_truncation_of_a_valid_file_reads_as_a_prefix_or_nothing() {
 }
 
 // ---------------------------------------------------------------------------
-// Backward compatibility: the checked-in v1 golden fixture stays readable
-// ---------------------------------------------------------------------------
-
-/// The record stream behind `tests/data/golden_v1.etpt`, as captured
-/// (dependence edges included — the v1 encoding drops them, which is
-/// exactly what the fixture pins).
-fn golden_records() -> Vec<TraceRecord> {
-    let mut out = Vec::new();
-    let mut x = 0x2545f4914f6cdd1du64;
-    let mut cycle = 0u64;
-    for i in 0..200u64 {
-        x = x
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        cycle += x % 7;
-        out.push(if i % 6 == 5 {
-            TraceRecord::Access {
-                cycle,
-                pc: 0x80 + (i as u32 % 4) * 4,
-                vaddr: 0x2_0000 + ((x % 0x1_0000) & !7),
-                kind: AccessKind::Store,
-                value: x,
-                size: 8,
-                dep: 0,
-            }
-        } else {
-            TraceRecord::Access {
-                cycle,
-                pc: 0x40 + (i as u32 % 3) * 4,
-                vaddr: 0x1_0000 + ((x % 0x1_0000) & !7),
-                kind: AccessKind::Load,
-                value: 0,
-                size: 0,
-                dep: (i % 5) as u32,
-            }
-        });
-    }
-    out
-}
-
-/// [`golden_records`] as a version-1 reader must present them: edges
-/// stripped.
-fn golden_records_v1() -> Vec<TraceRecord> {
-    golden_records()
-        .into_iter()
-        .map(|r| match r {
-            TraceRecord::Access {
-                cycle,
-                pc,
-                vaddr,
-                kind,
-                value,
-                size,
-                ..
-            } => TraceRecord::Access {
-                cycle,
-                pc,
-                vaddr,
-                kind,
-                value,
-                size,
-                dep: 0,
-            },
-            c => c,
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
 // PC-delta accuracy table (engine zoo)
 // ---------------------------------------------------------------------------
 
@@ -723,44 +646,38 @@ proptest! {
     }
 }
 
-/// A version-2-writing build must keep reading version-1 files exactly:
-/// same records (edges zero), same metadata, verified footer. The
-/// fixture bytes are checked in, so encoder drift cannot silently
-/// rewrite history.
+/// `tests/data/golden_v1.etpt` is a real file a format-v1 build wrote:
+/// outside input this build no longer reads. It must be refused by
+/// name, and a trace cache that holds it must discard and recapture —
+/// the same path as any corrupt cache file — not panic.
 #[test]
-fn golden_v1_fixture_stays_readable() {
+fn golden_v1_fixture_is_refused_by_name() {
+    use etpp::sim::replay::{trace_path, try_load_or_capture_keyed, CaptureSource};
     let bytes: &[u8] = include_bytes!("data/golden_v1.etpt");
-    let reader = TraceReader::new(bytes).expect("golden v1 header must parse");
-    assert_eq!(reader.version(), 1);
-    assert_eq!(reader.meta().workload, "golden");
-    assert_eq!(reader.meta().scale, "fixture");
-    assert_eq!(reader.meta().capture_cycles, 0, "v1 carries no cycle count");
-    let back = reader.read_to_end().expect("golden v1 body must verify");
-    let expected = golden_records_v1();
-    assert_eq!(back.records.len(), expected.len());
-    assert_eq!(back.records, expected);
-    assert_eq!(
-        content_hash_versioned(&back.records, 1),
-        content_hash_versioned(&expected, 1)
+    let Err(err) = TraceReader::new(bytes) else {
+        panic!("a v1 header must be refused");
+    };
+    assert!(
+        err.to_string().contains("unsupported trace version 1"),
+        "{err}"
     );
-}
 
-/// Regenerates the golden fixture from [`golden_records`]. Ignored: run
-/// manually (`cargo test --test properties -- --ignored regenerate`)
-/// only when the v1 layout legitimately needs re-pinning — which it
-/// should not, that is the point of a frozen format version.
-#[test]
-#[ignore = "writes tests/data/golden_v1.etpt; the fixture is meant to stay frozen"]
-fn regenerate_golden_v1_fixture() {
-    let meta = TraceMeta::new("golden", "fixture").with_capture_cycles(777);
-    let mut buf = Vec::new();
-    let mut w = TraceWriter::with_version(&mut buf, &meta, 1).unwrap();
-    for r in &golden_records() {
-        w.record(r).unwrap();
-    }
-    w.finish().unwrap();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/golden_v1.etpt");
-    std::fs::create_dir_all(std::path::Path::new(path).parent().unwrap()).unwrap();
-    std::fs::write(path, &buf).unwrap();
-    eprintln!("wrote {path} ({} bytes)", buf.len());
+    let wl = etpp::workloads::workload_by_name("RandAcc")
+        .unwrap()
+        .build(etpp::workloads::Scale::Tiny);
+    let cfg = etpp::sim::SystemConfig::paper();
+    let dir = std::env::temp_dir().join(format!("etpp-golden-v1-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = trace_path(&dir, &wl, "tiny");
+    std::fs::write(&path, bytes).unwrap();
+    let errors_before = etpp::sim::faults::trace_decode_errors();
+    let cap = try_load_or_capture_keyed(Some(&dir), &cfg, &wl, "tiny", etpp::trace::FORMAT_VERSION)
+        .expect("a refused cache file falls through to a fresh capture");
+    assert_eq!(cap.source, CaptureSource::Captured);
+    assert!(etpp::sim::faults::trace_decode_errors() > errors_before);
+    let reread = TraceReader::new(std::fs::File::open(&path).unwrap())
+        .and_then(|r| r.read_to_end())
+        .expect("the recapture replaces the refused file");
+    assert_eq!(reread.records, cap.trace.records);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,7 +4,7 @@
 //! the cells that can observe it, and the effective-config projection
 //! behind that key changes no simulated number.
 
-use etpp::sim::replay::{load_or_capture_keyed, replay_run};
+use etpp::sim::replay::{replay_run, try_load_or_capture_keyed};
 use etpp::sim::sweeps::{self, axes, SweepOptions, SweepSpec};
 use etpp::sim::{PrefetchMode, SystemConfig};
 use etpp::workloads::{workload_by_name, Scale};
@@ -50,7 +50,8 @@ impl Drop for TempDir {
 fn merged_tables_are_byte_identical_for_any_jobs_and_shard_split() {
     let spec = probe_spec();
     let wl = workload_by_name("IntSort").unwrap().build(Scale::Tiny);
-    let cap = load_or_capture_keyed(None, &spec.base, &wl, "tiny", etpp::trace::FORMAT_VERSION);
+    let cap = try_load_or_capture_keyed(None, &spec.base, &wl, "tiny", etpp::trace::FORMAT_VERSION)
+        .unwrap();
     let wls = std::slice::from_ref(&wl);
     let caps = std::slice::from_ref(&cap);
 
@@ -105,7 +106,8 @@ fn merged_tables_are_byte_identical_for_any_jobs_and_shard_split() {
 fn result_cache_hits_warm_and_invalidates_exactly_changed_cells() {
     let spec = probe_spec();
     let wl = workload_by_name("IntSort").unwrap().build(Scale::Tiny);
-    let cap = load_or_capture_keyed(None, &spec.base, &wl, "tiny", etpp::trace::FORMAT_VERSION);
+    let cap = try_load_or_capture_keyed(None, &spec.base, &wl, "tiny", etpp::trace::FORMAT_VERSION)
+        .unwrap();
     let wls = std::slice::from_ref(&wl);
     let caps = std::slice::from_ref(&cap);
     let tmp = TempDir::new("cache");
@@ -189,7 +191,8 @@ fn a_sweep_dir_as_repro_writes_it_merges() {
     use sweeps::SweepFile;
     let spec = probe_spec();
     let wl = workload_by_name("IntSort").unwrap().build(Scale::Tiny);
-    let cap = load_or_capture_keyed(None, &spec.base, &wl, "tiny", etpp::trace::FORMAT_VERSION);
+    let cap = try_load_or_capture_keyed(None, &spec.base, &wl, "tiny", etpp::trace::FORMAT_VERSION)
+        .unwrap();
     let wls = std::slice::from_ref(&wl);
     let caps = std::slice::from_ref(&cap);
     let dir = TempDir::new("sweep-dir");
@@ -349,7 +352,8 @@ fn effective_config_projection_changes_no_simulated_number() {
     };
     for name in ["IntSort", "HJ-8"] {
         let wl = workload_by_name(name).unwrap().build(Scale::Tiny);
-        let cap = load_or_capture_keyed(None, &base, &wl, "tiny", etpp::trace::FORMAT_VERSION);
+        let cap = try_load_or_capture_keyed(None, &base, &wl, "tiny", etpp::trace::FORMAT_VERSION)
+            .unwrap();
         for mode in PrefetchMode::ALL {
             if mode.is_programmable() {
                 for cfg in &configs {
