@@ -194,16 +194,17 @@ impl AccuracyTable {
     /// `min_samples` trainings, in slot (allocation) order. A threshold
     /// of 1.0 therefore issues nothing, and 0.0 passes every seasoned
     /// slot (accuracies are kept strictly positive).
-    pub fn candidates(&self, pc: u32, threshold: f64, min_samples: u32) -> Vec<i64> {
+    pub fn candidates(
+        &self,
+        pc: u32,
+        threshold: f64,
+        min_samples: u32,
+    ) -> impl Iterator<Item = i64> + '_ {
         self.entry(pc)
-            .map(|e| {
-                e.slots
-                    .iter()
-                    .filter(|s| s.seen >= min_samples && s.accuracy() > threshold)
-                    .map(|s| s.delta)
-                    .collect()
-            })
-            .unwrap_or_default()
+            .into_iter()
+            .flat_map(|e| &e.slots)
+            .filter(move |s| s.seen >= min_samples && s.accuracy() > threshold)
+            .map(|s| s.delta)
     }
 
     /// Number of delta slots currently tracked for `pc`.
@@ -240,19 +241,22 @@ impl PcDeltaPrefetcher {
         }
     }
 
-    fn enqueue(&mut self, vaddr: u64) {
+    /// Queues `vaddr` unless its line was issued recently. Takes the
+    /// fields it touches so `on_demand` can call it while borrowing the
+    /// learner's candidate iterator.
+    fn enqueue(queue: &mut VecDeque<u64>, recent: &mut VecDeque<u64>, cap: usize, vaddr: u64) {
         let line = vaddr & !(LINE_SIZE - 1);
-        if self.recent.contains(&line) {
+        if recent.contains(&line) {
             return;
         }
-        if self.recent.len() >= 32 {
-            self.recent.pop_front();
+        if recent.len() >= 32 {
+            recent.pop_front();
         }
-        self.recent.push_back(line);
-        if self.queue.len() >= self.params.queue {
-            self.queue.pop_front();
+        recent.push_back(line);
+        if queue.len() >= cap {
+            queue.pop_front();
         }
-        self.queue.push_back(vaddr);
+        queue.push_back(vaddr);
     }
 
     /// Drops all pending (not yet popped) requests without counting them
@@ -277,20 +281,15 @@ impl PrefetchEngine for PcDeltaPrefetcher {
         self.last[idx] = (ev.pc, true, ev.vaddr);
 
         let page = ev.vaddr & !(PAGE_SIZE - 1);
-        let deltas = self
+        let params = &self.params;
+        let targets = self
             .learner
-            .candidates(ev.pc, self.params.threshold, self.params.min_samples);
-        let mut degree = 0;
-        for delta in deltas {
-            if degree >= self.params.max_degree {
-                break;
-            }
-            let target = ev.vaddr.wrapping_add(delta as u64);
-            if target & !(PAGE_SIZE - 1) != page {
-                continue;
-            }
-            self.enqueue(target);
-            degree += 1;
+            .candidates(ev.pc, params.threshold, params.min_samples)
+            .map(|delta| ev.vaddr.wrapping_add(delta as u64))
+            .filter(|target| target & !(PAGE_SIZE - 1) == page)
+            .take(params.max_degree);
+        for target in targets {
+            Self::enqueue(&mut self.queue, &mut self.recent, params.queue, target);
         }
     }
 

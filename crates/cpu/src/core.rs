@@ -25,7 +25,7 @@ use crate::trace::{OpClass, Trace};
 use etpp_mem::{AccessKind, Completion, ConfigOp, MemorySystem, Rejection};
 use etpp_telemetry::{Hist, Registry};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Core-side observability: occupancy distributions of the load and
 /// store queues, sampled at each issue/enqueue. Attached to a [`Core`]
@@ -282,9 +282,13 @@ pub struct Core<'t> {
 
     /// Oldest un-retired trace index.
     head: u32,
+    /// ROB slot of `head` (`head % rob_entries`, advanced in `retire`
+    /// so [`Core::slot_of`] needs no division).
+    head_slot: usize,
     /// Next trace index to dispatch.
     cursor: u32,
     slots: Vec<Slot>,
+    /// Per-slot wake lists; cleared in place so each keeps its capacity.
     dependents: Vec<Vec<u32>>,
 
     iq_count: usize,
@@ -296,7 +300,9 @@ pub struct Core<'t> {
     ready_muldiv: VecDeque<u32>,
     ready_mem: VecDeque<u32>,
     exec_done: BinaryHeap<Reverse<(u64, u32)>>,
-    inflight_loads: HashMap<u64, u32>,
+    /// `(access id, trace index)` of loads in flight: at most
+    /// `lq_entries`, searched linearly, order irrelevant.
+    inflight_loads: Vec<(u64, u32)>,
 
     fetch_stall_until: u64,
     blocking_branch: Option<u32>,
@@ -336,6 +342,7 @@ impl<'t> Core<'t> {
         Core {
             bpred: BranchPredictor::new(params.bpred),
             head: 0,
+            head_slot: 0,
             cursor: 0,
             slots: vec![FREE; params.rob_entries],
             dependents: vec![Vec::new(); params.rob_entries],
@@ -347,7 +354,7 @@ impl<'t> Core<'t> {
             ready_muldiv: VecDeque::new(),
             ready_mem: VecDeque::new(),
             exec_done: BinaryHeap::new(),
-            inflight_loads: HashMap::new(),
+            inflight_loads: Vec::with_capacity(params.lq_entries),
             fetch_stall_until: 0,
             blocking_branch: None,
             pending_configs: Vec::new(),
@@ -450,9 +457,17 @@ impl<'t> Core<'t> {
         &self.bpred
     }
 
+    /// ROB slot of an in-window trace index (`idx % rob_entries`).
     #[inline]
     fn slot_of(&self, idx: u32) -> usize {
-        idx as usize % self.params.rob_entries
+        let rob = self.params.rob_entries;
+        debug_assert!(idx >= self.head && ((idx - self.head) as usize) < rob);
+        let slot = self.head_slot + (idx - self.head) as usize;
+        if slot >= rob {
+            slot - rob
+        } else {
+            slot
+        }
     }
 
     /// Removes the op from issue-queue accounting exactly once.
@@ -559,7 +574,7 @@ impl<'t> Core<'t> {
             }
         }
         // The head of the ROB is done: retirement proceeds next cycle.
-        if self.head < self.cursor && self.slots[self.slot_of(self.head)].state == State::Done {
+        if self.head < self.cursor && self.slots[self.head_slot].state == State::Done {
             return (now + 1, HorizonSource::CoreProgress);
         }
         let mut next = u64::MAX;
@@ -671,7 +686,8 @@ impl<'t> Core<'t> {
         due.clear();
         mem.drain_completions_due(now, &mut due);
         for c in due.drain(..) {
-            if let Some(idx) = self.inflight_loads.remove(&c.id.0) {
+            if let Some(i) = self.inflight_loads.iter().position(|l| l.0 == c.id.0) {
+                let idx = self.inflight_loads.swap_remove(i).1;
                 self.lq_inflight -= 1;
                 self.mark_done(idx);
             } else if let Some(e) = self
@@ -710,8 +726,8 @@ impl<'t> Core<'t> {
         let slot = self.slot_of(idx);
         debug_assert_ne!(self.slots[slot].state, State::Done);
         self.slots[slot].state = State::Done;
-        let woken = std::mem::take(&mut self.dependents[slot]);
-        for d in woken {
+        for i in 0..self.dependents[slot].len() {
+            let d = self.dependents[slot][i];
             let ds = self.slot_of(d);
             debug_assert!(self.slots[ds].wait_count > 0);
             self.slots[ds].wait_count -= 1;
@@ -720,6 +736,7 @@ impl<'t> Core<'t> {
                 self.enqueue_ready(d);
             }
         }
+        self.dependents[slot].clear();
     }
 
     fn enqueue_ready(&mut self, idx: u32) {
@@ -735,7 +752,7 @@ impl<'t> Core<'t> {
     fn retire(&mut self, now: u64, mem: &mut MemorySystem) {
         let mut retired = 0;
         while retired < self.params.width && (self.head as usize) < self.trace.len() {
-            let slot = self.slot_of(self.head);
+            let slot = self.head_slot;
             // Slot must belong to head (dispatched) and be done.
             if self.head >= self.cursor || self.slots[slot].state != State::Done {
                 break;
@@ -794,6 +811,11 @@ impl<'t> Core<'t> {
                 _ => {}
             }
             self.head += 1;
+            self.head_slot = if slot + 1 == self.params.rob_entries {
+                0
+            } else {
+                slot + 1
+            };
             retired += 1;
             self.stats.insts_retired += 1;
         }
@@ -903,7 +925,7 @@ impl<'t> Core<'t> {
                             self.slots[slot].state = State::Executing;
                             self.leave_iq(slot);
                             self.lq_inflight += 1;
-                            self.inflight_loads.insert(id.0, idx);
+                            self.inflight_loads.push((id.0, idx));
                             self.stats.loads_issued += 1;
                             if let Some(tel) = self.tel.as_deref_mut() {
                                 tel.lq_depth.record(self.lq_inflight as u64);

@@ -52,17 +52,20 @@ impl CacheParams {
     }
 }
 
+/// Per-way state other than the tag (which lives in `Cache::tags`).
 #[derive(Debug, Clone, Copy, Default)]
 struct Way {
-    tag: u64,
-    valid: bool,
+    /// LRU stamp; larger is more recent.
+    lru: u64,
     dirty: bool,
     /// Set when the fill was triggered by a prefetch and no demand access has
     /// touched the line yet.
     prefetched: bool,
-    /// LRU stamp; larger is more recent.
-    lru: u64,
 }
+
+/// `tags` value of an invalid way (line addresses are 64-byte aligned,
+/// so no resident line can equal it).
+const NO_TAG: u64 = u64::MAX;
 
 /// What a lookup found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,7 +95,13 @@ pub struct Eviction {
 #[derive(Debug, Clone)]
 pub struct Cache {
     params: CacheParams,
-    sets: Vec<Way>,
+    /// `sets() - 1`, computed once (set counts are powers of two).
+    set_mask: usize,
+    /// Line address per way, set-major ([`NO_TAG`] = invalid): the only
+    /// array a presence probe reads.
+    tags: Vec<u64>,
+    /// Way metadata, parallel to `tags`.
+    ways: Vec<Way>,
     stamp: u64,
     /// Running statistics (demand/prefetch hits and misses, utilisation).
     pub stats: CacheStats,
@@ -113,7 +122,9 @@ impl Cache {
         );
         Cache {
             params,
-            sets: vec![Way::default(); sets * params.ways],
+            set_mask: sets - 1,
+            tags: vec![NO_TAG; sets * params.ways],
+            ways: vec![Way::default(); sets * params.ways],
             stamp: 1,
             stats: CacheStats::default(),
         }
@@ -124,54 +135,51 @@ impl Cache {
         &self.params
     }
 
+    /// Index range of `line_addr`'s set in `tags` / `ways`.
     #[inline]
-    fn set_index(&self, line_addr: u64) -> usize {
-        ((line_addr / LINE_SIZE) as usize) & (self.params.sets() - 1)
+    fn set_of(&self, line_addr: u64) -> std::ops::Range<usize> {
+        let base = ((line_addr / LINE_SIZE) as usize & self.set_mask) * self.params.ways;
+        base..base + self.params.ways
     }
 
+    /// Index of the way holding `line_addr`, if resident.
     #[inline]
-    fn ways_of(&mut self, set: usize) -> &mut [Way] {
-        let w = self.params.ways;
-        &mut self.sets[set * w..(set + 1) * w]
+    fn way_of(&self, line_addr: u64) -> Option<usize> {
+        debug_assert_ne!(line_addr, NO_TAG);
+        let set = self.set_of(line_addr);
+        let base = set.start;
+        self.tags[set]
+            .iter()
+            .position(|&t| t == line_addr)
+            .map(|w| base + w)
     }
 
     /// Probes for `line_addr` without updating statistics. Demand accesses
     /// update LRU and consume the prefetched bit; probe-only lookups (e.g.
     /// from the prefetch path) use [`Cache::contains`].
     pub fn lookup_demand(&mut self, line_addr: u64) -> LookupResult {
-        let set = self.set_index(line_addr);
         let stamp = self.bump();
-        for way in self.ways_of(set) {
-            if way.valid && way.tag == line_addr {
-                way.lru = stamp;
-                let was_prefetched = way.prefetched;
-                way.prefetched = false;
-                if was_prefetched {
-                    self.stats.prefetches_used += 1;
-                }
-                return LookupResult::Hit { was_prefetched };
-            }
+        let Some(i) = self.way_of(line_addr) else {
+            return LookupResult::Miss;
+        };
+        let way = &mut self.ways[i];
+        way.lru = stamp;
+        let was_prefetched = std::mem::take(&mut way.prefetched);
+        if was_prefetched {
+            self.stats.prefetches_used += 1;
         }
-        LookupResult::Miss
+        LookupResult::Hit { was_prefetched }
     }
 
     /// Whether the line is present (no LRU or bit side effects).
     pub fn contains(&self, line_addr: u64) -> bool {
-        let set = self.set_index(line_addr);
-        let w = self.params.ways;
-        self.sets[set * w..(set + 1) * w]
-            .iter()
-            .any(|way| way.valid && way.tag == line_addr)
+        self.way_of(line_addr).is_some()
     }
 
     /// Marks the line dirty (committed store hit). No-op if absent.
     pub fn mark_dirty(&mut self, line_addr: u64) {
-        let set = self.set_index(line_addr);
-        for way in self.ways_of(set) {
-            if way.valid && way.tag == line_addr {
-                way.dirty = true;
-                return;
-            }
+        if let Some(i) = self.way_of(line_addr) {
+            self.ways[i].dirty = true;
         }
     }
 
@@ -180,36 +188,29 @@ impl Cache {
     /// `prefetched` marks the fill as prefetch-triggered for utilisation
     /// accounting; `dirty` pre-dirties the line (writeback fills).
     pub fn fill(&mut self, line_addr: u64, prefetched: bool, dirty: bool) -> Option<Eviction> {
-        let set = self.set_index(line_addr);
         let stamp = self.bump();
         // Already present (e.g. racing fills): refresh bits, no eviction.
-        for way in self.ways_of(set) {
-            if way.valid && way.tag == line_addr {
-                way.lru = stamp;
-                way.dirty |= dirty;
-                return None;
-            }
+        if let Some(i) = self.way_of(line_addr) {
+            self.ways[i].lru = stamp;
+            self.ways[i].dirty |= dirty;
+            return None;
         }
-        let ways = self.ways_of(set);
-        let victim = match ways.iter_mut().find(|w| !w.valid) {
-            Some(w) => w,
-            None => ways.iter_mut().min_by_key(|w| w.lru).expect("ways"),
+        // Victim: first invalid way, else the first minimum stamp.
+        let set = self.set_of(line_addr);
+        let victim = match self.tags[set.clone()].iter().position(|&t| t == NO_TAG) {
+            Some(w) => set.start + w,
+            None => set.min_by_key(|&i| self.ways[i].lru).expect("ways"),
         };
-        let evicted = if victim.valid {
-            Some(Eviction {
-                line_addr: victim.tag,
-                dirty: victim.dirty,
-                unused_prefetch: victim.prefetched,
-            })
-        } else {
-            None
-        };
-        *victim = Way {
-            tag: line_addr,
-            valid: true,
+        let evicted = (self.tags[victim] != NO_TAG).then(|| Eviction {
+            line_addr: self.tags[victim],
+            dirty: self.ways[victim].dirty,
+            unused_prefetch: self.ways[victim].prefetched,
+        });
+        self.tags[victim] = line_addr;
+        self.ways[victim] = Way {
+            lru: stamp,
             dirty,
             prefetched,
-            lru: stamp,
         };
         if evicted.is_some_and(|e| e.unused_prefetch) {
             self.stats.prefetches_unused += 1;
@@ -222,24 +223,18 @@ impl Cache {
 
     /// Invalidates the line if present, returning its eviction record.
     pub fn invalidate(&mut self, line_addr: u64) -> Option<Eviction> {
-        let set = self.set_index(line_addr);
-        for way in self.ways_of(set) {
-            if way.valid && way.tag == line_addr {
-                let ev = Eviction {
-                    line_addr: way.tag,
-                    dirty: way.dirty,
-                    unused_prefetch: way.prefetched,
-                };
-                way.valid = false;
-                return Some(ev);
-            }
-        }
-        None
+        let i = self.way_of(line_addr)?;
+        self.tags[i] = NO_TAG;
+        Some(Eviction {
+            line_addr,
+            dirty: self.ways[i].dirty,
+            unused_prefetch: self.ways[i].prefetched,
+        })
     }
 
     /// Number of currently valid lines (test/diagnostic helper).
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().filter(|w| w.valid).count()
+        self.tags.iter().filter(|&&t| t != NO_TAG).count()
     }
 
     fn bump(&mut self) -> u64 {

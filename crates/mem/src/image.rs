@@ -118,52 +118,56 @@ impl MemoryImage {
         page[(addr % PAGE_SIZE) as usize] = val;
     }
 
-    /// Reads a little-endian `u64`. The access may straddle pages.
-    pub fn read_u64(&self, addr: u64) -> u64 {
-        if addr % PAGE_SIZE <= PAGE_SIZE - 8 {
-            if let Some(p) = self.pages.get(&page_of(addr)) {
-                let off = (addr % PAGE_SIZE) as usize;
-                return u64::from_le_bytes(p[off..off + 8].try_into().unwrap());
-            }
-            return 0;
+    /// Reads `N` bytes: one page lookup when they sit inside a page,
+    /// byte by byte when they straddle two.
+    #[inline]
+    fn read_bytes<const N: usize>(&self, addr: u64) -> [u8; N] {
+        let off = (addr % PAGE_SIZE) as usize;
+        if off + N <= PAGE_SIZE as usize {
+            return match self.pages.get(&page_of(addr)) {
+                Some(p) => p[off..off + N].try_into().expect("N bytes"),
+                None => [0; N],
+            };
         }
-        let mut bytes = [0u8; 8];
-        for (i, b) in bytes.iter_mut().enumerate() {
-            *b = self.read_u8(addr + i as u64);
-        }
-        u64::from_le_bytes(bytes)
+        std::array::from_fn(|i| self.read_u8(addr + i as u64))
     }
 
-    /// Writes a little-endian `u64`, mapping pages on demand.
-    pub fn write_u64(&mut self, addr: u64, val: u64) {
-        if addr % PAGE_SIZE <= PAGE_SIZE - 8 {
+    /// Writes `N` bytes, mapping pages on demand; lookups as in
+    /// [`MemoryImage::read_bytes`].
+    #[inline]
+    fn write_bytes<const N: usize>(&mut self, addr: u64, bytes: [u8; N]) {
+        let off = (addr % PAGE_SIZE) as usize;
+        if off + N <= PAGE_SIZE as usize {
             let page = self
                 .pages
                 .entry(page_of(addr))
                 .or_insert_with(|| Box::new([0u8; PAGE_SIZE as usize]));
-            let off = (addr % PAGE_SIZE) as usize;
-            page[off..off + 8].copy_from_slice(&val.to_le_bytes());
+            page[off..off + N].copy_from_slice(&bytes);
             return;
         }
-        for (i, b) in val.to_le_bytes().iter().enumerate() {
+        for (i, b) in bytes.iter().enumerate() {
             self.write_u8(addr + i as u64, *b);
         }
     }
 
-    /// Reads a little-endian `u32`.
+    /// Reads a little-endian `u64`. The access may straddle pages.
+    pub fn read_u64(&self, addr: u64) -> u64 {
+        u64::from_le_bytes(self.read_bytes(addr))
+    }
+
+    /// Writes a little-endian `u64`, mapping pages on demand.
+    pub fn write_u64(&mut self, addr: u64, val: u64) {
+        self.write_bytes(addr, val.to_le_bytes());
+    }
+
+    /// Reads a little-endian `u32`. The access may straddle pages.
     pub fn read_u32(&self, addr: u64) -> u32 {
-        let mut bytes = [0u8; 4];
-        for (i, b) in bytes.iter_mut().enumerate() {
-            *b = self.read_u8(addr + i as u64);
-        }
-        u32::from_le_bytes(bytes)
+        u32::from_le_bytes(self.read_bytes(addr))
     }
 
-    /// Writes a little-endian `u32`.
+    /// Writes a little-endian `u32`, mapping pages on demand.
     pub fn write_u32(&mut self, addr: u64, val: u32) {
-        for (i, b) in val.to_le_bytes().iter().enumerate() {
-            self.write_u8(addr + i as u64, *b);
-        }
+        self.write_bytes(addr, val.to_le_bytes());
     }
 
     /// Copies the 64-byte cache line containing `addr` into `buf`.
@@ -225,6 +229,18 @@ mod tests {
         let addr = base + PAGE_SIZE - 4;
         m.write_u64(addr, 0x1122_3344_5566_7788);
         assert_eq!(m.read_u64(addr), 0x1122_3344_5566_7788);
+    }
+
+    #[test]
+    fn u32_roundtrip_in_page_and_across_page_boundary() {
+        let mut m = MemoryImage::new();
+        let base = m.alloc(2 * PAGE_SIZE, PAGE_SIZE);
+        for addr in [base + PAGE_SIZE - 4, base + PAGE_SIZE - 2] {
+            m.write_u32(addr, 0x1122_3344);
+            assert_eq!(m.read_u32(addr), 0x1122_3344);
+            assert_eq!(m.read_u8(addr), 0x44);
+            assert_eq!(m.read_u8(addr + 3), 0x11);
+        }
     }
 
     #[test]

@@ -31,21 +31,22 @@ pub enum Waiter {
     },
 }
 
-#[derive(Debug, Clone)]
-struct Entry {
-    line_addr: u64,
-    valid: bool,
-    waiters: Vec<Waiter>,
-    /// True while any demand waiter is attached (affects the prefetched bit).
-    has_demand: bool,
-    /// A store is waiting: the line must be installed dirty.
-    dirty_on_fill: bool,
-}
+/// `lines` value of a free entry (line addresses are 64-byte aligned,
+/// so no in-flight line can equal it).
+const FREE: u64 = u64::MAX;
 
-/// A fixed-capacity file of MSHR entries.
+/// A fixed-capacity file of MSHR entries, one parallel array per field
+/// so `find`/`allocate` scan eight line addresses per host cache line.
 #[derive(Debug, Clone)]
 pub struct MshrFile {
-    entries: Vec<Entry>,
+    /// Line address per entry; [`FREE`] marks an unallocated one.
+    lines: Vec<u64>,
+    /// Waiter lists; buffers are recycled across allocations.
+    waiters: Vec<Vec<Waiter>>,
+    /// True while any demand waiter is attached (affects the prefetched bit).
+    has_demand: Vec<bool>,
+    /// A store is waiting: the line must be installed dirty.
+    dirty_on_fill: Vec<bool>,
     in_use: usize,
 }
 
@@ -53,16 +54,10 @@ impl MshrFile {
     /// Creates a file with `n` entries.
     pub fn new(n: usize) -> Self {
         MshrFile {
-            entries: vec![
-                Entry {
-                    line_addr: 0,
-                    valid: false,
-                    waiters: Vec::new(),
-                    has_demand: false,
-                    dirty_on_fill: false,
-                };
-                n
-            ],
+            lines: vec![FREE; n],
+            waiters: vec![Vec::new(); n],
+            has_demand: vec![false; n],
+            dirty_on_fill: vec![false; n],
             in_use: 0,
         }
     }
@@ -74,79 +69,76 @@ impl MshrFile {
 
     /// Number of free entries.
     pub fn free(&self) -> usize {
-        self.entries.len() - self.in_use
+        self.lines.len() - self.in_use
     }
 
     /// Total capacity.
     pub fn capacity(&self) -> usize {
-        self.entries.len()
+        self.lines.len()
     }
 
     /// Finds the entry tracking `line_addr`, if any.
     pub fn find(&self, line_addr: u64) -> Option<MshrId> {
-        self.entries
-            .iter()
-            .position(|e| e.valid && e.line_addr == line_addr)
-            .map(MshrId)
+        debug_assert_ne!(line_addr, FREE);
+        self.lines.iter().position(|&l| l == line_addr).map(MshrId)
     }
 
-    /// Allocates a new entry for `line_addr` with one initial waiter.
-    /// Returns `None` when the file is full.
+    /// Allocates a new entry (the lowest free index) for `line_addr`
+    /// with one initial waiter. Returns `None` when the file is full.
     ///
     /// # Panics
     /// Panics (debug) if an entry for the line already exists; callers must
     /// merge via [`MshrFile::merge`] instead.
     pub fn allocate(&mut self, line_addr: u64, waiter: Waiter) -> Option<MshrId> {
         debug_assert!(self.find(line_addr).is_none(), "double allocation");
-        let idx = self.entries.iter().position(|e| !e.valid)?;
-        let e = &mut self.entries[idx];
-        e.line_addr = line_addr;
-        e.valid = true;
-        e.waiters.clear();
-        e.has_demand = matches!(waiter, Waiter::Demand(_));
-        e.dirty_on_fill = false;
-        e.waiters.push(waiter);
+        let idx = self.lines.iter().position(|&l| l == FREE)?;
+        self.lines[idx] = line_addr;
+        self.has_demand[idx] = matches!(waiter, Waiter::Demand(_));
+        self.dirty_on_fill[idx] = false;
+        debug_assert!(self.waiters[idx].is_empty(), "release leaves it empty");
+        self.waiters[idx].push(waiter);
         self.in_use += 1;
         Some(MshrId(idx))
     }
 
     /// Attaches an additional waiter to an existing entry.
     pub fn merge(&mut self, id: MshrId, waiter: Waiter) {
-        let e = &mut self.entries[id.0];
-        debug_assert!(e.valid);
+        debug_assert_ne!(self.lines[id.0], FREE);
         if matches!(waiter, Waiter::Demand(_)) {
-            e.has_demand = true;
+            self.has_demand[id.0] = true;
         }
-        e.waiters.push(waiter);
+        self.waiters[id.0].push(waiter);
     }
 
     /// Whether any demand waiter is attached to the entry.
     pub fn has_demand(&self, id: MshrId) -> bool {
-        self.entries[id.0].has_demand
+        self.has_demand[id.0]
     }
 
     /// Marks the entry as store-bound: the line is installed dirty.
     pub fn set_dirty_on_fill(&mut self, id: MshrId) {
-        self.entries[id.0].dirty_on_fill = true;
+        self.dirty_on_fill[id.0] = true;
     }
 
     /// Whether the line must be installed dirty (a store is waiting).
     pub fn dirty_on_fill(&self, id: MshrId) -> bool {
-        self.entries[id.0].dirty_on_fill
+        self.dirty_on_fill[id.0]
     }
 
     /// Line address tracked by the entry.
     pub fn line_addr(&self, id: MshrId) -> u64 {
-        self.entries[id.0].line_addr
+        self.lines[id.0]
     }
 
-    /// Releases the entry, returning its waiters for completion delivery.
-    pub fn release(&mut self, id: MshrId) -> Vec<Waiter> {
-        let e = &mut self.entries[id.0];
-        debug_assert!(e.valid);
-        e.valid = false;
+    /// Releases the entry, handing its waiters (attachment order) to the
+    /// caller by swapping buffers with `out`, whose previous contents are
+    /// dropped: neither side allocates once the buffers have grown.
+    pub fn release(&mut self, id: MshrId, out: &mut Vec<Waiter>) {
+        debug_assert_ne!(self.lines[id.0], FREE);
+        self.lines[id.0] = FREE;
         self.in_use -= 1;
-        std::mem::take(&mut e.waiters)
+        out.clear();
+        std::mem::swap(&mut self.waiters[id.0], out);
     }
 }
 
@@ -179,8 +171,19 @@ mod tests {
         assert!(!m.has_demand(id));
         m.merge(id, Waiter::Demand(7));
         assert!(m.has_demand(id));
-        let waiters = m.release(id);
-        assert_eq!(waiters.len(), 2);
+        let mut waiters = vec![Waiter::Demand(99)];
+        m.release(id, &mut waiters);
+        assert_eq!(
+            waiters,
+            [
+                Waiter::Prefetch {
+                    vaddr: 0x48,
+                    tag: None,
+                    meta: 0,
+                },
+                Waiter::Demand(7)
+            ]
+        );
         assert_eq!(m.free(), 2);
     }
 
@@ -188,7 +191,7 @@ mod tests {
     fn release_frees_slot_for_reuse() {
         let mut m = MshrFile::new(1);
         let id = m.allocate(0x40, Waiter::Demand(1)).unwrap();
-        m.release(id);
+        m.release(id, &mut Vec::new());
         assert!(m.allocate(0x80, Waiter::Demand(2)).is_some());
     }
 

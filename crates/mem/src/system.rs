@@ -188,6 +188,10 @@ pub struct MemorySystem {
     tlb: TlbHierarchy,
     events: BinaryHeap<Reverse<Ev>>,
     pf_buffer: FastHashMap<u64, PfBufEntry>,
+    /// Emptied waiter lists kept for their capacity: a new
+    /// prefetch-buffer entry draws its list from here, an MSHR release
+    /// swaps one in, and a delivered fill returns its list.
+    waiter_pool: Vec<Vec<Waiter>>,
     /// Lookups parked because every L2 MSHR was held: woken in FIFO
     /// order by `L2RetryWake` instead of polling on the event heap.
     l2_waiters: std::collections::VecDeque<EvKind>,
@@ -245,6 +249,7 @@ impl MemorySystem {
             tlb: TlbHierarchy::new(params.tlb),
             events: BinaryHeap::new(),
             pf_buffer: FastHashMap::default(),
+            waiter_pool: Vec::new(),
             l2_waiters: std::collections::VecDeque::new(),
             l2_wake_scheduled: false,
             pf_pop_wait: false,
@@ -353,8 +358,7 @@ impl MemorySystem {
         {
             return Err(Rejection::MshrFull);
         }
-        let mapped = self.image.is_mapped(vaddr);
-        let tlb_latency = match self.tlb.translate(now, vaddr, mapped) {
+        let tlb_latency = match self.translate(now, vaddr) {
             Translation::Ready { latency } => latency,
             Translation::WalkerBusy => return Err(Rejection::WalkerBusy),
             Translation::Fault => return Err(Rejection::Fault),
@@ -486,8 +490,7 @@ impl MemorySystem {
         if self.l1_mshrs.free() == 0 {
             return Err(Rejection::MshrFull);
         }
-        let mapped = self.image.is_mapped(vaddr);
-        let tlb_latency = match self.tlb.translate(now, vaddr, mapped) {
+        let tlb_latency = match self.translate(now, vaddr) {
             Translation::Ready { latency } => latency,
             Translation::WalkerBusy => return Err(Rejection::WalkerBusy),
             Translation::Fault => {
@@ -522,6 +525,15 @@ impl MemorySystem {
         Ok(())
     }
 
+    /// Translates through the shared TLB; the image's page table is
+    /// consulted only when both TLB levels miss.
+    #[inline]
+    fn translate(&mut self, now: u64, vaddr: u64) -> Translation {
+        let image = &self.image;
+        self.tlb
+            .translate_with(now, vaddr, || image.is_mapped(vaddr))
+    }
+
     #[inline]
     fn push_completion(&mut self, c: Completion) {
         if let Some(tel) = self.tel.as_deref_mut() {
@@ -533,15 +545,8 @@ impl MemorySystem {
         self.completions.push(c);
     }
 
-    /// Drains demand accesses whose completion time has been reached.
-    pub fn take_completions_due(&mut self, now: u64) -> Vec<Completion> {
-        let mut due = Vec::new();
-        self.drain_completions_due(now, &mut due);
-        due
-    }
-
-    /// Like [`Self::take_completions_due`], but appends into a
-    /// caller-owned buffer so per-cycle drivers avoid the allocation.
+    /// Drains demand accesses whose completion time has been reached,
+    /// appending them to a caller-owned buffer.
     pub fn drain_completions_due(&mut self, now: u64, due: &mut Vec<Completion>) {
         if now < self.completions_min {
             return;
@@ -643,8 +648,7 @@ impl MemorySystem {
             tel.lifecycle.on_issued();
             tel.pf_buf_depth.record(self.pf_buffer.len() as u64);
         }
-        let mapped = self.image.is_mapped(vaddr);
-        let tlb_latency = match self.tlb.translate(now, vaddr, mapped) {
+        let tlb_latency = match self.translate(now, vaddr) {
             Translation::Ready { latency } => latency,
             Translation::WalkerBusy | Translation::Fault => {
                 self.prefetch_drops += 1;
@@ -686,10 +690,12 @@ impl MemorySystem {
         if let Some(tel) = self.tel.as_deref_mut() {
             tel.pf_born.insert(line, now);
         }
+        let mut waiters = self.waiter_pool.pop().unwrap_or_default();
+        waiters.push(Waiter::Prefetch { vaddr, tag, meta });
         self.pf_buffer.insert(
             line,
             PfBufEntry {
-                waiters: vec![Waiter::Prefetch { vaddr, tag, meta }],
+                waiters,
                 has_demand: false,
                 dirty_on_fill: false,
             },
@@ -784,7 +790,9 @@ impl MemorySystem {
                         self.dram.access_write(now, evicted.line_addr);
                     }
                 }
-                for w in self.l2_mshrs.release(MshrId(l2_mshr)) {
+                let mut waiters = self.waiter_pool.pop().unwrap_or_default();
+                self.l2_mshrs.release(MshrId(l2_mshr), &mut waiters);
+                for w in waiters.drain(..) {
                     match w {
                         Waiter::Demand(l1_mshr) => {
                             self.schedule(
@@ -803,63 +811,17 @@ impl MemorySystem {
                         }
                     }
                 }
+                self.waiter_pool.push(waiters);
             }
             EvKind::L1Fill { l1_mshr } => {
                 let id = MshrId(l1_mshr);
                 let line = self.l1_mshrs.line_addr(id);
                 let prefetched = !self.l1_mshrs.has_demand(id);
                 let dirty = self.l1_mshrs.dirty_on_fill(id);
-                self.record_span(
-                    if prefetched { "fill:pf" } else { "fill:demand" },
-                    now,
-                    0,
-                    SpanSink::LANE_FILLS,
-                );
-                if let Some(evicted) = self.l1.fill(line, prefetched, dirty) {
-                    if evicted.unused_prefetch {
-                        if let Some(tel) = self.tel.as_deref_mut() {
-                            tel.lifecycle.on_evicted_unused(evicted.line_addr);
-                        }
-                    }
-                    if evicted.dirty {
-                        // Write back into L2 (allocate on writeback miss).
-                        if self.l2.contains(evicted.line_addr) {
-                            self.l2.mark_dirty(evicted.line_addr);
-                        } else if let Some(l2_ev) = self.l2.fill(evicted.line_addr, false, true) {
-                            if l2_ev.dirty {
-                                self.dram.access_write(now, l2_ev.line_addr);
-                            }
-                        }
-                    }
-                }
-                let mut line_data: Option<Line> = None;
-                for w in self.l1_mshrs.release(id) {
-                    match w {
-                        Waiter::Demand(token) => {
-                            self.push_completion(Completion {
-                                id: AccessId(token),
-                                at: now + 1,
-                                l1_hit: false,
-                            });
-                        }
-                        Waiter::Prefetch { vaddr, tag, meta } => {
-                            if meta == u64::MAX && tag.is_none() {
-                                continue; // software prefetch: no callback
-                            }
-                            let data = *line_data.get_or_insert_with(|| {
-                                let mut buf = [0u8; 64];
-                                self.image.read_line(line, &mut buf);
-                                buf
-                            });
-                            self.pf_fills.push(PfFill {
-                                vaddr,
-                                line: data,
-                                tag,
-                                meta,
-                            });
-                        }
-                    }
-                }
+                self.install_l1(now, line, prefetched, dirty);
+                let mut waiters = self.waiter_pool.pop().unwrap_or_default();
+                self.l1_mshrs.release(id, &mut waiters);
+                self.deliver_fill(now, line, waiters);
             }
             EvKind::PfBufFill { line_addr } => {
                 let Some(entry) = self.pf_buffer.remove(&line_addr) else {
@@ -872,62 +834,13 @@ impl MemorySystem {
                     self.pf_pop_wait = false;
                     self.engine_wake = now;
                 }
-                let prefetched = !entry.has_demand;
                 if let Some(tel) = self.tel.as_deref_mut() {
                     if let Some(born) = tel.pf_born.remove(&line_addr) {
                         tel.pf_buf_residency.record(now - born);
                     }
                 }
-                self.record_span(
-                    if prefetched { "fill:pf" } else { "fill:demand" },
-                    now,
-                    0,
-                    SpanSink::LANE_FILLS,
-                );
-                if let Some(evicted) = self.l1.fill(line_addr, prefetched, entry.dirty_on_fill) {
-                    if evicted.unused_prefetch {
-                        if let Some(tel) = self.tel.as_deref_mut() {
-                            tel.lifecycle.on_evicted_unused(evicted.line_addr);
-                        }
-                    }
-                    if evicted.dirty {
-                        if self.l2.contains(evicted.line_addr) {
-                            self.l2.mark_dirty(evicted.line_addr);
-                        } else if let Some(l2_ev) = self.l2.fill(evicted.line_addr, false, true) {
-                            if l2_ev.dirty {
-                                self.dram.access_write(now, l2_ev.line_addr);
-                            }
-                        }
-                    }
-                }
-                let mut line_data: Option<Line> = None;
-                for w in entry.waiters {
-                    match w {
-                        Waiter::Demand(token) => {
-                            self.push_completion(Completion {
-                                id: AccessId(token),
-                                at: now + 1,
-                                l1_hit: false,
-                            });
-                        }
-                        Waiter::Prefetch { vaddr, tag, meta } => {
-                            if meta == u64::MAX && tag.is_none() {
-                                continue; // software prefetch: no callback
-                            }
-                            let data = *line_data.get_or_insert_with(|| {
-                                let mut buf = [0u8; 64];
-                                self.image.read_line(line_addr, &mut buf);
-                                buf
-                            });
-                            self.pf_fills.push(PfFill {
-                                vaddr,
-                                line: data,
-                                tag,
-                                meta,
-                            });
-                        }
-                    }
-                }
+                self.install_l1(now, line_addr, !entry.has_demand, entry.dirty_on_fill);
+                self.deliver_fill(now, line_addr, entry.waiters);
             }
             EvKind::PfLocalHit { vaddr, tag, meta } => {
                 let mut buf = [0u8; 64];
@@ -957,6 +870,70 @@ impl MemorySystem {
                 }
             }
         }
+    }
+
+    /// Installs a line arriving at L1, writing a dirty victim back into
+    /// L2 (allocate on writeback miss).
+    fn install_l1(&mut self, now: u64, line: u64, prefetched: bool, dirty: bool) {
+        self.record_span(
+            if prefetched { "fill:pf" } else { "fill:demand" },
+            now,
+            0,
+            SpanSink::LANE_FILLS,
+        );
+        let Some(evicted) = self.l1.fill(line, prefetched, dirty) else {
+            return;
+        };
+        if evicted.unused_prefetch {
+            if let Some(tel) = self.tel.as_deref_mut() {
+                tel.lifecycle.on_evicted_unused(evicted.line_addr);
+            }
+        }
+        if evicted.dirty {
+            if self.l2.contains(evicted.line_addr) {
+                self.l2.mark_dirty(evicted.line_addr);
+            } else if let Some(l2_ev) = self.l2.fill(evicted.line_addr, false, true) {
+                if l2_ev.dirty {
+                    self.dram.access_write(now, l2_ev.line_addr);
+                }
+            }
+        }
+    }
+
+    /// Hands a line that just reached L1 to its waiters, in attachment
+    /// order — demand accesses complete next cycle, engine prefetches
+    /// queue a fill event carrying the line's data — and returns the
+    /// emptied list to the pool.
+    fn deliver_fill(&mut self, now: u64, line: u64, mut waiters: Vec<Waiter>) {
+        let mut line_data: Option<Line> = None;
+        for w in waiters.drain(..) {
+            match w {
+                Waiter::Demand(token) => {
+                    self.push_completion(Completion {
+                        id: AccessId(token),
+                        at: now + 1,
+                        l1_hit: false,
+                    });
+                }
+                Waiter::Prefetch { vaddr, tag, meta } => {
+                    if meta == u64::MAX && tag.is_none() {
+                        continue; // software prefetch: no callback
+                    }
+                    let data = *line_data.get_or_insert_with(|| {
+                        let mut buf = [0u8; 64];
+                        self.image.read_line(line, &mut buf);
+                        buf
+                    });
+                    self.pf_fills.push(PfFill {
+                        vaddr,
+                        line: data,
+                        tag,
+                        meta,
+                    });
+                }
+            }
+        }
+        self.waiter_pool.push(waiters);
     }
 
     #[inline]

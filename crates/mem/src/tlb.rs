@@ -66,6 +66,7 @@ pub enum Translation {
     Fault,
 }
 
+/// An L2 TLB entry.
 #[derive(Debug, Clone, Copy, Default)]
 struct TlbEntry {
     page: u64,
@@ -73,11 +74,19 @@ struct TlbEntry {
     lru: u64,
 }
 
+/// `l1_pages` value of an invalid L1 entry (pages are 4 KiB aligned, so
+/// no translated page can equal it).
+const NO_PAGE: u64 = u64::MAX;
+
 /// Two-level TLB plus walker slots.
 #[derive(Debug, Clone)]
 pub struct TlbHierarchy {
     params: TlbParams,
-    l1: Vec<TlbEntry>,
+    /// L1 page per entry ([`NO_PAGE`] = invalid), dense so the
+    /// fully-associative scan reads eight entries per host cache line.
+    l1_pages: Vec<u64>,
+    /// L1 LRU stamps, parallel to `l1_pages`; larger is more recent.
+    l1_lru: Vec<u64>,
     l2: Vec<TlbEntry>,
     walker_busy_until: Vec<u64>,
     stamp: u64,
@@ -95,7 +104,8 @@ impl TlbHierarchy {
         assert!(params.l2_entries.is_multiple_of(params.l2_ways));
         assert!((params.l2_entries / params.l2_ways).is_power_of_two());
         TlbHierarchy {
-            l1: vec![TlbEntry::default(); params.l1_entries],
+            l1_pages: vec![NO_PAGE; params.l1_entries],
+            l1_lru: vec![0; params.l1_entries],
             l2: vec![TlbEntry::default(); params.l2_entries],
             walker_busy_until: vec![0; params.walkers],
             stamp: 1,
@@ -113,22 +123,31 @@ impl TlbHierarchy {
     /// Attempts to translate `vaddr` at time `now`. `mapped` reports whether
     /// the containing page exists in the memory image.
     pub fn translate(&mut self, now: u64, vaddr: u64, mapped: bool) -> Translation {
+        self.translate_with(now, vaddr, || mapped)
+    }
+
+    /// [`TlbHierarchy::translate`] with the mapped-page question asked
+    /// lazily: `mapped` runs only when both TLB levels miss, the one
+    /// path that reads it.
+    pub fn translate_with(
+        &mut self,
+        now: u64,
+        vaddr: u64,
+        mapped: impl FnOnce() -> bool,
+    ) -> Translation {
         let page = page_of(vaddr);
         self.stamp += 1;
         let stamp = self.stamp;
 
         // L1: fully associative; probe the last-hit entry first (pages
         // repeat run-to-run, so this skips the scan almost always).
-        {
-            let m = &mut self.l1[self.mru];
-            if m.valid && m.page == page {
-                m.lru = stamp;
-                self.stats.l1_hits += 1;
-                return Translation::Ready { latency: 0 };
-            }
-        }
-        if let Some(i) = self.l1.iter().position(|e| e.valid && e.page == page) {
-            self.l1[i].lru = stamp;
+        let hit = if self.l1_pages[self.mru] == page {
+            Some(self.mru)
+        } else {
+            self.l1_pages.iter().position(|&p| p == page)
+        };
+        if let Some(i) = hit {
+            self.l1_lru[i] = stamp;
             self.mru = i;
             self.stats.l1_hits += 1;
             return Translation::Ready { latency: 0 };
@@ -147,7 +166,7 @@ impl TlbHierarchy {
             };
         }
 
-        if !mapped {
+        if !mapped() {
             self.stats.faults += 1;
             return Translation::Fault;
         }
@@ -170,21 +189,15 @@ impl TlbHierarchy {
     }
 
     fn fill_l1(&mut self, page: u64, stamp: u64) {
-        let idx = match self.l1.iter().position(|e| !e.valid) {
+        // Victim: first invalid entry, else the first minimum stamp.
+        let idx = match self.l1_pages.iter().position(|&p| p == NO_PAGE) {
             Some(i) => i,
-            None => self
-                .l1
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.lru)
-                .map(|(i, _)| i)
+            None => (0..self.l1_lru.len())
+                .min_by_key(|&i| self.l1_lru[i])
                 .expect("l1 tlb"),
         };
-        self.l1[idx] = TlbEntry {
-            page,
-            valid: true,
-            lru: stamp,
-        };
+        self.l1_pages[idx] = page;
+        self.l1_lru[idx] = stamp;
         self.mru = idx;
     }
 

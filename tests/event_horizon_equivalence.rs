@@ -332,6 +332,25 @@ fn lq_saturation_is_horizon_equivalent_and_faster() {
     }
 }
 
+/// A tiny window whose sizes are not powers of two (ROB 7, IQ 5, LQ 2,
+/// SQ 3): the ROB slot index wraps every seven ops, the two-entry
+/// in-flight-load list is full for most of the run and IntSort's scatter
+/// stores keep the three-entry store queue at capacity — corners of the
+/// core's flat per-slot state the paper window (ROB 40, LQ 16, SQ 32)
+/// never reaches.
+#[test]
+fn tiny_non_power_of_two_window_is_horizon_equivalent() {
+    let wl = workload_by_name("IntSort").unwrap().build(Scale::Tiny);
+    for mode in [PrefetchMode::None, PrefetchMode::Manual] {
+        assert_cycle_equivalent_with(mode, &wl, |cfg| {
+            cfg.core.rob_entries = 7;
+            cfg.core.iq_entries = 5;
+            cfg.core.lq_entries = 2;
+            cfg.core.sq_entries = 3;
+        });
+    }
+}
+
 /// Wake-driven engine rounds under prefetch-buffer backlog: a 1-entry
 /// `pf_buffer` with 3 L1 MSHRs keeps the manual kernels' pop queue
 /// permanently backlogged and the demand path bouncing off the MSHR

@@ -2,7 +2,13 @@
 
 use etpp::cpu::{Core, CoreParams, TraceBuilder};
 use etpp::isa::{run_kernel, EventCtx, Inst, Kernel};
-use etpp::mem::{AccessKind, Cache, CacheParams, MemParams, MemoryImage, MemorySystem, NullEngine};
+use etpp::mem::cache::{Eviction, LookupResult};
+use etpp::mem::mshr::Waiter;
+use etpp::mem::tlb::Translation;
+use etpp::mem::{
+    AccessKind, Cache, CacheParams, CacheStats, MemParams, MemoryImage, MemorySystem, MshrFile,
+    MshrId, NullEngine, TlbHierarchy, TlbParams, TlbStats,
+};
 use etpp::trace::{content_hash, TraceMeta, TraceReader, TraceRecord, TraceWriter};
 use proptest::prelude::*;
 
@@ -48,6 +54,272 @@ proptest! {
         }
         let s = cache.stats;
         prop_assert!(s.prefetches_used + s.prefetches_unused <= s.prefetch_fills);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Differential oracles: the array-of-structs TLB, MSHR file and cache the
+// flat per-slot structures in `etpp-mem` replaced, kept as reference models
+// ---------------------------------------------------------------------------
+
+/// One tag-store entry as all three structures used to keep it.
+#[derive(Debug, Clone, Copy, Default)]
+struct RefEntry {
+    key: u64,
+    valid: bool,
+    lru: u64,
+    dirty: bool,
+    prefetched: bool,
+}
+
+/// Index of `key` among the valid entries.
+fn ref_find(ways: &[RefEntry], key: u64) -> Option<usize> {
+    ways.iter().position(|e| e.valid && e.key == key)
+}
+
+/// Victim choice shared by the TLB levels and the cache: the first
+/// invalid entry, else the first minimum LRU stamp.
+fn ref_victim(ways: &[RefEntry]) -> usize {
+    ways.iter()
+        .position(|e| !e.valid)
+        .unwrap_or_else(|| (0..ways.len()).min_by_key(|&i| ways[i].lru).unwrap())
+}
+
+struct RefTlb {
+    p: TlbParams,
+    l1: Vec<RefEntry>,
+    l2: Vec<RefEntry>,
+    walkers: Vec<u64>,
+    stamp: u64,
+    stats: TlbStats,
+}
+
+impl RefTlb {
+    fn translate(&mut self, now: u64, vaddr: u64, mapped: bool) -> Translation {
+        let page = vaddr & !4095;
+        self.stamp += 1;
+        let fresh = RefEntry {
+            key: page,
+            valid: true,
+            lru: self.stamp,
+            ..Default::default()
+        };
+        if let Some(i) = ref_find(&self.l1, page) {
+            self.l1[i].lru = self.stamp;
+            self.stats.l1_hits += 1;
+            return Translation::Ready { latency: 0 };
+        }
+        let set = (page >> 12) as usize & (self.p.l2_entries / self.p.l2_ways - 1);
+        let ways = &mut self.l2[set * self.p.l2_ways..(set + 1) * self.p.l2_ways];
+        if let Some(i) = ref_find(ways, page) {
+            ways[i].lru = self.stamp;
+            self.stats.l2_hits += 1;
+        } else if !mapped {
+            self.stats.faults += 1;
+            return Translation::Fault;
+        } else if let Some(w) = self.walkers.iter_mut().find(|w| **w <= now) {
+            *w = now + self.p.walk_latency;
+            self.stats.walks += 1;
+            ways[ref_victim(ways)] = fresh;
+            let v = ref_victim(&self.l1);
+            self.l1[v] = fresh;
+            return Translation::Ready {
+                latency: self.p.l2_latency + self.p.walk_latency,
+            };
+        } else {
+            self.stats.walker_busy += 1;
+            return Translation::WalkerBusy;
+        }
+        let v = ref_victim(&self.l1);
+        self.l1[v] = fresh;
+        Translation::Ready {
+            latency: self.p.l2_latency,
+        }
+    }
+}
+
+/// The old `MshrFile` entry: (line, valid, waiters, has_demand, dirty_on_fill).
+type RefMshr = Vec<(u64, bool, Vec<Waiter>, bool, bool)>;
+
+struct RefCache {
+    ways: usize,
+    sets: Vec<RefEntry>,
+    stamp: u64,
+    stats: CacheStats,
+}
+
+impl RefCache {
+    fn set(&mut self, line: u64) -> &mut [RefEntry] {
+        let set = (line / 64) as usize & (self.sets.len() / self.ways - 1);
+        &mut self.sets[set * self.ways..(set + 1) * self.ways]
+    }
+
+    fn lookup_demand(&mut self, line: u64) -> LookupResult {
+        self.stamp += 1;
+        let stamp = self.stamp;
+        let ways = self.set(line);
+        let Some(i) = ref_find(ways, line) else {
+            return LookupResult::Miss;
+        };
+        ways[i].lru = stamp;
+        let was_prefetched = std::mem::take(&mut ways[i].prefetched);
+        self.stats.prefetches_used += was_prefetched as u64;
+        LookupResult::Hit { was_prefetched }
+    }
+
+    fn fill(&mut self, line: u64, prefetched: bool, dirty: bool) -> Option<Eviction> {
+        self.stamp += 1;
+        let stamp = self.stamp;
+        let ways = self.set(line);
+        if let Some(i) = ref_find(ways, line) {
+            ways[i].lru = stamp;
+            ways[i].dirty |= dirty;
+            return None;
+        }
+        let v = &mut ways[ref_victim(ways)];
+        let evicted = v.valid.then_some(Eviction {
+            line_addr: v.key,
+            dirty: v.dirty,
+            unused_prefetch: v.prefetched,
+        });
+        *v = RefEntry {
+            key: line,
+            valid: true,
+            lru: stamp,
+            dirty,
+            prefetched,
+        };
+        self.stats.prefetches_unused += evicted.is_some_and(|e| e.unused_prefetch) as u64;
+        self.stats.prefetch_fills += prefetched as u64;
+        evicted
+    }
+
+    fn invalidate(&mut self, line: u64) -> Option<Eviction> {
+        let ways = self.set(line);
+        let v = &mut ways[ref_find(ways, line)?];
+        v.valid = false;
+        Some(Eviction {
+            line_addr: v.key,
+            dirty: v.dirty,
+            unused_prefetch: v.prefetched,
+        })
+    }
+}
+
+proptest! {
+    /// The dense-array TLB gives the reference's result and statistics on
+    /// every translation (L1 evictions, L2 set conflicts, faults, walker
+    /// exhaustion), and asks whether the
+    /// page is mapped only where the reference reads the answer.
+    #[test]
+    fn tlb_matches_the_array_of_structs_reference(
+        ops in proptest::collection::vec((0u64..24, 0u64..4096, 0u64..40), 1..400)
+    ) {
+        let p = TlbParams { l1_entries: 4, l2_entries: 8, l2_ways: 2, l2_latency: 8, walkers: 2, walk_latency: 30 };
+        let mut tlb = TlbHierarchy::new(p);
+        let mut oracle = RefTlb {
+            p,
+            l1: vec![RefEntry::default(); p.l1_entries],
+            l2: vec![RefEntry::default(); p.l2_entries],
+            walkers: vec![0; p.walkers],
+            stamp: 1,
+            stats: TlbStats::default(),
+        };
+        let (mut now, mut asked) = (0, 0);
+        for (page, offset, gap) in ops {
+            now += gap;
+            let (vaddr, mapped) = (page * 4096 + offset, page % 5 != 0);
+            let got = tlb.translate_with(now, vaddr, || {
+                asked += 1;
+                mapped
+            });
+            prop_assert_eq!(got, oracle.translate(now, vaddr, mapped));
+            prop_assert_eq!(tlb.stats, oracle.stats);
+        }
+        prop_assert_eq!(asked, tlb.stats.faults + tlb.stats.walks + tlb.stats.walker_busy);
+    }
+
+    /// The parallel-array MSHR file hands out the reference's ids (lowest
+    /// free index), finds the same entries, tracks the same demand/dirty
+    /// bits and releases the same waiters in attachment order.
+    #[test]
+    fn mshr_file_matches_the_array_of_structs_reference(
+        ops in proptest::collection::vec((0u8..4, 0u64..6, any::<bool>()), 1..300)
+    ) {
+        let mut file = MshrFile::new(3);
+        let mut oracle: RefMshr = vec![(0, false, Vec::new(), false, false); 3];
+        let mut released = vec![Waiter::Demand(u64::MAX)];
+        for (n, (op, k, demand)) in ops.into_iter().enumerate() {
+            let line = k * 64;
+            let found = oracle.iter().position(|e| e.1 && e.0 == line);
+            prop_assert_eq!(file.find(line), found.map(MshrId));
+            let waiter = if demand {
+                Waiter::Demand(n as u64)
+            } else {
+                Waiter::Prefetch { vaddr: line + 8, tag: None, meta: n as u64 }
+            };
+            match (op, found) {
+                (0 | 1, Some(i)) => {
+                    file.merge(MshrId(i), waiter);
+                    oracle[i].2.push(waiter);
+                    oracle[i].3 |= demand;
+                }
+                (0 | 1, None) => {
+                    let free = oracle.iter().position(|e| !e.1);
+                    prop_assert_eq!(file.allocate(line, waiter), free.map(MshrId));
+                    if let Some(i) = free {
+                        oracle[i] = (line, true, vec![waiter], demand, false);
+                    }
+                }
+                (2, Some(i)) => {
+                    file.set_dirty_on_fill(MshrId(i));
+                    oracle[i].4 = true;
+                }
+                (3, Some(i)) => {
+                    prop_assert_eq!(file.line_addr(MshrId(i)), line);
+                    prop_assert_eq!(file.has_demand(MshrId(i)), oracle[i].3);
+                    prop_assert_eq!(file.dirty_on_fill(MshrId(i)), oracle[i].4);
+                    file.release(MshrId(i), &mut released);
+                    oracle[i].1 = false;
+                    prop_assert_eq!(&released, &oracle[i].2);
+                }
+                _ => {}
+            }
+            prop_assert_eq!(file.free(), oracle.iter().filter(|e| !e.1).count());
+        }
+    }
+
+    /// The dense-tag cache returns the reference's lookup results,
+    /// evictions (same victim, also after invalidations) and statistics.
+    #[test]
+    fn cache_matches_the_array_of_structs_reference(
+        ops in proptest::collection::vec((0u8..6, 0u64..24, any::<bool>(), any::<bool>()), 1..400)
+    ) {
+        let mut cache = Cache::new(CacheParams { size: 512, ways: 4, hit_latency: 1, mshrs: 4 });
+        let mut oracle = RefCache {
+            ways: 4,
+            sets: vec![RefEntry::default(); 8],
+            stamp: 1,
+            stats: CacheStats::default(),
+        };
+        for (op, k, prefetched, dirty) in ops {
+            let line = k * 64;
+            match op {
+                0 | 1 => prop_assert_eq!(cache.fill(line, prefetched, dirty), oracle.fill(line, prefetched, dirty)),
+                2 | 3 => prop_assert_eq!(cache.lookup_demand(line), oracle.lookup_demand(line)),
+                4 => prop_assert_eq!(cache.invalidate(line), oracle.invalidate(line)),
+                _ => {
+                    cache.mark_dirty(line);
+                    let ways = oracle.set(line);
+                    if let Some(i) = ref_find(ways, line) {
+                        ways[i].dirty = true;
+                    }
+                }
+            }
+            prop_assert_eq!(cache.contains(line), ref_find(oracle.set(line), line).is_some());
+            prop_assert_eq!(cache.stats, oracle.stats);
+        }
+        prop_assert_eq!(cache.occupancy(), oracle.sets.iter().filter(|e| e.valid).count());
     }
 }
 
@@ -618,11 +890,11 @@ proptest! {
                 prop_assert!((0.0..=1.0).contains(&a));
             }
             prop_assert!(
-                t.candidates(pc, 1.0, 0).is_empty(),
+                t.candidates(pc, 1.0, 0).next().is_none(),
                 "threshold 1.0 must admit nothing"
             );
             prop_assert_eq!(
-                t.candidates(pc, 0.0, 0).len(),
+                t.candidates(pc, 0.0, 0).count(),
                 t.tracked(pc),
                 "threshold 0.0 must admit every tracked slot"
             );
