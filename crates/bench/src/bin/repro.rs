@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro [--scale tiny|small|paper] [--jobs N] \
-//!       [table1|table2|fig7|fig8|fig9a|fig9b|fig10|fig11|traffic|swpf|telemetry|all]
+//!       [table1|table2|fig7|fig8|fig9a|fig9b|fig10|fig11|traffic|swpf|ablate|zoo|telemetry|all]
 //! repro --replay [--trace-dir DIR] [--jobs N] [--scale tiny|small|paper]
 //! repro --telemetry DIR [--scale tiny|small|paper] [--jobs N]
 //! repro --sweep [--shard K/N] [--sweep-dir DIR] [--cache-dir DIR] \
@@ -11,11 +11,19 @@
 //! repro --sweep-merge DIR
 //! ```
 //!
+//! Each distinct (workload, mode) cell is simulated once per invocation:
+//! the requested experiments declare the mode columns they read
+//! (`etpp_sim::experiments::columns`), the union runs as one grid, and
+//! every figure and table is a projection of it. Only Figure 9's
+//! off-paper (PPU count, clock) points, the synthetic TwoPhase row of the
+//! adaptive table and the telemetry grid run beside it. Each grid
+//! prints `[grid] N cells (W workloads × M modes)` on stderr.
+//!
 //! `--jobs N` (default: available parallelism) shards every grid —
-//! workload builds, the cycle-level (workload × mode) figure grids, the
-//! ablation sweeps and the replay grids — across N shared-queue worker
-//! threads; results are collected by job index, so output tables are
-//! byte-identical for any worker count.
+//! workload builds, the cycle-level grid, the ablation sweeps and the
+//! replay grid — across N shared-queue worker threads; results are
+//! collected by cell index, so output tables are byte-identical for any
+//! worker count.
 //!
 //! `--replay` switches to the trace-replay fast path: each workload's
 //! demand stream is captured once from a cycle-level baseline run (cached
@@ -87,9 +95,11 @@
 //! Output is GitHub-flavoured Markdown on stdout, suitable for pasting into
 //! EXPERIMENTS.md.
 
-use etpp_sim::{ablations, experiments as ex, faults, replay as rp, sweeps};
-use etpp_sim::{report, PrefetchMode, SystemConfig};
-use etpp_workloads::{all_workloads, Scale, Workload};
+use etpp_sim::experiments::{self as ex, Grid};
+use etpp_sim::sweeps::{self, axes};
+use etpp_sim::{ablations, faults, replay as rp, report};
+use etpp_sim::{PrefetchMode, SystemConfig};
+use etpp_workloads::{BuiltWorkload, Scale, Workload};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -144,8 +154,9 @@ fn main() {
     while let Some(a) = it.next() {
         if a == "--scale" {
             let v = next_value(&mut it, "--scale needs a value");
-            scale = etpp_bench::parse_scale(v)
-                .unwrap_or_else(|| usage_error(&format!("--scale: tiny|small|paper, got {v:?}")));
+            scale = v
+                .parse()
+                .unwrap_or_else(|e| usage_error(&format!("--scale: {e}")));
         } else if a == "--replay" {
             replay = true;
         } else if a == "--sweep" {
@@ -301,113 +312,102 @@ fn main() {
         Vec::new()
     };
 
+    // One cycle-core grid per invocation: the union of the mode columns
+    // the requested experiments declare, over the rows they read. Every
+    // figure below is a projection of it.
+    let modes: Vec<PrefetchMode> = PrefetchMode::ALL
+        .into_iter()
+        .filter(|m| what.iter().any(|w| ex::columns(w).contains(m)))
+        .collect();
+    let rows: Vec<&BuiltWorkload> = workloads
+        .iter()
+        .filter(|wl| what.iter().any(|w| ex::reads_workload(w, wl.name)))
+        .collect();
+    let cycle_cell = |_, w: &BuiltWorkload, mode| etpp_sim::run(&cfg, mode, w);
+    let t = Instant::now();
+    let grid = Grid::run(&rows, &dense(rows.len(), &modes), jobs, cycle_cell);
+    // Figure 9's off-paper (count, clock) points, once each for both panels.
+    let asked = |name: &str| what.iter().any(|w| w == name);
+    let fig9_cells = ex::fig9_cells(&rows, asked("fig9a"), asked("fig9b"));
+    if !fig9_cells.is_empty() {
+        eprintln!("[grid] {} cells (Figure 9 PPU points)", fig9_cells.len());
+    }
+    let fig9 = Grid::run(&rows, &fig9_cells, jobs, |_, w, (n, hz)| {
+        etpp_sim::run(&SystemConfig::with_ppus(n, hz), PrefetchMode::Manual, w)
+    });
+    if !modes.is_empty() {
+        eprintln!("[simulate] done in {:?}", t.elapsed());
+    }
+
     for w in &what {
         let t = Instant::now();
         match w.as_str() {
             "table1" => print_table1(&cfg),
             "table2" => print_table2(&workloads),
-            "fig7" => {
-                let cells = ex::fig7(&cfg, &workloads, jobs);
-                println!(
-                    "{}",
-                    report::speedup_table(
-                        "Figure 7: speedup over no prefetching",
-                        &cells,
-                        &PrefetchMode::FIGURE7,
-                    )
-                );
+            "fig7" | "fig8" | "fig10" | "fig11" | "traffic" => {
+                println!("{}", report::grid_table(w, &grid));
             }
-            "fig8" => println!("{}", report::fig8_table(&ex::fig8(&cfg, &workloads, jobs))),
-            "fig9a" => println!("{}", report::fig9a_table(&ex::fig9a(&workloads, jobs))),
-            "fig9b" => {
-                let g = workloads
-                    .iter()
-                    .find(|w| w.name == "G500-CSR")
-                    .expect("G500-CSR built");
-                println!("{}", report::fig9b_table(&ex::fig9b(g, jobs)));
-            }
-            "fig10" => println!(
-                "{}",
-                report::fig10_table(&ex::fig10(&cfg, &workloads, jobs))
-            ),
-            "fig11" => {
-                let cells = ex::fig11(&cfg, &workloads, jobs);
-                println!(
-                    "{}",
-                    report::speedup_table(
-                        "Figure 11: blocked vs event-triggered",
-                        &cells,
-                        &[PrefetchMode::Blocked, PrefetchMode::Manual],
-                    )
-                );
-            }
-            "traffic" => println!(
-                "{}",
-                report::traffic_table(&ex::extra_traffic(&cfg, &workloads, jobs))
-            ),
+            "fig9a" => println!("{}", report::fig9a_table(&grid, &fig9)),
+            "fig9b" => println!("{}", report::fig9b_table(&grid, &fig9)),
             "ablate" => {
-                let hj8 = workloads.iter().find(|w| w.name == "HJ-8").expect("built");
-                let intsort = workloads
-                    .iter()
-                    .find(|w| w.name == "IntSort")
-                    .expect("built");
-                println!(
-                    "{}",
-                    ablations::table(
+                let find = |name| workloads.iter().find(|w| w.name == name).expect("built");
+                let (hj8, intsort) = (find("HJ-8"), find("IntSort"));
+                // One capture per workload, shared by every axis over it.
+                let caps = ex::map_indexed(jobs, 2, |i| ablations::capture([hj8, intsort][i]));
+                let (hj8_cap, intsort_cap) = (&caps[0], &caps[1]);
+                for (title, param, wl, cap, axis) in [
+                    (
                         "observation queue depth (HJ-8)",
                         "entries",
-                        &ablations::observation_queue(hj8, &[4, 10, 40, 160], jobs),
-                    )
-                );
-                println!(
-                    "{}",
-                    ablations::table(
+                        hj8,
+                        hj8_cap,
+                        axes::obs_queue(&[4, 10, 40, 160]),
+                    ),
+                    (
                         "request queue depth (IntSort)",
                         "entries",
-                        &ablations::request_queue(intsort, &[25, 50, 200, 800], jobs),
-                    )
-                );
-                println!(
-                    "{}",
-                    ablations::table(
+                        intsort,
+                        intsort_cap,
+                        axes::req_queue(&[25, 50, 200, 800]),
+                    ),
+                    (
                         "EWMA look-ahead scale (IntSort)",
                         "scale",
-                        &ablations::lookahead_scale(intsort, &[1, 2, 4, 8], jobs),
-                    )
-                );
-                println!(
-                    "{}",
-                    ablations::table(
+                        intsort,
+                        intsort_cap,
+                        axes::lookahead_scale(&[1, 2, 4, 8]),
+                    ),
+                    (
                         "prefetch buffer entries (IntSort)",
                         "entries",
-                        &ablations::prefetch_buffer(intsort, &[0, 8, 16, 32, 64], jobs),
-                    )
-                );
+                        intsort,
+                        intsort_cap,
+                        axes::pf_buffer(&[0, 8, 16, 32, 64]),
+                    ),
+                ] {
+                    let points = ablations::sweep(wl, cap, axis, jobs);
+                    println!("{}", ablations::table(title, param, &points));
+                }
             }
             "swpf" => println!("{}", report::swpf_table(&ex::swpf_overhead(&workloads))),
             "zoo" => {
-                let cells = ex::zoo(&cfg, &workloads, jobs);
-                let mut zoo_modes = vec![PrefetchMode::Stride];
-                zoo_modes.extend(PrefetchMode::ZOO);
-                println!(
-                    "{}",
-                    report::speedup_table(
-                        "Engine zoo: speedup over no prefetching",
-                        &cells,
-                        &zoo_modes,
-                    )
-                );
+                println!("{}", report::grid_table(w, &grid));
                 // Adaptive vs static on the synthetic two-phase workload
-                // (built here — it is not part of the Table 2 set) plus
-                // the two already-built differential-suite benchmarks.
-                let twophase = etpp_workloads::phases::TwoPhase.build(scale);
-                let mut targets: Vec<&etpp_workloads::BuiltWorkload> = vec![&twophase];
-                for name in ["IntSort", "HJ-8"] {
-                    targets.extend(workloads.iter().find(|w| w.name == name));
-                }
+                // (built and run here — it is not part of the Table 2
+                // set) plus the IntSort and HJ-8 rows of the shared grid.
+                let twophase = [etpp_workloads::phases::TwoPhase.build(scale)];
+                let adaptive_modes: Vec<PrefetchMode> = report::ADAPTIVE_STATICS
+                    .into_iter()
+                    .chain([PrefetchMode::Adaptive])
+                    .collect();
+                let twophase = Grid::run(&twophase, &dense(1, &adaptive_modes), jobs, cycle_cell);
                 println!(
                     "{}",
-                    report::adaptive_table(&ex::adaptive_grid(&cfg, &targets, jobs))
+                    report::adaptive_table(&[
+                        (&twophase, "TwoPhase"),
+                        (&grid, "IntSort"),
+                        (&grid, "HJ-8"),
+                    ])
                 );
             }
             "telemetry" => {
@@ -422,6 +422,17 @@ fn main() {
     }
 }
 
+/// The cell list of a dense (workload × mode) grid, announced on stderr
+/// so the cell count of every invocation is visible in the log.
+fn dense(workloads: usize, modes: &[PrefetchMode]) -> Vec<(usize, PrefetchMode)> {
+    let cells = ex::cross(workloads, modes);
+    if !cells.is_empty() {
+        let (n, m) = (cells.len(), modes.len());
+        eprintln!("[grid] {n} cells ({workloads} workloads × {m} modes)");
+    }
+    cells
+}
+
 /// The `telemetry` experiment: runs the observability grid (IntSort +
 /// HJ-8 across the main engines), prints the lifecycle and
 /// phase-summary tables, and writes each cell's phase series, merged
@@ -429,11 +440,11 @@ fn main() {
 fn run_telemetry_report(
     scale: Scale,
     cfg: &SystemConfig,
-    workloads: &[etpp_workloads::BuiltWorkload],
+    workloads: &[BuiltWorkload],
     dir: &std::path::Path,
     jobs: usize,
 ) {
-    let targets: Vec<&etpp_workloads::BuiltWorkload> = ["IntSort", "HJ-8"]
+    let targets: Vec<&BuiltWorkload> = ["IntSort", "HJ-8"]
         .iter()
         .filter_map(|name| workloads.iter().find(|w| w.name == *name))
         .collect();
@@ -448,30 +459,25 @@ fn run_telemetry_report(
     ];
     modes.extend(PrefetchMode::ZOO);
     let spec = etpp_sim::TelemetrySpec::full(ex::sample_interval(scale));
-    let cells = ex::telemetry_grid(cfg, &targets, &modes, &spec, jobs);
+    let cells = dense(targets.len(), &modes);
+    let grid = Grid::run(&targets, &cells, jobs, |_, w, mode| {
+        etpp_sim::run_telemetry(cfg, mode, w, &spec)
+    });
 
-    println!("{}", report::lifecycle_table(&cells));
-    println!("{}", report::phase_summary_table(&cells));
+    println!("{}", report::lifecycle_table(&grid));
+    println!("{}", report::phase_summary_table(&grid));
 
     std::fs::create_dir_all(dir).expect("create telemetry dir");
-    for c in &cells {
-        let stem = format!("{}-{}", c.workload, c.mode.key());
+    for (workload, mode, (_, report)) in grid.iter() {
+        let stem = format!("{workload}-{}", mode.key());
         let write = |suffix: &str, body: String| {
             let path = dir.join(format!("{stem}.{suffix}.json"));
             std::fs::write(&path, body).expect("write telemetry artifact");
             eprintln!("[telemetry] wrote {}", path.display());
         };
-        write("phases", c.report.phases_json());
-        write("registry", c.report.registry_json());
-        write("trace", c.report.chrome_trace_json());
-    }
-}
-
-fn scale_label(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Tiny => "tiny",
-        Scale::Small => "small",
-        Scale::Paper => "paper",
+        write("phases", report.phases_json());
+        write("registry", report.registry_json());
+        write("trace", report.chrome_trace_json());
     }
 }
 
@@ -504,14 +510,14 @@ fn io_fail(what: &str, path: &std::path::Path, e: &dyn std::fmt::Display) -> ! {
 /// uses, so a 1-shard run and any N-shard merge are byte-identical.
 fn run_sweep_cmd(cli: &SweepCli) {
     let cfg = SystemConfig::paper();
-    let label = scale_label(cli.scale);
+    let label = cli.scale.label();
     let spec = sweeps::composed_grid();
     let (jobs, shard) = (cli.jobs, cli.shard);
     let failures_path = sweeps::SweepFile::Failures.path(&cli.sweep_dir, shard);
 
     let t0 = Instant::now();
     let names = ["IntSort", "HJ-8"];
-    let workloads: Vec<etpp_workloads::BuiltWorkload> = ex::map_indexed(jobs, names.len(), |i| {
+    let workloads: Vec<BuiltWorkload> = ex::map_indexed(jobs, names.len(), |i| {
         etpp_workloads::workload_by_name(names[i])
             .expect("sweep workload exists")
             .build(cli.scale)
@@ -678,7 +684,7 @@ fn run_sweep_merge(dir: &std::path::Path) {
 /// stream, then replay the Figure 7 and Figure 11 grids in parallel.
 fn run_replay(scale: Scale, trace_dir: &std::path::Path, jobs: usize) {
     let cfg = SystemConfig::paper();
-    let label = scale_label(scale);
+    let label = scale.label();
     println!(
         "# ETPP reproduction (trace replay) — scale: {scale:?}, jobs: {jobs}\n\n\
          Speedups are relative to a no-prefetch *replay* baseline over the same\n\
@@ -736,26 +742,43 @@ fn run_replay(scale: Scale, trace_dir: &std::path::Path, jobs: usize) {
 
     let traces: Vec<etpp_trace::CapturedTrace> = captures.into_iter().map(|c| c.trace).collect();
 
-    let t0 = Instant::now();
     // The Figure 7 modes that replay supports (Software needs the
     // swpf-annotated trace variant the capture corpus doesn't carry),
     // plus the engine zoo — replay coverage for the new engines is part
     // of the differential suite's contract.
-    let mut replay_modes: Vec<PrefetchMode> = PrefetchMode::FIGURE7
+    let mut fig7_modes: Vec<PrefetchMode> = PrefetchMode::FIGURE7
         .into_iter()
         .filter(|m| *m != PrefetchMode::Software)
         .collect();
-    replay_modes.extend(PrefetchMode::ZOO);
-    let fig7 = rp::replay_grid(&cfg, &workloads, &traces, &replay_modes, jobs);
+    fig7_modes.extend(PrefetchMode::ZOO);
+    let fig11_modes = [PrefetchMode::Blocked, PrefetchMode::Manual];
+
+    // One replay grid for both tables: their columns plus the
+    // no-prefetch replay baseline every speedup divides by.
+    let t0 = Instant::now();
+    let modes: Vec<PrefetchMode> = PrefetchMode::ALL
+        .into_iter()
+        .filter(|m| *m == PrefetchMode::None || fig7_modes.contains(m) || fig11_modes.contains(m))
+        .collect();
+    let cells = dense(workloads.len(), &modes);
+    let grid = Grid::run(&workloads, &cells, jobs, |wi, w, mode| {
+        let r = rp::replay_run(&cfg, mode, w, &traces[wi].records)?;
+        assert!(
+            r.validated || mode != PrefetchMode::None,
+            "{}: baseline replay corrupted image",
+            r.workload
+        );
+        Ok(r)
+    });
+    eprintln!("[replay] done in {:?}", t0.elapsed());
     println!(
         "{}",
         report::speedup_table(
             "Figure 7 (replay) + engine zoo: speedup over no prefetching",
-            &fig7.cells,
-            &replay_modes,
+            &grid,
+            &fig7_modes,
         )
     );
-    eprintln!("[fig7-replay] done in {:?}", t0.elapsed());
 
     // Absolute-cycle agreement: no-prefetch replay vs the capture run's
     // recorded cycle count (the cycle core over the identical stream).
@@ -763,11 +786,14 @@ fn run_replay(scale: Scale, trace_dir: &std::path::Path, jobs: usize) {
         println!("## Replay absolute-cycle agreement (baseline vs capture run)\n");
         println!("| Benchmark | Cycle core | Replay | Replay/cycle |");
         println!("|---|---|---|---|");
-        for (i, (w, t)) in workloads.iter().zip(&traces).enumerate() {
+        for (w, t) in workloads.iter().zip(&traces) {
             if t.meta.capture_cycles == 0 {
                 continue;
             }
-            let replayed = fig7.baseline_cycles[i];
+            let replayed = grid
+                .get(w.name, PrefetchMode::None)
+                .expect("baseline replay always runs")
+                .cycles;
             println!(
                 "| {} | {} | {} | {:.3} |",
                 w.name,
@@ -779,23 +805,14 @@ fn run_replay(scale: Scale, trace_dir: &std::path::Path, jobs: usize) {
         println!();
     }
 
-    let t0 = Instant::now();
-    let fig11 = rp::replay_grid(
-        &cfg,
-        &workloads,
-        &traces,
-        &[PrefetchMode::Blocked, PrefetchMode::Manual],
-        jobs,
-    );
     println!(
         "{}",
         report::speedup_table(
             "Figure 11 (replay): blocked vs event-triggered",
-            &fig11.cells,
-            &[PrefetchMode::Blocked, PrefetchMode::Manual],
+            &grid,
+            &fig11_modes,
         )
     );
-    eprintln!("[fig11-replay] done in {:?}", t0.elapsed());
 }
 
 fn print_table1(cfg: &SystemConfig) {
@@ -859,12 +876,10 @@ fn print_table1(cfg: &SystemConfig) {
     );
 }
 
-fn print_table2(workloads: &[etpp_workloads::BuiltWorkload]) {
+fn print_table2(workloads: &[BuiltWorkload]) {
     println!("## Table 2: benchmarks\n");
     println!("| Benchmark | Trace ops | Mapped pages | Notes |");
     println!("|---|---|---|---|");
-    let names: Vec<&str> = workloads.iter().map(|w| w.name).collect();
-    let _ = names;
     for w in workloads {
         println!(
             "| {} | {} | {} | {} |",
@@ -874,6 +889,5 @@ fn print_table2(workloads: &[etpp_workloads::BuiltWorkload]) {
             w.notes
         );
     }
-    let _ = all_workloads();
     println!();
 }

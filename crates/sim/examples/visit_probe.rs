@@ -7,22 +7,20 @@
 use etpp_sim::{run, PrefetchMode, SystemConfig};
 use etpp_workloads::{workload_by_name, Scale};
 
+/// Parses a positional argument, or exits 2 with the parser's message —
+/// a typo'd mode or scale must not silently probe a different cell.
+fn parse_or_exit<T: std::str::FromStr<Err = String>>(s: &str) -> T {
+    s.parse().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let name = args.first().map(String::as_str).unwrap_or("HJ-8");
-    let mode = match args.get(1).map(String::as_str).unwrap_or("manual") {
-        "none" => PrefetchMode::None,
-        "stride" => PrefetchMode::Stride,
-        "ghb" => PrefetchMode::GhbRegular,
-        "converted" => PrefetchMode::Converted,
-        "blocked" => PrefetchMode::Blocked,
-        _ => PrefetchMode::Manual,
-    };
-    let scale = match args.get(2).map(String::as_str).unwrap_or("small") {
-        "tiny" => Scale::Tiny,
-        "paper" => Scale::Paper,
-        _ => Scale::Small,
-    };
+    let mode: PrefetchMode = parse_or_exit(args.get(1).map_or("manual", String::as_str));
+    let scale: Scale = parse_or_exit(args.get(2).map_or("small", String::as_str));
     let wl = workload_by_name(name).expect("workload").build(scale);
     let mut cfg = SystemConfig::paper();
     let mut it = args.iter();

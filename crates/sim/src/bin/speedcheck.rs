@@ -495,36 +495,46 @@ fn compare_reports(prev: &str, current: &str, threshold: f64) -> usize {
     regressions
 }
 
+/// Exit 2 naming the offending flag (the wording `repro` uses): a
+/// typo'd `--smok` must never silently run the full Small-scale pass.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    eprintln!("see the doc comment at the top of crates/sim/src/bin/speedcheck.rs for usage");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let telemetry = args.iter().any(|a| a == "--telemetry");
-    let jobs: usize = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--jobs: positive integer"))
-        .unwrap_or(1);
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_speedcheck.json".to_string());
-    let compare_path = args
-        .iter()
-        .position(|a| a == "--compare")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let (mut smoke, mut telemetry, mut jobs) = (false, false, 1usize);
+    let mut json_path = "BENCH_speedcheck.json".to_string();
+    let mut compare_path: Option<String> = None;
+    let mut compare_only: Option<(String, String)> = None;
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        let mut value = |msg: &str| it.next().cloned().unwrap_or_else(|| usage_error(msg));
+        match a.as_str() {
+            "--smoke" => smoke = true,
+            "--telemetry" => telemetry = true,
+            "--jobs" => {
+                let v = value("--jobs needs a count");
+                jobs = v.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
+                    usage_error(&format!("--jobs: positive integer, got {v:?}"))
+                });
+            }
+            "--json" => json_path = value("--json needs a path"),
+            "--compare" => compare_path = Some(value("--compare needs a path")),
+            "--compare-only" => {
+                let msg = "--compare-only needs <prev.json> <new.json>";
+                compare_only = Some((value(msg), value(msg)));
+            }
+            _ => usage_error(&format!("unknown flag: {a}")),
+        }
+    }
 
     // `--compare-only prev.json new.json` gates two existing reports
     // against each other without running any simulation (CI keeps the
     // gate a separate, individually skippable step this way).
-    if let Some(i) = args.iter().position(|a| a == "--compare-only") {
-        let (Some(prev_path), Some(new_path)) = (args.get(i + 1), args.get(i + 2)) else {
-            eprintln!("usage: speedcheck --compare-only <prev.json> <new.json>");
-            std::process::exit(2);
-        };
+    if let Some((prev_path, new_path)) = &compare_only {
         let read = |p: &String| {
             std::fs::read_to_string(p).map_err(|e| eprintln!("compare: skipping ({p}: {e})"))
         };
@@ -541,11 +551,8 @@ fn main() {
         }
     }
 
-    let (scale, scale_label) = if smoke {
-        (Scale::Tiny, "tiny")
-    } else {
-        (Scale::Small, "small")
-    };
+    let scale = if smoke { Scale::Tiny } else { Scale::Small };
+    let scale_label = scale.label();
     // `converted` guards the compiled programmable hot path — the
     // compiler-generated kernels the paper's Figure 7 "Converted" bars
     // measure — alongside the hand-written `manual` kernels. The zoo

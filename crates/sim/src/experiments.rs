@@ -1,26 +1,28 @@
-//! Experiment drivers: one function per figure/table of the paper.
+//! The experiment grid: one runner, and the projections the paper's
+//! figures and tables are.
 //!
-//! Each driver builds (or reuses) the workloads at a given scale, runs the
-//! required (workload, mode, configuration) grid across a bounded pool of
-//! shared-queue worker threads ([`map_indexed`] — the same job model as
-//! the replay runner in [`crate::replay`]), and returns structured rows
-//! that [`crate::report`] renders in the paper's format. Results are
-//! collected by job index, so every table is byte-identical regardless
-//! of the worker count or scheduling.
+//! [`Grid::run`] simulates a list of (workload, column) cells across a
+//! bounded pool of shared-queue worker threads ([`map_indexed`]); the
+//! caller's per-cell closure picks the front end. Everything else here
+//! reads a finished grid — which mode columns an experiment needs
+//! ([`columns`]), and the figures' numbers — and [`crate::report`]
+//! renders them in the paper's format. Results are collected by cell
+//! index, so every table is byte-identical regardless of the worker
+//! count or scheduling.
 
-use crate::config::{PrefetchMode, SystemConfig};
-use crate::system::{run, run_telemetry, RunResult, Skip};
-use crate::telemetry::{TelemetryReport, TelemetrySpec};
+use crate::config::PrefetchMode;
+use crate::system::{RunResult, Skip};
+use crate::telemetry::TelemetryReport;
 use etpp_workloads::{all_workloads, BuiltWorkload, Scale};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Runs `f(0..n)` across `jobs` shared-queue worker threads and returns
 /// the results in index order — the deterministic worker-pool primitive
-/// every cycle-path grid here shards on (lifted from the replay
-/// runner's job model). `jobs <= 1` (or a single item) degenerates to a
-/// serial loop on the caller's thread, so `--jobs 1` output is the
-/// byte-identical reference for any other worker count.
+/// [`Grid::run`] and the sweep farm shard on. `jobs <= 1` (or a single
+/// item) degenerates to a serial loop on the caller's thread, so
+/// `--jobs 1` output is the byte-identical reference for any other
+/// worker count.
 pub fn map_indexed<R, F>(jobs: usize, n: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -69,19 +71,6 @@ pub fn shard_indices(total: usize, k: usize, n: usize) -> Vec<usize> {
     (k..total).step_by(n).collect()
 }
 
-/// A (workload × mode) speedup cell for Figure 7 / 11-style tables.
-#[derive(Debug, Clone)]
-pub struct SpeedupCell {
-    /// Benchmark name.
-    pub workload: &'static str,
-    /// Prefetching scheme.
-    pub mode: PrefetchMode,
-    /// Speedup over the no-prefetch baseline (None = not expressible).
-    pub speedup: Option<f64>,
-    /// Full result for detail reporting.
-    pub result: Option<RunResult>,
-}
-
 /// Builds every workload at `scale` across `jobs` workers.
 pub fn build_all(scale: Scale, jobs: usize) -> Vec<BuiltWorkload> {
     let workloads = all_workloads();
@@ -89,311 +78,226 @@ pub fn build_all(scale: Scale, jobs: usize) -> Vec<BuiltWorkload> {
     map_indexed(jobs, workloads.len(), |i| workloads[i].build(scale))
 }
 
-fn run_grid(
-    cfg: &SystemConfig,
-    workloads: &[BuiltWorkload],
-    modes: &[PrefetchMode],
-    jobs: usize,
-) -> Vec<SpeedupCell> {
-    // Baselines first (one per workload), then the full grid, both
-    // sharded across the worker pool.
-    let baselines: Vec<u64> = map_indexed(jobs, workloads.len(), |i| {
-        run(cfg, PrefetchMode::None, &workloads[i])
-            .expect("baseline")
-            .cycles
-    });
-
-    map_indexed(jobs, workloads.len() * modes.len(), |k| {
-        let w = &workloads[k / modes.len()];
-        let mode = modes[k % modes.len()];
-        match run(cfg, mode, w) {
-            Ok(r) => SpeedupCell {
-                workload: w.name,
-                mode,
-                speedup: Some(baselines[k / modes.len()] as f64 / r.cycles as f64),
-                result: Some(r),
-            },
-            Err(Skip::NotExpressible(_)) | Err(Skip::NoProgram(_)) => SpeedupCell {
-                workload: w.name,
-                mode,
-                speedup: None,
-                result: None,
-            },
-        }
-    })
+/// A finished grid of simulations: one result per (workload, column)
+/// cell, addressed by that pair. The column type is whatever varies
+/// across a row — a [`PrefetchMode`] for the figure grids, a PPU
+/// (count, clock) pair for Figure 9 — and the no-prefetch baseline is a
+/// column like any other. Every figure and table is a projection of
+/// one of these; none of them simulates.
+#[derive(Debug)]
+pub struct Grid<C, T> {
+    /// `(workload, column, result)` in run order; `None` = the front
+    /// end skipped the cell (mode not expressible on this workload).
+    pub(crate) cells: Vec<(&'static str, C, Option<T>)>,
 }
 
-/// Figure 7: speedups for every scheme on every benchmark.
-pub fn fig7(cfg: &SystemConfig, workloads: &[BuiltWorkload], jobs: usize) -> Vec<SpeedupCell> {
-    run_grid(cfg, workloads, &PrefetchMode::FIGURE7, jobs)
-}
-
-/// Engine-zoo grid: the zoo additions beside the classic stride
-/// baseline they cross-check, on any workload set (the repro driver
-/// feeds it the Table 2 benchmarks plus the synthetic TwoPhase).
-pub fn zoo(cfg: &SystemConfig, workloads: &[BuiltWorkload], jobs: usize) -> Vec<SpeedupCell> {
-    let mut modes = vec![PrefetchMode::Stride];
-    modes.extend(PrefetchMode::ZOO);
-    run_grid(cfg, workloads, &modes, jobs)
-}
-
-/// The static configurations the adaptive meta-engine chooses between
-/// (plus the no-prefetch baseline), for the adaptive-vs-static table.
-pub const ADAPTIVE_STATICS: [PrefetchMode; 3] = [
-    PrefetchMode::None,
-    PrefetchMode::Stride,
-    PrefetchMode::PcDelta,
-];
-
-/// One row of the adaptive-vs-static table: the meta-engine's cycles
-/// next to every static config, plus its decision log.
-#[derive(Debug, Clone)]
-pub struct AdaptiveRow {
-    /// Benchmark.
-    pub workload: &'static str,
-    /// Cycles under [`PrefetchMode::Adaptive`].
-    pub adaptive_cycles: u64,
-    /// Cycles under each of [`ADAPTIVE_STATICS`], in that order.
-    pub statics: Vec<(PrefetchMode, u64)>,
-    /// The meta-engine's decision log for this run.
-    pub summary: crate::adaptive::AdaptiveSummary,
-}
-
-/// Runs every workload under the adaptive engine and each static
-/// config, one pool job per (workload, mode) cell.
-pub fn adaptive_grid(
-    cfg: &SystemConfig,
-    workloads: &[&BuiltWorkload],
-    jobs: usize,
-) -> Vec<AdaptiveRow> {
-    let modes: Vec<PrefetchMode> = ADAPTIVE_STATICS
-        .into_iter()
-        .chain([PrefetchMode::Adaptive])
-        .collect();
-    let results = map_indexed(jobs, workloads.len() * modes.len(), |k| {
-        let w = workloads[k / modes.len()];
-        run(cfg, modes[k % modes.len()], w).expect("adaptive grid modes never skip")
-    });
-    workloads
-        .iter()
-        .enumerate()
-        .map(|(wi, w)| {
-            let base = wi * modes.len();
-            let adaptive = &results[base + modes.len() - 1];
-            AdaptiveRow {
-                workload: w.name,
-                adaptive_cycles: adaptive.cycles,
-                statics: ADAPTIVE_STATICS
-                    .iter()
-                    .enumerate()
-                    .map(|(mi, &m)| (m, results[base + mi].cycles))
-                    .collect(),
-                summary: adaptive
-                    .adaptive
-                    .clone()
-                    .expect("adaptive mode populates its summary"),
-            }
-        })
+/// The dense cell list of an `n`-workload grid: every column on every
+/// workload, workload-major.
+pub fn cross<C: Copy>(n: usize, columns: &[C]) -> Vec<(usize, C)> {
+    (0..n)
+        .flat_map(|wi| columns.iter().map(move |&c| (wi, c)))
         .collect()
 }
 
-/// One Figure 8 row: utilisation and hit rates for the Manual configuration.
-#[derive(Debug, Clone)]
-pub struct Fig8Row {
-    /// Benchmark.
-    pub workload: &'static str,
-    /// Fraction of prefetched L1 lines used before eviction (Fig. 8a).
-    pub l1_utilisation: f64,
-    /// L1 read hit rate without prefetching.
-    pub l1_hit_nopf: f64,
-    /// L1 read hit rate with the programmable prefetcher.
-    pub l1_hit_pf: f64,
-    /// L2 read hit rate without prefetching (G500-List annotation).
-    pub l2_hit_nopf: f64,
-    /// L2 read hit rate with the prefetcher.
-    pub l2_hit_pf: f64,
-    /// Demand misses that merged into an in-flight prefetch — the
-    /// "late prefetch" count behind the telemetry lifecycle's `late`
-    /// class, surfaced next to utilisation so timeliness appears in the
-    /// same table as accuracy.
-    pub late_pf_merges: u64,
-}
-
-/// Figure 8: L1 prefetch utilisation and read hit rates.
-pub fn fig8(cfg: &SystemConfig, workloads: &[BuiltWorkload], jobs: usize) -> Vec<Fig8Row> {
-    map_indexed(jobs, workloads.len(), |i| {
-        let w = &workloads[i];
-        let base = run(cfg, PrefetchMode::None, w).expect("baseline");
-        let pf = run(cfg, PrefetchMode::Manual, w).ok()?;
-        Some(Fig8Row {
-            workload: w.name,
-            l1_utilisation: pf.mem.l1.prefetch_utilisation(),
-            l1_hit_nopf: base.mem.l1.read_hit_rate(),
-            l1_hit_pf: pf.mem.l1.read_hit_rate(),
-            l2_hit_nopf: base.mem.l2.read_hit_rate(),
-            l2_hit_pf: pf.mem.l2.read_hit_rate(),
-            late_pf_merges: pf.mem.l1.late_prefetch_merges,
-        })
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
-/// One Figure 9(a) series: speedup vs PPU clock for a benchmark.
-#[derive(Debug, Clone)]
-pub struct Fig9aRow {
-    /// Benchmark.
-    pub workload: &'static str,
-    /// (clock in Hz, speedup) pairs.
-    pub points: Vec<(u64, f64)>,
-}
-
-/// Figure 9(a): PPU clock sweep at 12 PPUs (250 MHz – 2 GHz).
-pub fn fig9a(workloads: &[BuiltWorkload], jobs: usize) -> Vec<Fig9aRow> {
-    let clocks = [250_000_000u64, 500_000_000, 1_000_000_000, 2_000_000_000];
-    // One job per (workload, clock) point plus one per baseline, so the
-    // sweep saturates the pool even with a single benchmark.
-    let baselines: Vec<u64> = map_indexed(jobs, workloads.len(), |i| {
-        run(&SystemConfig::paper(), PrefetchMode::None, &workloads[i])
-            .expect("baseline")
-            .cycles
-    });
-    let points = map_indexed(jobs, workloads.len() * clocks.len(), |k| {
-        let (wi, ci) = (k / clocks.len(), k % clocks.len());
-        let cfg = SystemConfig::with_ppus(12, clocks[ci]);
-        run(&cfg, PrefetchMode::Manual, &workloads[wi])
-            .ok()
-            .map(|r| (clocks[ci], baselines[wi] as f64 / r.cycles as f64))
-    });
-    workloads
-        .iter()
-        .enumerate()
-        .map(|(wi, w)| Fig9aRow {
-            workload: w.name,
-            points: points[wi * clocks.len()..(wi + 1) * clocks.len()]
-                .iter()
-                .flatten()
-                .copied()
-                .collect(),
-        })
-        .collect()
-}
-
-/// Figure 9(b): PPU-count × clock sweep on G500-CSR.
-pub fn fig9b(g500csr: &BuiltWorkload, jobs: usize) -> Vec<(usize, Vec<(u64, f64)>)> {
-    let clocks = [
-        125_000_000u64,
-        250_000_000,
-        500_000_000,
-        1_000_000_000,
-        2_000_000_000,
-        4_000_000_000,
-    ];
-    let counts = [3usize, 6, 12];
-    let base = run(&SystemConfig::paper(), PrefetchMode::None, g500csr)
-        .expect("baseline")
-        .cycles;
-    // Shard the full (count × clock) grid, one job per point.
-    let points = map_indexed(jobs, counts.len() * clocks.len(), |k| {
-        let (ni, ci) = (k / clocks.len(), k % clocks.len());
-        let cfg = SystemConfig::with_ppus(counts[ni], clocks[ci]);
-        run(&cfg, PrefetchMode::Manual, g500csr)
-            .ok()
-            .map(|r| (clocks[ci], base as f64 / r.cycles as f64))
-    });
-    counts
-        .iter()
-        .enumerate()
-        .map(|(ni, &n)| {
-            (
-                n,
-                points[ni * clocks.len()..(ni + 1) * clocks.len()]
-                    .iter()
-                    .flatten()
-                    .copied()
-                    .collect(),
-            )
-        })
-        .collect()
-}
-
-/// Figure 10: per-PPU activity factors under the lowest-ID-first scheduler.
-#[derive(Debug, Clone)]
-pub struct Fig10Row {
-    /// Benchmark.
-    pub workload: &'static str,
-    /// Activity factor (busy cycles / total cycles) per PPU, by unit id.
-    pub activity: Vec<f64>,
-}
-
-/// Figure 10: PPU activity distribution at 12 PPUs / 1 GHz.
-pub fn fig10(cfg: &SystemConfig, workloads: &[BuiltWorkload], jobs: usize) -> Vec<Fig10Row> {
-    map_indexed(jobs, workloads.len(), |i| {
-        let w = &workloads[i];
-        let r = run(cfg, PrefetchMode::Manual, w).ok()?;
-        let pf = r.pf?;
-        Some(Fig10Row {
-            workload: w.name,
-            activity: pf
-                .per_ppu_busy
-                .iter()
-                .map(|&b| b as f64 / r.cycles as f64)
-                .collect(),
-        })
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
-/// Figure 11: event-triggered vs blocked-on-intermediate-loads.
-pub fn fig11(cfg: &SystemConfig, workloads: &[BuiltWorkload], jobs: usize) -> Vec<SpeedupCell> {
-    run_grid(
-        cfg,
-        workloads,
-        &[PrefetchMode::Blocked, PrefetchMode::Manual],
-        jobs,
-    )
-}
-
-/// §7.2 "extra memory accesses": DRAM traffic with/without the prefetcher.
-#[derive(Debug, Clone)]
-pub struct TrafficRow {
-    /// Benchmark.
-    pub workload: &'static str,
-    /// DRAM accesses without prefetching.
-    pub base_accesses: u64,
-    /// DRAM accesses with the Manual prefetcher.
-    pub pf_accesses: u64,
-}
-
-impl TrafficRow {
-    /// Fractional extra accesses (0.16 = +16%).
-    pub fn extra(&self) -> f64 {
-        self.pf_accesses as f64 / self.base_accesses.max(1) as f64 - 1.0
+impl<C: Copy + PartialEq + Sync, T: Send> Grid<C, T> {
+    /// The one grid runner: calls `cell(wi, &workloads[wi], column)` once
+    /// per listed cell across `jobs` [`map_indexed`] workers. The closure
+    /// is the only place a front end (`run`, `run_telemetry`,
+    /// `replay_run`) is named; results land by cell index, so every
+    /// projection is byte-identical for any worker count.
+    pub fn run<W, F>(workloads: &[W], cells: &[(usize, C)], jobs: usize, cell: F) -> Self
+    where
+        W: std::borrow::Borrow<BuiltWorkload> + Sync,
+        F: Fn(usize, &BuiltWorkload, C) -> Result<T, Skip> + Sync,
+    {
+        let results = map_indexed(jobs, cells.len(), |k| {
+            let (wi, column) = cells[k];
+            cell(wi, workloads[wi].borrow(), column).ok()
+        });
+        let cells = cells
+            .iter()
+            .zip(results)
+            .map(|(&(wi, column), r)| (workloads[wi].borrow().name, column, r))
+            .collect();
+        Grid { cells }
     }
 }
 
-/// §7.2: extra memory traffic from prefetching.
-pub fn extra_traffic(
-    cfg: &SystemConfig,
-    workloads: &[BuiltWorkload],
-    jobs: usize,
-) -> Vec<TrafficRow> {
-    map_indexed(jobs, workloads.len(), |i| {
-        let w = &workloads[i];
-        let base = run(cfg, PrefetchMode::None, w).expect("baseline");
-        let pf = run(cfg, PrefetchMode::Manual, w).ok()?;
-        Some(TrafficRow {
-            workload: w.name,
-            base_accesses: base.mem.dram.total_accesses(),
-            pf_accesses: pf.mem.dram.total_accesses(),
-        })
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+impl<C: Copy + PartialEq, T> Grid<C, T> {
+    /// The result of one cell (`None` when skipped or never listed).
+    pub fn get(&self, workload: &str, column: C) -> Option<&T> {
+        self.cells
+            .iter()
+            .find(|(w, c, _)| *w == workload && *c == column)
+            .and_then(|(.., r)| r.as_ref())
+    }
+
+    /// The grid's workloads, in first-run order.
+    pub fn workloads(&self) -> Vec<&'static str> {
+        let mut names = Vec::new();
+        for &(w, ..) in &self.cells {
+            if !names.contains(&w) {
+                names.push(w);
+            }
+        }
+        names
+    }
+
+    /// Every cell that ran, in run order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, C, &T)> {
+        self.cells
+            .iter()
+            .filter_map(|(w, c, r)| Some((*w, *c, r.as_ref()?)))
+    }
+}
+
+/// A cycle-core grid over prefetch modes — what `repro` runs once per
+/// invocation and every paper figure reads.
+pub type CycleGrid = Grid<PrefetchMode, RunResult>;
+
+/// Anything a speedup can be read off: the cycle core's and the replay
+/// front end's results alike.
+pub trait Cycles {
+    /// Simulated cycles to completion.
+    fn cycles(&self) -> u64;
+}
+
+impl Cycles for RunResult {
+    fn cycles(&self) -> u64 {
+        self.cycles
+    }
+}
+
+impl<T: Cycles> Grid<PrefetchMode, T> {
+    /// Speedup of `mode` over the grid's own no-prefetch column (`None`
+    /// when either cell is absent).
+    pub fn speedup(&self, workload: &str, mode: PrefetchMode) -> Option<f64> {
+        let base = self.get(workload, PrefetchMode::None)?.cycles();
+        Some(base as f64 / self.get(workload, mode)?.cycles() as f64)
+    }
+
+    /// Geometric mean of `mode`'s speedups over the workloads that have
+    /// one (0 when none does).
+    pub fn geomean(&self, mode: PrefetchMode) -> f64 {
+        let logs: Vec<f64> = self
+            .workloads()
+            .iter()
+            .filter_map(|w| self.speedup(w, mode))
+            .map(f64::ln)
+            .collect();
+        if logs.is_empty() {
+            return 0.0;
+        }
+        (logs.iter().sum::<f64>() / logs.len() as f64).exp()
+    }
+}
+
+/// The mode columns `experiment` reads from the shared cycle grid
+/// (empty for the experiments that read none). `repro` runs the union
+/// of the requested experiments' columns, in [`PrefetchMode::ALL`]
+/// order, once.
+pub fn columns(experiment: &str) -> Vec<PrefetchMode> {
+    use PrefetchMode::{Blocked, Manual, None, Stride};
+    match experiment {
+        "fig7" => [None].into_iter().chain(PrefetchMode::FIGURE7).collect(),
+        "fig8" | "fig9a" | "fig9b" | "traffic" => vec![None, Manual],
+        "fig10" => vec![Manual],
+        "fig11" => vec![None, Blocked, Manual],
+        // Also covers the adaptive-vs-static table's IntSort/HJ-8 rows.
+        "zoo" => [None, Stride]
+            .into_iter()
+            .chain(PrefetchMode::ZOO)
+            .collect(),
+        _ => Vec::new(),
+    }
+}
+
+/// Whether `experiment` reads `workload`'s row of the shared grid:
+/// Figure 9(b) is a G500-CSR-only sweep, everything else reads all of
+/// Table 2.
+pub fn reads_workload(experiment: &str, workload: &str) -> bool {
+    !columns(experiment).is_empty() && (experiment != "fig9b" || workload == FIG9B_WORKLOAD)
+}
+
+/// A PPU (count, clock in Hz) configuration — Figure 9's column type.
+pub type Ppus = (usize, u64);
+
+/// Table 1's 12 PPUs at 1 GHz: `SystemConfig::with_ppus` of this *is*
+/// `SystemConfig::paper()`, so Figure 9 reads this point off the shared
+/// grid's Manual column instead of simulating it again.
+pub const PAPER_PPUS: Ppus = (12, 1_000_000_000);
+
+/// Figure 9(a)'s clock sweep at 12 PPUs (250 MHz – 2 GHz).
+pub const FIG9A_CLOCKS: [u64; 4] = [250_000_000, 500_000_000, 1_000_000_000, 2_000_000_000];
+
+/// The benchmark Figure 9(b) sweeps.
+pub const FIG9B_WORKLOAD: &str = "G500-CSR";
+/// Figure 9(b)'s PPU counts.
+pub const FIG9B_COUNTS: [usize; 3] = [3, 6, 12];
+/// Figure 9(b)'s clock sweep (125 MHz – 4 GHz).
+pub const FIG9B_CLOCKS: [u64; 6] = [
+    125_000_000,
+    250_000_000,
+    500_000_000,
+    1_000_000_000,
+    2_000_000_000,
+    4_000_000_000,
+];
+
+/// The off-paper Manual-mode cells the requested Figure 9 panels need,
+/// each listed once even where the panels overlap (G500-CSR at 12
+/// PPUs): the cell list of the one [`Ppus`]-column grid both panels
+/// read beside the shared mode grid.
+pub fn fig9_cells(workloads: &[&BuiltWorkload], fig9a: bool, fig9b: bool) -> Vec<(usize, Ppus)> {
+    let mut cells = Vec::new();
+    let mut want = |wi, ppus| {
+        if ppus != PAPER_PPUS && !cells.contains(&(wi, ppus)) {
+            cells.push((wi, ppus));
+        }
+    };
+    for (wi, w) in workloads.iter().enumerate() {
+        if fig9a {
+            for hz in FIG9A_CLOCKS {
+                want(wi, (12, hz));
+            }
+        }
+        if fig9b && w.name == FIG9B_WORKLOAD {
+            for n in FIG9B_COUNTS {
+                for hz in FIG9B_CLOCKS {
+                    want(wi, (n, hz));
+                }
+            }
+        }
+    }
+    cells
+}
+
+/// One Figure 9 point: Manual speedup over no prefetching at `ppus`.
+pub fn fig9_speedup(
+    grid: &CycleGrid,
+    points: &Grid<Ppus, RunResult>,
+    workload: &str,
+    ppus: Ppus,
+) -> Option<f64> {
+    let manual = if ppus == PAPER_PPUS {
+        grid.get(workload, PrefetchMode::Manual)
+    } else {
+        points.get(workload, ppus)
+    }?;
+    Some(grid.get(workload, PrefetchMode::None)?.cycles as f64 / manual.cycles as f64)
+}
+
+/// Figure 10: per-PPU activity factors (busy cycles / total cycles, by
+/// unit id) of one programmable-mode run under the lowest-ID-first
+/// scheduler.
+pub fn ppu_activity(r: &RunResult) -> Option<Vec<f64>> {
+    let pf = r.pf.as_ref()?;
+    Some(
+        pf.per_ppu_busy
+            .iter()
+            .map(|&b| b as f64 / r.cycles as f64)
+            .collect(),
+    )
 }
 
 /// §7.1: software-prefetch dynamic-instruction overhead.
@@ -429,19 +333,9 @@ pub fn swpf_overhead(workloads: &[BuiltWorkload]) -> Vec<SwpfOverheadRow> {
         .collect()
 }
 
-/// One telemetry-enabled (workload × mode) cell: the run result plus
-/// everything the observability stack collected during it.
-#[derive(Debug)]
-pub struct TelemetryCell {
-    /// Benchmark.
-    pub workload: &'static str,
-    /// Prefetching scheme.
-    pub mode: PrefetchMode,
-    /// The (telemetry-transparent) run result.
-    pub result: RunResult,
-    /// Counters, histograms, lifecycle classes, phase series, spans.
-    pub report: TelemetryReport,
-}
+/// A telemetry grid: each cell is the (telemetry-transparent) run
+/// result plus everything the observability stack collected during it.
+pub type TelemetryGrid = Grid<PrefetchMode, (RunResult, TelemetryReport)>;
 
 /// Phase-sample interval per scale, sized so a run yields tens of
 /// samples rather than thousands (the series is meant for eyeballing
@@ -454,89 +348,62 @@ pub fn sample_interval(scale: Scale) -> u64 {
     }
 }
 
-/// Runs the telemetry grid: every (workload × mode) cell with full
-/// collection per `spec`, sharded across `jobs` workers. Inexpressible
-/// cells are skipped, as in the figure grids. Cell registries are
-/// returned in index order, so any cross-cell merge (`Registry::merge`)
-/// is byte-identical for every worker count.
-pub fn telemetry_grid(
-    cfg: &SystemConfig,
-    workloads: &[&BuiltWorkload],
-    modes: &[PrefetchMode],
-    spec: &TelemetrySpec,
-    jobs: usize,
-) -> Vec<TelemetryCell> {
-    map_indexed(jobs, workloads.len() * modes.len(), |k| {
-        let w = workloads[k / modes.len()];
-        let mode = modes[k % modes.len()];
-        run_telemetry(cfg, mode, w, spec)
-            .ok()
-            .map(|(result, report)| TelemetryCell {
-                workload: w.name,
-                mode,
-                result,
-                report,
-            })
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
-/// Geometric mean of the speedups for one mode.
-pub fn geomean(cells: &[SpeedupCell], mode: PrefetchMode) -> f64 {
-    let vals: Vec<f64> = cells
-        .iter()
-        .filter(|c| c.mode == mode)
-        .filter_map(|c| c.speedup)
-        .collect();
-    if vals.is_empty() {
-        return 0.0;
-    }
-    (vals.iter().map(|v| v.ln()).sum::<f64>() / vals.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SystemConfig;
     use crate::faults::{run_isolated, run_isolated_budgeted, FailureClass, RetryPolicy};
+    use crate::report::{adaptive_table, grid_table};
+    use crate::system::{run, run_telemetry};
+    use crate::telemetry::TelemetrySpec;
+    use etpp_workloads::workload_by_name;
     use std::sync::atomic::AtomicU64;
+    use std::sync::OnceLock;
     use std::time::Duration;
+
+    fn tiny_pair() -> Vec<BuiltWorkload> {
+        ["HJ-8", "IntSort"]
+            .map(|name| workload_by_name(name).unwrap().build(Scale::Tiny))
+            .into()
+    }
+
+    fn cycle_grid(workloads: &[BuiltWorkload], modes: &[PrefetchMode], jobs: usize) -> CycleGrid {
+        let cfg = SystemConfig::paper();
+        Grid::run(
+            workloads,
+            &cross(workloads.len(), modes),
+            jobs,
+            |_, w, m| run(&cfg, m, w),
+        )
+    }
+
+    /// Every experiment whose table is a pure projection of the shared
+    /// cycle grid.
+    const PROJECTIONS: [&str; 6] = ["fig7", "fig8", "fig10", "fig11", "traffic", "zoo"];
+
+    /// The union grid `repro all` runs over HJ-8 + IntSort, serially —
+    /// built once and shared by every test that only reads it.
+    fn union_grid() -> &'static CycleGrid {
+        static GRID: OnceLock<CycleGrid> = OnceLock::new();
+        GRID.get_or_init(|| cycle_grid(&tiny_pair(), &PrefetchMode::ALL, 1))
+    }
 
     #[test]
     fn fig7_tiny_grid_shapes_hold() {
-        let workloads: Vec<BuiltWorkload> = [
-            etpp_workloads::workload_by_name("HJ-8").unwrap(),
-            etpp_workloads::workload_by_name("IntSort").unwrap(),
-        ]
-        .into_iter()
-        .map(|w| w.build(Scale::Tiny))
-        .collect();
-        let cfg = SystemConfig::paper();
-        let cells = fig7(&cfg, &workloads, 2);
+        let grid = union_grid();
         // Manual must win on HJ-8 and beat stride everywhere.
-        let get = |wl: &str, m: PrefetchMode| {
-            cells
-                .iter()
-                .find(|c| c.workload == wl && c.mode == m)
-                .and_then(|c| c.speedup)
-        };
-        let hj8_manual = get("HJ-8", PrefetchMode::Manual).unwrap();
-        let hj8_stride = get("HJ-8", PrefetchMode::Stride).unwrap();
+        let hj8_manual = grid.speedup("HJ-8", PrefetchMode::Manual).unwrap();
+        let hj8_stride = grid.speedup("HJ-8", PrefetchMode::Stride).unwrap();
         assert!(hj8_manual > 1.5, "HJ-8 manual {hj8_manual}");
         assert!(hj8_manual > hj8_stride);
-        let gm = geomean(&cells, PrefetchMode::Manual);
+        let gm = grid.geomean(PrefetchMode::Manual);
         assert!(gm > 1.2, "manual geomean {gm}");
     }
 
     #[test]
     fn fig10_lowest_id_scheduling_skews_work() {
-        let w = etpp_workloads::workload_by_name("IntSort")
-            .unwrap()
-            .build(Scale::Tiny);
-        let cfg = SystemConfig::paper();
-        let rows = fig10(&cfg, std::slice::from_ref(&w), 2);
-        let a = &rows[0].activity;
+        let manual = union_grid().get("IntSort", PrefetchMode::Manual).unwrap();
+        let a = ppu_activity(manual).unwrap();
         assert_eq!(a.len(), 12);
         assert!(
             a[0] >= a[11],
@@ -545,34 +412,70 @@ mod tests {
     }
 
     #[test]
+    fn every_table_is_the_same_projection_of_the_union_grid_and_of_its_own() {
+        // `repro` simulates the union of the requested experiments'
+        // columns once; each table must read exactly what it would have
+        // read from a grid of only its own columns. The union grid ran
+        // serially and the minimal grids run on four workers, so equal
+        // tables pin worker-count independence too.
+        fn adaptive_rows(g: &CycleGrid) -> [(&CycleGrid, &str); 2] {
+            [(g, "IntSort"), (g, "HJ-8")]
+        }
+        let (workloads, union) = (tiny_pair(), union_grid());
+        for experiment in PROJECTIONS {
+            let own = cycle_grid(&workloads, &columns(experiment), 4);
+            assert_eq!(
+                grid_table(experiment, union),
+                grid_table(experiment, &own),
+                "{experiment}: union-grid and own-grid tables must be byte-identical"
+            );
+            if experiment == "zoo" {
+                assert_eq!(
+                    adaptive_table(&adaptive_rows(union)),
+                    adaptive_table(&adaptive_rows(&own)),
+                    "the adaptive table's Table 2 rows read the zoo columns"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn union_columns_cover_every_mode_and_fig9_points_are_listed_once() {
+        let all: Vec<PrefetchMode> = PrefetchMode::ALL
+            .into_iter()
+            .filter(|m| PROJECTIONS.iter().any(|e| columns(e).contains(m)))
+            .collect();
+        assert_eq!(all, PrefetchMode::ALL, "`repro all` runs every mode once");
+
+        // Figure 9: 8 × 3 off-paper clocks, plus G500-CSR's 18-point
+        // panel minus the paper point and the three it shares with 9(a).
+        let built = build_all(Scale::Tiny, 2);
+        let refs: Vec<&BuiltWorkload> = built.iter().collect();
+        assert_eq!(fig9_cells(&refs, true, false).len(), 24);
+        assert_eq!(fig9_cells(&refs, false, true).len(), 17);
+        let both = fig9_cells(&refs, true, true);
+        assert_eq!(both.len(), 38);
+        assert!(!both.iter().any(|&(_, ppus)| ppus == PAPER_PPUS));
+    }
+
+    #[test]
     fn sharded_grid_is_byte_identical_across_worker_counts() {
-        let workloads: Vec<BuiltWorkload> = [
-            etpp_workloads::workload_by_name("HJ-8").unwrap(),
-            etpp_workloads::workload_by_name("IntSort").unwrap(),
-        ]
-        .into_iter()
-        .map(|w| w.build(Scale::Tiny))
-        .collect();
+        // Telemetry snapshots merged across shards must be just as
+        // worker-count-proof as the tables above: merge each cell's
+        // registry in run order and compare the rendered JSON
+        // byte-for-byte.
+        let workloads = tiny_pair();
         let cfg = SystemConfig::paper();
         let modes = [PrefetchMode::Stride, PrefetchMode::Manual];
-        let serial = crate::report::speedup_table("t", &fig7(&cfg, &workloads, 1), &modes);
-        let sharded = crate::report::speedup_table("t", &fig7(&cfg, &workloads, 4), &modes);
-        assert_eq!(
-            serial, sharded,
-            "worker count must never change rendered tables"
-        );
-
-        // Telemetry snapshots merged across shards must be just as
-        // worker-count-proof: merge each cell's registry in index order
-        // and compare the rendered JSON byte-for-byte.
         let spec = TelemetrySpec::counters_only(10_000);
-        let refs: Vec<&BuiltWorkload> = workloads.iter().collect();
         let merged_json = |jobs: usize| {
-            let cells = telemetry_grid(&cfg, &refs, &modes, &spec, jobs);
-            assert_eq!(cells.len(), refs.len() * modes.len());
+            let grid: TelemetryGrid = Grid::run(&workloads, &cross(2, &modes), jobs, |_, w, m| {
+                run_telemetry(&cfg, m, w, &spec)
+            });
+            assert_eq!(grid.iter().count(), workloads.len() * modes.len());
             let mut merged = etpp_telemetry::Registry::new();
-            for c in &cells {
-                merged.merge(&c.report.registry);
+            for (.., (_, report)) in grid.iter() {
+                merged.merge(&report.registry);
             }
             merged.to_json()
         };

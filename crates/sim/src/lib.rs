@@ -28,7 +28,7 @@ pub use config::{PrefetchMode, SystemConfig};
 pub use etpp_cpu::HorizonSource;
 pub use faults::{FailureRecord, FaultPlan, JobFailure, RetryPolicy};
 pub use replay::{
-    replay_grid, replay_run, replay_run_watched, try_load_or_capture_keyed, KeyedCapture, ReplayRun,
+    replay_run, replay_run_watched, try_load_or_capture_keyed, KeyedCapture, ReplayRun,
 };
 pub use sweeps::{
     composed_grid, merge_shards, parse_shard, render_merged, run_sweep, ShardFile, ShardRun,

@@ -1,17 +1,17 @@
-//! The parallel trace-replay experiment runner.
+//! The trace-replay front end: capture (or load) a stream, replay a cell.
 //!
 //! Capture once, replay everywhere: each workload's demand-access stream
 //! is recorded from one cycle-level baseline run (or loaded from a disk
-//! cache keyed by workload content hash) and then replayed — in parallel
-//! across a configurable number of worker threads — against every
-//! prefetcher configuration in the experiment grid. Replay skips the
+//! cache keyed by workload content hash) and then replayed against every
+//! prefetcher configuration in the experiment grid ([`replay_run`] is a
+//! per-cell closure of [`crate::experiments::Grid::run`]). Replay skips the
 //! out-of-order core entirely, which makes sweeping prefetcher
 //! configurations an order of magnitude faster than full cycle simulation
 //! while preserving relative speedup orderings (see [`etpp_trace::replay`]
 //! for the fidelity contract).
 
 use crate::config::{PrefetchMode, SystemConfig};
-use crate::experiments::{map_indexed, SpeedupCell};
+use crate::experiments::Cycles;
 use crate::system::{make_engine, run_captured, Skip};
 use etpp_mem::{CancelToken, MemStats};
 use etpp_trace::{
@@ -285,69 +285,9 @@ pub fn replay_run_watched(
     })
 }
 
-/// Result of a [`replay_grid`] sweep: the speedup cells plus the
-/// per-workload no-prefetch baseline cycles behind every denominator —
-/// the number the absolute-cycle agreement report compares against the
-/// capture run's recorded cycle count.
-#[derive(Debug)]
-pub struct ReplayGrid {
-    /// Figure 7-style speedup cells in workload-major order.
-    pub cells: Vec<SpeedupCell>,
-    /// `baseline_cycles[i]` = no-prefetch replay cycles of
-    /// `workloads[i]`'s stream.
-    pub baseline_cycles: Vec<u64>,
-}
-
-/// Replays the (workload × mode) grid across `jobs` worker threads,
-/// returning Figure 7-style speedup cells (replay-mode baseline = replay
-/// with no prefetcher, so speedups compare like with like). The same
-/// [`map_indexed`] job model the cycle-path grids shard on; results
-/// come back in workload-major order by construction.
-///
-/// `captures[i]` must hold the captured trace for `workloads[i]`.
-pub fn replay_grid(
-    cfg: &SystemConfig,
-    workloads: &[BuiltWorkload],
-    captures: &[CapturedTrace],
-    modes: &[PrefetchMode],
-    jobs: usize,
-) -> ReplayGrid {
-    assert_eq!(workloads.len(), captures.len());
-
-    // Baselines first (one replay per workload, in parallel).
-    let baseline_cycles: Vec<u64> = map_indexed(jobs, workloads.len(), |i| {
-        let r = replay_run(cfg, PrefetchMode::None, &workloads[i], &captures[i].records)
-            .expect("baseline replay always runs");
-        assert!(
-            r.validated,
-            "{}: baseline replay corrupted image",
-            r.workload
-        );
-        r.cycles
-    });
-
-    let cells = map_indexed(jobs, workloads.len() * modes.len(), |k| {
-        let i = k / modes.len();
-        let mode = modes[k % modes.len()];
-        let w = &workloads[i];
-        match replay_run(cfg, mode, w, &captures[i].records) {
-            Ok(r) => SpeedupCell {
-                workload: w.name,
-                mode,
-                speedup: Some(baseline_cycles[i] as f64 / r.cycles.max(1) as f64),
-                result: None,
-            },
-            Err(_) => SpeedupCell {
-                workload: w.name,
-                mode,
-                speedup: None,
-                result: None,
-            },
-        }
-    });
-    ReplayGrid {
-        cells,
-        baseline_cycles,
+impl Cycles for ReplayRun {
+    fn cycles(&self) -> u64 {
+        self.cycles
     }
 }
 
@@ -509,6 +449,7 @@ mod tests {
 
     #[test]
     fn grid_shards_across_workers() {
+        use crate::experiments::{cross, Grid};
         let cfg = SystemConfig::paper();
         let workloads: Vec<BuiltWorkload> = vec![
             etpp_workloads::intsort::IntSort.build(Scale::Tiny),
@@ -518,21 +459,18 @@ mod tests {
             .iter()
             .map(|w| capture(None, &cfg, w).trace)
             .collect();
-        let grid = replay_grid(
-            &cfg,
-            &workloads,
-            &captures,
-            &[PrefetchMode::Stride, PrefetchMode::Manual],
-            4,
-        );
-        assert_eq!(grid.baseline_cycles.len(), 2);
-        assert!(grid.baseline_cycles.iter().all(|&c| c > 0));
-        let cells = grid.cells;
-        assert_eq!(cells.len(), 4);
-        let manual_intsort = cells
-            .iter()
-            .find(|c| c.workload == "IntSort" && c.mode == PrefetchMode::Manual)
-            .and_then(|c| c.speedup)
+        let modes = [
+            PrefetchMode::None,
+            PrefetchMode::Stride,
+            PrefetchMode::Manual,
+        ];
+        let grid = Grid::run(&workloads, &cross(2, &modes), 4, |wi, w, mode| {
+            replay_run(&cfg, mode, w, &captures[wi].records)
+        });
+        assert_eq!(grid.iter().count(), 6);
+        assert!(grid.iter().all(|(.., r)| r.validated && r.cycles > 0));
+        let manual_intsort = grid
+            .speedup("IntSort", PrefetchMode::Manual)
             .expect("cell present");
         assert!(
             manual_intsort > 1.0,

@@ -454,8 +454,7 @@ fn store_cell(path: &Path, d: &CellData, tear: Option<u64>) -> std::io::Result<(
 // Running a sweep shard
 // ---------------------------------------------------------------------------
 
-/// How a sweep runs: cache location, worker threads, shard partition,
-/// escalation gate.
+/// How a sweep runs: cache location, worker threads, shard partition.
 #[derive(Debug, Clone)]
 pub struct SweepOptions {
     /// Result-cache directory (`None` disables memoization).
@@ -464,8 +463,6 @@ pub struct SweepOptions {
     pub jobs: usize,
     /// `(k, n)`: run jobs `i ≡ k (mod n)` only. `(0, 1)` = everything.
     pub shard: (usize, usize),
-    /// Stream-agreement escalation gate (see [`DEFAULT_AGREEMENT_GATE`]).
-    pub gate: f64,
     /// Scale label recorded in the shard header (merges refuse to mix
     /// scales).
     pub scale_label: String,
@@ -494,13 +491,12 @@ pub struct SweepOptions {
 }
 
 impl SweepOptions {
-    /// Cache-less, unsharded, fault-free options at the default gate.
+    /// Cache-less, unsharded, fault-free options.
     pub fn new(jobs: usize, scale_label: &str) -> Self {
         SweepOptions {
             cache_dir: None,
             jobs,
             shard: (0, 1),
-            gate: DEFAULT_AGREEMENT_GATE,
             scale_label: scale_label.to_string(),
             retry: RetryPolicy::default(),
             faults: None,
@@ -866,7 +862,7 @@ impl ShardRun {
     /// corpus must never be donated. Deliberately excludes the fault
     /// plan: a run killed *by* an injected fault resumes under a clean
     /// plan against the same journal.
-    fn journal_header(&self, gate: f64, captures: &[KeyedCapture]) -> String {
+    fn journal_header(&self, captures: &[KeyedCapture]) -> String {
         let hashes: Vec<String> = captures
             .iter()
             .map(|c| format!("{:016x}", c.content_hash))
@@ -874,8 +870,11 @@ impl ShardRun {
         row(|w| {
             w.str("kind", "header");
             self.write_header(w);
-            w.raw("gate_bits", format_args!("\"{:016x}\"", gate.to_bits()))
-                .str("traces", &hashes.join(","));
+            w.raw(
+                "gate_bits",
+                format_args!("\"{:016x}\"", DEFAULT_AGREEMENT_GATE.to_bits()),
+            )
+            .str("traces", &hashes.join(","));
         })
     }
 }
@@ -984,7 +983,7 @@ pub fn run_sweep(
     // index whatever completed entries survive its integrity checks.
     let mut resumed = Resumed::default();
     let journal: Option<Mutex<Journal>> = opts.journal.as_ref().and_then(|path| {
-        let header = run.journal_header(opts.gate, captures);
+        let header = run.journal_header(captures);
         let opened = if opts.resume {
             Journal::resume(path, &header).map(|(j, entries)| {
                 for e in &entries {
@@ -1065,7 +1064,7 @@ pub fn run_sweep(
                     .then(|| base.cycles as f64 / capture_cycles as f64);
                 let escalate = match (base.path, agreement) {
                     // The stream replayed fine: trust it iff it agrees.
-                    (CellPath::Replay, Some(a)) => (a - 1.0).abs() > opts.gate,
+                    (CellPath::Replay, Some(a)) => (a - 1.0).abs() > DEFAULT_AGREEMENT_GATE,
                     // No recorded reference: trust replay — there is
                     // nothing to disagree with, and escalating everything
                     // would defeat the farm. Orderings remain valid;

@@ -27,6 +27,29 @@ pub enum Scale {
     Paper,
 }
 
+impl Scale {
+    /// The lower-case name every CLI, trace-cache key and report uses;
+    /// round-tripped by `FromStr`.
+    pub fn label(self) -> &'static str {
+        match self {
+            Scale::Tiny => "tiny",
+            Scale::Small => "small",
+            Scale::Paper => "paper",
+        }
+    }
+}
+
+impl std::str::FromStr for Scale {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        [Scale::Tiny, Scale::Small, Scale::Paper]
+            .into_iter()
+            .find(|sc| sc.label() == s)
+            .ok_or_else(|| format!("unknown scale `{s}` (expected tiny|small|paper)"))
+    }
+}
+
 /// A prefetch program plus the configuration instructions that install it.
 ///
 /// Configuration (filter ranges, globals, tag bindings) corresponds to the

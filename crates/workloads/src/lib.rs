@@ -70,4 +70,12 @@ mod tests {
         assert!(workload_by_name("HJ-8").is_some());
         assert!(workload_by_name("nope").is_none());
     }
+
+    #[test]
+    fn scale_parsing() {
+        for scale in [Scale::Tiny, Scale::Small, Scale::Paper] {
+            assert_eq!(scale.label().parse(), Ok(scale));
+        }
+        assert!("huge".parse::<Scale>().is_err());
+    }
 }

@@ -26,7 +26,7 @@ use etpp::baselines::{
     PcDeltaParams, PcDeltaPrefetcher, RptStridePrefetcher, StrideParams, StridePrefetcher,
 };
 use etpp::mem::{DemandEvent, PrefetchEngine, LINE_SIZE};
-use etpp::sim::experiments as ex;
+use etpp::sim::experiments::{columns, cross, CycleGrid, Grid};
 use etpp::sim::{
     make_engine, replay_run, report, run, run_captured, run_telemetry, try_load_or_capture_keyed,
     PrefetchMode, SystemConfig, TelemetrySpec,
@@ -49,58 +49,68 @@ fn suite_workloads() -> Vec<BuiltWorkload> {
     vec![built("IntSort"), built("HJ-8"), two_phase()]
 }
 
+/// The grid both zoo tables are read from: `repro zoo`'s columns.
+fn zoo_grid(workloads: &[BuiltWorkload], jobs: usize) -> CycleGrid {
+    let cfg = SystemConfig::paper();
+    let cells = cross(workloads.len(), &columns("zoo"));
+    Grid::run(workloads, &cells, jobs, |_, w, mode| run(&cfg, mode, w))
+}
+
 // ---------------------------------------------------------------------------
 // 1. Fast path vs per-cycle reference, cycle-level and replay drivers
 // ---------------------------------------------------------------------------
 
+/// IntSort and HJ-8 × every mode (the zoo included) are the equivalence
+/// suite's `cycle_path_is_horizon_equivalent_across_modes`, which makes
+/// every check below; only the synthetic TwoPhase workload is this
+/// suite's own.
 #[test]
 fn zoo_cycle_path_is_bit_identical_to_per_cycle_reference() {
     let fast_cfg = SystemConfig::paper();
     let ref_cfg = SystemConfig::paper_per_cycle();
-    for wl in &suite_workloads() {
-        for mode in PrefetchMode::ZOO {
-            let (fast, fast_trace) =
-                run_captured(&fast_cfg, mode, wl, "zoo").expect("zoo modes never skip");
-            let (reference, ref_trace) =
-                run_captured(&ref_cfg, mode, wl, "zoo").expect("zoo modes never skip");
-            let name = wl.name;
-            assert_eq!(
-                fast.cycles, reference.cycles,
-                "{name}/{mode:?}: cycle counts must be identical"
-            );
-            assert_eq!(
-                reference.host_iters, reference.cycles,
-                "{name}/{mode:?}: the reference loop must visit every cycle"
-            );
-            assert!(
-                fast.host_iters < reference.host_iters,
-                "{name}/{mode:?}: the fast path must actually skip cycles"
-            );
-            assert_eq!(
-                fast.core, reference.core,
-                "{name}/{mode:?}: core statistics must be bit-identical"
-            );
-            assert_eq!(
-                fast.mem, reference.mem,
-                "{name}/{mode:?}: memory statistics must be bit-identical"
-            );
-            assert_eq!(
-                fast.pf, reference.pf,
-                "{name}/{mode:?}: engine counters must be bit-identical"
-            );
-            assert_eq!(
-                fast.adaptive, reference.adaptive,
-                "{name}/{mode:?}: the adaptive decision log must be bit-identical"
-            );
-            assert_eq!(
-                fast_trace.records, ref_trace.records,
-                "{name}/{mode:?}: retirement streams must be bit-identical"
-            );
-            assert!(
-                fast.validated && reference.validated,
-                "{name}/{mode:?}: both paths must reproduce the reference output"
-            );
-        }
+    let wl = &two_phase();
+    for mode in PrefetchMode::ZOO {
+        let (fast, fast_trace) =
+            run_captured(&fast_cfg, mode, wl, "zoo").expect("zoo modes never skip");
+        let (reference, ref_trace) =
+            run_captured(&ref_cfg, mode, wl, "zoo").expect("zoo modes never skip");
+        let name = wl.name;
+        assert_eq!(
+            fast.cycles, reference.cycles,
+            "{name}/{mode:?}: cycle counts must be identical"
+        );
+        assert_eq!(
+            reference.host_iters, reference.cycles,
+            "{name}/{mode:?}: the reference loop must visit every cycle"
+        );
+        assert!(
+            fast.host_iters < reference.host_iters,
+            "{name}/{mode:?}: the fast path must actually skip cycles"
+        );
+        assert_eq!(
+            fast.core, reference.core,
+            "{name}/{mode:?}: core statistics must be bit-identical"
+        );
+        assert_eq!(
+            fast.mem, reference.mem,
+            "{name}/{mode:?}: memory statistics must be bit-identical"
+        );
+        assert_eq!(
+            fast.pf, reference.pf,
+            "{name}/{mode:?}: engine counters must be bit-identical"
+        );
+        assert_eq!(
+            fast.adaptive, reference.adaptive,
+            "{name}/{mode:?}: the adaptive decision log must be bit-identical"
+        );
+        assert_eq!(
+            fast_trace.records, ref_trace.records,
+            "{name}/{mode:?}: retirement streams must be bit-identical"
+        );
+        assert!(
+            fast.validated && reference.validated,
+            "{name}/{mode:?}: both paths must reproduce the reference output"
+        );
     }
 }
 
@@ -189,28 +199,17 @@ fn zoo_engines_are_telemetry_transparent() {
 
 #[test]
 fn zoo_tables_are_byte_identical_for_any_job_count() {
-    let cfg = SystemConfig::paper();
+    // Both zoo tables are projections of one grid over the zoo columns.
     let workloads = suite_workloads();
-    let mut zoo_modes = vec![PrefetchMode::Stride];
-    zoo_modes.extend(PrefetchMode::ZOO);
-    let speedups =
-        |jobs: usize| report::speedup_table("zoo", &ex::zoo(&cfg, &workloads, jobs), &zoo_modes);
-    let reference = speedups(1);
-    assert_eq!(
-        reference,
-        speedups(4),
-        "zoo grid must shard deterministically"
-    );
-
-    let adaptives = |jobs: usize| {
-        let targets: Vec<&BuiltWorkload> = workloads.iter().collect();
-        report::adaptive_table(&ex::adaptive_grid(&cfg, &targets, jobs))
+    let tables = |jobs: usize| {
+        let grid = zoo_grid(&workloads, jobs);
+        let rows: Vec<(&CycleGrid, &str)> = workloads.iter().map(|w| (&grid, w.name)).collect();
+        report::grid_table("zoo", &grid) + &report::adaptive_table(&rows)
     };
-    let reference = adaptives(1);
     assert_eq!(
-        reference,
-        adaptives(4),
-        "adaptive grid must shard deterministically"
+        tables(1),
+        tables(4),
+        "zoo grid must shard deterministically"
     );
 }
 
@@ -320,42 +319,38 @@ fn pc_delta_throttles_on_an_adversarial_stream_because_of_its_threshold() {
 
 #[test]
 fn adaptive_switches_once_at_the_phase_boundary_and_beats_both_statics() {
-    let cfg = SystemConfig::paper();
-    let wl = two_phase();
-    let rows = ex::adaptive_grid(&cfg, &[&wl], 2);
-    assert_eq!(rows.len(), 1);
-    let row = &rows[0];
+    let grid = zoo_grid(&[two_phase()], 2);
+    let cell = |mode| grid.get("TwoPhase", mode).expect("zoo modes never skip");
+    let adaptive = cell(PrefetchMode::Adaptive);
+    let summary = adaptive.adaptive.as_ref().expect("decision log");
 
     // Pinned decision log: exactly one reconfiguration — streaming
     // phase on stride, pointer-chase phase on PC-delta — and PC-delta
     // is the engine left standing at the end.
     assert_eq!(
-        row.summary.reconfigurations, 1,
-        "the two-phase workload must trigger exactly one switch: {:?}",
-        row.summary
+        summary.reconfigurations, 1,
+        "the two-phase workload must trigger exactly one switch: {summary:?}"
     );
     assert_eq!(
-        row.summary.final_choice,
+        summary.final_choice,
         etpp::sim::AdaptiveChoice::PcDelta,
-        "the pointer-chase tail must leave PC-delta active: {:?}",
-        row.summary
+        "the pointer-chase tail must leave PC-delta active: {summary:?}"
     );
 
     // The meta-engine must beat every static configuration it chooses
-    // between (that is the point of switching).
-    for &(mode, cycles) in &row.statics {
-        if mode == PrefetchMode::None {
-            continue; // the no-PF baseline is context, not a contender
-        }
+    // between (that is the point of switching; the no-PF baseline is
+    // context, not a contender).
+    for mode in [PrefetchMode::Stride, PrefetchMode::PcDelta] {
+        let cycles = cell(mode).cycles;
         assert!(
-            row.adaptive_cycles < cycles,
+            adaptive.cycles < cycles,
             "adaptive ({}) must beat static {mode:?} ({cycles}) on TwoPhase",
-            row.adaptive_cycles
+            adaptive.cycles
         );
     }
 
     // And the rendered report carries the full comparison.
-    let table = report::adaptive_table(&rows);
+    let table = report::adaptive_table(&[(&grid, "TwoPhase")]);
     for needle in ["TwoPhase", "Adaptive (cycles)", "pc_delta", "No-PF"] {
         assert!(table.contains(needle), "missing {needle:?} in:\n{table}");
     }

@@ -266,6 +266,10 @@ fn assert_cycle_equivalent_with(
         "{name}/{mode:?}: EWMA look-ahead must match"
     );
     assert_eq!(
+        fast.adaptive, reference.adaptive,
+        "{name}/{mode:?}: the adaptive decision log must be bit-identical"
+    );
+    assert_eq!(
         fast_trace.records.len(),
         ref_trace.records.len(),
         "{name}/{mode:?}: retirement stream lengths must match"
