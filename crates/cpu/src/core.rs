@@ -287,6 +287,9 @@ pub struct Core<'t> {
     head_slot: usize,
     /// Next trace index to dispatch.
     cursor: u32,
+    /// Stores retired so far: the index of the next retiring store's
+    /// data in [`Trace::store_values`].
+    retired_stores: usize,
     slots: Vec<Slot>,
     /// Per-slot wake lists; cleared in place so each keeps its capacity.
     dependents: Vec<Vec<u32>>,
@@ -344,6 +347,7 @@ impl<'t> Core<'t> {
             head: 0,
             head_slot: 0,
             cursor: 0,
+            retired_stores: 0,
             slots: vec![FREE; params.rob_entries],
             dependents: vec![Vec::new(); params.rob_entries],
             iq_count: 0,
@@ -762,7 +766,9 @@ impl<'t> Core<'t> {
                 OpClass::Store => {
                     // Commit the data so prefetch kernels see current state,
                     // then hand the writeback to the store buffer.
-                    mem.commit_store_data(op.addr, op.value, op.aux);
+                    let value = self.trace.store_values[self.retired_stores];
+                    self.retired_stores += 1;
+                    mem.commit_store_data(op.addr, value, op.aux);
                     if let Some(e) = self
                         .sq
                         .iter_mut()
@@ -776,14 +782,14 @@ impl<'t> Core<'t> {
                             pc: op.pc,
                             vaddr: op.addr,
                             kind: AccessKind::Store,
-                            value: op.value,
+                            value,
                             size: op.aux,
                             dep: 0,
                         });
                     }
                 }
                 OpClass::Config => {
-                    let cfg = self.trace.configs[op.value as usize].clone();
+                    let cfg = self.trace.configs[op.addr as usize].clone();
                     if let Some(cap) = self.captured.as_mut() {
                         cap.push(RetiredEvent::Config {
                             cycle: now,

@@ -5,9 +5,13 @@
 //!
 //! * its class (integer/FP/multiply ALU op, load, store, software prefetch,
 //!   branch, prefetcher-configuration),
-//! * its virtual address and store value where applicable,
+//! * its virtual address where applicable,
 //! * its branch outcome where applicable, and
 //! * up to two *register dependencies* on earlier trace entries.
+//!
+//! A [`MicroOp`] is 24 bytes. Store data lives beside the ops in
+//! [`Trace::store_values`], one entry per store in program order, because
+//! most ops carry none; a consumer walks it with a running store index.
 //!
 //! Dependencies are what give the trace its timing semantics: a load whose
 //! address comes from another load (pointer chasing) depends on it and
@@ -32,13 +36,14 @@ pub enum OpClass {
     MulDiv,
     /// Memory load (`addr`; size in `aux`).
     Load,
-    /// Memory store (`addr`, `value`; size in `aux`).
+    /// Memory store (`addr`; size in `aux`; data in
+    /// [`Trace::store_values`]).
     Store,
     /// Software prefetch instruction (`addr`). Non-binding.
     Swpf,
     /// Conditional branch; `aux != 0` means taken, `addr` is the target PC.
     Branch,
-    /// Prefetcher configuration instruction; `value` indexes
+    /// Prefetcher configuration instruction; `addr` indexes
     /// [`Trace::configs`].
     Config,
 }
@@ -57,11 +62,12 @@ pub struct MicroOp {
     pub dep1: u32,
     /// Second dependency as `index+1`; 0 = none.
     pub dep2: u32,
-    /// Virtual address (memory ops), branch target (branches).
+    /// Virtual address (memory ops), branch target (branches) or
+    /// [`Trace::configs`] index (config ops).
     pub addr: u64,
-    /// Store data (stores) or config index (config ops).
-    pub value: u64,
 }
+
+const _: () = assert!(std::mem::size_of::<MicroOp>() == 24);
 
 impl MicroOp {
     /// Iterator over this op's dependencies as trace indices.
@@ -74,11 +80,14 @@ impl MicroOp {
     }
 }
 
-/// A complete program trace plus its configuration side table.
+/// A complete program trace plus its side tables.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     /// The dynamic micro-ops in program order.
     pub ops: Vec<MicroOp>,
+    /// Data of each `Store` op, in program order: the `k`-th store in
+    /// `ops` writes `store_values[k]`.
+    pub store_values: Vec<u64>,
     /// Prefetcher configuration operations referenced by `Config` ops.
     pub configs: Vec<ConfigOp>,
 }
@@ -92,6 +101,12 @@ impl Trace {
     /// Whether the trace is empty.
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
+    }
+
+    /// Heap bytes the micro-ops and store data occupy.
+    pub fn bytes(&self) -> usize {
+        std::mem::size_of_val(self.ops.as_slice())
+            + std::mem::size_of_val(self.store_values.as_slice())
     }
 
     /// Counts ops per class (used for the §7.1 dynamic-instruction-overhead
@@ -159,8 +174,7 @@ impl TraceClassCounts {
 /// ```
 #[derive(Debug, Default)]
 pub struct TraceBuilder {
-    ops: Vec<MicroOp>,
-    configs: Vec<ConfigOp>,
+    trace: Trace,
 }
 
 impl TraceBuilder {
@@ -171,17 +185,17 @@ impl TraceBuilder {
 
     /// Number of ops emitted so far.
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.trace.len()
     }
 
     /// Whether nothing has been emitted.
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.trace.is_empty()
     }
 
     fn push(&mut self, op: MicroOp) -> OpId {
-        let id = OpId(self.ops.len() as u32);
-        self.ops.push(op);
+        let id = OpId(self.trace.ops.len() as u32);
+        self.trace.ops.push(op);
         id
     }
 
@@ -200,7 +214,6 @@ impl TraceBuilder {
             dep1,
             dep2,
             addr: 0,
-            value: 0,
         })
     }
 
@@ -214,7 +227,6 @@ impl TraceBuilder {
             dep1,
             dep2,
             addr: 0,
-            value: 0,
         })
     }
 
@@ -228,7 +240,6 @@ impl TraceBuilder {
             dep1,
             dep2,
             addr: 0,
-            value: 0,
         })
     }
 
@@ -247,7 +258,6 @@ impl TraceBuilder {
             dep1,
             dep2,
             addr,
-            value: 0,
         })
     }
 
@@ -266,6 +276,7 @@ impl TraceBuilder {
         deps: [Option<OpId>; 2],
     ) -> OpId {
         let (dep1, dep2) = Self::dep_fields(deps);
+        self.trace.store_values.push(value);
         self.push(MicroOp {
             pc,
             class: OpClass::Store,
@@ -273,7 +284,6 @@ impl TraceBuilder {
             dep1,
             dep2,
             addr,
-            value,
         })
     }
 
@@ -287,7 +297,6 @@ impl TraceBuilder {
             dep1,
             dep2,
             addr,
-            value: 0,
         })
     }
 
@@ -301,31 +310,28 @@ impl TraceBuilder {
             dep1,
             dep2,
             addr: 0,
-            value: 0,
         })
     }
 
     /// Emits a prefetcher configuration instruction.
     pub fn config(&mut self, op: ConfigOp) -> OpId {
-        let idx = self.configs.len() as u64;
-        self.configs.push(op);
+        let idx = self.trace.configs.len() as u64;
+        self.trace.configs.push(op);
         self.push(MicroOp {
             pc: 0,
             class: OpClass::Config,
             aux: 0,
             dep1: 0,
             dep2: 0,
-            addr: 0,
-            value: idx,
+            addr: idx,
         })
     }
 
-    /// Finalises the trace.
-    pub fn build(self) -> Trace {
-        Trace {
-            ops: self.ops,
-            configs: self.configs,
-        }
+    /// Finalises the trace, releasing the builder's spare capacity.
+    pub fn build(mut self) -> Trace {
+        self.trace.ops.shrink_to_fit();
+        self.trace.store_values.shrink_to_fit();
+        self.trace
     }
 }
 
@@ -371,8 +377,19 @@ mod tests {
         b.config(ConfigOp::Enable(true));
         let t = b.build();
         assert_eq!(t.configs.len(), 2);
-        assert_eq!(t.ops[0].value, 0);
-        assert_eq!(t.ops[1].value, 1);
+        assert_eq!(t.ops[0].addr, 0);
+        assert_eq!(t.ops[1].addr, 1);
         assert_eq!(t.ops[0].class, OpClass::Config);
+    }
+
+    #[test]
+    fn store_values_follow_program_order() {
+        let mut b = TraceBuilder::new();
+        b.store(0x80, 7, 1, [None, None]);
+        b.load(0x80, 2, [None, None]);
+        b.store_sized(0x88, 9, 4, 3, [None, None]);
+        let t = b.build();
+        assert_eq!(t.store_values, vec![7, 9]);
+        assert_eq!(t.bytes(), 3 * 24 + 2 * 8);
     }
 }

@@ -1,6 +1,6 @@
 //! Developer diagnostic: simulation wall-clock speed for the cycle-level
 //! core and the trace-replay fast path across engine modes, with a
-//! machine-readable `BENCH_speedcheck.json` (schema 8) so the perf
+//! machine-readable `BENCH_speedcheck.json` (schema 9) so the perf
 //! trajectory is tracked across PRs.
 //!
 //! ```text
@@ -49,7 +49,11 @@
 //! `rpt_stride`, `pc_delta`, `adaptive`) to the cell grid so the new
 //! engines' throughput rides the same gates; against a schema-7
 //! report, `--compare` lists their rows as coverage drift, not
-//! failures.
+//! failures. Schema 9 gives each workload object its set-up cost:
+//! `build_s` (`Workload::build` wall time) and `trace_bytes` (the
+//! micro-op bytes the built workload holds once its cells ran —
+//! `BuiltWorkload::trace_bytes`). `--compare` reads schema-8 reports
+//! too: it keys on the cell rows only.
 //!
 //! The report is written and read back (`--compare`) with the sweep
 //! farm's row codec, `etpp_sim::rows`: every cell is one row on its own
@@ -151,6 +155,8 @@ impl ReplayRow {
 struct WorkloadReport {
     name: &'static str,
     trace_accesses: u64,
+    build_s: f64,
+    trace_bytes: usize,
     cycle: Vec<CycleRow>,
     replay: Vec<ReplayRow>,
 }
@@ -235,7 +241,7 @@ fn render_json(
     sweep: &SweepStanza,
 ) -> String {
     let mut j = String::new();
-    j.push_str("{\n  \"schema\": 8,\n  \"tool\": \"speedcheck\",\n");
+    j.push_str("{\n  \"schema\": 9,\n  \"tool\": \"speedcheck\",\n");
     let _ = writeln!(j, "  \"scale\": \"{}\",", json_escape(scale));
     let _ = writeln!(j, "  \"jobs\": {jobs},");
     let mode_list = modes
@@ -266,6 +272,8 @@ fn render_json(
     for (wi, w) in reports.iter().enumerate() {
         let _ = writeln!(j, "    {{\n      \"name\": \"{}\",", json_escape(w.name));
         let _ = writeln!(j, "      \"trace_accesses\": {},", w.trace_accesses);
+        let _ = writeln!(j, "      \"build_s\": {:.6},", w.build_s);
+        let _ = writeln!(j, "      \"trace_bytes\": {},", w.trace_bytes);
         j.push_str("      \"cycle\": ");
         write_rows(&mut j, "      ", &w.cycle, |row, r| {
             row.str("mode", r.mode.key())
@@ -578,15 +586,14 @@ fn main() {
         ("HJ-8", Box::new(etpp_workloads::hashjoin::Hj8)),
     ];
     let mut workloads = Vec::new();
+    let mut build_s = Vec::new();
     for (name, w) in &defs {
         let t0 = Instant::now();
         let wl = w.build(scale);
-        eprintln!(
-            "{name}: build {:?} trace_ops={}",
-            t0.elapsed(),
-            wl.trace.len()
-        );
+        let took = t0.elapsed();
+        eprintln!("{name}: build {took:?} trace_ops={}", wl.trace.len());
         workloads.push(wl);
+        build_s.push(took.as_secs_f64());
     }
     let captures: Vec<rp::KeyedCapture> = map_indexed(jobs, workloads.len(), |i| {
         let t = Instant::now();
@@ -737,6 +744,8 @@ fn main() {
         reports.push(WorkloadReport {
             name: wl.name,
             trace_accesses: captures[wi].trace.access_count(),
+            build_s: build_s[wi],
+            trace_bytes: wl.trace_bytes(),
             cycle: cycle_rows,
             replay: replay_rows,
         });

@@ -323,7 +323,7 @@ pub fn swpf_overhead(workloads: &[BuiltWorkload]) -> Vec<SwpfOverheadRow> {
     workloads
         .iter()
         .filter_map(|w| {
-            let sw = w.sw_trace.as_ref()?;
+            let sw = w.sw_trace()?;
             Some(SwpfOverheadRow {
                 workload: w.name,
                 base_insts: w.trace.class_counts().total(),

@@ -53,7 +53,8 @@ pub struct ReplayRun {
 /// version, so regenerating a workload with different parameters — or
 /// a build with a different [`etpp_trace::FORMAT_VERSION`] —
 /// invalidates the cached capture instead of silently serving stale
-/// bytes.
+/// bytes. The dependence edges are part of the content: a capture's
+/// load→load `dep` distances are derived from them.
 pub fn workload_trace_key(wl: &BuiltWorkload, scale_label: &str) -> u64 {
     use etpp_trace::format::{fnv1a, FNV_OFFSET};
     let mut h = FNV_OFFSET;
@@ -64,8 +65,12 @@ pub fn workload_trace_key(wl: &BuiltWorkload, scale_label: &str) -> u64 {
     for op in &wl.trace.ops {
         h = fnv1a(&op.pc.to_le_bytes(), h);
         h = fnv1a(&[op.class as u8, op.aux], h);
+        h = fnv1a(&op.dep1.to_le_bytes(), h);
+        h = fnv1a(&op.dep2.to_le_bytes(), h);
         h = fnv1a(&op.addr.to_le_bytes(), h);
-        h = fnv1a(&op.value.to_le_bytes(), h);
+    }
+    for value in &wl.trace.store_values {
+        h = fnv1a(&value.to_le_bytes(), h);
     }
     h
 }
@@ -326,6 +331,19 @@ mod tests {
         let cfg = SystemConfig::paper();
         let trace = capture(None, &cfg, &wl).trace;
         assert!(replay_run(&cfg, PrefetchMode::Software, &wl, &trace.records).is_err());
+    }
+
+    #[test]
+    fn trace_key_sees_dependence_edges_and_store_data() {
+        let wl = etpp_workloads::intsort::IntSort.build(Scale::Tiny);
+        let key = workload_trace_key(&wl, "tiny");
+        let mut edge = wl.clone();
+        let op = edge.trace.ops.iter_mut().find(|op| op.dep1 != 0).unwrap();
+        op.dep1 -= 1;
+        assert_ne!(workload_trace_key(&edge, "tiny"), key);
+        let mut data = wl.clone();
+        data.trace.store_values[0] ^= 1;
+        assert_ne!(workload_trace_key(&data, "tiny"), key);
     }
 
     #[test]

@@ -237,7 +237,7 @@ fn select<'w>(
     wl: &'w BuiltWorkload,
 ) -> Result<(&'w Trace, Engine), Skip> {
     match mode {
-        PrefetchMode::Software => match &wl.sw_trace {
+        PrefetchMode::Software => match wl.sw_trace() {
             Some(t) => Ok((t, Engine::Null(NullEngine))),
             None => Err(Skip::NotExpressible(wl.notes)),
         },

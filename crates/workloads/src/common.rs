@@ -10,10 +10,16 @@
 //! happen); the pristine pre-execution image is what simulation starts
 //! from, and the post-execution image provides the validation checksum that
 //! proves the trace encodes a correct execution.
+//!
+//! Only the paper's Software bars and its §7.1 instruction-overhead table
+//! read the software-prefetch variant, so a builder hands over a generator
+//! for it instead of the trace, and [`BuiltWorkload::sw_trace`] runs it
+//! once, on first use, from the pristine image.
 
 use etpp_cpu::Trace;
 use etpp_isa::Program;
 use etpp_mem::{ConfigOp, MemoryImage, Region};
+use std::sync::{Arc, OnceLock};
 
 /// Input scale for a workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -64,6 +70,38 @@ pub struct PrefetchSetup {
     pub configs: Vec<ConfigOp>,
 }
 
+/// Builds a software-prefetch trace from a workload's pristine image.
+type TraceGen = dyn Fn(&MemoryImage) -> Trace + Send + Sync;
+
+/// A workload's software-prefetch trace: absent, or built once from its
+/// generator the first time [`BuiltWorkload::sw_trace`] asks.
+#[derive(Clone, Default)]
+pub(crate) struct SoftwareTrace {
+    generate: Option<Arc<TraceGen>>,
+    built: OnceLock<Trace>,
+}
+
+impl SoftwareTrace {
+    /// A variant `generate` builds on first use.
+    pub(crate) fn generated_by(
+        generate: impl Fn(&MemoryImage) -> Trace + Send + Sync + 'static,
+    ) -> Self {
+        SoftwareTrace {
+            generate: Some(Arc::new(generate)),
+            built: OnceLock::new(),
+        }
+    }
+}
+
+impl std::fmt::Debug for SoftwareTrace {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SoftwareTrace")
+            .field("available", &self.generate.is_some())
+            .field("built", &self.built.get().map(Trace::len))
+            .finish()
+    }
+}
+
 /// Everything needed to simulate one benchmark in every mode.
 #[derive(Debug, Clone)]
 pub struct BuiltWorkload {
@@ -73,9 +111,9 @@ pub struct BuiltWorkload {
     pub image: MemoryImage,
     /// Plain trace (no software prefetches).
     pub trace: Trace,
-    /// Software-prefetch variant; `None` where the paper notes it is not
-    /// possible (PageRank's iterator-hidden addresses).
-    pub sw_trace: Option<Trace>,
+    /// Software-prefetch variant, built on first use (see
+    /// [`BuiltWorkload::sw_trace`]).
+    pub(crate) software: SoftwareTrace,
     /// Hand-written prefetch program (the paper's `Manual` bars).
     pub manual: Option<PrefetchSetup>,
     /// Program generated by converting software prefetches (§6.1–6.3).
@@ -88,6 +126,23 @@ pub struct BuiltWorkload {
     pub expected: u64,
     /// Reproduction notes (skips, substitutions) surfaced in reports.
     pub notes: &'static str,
+}
+
+impl BuiltWorkload {
+    /// The software-prefetch variant; `None` where the paper notes it is
+    /// not possible (PageRank's iterator-hidden addresses). The first
+    /// call builds it from [`BuiltWorkload::image`]; concurrent callers
+    /// wait for that one build and share it.
+    pub fn sw_trace(&self) -> Option<&Trace> {
+        let generate = self.software.generate.as_ref()?;
+        Some(self.software.built.get_or_init(|| generate(&self.image)))
+    }
+
+    /// Heap bytes of the traces held so far: the demand trace, plus the
+    /// software-prefetch trace once [`BuiltWorkload::sw_trace`] built it.
+    pub fn trace_bytes(&self) -> usize {
+        self.trace.bytes() + self.software.built.get().map_or(0, Trace::bytes)
+    }
 }
 
 /// A Table 2 benchmark.

@@ -12,7 +12,9 @@
 //! Values are carried as fixed-point integers in FP-class micro-ops, which
 //! keeps validation exact while still occupying the FP units.
 
-use crate::common::{checksum_region, mix64, BuiltWorkload, PrefetchSetup, Scale, Workload};
+use crate::common::{
+    checksum_region, mix64, BuiltWorkload, PrefetchSetup, Scale, SoftwareTrace, Workload,
+};
 use etpp_cpu::{OpId, TraceBuilder};
 use etpp_isa::KernelBuilder;
 use etpp_mem::{ConfigOp, FilterFlags, MemoryImage, RangeId, Region, TagId};
@@ -39,6 +41,7 @@ const TAG_COL: u16 = 0;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ConjGrad;
 
+#[derive(Clone, Copy)]
 struct Layout {
     rowstart: Region,
     colidx: Region,
@@ -87,7 +90,6 @@ impl Workload for ConjGrad {
         let (conv, prag) =
             crate::loop_ir::run_passes(&crate::loop_ir::conjgrad(l.colidx, l.x, SWPF_DIST));
         let trace = build_trace(&mut image.clone(), &l, false);
-        let sw_trace = build_trace(&mut image.clone(), &l, true);
         let mut post = image;
         reference(&mut post, &l);
         let expected = checksum_region(&post, l.y);
@@ -96,7 +98,9 @@ impl Workload for ConjGrad {
             name: self.name(),
             image: pristine,
             trace,
-            sw_trace: Some(sw_trace),
+            software: SoftwareTrace::generated_by(move |pristine| {
+                build_trace(&mut pristine.clone(), &l, true)
+            }),
             manual: Some(manual_setup(&l)),
             converted: conv,
             pragma: prag,

@@ -12,7 +12,9 @@
 //! this benchmark is *prefetch-compute-bound*: it keeps all 12 PPUs busy
 //! and keeps scaling with PPU clock (Figures 9 and 10).
 
-use crate::common::{checksum_region, BuiltWorkload, PrefetchSetup, Scale, Workload};
+use crate::common::{
+    checksum_region, BuiltWorkload, PrefetchSetup, Scale, SoftwareTrace, Workload,
+};
 use crate::graph::{bfs_reference, kronecker, pick_root, to_csr, Csr};
 use etpp_cpu::TraceBuilder;
 use etpp_isa::KernelBuilder;
@@ -100,7 +102,7 @@ impl Workload for G500Csr {
             name: self.name(),
             image: pristine,
             trace,
-            sw_trace: None, // data-dependent inner loop: no fixed-distance swpf
+            software: SoftwareTrace::default(), // data-dependent inner loop: no fixed-distance swpf
             manual: Some(manual_setup(&l)),
             converted: conv,
             pragma: prag,
@@ -347,6 +349,6 @@ mod tests {
     #[test]
     fn no_software_prefetch_variant() {
         let w = G500Csr.build(Scale::Tiny);
-        assert!(w.sw_trace.is_none());
+        assert!(w.sw_trace().is_none());
     }
 }

@@ -8,7 +8,9 @@
 //! arrives too early and gets evicted), ~40% extra memory traffic, but an
 //! L2 hit-rate win that still yields speedup.
 
-use crate::common::{checksum_region, mix64, BuiltWorkload, PrefetchSetup, Scale, Workload};
+use crate::common::{
+    checksum_region, mix64, BuiltWorkload, PrefetchSetup, Scale, SoftwareTrace, Workload,
+};
 use crate::graph::{kronecker, pick_root, to_csr};
 use etpp_cpu::{OpId, TraceBuilder};
 use etpp_isa::KernelBuilder;
@@ -113,7 +115,7 @@ impl Workload for G500List {
             trace,
             // §7.1: list traversal needs loop control flow, which a software
             // prefetch fundamentally cannot express.
-            sw_trace: None,
+            software: SoftwareTrace::default(),
             manual: Some(manual_setup(&l)),
             converted: conv,
             pragma: prag,

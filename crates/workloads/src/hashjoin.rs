@@ -13,7 +13,9 @@
 //!   (§4.7), prefetching all lists in parallel — the paper's headline case
 //!   (3.8× vs. negligible for stride/software).
 
-use crate::common::{checksum_region, mix64, BuiltWorkload, PrefetchSetup, Scale, Workload};
+use crate::common::{
+    checksum_region, mix64, BuiltWorkload, PrefetchSetup, Scale, SoftwareTrace, Workload,
+};
 use etpp_cpu::{OpId, TraceBuilder};
 use etpp_isa::KernelBuilder;
 use etpp_mem::{ConfigOp, FilterFlags, MemoryImage, RangeId, Region, TagId};
@@ -53,6 +55,7 @@ pub struct Hj2;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Hj8;
 
+#[derive(Clone, Copy)]
 struct Hj2Layout {
     keys: Region,
     buckets: Region,
@@ -118,7 +121,6 @@ impl Workload for Hj2 {
             SWPF_DIST,
         ));
         let trace = hj2_trace(&mut image.clone(), &l, false);
-        let sw_trace = hj2_trace(&mut image.clone(), &l, true);
         let mut post = image;
         hj2_reference(&mut post, &l);
         let expected = checksum_region(&post, l.out);
@@ -127,7 +129,9 @@ impl Workload for Hj2 {
             name: self.name(),
             image: pristine,
             trace,
-            sw_trace: Some(sw_trace),
+            software: SoftwareTrace::generated_by(move |pristine| {
+                hj2_trace(&mut pristine.clone(), &l, true)
+            }),
             manual: Some(hj2_manual(&l)),
             converted: conv,
             pragma: prag,
@@ -281,6 +285,7 @@ fn hj2_manual(l: &Hj2Layout) -> PrefetchSetup {
 // HJ-8
 // ---------------------------------------------------------------------------
 
+#[derive(Clone, Copy)]
 struct Hj8Layout {
     keys: Region,
     buckets: Region,
@@ -354,7 +359,6 @@ impl Workload for Hj8 {
             SWPF_DIST,
         ));
         let trace = hj8_trace(&mut image.clone(), &l, false);
-        let sw_trace = hj8_trace(&mut image.clone(), &l, true);
         let mut post = image;
         hj8_reference(&mut post, &l);
         let expected = checksum_region(&post, l.out);
@@ -363,7 +367,9 @@ impl Workload for Hj8 {
             name: self.name(),
             image: pristine,
             trace,
-            sw_trace: Some(sw_trace),
+            software: SoftwareTrace::generated_by(move |pristine| {
+                hj8_trace(&mut pristine.clone(), &l, true)
+            }),
             manual: Some(hj8_manual(&l)),
             converted: conv,
             pragma: prag,

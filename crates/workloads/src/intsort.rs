@@ -12,7 +12,9 @@
 //!   key line `lookahead` ahead (EWMA-timed, tagged); when it returns, the
 //!   PPU reads all eight keys and prefetches their count entries.
 
-use crate::common::{checksum_region, mix64, BuiltWorkload, PrefetchSetup, Scale, Workload};
+use crate::common::{
+    checksum_region, mix64, BuiltWorkload, PrefetchSetup, Scale, SoftwareTrace, Workload,
+};
 use etpp_cpu::TraceBuilder;
 use etpp_isa::KernelBuilder;
 use etpp_mem::{ConfigOp, FilterFlags, MemoryImage, RangeId, Region, TagId};
@@ -39,6 +41,7 @@ const TAG_KEY: u16 = 0;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IntSort;
 
+#[derive(Clone, Copy)]
 struct Params {
     n_keys: u64,
     n_buckets: u64,
@@ -80,7 +83,6 @@ impl Workload for IntSort {
         let (conv, prag) =
             crate::loop_ir::run_passes(&crate::loop_ir::intsort(keys, counts, SWPF_DIST));
         let trace = build_trace(&mut image.clone(), &p, keys, counts, false);
-        let sw_trace = build_trace(&mut image.clone(), &p, keys, counts, true);
         // Produce the expected post-run state on a working copy.
         let mut post = image;
         run_reference(&mut post, &p, keys, counts);
@@ -90,7 +92,9 @@ impl Workload for IntSort {
             name: self.name(),
             image: pristine,
             trace,
-            sw_trace: Some(sw_trace),
+            software: SoftwareTrace::generated_by(move |pristine| {
+                build_trace(&mut pristine.clone(), &p, keys, counts, true)
+            }),
             manual: Some(manual_setup(keys, counts)),
             converted: conv,
             pragma: prag,
@@ -241,7 +245,7 @@ mod tests {
         assert_eq!(c.loads, 2 * 20_000);
         assert_eq!(c.stores, 20_000);
         assert_eq!(c.branches, 20_000);
-        let sw = w.sw_trace.as_ref().unwrap().class_counts();
+        let sw = w.sw_trace().unwrap().class_counts();
         assert_eq!(sw.swpf, 20_000);
         assert!(sw.total() > c.total());
     }
@@ -252,7 +256,7 @@ mod tests {
         // prefetch; ours adds 3 ops to a 5-op loop (+60%): same regime.
         let w = IntSort.build(Scale::Tiny);
         let base = w.trace.class_counts().total() as f64;
-        let sw = w.sw_trace.as_ref().unwrap().class_counts().total() as f64;
+        let sw = w.sw_trace().unwrap().class_counts().total() as f64;
         let overhead = sw / base - 1.0;
         assert!(overhead > 0.4, "overhead {overhead}");
     }

@@ -71,6 +71,63 @@ mod tests {
         assert!(workload_by_name("nope").is_none());
     }
 
+    /// FNV-1a over every op's (pc, class, aux, dep1, dep2, address,
+    /// payload), the payload being a store's data or a config op's
+    /// side-table index (0 otherwise).
+    fn op_hash(t: &etpp_cpu::Trace) -> u64 {
+        use etpp_cpu::OpClass;
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        };
+        let mut stores = t.store_values.iter();
+        for op in &t.ops {
+            let (addr, payload) = match op.class {
+                OpClass::Store => (op.addr, *stores.next().unwrap()),
+                OpClass::Config => (0, op.addr),
+                _ => (op.addr, 0),
+            };
+            eat(&op.pc.to_le_bytes());
+            eat(&[op.class as u8, op.aux]);
+            eat(&op.dep1.to_le_bytes());
+            eat(&op.dep2.to_le_bytes());
+            eat(&addr.to_le_bytes());
+            eat(&payload.to_le_bytes());
+        }
+        assert!(stores.next().is_none(), "one store value per store");
+        h
+    }
+
+    /// The software-prefetch traces built on first use are op for op the
+    /// ones the builders used to build eagerly: op counts and hashes were
+    /// recorded from the eager `sw_trace` field at Tiny.
+    #[test]
+    fn lazily_built_software_traces_are_the_eager_ones() {
+        let eager = [
+            ("IntSort", 180_000, 0x3bd9_8028_8bab_4166u64),
+            ("HJ-2", 227_482, 0x0e9e_2db1_40f5_52e9),
+            ("HJ-8", 176_609, 0x6c65_3150_3634_9a91),
+            ("RandAcc", 214_000, 0x1da8_f70d_4335_8f25),
+            ("ConjGrad", 164_000, 0x7a28_ca51_eafc_31b3),
+        ];
+        for (name, len, hash) in eager {
+            let wl = workload_by_name(name).unwrap().build(Scale::Tiny);
+            let demand = wl.trace_bytes();
+            // Every caller sees the one trace the first call built.
+            let traces: Vec<&etpp_cpu::Trace> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..3).map(|_| s.spawn(|| wl.sw_trace().unwrap())).collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            assert!(traces.iter().all(|t| std::ptr::eq(*t, traces[0])));
+            let sw = traces[0];
+            assert_eq!((sw.len(), op_hash(sw)), (len, hash), "{name}");
+            assert_eq!(wl.trace_bytes(), demand + sw.bytes(), "{name}");
+        }
+    }
+
     #[test]
     fn scale_parsing() {
         for scale in [Scale::Tiny, Scale::Small, Scale::Paper] {

@@ -11,7 +11,9 @@
 //! prefetching is not possible* (the empty Figure 7 bar); the pragma pass
 //! works on the IR and succeeds.
 
-use crate::common::{checksum_region, BuiltWorkload, PrefetchSetup, Scale, Workload};
+use crate::common::{
+    checksum_region, BuiltWorkload, PrefetchSetup, Scale, SoftwareTrace, Workload,
+};
 use crate::graph::{kronecker, to_csr};
 use etpp_cpu::{OpId, TraceBuilder};
 use etpp_isa::KernelBuilder;
@@ -81,7 +83,7 @@ impl Workload for PageRank {
             name: self.name(),
             image: pristine,
             trace,
-            sw_trace: None, // BGL iterators: no address to software-prefetch
+            software: SoftwareTrace::default(), // BGL iterators: no address to software-prefetch
             manual: Some(manual_setup(&l)),
             converted: None,
             pragma: prag,
@@ -234,7 +236,7 @@ mod tests {
     #[test]
     fn no_software_variant_matches_paper() {
         let w = PageRank.build(Scale::Tiny);
-        assert!(w.sw_trace.is_none());
+        assert!(w.sw_trace().is_none());
         assert!(w.notes.contains("impossible"));
     }
 }

@@ -21,7 +21,7 @@
 //! The meta-engine must pick stride for phase 1, switch exactly once at
 //! the boundary, and finish on PC-delta — pinned by `tests/engine_zoo.rs`.
 
-use crate::common::{checksum_region, mix64, BuiltWorkload, Scale, Workload};
+use crate::common::{checksum_region, mix64, BuiltWorkload, Scale, SoftwareTrace, Workload};
 use etpp_cpu::TraceBuilder;
 use etpp_mem::{MemoryImage, Region};
 
@@ -98,7 +98,7 @@ impl Workload for TwoPhase {
             name: self.name(),
             image: pristine,
             trace,
-            sw_trace: None,
+            software: SoftwareTrace::default(),
             manual: None,
             converted: None,
             pragma: None,

@@ -15,7 +15,9 @@
 //! pragma pass cannot discover it and leaves the first entries of each
 //! batch unprefetched (§7.1).
 
-use crate::common::{checksum_region, mix64, BuiltWorkload, PrefetchSetup, Scale, Workload};
+use crate::common::{
+    checksum_region, mix64, BuiltWorkload, PrefetchSetup, Scale, SoftwareTrace, Workload,
+};
 use etpp_cpu::TraceBuilder;
 use etpp_isa::KernelBuilder;
 use etpp_mem::{ConfigOp, FilterFlags, MemoryImage, RangeId, Region, TagId};
@@ -53,6 +55,7 @@ fn lcg(v: u64) -> u64 {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RandAcc;
 
+#[derive(Clone, Copy)]
 struct Layout {
     ran: Region,
     table: Region,
@@ -90,7 +93,6 @@ impl Workload for RandAcc {
         let (conv, prag) =
             crate::loop_ir::run_passes(&crate::loop_ir::randacc(l.ran, l.table, l.log_table, DIST));
         let trace = build_trace(&mut image.clone(), &l, false);
-        let sw_trace = build_trace(&mut image.clone(), &l, true);
         let mut post = image;
         reference(&mut post, &l);
         let expected = checksum_region(&post, l.table);
@@ -99,7 +101,9 @@ impl Workload for RandAcc {
             name: self.name(),
             image: pristine,
             trace,
-            sw_trace: Some(sw_trace),
+            software: SoftwareTrace::generated_by(move |pristine| {
+                build_trace(&mut pristine.clone(), &l, true)
+            }),
             manual: Some(manual_setup(&l)),
             converted: conv,
             pragma: prag,

@@ -1,4 +1,4 @@
-//! Allocation budget for one cycle-core cell.
+//! Heap budgets for cycle-core cells: allocation count and live bytes.
 //!
 //! The demand round trip (`Core::issue` → `MemorySystem::try_access` →
 //! TLB / MSHR / cache → event heap → `Core::absorb_completions`) runs on
@@ -9,6 +9,11 @@
 //! that path costs ~1 allocation per simulated instruction (> 100 000 on
 //! these cells), so the budget fails by two orders of magnitude rather
 //! than by timing noise.
+//!
+//! The byte budget covers what a built workload holds: its micro-op
+//! traces dominate a process's peak heap. A run with no Software cell
+//! must never materialise the software-prefetch trace; building the three
+//! software traces eagerly pushes the peak past the budget.
 
 use etpp::sim::{run, PrefetchMode, SystemConfig};
 use etpp::workloads::{workload_by_name, Scale};
@@ -19,25 +24,48 @@ thread_local! {
     /// Allocations made by this thread (const-initialised and without a
     /// destructor, so touching it from the allocator cannot recurse).
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated and has not freed.
+    static LIVE: Cell<u64> = const { Cell::new(0) };
+    /// High-water mark of `LIVE`.
+    static PEAK: Cell<u64> = const { Cell::new(0) };
 }
 
-/// The system allocator plus a per-thread count of `alloc` / `realloc`
-/// calls.
+fn grow(bytes: usize) {
+    let live = LIVE.with(|l| {
+        l.set(l.get() + bytes as u64);
+        l.get()
+    });
+    PEAK.with(|p| p.set(p.get().max(live)));
+}
+
+fn shrink(bytes: usize) {
+    LIVE.with(|l| l.set(l.get().saturating_sub(bytes as u64)));
+}
+
+/// The system allocator plus per-thread counts of `alloc` / `realloc`
+/// calls and of live bytes.
 struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is plain
-// thread-local data and never allocates.
+// which upholds the `GlobalAlloc` contract; the counters are plain
+// thread-local data and never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.with(|n| n.set(n.get() + 1));
+        grow(layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrink(layout.size());
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.with(|n| n.set(n.get() + 1));
+        if new_size >= layout.size() {
+            grow(new_size - layout.size());
+        } else {
+            shrink(layout.size() - new_size);
+        }
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -46,6 +74,11 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 const BUDGET: u64 = 1_000;
+
+/// Peak live heap while building IntSort, HJ-8 and ConjGrad at Tiny and
+/// running their `none` cells: 12.0 MiB with 24-byte ops and no software
+/// trace; 42.4 MiB with eagerly built software traces of 32-byte ops.
+const BYTE_BUDGET: u64 = 20 << 20;
 
 #[test]
 fn a_cycle_core_cell_allocates_a_few_hundred_times_not_once_per_instruction() {
@@ -76,4 +109,29 @@ fn a_cycle_core_cell_allocates_a_few_hundred_times_not_once_per_instruction() {
         }
     }
     assert!(over.is_empty(), "cells over {BUDGET} allocations: {over:?}");
+}
+
+#[test]
+fn workloads_without_a_software_cell_stay_under_the_heap_byte_budget() {
+    let cfg = SystemConfig::paper();
+    let base = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(base));
+    let built: Vec<_> = ["IntSort", "HJ-8", "ConjGrad"]
+        .into_iter()
+        .map(|name| workload_by_name(name).unwrap().build(Scale::Tiny))
+        .collect();
+    for wl in &built {
+        assert!(run(&cfg, PrefetchMode::None, wl).unwrap().validated);
+    }
+    let peak = PEAK.with(Cell::get) - base;
+    let mib = |b: u64| b as f64 / (1 << 20) as f64;
+    println!(
+        "peak live heap {:.1} MiB (budget {:.1} MiB)",
+        mib(peak),
+        mib(BYTE_BUDGET)
+    );
+    assert!(
+        peak <= BYTE_BUDGET,
+        "peak live heap {peak} B exceeds the {BYTE_BUDGET} B budget"
+    );
 }

@@ -23,7 +23,7 @@ fn all_workloads_validate_under_all_modes() {
                     assert_eq!(
                         r.dyn_insts,
                         match mode {
-                            PrefetchMode::Software => wl.sw_trace.as_ref().unwrap().len() as u64,
+                            PrefetchMode::Software => wl.sw_trace().unwrap().len() as u64,
                             _ => wl.trace.len() as u64,
                         },
                         "{} under {:?} retired a different instruction count",
