@@ -295,6 +295,17 @@ fn main() {
     } else if telemetry_dir.is_some() && !what.iter().any(|w| w == "telemetry") {
         what.push("telemetry".to_string());
     }
+    // Create the artifact dir before any workload is built, so a bad
+    // path is reported before any simulation runs.
+    let telemetry_dir = telemetry_dir.unwrap_or_else(|| PathBuf::from("target/telemetry"));
+    if what.iter().any(|w| w == "telemetry") {
+        if let Err(e) = std::fs::create_dir_all(&telemetry_dir) {
+            usage_error(&format!(
+                "--telemetry: cannot create {}: {e}",
+                telemetry_dir.display()
+            ));
+        }
+    }
 
     let cfg = SystemConfig::paper();
     println!(
@@ -410,12 +421,7 @@ fn main() {
                     ])
                 );
             }
-            "telemetry" => {
-                let dir = telemetry_dir
-                    .clone()
-                    .unwrap_or_else(|| PathBuf::from("target/telemetry"));
-                run_telemetry_report(scale, &cfg, &workloads, &dir, jobs);
-            }
+            "telemetry" => run_telemetry_report(scale, &cfg, &workloads, &telemetry_dir, jobs),
             other => unreachable!("experiment names validated up front: {other}"),
         }
         eprintln!("[{w}] done in {:?}", t.elapsed());
@@ -436,7 +442,7 @@ fn dense(workloads: usize, modes: &[PrefetchMode]) -> Vec<(usize, PrefetchMode)>
 /// The `telemetry` experiment: runs the observability grid (IntSort +
 /// HJ-8 across the main engines), prints the lifecycle and
 /// phase-summary tables, and writes each cell's phase series, merged
-/// registry and Chrome trace under `dir`.
+/// registry and Chrome trace under `dir`, which the caller created.
 fn run_telemetry_report(
     scale: Scale,
     cfg: &SystemConfig,
@@ -467,12 +473,13 @@ fn run_telemetry_report(
     println!("{}", report::lifecycle_table(&grid));
     println!("{}", report::phase_summary_table(&grid));
 
-    std::fs::create_dir_all(dir).expect("create telemetry dir");
     for (workload, mode, (_, report)) in grid.iter() {
         let stem = format!("{workload}-{}", mode.key());
         let write = |suffix: &str, body: String| {
             let path = dir.join(format!("{stem}.{suffix}.json"));
-            std::fs::write(&path, body).expect("write telemetry artifact");
+            if let Err(e) = std::fs::write(&path, body) {
+                io_fail("write telemetry artifact", &path, &e);
+            }
             eprintln!("[telemetry] wrote {}", path.display());
         };
         write("phases", report.phases_json());

@@ -25,7 +25,12 @@ fn usage_errors_exit_2_and_name_the_problem() {
     let empty = std::env::temp_dir().join(format!("etpp-cli-empty-{}", std::process::id()));
     std::fs::create_dir_all(&empty).unwrap();
     let empty_dir = empty.to_str().unwrap();
-    let cases: [(&[&str], &str); 6] = [
+    // A telemetry dir under a regular file can never be created.
+    let file = empty.join("file");
+    std::fs::write(&file, "").unwrap();
+    let under_file = file.join("sub");
+    let under_file = under_file.to_str().unwrap();
+    let cases: [(&[&str], &str); 7] = [
         (&["--bogus"], "unknown flag: --bogus"),
         // Retired with trace-format v1: no longer a flag at all.
         (&["--trace-format", "2"], "unknown flag: --trace-format"),
@@ -33,6 +38,10 @@ fn usage_errors_exit_2_and_name_the_problem() {
         (&["--replay", "fig7"], "--replay runs alone"),
         (&["--jobs", "0", "table1"], "--jobs: positive integer"),
         (&["--sweep-merge", empty_dir], "--sweep-merge:"),
+        (
+            &["--scale", "tiny", "--telemetry", under_file, "telemetry"],
+            "--telemetry: cannot create",
+        ),
     ];
     for (args, needle) in cases {
         let (code, stderr) = repro(args);

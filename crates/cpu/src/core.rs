@@ -160,9 +160,9 @@ pub enum RetiredEvent {
 
 /// Why a driver visit happened: the horizon source that pinned the
 /// cycle. [`Core::next_event_at`] records the winning arm; the
-/// `etpp_sim::run` driver counts one per visited cycle so `speedcheck`
-/// can attribute where host iterations go (the ROADMAP's "idle-span
-/// instrumentation").
+/// `etpp_sim::run` driver counts one per visited cycle, so the pinned
+/// counts (`tests/sim_counts.rs`) and `repro --telemetry` registries can
+/// attribute where host iterations go.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum HorizonSource {

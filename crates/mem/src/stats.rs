@@ -64,9 +64,10 @@ pub struct DramStats {
     pub reads: u64,
     /// Line writebacks received by DRAM.
     pub writes: u64,
-    /// Reads whose row was already open (row-buffer hits).
+    /// Accesses (reads and writebacks) whose row was already open
+    /// (row-buffer hits).
     pub row_hits: u64,
-    /// Reads that required an activate (row-buffer misses).
+    /// Accesses that required an activate (row-buffer misses).
     pub row_misses: u64,
     /// Total cycles requests spent queued behind bank/bus conflicts.
     pub queue_cycles: u64,

@@ -39,7 +39,7 @@ pub enum PrefetchMode {
 
 impl PrefetchMode {
     /// Every mode, in presentation order. This is the single source of
-    /// truth for mode enumeration: repro, speedcheck, sweeps and report
+    /// truth for mode enumeration: repro, sweeps, tests and report
     /// tables all derive their mode lists from this array (or from
     /// [`PrefetchMode::FIGURE7`] below), and [`PrefetchMode::from_key`]
     /// parses by scanning it — adding a variant here wires it through

@@ -2,15 +2,14 @@
 //! line, one writer, one reader, one integrity frame.
 //!
 //! Every file the sweep farm writes — result-cache record, progress
-//! journal, shard file, `failures.json` — and the speedcheck report are
-//! made of **rows**: a flat `{"key": value, ...}` object on one line.
-//! [`RowWriter`] spells one; [`Row`] reads one back in a single pass that
-//! borrows its tokens from the line (strings are unescaped only when a
-//! backslash is present, integers parse as integers, nested objects and
-//! arrays come back as raw slices). [`seal`]/[`unseal`] frame a row as
-//! `payload|fnv16hex\n`, so a torn or bit-flipped line is detectable
-//! without trusting any of its bytes; the journal and the cache record
-//! share that one frame.
+//! journal, shard file, `failures.json` — is made of **rows**: a flat
+//! `{"key": value, ...}` object on one line. [`RowWriter`] spells one;
+//! [`Row`] reads one back in a single pass that borrows its tokens from
+//! the line (strings are unescaped only when a backslash is present,
+//! integers parse as integers, nested objects and arrays come back as
+//! raw slices). [`seal`]/[`unseal`] frame a row as `payload|fnv16hex\n`,
+//! so a torn or bit-flipped line is detectable without trusting any of
+//! its bytes; the journal and the cache record share that one frame.
 
 use etpp_telemetry::json_escape;
 use etpp_trace::format::{fnv1a, FNV_OFFSET};
@@ -217,9 +216,9 @@ impl<'a> Row<'a> {
         Row::members(object.strip_prefix('{')?.strip_suffix('}')?)
     }
 
-    /// Parses a bare member list, `"key": value, "key": value` — what a
-    /// pretty-printed file carries one per line outside its row arrays.
-    pub fn members(text: &'a str) -> Option<Row<'a>> {
+    /// Parses a bare member list, `"key": value, "key": value` — a
+    /// row's text between its braces.
+    fn members(text: &'a str) -> Option<Row<'a>> {
         let s = text.as_bytes();
         let skip_ws = |mut i: usize| {
             while s.get(i).is_some_and(u8::is_ascii_whitespace) {

@@ -23,7 +23,8 @@ use etpp_workloads::{checksum_region, BuiltWorkload, PrefetchSetup};
 /// [`HorizonSource`] pinned. `host_iters == visits.total()` on the
 /// horizon-aware path (the per-cycle reference does not attribute).
 /// This is the ROADMAP's "idle-span instrumentation": it shows where
-/// the next fast-forward factor lives, surfaced by `speedcheck --json`.
+/// the next fast-forward factor lives, surfaced in `repro --telemetry`
+/// registries as `driver.visits.*`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VisitCounts(pub [u64; HorizonSource::COUNT]);
 

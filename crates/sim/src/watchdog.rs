@@ -35,7 +35,6 @@ pub use etpp_mem::cancel::{CancelReason, CancelToken, Cancelled};
 use std::fmt;
 use std::panic::panic_any;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// Visits between wall-clock deadline polls on the hot driver loops.
 /// Power of two (the stride is a mask); at typical visit rates this
@@ -67,12 +66,6 @@ impl Watchdog {
     /// attempt's token between the driver and the fault plan).
     pub fn new(token: CancelToken) -> Self {
         Watchdog { token }
-    }
-
-    /// Guards a run with a fresh token whose deadline is `budget` from
-    /// now.
-    pub fn with_budget(budget: Duration) -> Self {
-        Watchdog::new(CancelToken::with_budget(budget))
     }
 
     /// The underlying token (clone it into [`etpp_mem::MemorySystem`]
@@ -209,6 +202,7 @@ impl LivelockDetector {
 mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::time::Duration;
 
     #[test]
     fn detector_fires_on_a_synthetic_non_advancing_horizon() {
@@ -246,7 +240,7 @@ mod tests {
 
     #[test]
     fn watchdog_check_is_strided_and_quiet_until_fired() {
-        let wd = Watchdog::with_budget(Duration::from_secs(3600));
+        let wd = Watchdog::new(CancelToken::with_budget(Duration::from_secs(3600)));
         for visit in 0..1000 {
             wd.check(visit, visit);
         }

@@ -78,7 +78,7 @@ type TraceGen = dyn Fn(&MemoryImage) -> Trace + Send + Sync;
 #[derive(Clone, Default)]
 pub(crate) struct SoftwareTrace {
     generate: Option<Arc<TraceGen>>,
-    built: OnceLock<Trace>,
+    pub(crate) built: OnceLock<Trace>,
 }
 
 impl SoftwareTrace {
@@ -136,12 +136,6 @@ impl BuiltWorkload {
     pub fn sw_trace(&self) -> Option<&Trace> {
         let generate = self.software.generate.as_ref()?;
         Some(self.software.built.get_or_init(|| generate(&self.image)))
-    }
-
-    /// Heap bytes of the traces held so far: the demand trace, plus the
-    /// software-prefetch trace once [`BuiltWorkload::sw_trace`] built it.
-    pub fn trace_bytes(&self) -> usize {
-        self.trace.bytes() + self.software.built.get().map_or(0, Trace::bytes)
     }
 }
 

@@ -466,7 +466,7 @@ fn telemetry_is_observationally_transparent() {
 /// every engine mode, on both the cycle and the replay path.
 #[test]
 fn armed_watchdog_is_bit_identical_when_the_budget_never_fires() {
-    use etpp::sim::{replay_run, replay_run_watched, run, run_watched, Watchdog};
+    use etpp::sim::{replay_run, replay_run_watched, run, run_watched, CancelToken, Watchdog};
     use std::time::Duration;
     // Generous enough that it cannot fire at Tiny scale; the strided
     // deadline polls and livelock bookkeeping still execute on every
@@ -486,7 +486,7 @@ fn armed_watchdog_is_bit_identical_when_the_budget_never_fires() {
             PrefetchMode::Blocked,
         ] {
             if let Ok(plain) = run(&cfg, mode, &wl) {
-                let wd = Watchdog::with_budget(budget);
+                let wd = Watchdog::new(CancelToken::with_budget(budget));
                 let watched = run_watched(&cfg, mode, &wl, &wd).expect("expressible above");
                 assert_eq!(
                     plain.cycles, watched.cycles,
@@ -522,7 +522,7 @@ fn armed_watchdog_is_bit_identical_when_the_budget_never_fires() {
                 );
             }
             if let Ok(plain) = replay_run(&cfg, mode, &wl, &trace.records) {
-                let wd = Watchdog::with_budget(budget);
+                let wd = Watchdog::new(CancelToken::with_budget(budget));
                 let watched = replay_run_watched(&cfg, mode, &wl, &trace.records, Some(wd.token()))
                     .expect("expressible above");
                 assert_eq!(
@@ -543,10 +543,10 @@ fn armed_watchdog_is_bit_identical_when_the_budget_never_fires() {
     }
 }
 
-/// Benchmark-scale spot check (the scale `BENCH_speedcheck.json` is
-/// recorded at): the per-cycle reference takes seconds per run in
-/// release and minutes in debug, so this is ignored by default — run it
-/// explicitly (`cargo test --release -- --ignored`) before trusting a
+/// Small-scale spot check (the scale of the nightly telemetry grid): the
+/// per-cycle reference takes seconds per run in release and minutes in
+/// debug, so this is ignored by default — run it explicitly
+/// (`cargo test --release -- --ignored`) before trusting a
 /// horizon-contract change at full stall density.
 #[test]
 #[ignore = "minutes-long under the per-cycle reference; run with --ignored"]
