@@ -21,9 +21,11 @@
 //! first-order effect for these memory-bound workloads.
 
 use crate::bpred::{BranchPredictor, BranchPredictorParams};
+use crate::capture::Capture;
 use crate::trace::{OpClass, Trace};
 use etpp_mem::{AccessKind, Completion, ConfigOp, MemorySystem, Rejection};
 use etpp_telemetry::{Hist, Registry};
+use etpp_trace::TraceRecord;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -120,44 +122,6 @@ pub struct CoreStats {
     pub active_cycles: u64,
 }
 
-/// A retired event captured for trace replay (see `etpp-trace`).
-///
-/// Loads that were satisfied entirely by store-to-load forwarding never
-/// reach the memory system and are not captured, so a replayed stream
-/// reproduces the demand traffic the hierarchy actually saw.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RetiredEvent {
-    /// A retired load or store that accessed the memory system.
-    Access {
-        /// Retirement cycle.
-        cycle: u64,
-        /// Static program counter.
-        pc: u32,
-        /// Virtual address.
-        vaddr: u64,
-        /// Load or store.
-        kind: AccessKind,
-        /// Store data (stores only).
-        value: u64,
-        /// Access size in bytes.
-        size: u8,
-        /// Load→load dependence distance: how many captured load
-        /// records back sits the youngest load whose result feeds this
-        /// access's address (through any chain of ALU ops). 0 = the
-        /// address depends on no captured load; always 0 for stores.
-        /// Trace format v2 persists this so replay can model
-        /// pointer-chase serialisation.
-        dep: u32,
-    },
-    /// A retired prefetcher-configuration instruction.
-    Config {
-        /// Retirement cycle.
-        cycle: u64,
-        /// The configuration operation.
-        op: ConfigOp,
-    },
-}
-
 /// Why a driver visit happened: the horizon source that pinned the
 /// cycle. [`Core::next_event_at`] records the winning arm; the
 /// `etpp_sim::run` driver counts one per visited cycle, so the pinned
@@ -248,6 +212,9 @@ struct Slot {
     in_iq: bool,
     /// Load satisfied by store-to-load forwarding (excluded from capture).
     forwarded: bool,
+    /// Capture only: the youngest load feeding a load's address, as
+    /// computed at dispatch (see [`Capture::dispatch`]).
+    producer: u32,
 }
 
 const FREE: Slot = Slot {
@@ -255,6 +222,7 @@ const FREE: Slot = Slot {
     wait_count: 0,
     in_iq: false,
     forwarded: false,
+    producer: 0,
 };
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -318,18 +286,8 @@ pub struct Core<'t> {
     pending_retry: Option<(u64, u64)>,
     /// The arm that pinned the last horizon (visit attribution).
     horizon_source: HorizonSource,
-    /// Capture sink for retired events (`None` = capture disabled).
-    captured: Option<Vec<RetiredEvent>>,
-    /// Register-producer tracking for dependence capture (allocated by
-    /// [`Core::enable_capture`], empty otherwise): per trace index, the
-    /// youngest load (as `idx + 1`; 0 = none) whose result feeds that
-    /// op's output, propagated through the dependence DAG at dispatch.
-    feed: Vec<u32>,
-    /// Per trace index of a captured (non-forwarded) load, its 1-based
-    /// ordinal in the captured load stream; 0 = not captured.
-    load_seq: Vec<u32>,
-    /// Loads captured so far (the ordinal counter behind `load_seq`).
-    captured_loads: u32,
+    /// Retirement capture for trace replay (`None` = disabled).
+    capture: Option<Box<Capture>>,
     /// Scratch buffer for draining due memory completions without a
     /// per-cycle allocation.
     completions_scratch: Vec<Completion>,
@@ -364,10 +322,7 @@ impl<'t> Core<'t> {
             pending_configs: Vec::new(),
             pending_retry: None,
             horizon_source: HorizonSource::CoreProgress,
-            captured: None,
-            feed: Vec::new(),
-            load_seq: Vec::new(),
-            captured_loads: 0,
+            capture: None,
             completions_scratch: Vec::new(),
             tel: None,
             stats: CoreStats::default(),
@@ -395,50 +350,15 @@ impl<'t> Core<'t> {
     /// first tick — producers are tracked from dispatch onwards.
     pub fn enable_capture(&mut self) {
         debug_assert_eq!(self.cursor, 0, "enable capture before dispatching");
-        self.captured
-            .get_or_insert_with(|| Vec::with_capacity(self.trace.len()));
-        self.feed.resize(self.trace.len(), 0);
-        self.load_seq.resize(self.trace.len(), 0);
+        self.capture
+            .get_or_insert_with(|| Box::new(Capture::new(self.trace)));
     }
 
-    /// The youngest load feeding `op`'s inputs: its own trace index + 1
-    /// if a dependency is a load, else that dependency's propagated
-    /// feed. 0 = no load anywhere in the producing dataflow.
-    #[inline]
-    fn youngest_load_feed(&self, op: &crate::trace::MicroOp) -> u32 {
-        let mut f = 0u32;
-        for d in op.deps() {
-            let df = if self.trace.ops[d as usize].class == OpClass::Load {
-                d + 1
-            } else {
-                self.feed[d as usize]
-            };
-            f = f.max(df);
-        }
-        f
-    }
-
-    /// Dependence distance for a retiring load: captured-load ordinals
-    /// back to the youngest load feeding its address, or 0 when the
-    /// producer was never captured (store-to-load forwarded loads never
-    /// reach the memory system).
-    #[inline]
-    fn capture_dep(&self, op: &crate::trace::MicroOp) -> u32 {
-        let f = self.youngest_load_feed(op);
-        if f == 0 {
-            return 0;
-        }
-        let seq = self.load_seq[(f - 1) as usize];
-        if seq == 0 {
-            0
-        } else {
-            self.captured_loads + 1 - seq
-        }
-    }
-
-    /// Takes every event captured so far (retirement order).
-    pub fn take_captured(&mut self) -> Vec<RetiredEvent> {
-        self.captured.take().unwrap_or_default()
+    /// Takes every record captured so far (retirement order; loads
+    /// satisfied by store-to-load forwarding never reach the memory
+    /// system and are not captured).
+    pub fn take_captured(&mut self) -> Vec<TraceRecord> {
+        self.capture.take().map(|c| c.finish()).unwrap_or_default()
     }
 
     /// Attaches an observability collector (see [`CoreTelemetry`]).
@@ -776,42 +696,21 @@ impl<'t> Core<'t> {
                     {
                         e.state = SqState::PendingIssue;
                     }
-                    if let Some(cap) = self.captured.as_mut() {
-                        cap.push(RetiredEvent::Access {
-                            cycle: now,
-                            pc: op.pc,
-                            vaddr: op.addr,
-                            kind: AccessKind::Store,
-                            value,
-                            size: op.aux,
-                            dep: 0,
-                        });
+                    if let Some(cap) = self.capture.as_deref_mut() {
+                        cap.retire_store(now, &op, value);
                     }
                 }
                 OpClass::Config => {
-                    let cfg = self.trace.configs[op.addr as usize].clone();
-                    if let Some(cap) = self.captured.as_mut() {
-                        cap.push(RetiredEvent::Config {
-                            cycle: now,
-                            op: cfg.clone(),
-                        });
+                    let cfg = &self.trace.configs[op.addr as usize];
+                    if let Some(cap) = self.capture.as_deref_mut() {
+                        cap.retire_config(now, cfg);
                     }
-                    self.pending_configs.push(cfg);
+                    self.pending_configs.push(cfg.clone());
                 }
-                OpClass::Load if self.captured.is_some() && !self.slots[slot].forwarded => {
-                    let dep = self.capture_dep(&op);
-                    self.captured_loads += 1;
-                    self.load_seq[self.head as usize] = self.captured_loads;
-                    if let Some(cap) = self.captured.as_mut() {
-                        cap.push(RetiredEvent::Access {
-                            cycle: now,
-                            pc: op.pc,
-                            vaddr: op.addr,
-                            kind: AccessKind::Load,
-                            value: 0,
-                            size: op.aux,
-                            dep,
-                        });
+                OpClass::Load => {
+                    if let Some(cap) = self.capture.as_deref_mut() {
+                        let s = self.slots[slot];
+                        cap.retire_load(now, &op, s.producer, s.forwarded);
                     }
                 }
                 _ => {}
@@ -984,16 +883,10 @@ impl<'t> Core<'t> {
             }
 
             let idx = self.cursor;
-            // Dependence capture: propagate the youngest feeding load
-            // through the dataflow as ops enter the window (producers
-            // always dispatch before consumers, so their feed is final).
-            if self.captured.is_some() {
-                self.feed[idx as usize] = if op.class == OpClass::Load {
-                    idx + 1
-                } else {
-                    self.youngest_load_feed(&op)
-                };
-            }
+            let producer = match self.capture.as_deref_mut() {
+                Some(cap) => cap.dispatch(idx, &op),
+                None => 0,
+            };
             let slot = self.slot_of(idx);
             self.dependents[slot].clear();
             self.slots[slot] = Slot {
@@ -1001,6 +894,7 @@ impl<'t> Core<'t> {
                 wait_count: 0,
                 in_iq: needs_iq,
                 forwarded: false,
+                producer,
             };
             if needs_iq {
                 self.iq_count += 1;
@@ -1301,8 +1195,8 @@ mod tests {
         );
     }
 
-    /// Per-cycle run with retirement capture on, returning the events.
-    fn run_captured_events(trace: &Trace, image: MemoryImage) -> Vec<RetiredEvent> {
+    /// Per-cycle run with retirement capture on, returning the records.
+    fn run_captured_events(trace: &Trace, image: MemoryImage) -> Vec<TraceRecord> {
         let mut mem = MemorySystem::new(MemParams::paper(), image);
         let mut core = Core::new(CoreParams::paper(), trace);
         core.enable_capture();
@@ -1317,11 +1211,11 @@ mod tests {
         core.take_captured()
     }
 
-    fn captured_load_deps(events: &[RetiredEvent]) -> Vec<u32> {
-        events
+    fn captured_load_deps(records: &[TraceRecord]) -> Vec<u32> {
+        records
             .iter()
-            .filter_map(|e| match e {
-                RetiredEvent::Access {
+            .filter_map(|r| match r {
+                TraceRecord::Access {
                     kind: AccessKind::Load,
                     dep,
                     ..

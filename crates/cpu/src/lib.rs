@@ -19,9 +19,10 @@
 #![warn(rust_2018_idioms)]
 
 pub mod bpred;
+mod capture;
 pub mod core;
 pub mod trace;
 
-pub use crate::core::{Core, CoreParams, CoreStats, CoreTelemetry, HorizonSource, RetiredEvent};
+pub use crate::core::{Core, CoreParams, CoreStats, CoreTelemetry, HorizonSource};
 pub use bpred::{BranchPredictor, BranchPredictorParams};
 pub use trace::{MicroOp, OpClass, OpId, Trace, TraceBuilder};

@@ -14,9 +14,10 @@ use etpp_baselines::{
     StridePrefetcher,
 };
 use etpp_core::{PfEngineStats, PrefetcherParams, ProgrammablePrefetcher};
-use etpp_cpu::{Core, CoreStats, HorizonSource, RetiredEvent, Trace};
+use etpp_cpu::{Core, CoreStats, HorizonSource, Trace};
 use etpp_mem::{MemStats, MemorySystem, NullEngine, PrefetchEngine};
 use etpp_telemetry::{Registry, SpanEvent, SpanSink};
+use etpp_trace::TraceRecord;
 use etpp_workloads::{checksum_region, BuiltWorkload, PrefetchSetup};
 
 /// Per-source driver-visit attribution: how many visited cycles each
@@ -311,27 +312,12 @@ pub fn run_captured(
     wl: &BuiltWorkload,
     scale_label: &str,
 ) -> Result<(RunResult, etpp_trace::CapturedTrace), Skip> {
-    let (result, events, _) = run_inner(cfg, mode, wl, true, None, None)?;
+    let (result, records, _) = run_inner(cfg, mode, wl, true, None, None)?;
     // The capture run's cycle count rides in the (v2) trace metadata so
     // replay consumers can report absolute-cycle agreement without
     // re-running the cycle core.
     let meta = etpp_trace::TraceMeta::new(wl.name, scale_label).with_capture_cycles(result.cycles);
-    let mut cap = etpp_trace::CaptureBuffer::new(meta);
-    for ev in events {
-        match ev {
-            RetiredEvent::Access {
-                cycle,
-                pc,
-                vaddr,
-                kind,
-                value,
-                size,
-                dep,
-            } => cap.access(cycle, pc, vaddr, kind, value, size, dep),
-            RetiredEvent::Config { cycle, op } => cap.config(cycle, &op),
-        }
-    }
-    Ok((result, cap.finish()))
+    Ok((result, etpp_trace::CapturedTrace { meta, records }))
 }
 
 /// Phase-sample values, aligned with [`crate::telemetry::PHASE_COLUMNS`].
@@ -374,7 +360,7 @@ fn run_inner(
     capture: bool,
     tel: Option<&TelemetrySpec>,
     wd: Option<&Watchdog>,
-) -> Result<(RunResult, Vec<RetiredEvent>, Option<TelemetryReport>), Skip> {
+) -> Result<(RunResult, Vec<TraceRecord>, Option<TelemetryReport>), Skip> {
     let (trace, mut engine) = select(cfg, mode, wl)?;
     let mut mem = MemorySystem::new(cfg.mem, wl.image.clone());
     if cfg.per_cycle_reference {
@@ -580,11 +566,7 @@ fn run_inner(
         Engine::Prog(p) => p.lookahead(0),
         _ => 0,
     };
-    let events = if capture {
-        core.take_captured()
-    } else {
-        Vec::new()
-    };
+    let records = core.take_captured();
     Ok((
         RunResult {
             workload: wl.name,
@@ -601,7 +583,7 @@ fn run_inner(
             visits,
             adaptive,
         },
-        events,
+        records,
         report,
     ))
 }

@@ -29,8 +29,8 @@
 //! Load records additionally carry the record's *dependence
 //! distance*: how many captured load records back the load sits whose
 //! result feeds this load's address (0 = address independent of any
-//! in-flight load). The capture hooks in `etpp_cpu::Core` track
-//! register producers through the ALU dataflow, so a pointer chase
+//! in-flight load). `etpp_cpu::Core` tracks register producers through
+//! the ALU dataflow as it captures, so a pointer chase
 //! `p = p->next` records distance 1 per hop while streaming loops
 //! record none. Distances are zigzag-delta coded against the previous
 //! load's distance — chases encode as runs of zero bytes. Replay uses
@@ -113,10 +113,14 @@ pub enum TraceRecord {
     Config {
         /// Retirement cycle in the capture run.
         cycle: u64,
-        /// The operation to forward to the attached engine.
-        op: ConfigOp,
+        /// The operation to forward to the attached engine (boxed: config
+        /// records are rare and `ConfigOp` would otherwise set the size of
+        /// every record).
+        op: Box<ConfigOp>,
     },
 }
+
+const _: () = assert!(std::mem::size_of::<TraceRecord>() == 40);
 
 impl TraceRecord {
     /// The record's capture-run cycle.
@@ -349,7 +353,7 @@ impl Decoder {
             }
             TAG_CONFIG => {
                 let cycle = self.prev_cycle.wrapping_add(cur.varint()?);
-                let op = decode_config(cur)?;
+                let op = Box::new(decode_config(cur)?);
                 self.prev_cycle = cycle;
                 Ok(TraceRecord::Config { cycle, op })
             }

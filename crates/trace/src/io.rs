@@ -349,7 +349,7 @@ mod tests {
         let mut v = Vec::new();
         v.push(TraceRecord::Config {
             cycle: 0,
-            op: ConfigOp::SetGlobal { idx: 1, value: 42 },
+            op: Box::new(ConfigOp::SetGlobal { idx: 1, value: 42 }),
         });
         for i in 0..100u64 {
             v.push(TraceRecord::Access {

@@ -12,9 +12,11 @@
 //! * [`io`] — a streaming [`TraceWriter`]/[`TraceReader`] pair over any
 //!   `Write`/`Read`, with an integrity hash covering the header and
 //!   every record;
-//! * [`capture`] — an in-memory capture buffer fed by the hooks in
-//!   `etpp_cpu::Core` (retired memory ops, program order) and the
-//!   retired-configuration stream;
+//! * capture lives in the cycle core: `etpp_cpu::Core` retires straight
+//!   into [`TraceRecord`]s (retired memory ops and configuration
+//!   instructions, program order), tracking load→load dependences in a
+//!   window-bounded ring, and `etpp_sim::run_captured` wraps that single
+//!   record vector into a [`CapturedTrace`];
 //! * [`replay`] — a trace-driven front end that feeds recorded accesses
 //!   through the full `etpp_mem` hierarchy and any
 //!   [`etpp_mem::PrefetchEngine`] *without* re-executing the out-of-order
@@ -30,17 +32,20 @@
 //! # Example
 //!
 //! ```
-//! use etpp_trace::{CaptureBuffer, ReplayParams, TraceMeta, TraceReader, TraceWriter};
+//! use etpp_trace::{CapturedTrace, ReplayParams, TraceMeta, TraceReader, TraceRecord, TraceWriter};
 //! use etpp_mem::{AccessKind, MemParams, MemoryImage, NullEngine};
 //!
-//! // Record two accesses, round-trip them through the binary format...
+//! // Two retired loads as the core captures them (a load record carries
+//! // no store payload), round-tripped through the binary format...
 //! let mut image = MemoryImage::new();
 //! let base = image.alloc(4096, 64);
-//! let mut cap = CaptureBuffer::new(TraceMeta::new("demo", "tiny"));
-//! cap.access(10, 0x400, base, AccessKind::Load, 0, 0, 0);
-//! cap.access(14, 0x404, base + 64, AccessKind::Load, 0, 0, 1); // fed by the first load
-//! assert_eq!(cap.len(), 2);
-//! let trace = cap.finish();
+//! let load = |cycle, pc, vaddr, dep| TraceRecord::Access {
+//!     cycle, pc, vaddr, kind: AccessKind::Load, value: 0, size: 0, dep,
+//! };
+//! let trace = CapturedTrace {
+//!     meta: TraceMeta::new("demo", "tiny"),
+//!     records: vec![load(10, 0x400, base, 0), load(14, 0x404, base + 64, 1)], // fed by the first load
+//! };
 //! let mut buf = Vec::new();
 //! let mut w = TraceWriter::new(&mut buf, &trace.meta).unwrap();
 //! for r in &trace.records { w.record(r).unwrap(); }
@@ -60,12 +65,10 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod capture;
 pub mod format;
 pub mod io;
 pub mod replay;
 
-pub use capture::CaptureBuffer;
 pub use format::{content_hash, CapturedTrace, TraceMeta, TraceRecord, FORMAT_VERSION};
 pub use io::{TraceReader, TraceWriter};
 pub use replay::{replay, replay_cancellable, ReplayParams, ReplayResult};

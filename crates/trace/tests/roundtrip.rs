@@ -19,14 +19,14 @@ fn materialise(raw: Vec<RawRec>) -> Vec<TraceRecord> {
             // Occasional config records exercise the side encoding.
             0 => TraceRecord::Config {
                 cycle,
-                op: ConfigOp::SetGlobal {
+                op: Box::new(ConfigOp::SetGlobal {
                     idx: size_sel,
                     value,
-                },
+                }),
             },
             1 => TraceRecord::Config {
                 cycle,
-                op: ConfigOp::SetRange {
+                op: Box::new(ConfigOp::SetRange {
                     id: RangeId(pc as u16),
                     lo: vaddr.min(value),
                     hi: vaddr.max(value),
@@ -45,15 +45,15 @@ fn materialise(raw: Vec<RawRec>) -> Vec<TraceRecord> {
                         ewma_chain_start: value & 8 != 0,
                         ewma_chain_end: value & 16 != 0,
                     },
-                },
+                }),
             },
             2 => TraceRecord::Config {
                 cycle,
-                op: ConfigOp::SetTagKernel {
+                op: Box::new(ConfigOp::SetTagKernel {
                     tag: TagId(pc as u16),
                     kernel: size_sel as u16,
                     chain_end: value & 1 != 0,
-                },
+                }),
             },
             3 | 4 => TraceRecord::Access {
                 cycle,

@@ -13,9 +13,12 @@
 //! The byte budget covers what a built workload holds: its micro-op
 //! traces dominate a process's peak heap. A run with no Software cell
 //! must never materialise the software-prefetch trace; building the three
-//! software traces eagerly pushes the peak past the budget.
+//! software traces eagerly pushes the peak past the budget. A capture
+//! adds exactly one copy of its records: the core retires straight into
+//! them, and its dependence tracking is bounded by the window.
 
-use etpp::sim::{run, PrefetchMode, SystemConfig};
+use etpp::sim::{run, run_captured, PrefetchMode, SystemConfig};
+use etpp::trace::TraceRecord;
 use etpp::workloads::{workload_by_name, Scale};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -133,5 +136,41 @@ fn workloads_without_a_software_cell_stay_under_the_heap_byte_budget() {
     assert!(
         peak <= BYTE_BUDGET,
         "peak live heap {peak} B exceeds the {BYTE_BUDGET} B budget"
+    );
+}
+
+/// Live heap a Tiny HJ-8 `none` cell adds on top of its built workload
+/// (image clone, memory system, core): 0.86 MiB measured, 1.5 MiB allowed.
+const RUN_ALLOWANCE: u64 = 3 << 19;
+
+#[test]
+fn a_capture_holds_one_copy_of_its_records() {
+    let cfg = SystemConfig::paper();
+    let base = LIVE.with(Cell::get);
+    let wl = workload_by_name("HJ-8").unwrap().build(Scale::Tiny);
+    let built = LIVE.with(Cell::get) - base;
+    PEAK.with(|p| p.set(base + built));
+    let (r, t) = run_captured(&cfg, PrefetchMode::None, &wl, "tiny").unwrap();
+    assert!(r.validated);
+    let peak = PEAK.with(Cell::get) - base;
+    // One 40-byte record per captured access and nothing per op. A
+    // capture holding a second 48-byte copy of the stream (reserved per
+    // op) plus two trace-length `u32` arrays peaks 10.4 MiB over the
+    // built workload and fails here.
+    assert_eq!(t.records.len(), 43_653);
+    let records = 43_653 * std::mem::size_of::<TraceRecord>() as u64;
+    let budget = built + records + RUN_ALLOWANCE;
+    let mib = |b: u64| b as f64 / (1 << 20) as f64;
+    println!(
+        "capture peak live heap {:.2} MiB (budget {:.2} MiB: built {:.2} + records {:.2} + {:.2})",
+        mib(peak),
+        mib(budget),
+        mib(built),
+        mib(records),
+        mib(RUN_ALLOWANCE)
+    );
+    assert!(
+        peak <= budget,
+        "capture peak live heap {peak} B exceeds the {budget} B budget"
     );
 }
