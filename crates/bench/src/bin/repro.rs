@@ -63,13 +63,13 @@
 //! its first K attempts), `bpanic=W@K` (workload W's baseline),
 //! `tear=J@B` (cell J's cache write torn at B bytes), `trace=W@OFF`
 //! (flip a byte of workload W's trace file), `hang=J@P` (cell J spins
-//! until its watchdog cancels it, polling every P ms), `slow=J@D`
+//! until its deadline expires, polling every P ms), `slow=J@D`
 //! (cell J sleeps D ms before running), `kill=C` (simulate a crash
 //! after C cells), joined by `;`.
 //!
 //! Every sweep cell runs under a cooperative watchdog: a per-cell
 //! wall-clock budget (default: a deterministic multiple of this
-//! shard's measured baseline-cell time) cancels overrunning cells at
+//! shard's measured baseline-cell time) aborts overrunning cells at
 //! driver-visit granularity, retries them once at an escalated
 //! budget, and then quarantines them as `timeout` alongside panics.
 //! `--cell-budget SECS` overrides the budget (fractional seconds
@@ -177,10 +177,12 @@ fn main() {
         } else if a == "--cell-budget" {
             let v = next_value(&mut it, "--cell-budget needs seconds (0 disarms)");
             let secs: f64 = v.parse().unwrap_or(-1.0);
-            if !secs.is_finite() || secs < 0.0 {
-                usage_error(&format!("--cell-budget: non-negative seconds, got {v:?}"));
+            match Duration::try_from_secs_f64(secs) {
+                Ok(d) => cell_budget = Some(d),
+                Err(_) => usage_error(&format!(
+                    "--cell-budget: non-negative seconds up to ~1.8e19, got {v:?}"
+                )),
             }
-            cell_budget = Some(Duration::from_secs_f64(secs));
         } else if a == "--shard" {
             let v = next_value(&mut it, "--shard needs K/N");
             let (k, n) = v
@@ -535,10 +537,6 @@ fn run_sweep_cmd(cli: &SweepCli) {
         t0.elapsed()
     );
 
-    // Decode-error telemetry is reported as a delta over this run, so
-    // snapshot the process-wide counter before our own capture phase
-    // (which may legitimately hit a stale trace) contributes to it.
-    let decode_errors_from = faults::trace_decode_errors();
     let t0 = Instant::now();
     let capture_results: Vec<Result<rp::KeyedCapture, String>> =
         ex::map_indexed(jobs, workloads.len(), |i| {
@@ -624,7 +622,6 @@ fn run_sweep_cmd(cli: &SweepCli) {
         journal: Some(sweeps::SweepFile::Journal.path(&cli.sweep_dir, shard)),
         resume: cli.resume,
         cell_budget: cli.cell_budget,
-        decode_errors_from: Some(decode_errors_from),
         ..sweeps::SweepOptions::new(jobs, label)
     };
     let t0 = Instant::now();

@@ -30,13 +30,18 @@ fn usage_errors_exit_2_and_name_the_problem() {
     std::fs::write(&file, "").unwrap();
     let under_file = file.join("sub");
     let under_file = under_file.to_str().unwrap();
-    let cases: [(&[&str], &str); 7] = [
+    let cases: [(&[&str], &str); 8] = [
         (&["--bogus"], "unknown flag: --bogus"),
         // Retired with trace-format v1: no longer a flag at all.
         (&["--trace-format", "2"], "unknown flag: --trace-format"),
         (&["--shard", "1/4"], "--shard only applies to --sweep"),
         (&["--replay", "fig7"], "--replay runs alone"),
         (&["--jobs", "0", "table1"], "--jobs: positive integer"),
+        // Beyond `Duration`'s range: a usage error, not a panic.
+        (
+            &["--cell-budget", "1e20"],
+            "--cell-budget: non-negative seconds",
+        ),
         (&["--sweep-merge", empty_dir], "--sweep-merge:"),
         (
             &["--scale", "tiny", "--telemetry", under_file, "telemetry"],

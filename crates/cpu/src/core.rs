@@ -3,7 +3,7 @@
 //! A 3-wide machine with a 40-entry reorder buffer, 32-entry issue queue,
 //! 16-entry load queue, 32-entry store queue, 3 integer / 2 FP / 1 mul-div
 //! functional units and a tournament branch predictor — Table 1 of the
-//! paper. It replays a [`Trace`](crate::trace::Trace) against an
+//! paper. It replays a [`Trace`] against an
 //! [`etpp_mem::MemorySystem`]:
 //!
 //! * micro-ops dispatch in order into the ROB and wait for their

@@ -1,129 +1,74 @@
-//! Cooperative cancellation for bounded-runtime simulation.
+//! Wall-clock deadlines for bounded-runtime simulation.
 //!
-//! A [`CancelToken`] is a cheap, clonable handle combining an external
-//! cancel request (a shared atomic flag) with an optional wall-clock
-//! deadline fixed at construction. Execution layers poll it at *coarse*
-//! boundaries — one driver visit, one replay iteration, one
-//! `advance_to` entry — never per simulated cycle, so an armed token
-//! costs a single null-check plus (strided) one atomic load on the hot
-//! paths and a cancelled run aborts within a bounded number of visits.
+//! A [`Deadline`] is a `Copy` instant fixed when a sweep attempt
+//! starts. Execution layers poll it at *coarse* boundaries — one driver
+//! visit, one replay host iteration — never per simulated cycle, and
+//! [`Deadline::poll`] strides the (syscall-backed) clock read to every
+//! [`CHECK_STRIDE`]th visit, so an armed deadline costs one
+//! null-check per visit and an expired one aborts the run within a
+//! bounded number of visits.
 //!
-//! Firing is expressed as a typed panic payload ([`Cancelled`]) raised
-//! by [`CancelToken::check`]: the sweep farm's panic-isolation layer
-//! (`etpp_sim::faults`) catches it, classifies the failure (deadline
-//! vs. request), and quarantines the cell instead of crashing the
-//! worker. A token that never fires is pure observation — watched runs
-//! are bit-identical to unwatched ones (pinned by the equivalence
-//! suite).
+//! Expiry is a typed panic payload ([`Cancelled`]) raised by
+//! [`Deadline::check`]: the sweep farm's panic-isolation layer
+//! (`etpp_sim::faults`) catches it, classifies the attempt as a
+//! `timeout`, and quarantines the cell instead of crashing the worker.
+//! A deadline that never expires is pure observation — watched runs are
+//! bit-identical to unwatched ones (pinned by the equivalence suite).
 
 use std::fmt;
 use std::panic::panic_any;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Why a [`CancelToken`] fired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CancelReason {
-    /// [`CancelToken::cancel`] was called (external request).
-    Requested,
-    /// The token's wall-clock deadline passed (budget exhausted).
-    Deadline,
-}
+/// Visits between wall-clock polls in [`Deadline::poll`]. Power of two
+/// (the stride is a mask); at typical visit rates this bounds abort
+/// latency to well under a millisecond while keeping `Instant::now`
+/// off the per-visit path.
+pub const CHECK_STRIDE: u64 = 64;
 
-impl CancelReason {
-    /// Stable lower-case key (`"requested"` / `"deadline"`).
-    pub fn key(self) -> &'static str {
-        match self {
-            CancelReason::Requested => "requested",
-            CancelReason::Deadline => "deadline",
-        }
-    }
-}
-
-/// Typed panic payload raised by [`CancelToken::check`] when the token
-/// has fired. Carried through `catch_unwind` so the isolation layer can
-/// classify the abort (timeout vs. cancellation) instead of seeing an
-/// opaque string.
+/// Typed panic payload raised by [`Deadline::check`] once the deadline
+/// has passed. Carried through `catch_unwind` so the isolation layer
+/// can classify the abort as a timeout instead of seeing an opaque
+/// string.
 #[derive(Debug, Clone, Copy)]
 pub struct Cancelled {
-    /// Simulated cycle at which the cancellation was observed (0 when
-    /// the aborting layer has no cycle clock, e.g. a spin loop).
+    /// Simulated cycle at which the expiry was observed (0 when the
+    /// aborting layer has no cycle clock, e.g. a spin loop).
     pub at_cycle: u64,
-    /// What fired the token.
-    pub reason: CancelReason,
 }
 
 impl fmt::Display for Cancelled {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.reason {
-            CancelReason::Requested => {
-                write!(f, "cancelled on request at cycle {}", self.at_cycle)
-            }
-            CancelReason::Deadline => {
-                write!(f, "wall-clock budget exhausted at cycle {}", self.at_cycle)
-            }
-        }
+        write!(f, "wall-clock budget exhausted at cycle {}", self.at_cycle)
     }
 }
 
-/// A clonable cancellation handle: a shared request flag plus an
-/// optional deadline fixed at construction. Clones observe the same
-/// flag (cancel one, cancel all) and the same immutable deadline, so
-/// [`CancelToken::is_cancelled`] is lock-free.
-///
-/// Escalated retries do not extend a token — they build a *new* one
-/// with a later deadline, keeping every token's lifetime decision
-/// immutable and race-free.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken {
-    flag: Arc<AtomicBool>,
-    deadline: Option<Instant>,
-}
+/// The wall-clock instant one run must finish by. Escalated retries do
+/// not extend a deadline — they start a new one with a larger budget.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Deadline(Instant);
 
-impl CancelToken {
-    /// A token with no deadline: fires only on [`CancelToken::cancel`].
-    pub fn new() -> Self {
-        CancelToken::default()
-    }
-
-    /// A token whose deadline is `budget` from now. A budget too large
-    /// to represent degrades to no deadline (request-only).
-    pub fn with_budget(budget: Duration) -> Self {
-        CancelToken {
-            flag: Arc::default(),
-            deadline: Instant::now().checked_add(budget),
-        }
-    }
-
-    /// Requests cancellation; every clone of this token observes it.
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Release);
-    }
-
-    /// Why the token has fired, if it has. An explicit request wins
-    /// over a passed deadline so an external abort is never
-    /// misclassified as a timeout.
-    pub fn fired(&self) -> Option<CancelReason> {
-        if self.flag.load(Ordering::Acquire) {
-            return Some(CancelReason::Requested);
-        }
-        match self.deadline {
-            Some(d) if Instant::now() >= d => Some(CancelReason::Deadline),
-            _ => None,
-        }
-    }
-
-    /// Whether the token has fired (request or deadline).
-    pub fn is_cancelled(&self) -> bool {
-        self.fired().is_some()
+impl Deadline {
+    /// The deadline `budget` from now; `None` when that instant cannot
+    /// be represented (the run is then unbounded).
+    pub fn after(budget: Duration) -> Option<Self> {
+        Instant::now().checked_add(budget).map(Deadline)
     }
 
     /// Aborts the current computation with a [`Cancelled`] payload if
-    /// the token has fired. `at_cycle` stamps the diagnostic.
-    pub fn check(&self, at_cycle: u64) {
-        if let Some(reason) = self.fired() {
-            panic_any(Cancelled { at_cycle, reason });
+    /// the deadline has passed. `at_cycle` stamps the diagnostic.
+    pub fn check(self, at_cycle: u64) {
+        if Instant::now() >= self.0 {
+            panic_any(Cancelled { at_cycle });
+        }
+    }
+
+    /// Per-visit poll: [`Deadline::check`] on every [`CHECK_STRIDE`]th
+    /// `visit`. Cheap enough for once-per-driver-visit use; never call
+    /// it per cycle.
+    #[inline]
+    pub fn poll(self, visit: u64, at_cycle: u64) {
+        if visit & (CHECK_STRIDE - 1) == 0 {
+            self.check(at_cycle);
         }
     }
 }
@@ -134,36 +79,35 @@ mod tests {
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
-    fn request_fires_every_clone() {
-        let a = CancelToken::new();
-        let b = a.clone();
-        assert!(!a.is_cancelled() && !b.is_cancelled());
-        b.cancel();
-        assert_eq!(a.fired(), Some(CancelReason::Requested));
-        assert_eq!(b.fired(), Some(CancelReason::Requested));
-    }
-
-    #[test]
     fn deadline_fires_as_deadline_and_check_panics_typed() {
-        let t = CancelToken::with_budget(Duration::from_millis(0));
-        assert_eq!(t.fired(), Some(CancelReason::Deadline));
-        let err = catch_unwind(AssertUnwindSafe(|| t.check(42))).unwrap_err();
+        let d = Deadline::after(Duration::ZERO).unwrap();
+        let err = catch_unwind(AssertUnwindSafe(|| d.check(42))).unwrap_err();
         let c = err.downcast_ref::<Cancelled>().expect("typed payload");
         assert_eq!(c.at_cycle, 42);
-        assert_eq!(c.reason, CancelReason::Deadline);
+        assert!(c.to_string().contains("budget exhausted"), "{c}");
     }
 
     #[test]
-    fn request_outranks_deadline() {
-        let t = CancelToken::with_budget(Duration::from_millis(0));
-        t.cancel();
-        assert_eq!(t.fired(), Some(CancelReason::Requested));
+    fn poll_checks_only_on_the_stride() {
+        let expired = Deadline::after(Duration::ZERO).unwrap();
+        for visit in 1..CHECK_STRIDE {
+            expired.poll(visit, 0); // off-stride visits never read the clock
+        }
+        let err = catch_unwind(AssertUnwindSafe(|| expired.poll(CHECK_STRIDE, 7))).unwrap_err();
+        assert_eq!(err.downcast_ref::<Cancelled>().unwrap().at_cycle, 7);
     }
 
     #[test]
     fn generous_budget_never_fires() {
-        let t = CancelToken::with_budget(Duration::from_secs(3600));
-        assert!(!t.is_cancelled());
-        t.check(0); // must not panic
+        let generous = Deadline::after(Duration::from_secs(3600)).unwrap();
+        generous.check(0);
+        for visit in 0..1000 {
+            generous.poll(visit, visit); // must not panic
+        }
+    }
+
+    #[test]
+    fn unrepresentable_budget_gives_no_deadline() {
+        assert_eq!(Deadline::after(Duration::MAX), None);
     }
 }

@@ -60,7 +60,7 @@ pub mod tlb;
 
 pub use addr::{line_of, offset_in_line, page_of, LINE_SIZE, PAGE_SIZE};
 pub use cache::{Cache, CacheParams, Line};
-pub use cancel::{CancelReason, CancelToken, Cancelled};
+pub use cancel::{Cancelled, Deadline};
 pub use dram::{Dram, DramParams};
 pub use engine::{
     ConfigOp, DemandEvent, FilterFlags, NullEngine, PrefetchEngine, PrefetchRequest, RangeId, TagId,

@@ -227,14 +227,6 @@ pub struct MemorySystem {
     /// statistics are bit-identical either way (pinned by the
     /// equivalence suite).
     tel: Option<Box<MemTelemetry>>,
-    /// Optional cooperative-cancellation token, polled once per
-    /// [`MemorySystem::advance_to`] entry (never per internal tick).
-    /// `None` (the default) keeps the hook to one null-check; a token
-    /// that never fires changes nothing — same discipline as `tel`.
-    cancel: Option<crate::cancel::CancelToken>,
-    /// `advance_to` entries since attachment, striding the (syscall-
-    /// backed) deadline poll to every 64th entry.
-    cancel_polls: u64,
 }
 
 impl MemorySystem {
@@ -265,20 +257,9 @@ impl MemorySystem {
             engine_wake: 0,
             engine_batching: true,
             tel: None,
-            cancel: None,
-            cancel_polls: 0,
             params,
             image,
         }
-    }
-
-    /// Attaches (or detaches, with `None`) a cooperative-cancellation
-    /// token. [`MemorySystem::advance_to`] polls it at entry — visit
-    /// granularity, never per cycle — and aborts the run by raising the
-    /// token's [`crate::cancel::Cancelled`] payload once it fires.
-    pub fn set_cancel(&mut self, token: Option<crate::cancel::CancelToken>) {
-        self.cancel = token;
-        self.cancel_polls = 0;
     }
 
     /// Attaches an observability collector. See [`MemTelemetry::new`].
@@ -1029,12 +1010,6 @@ impl MemorySystem {
     /// caller's precondition is that *it* has nothing to do before `to`
     /// and has already ticked cycle `now`.
     pub fn advance_to(&mut self, now: u64, to: u64, engine: &mut dyn PrefetchEngine) -> u64 {
-        if let Some(token) = &self.cancel {
-            self.cancel_polls += 1;
-            if self.cancel_polls & 63 == 0 {
-                token.check(now);
-            }
-        }
         let mut t = now;
         loop {
             // A demand completion hands control straight back: the core

@@ -352,12 +352,11 @@ pub fn sample_interval(scale: Scale) -> u64 {
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
-    use crate::faults::{run_isolated, run_isolated_budgeted, FailureClass, RetryPolicy};
+    use crate::faults::{run_isolated, run_isolated_budgeted, Attempts, FailureClass, RetryPolicy};
     use crate::report::{adaptive_table, grid_table};
     use crate::system::{run, run_telemetry};
     use crate::telemetry::TelemetrySpec;
     use etpp_workloads::workload_by_name;
-    use std::sync::atomic::AtomicU64;
     use std::sync::OnceLock;
     use std::time::Duration;
 
@@ -522,10 +521,10 @@ mod tests {
             backoff_ms: 0,
             ..RetryPolicy::default()
         };
-        let retries = AtomicU64::new(0);
+        let attempts = Attempts::default();
         // Job 5 fails permanently, job 7 recovers on its second attempt.
         let out = map_indexed(4, 10, |i| {
-            run_isolated(&policy, i, &retries, |attempt| {
+            run_isolated(&policy, i, &attempts, |attempt| {
                 if i == 5 {
                     panic!("permanent failure in job {i}");
                 }
@@ -545,7 +544,7 @@ mod tests {
             }
         }
         // 2 wasted attempts on job 5 + 1 on job 7.
-        assert_eq!(retries.load(Ordering::Relaxed), 3);
+        assert_eq!(attempts.retries.load(Ordering::Relaxed), 3);
     }
 
     #[test]
@@ -554,16 +553,16 @@ mod tests {
             backoff_ms: 0,
             ..RetryPolicy::default()
         };
-        let retries = AtomicU64::new(0);
+        let attempts = Attempts::default();
         let budget = Some(Duration::from_millis(15));
         let out = map_indexed(2, 4, |i| {
-            run_isolated_budgeted(&policy, i, &retries, budget, |attempt, token| {
-                let token = token.expect("budget arms every job");
+            run_isolated_budgeted(&policy, i, &attempts, budget, |attempt, deadline| {
+                let deadline = deadline.expect("budget arms every job");
                 if i == 2 {
-                    // A hung job: spin until the deadline cancels it.
+                    // A hung job: spin until the deadline expires.
                     loop {
                         std::thread::sleep(Duration::from_millis(1));
-                        token.check(u64::from(attempt));
+                        deadline.check(u64::from(attempt));
                     }
                 }
                 i
@@ -582,7 +581,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(retries.load(Ordering::Relaxed), 1);
+        assert_eq!(attempts.retries.load(Ordering::Relaxed), 1);
     }
 
     #[test]

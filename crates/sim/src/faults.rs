@@ -13,6 +13,10 @@
 //! per-run `failures.json`, and the `sweep.quarantined` counter. The
 //! record is one row ([`crate::rows`]) with one writer and one reader,
 //! spelled the same in the journal, the shard file and `failures.json`.
+//! Counts are per run, never process-wide: the caller hands each
+//! isolated job the run's [`Attempts`], which tallies retries and
+//! livelocked attempts. [`run_isolated_budgeted`] gives every attempt
+//! its own [`Deadline`], escalated on retry.
 //!
 //! Faults themselves are injectable on purpose: a [`FaultPlan`] is a
 //! pure function of job index and attempt number (no wall clock, no
@@ -25,12 +29,11 @@
 //! tail line that resume detects and truncates.
 
 use crate::rows::{seal, unseal, write_rows, Row, RowWriter};
-use crate::watchdog::{Cancelled, LivelockAbort, BUDGET_ESCALATION};
-use etpp_mem::cancel::{CancelReason, CancelToken};
+use crate::watchdog::{Cancelled, Deadline, LivelockAbort, BUDGET_ESCALATION};
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{self, Seek, SeekFrom, Write as _};
+use std::io::{self, BufWriter, Seek, SeekFrom, Write as _};
 use std::panic::{catch_unwind, panic_any, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
@@ -67,20 +70,16 @@ impl Default for RetryPolicy {
 /// Classified cause of a quarantined job, derived from the final panic
 /// payload. The class picks the recovery path (e.g. a `Timeout` gets
 /// exactly one escalated-budget retry) and the telemetry counter it
-/// lands in (`sweep.quarantined` / `sweep.timeout` / `sweep.cancelled`
-/// / `driver.livelock_aborts`).
+/// lands in (`sweep.quarantined` / `sweep.timeout`; every attempt that
+/// fails as a livelock also counts in `driver.livelock_aborts`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FailureClass {
     /// An ordinary panic (the PR-8 failure mode; also the default when
     /// parsing records written before classes existed).
     #[default]
     Panic,
-    /// The cell's wall-clock budget expired
-    /// ([`Cancelled`] with [`CancelReason::Deadline`]).
+    /// The cell's wall-clock budget expired ([`Cancelled`]).
     Timeout,
-    /// The cell was cancelled on request
-    /// ([`Cancelled`] with [`CancelReason::Requested`]).
-    Cancelled,
     /// The driver's livelock detector fired ([`LivelockAbort`]).
     Livelock,
 }
@@ -92,7 +91,6 @@ impl FailureClass {
         match self {
             FailureClass::Panic => "panic",
             FailureClass::Timeout => "timeout",
-            FailureClass::Cancelled => "cancelled",
             FailureClass::Livelock => "livelock",
         }
     }
@@ -102,7 +100,6 @@ impl FailureClass {
     pub fn from_key(key: &str) -> FailureClass {
         match key {
             "timeout" => FailureClass::Timeout,
-            "cancelled" => FailureClass::Cancelled,
             "livelock" => FailureClass::Livelock,
             _ => FailureClass::Panic,
         }
@@ -123,7 +120,7 @@ pub struct JobFailure {
     /// for sweep cells).
     pub index: usize,
     /// Attempts consumed (== the policy's `max_attempts`, or 2 for
-    /// timeout/livelock/cancellation failures).
+    /// timeout/livelock failures).
     pub attempts: u32,
     /// Classified cause of the final failed attempt.
     pub class: FailureClass,
@@ -158,11 +155,8 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// Classifies a caught panic payload: the watchdog's typed payloads map
 /// to their failure class; everything else is a plain panic.
 pub fn classify_panic(payload: &(dyn Any + Send)) -> FailureClass {
-    if let Some(c) = payload.downcast_ref::<Cancelled>() {
-        match c.reason {
-            CancelReason::Deadline => FailureClass::Timeout,
-            CancelReason::Requested => FailureClass::Cancelled,
-        }
+    if payload.is::<Cancelled>() {
+        FailureClass::Timeout
     } else if payload.is::<LivelockAbort>() {
         FailureClass::Livelock
     } else {
@@ -170,11 +164,22 @@ pub fn classify_panic(payload: &(dyn Any + Send)) -> FailureClass {
     }
 }
 
+/// What the isolation layer counted over every job it ran: the
+/// `sweep.retry` and `driver.livelock_aborts` counters of one sweep.
+#[derive(Debug, Default)]
+pub struct Attempts {
+    /// Re-attempts after a failed attempt.
+    pub retries: AtomicU64,
+    /// Failed attempts classified as [`FailureClass::Livelock`].
+    pub livelocks: AtomicU64,
+}
+
 /// Runs `f` with panic isolation under `policy`: catches panics,
-/// retries with deterministic backoff (bumping `retries` once per
-/// retry), and quarantines into a [`JobFailure`] after the budget is
-/// spent. `f` receives the zero-based attempt number so injected
-/// faults can be transient (fail attempts `< k`) or permanent.
+/// retries with deterministic backoff, and quarantines into a
+/// [`JobFailure`] after the budget is spent; `attempts` counts the
+/// retries and the livelocked attempts. `f` receives the zero-based
+/// attempt number so injected faults can be transient (fail attempts
+/// `< k`) or permanent.
 ///
 /// A [`FatalFault`] payload is rethrown immediately — it models the
 /// process dying, which retry must not mask. In strict mode `f` runs
@@ -186,23 +191,24 @@ pub fn classify_panic(payload: &(dyn Any + Send)) -> FailureClass {
 pub fn run_isolated<R>(
     policy: &RetryPolicy,
     index: usize,
-    retries: &AtomicU64,
+    attempts: &Attempts,
     f: impl Fn(u32) -> R,
 ) -> Result<R, JobFailure> {
-    run_isolated_budgeted(policy, index, retries, None, |attempt, _| f(attempt))
+    run_isolated_budgeted(policy, index, attempts, None, |attempt, _| f(attempt))
 }
 
 /// [`run_isolated`] with an optional per-attempt wall-clock budget. A
-/// `Some(budget)` arms each attempt with a fresh [`CancelToken`] whose
-/// deadline escalates by [`BUDGET_ESCALATION`]× per attempt, handed to
-/// `f` so it can thread the token into the simulation. A zero budget
-/// means "explicitly disarmed" (`f` sees no token).
+/// `Some(budget)` arms each attempt with a fresh [`Deadline`] whose
+/// budget escalates by [`BUDGET_ESCALATION`]× per attempt, handed to
+/// `f` so it can thread the deadline into the simulation. A zero budget
+/// means "explicitly disarmed", and a budget too large to represent
+/// means "unbounded": either way `f` sees no deadline.
 ///
 /// Failure classes pick the retry schedule: a plain panic keeps the
-/// policy's full `max_attempts`, while a timeout, livelock, or
-/// cancellation gets exactly one retry — at the escalated budget for
-/// timeouts — before quarantine (a hung cell rarely heals, and
-/// re-running it is the most expensive retry there is).
+/// policy's full `max_attempts`, while a timeout or livelock gets
+/// exactly one retry — at the escalated budget for timeouts — before
+/// quarantine (a hung cell rarely heals, and re-running it is the most
+/// expensive retry there is).
 ///
 /// # Errors
 /// The [`JobFailure`] (carrying the classified last failure) once the
@@ -210,38 +216,40 @@ pub fn run_isolated<R>(
 pub fn run_isolated_budgeted<R>(
     policy: &RetryPolicy,
     index: usize,
-    retries: &AtomicU64,
+    attempts: &Attempts,
     budget: Option<Duration>,
-    f: impl Fn(u32, Option<&CancelToken>) -> R,
+    f: impl Fn(u32, Option<Deadline>) -> R,
 ) -> Result<R, JobFailure> {
-    let token_for = |attempt: u32| {
-        budget
-            .filter(|b| !b.is_zero())
-            .map(|b| CancelToken::with_budget(b * BUDGET_ESCALATION.pow(attempt)))
+    let deadline_for = |attempt: u32| {
+        let b = budget.filter(|b| !b.is_zero())?;
+        b.checked_mul(BUDGET_ESCALATION.checked_pow(attempt)?)
+            .and_then(Deadline::after)
     };
     if policy.strict {
-        let token = token_for(0);
-        return Ok(f(0, token.as_ref()));
+        return Ok(f(0, deadline_for(0)));
     }
     let max = policy.max_attempts.max(1);
     let mut attempt = 0u32;
     loop {
         if attempt > 0 {
-            retries.fetch_add(1, Ordering::Relaxed);
+            attempts.retries.fetch_add(1, Ordering::Relaxed);
             if policy.backoff_ms > 0 {
                 std::thread::sleep(Duration::from_millis(
                     policy.backoff_ms * u64::from(attempt),
                 ));
             }
         }
-        let token = token_for(attempt);
-        match catch_unwind(AssertUnwindSafe(|| f(attempt, token.as_ref()))) {
+        let deadline = deadline_for(attempt);
+        match catch_unwind(AssertUnwindSafe(|| f(attempt, deadline))) {
             Ok(r) => return Ok(r),
             Err(payload) => {
                 if payload.is::<FatalFault>() {
                     resume_unwind(payload);
                 }
                 let class = classify_panic(payload.as_ref());
+                if class == FailureClass::Livelock {
+                    attempts.livelocks.fetch_add(1, Ordering::Relaxed);
+                }
                 attempt += 1;
                 let schedule = if class == FailureClass::Panic {
                     max
@@ -282,7 +290,7 @@ pub fn run_isolated_budgeted<R>(
 ///   nothing tears: name a job that simulates);
 /// * `trace=W@OFF` — one byte of workload `W`'s trace file is flipped
 ///   (XOR `0x55`) at offset `OFF mod len` before the sweep loads it;
-/// * `hang=J@P` — cell `J` spins until its watchdog token cancels it
+/// * `hang=J@P` — cell `J` spins until its deadline expires
 ///   (polling every `P` ms), on *every* attempt — a hung config does
 ///   not heal on retry, so the cell times out, retries once at the
 ///   escalated budget, times out again, and is quarantined;
@@ -345,20 +353,20 @@ impl FaultPlan {
         &self.trace_flips
     }
 
-    /// Spins until `token` fires if the plan hangs cell `job` — the
-    /// deterministic stand-in for a cell that never finishes. Every
+    /// Spins until `deadline` expires if the plan hangs cell `job` —
+    /// the deterministic stand-in for a cell that never finishes. Every
     /// attempt hangs (a livelocked config does not heal on retry), so
     /// the watchdog path runs end to end: timeout, escalated retry,
-    /// quarantine. Panics with a plain payload if no token is armed —
-    /// an unwatched hang would stall the worker forever, which is
+    /// quarantine. Panics with a plain payload if no deadline is armed
+    /// — an unwatched hang would stall the worker forever, which is
     /// exactly the regression this directive exists to catch.
-    pub fn maybe_hang(&self, job: usize, token: Option<&CancelToken>) {
+    pub fn maybe_hang(&self, job: usize, deadline: Option<Deadline>) {
         if let Some(&poll_ms) = self.hangs.get(&job) {
-            let Some(token) = token else {
+            let Some(deadline) = deadline else {
                 panic!("fault-injection: cell {job} hung with no watchdog armed");
             };
             loop {
-                token.check(0);
+                deadline.check(0);
                 std::thread::sleep(Duration::from_millis(poll_ms.max(1)));
             }
         }
@@ -514,7 +522,7 @@ pub struct FailureRecord {
     pub settings: String,
     /// The cell's [`crate::sweeps::cell_config_hash`].
     pub config_hash: u64,
-    /// Classified cause (panic / timeout / cancelled / livelock).
+    /// Classified cause (panic / timeout / livelock).
     pub class: FailureClass,
     /// Attempts consumed before quarantine.
     pub attempts: u32,
@@ -589,17 +597,22 @@ pub fn failures_json(records: &[FailureRecord]) -> String {
 /// # Errors
 /// I/O failure creating the directory or writing the file.
 pub fn write_failures(path: &Path, records: &[FailureRecord]) -> io::Result<()> {
-    write_atomic(path, failures_json(records).as_bytes())
+    publish(path, |out| out.write_all(failures_json(records).as_bytes()))
 }
 
 /// Write-then-rename, creating the parent directory: readers (other
 /// shards on a shared directory included) only ever observe complete
-/// files. The temp name is unique per *writer* — pid plus a
-/// process-wide counter — because two workers of one process may
-/// publish the same path (two sweep jobs sharing a result-cache key);
-/// a per-process name would let one's rename publish the other's
-/// half-written bytes.
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+/// files. `write` streams the contents into a buffered temp file, so a
+/// large file is never held whole; on any error the temp file is
+/// removed and `path` is left as it was. The temp name is unique per
+/// *writer* — pid plus a process-wide counter — because two workers of
+/// one process may publish the same path (two sweep jobs sharing a
+/// result-cache key, or two captures of one trace); a per-process name
+/// would let one's rename publish the other's half-written bytes.
+pub(crate) fn publish(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<fs::File>) -> io::Result<()>,
+) -> io::Result<()> {
     static WRITER: AtomicU64 = AtomicU64::new(0);
     if let Some(dir) = path.parent() {
         fs::create_dir_all(dir)?;
@@ -609,8 +622,16 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
         std::process::id(),
         WRITER.fetch_add(1, Ordering::Relaxed)
     ));
-    fs::write(&tmp, bytes)?;
-    fs::rename(&tmp, path)
+    let written = fs::File::create(&tmp).and_then(|f| {
+        let mut out = BufWriter::new(f);
+        write(&mut out)?;
+        out.flush()
+    });
+    let published = written.and_then(|()| fs::rename(&tmp, path));
+    if published.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    published
 }
 
 // ---------------------------------------------------------------------------
@@ -695,23 +716,6 @@ impl Journal {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Trace decode-error accounting
-// ---------------------------------------------------------------------------
-
-static TRACE_DECODE_ERRORS: AtomicU64 = AtomicU64::new(0);
-
-/// Records one corrupt/undecodable trace encounter (wired into the
-/// shard registry as `trace.decode_errors`).
-pub fn note_trace_decode_error() {
-    TRACE_DECODE_ERRORS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Process-wide count of corrupt/undecodable trace encounters.
-pub fn trace_decode_errors() -> u64 {
-    TRACE_DECODE_ERRORS.load(Ordering::Relaxed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -739,9 +743,9 @@ mod tests {
         // A hang with no armed watchdog is a plain (retryable) panic.
         let bare = catch_unwind(AssertUnwindSafe(|| plan.maybe_hang(2, None))).unwrap_err();
         assert_eq!(classify_panic(bare.as_ref()), FailureClass::Panic);
-        // With a deadline token the spin exits as a typed timeout.
-        let token = CancelToken::with_budget(Duration::from_millis(20));
-        let err = catch_unwind(AssertUnwindSafe(|| plan.maybe_hang(2, Some(&token)))).unwrap_err();
+        // With a deadline the spin exits as a typed timeout.
+        let deadline = Deadline::after(Duration::from_millis(20));
+        let err = catch_unwind(AssertUnwindSafe(|| plan.maybe_hang(2, deadline))).unwrap_err();
         assert_eq!(classify_panic(err.as_ref()), FailureClass::Timeout);
         // Other cells, and slow cells, pass straight through.
         plan.maybe_hang(0, None);
@@ -755,19 +759,19 @@ mod tests {
             backoff_ms: 0,
             ..RetryPolicy::default()
         };
-        let retries = AtomicU64::new(0);
+        let attempts = Attempts::default();
         let budgets = std::sync::Mutex::new(Vec::new());
         let r: Result<(), _> = run_isolated_budgeted(
             &policy,
             11,
-            &retries,
+            &attempts,
             Some(Duration::from_millis(10)),
-            |attempt, token| {
-                let token = token.expect("budget arms a token");
+            |attempt, deadline| {
+                let deadline = deadline.expect("budget arms a deadline");
                 budgets.lock().unwrap().push(attempt);
                 // Simulate an overrun: wait out the deadline, then poll.
                 std::thread::sleep(Duration::from_millis(25 * u64::from(attempt) + 15));
-                token.check(123);
+                deadline.check(123);
                 panic!("deadline should have fired first");
             },
         );
@@ -779,7 +783,54 @@ mod tests {
         );
         assert_eq!(*budgets.lock().unwrap(), vec![0, 1]);
         assert!(fail.error.contains("budget exhausted"), "{}", fail.error);
-        assert_eq!(retries.load(Ordering::Relaxed), 1);
+        assert_eq!(attempts.retries.load(Ordering::Relaxed), 1);
+        assert_eq!(attempts.livelocks.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn budgeted_isolation_counts_every_livelocked_attempt() {
+        let policy = RetryPolicy {
+            backoff_ms: 0,
+            ..RetryPolicy::default()
+        };
+        let attempts = Attempts::default();
+        let r: Result<(), _> = run_isolated_budgeted(&policy, 3, &attempts, None, |_, _| {
+            panic_any(LivelockAbort {
+                workload: "IntSort".into(),
+                mode: "manual".into(),
+                at_cycle: 9,
+                source: etpp_cpu::HorizonSource::CoreProgress,
+                stalled_visits: 64,
+                recent_horizons: vec![9; 8],
+            })
+        });
+        let fail = r.unwrap_err();
+        assert_eq!(fail.class, FailureClass::Livelock);
+        assert_eq!(fail.attempts, 2, "a livelock gets one retry");
+        assert_eq!(attempts.retries.load(Ordering::Relaxed), 1);
+        assert_eq!(attempts.livelocks.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn unrepresentable_escalated_budget_runs_unbounded() {
+        let policy = RetryPolicy {
+            backoff_ms: 0,
+            ..RetryPolicy::default()
+        };
+        let attempts = Attempts::default();
+        // Attempt 1's budget, 4× this one, overflows `Duration`: the
+        // retry must still run (with no deadline), not panic outside
+        // the isolation.
+        let huge = Duration::from_secs(u64::MAX / 2);
+        let r = run_isolated_budgeted(&policy, 5, &attempts, Some(huge), |attempt, deadline| {
+            if attempt == 0 {
+                panic!("transient");
+            }
+            assert_eq!(deadline, None);
+            attempt
+        });
+        assert_eq!(r, Ok(1));
+        assert_eq!(attempts.retries.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -788,23 +839,23 @@ mod tests {
             backoff_ms: 0,
             ..RetryPolicy::default()
         };
-        let retries = AtomicU64::new(0);
+        let attempts = Attempts::default();
         let r: Result<(), _> = run_isolated_budgeted(
             &policy,
             4,
-            &retries,
+            &attempts,
             Some(Duration::from_secs(3600)),
-            |_, token| {
-                assert!(!token.unwrap().is_cancelled());
+            |_, deadline| {
+                deadline.expect("budget arms a deadline").check(0);
                 panic!("permanent");
             },
         );
         let fail = r.unwrap_err();
         assert_eq!(fail.class, FailureClass::Panic);
         assert_eq!(fail.attempts, 3);
-        // Zero budget = explicitly disarmed: no token reaches f.
-        let ok = run_isolated_budgeted(&policy, 4, &retries, Some(Duration::ZERO), |_, token| {
-            assert!(token.is_none());
+        // Zero budget = explicitly disarmed: no deadline reaches f.
+        let ok = run_isolated_budgeted(&policy, 4, &attempts, Some(Duration::ZERO), |_, d| {
+            assert!(d.is_none());
             7u32
         });
         assert_eq!(ok, Ok(7));
@@ -825,8 +876,8 @@ mod tests {
             backoff_ms: 0,
             ..RetryPolicy::default()
         };
-        let retries = AtomicU64::new(0);
-        let r = run_isolated(&policy, 9, &retries, |attempt| {
+        let attempts = Attempts::default();
+        let r = run_isolated(&policy, 9, &attempts, |attempt| {
             assert!(attempt < 3);
             if attempt < 2 {
                 panic!("transient");
@@ -834,7 +885,7 @@ mod tests {
             attempt
         });
         assert_eq!(r, Ok(2));
-        assert_eq!(retries.load(Ordering::Relaxed), 2);
+        assert_eq!(attempts.retries.load(Ordering::Relaxed), 2);
     }
 
     #[test]
@@ -843,8 +894,8 @@ mod tests {
             backoff_ms: 0,
             ..RetryPolicy::default()
         };
-        let retries = AtomicU64::new(0);
-        let r: Result<(), _> = run_isolated(&policy, 7, &retries, |_| panic!("permanent"));
+        let attempts = Attempts::default();
+        let r: Result<(), _> = run_isolated(&policy, 7, &attempts, |_| panic!("permanent"));
         let fail = r.unwrap_err();
         assert_eq!(fail.index, 7);
         assert_eq!(fail.attempts, 3);
@@ -857,15 +908,15 @@ mod tests {
             backoff_ms: 0,
             ..RetryPolicy::default()
         };
-        let retries = AtomicU64::new(0);
+        let attempts = Attempts::default();
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            let _ = run_isolated(&policy, 0, &retries, |_| -> () {
+            let _ = run_isolated(&policy, 0, &attempts, |_| -> () {
                 panic_any(FatalFault("simulated crash".into()))
             });
         }));
         let payload = caught.unwrap_err();
         assert!(payload.is::<FatalFault>(), "FatalFault must not be retried");
-        assert_eq!(retries.load(Ordering::Relaxed), 0);
+        assert_eq!(attempts.retries.load(Ordering::Relaxed), 0);
     }
 
     #[test]
@@ -967,12 +1018,13 @@ mod tests {
         for class in [
             FailureClass::Panic,
             FailureClass::Timeout,
-            FailureClass::Cancelled,
             FailureClass::Livelock,
         ] {
             assert_eq!(FailureClass::from_key(class.key()), class);
         }
-        assert_eq!(FailureClass::from_key(""), FailureClass::Panic);
-        assert_eq!(FailureClass::from_key("weird"), FailureClass::Panic);
+        // Unknown keys, the retired "cancelled" class among them.
+        for key in ["", "weird", "cancelled"] {
+            assert_eq!(FailureClass::from_key(key), FailureClass::Panic);
+        }
     }
 }

@@ -3,9 +3,9 @@
 //! This crate wires the out-of-order core ([`etpp_cpu`]), the memory
 //! hierarchy ([`etpp_mem`]), and any prefetch engine — the programmable
 //! prefetcher ([`etpp_core`]), the stride/GHB baselines
-//! ([`etpp_baselines`]), or none — into a single runnable [`System`], and
-//! provides the experiment drivers that regenerate every figure and table
-//! of the paper's evaluation (see [`experiments`]).
+//! ([`etpp_baselines`]), or none — into one runnable system
+//! ([`system::run`]), and provides the experiment drivers that regenerate
+//! every figure and table of the paper's evaluation (see [`experiments`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -39,4 +39,4 @@ pub use system::{
     VisitCounts,
 };
 pub use telemetry::{TelemetryReport, TelemetrySpec};
-pub use watchdog::{CancelToken, Cancelled, LivelockAbort, LivelockDetector, Watchdog};
+pub use watchdog::{Cancelled, Deadline, LivelockAbort, LivelockDetector};

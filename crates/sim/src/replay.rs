@@ -7,22 +7,22 @@
 //! per-cell closure of [`crate::experiments::Grid::run`]). Replay skips the
 //! out-of-order core entirely, which makes sweeping prefetcher
 //! configurations an order of magnitude faster than full cycle simulation
-//! while preserving relative speedup orderings (see [`etpp_trace::replay`]
+//! while preserving relative speedup orderings (see [`mod@etpp_trace::replay`]
 //! for the fidelity contract).
 
 use crate::config::{PrefetchMode, SystemConfig};
 use crate::experiments::Cycles;
+use crate::faults::publish;
 use crate::system::{make_engine, run_captured, Skip};
-use etpp_mem::{CancelToken, MemStats};
+use etpp_mem::{Deadline, MemStats};
 use etpp_trace::{
     CapturedTrace, ReplayParams, TraceReader, TraceRecord, TraceWriter, FORMAT_VERSION,
 };
 use etpp_workloads::{checksum_region, BuiltWorkload};
 use std::collections::HashMap;
 use std::fs;
-use std::io::{BufReader, BufWriter};
+use std::io::BufReader;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Result of replaying one (workload, mode) cell.
@@ -94,13 +94,17 @@ pub enum CaptureSource {
     Cached,
     /// Captured fresh from a cycle-level baseline run.
     Captured,
+    /// Captured fresh because the cached file failed to decode (a
+    /// sweep counts these as `trace.decode_errors`).
+    Recaptured,
 }
 
 /// The in-process single-flight map: one lock per on-disk trace path,
 /// so concurrent workers asking for the same capture serialise — the
 /// first captures and persists, the rest re-probe the cache and hit.
-/// (Cross-process dedup rides on the atomic tmp+rename in [`persist`]:
-/// a racing process may redo work but can never tear the file.)
+/// (Cross-process dedup rides on the write-then-rename the capture is
+/// published with: a racing process may redo work but can never tear
+/// the file.)
 fn capture_lock(path: &Path) -> Arc<Mutex<()>> {
     static LOCKS: OnceLock<Mutex<HashMap<PathBuf, Arc<Mutex<()>>>>> = OnceLock::new();
     let map = LOCKS.get_or_init(|| Mutex::new(HashMap::new()));
@@ -147,10 +151,10 @@ pub struct KeyedCapture {
 /// Loads the cached capture for `wl` from `dir`, or captures it from a
 /// cycle-level no-prefetch run (and stores it in `dir`, if given). A
 /// cached file that does not read back clean — corrupt, truncated, or
-/// headed with another format version — names itself on stderr, counts
-/// as a decode error and is recaptured over; never a panic. Concurrent
-/// calls for the same on-disk path are single-flighted (see
-/// [`capture_lock`]). Callers with nowhere to report a failed baseline
+/// headed with another format version — names itself on stderr and is
+/// recaptured over ([`CaptureSource::Recaptured`]); never a panic.
+/// Concurrent calls for the same on-disk path are single-flighted, one
+/// lock per path. Callers with nowhere to report a failed baseline
 /// `.unwrap()` the result.
 ///
 /// `trace_format` is vestigial: [`FORMAT_VERSION`] is the only value
@@ -186,49 +190,28 @@ pub fn try_load_or_capture_keyed(
     let path = trace_path(dir, wl, scale_label);
     let lock = capture_lock(&path);
     let _single_flight = lock.lock().unwrap_or_else(|p| p.into_inner());
+    let mut source = CaptureSource::Captured;
     if let Ok(f) = fs::File::open(&path) {
         match TraceReader::new(BufReader::new(f)).and_then(|r| r.read_to_end()) {
             Ok(t) => return Ok(keyed(t, CaptureSource::Cached)),
             Err(e) => {
-                crate::faults::note_trace_decode_error();
+                source = CaptureSource::Recaptured;
                 eprintln!("[trace] discarding bad cache {}: {e}", path.display());
             }
         }
     }
     let trace = capture_fresh(cfg, wl, scale_label)?;
-    if let Err(e) = persist(&path, &trace) {
-        eprintln!("[trace] could not cache {}: {e}", wl.name);
-    }
-    Ok(keyed(trace, CaptureSource::Captured))
-}
-
-fn persist(path: &Path, trace: &CapturedTrace) -> std::io::Result<()> {
-    // Unique tmp per (process, call): two writers racing on the same
-    // capture — shard processes, or threads that missed the in-process
-    // single-flight — each write their own tmp and the `rename` makes
-    // whichever lands last fully visible; a reader can never observe a
-    // torn file.
-    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-    if let Some(dir) = path.parent() {
-        fs::create_dir_all(dir)?;
-    }
-    let tmp = path.with_extension(format!(
-        "etpt.tmp.{}.{}",
-        std::process::id(),
-        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let write = || -> std::io::Result<()> {
-        let mut w = TraceWriter::new(BufWriter::new(fs::File::create(&tmp)?), &trace.meta)?;
+    let stored = publish(&path, |out| {
+        let mut w = TraceWriter::new(out, &trace.meta)?;
         for r in &trace.records {
             w.record(r)?;
         }
-        w.finish().map(|_| ())
-    };
-    if let Err(e) = write() {
-        let _ = fs::remove_file(&tmp);
-        return Err(e);
+        w.finish().map(drop)
+    });
+    if let Err(e) = stored {
+        eprintln!("[trace] could not cache {}: {e}", wl.name);
     }
-    fs::rename(&tmp, path)
+    Ok(keyed(trace, source))
 }
 
 /// The replay front-end parameters the runner uses for every stream
@@ -252,11 +235,10 @@ pub fn replay_run(
     replay_run_watched(cfg, mode, wl, records, None)
 }
 
-/// [`replay_run`] under a sweep cell's watchdog token: the replay loop
-/// (and the memory system under it) polls `cancel` at host-visit
-/// granularity, so an armed-but-quiet token leaves results
-/// bit-identical while a fired one aborts with a typed
-/// [`etpp_mem::Cancelled`] payload for the isolation layer to
+/// [`replay_run`] under a sweep attempt's [`Deadline`]: the replay loop
+/// polls it at host-visit granularity, so a deadline that never expires
+/// leaves results bit-identical while an expired one aborts with a
+/// typed [`etpp_mem::Cancelled`] payload for the isolation layer to
 /// classify. `None` is exactly [`replay_run`].
 ///
 /// # Errors
@@ -266,7 +248,7 @@ pub fn replay_run_watched(
     mode: PrefetchMode,
     wl: &BuiltWorkload,
     records: &[TraceRecord],
-    cancel: Option<&CancelToken>,
+    deadline: Option<Deadline>,
 ) -> Result<ReplayRun, Skip> {
     let mut engine = make_engine(cfg, mode, wl)?;
     let res = etpp_trace::replay_cancellable(
@@ -275,7 +257,7 @@ pub fn replay_run_watched(
         wl.image.clone(),
         records,
         engine.as_dyn(),
-        cancel,
+        deadline,
     );
     let validated = checksum_region(&res.image, wl.check_region) == wl.expected;
     Ok(ReplayRun {
@@ -300,6 +282,7 @@ impl Cycles for ReplayRun {
 mod tests {
     use super::*;
     use etpp_workloads::{Scale, Workload};
+    use std::time::Duration;
 
     fn capture(dir: Option<&Path>, cfg: &SystemConfig, wl: &BuiltWorkload) -> KeyedCapture {
         try_load_or_capture_keyed(dir, cfg, wl, "tiny", FORMAT_VERSION).unwrap()
@@ -433,35 +416,22 @@ mod tests {
         let cfg = SystemConfig::paper();
         let trace = capture(None, &cfg, &wl).trace;
         let plain = replay_run(&cfg, PrefetchMode::Manual, &wl, &trace.records).unwrap();
-        let token = CancelToken::with_budget(std::time::Duration::from_secs(3600));
-        let watched = replay_run_watched(
-            &cfg,
-            PrefetchMode::Manual,
-            &wl,
-            &trace.records,
-            Some(&token),
-        )
-        .unwrap();
+        let generous = Deadline::after(Duration::from_secs(3600));
+        let watched =
+            replay_run_watched(&cfg, PrefetchMode::Manual, &wl, &trace.records, generous).unwrap();
         assert_eq!(
             (plain.cycles, plain.host_iters, plain.dep_stalls),
             (watched.cycles, watched.host_iters, watched.dep_stalls),
             "an armed-but-quiet watchdog must not perturb replay"
         );
-        let fired = CancelToken::new();
-        fired.cancel();
+        let expired = Deadline::after(Duration::ZERO);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            replay_run_watched(
-                &cfg,
-                PrefetchMode::Manual,
-                &wl,
-                &trace.records,
-                Some(&fired),
-            )
+            replay_run_watched(&cfg, PrefetchMode::Manual, &wl, &trace.records, expired)
         }))
         .unwrap_err();
         assert!(
             err.downcast_ref::<etpp_mem::Cancelled>().is_some(),
-            "a fired token aborts replay with a typed payload"
+            "an expired deadline aborts replay with a typed payload"
         );
     }
 

@@ -55,20 +55,20 @@
 use crate::config::{PrefetchMode, SystemConfig};
 use crate::experiments::{map_indexed, shard_indices};
 use crate::faults::{
-    run_isolated, run_isolated_budgeted, write_atomic, FailureClass, FailureRecord, FaultPlan,
+    publish, run_isolated, run_isolated_budgeted, Attempts, FailureClass, FailureRecord, FaultPlan,
     JobFailure, Journal, RetryPolicy,
 };
-use crate::replay::{replay_params, replay_run_watched, KeyedCapture};
+use crate::replay::{replay_params, replay_run_watched, CaptureSource, KeyedCapture};
 use crate::rows::{row, seal, unseal, write_rows, Row, RowWriter};
-use crate::system::{run, run_watched};
-use crate::watchdog::Watchdog;
-use etpp_mem::cancel::CancelToken;
+use crate::system::run_watched;
+use crate::watchdog::Deadline;
 use etpp_telemetry::Registry;
 use etpp_trace::format::{fnv1a, FNV_OFFSET};
 use etpp_workloads::BuiltWorkload;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
 use std::fs;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -447,7 +447,7 @@ fn store_cell(path: &Path, d: &CellData, tear: Option<u64>) -> std::io::Result<(
     }
     // Write-then-rename so concurrent shards on a shared cache dir can
     // only ever observe complete records.
-    write_atomic(path, &bytes)
+    publish(path, |out| out.write_all(&bytes))
 }
 
 // ---------------------------------------------------------------------------
@@ -479,15 +479,9 @@ pub struct SweepOptions {
     /// shard's own measured baselines ([`DEFAULT_BUDGET_MULTIPLE`] ×
     /// the slowest, floored at [`MIN_CELL_BUDGET`]); `Duration::ZERO`
     /// explicitly disarms the watchdog. A cell that overruns is
-    /// cancelled, retried once at an escalated budget, then
+    /// aborted, retried once at an escalated budget, then
     /// quarantined as a `timeout`.
     pub cell_budget: Option<Duration>,
-    /// Snapshot of [`crate::faults::trace_decode_errors`] taken before
-    /// this run's capture/fault phase, so the shard registry reports
-    /// only *this run's* decode errors (the static is process-wide and
-    /// would otherwise leak counts across sweeps sharing a process).
-    /// `None` snapshots at [`run_sweep`] entry.
-    pub decode_errors_from: Option<u64>,
 }
 
 impl SweepOptions {
@@ -503,7 +497,6 @@ impl SweepOptions {
             journal: None,
             resume: false,
             cell_budget: None,
-            decode_errors_from: None,
         }
     }
 }
@@ -616,7 +609,8 @@ pub struct ShardRun {
     /// `failures.json` serialises.
     pub failures: Vec<FailureRecord>,
     /// `sweep.*` counters (cache effectiveness, retries, quarantines,
-    /// journal hits) plus the `trace.decode_errors` snapshot.
+    /// journal hits) plus this run's `trace.decode_errors` and
+    /// `driver.livelock_aborts`.
     pub registry: Registry,
 }
 
@@ -667,13 +661,8 @@ impl ShardRun {
         self.registry.counter("sweep.timeout")
     }
 
-    /// Cells quarantined by an on-request cancellation.
-    pub fn cancelled(&self) -> u64 {
-        self.registry.counter("sweep.cancelled")
-    }
-
-    /// Livelock aborts the driver raised during this run (delta, not
-    /// the process-wide absolute).
+    /// Attempts of this run that the driver's livelock detector
+    /// aborted.
     pub fn livelock_aborts(&self) -> u64 {
         self.registry.counter("driver.livelock_aborts")
     }
@@ -693,7 +682,6 @@ impl ShardRun {
             (self.retries(), "retried"),
             (self.quarantined(), "quarantined"),
             (self.timeouts(), "timed out"),
-            (self.cancelled(), "cancelled"),
             (self.livelock_aborts(), "livelock aborts"),
             (self.journal_hits(), "resumed from journal"),
         ] {
@@ -727,7 +715,7 @@ fn cached_exec(
     records: &[etpp_trace::TraceRecord],
     escalate: bool,
     tear: Option<u64>,
-    cancel: Option<&CancelToken>,
+    deadline: Option<Deadline>,
     counters: &SweepCounters,
 ) -> (CellData, bool) {
     debug_assert_eq!(key.1, cell_config_hash(cfg, mode, escalate));
@@ -745,7 +733,7 @@ fn cached_exec(
             eprintln!("[sweep] evicted corrupt cache entry {}", p.display());
         }
     }
-    let d = exec_cell(cfg, mode, wl, records, escalate, cancel);
+    let d = exec_cell(cfg, mode, wl, records, escalate, deadline);
     counters.misses.fetch_add(1, Ordering::Relaxed);
     if d.path == CellPath::Cycle {
         counters.escalated.fetch_add(1, Ordering::Relaxed);
@@ -761,9 +749,9 @@ fn cached_exec(
 /// Replay-first cell execution with per-cell escalation: replay unless
 /// the stream-level gate already escalated; fall back to the cycle
 /// core when replay is impossible for the mode or corrupts the image.
-/// `cancel` (the attempt's watchdog token) is threaded into whichever
-/// loop actually runs; both paths check it at visit granularity only,
-/// so armed results stay bit-identical to unarmed ones. Runs on the
+/// `deadline` (the attempt's watchdog) is threaded into whichever loop
+/// actually runs; both paths poll it at visit granularity only, so
+/// armed results stay bit-identical to unarmed ones. Runs on the
 /// same [`SystemConfig::effective_for`] projection the cache key hashes.
 fn exec_cell(
     cfg: &SystemConfig,
@@ -771,11 +759,11 @@ fn exec_cell(
     wl: &BuiltWorkload,
     records: &[etpp_trace::TraceRecord],
     escalate: bool,
-    cancel: Option<&CancelToken>,
+    deadline: Option<Deadline>,
 ) -> CellData {
     let cfg = &cfg.effective_for(mode);
     if !escalate {
-        if let Ok(r) = replay_run_watched(cfg, mode, wl, records, cancel) {
+        if let Ok(r) = replay_run_watched(cfg, mode, wl, records, deadline) {
             if r.validated {
                 return CellData {
                     path: CellPath::Replay,
@@ -787,11 +775,7 @@ fn exec_cell(
             }
         }
     }
-    let cycle = match cancel {
-        Some(token) => run_watched(cfg, mode, wl, &Watchdog::new(token.clone())),
-        None => run(cfg, mode, wl),
-    };
-    match cycle {
+    match run_watched(cfg, mode, wl, deadline) {
         Ok(r) => CellData {
             path: CellPath::Cycle,
             cycles: r.cycles,
@@ -832,11 +816,10 @@ struct SweepCounters {
     misses: AtomicU64,
     escalated: AtomicU64,
     corrupt_evicted: AtomicU64,
-    retries: AtomicU64,
+    attempts: Attempts,
     quarantined: AtomicU64,
     journal_hits: AtomicU64,
     timeouts: AtomicU64,
-    cancelled: AtomicU64,
 }
 
 // ---------------------------------------------------------------------------
@@ -970,14 +953,6 @@ pub fn run_sweep(
     let baseline_hash = |escalate| cell_config_hash(&spec.base, PrefetchMode::None, escalate);
     let plan = opts.faults.as_ref();
     let completed = AtomicU64::new(0);
-    // The decode-error and livelock statics are process-wide; snapshot
-    // so the registry reports this run's delta, not another sweep's
-    // leakage (callers that capture traces themselves pass an earlier
-    // snapshot via `decode_errors_from` to claim that phase's errors).
-    let decode_errors_from = opts
-        .decode_errors_from
-        .unwrap_or_else(crate::faults::trace_decode_errors);
-    let livelock_from = crate::watchdog::livelock_aborts();
 
     // Checkpoint–resume: open (or start) the progress journal and
     // index whatever completed entries survive its integrity checks.
@@ -1055,7 +1030,7 @@ pub fn run_sweep(
                 .0
             };
             let wall_start = Instant::now();
-            let computed = run_isolated(&opts.retry, wi, &counters.retries, |attempt| {
+            let computed = run_isolated(&opts.retry, wi, &counters.attempts, |attempt| {
                 if let Some(p) = plan {
                     p.maybe_panic_baseline(wi, attempt);
                 }
@@ -1209,12 +1184,12 @@ pub fn run_sweep(
                 Some(bl) => run_isolated_budgeted(
                     &opts.retry,
                     job,
-                    &counters.retries,
+                    &counters.attempts,
                     cell_budget,
-                    |attempt, token| {
+                    |attempt, deadline| {
                         if let Some(p) = plan {
                             p.maybe_slow(job);
-                            p.maybe_hang(job, token);
+                            p.maybe_hang(job, deadline);
                             p.maybe_panic(job, attempt);
                         }
                         cached_exec(
@@ -1226,7 +1201,7 @@ pub fn run_sweep(
                             &cap.trace.records,
                             bl.escalate,
                             plan.and_then(|p| p.tear_at(job)),
-                            token,
+                            deadline,
                             &counters,
                         )
                     },
@@ -1236,17 +1211,8 @@ pub fn run_sweep(
                 Ok((d, hit)) => (d, hit, None),
                 Err(fail) => {
                     counters.quarantined.fetch_add(1, Ordering::Relaxed);
-                    match fail.class {
-                        FailureClass::Timeout => {
-                            counters.timeouts.fetch_add(1, Ordering::Relaxed);
-                        }
-                        FailureClass::Cancelled => {
-                            counters.cancelled.fetch_add(1, Ordering::Relaxed);
-                        }
-                        // Livelocks land in `driver.livelock_aborts`
-                        // (snapshot delta); plain panics in
-                        // `sweep.quarantined` alone.
-                        FailureClass::Livelock | FailureClass::Panic => {}
+                    if fail.class == FailureClass::Timeout {
+                        counters.timeouts.fetch_add(1, Ordering::Relaxed);
                     }
                     let settings = settings_string(&spec.settings_for(&value_idx));
                     let rec = FailureRecord::of(
@@ -1290,21 +1256,20 @@ pub fn run_sweep(
             "sweep.cache.corrupt_evicted",
             count(&counters.corrupt_evicted),
         ),
-        ("sweep.retry", count(&counters.retries)),
+        ("sweep.retry", count(&counters.attempts.retries)),
         ("sweep.quarantined", count(&counters.quarantined)),
         ("sweep.journal.hit", count(&counters.journal_hits)),
         ("sweep.timeout", count(&counters.timeouts)),
-        ("sweep.cancelled", count(&counters.cancelled)),
-        // Snapshot deltas, not process-wide absolutes: the statics
-        // outlive this run and would otherwise report another sweep's
-        // errors.
         (
             "trace.decode_errors",
-            crate::faults::trace_decode_errors().saturating_sub(decode_errors_from),
+            captures
+                .iter()
+                .filter(|c| c.source == CaptureSource::Recaptured)
+                .count() as u64,
         ),
         (
             "driver.livelock_aborts",
-            crate::watchdog::livelock_aborts().saturating_sub(livelock_from),
+            count(&counters.attempts.livelocks),
         ),
     ] {
         registry.set_counter(name, value);

@@ -8,7 +8,7 @@
 use crate::adaptive::{AdaptiveEngine, AdaptiveParams, AdaptiveSummary};
 use crate::config::{PrefetchMode, SystemConfig};
 use crate::telemetry::{hist_columns, PhaseSampler, TelemetryReport, TelemetrySpec};
-use crate::watchdog::{LivelockDetector, Watchdog};
+use crate::watchdog::{Deadline, LivelockDetector};
 use etpp_baselines::{
     GhbParams, GhbPrefetcher, PcDeltaParams, PcDeltaPrefetcher, RptStridePrefetcher, StrideParams,
     StridePrefetcher,
@@ -259,13 +259,13 @@ pub fn run(cfg: &SystemConfig, mode: PrefetchMode, wl: &BuiltWorkload) -> Result
     Ok(run_inner(cfg, mode, wl, false, None, None)?.0)
 }
 
-/// [`run`] under a [`Watchdog`]: the token is polled once per driver
-/// visit (and at every [`MemorySystem::advance_to`] entry) — never per
-/// cycle — so an armed-but-quiet watchdog is pure observation and the
-/// result is bit-identical to an unwatched [`run`] (pinned by the
-/// equivalence suite). A fired token aborts the run by panicking with
-/// the token's typed [`crate::watchdog::Cancelled`] payload, which the
-/// sweep farm's isolation layer quarantines as a timeout/cancellation.
+/// [`run`] under an optional wall-clock [`Deadline`], polled once per
+/// driver visit — never per cycle — so a deadline that never expires is
+/// pure observation and the result is bit-identical to an unwatched
+/// [`run`] (pinned by the equivalence suite). An expired deadline
+/// aborts the run by panicking with its typed
+/// [`crate::watchdog::Cancelled`] payload, which the sweep farm's
+/// isolation layer quarantines as a timeout. `None` is exactly [`run`].
 ///
 /// # Errors
 /// [`Skip`] when the mode is impossible for this workload.
@@ -273,9 +273,9 @@ pub fn run_watched(
     cfg: &SystemConfig,
     mode: PrefetchMode,
     wl: &BuiltWorkload,
-    wd: &Watchdog,
+    deadline: Option<Deadline>,
 ) -> Result<RunResult, Skip> {
-    Ok(run_inner(cfg, mode, wl, false, None, Some(wd))?.0)
+    Ok(run_inner(cfg, mode, wl, false, None, deadline)?.0)
 }
 
 /// Simulates `wl` under `mode` with observability enabled, returning
@@ -359,15 +359,12 @@ fn run_inner(
     wl: &BuiltWorkload,
     capture: bool,
     tel: Option<&TelemetrySpec>,
-    wd: Option<&Watchdog>,
+    deadline: Option<Deadline>,
 ) -> Result<(RunResult, Vec<TraceRecord>, Option<TelemetryReport>), Skip> {
     let (trace, mut engine) = select(cfg, mode, wl)?;
     let mut mem = MemorySystem::new(cfg.mem, wl.image.clone());
     if cfg.per_cycle_reference {
         mem.set_engine_batching(false);
-    }
-    if let Some(wd) = wd {
-        mem.set_cancel(Some(wd.token().clone()));
     }
     let mut core = Core::new(cfg.core, trace);
     if capture {
@@ -409,10 +406,10 @@ fn run_inner(
     let mut livelock = LivelockDetector::new();
     while !core.finished() {
         host_iters += 1;
-        // Cooperative cancellation, visit granularity: one null-check
-        // when unwatched, a strided token poll when armed.
-        if let Some(wd) = wd {
-            wd.check(host_iters, now);
+        // Deadline, visit granularity: one null-check when unwatched,
+        // a strided clock read when armed.
+        if let Some(d) = deadline {
+            d.poll(host_iters, now);
         }
         let visit_start = now;
         loop {

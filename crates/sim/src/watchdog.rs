@@ -1,20 +1,17 @@
-//! Watchdog layer: deadlines, cooperative cancellation, and livelock
-//! detection for every execution path in the simulator.
+//! The watchdog layer: per-run deadlines and livelock detection for every
+//! execution path in the simulator.
 //!
 //! Two independent guards live here:
 //!
-//! * A [`Watchdog`] wraps an [`CancelToken`] (from `etpp_mem`) and is
-//!   threaded into [`crate::system::run_watched`], the trace-replay
-//!   loop, and [`etpp_mem::MemorySystem::advance_to`]. It is polled at
-//!   *driver-visit* granularity — never per simulated cycle — and the
-//!   (syscall-backed) deadline poll is strided to every
-//!   [`CHECK_STRIDE`]th visit, so an armed-but-quiet watchdog costs a
-//!   null-check plus an occasional atomic load and watched runs are
-//!   bit-identical to unwatched ones (pinned by the equivalence suite).
-//!   When the token fires, the run aborts with a typed
-//!   [`Cancelled`] payload that the isolation layer
-//!   ([`crate::faults::run_isolated_budgeted`]) classifies as a
-//!   `timeout` or `cancelled` quarantine instead of a crash.
+//! * A [`Deadline`] (from `etpp_mem`) is handed to
+//!   [`crate::system::run_watched`] and the trace-replay loop, which
+//!   poll it once per *driver visit* — never per simulated cycle — with
+//!   the clock read strided to every 64th visit, so an armed deadline
+//!   costs a null-check per visit and watched runs are bit-identical to
+//!   unwatched ones (pinned by the equivalence suite). Once it expires,
+//!   the run aborts with a typed [`Cancelled`] payload that the
+//!   isolation layer ([`crate::faults::run_isolated_budgeted`])
+//!   classifies as a `timeout` instead of a crash.
 //!
 //! * A [`LivelockDetector`] is armed *unconditionally* in the
 //!   event-horizon driver loop. The driver's only prior runaway guard
@@ -31,16 +28,9 @@
 //!   the always-armed detector observationally free.
 
 use etpp_cpu::HorizonSource;
-pub use etpp_mem::cancel::{CancelReason, CancelToken, Cancelled};
+pub use etpp_mem::cancel::{Cancelled, Deadline};
 use std::fmt;
 use std::panic::panic_any;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Visits between wall-clock deadline polls on the hot driver loops.
-/// Power of two (the stride is a mask); at typical visit rates this
-/// bounds cancellation latency to well under a millisecond while
-/// keeping `Instant::now` off the per-visit path.
-pub const CHECK_STRIDE: u64 = 64;
 
 /// Consecutive non-advancing visits before [`LivelockDetector`] aborts.
 pub const LIVELOCK_THRESHOLD: u32 = 64;
@@ -52,38 +42,6 @@ pub const LIVELOCK_WINDOW: usize = 8;
 /// attempt of a timed-out cell runs under `factor × budget` before the
 /// cell is quarantined for good.
 pub const BUDGET_ESCALATION: u32 = 4;
-
-/// A deadline/cancellation guard for one simulation run: a token plus
-/// the visit-strided polling discipline shared by the cycle driver and
-/// the replay loop.
-#[derive(Debug, Clone, Default)]
-pub struct Watchdog {
-    token: CancelToken,
-}
-
-impl Watchdog {
-    /// Guards a run with an existing token (sweep cells share their
-    /// attempt's token between the driver and the fault plan).
-    pub fn new(token: CancelToken) -> Self {
-        Watchdog { token }
-    }
-
-    /// The underlying token (clone it into [`etpp_mem::MemorySystem`]
-    /// via `set_cancel`, or hand it to a cancelling party).
-    pub fn token(&self) -> &CancelToken {
-        &self.token
-    }
-
-    /// Per-visit poll: aborts with a [`Cancelled`] payload when the
-    /// token has fired. `visit` strides the deadline poll; cheap enough
-    /// for once-per-driver-visit use, never call it per cycle.
-    #[inline]
-    pub fn check(&self, visit: u64, now: u64) {
-        if visit & (CHECK_STRIDE - 1) == 0 {
-            self.token.check(now);
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Livelock detection
@@ -121,14 +79,6 @@ impl fmt::Display for LivelockAbort {
             self.recent_horizons,
         )
     }
-}
-
-static LIVELOCK_ABORTS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of livelock aborts. Snapshot before a run and
-/// report the delta — the static outlives any single sweep or test.
-pub fn livelock_aborts() -> u64 {
-    LIVELOCK_ABORTS.load(Ordering::Relaxed)
 }
 
 /// Watches the driver loop's reported horizons and aborts the run with
@@ -180,7 +130,6 @@ impl LivelockDetector {
         self.seen += 1;
         self.stalled += 1;
         if self.stalled >= LIVELOCK_THRESHOLD {
-            LIVELOCK_ABORTS.fetch_add(1, Ordering::Relaxed);
             let mut recent_horizons = Vec::with_capacity(LIVELOCK_WINDOW.min(self.seen));
             let kept = LIVELOCK_WINDOW.min(self.seen);
             for i in 0..kept {
@@ -202,11 +151,9 @@ impl LivelockDetector {
 mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::time::Duration;
 
     #[test]
     fn detector_fires_on_a_synthetic_non_advancing_horizon() {
-        let before = livelock_aborts();
         let mut d = LivelockDetector::new();
         let err = catch_unwind(AssertUnwindSafe(|| {
             for _ in 0..LIVELOCK_THRESHOLD + 10 {
@@ -223,7 +170,6 @@ mod tests {
         assert_eq!(abort.source, HorizonSource::CoreProgress);
         assert_eq!(abort.recent_horizons, vec![1000; LIVELOCK_WINDOW]);
         assert!(abort.to_string().contains("livelock: horizon stuck"));
-        assert_eq!(livelock_aborts(), before + 1, "abort is counted");
     }
 
     #[test]
@@ -236,22 +182,5 @@ mod tests {
             // One healthy visit clears the streak.
             d.observe(round, round + 5, HorizonSource::MemEvent, "wl", "none");
         }
-    }
-
-    #[test]
-    fn watchdog_check_is_strided_and_quiet_until_fired() {
-        let wd = Watchdog::new(CancelToken::with_budget(Duration::from_secs(3600)));
-        for visit in 0..1000 {
-            wd.check(visit, visit);
-        }
-        let armed = Watchdog::new(CancelToken::new());
-        armed.token().cancel();
-        // Off-stride visits do not poll...
-        armed.check(1, 0);
-        // ...the strided visit does.
-        let err = catch_unwind(AssertUnwindSafe(|| armed.check(0, 7))).unwrap_err();
-        let c = err.downcast_ref::<Cancelled>().expect("typed payload");
-        assert_eq!(c.at_cycle, 7);
-        assert_eq!(c.reason, CancelReason::Requested);
     }
 }

@@ -35,7 +35,7 @@
 //! record none. Distances are zigzag-delta coded against the previous
 //! load's distance — chases encode as runs of zero bytes. Replay uses
 //! the edges to model pointer-chase serialisation instead of a fixed
-//! issue window (see [`crate::replay`]).
+//! issue window (see [`mod@crate::replay`]).
 //!
 //! Readers accept exactly [`FORMAT_VERSION`]: a file whose header names
 //! any other version is refused by name (`unsupported trace version N`),

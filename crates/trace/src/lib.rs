@@ -5,7 +5,7 @@
 //! most simulation time is spent regenerating the same demand-access
 //! stream. This crate removes that redundancy, ChampSim-style:
 //!
-//! * [`format`] — a compact, versioned, delta-encoded binary record format
+//! * [`mod@format`] — a compact, versioned, delta-encoded binary record format
 //!   for retired demand accesses (PC, vaddr, kind, cycle, store data) and
 //!   prefetcher-configuration operations, with load→load dependence
 //!   edges, workload metadata and the capture run's cycle count;
@@ -17,7 +17,7 @@
 //!   instructions, program order), tracking load→load dependences in a
 //!   window-bounded ring, and `etpp_sim::run_captured` wraps that single
 //!   record vector into a [`CapturedTrace`];
-//! * [`replay`] — a trace-driven front end that feeds recorded accesses
+//! * [`mod@replay`] — a trace-driven front end that feeds recorded accesses
 //!   through the full `etpp_mem` hierarchy and any
 //!   [`etpp_mem::PrefetchEngine`] *without* re-executing the out-of-order
 //!   core, an order-of-magnitude faster path for prefetcher sweeps.

@@ -167,29 +167,26 @@ pub fn replay(
     replay_cancellable(params, mem_params, image, records, engine, None)
 }
 
-/// [`replay`] under a cooperative-cancellation token, polled once per
-/// replay host iteration (never per simulated cycle) and at each
-/// memory-system `advance_to` entry. A quiet token is pure observation
-/// — the result is bit-identical to [`replay`]; a fired token aborts by
-/// panicking with its typed [`etpp_mem::Cancelled`] payload, which the
-/// sweep farm quarantines as a timeout/cancellation.
+/// [`replay`] under an optional wall-clock deadline, polled once per
+/// replay host iteration (never per simulated cycle) through
+/// [`etpp_mem::Deadline::poll`]. A deadline that never expires is pure
+/// observation — the result is bit-identical to [`replay`]; an expired
+/// one aborts by panicking with its typed [`etpp_mem::Cancelled`]
+/// payload, which the sweep farm quarantines as a timeout.
 ///
 /// # Panics
-/// As [`replay`], plus the token's payload once it fires.
+/// As [`replay`], plus the deadline's payload once it expires.
 pub fn replay_cancellable(
     params: &ReplayParams,
     mem_params: MemParams,
     image: MemoryImage,
     records: &[TraceRecord],
     engine: &mut dyn PrefetchEngine,
-    cancel: Option<&etpp_mem::CancelToken>,
+    deadline: Option<etpp_mem::Deadline>,
 ) -> ReplayResult {
     let mut mem = MemorySystem::new(mem_params, image);
     if params.per_cycle_reference {
         mem.set_engine_batching(false);
-    }
-    if let Some(token) = cancel {
-        mem.set_cancel(Some(token.clone()));
     }
     let mut now: u64 = 0;
     let mut inflight: usize = 0;
@@ -220,12 +217,8 @@ pub fn replay_cancellable(
 
     loop {
         host_iters += 1;
-        // Cooperative cancellation at host-iteration granularity; the
-        // stride keeps the wall-clock poll off the per-iteration path.
-        if let Some(token) = cancel {
-            if host_iters & 63 == 0 {
-                token.check(now);
-            }
+        if let Some(d) = deadline {
+            d.poll(host_iters, now);
         }
         mem.tick(now, engine);
         due.clear();

@@ -466,7 +466,7 @@ fn telemetry_is_observationally_transparent() {
 /// every engine mode, on both the cycle and the replay path.
 #[test]
 fn armed_watchdog_is_bit_identical_when_the_budget_never_fires() {
-    use etpp::sim::{replay_run, replay_run_watched, run, run_watched, CancelToken, Watchdog};
+    use etpp::sim::{replay_run, replay_run_watched, run, run_watched, Deadline};
     use std::time::Duration;
     // Generous enough that it cannot fire at Tiny scale; the strided
     // deadline polls and livelock bookkeeping still execute on every
@@ -486,8 +486,9 @@ fn armed_watchdog_is_bit_identical_when_the_budget_never_fires() {
             PrefetchMode::Blocked,
         ] {
             if let Ok(plain) = run(&cfg, mode, &wl) {
-                let wd = Watchdog::new(CancelToken::with_budget(budget));
-                let watched = run_watched(&cfg, mode, &wl, &wd).expect("expressible above");
+                let deadline = Deadline::after(budget);
+                assert!(deadline.is_some(), "the watchdog is armed");
+                let watched = run_watched(&cfg, mode, &wl, deadline).expect("expressible above");
                 assert_eq!(
                     plain.cycles, watched.cycles,
                     "{wl_name}/{mode:?}: the watchdog must not change the cycle count"
@@ -522,8 +523,8 @@ fn armed_watchdog_is_bit_identical_when_the_budget_never_fires() {
                 );
             }
             if let Ok(plain) = replay_run(&cfg, mode, &wl, &trace.records) {
-                let wd = Watchdog::new(CancelToken::with_budget(budget));
-                let watched = replay_run_watched(&cfg, mode, &wl, &trace.records, Some(wd.token()))
+                let deadline = Deadline::after(budget);
+                let watched = replay_run_watched(&cfg, mode, &wl, &trace.records, deadline)
                     .expect("expressible above");
                 assert_eq!(
                     (plain.cycles, plain.host_iters, plain.dep_stalls),

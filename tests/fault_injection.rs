@@ -5,7 +5,7 @@
 //! resumes from its journal without re-executing completed cells.
 
 use etpp::sim::faults::{self, FatalFault, FaultPlan};
-use etpp::sim::replay::{self, try_load_or_capture_keyed};
+use etpp::sim::replay::{self, try_load_or_capture_keyed, CaptureSource};
 use etpp::sim::sweeps::{self, axes, SweepOptions, SweepSpec};
 use etpp::sim::{PrefetchMode, SystemConfig};
 use etpp::workloads::{workload_by_name, BuiltWorkload, Scale};
@@ -89,20 +89,20 @@ fn faulted_sweep_completes_and_quarantines_exactly_the_unrecoverable_cells() {
 
     // Corrupt workload 0's trace on disk, then reload it the way
     // `repro --fault-inject trace=0@100` does: the decoder reports a
-    // named error (counted), the loader recaptures, and the sweep sees
-    // an identical trace.
+    // named error, the loader recaptures, and the sweep sees an
+    // identical trace and counts the recapture as a decode error.
     let plan: FaultPlan = "panic=2@2;panic=5@9;tear=7@4;trace=0@100".parse().unwrap();
     let paths: Vec<PathBuf> = wls
         .iter()
         .map(|w| replay::trace_path(&traces.0, w, "tiny"))
         .collect();
-    let errors_before = faults::trace_decode_errors();
     let touched = faults::apply_trace_flips(&plan, &paths).unwrap();
     assert_eq!(touched, vec![0], "exactly workload 0's trace is flipped");
     let reloaded = capture_all(&traces.0, &wls);
-    assert!(
-        faults::trace_decode_errors() > errors_before,
-        "corrupt trace must be counted as a decode error, not a panic"
+    assert_eq!(
+        (reloaded[0].source, reloaded[1].source),
+        (CaptureSource::Recaptured, CaptureSource::Cached),
+        "a corrupt trace is recaptured (a decode error, not a panic)"
     );
     assert_eq!(
         reloaded[0].content_hash, captures[0].content_hash,
@@ -122,6 +122,14 @@ fn faulted_sweep_completes_and_quarantines_exactly_the_unrecoverable_cells() {
             sweeps::run_sweep(&spec, &wls, &captures, &o)
         })
         .collect();
+    for run in &faulted {
+        assert_eq!(
+            run.registry.counter("trace.decode_errors"),
+            1,
+            "shard {:?} counts the one recaptured trace",
+            run.shard
+        );
+    }
     let retries: u64 = faulted.iter().map(sweeps::ShardRun::retries).sum();
     assert_eq!(retries, 4, "2 retries for job 2 + 2 for job 5");
     let quarantined: u64 = faulted.iter().map(sweeps::ShardRun::quarantined).sum();
@@ -215,7 +223,7 @@ fn faulted_sweep_completes_and_quarantines_exactly_the_unrecoverable_cells() {
     }
 }
 
-/// `hang=J@P` end-to-end: a cell that spins forever is cancelled by the
+/// `hang=J@P` end-to-end: a cell that spins forever is aborted by the
 /// per-cell watchdog budget, retried once at the escalated budget,
 /// quarantined as a `timeout`, and every surviving row stays
 /// byte-identical to a clean run over the same cache.
@@ -228,7 +236,7 @@ fn hung_cell_is_cancelled_quarantined_as_timeout_and_surviving_rows_match() {
     let cache = TempDir::new("hang-cache");
     let captures = capture_all(&traces.0, &wls);
 
-    // Job 3 spins polling its token every 1ms; a 1s budget cancels
+    // Job 3 spins polling its deadline every 1ms; a 1s budget aborts
     // attempt 1, the single escalated retry (×4) confirms the hang,
     // and the cell quarantines in ~5s. Healthy Tiny cells finish well
     // inside 1s even in debug builds — but a loaded host may push one
