@@ -36,36 +36,37 @@
 //! capture run.
 //!
 //! `--sweep` runs the composed ablation grid (observation-queue depth ×
-//! EWMA look-ahead scale × prefetch-buffer capacity × engine mode, on
-//! IntSort and HJ-8) through the sweep farm: every cell replays the
-//! captured demand stream, escalating to the cycle core only where the
-//! stream-level agreement gate fails, and every cell result is memoized
-//! in the `--cache-dir` content-hash result cache (default
+//! request-queue depth × EWMA look-ahead scale × prefetch-buffer
+//! capacity × PPU count × PPU clock × engine mode, on IntSort and HJ-8)
+//! through the sweep farm: every cell replays the captured demand
+//! stream, escalating to the cycle core only where the stream-level
+//! agreement gate fails, and every cell result is memoized in the
+//! `--cache-dir` content-hash result cache (default
 //! `target/sweep-cache`) so warm re-runs are near-free. `--shard K/N`
-//! runs only jobs `i ≡ K (mod N)` and writes
-//! `--sweep-dir`/shard-K-of-N.json (default `target/sweeps`); a full
-//! `--sweep` (no `--shard`) also prints the merged tables.
-//! `--sweep-merge DIR` parses every `shard-*.json` in DIR (the
-//! failures files and journals `--sweep` leaves beside them are not
-//! shards), verifies exact job coverage, and prints tables that are
-//! byte-identical for any (jobs, shard-count) split of the same sweep.
-//! The file names and formats belong to `etpp_sim::sweeps` (every file
-//! is rows of `etpp_sim::rows`); this binary only picks the directory.
+//! runs only jobs `i ≡ K (mod N)`. Each shard leaves one file,
+//! `--sweep-dir`/shard-K-of-N.jsonl (default `target/sweeps`): a
+//! sealed, fsync'd log with one row per finished job; a full `--sweep`
+//! (no `--shard`) also prints the merged tables, read back from its
+//! own log. `--sweep-merge DIR` parses every `shard-*.jsonl` in DIR,
+//! verifies exact job coverage, and prints tables that are
+//! byte-identical for any (jobs, shard-count) split of the same sweep;
+//! a torn or altered line is an error naming the file and line. The
+//! file name and format belong to `etpp_sim::sweeps`.
 //!
 //! Sweeps are **fail-soft** (see the README's Robustness section): a
 //! panicking cell is retried with deterministic backoff and then
-//! quarantined into `--sweep-dir`/failures-K-of-N.json while the rest
-//! of the grid completes; `--strict` restores abort-on-first-failure.
-//! Every completed job is checkpointed to an fsync'd journal
-//! (`--sweep-dir`/journal-K-of-N.jsonl) and `--resume` skips those
-//! jobs after a crash or SIGTERM. `--fault-inject PLAN` injects
-//! deterministic faults for testing — `panic=J@K` (cell J panics on
-//! its first K attempts), `bpanic=W@K` (workload W's baseline),
-//! `tear=J@B` (cell J's cache write torn at B bytes), `trace=W@OFF`
-//! (flip a byte of workload W's trace file), `hang=J@P` (cell J spins
-//! until its deadline expires, polling every P ms), `slow=J@D`
-//! (cell J sleeps D ms before running), `kill=C` (simulate a crash
-//! after C cells), joined by `;`.
+//! quarantined — a `FAILED` row, with the failure record nested in the
+//! job's log row — while the rest of the grid completes; `--strict`
+//! restores abort-on-first-failure. `--resume` continues the shard's
+//! log after a crash or SIGTERM, skipping the jobs it already holds.
+//! `--fault-inject PLAN` injects deterministic faults for testing —
+//! `panic=J@K` (cell J panics on its first K attempts), `bpanic=W@K`
+//! (workload W's baseline), `tear=J@B` (cell J's cache write torn at B
+//! bytes), `trace=W@OFF` (flip a byte of workload W's trace file),
+//! `hang=J@P` (cell J spins until its deadline expires, polling every
+//! P ms), `slow=J@D` (cell J sleeps D ms before running), `kill=C`
+//! (simulate a crash after C cells), joined by `;`. A directive naming
+//! a job or workload the grid does not have is a usage error.
 //!
 //! Every sweep cell runs under a cooperative watchdog: a per-cell
 //! wall-clock budget (default: a deterministic multiple of this
@@ -102,6 +103,9 @@ use etpp_sim::{PrefetchMode, SystemConfig};
 use etpp_workloads::{BuiltWorkload, Scale, Workload};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
+
+/// The workloads `--sweep` runs the composed grid on.
+const SWEEP_WORKLOADS: [&str; 2] = ["IntSort", "HJ-8"];
 
 /// Every experiment name the positional argument accepts.
 const EXPERIMENTS: [&str; 14] = [
@@ -256,6 +260,12 @@ fn main() {
     if sweep {
         if replay || !what.is_empty() {
             usage_error("--sweep runs alone (it has its own grid)");
+        }
+        if let Some(plan) = &fault_plan {
+            let jobs = sweeps::composed_grid().total_jobs(SWEEP_WORKLOADS.len());
+            if let Err(e) = plan.check(jobs, SWEEP_WORKLOADS.len()) {
+                usage_error(&format!("--fault-inject: {e}"));
+            }
         }
         run_sweep_cmd(&SweepCli {
             scale,
@@ -514,20 +524,20 @@ fn io_fail(what: &str, path: &std::path::Path, e: &dyn std::fmt::Display) -> ! {
 }
 
 /// `--sweep [--shard K/N]`: run one shard of the composed grid through
-/// the sweep farm, write its shard JSON, and (when unsharded) print the
-/// merged tables — via the same parse-and-merge path `--sweep-merge`
-/// uses, so a 1-shard run and any N-shard merge are byte-identical.
+/// the sweep farm into its shard log, and (when unsharded) print the
+/// merged tables — read back from that log through the same
+/// parse-and-merge path `--sweep-merge` uses, so a 1-shard run and any
+/// N-shard merge are byte-identical.
 fn run_sweep_cmd(cli: &SweepCli) {
     let cfg = SystemConfig::paper();
     let label = cli.scale.label();
     let spec = sweeps::composed_grid();
     let (jobs, shard) = (cli.jobs, cli.shard);
-    let failures_path = sweeps::SweepFile::Failures.path(&cli.sweep_dir, shard);
+    let log_path = sweeps::shard_path(&cli.sweep_dir, shard);
 
     let t0 = Instant::now();
-    let names = ["IntSort", "HJ-8"];
-    let workloads: Vec<BuiltWorkload> = ex::map_indexed(jobs, names.len(), |i| {
-        etpp_workloads::workload_by_name(names[i])
+    let workloads: Vec<BuiltWorkload> = ex::map_indexed(jobs, SWEEP_WORKLOADS.len(), |i| {
+        etpp_workloads::workload_by_name(SWEEP_WORKLOADS[i])
             .expect("sweep workload exists")
             .build(cli.scale)
     });
@@ -548,38 +558,16 @@ fn run_sweep_cmd(cli: &SweepCli) {
                 etpp_trace::FORMAT_VERSION,
             )
         });
+    // A failed baseline capture is a diagnostic naming the workload and
+    // exit 1, not a worker panic backtrace: no job could run without it.
     let mut captures: Vec<rp::KeyedCapture> = Vec::with_capacity(capture_results.len());
-    let mut capture_failures: Vec<faults::FailureRecord> = Vec::new();
-    for (i, result) in capture_results.into_iter().enumerate() {
+    for (wl, result) in workloads.iter().zip(capture_results) {
         match result {
             Ok(c) => captures.push(c),
-            // A failed baseline capture quarantines through the same
-            // failures file as a failed cell — a structured record and
-            // exit 1, not a worker panic backtrace.
-            Err(e) => capture_failures.push(faults::FailureRecord {
-                index: None,
-                workload: workloads[i].name.to_string(),
-                mode: "capture".to_string(),
-                settings: "-".to_string(),
-                config_hash: 0,
-                class: faults::FailureClass::Panic,
-                attempts: 1,
-                error: e,
-            }),
+            Err(e) => eprintln!("[capture] FAILED: {}: {e}", wl.name),
         }
     }
-    if !capture_failures.is_empty() {
-        if let Err(e) = faults::write_failures(&failures_path, &capture_failures) {
-            io_fail("write failures file", &failures_path, &e);
-        }
-        for f in &capture_failures {
-            eprintln!("[capture] FAILED: {}", f.error);
-        }
-        eprintln!(
-            "[capture] {} baseline capture(s) failed; details in {}",
-            capture_failures.len(),
-            failures_path.display()
-        );
+    if captures.len() < workloads.len() {
         std::process::exit(1);
     }
     eprintln!("[capture] {} traces in {:?}", captures.len(), t0.elapsed());
@@ -619,7 +607,7 @@ fn run_sweep_cmd(cli: &SweepCli) {
             ..Default::default()
         },
         faults: cli.fault_plan.clone(),
-        journal: Some(sweeps::SweepFile::Journal.path(&cli.sweep_dir, shard)),
+        journal: Some(log_path.clone()),
         resume: cli.resume,
         cell_budget: cli.cell_budget,
         ..sweeps::SweepOptions::new(jobs, label)
@@ -636,27 +624,20 @@ fn run_sweep_cmd(cli: &SweepCli) {
         run.cache_summary()
     );
 
-    if let Err(e) = faults::write_failures(&failures_path, &run.failures) {
-        io_fail("write failures file", &failures_path, &e);
-    }
     if !run.failures.is_empty() {
         eprintln!(
             "[sweep] {} cell(s) quarantined; details in {}",
             run.failures.len(),
-            failures_path.display()
+            log_path.display()
         );
     }
-    let path = sweeps::SweepFile::Shard.path(&cli.sweep_dir, shard);
-    if let Err(e) = std::fs::write(&path, run.to_json()) {
-        io_fail("write shard file", &path, &e);
-    }
-    eprintln!("[sweep] wrote {}", path.display());
+    eprintln!("[sweep] wrote {}", log_path.display());
 
     if shard == (0, 1) {
-        let raw = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| io_fail("read back shard file", &path, &e));
+        let raw = std::fs::read_to_string(&log_path)
+            .unwrap_or_else(|e| io_fail("read back shard log", &log_path, &e));
         let parsed = sweeps::parse_shard(&raw)
-            .unwrap_or_else(|e| io_fail("re-parse own shard file", &path, &e));
+            .unwrap_or_else(|e| io_fail("parse own shard log", &log_path, &e));
         let merged = sweeps::merge_shards(&[parsed]).expect("single shard covers the sweep");
         println!("{}", sweeps::render_merged(&merged));
     } else {
@@ -668,13 +649,14 @@ fn run_sweep_cmd(cli: &SweepCli) {
     }
 }
 
-/// `--sweep-merge DIR`: parse every shard file in DIR, verify exact job
+/// `--sweep-merge DIR`: parse every shard log in DIR, verify exact job
 /// coverage, and print the merged tables. Exits 2 when DIR holds no
-/// readable shard files, 1 on coverage gaps or mismatched shards.
+/// shard logs or one does not read back, 1 on coverage gaps or
+/// mismatched shards.
 fn run_sweep_merge(dir: &std::path::Path) {
     let files =
         sweeps::read_shard_dir(dir).unwrap_or_else(|e| usage_error(&format!("--sweep-merge: {e}")));
-    eprintln!("[merge] {} shard files from {}", files.len(), dir.display());
+    eprintln!("[merge] {} shard logs from {}", files.len(), dir.display());
     match sweeps::merge_shards(&files) {
         Ok(m) => println!("{}", sweeps::render_merged(&m)),
         Err(e) => {

@@ -30,7 +30,7 @@ fn usage_errors_exit_2_and_name_the_problem() {
     std::fs::write(&file, "").unwrap();
     let under_file = file.join("sub");
     let under_file = under_file.to_str().unwrap();
-    let cases: [(&[&str], &str); 8] = [
+    let cases: [(&[&str], &str); 10] = [
         (&["--bogus"], "unknown flag: --bogus"),
         // Retired with trace-format v1: no longer a flag at all.
         (&["--trace-format", "2"], "unknown flag: --trace-format"),
@@ -43,6 +43,22 @@ fn usage_errors_exit_2_and_name_the_problem() {
             "--cell-budget: non-negative seconds",
         ),
         (&["--sweep-merge", empty_dir], "--sweep-merge:"),
+        // A fault plan that names no job or workload of the composed
+        // grid (6144 jobs, 2 workloads) would inject nothing.
+        (
+            &[
+                "--sweep",
+                "--scale",
+                "tiny",
+                "--fault-inject",
+                "panic=99999@9;bpanic=7@3;hang=70000@1",
+            ],
+            "--fault-inject: panic=99999: no such job (0..6144)",
+        ),
+        (
+            &["--sweep", "--fault-inject", "bpanic=2@1"],
+            "--fault-inject: bpanic=2: no such workload (0..2)",
+        ),
         (
             &["--scale", "tiny", "--telemetry", under_file, "telemetry"],
             "--telemetry: cannot create",

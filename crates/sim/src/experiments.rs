@@ -14,7 +14,8 @@ use crate::config::PrefetchMode;
 use crate::system::{RunResult, Skip};
 use crate::telemetry::TelemetryReport;
 use etpp_workloads::{all_workloads, BuiltWorkload, Scale};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Runs `f(0..n)` across `jobs` shared-queue worker threads and returns
@@ -23,6 +24,11 @@ use std::sync::Mutex;
 /// item) degenerates to a serial loop on the caller's thread, so
 /// `--jobs 1` output is the byte-identical reference for any other
 /// worker count.
+///
+/// # Panics
+/// Re-raises the first panic of `f`, payload intact, as the serial loop
+/// would. Once any worker unwinds, the others take no new index: only
+/// the items already in flight finish.
 pub fn map_indexed<R, F>(jobs: usize, n: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -32,18 +38,29 @@ where
     if jobs == 1 {
         return (0..n).map(f).collect();
     }
-    let next = AtomicUsize::new(0);
+    let (next, stop) = (AtomicUsize::new(0), AtomicBool::new(false));
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..jobs {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
+    let worker = || {
+        while !stop.load(Ordering::Relaxed) {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            match std::panic::catch_unwind(AssertUnwindSafe(|| f(i))) {
+                Ok(r) => *slots[i].lock().expect("poisoned") = Some(r),
+                Err(payload) => {
+                    stop.store(true, Ordering::Relaxed);
+                    return Some(payload);
                 }
-                let r = f(i);
-                *slots[i].lock().expect("poisoned") = Some(r);
-            });
+            }
+        }
+        None
+    };
+    std::thread::scope(|s| {
+        for w in (0..jobs).map(|_| s.spawn(worker)).collect::<Vec<_>>() {
+            if let Some(payload) = w.join().expect("f's panics are caught") {
+                std::panic::resume_unwind(payload);
+            }
         }
     });
     slots
@@ -352,7 +369,7 @@ pub fn sample_interval(scale: Scale) -> u64 {
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
-    use crate::faults::{run_isolated, run_isolated_budgeted, Attempts, FailureClass, RetryPolicy};
+    use crate::faults::{run_isolated, Attempts, FailureClass, RetryPolicy};
     use crate::report::{adaptive_table, grid_table};
     use crate::system::{run, run_telemetry};
     use crate::telemetry::TelemetrySpec;
@@ -516,6 +533,33 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_item_stops_the_pool_after_the_items_in_flight() {
+        let (both_started, finished) = (std::sync::Barrier::new(2), AtomicUsize::new(0));
+        let died = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            map_indexed(2, 100, |i| {
+                if i < 2 {
+                    // Items 0 and 1 are in flight on the two workers.
+                    both_started.wait();
+                }
+                if i == 0 {
+                    // Raised without the panic hook, so nothing but the
+                    // unwind itself runs before the pool stops.
+                    std::panic::resume_unwind(Box::new("item 0 dies"));
+                }
+                if i == 1 {
+                    // Finishes long after the unwind has stopped the pool.
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+                finished.fetch_add(1, Ordering::Relaxed);
+            })
+        }))
+        .expect_err("the panic reaches the caller");
+        assert_eq!(died.downcast_ref::<&str>(), Some(&"item 0 dies"));
+        // The item in flight finishes; no worker takes another.
+        assert_eq!(finished.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
     fn isolated_pool_quarantines_only_the_panicking_jobs() {
         let policy = RetryPolicy {
             backoff_ms: 0,
@@ -524,7 +568,7 @@ mod tests {
         let attempts = Attempts::default();
         // Job 5 fails permanently, job 7 recovers on its second attempt.
         let out = map_indexed(4, 10, |i| {
-            run_isolated(&policy, i, &attempts, |attempt| {
+            run_isolated(&policy, i, &attempts, None, |attempt, _| {
                 if i == 5 {
                     panic!("permanent failure in job {i}");
                 }
@@ -556,7 +600,7 @@ mod tests {
         let attempts = Attempts::default();
         let budget = Some(Duration::from_millis(15));
         let out = map_indexed(2, 4, |i| {
-            run_isolated_budgeted(&policy, i, &attempts, budget, |attempt, deadline| {
+            run_isolated(&policy, i, &attempts, budget, |attempt, deadline| {
                 let deadline = deadline.expect("budget arms every job");
                 if i == 2 {
                     // A hung job: spin until the deadline expires.

@@ -1,6 +1,6 @@
 //! Fail-soft machinery for the sweep farm: panic isolation with
 //! bounded retry, deterministic fault injection, quarantine records,
-//! and the crash-safe progress journal behind `repro --sweep --resume`.
+//! and the crash-safe append-only log behind `repro --sweep --resume`.
 //!
 //! The design principle (borrowed from runtime-reconfigurable systems:
 //! degrade per cell, never per fleet) is that **no single bad input —
@@ -9,13 +9,12 @@
 //! retried up to [`RetryPolicy::max_attempts`] times with deterministic
 //! backoff, and finally *quarantined* as a [`JobFailure`] while the
 //! rest of the grid completes. Quarantines surface three ways: a
-//! `FAILED` row in the merged tables, a [`FailureRecord`] in the
-//! per-run `failures.json`, and the `sweep.quarantined` counter. The
-//! record is one row ([`crate::rows`]) with one writer and one reader,
-//! spelled the same in the journal, the shard file and `failures.json`.
+//! `FAILED` row in the merged tables, a [`FailureRecord`] nested in the
+//! job's row of the shard log, and the `sweep.quarantined` counter. The
+//! record is one row ([`crate::rows`]) with one writer and one reader.
 //! Counts are per run, never process-wide: the caller hands each
 //! isolated job the run's [`Attempts`], which tallies retries and
-//! livelocked attempts. [`run_isolated_budgeted`] gives every attempt
+//! livelocked attempts. A job given a budget runs every attempt under
 //! its own [`Deadline`], escalated on retry.
 //!
 //! Faults themselves are injectable on purpose: a [`FaultPlan`] is a
@@ -26,15 +25,16 @@
 //! The [`Journal`] is the checkpoint–resume half: an append-only,
 //! fsync-per-entry file of sealed lines ([`crate::rows::seal`]:
 //! `payload|fnv16hex`), so a crash mid-write leaves at worst one torn
-//! tail line that resume detects and truncates.
+//! tail line that resume detects and truncates. A sweep shard's
+//! journal is its shard log, the one file `--sweep-merge` reads.
 
-use crate::rows::{seal, unseal, write_rows, Row, RowWriter};
+use crate::rows::{seal, unseal, Row, RowWriter};
 use crate::watchdog::{Cancelled, Deadline, LivelockAbort, BUDGET_ESCALATION};
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, BufWriter, Seek, SeekFrom, Write as _};
-use std::panic::{catch_unwind, panic_any, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -85,8 +85,7 @@ pub enum FailureClass {
 }
 
 impl FailureClass {
-    /// Stable lower-case key, used in `failures.json`, shard files and
-    /// the journal.
+    /// Stable lower-case key, as the shard log spells it.
     pub fn key(self) -> &'static str {
         match self {
             FailureClass::Panic => "panic",
@@ -178,31 +177,13 @@ pub struct Attempts {
 /// retries with deterministic backoff, and quarantines into a
 /// [`JobFailure`] after the budget is spent; `attempts` counts the
 /// retries and the livelocked attempts. `f` receives the zero-based
-/// attempt number so injected faults can be transient (fail attempts
-/// `< k`) or permanent.
+/// attempt number, so injected faults can be transient (fail attempts
+/// `< k`) or permanent, and the attempt's deadline.
 ///
-/// A [`FatalFault`] payload is rethrown immediately — it models the
-/// process dying, which retry must not mask. In strict mode `f` runs
-/// bare and any panic propagates.
-///
-/// # Errors
-/// The [`JobFailure`] carrying the last panic message once all
-/// attempts are exhausted.
-pub fn run_isolated<R>(
-    policy: &RetryPolicy,
-    index: usize,
-    attempts: &Attempts,
-    f: impl Fn(u32) -> R,
-) -> Result<R, JobFailure> {
-    run_isolated_budgeted(policy, index, attempts, None, |attempt, _| f(attempt))
-}
-
-/// [`run_isolated`] with an optional per-attempt wall-clock budget. A
-/// `Some(budget)` arms each attempt with a fresh [`Deadline`] whose
-/// budget escalates by [`BUDGET_ESCALATION`]× per attempt, handed to
-/// `f` so it can thread the deadline into the simulation. A zero budget
-/// means "explicitly disarmed", and a budget too large to represent
-/// means "unbounded": either way `f` sees no deadline.
+/// A `Some(budget)` arms each attempt with a fresh [`Deadline`] whose
+/// budget escalates by [`BUDGET_ESCALATION`]× per attempt. A zero
+/// budget means "explicitly disarmed", and a budget too large to
+/// represent means "unbounded": either way `f` sees no deadline.
 ///
 /// Failure classes pick the retry schedule: a plain panic keeps the
 /// policy's full `max_attempts`, while a timeout or livelock gets
@@ -210,10 +191,14 @@ pub fn run_isolated<R>(
 /// quarantine (a hung cell rarely heals, and re-running it is the most
 /// expensive retry there is).
 ///
+/// A [`FatalFault`] payload is rethrown immediately — it models the
+/// process dying, which retry must not mask. In strict mode `f` runs
+/// bare and any panic propagates.
+///
 /// # Errors
 /// The [`JobFailure`] (carrying the classified last failure) once the
 /// schedule is exhausted.
-pub fn run_isolated_budgeted<R>(
+pub fn run_isolated<R>(
     policy: &RetryPolicy,
     index: usize,
     attempts: &Attempts,
@@ -311,14 +296,29 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// No faults at all (same as `FaultPlan::default()`).
-    pub fn none() -> Self {
-        FaultPlan::default()
-    }
-
-    /// True when the plan injects nothing.
-    pub fn is_empty(&self) -> bool {
-        *self == FaultPlan::default()
+    /// Checks that every directive names a job (`J < jobs`), a workload
+    /// (`W < workloads`) or a kill count (`1 ≤ C ≤ jobs`) the sweep has:
+    /// one that names nothing would silently inject nothing.
+    ///
+    /// # Errors
+    /// The first directive out of range.
+    pub fn check(&self, jobs: usize, workloads: usize) -> Result<(), String> {
+        let (job, wl) = ((jobs, "job"), (workloads, "workload"));
+        let named = (self.panic_cells.keys().map(|&j| ("panic", j, job)))
+            .chain(self.tear_writes.keys().map(|&j| ("tear", j, job)))
+            .chain(self.hangs.keys().map(|&j| ("hang", j, job)))
+            .chain(self.slows.keys().map(|&j| ("slow", j, job)))
+            .chain(self.baseline_panics.keys().map(|&w| ("bpanic", w, wl)))
+            .chain(self.trace_flips.iter().map(|&(w, _)| ("trace", w, wl)));
+        for (key, at, (n, what)) in named {
+            if at >= n {
+                return Err(format!("{key}={at}: no such {what} (0..{n})"));
+            }
+        }
+        match self.kill_after {
+            Some(c) if c == 0 || c > jobs as u64 => Err(format!("kill={c}: outside 1..={jobs}")),
+            _ => Ok(()),
+        }
     }
 
     /// Panics (plain payload — retryable) if the plan says cell `job`
@@ -346,11 +346,6 @@ impl FaultPlan {
     /// Byte length to tear job `job`'s cache write at, if any.
     pub fn tear_at(&self, job: usize) -> Option<u64> {
         self.tear_writes.get(&job).copied()
-    }
-
-    /// The `(workload index, byte offset)` trace flips to apply.
-    pub fn trace_flips(&self) -> &[(usize, u64)] {
-        &self.trace_flips
     }
 
     /// Spins until `deadline` expires if the plan hangs cell `job` —
@@ -381,12 +376,14 @@ impl FaultPlan {
     }
 
     /// Simulates a crash — raises a [`FatalFault`] — once `completed`
-    /// cells have finished. Call with a running completion count.
+    /// cells have finished. Call with a running completion count. It
+    /// unwinds without the panic hook, so the pool's other workers stop
+    /// at once rather than after a backtrace is printed.
     pub fn maybe_kill(&self, completed: u64) {
         if self.kill_after == Some(completed) {
-            panic_any(FatalFault(format!(
-                "fault-injection: kill after {completed} completed cells"
-            )));
+            let reason = format!("fault-injection: kill after {completed} completed cells");
+            eprintln!("{reason}");
+            resume_unwind(Box::new(FatalFault(reason)));
         }
     }
 }
@@ -483,7 +480,7 @@ impl std::fmt::Display for FaultPlan {
 /// I/O failure reading or rewriting a trace file.
 pub fn apply_trace_flips(plan: &FaultPlan, trace_paths: &[PathBuf]) -> io::Result<Vec<usize>> {
     let mut touched = Vec::new();
-    for &(wi, off) in plan.trace_flips() {
+    for &(wi, off) in &plan.trace_flips {
         let Some(path) = trace_paths.get(wi) else {
             continue;
         };
@@ -505,11 +502,11 @@ pub fn apply_trace_flips(plan: &FaultPlan, trace_paths: &[PathBuf]) -> io::Resul
 }
 
 // ---------------------------------------------------------------------------
-// Quarantine records (failures.json)
+// Quarantine records
 // ---------------------------------------------------------------------------
 
-/// One quarantined job: the failure row of the journal, the shard file
-/// and the per-run `failures.json`.
+/// One quarantined job: the failure row nested in that job's row of
+/// the shard log.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FailureRecord {
     /// Flat job index; `None` for a workload-baseline failure.
@@ -583,23 +580,6 @@ impl FailureRecord {
     }
 }
 
-/// Renders failure records as a JSON array, one row per line.
-pub fn failures_json(records: &[FailureRecord]) -> String {
-    let mut j = String::new();
-    write_rows(&mut j, "", records, |w, f| f.write(w));
-    j.push('\n');
-    j
-}
-
-/// Writes `failures.json` atomically (tmp + rename). An empty record
-/// list still writes `[]` so CI artifact uploads are unconditional.
-///
-/// # Errors
-/// I/O failure creating the directory or writing the file.
-pub fn write_failures(path: &Path, records: &[FailureRecord]) -> io::Result<()> {
-    publish(path, |out| out.write_all(failures_json(records).as_bytes()))
-}
-
 /// Write-then-rename, creating the parent directory: readers (other
 /// shards on a shared directory included) only ever observe complete
 /// files. `write` streams the contents into a buffered temp file, so a
@@ -635,15 +615,15 @@ pub(crate) fn publish(
 }
 
 // ---------------------------------------------------------------------------
-// Progress journal (checkpoint–resume)
+// Shard log (checkpoint–resume)
 // ---------------------------------------------------------------------------
 
-/// The append-only, fsync'd progress journal a sweep shard writes so
-/// `--resume` can skip completed cells after a crash.
+/// The append-only, fsync'd log a sweep shard writes — its shard file —
+/// so `--resume` can skip completed cells after a crash.
 ///
 /// Every line is one [`seal`]ed payload, fsync'd per append. Line 0
 /// is a header describing the
-/// sweep identity (spec, scale, shard, trace hashes); [`Journal::resume`]
+/// sweep identity (sweep, scale, shard, trace hashes); [`Journal::resume`]
 /// discards the whole file if the header does not match — a journal
 /// from a different sweep must never donate progress. A torn tail
 /// (crash mid-write) is detected by the missing newline / bad hash and
@@ -719,6 +699,7 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::panic_any;
 
     #[test]
     fn fault_plan_round_trips_through_text() {
@@ -727,14 +708,35 @@ mod tests {
         assert_eq!(plan.to_string(), text);
         assert_eq!(plan.tear_at(7), Some(10));
         assert_eq!(plan.tear_at(6), None);
-        assert_eq!(plan.trace_flips(), &[(1, 99)]);
-        assert!(!plan.is_empty());
-        assert!(FaultPlan::none().is_empty());
-        assert_eq!("".parse::<FaultPlan>().unwrap(), FaultPlan::none());
+        assert_eq!(plan.trace_flips, [(1, 99)]);
+        assert_eq!("".parse::<FaultPlan>().unwrap(), FaultPlan::default());
         assert!("panic=3".parse::<FaultPlan>().is_err());
         assert!("warp=1@2".parse::<FaultPlan>().is_err());
         assert!("kill=x".parse::<FaultPlan>().is_err());
         assert!("hang=3".parse::<FaultPlan>().is_err());
+    }
+
+    #[test]
+    fn fault_plan_check_names_the_directive_that_names_nothing() {
+        let fits: FaultPlan = "panic=15@2;bpanic=1@1;tear=0@4;trace=1@9;hang=3@1;slow=2@5;kill=16"
+            .parse()
+            .unwrap();
+        assert_eq!(fits.check(16, 2), Ok(()));
+        assert_eq!(FaultPlan::default().check(0, 0), Ok(()));
+        for (text, want) in [
+            ("panic=16@2", "panic=16: no such job (0..16)"),
+            ("tear=99@4", "tear=99: no such job (0..16)"),
+            ("hang=16@1", "hang=16: no such job"),
+            ("slow=70000@5", "slow=70000: no such job"),
+            ("bpanic=2@3", "bpanic=2: no such workload (0..2)"),
+            ("trace=7@0", "trace=7: no such workload"),
+            ("kill=0", "kill=0: outside 1..=16"),
+            ("kill=17", "kill=17: outside 1..=16"),
+        ] {
+            let plan: FaultPlan = text.parse().unwrap();
+            let err = plan.check(16, 2).unwrap_err();
+            assert!(err.starts_with(want), "{text}: {err}");
+        }
     }
 
     #[test]
@@ -761,7 +763,7 @@ mod tests {
         };
         let attempts = Attempts::default();
         let budgets = std::sync::Mutex::new(Vec::new());
-        let r: Result<(), _> = run_isolated_budgeted(
+        let r: Result<(), _> = run_isolated(
             &policy,
             11,
             &attempts,
@@ -794,7 +796,7 @@ mod tests {
             ..RetryPolicy::default()
         };
         let attempts = Attempts::default();
-        let r: Result<(), _> = run_isolated_budgeted(&policy, 3, &attempts, None, |_, _| {
+        let r: Result<(), _> = run_isolated(&policy, 3, &attempts, None, |_, _| {
             panic_any(LivelockAbort {
                 workload: "IntSort".into(),
                 mode: "manual".into(),
@@ -822,7 +824,7 @@ mod tests {
         // retry must still run (with no deadline), not panic outside
         // the isolation.
         let huge = Duration::from_secs(u64::MAX / 2);
-        let r = run_isolated_budgeted(&policy, 5, &attempts, Some(huge), |attempt, deadline| {
+        let r = run_isolated(&policy, 5, &attempts, Some(huge), |attempt, deadline| {
             if attempt == 0 {
                 panic!("transient");
             }
@@ -840,7 +842,7 @@ mod tests {
             ..RetryPolicy::default()
         };
         let attempts = Attempts::default();
-        let r: Result<(), _> = run_isolated_budgeted(
+        let r: Result<(), _> = run_isolated(
             &policy,
             4,
             &attempts,
@@ -854,7 +856,7 @@ mod tests {
         assert_eq!(fail.class, FailureClass::Panic);
         assert_eq!(fail.attempts, 3);
         // Zero budget = explicitly disarmed: no deadline reaches f.
-        let ok = run_isolated_budgeted(&policy, 4, &attempts, Some(Duration::ZERO), |_, d| {
+        let ok = run_isolated(&policy, 4, &attempts, Some(Duration::ZERO), |_, d| {
             assert!(d.is_none());
             7u32
         });
@@ -877,7 +879,7 @@ mod tests {
             ..RetryPolicy::default()
         };
         let attempts = Attempts::default();
-        let r = run_isolated(&policy, 9, &attempts, |attempt| {
+        let r = run_isolated(&policy, 9, &attempts, None, |attempt, _| {
             assert!(attempt < 3);
             if attempt < 2 {
                 panic!("transient");
@@ -895,7 +897,8 @@ mod tests {
             ..RetryPolicy::default()
         };
         let attempts = Attempts::default();
-        let r: Result<(), _> = run_isolated(&policy, 7, &attempts, |_| panic!("permanent"));
+        let r: Result<(), _> =
+            run_isolated(&policy, 7, &attempts, None, |_, _| panic!("permanent"));
         let fail = r.unwrap_err();
         assert_eq!(fail.index, 7);
         assert_eq!(fail.attempts, 3);
@@ -910,7 +913,7 @@ mod tests {
         };
         let attempts = Attempts::default();
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            let _ = run_isolated(&policy, 0, &attempts, |_| -> () {
+            let _ = run_isolated(&policy, 0, &attempts, None, |_, _| -> () {
                 panic_any(FatalFault("simulated crash".into()))
             });
         }));
@@ -964,7 +967,7 @@ mod tests {
     }
 
     #[test]
-    fn failures_json_renders_null_index_and_escapes() {
+    fn failure_rows_render_null_index_and_escapes() {
         let recs = vec![
             FailureRecord {
                 index: None,
@@ -987,26 +990,28 @@ mod tests {
                 error: "boom".into(),
             },
         ];
-        let j = failures_json(&recs);
+        let lines: Vec<String> = recs
+            .iter()
+            .map(|f| crate::rows::row(|w| f.write(w)))
+            .collect();
+        let j = lines.join("\n");
         assert!(j.contains("\"index\": null"), "{j}");
         assert!(j.contains("\"index\": 5"), "{j}");
         assert!(j.contains("\\\"quoted\\\""), "{j}");
         assert!(j.contains("000000000000dead"), "{j}");
         assert!(j.contains("\"class\": \"panic\""), "{j}");
         assert!(j.contains("\"class\": \"timeout\""), "{j}");
-        assert_eq!(failures_json(&[]), "[\n]\n");
-        // One row per line between the brackets, and every row reads
-        // back as the record it was written from, byte for byte.
-        let lines: Vec<&str> = j.lines().collect();
-        assert_eq!((lines[0], lines[3]), ("[", "]"));
-        let back: Vec<FailureRecord> = lines[1..3]
+        // Each record is one line, and reads back as the record it was
+        // written from, byte for byte.
+        assert!(lines.iter().all(|l| !l.contains('\n')));
+        let back: Vec<FailureRecord> = lines
             .iter()
             .map(|l| FailureRecord::read(&Row::parse(l).unwrap()).unwrap())
             .collect();
         assert_eq!(back, recs);
         // A row without a class (written before classes existed) reads
         // as a panic; one without an error text is malformed.
-        let classless = lines[2].replace("\"class\": \"timeout\", ", "");
+        let classless = lines[1].replace("\"class\": \"timeout\", ", "");
         let old = FailureRecord::read(&Row::parse(&classless).unwrap()).unwrap();
         assert_eq!(old.class, FailureClass::Panic);
         let err = FailureRecord::read(&Row::parse("{\"index\": 1}").unwrap()).unwrap_err();

@@ -1,15 +1,15 @@
 //! How a sweep row is spelled and sealed on disk: one JSON object per
 //! line, one writer, one reader, one integrity frame.
 //!
-//! Every file the sweep farm writes — result-cache record, progress
-//! journal, shard file, `failures.json` — is made of **rows**: a flat
-//! `{"key": value, ...}` object on one line. [`RowWriter`] spells one;
-//! [`Row`] reads one back in a single pass that borrows its tokens from
-//! the line (strings are unescaped only when a backslash is present,
-//! integers parse as integers, nested objects and arrays come back as
-//! raw slices). [`seal`]/[`unseal`] frame a row as `payload|fnv16hex\n`,
-//! so a torn or bit-flipped line is detectable without trusting any of
-//! its bytes; the journal and the cache record share that one frame.
+//! Both files the sweep farm writes — the result-cache record and the
+//! shard log — are made of **rows**: a flat `{"key": value, ...}` object
+//! on one line. [`RowWriter`] spells one; [`Row`] reads one back in a
+//! single pass that borrows its tokens from the line (strings are
+//! unescaped only when a backslash is present, integers parse as
+//! integers, nested objects and arrays come back as raw slices).
+//! [`seal`]/[`unseal`] frame a row as `payload|fnv16hex\n`, so a torn or
+//! bit-flipped line is detectable without trusting any of its bytes;
+//! every row on disk is sealed.
 
 use etpp_telemetry::json_escape;
 use etpp_trace::format::{fnv1a, FNV_OFFSET};
@@ -30,13 +30,25 @@ pub fn seal(payload: &str) -> String {
     format!("{payload}|{:016x}\n", checksum(payload))
 }
 
+/// Appends the row `fields` spell to `out`, sealed — [`seal`] without a
+/// second buffer.
+pub fn push_sealed(out: &mut String, fields: impl FnOnce(&mut RowWriter<'_>)) {
+    let start = out.len();
+    let mut w = RowWriter::open(out);
+    fields(&mut w);
+    w.close();
+    let sum = checksum(&out[start..]);
+    let _ = writeln!(out, "|{sum:016x}");
+}
+
 /// Validates one sealed line and returns its payload. A line missing its
 /// newline (torn write), carrying anything after it, or failing its hash
-/// is `None`.
+/// is `None`. The hash is spelled exactly as [`seal`] spells it, so no
+/// byte of a sealed line can change without failing the check.
 pub fn unseal(line: &str) -> Option<&str> {
     let (payload, hash) = line.strip_suffix('\n')?.rsplit_once('|')?;
-    (hash.len() == 16 && u64::from_str_radix(hash, 16).ok()? == checksum(payload))
-        .then_some(payload)
+    let spelled = hash.len() == 16 && hash.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    (spelled && u64::from_str_radix(hash, 16).ok()? == checksum(payload)).then_some(payload)
 }
 
 // ---------------------------------------------------------------------------
@@ -107,25 +119,6 @@ pub fn row(fields: impl FnOnce(&mut RowWriter<'_>)) -> String {
     fields(&mut w);
     w.close();
     out
-}
-
-/// Appends `[`, one row per line indented two past `indent`, and `]` at
-/// `indent` — the layout that keeps every array of rows readable by a
-/// forward pass over lines.
-pub fn write_rows<T>(
-    out: &mut String,
-    indent: &str,
-    items: &[T],
-    fields: impl Fn(&mut RowWriter<'_>, &T),
-) {
-    out.push('[');
-    for (i, item) in items.iter().enumerate() {
-        let _ = write!(out, "{}\n{indent}  ", if i == 0 { "" } else { "," });
-        let mut w = RowWriter::open(out);
-        fields(&mut w, item);
-        w.close();
-    }
-    let _ = write!(out, "\n{indent}]");
 }
 
 // ---------------------------------------------------------------------------
@@ -207,18 +200,10 @@ fn unescape(raw: &str) -> Option<Cow<'_, str>> {
 }
 
 impl<'a> Row<'a> {
-    /// Parses one `{...}` row as it sits on a line — indented, and
-    /// followed by the comma [`write_rows`] puts between rows; `None`
-    /// unless the rest of `line` is exactly one well-formed object.
+    /// Parses one `{...}` row; `None` unless `line` (surrounding
+    /// whitespace aside) is exactly one well-formed object.
     pub fn parse(line: &'a str) -> Option<Row<'a>> {
-        let line = line.trim();
-        let object = line.strip_suffix(',').unwrap_or(line).trim_end();
-        Row::members(object.strip_prefix('{')?.strip_suffix('}')?)
-    }
-
-    /// Parses a bare member list, `"key": value, "key": value` — a
-    /// row's text between its braces.
-    fn members(text: &'a str) -> Option<Row<'a>> {
+        let text = line.trim().strip_prefix('{')?.strip_suffix('}')?;
         let s = text.as_bytes();
         let skip_ws = |mut i: usize| {
             while s.get(i).is_some_and(u8::is_ascii_whitespace) {
@@ -345,19 +330,14 @@ mod tests {
             assert!(Row::parse(bad).is_none(), "accepted {bad:?}");
         }
         assert!(Row::parse(" {} ").is_some_and(|r| r.str("a").is_err()));
-        // A row inside a `write_rows` array carries the separator.
-        assert!(Row::parse("    {\"a\": 1},").is_some_and(|r| r.get("a") == Ok(1u8)));
-        assert!(Row::parse("{\"a\": 1},,").is_none());
+        // Nothing writes arrays of rows: a trailing separator is junk.
+        assert!(Row::parse("{\"a\": 1},").is_none());
         // A misspelt bare word is a token no typed getter accepts.
         assert!(Row::parse("{\"a\": tru}").is_some_and(|r| r.get::<bool>("a").is_err()));
         // Escapes the writer never emits still decode; bad ones fail.
         let row = Row::parse(r#"{"a": "é\/\b", "b": "\x", "c": "\u12"}"#).unwrap();
         assert_eq!(row.str("a").as_deref(), Ok("é/\u{8}"));
         assert!(row.str("b").is_err() && row.str("c").is_err());
-        // A bare member list is what header lines of pretty files hold.
-        let m = Row::members("\"scale\": \"tiny\"").unwrap();
-        assert_eq!(m.str("scale").as_deref(), Ok("tiny"));
-        assert!(Row::members("\"cells\": [").is_none());
     }
 
     #[test]
@@ -367,26 +347,25 @@ mod tests {
         for cut in 0..sealed.len() {
             assert_eq!(unseal(&sealed[..cut]), None, "cut at {cut}");
         }
+        // Every change of every byte, the hash's case and sign included
+        // (`from_str_radix` alone would take `A` for `a`, or a `+`).
         for i in 0..sealed.len() {
-            let mut bytes = sealed.clone().into_bytes();
-            bytes[i] ^= 1;
-            if let Ok(s) = String::from_utf8(bytes) {
-                assert_eq!(unseal(&s), None, "flip at {i}");
+            for mask in 1..=255u8 {
+                let mut bytes = sealed.clone().into_bytes();
+                bytes[i] ^= mask;
+                if let Ok(s) = String::from_utf8(bytes) {
+                    assert_eq!(unseal(&s), None, "flip {mask:#x} at {i}");
+                }
             }
         }
         assert_eq!(unseal(&format!("{sealed}{sealed}")), None);
         assert_eq!(unseal("no frame at all\n"), None);
-    }
-
-    #[test]
-    fn write_rows_puts_one_row_per_line() {
-        let mut out = String::new();
-        write_rows(&mut out, "", &[1u64, 2], |w, n| {
-            w.raw("n", n);
+        // `push_sealed` frames exactly what `seal` does, after what the
+        // buffer already holds.
+        let mut out = String::from("kept");
+        push_sealed(&mut out, |w| {
+            w.raw("a", 1);
         });
-        assert_eq!(out, "[\n  {\"n\": 1},\n  {\"n\": 2}\n]");
-        out.clear();
-        write_rows(&mut out, "  ", &[] as &[u64], |_, _| {});
-        assert_eq!(out, "[\n  ]");
+        assert_eq!(out, format!("kept{}", seal("{\"a\": 1}")));
     }
 }

@@ -37,29 +37,29 @@
 //!
 //! The job list is **partitionable across processes**: shard `k` of `n`
 //! runs jobs `i ≡ k (mod n)` ([`crate::experiments::shard_indices`])
-//! and writes a shard JSON ([`ShardRun::to_json`]); [`merge_shards`]
+//! and leaves one shard log ([`shard_path`]); [`merge_shards`]
 //! reassembles any complete set of shards into tables
 //! ([`render_merged`]) that are byte-identical for every (jobs,
 //! shard-count) split — the same determinism contract
 //! [`crate::experiments::map_indexed`] pins for threads, extended to
 //! processes.
 //!
-//! On disk everything is a **row** ([`crate::rows`]): a cell's payload
-//! ([`CellData`]), a baseline ([`WorkloadBaseline`]) and a quarantine
-//! ([`FailureRecord`]) each have exactly one field writer and one field
-//! reader, and the four files are arrangements of those rows — the
-//! cache record is one sealed cell payload, a journal line is a sealed
-//! `kind` + row (+ nested failure row), the shard file and
-//! `failures.json` are arrays of rows, one per line.
+//! On disk everything is a sealed **row** ([`crate::rows`]): a cell's
+//! payload ([`CellData`]), a baseline ([`WorkloadBaseline`]) and a
+//! quarantine ([`FailureRecord`]) each have one field writer and one
+//! reader. A cache record is one cell payload. A shard log is a header
+//! row, then one `baseline` or `cell` row per finished job (any
+//! quarantine nested in it): appended as jobs finish, continued by
+//! `--resume`, read by [`parse_shard`], rebuilt by [`ShardRun::to_json`].
 
 use crate::config::{PrefetchMode, SystemConfig};
 use crate::experiments::{map_indexed, shard_indices};
 use crate::faults::{
-    publish, run_isolated, run_isolated_budgeted, Attempts, FailureClass, FailureRecord, FaultPlan,
-    JobFailure, Journal, RetryPolicy,
+    publish, run_isolated, Attempts, FailureClass, FailureRecord, FaultPlan, JobFailure, Journal,
+    RetryPolicy,
 };
 use crate::replay::{replay_params, replay_run_watched, CaptureSource, KeyedCapture};
-use crate::rows::{row, seal, unseal, write_rows, Row, RowWriter};
+use crate::rows::{push_sealed, row, seal, unseal, Row, RowWriter};
 use crate::system::run_watched;
 use crate::watchdog::Deadline;
 use etpp_telemetry::Registry;
@@ -74,12 +74,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Version of the result-cache record and shard-file layout. Part of
-/// every cache key and file name: bumping it orphans (never corrupts)
-/// old entries. v2 added the `failed` cell path and the shard-file
-/// `failures` section; v3 moved every file onto the one row codec and
-/// the one `payload|fnv` frame of [`crate::rows`].
-pub const SWEEP_SCHEMA_VERSION: u32 = 3;
+/// Version of the result-cache record and shard-log layout. Part of
+/// every cache key and of the log header: bumping it orphans (never
+/// corrupts) old entries. v2 added the `failed` cell path and the
+/// shard-file `failures` section; v3 moved every file onto the one row
+/// codec and the one `payload|fnv` frame of [`crate::rows`]; v4 made
+/// the progress journal the shard file, one sealed log per shard.
+pub const SWEEP_SCHEMA_VERSION: u32 = 4;
 
 /// Default escalation gate on the stream-level absolute-cycle
 /// agreement: a baseline replay within ±15% of the capture run's cycle
@@ -95,7 +96,7 @@ pub const DEFAULT_AGREEMENT_GATE: f64 = 0.15;
 pub const DEFAULT_BUDGET_MULTIPLE: u32 = 32;
 
 /// Floor on the auto cell budget, covering shards whose baselines all
-/// resumed from the journal or hit the result cache (measured wall
+/// were taken from the shard log or hit the result cache (measured wall
 /// time ~0) and machines with noisy schedulers.
 pub const MIN_CELL_BUDGET: Duration = Duration::from_secs(10);
 
@@ -378,9 +379,9 @@ impl CellPath {
 }
 
 /// The payload of one executed cell: what the result cache stores
-/// (identity lives in the file name) and what a journal entry and a
-/// shard cell row carry; speedups are derived at assembly from the
-/// workload baseline.
+/// (identity lives in the file name) and what a shard-log cell row
+/// carries; speedups are derived at assembly from the workload
+/// baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CellData {
     /// Which path produced the numbers.
@@ -470,9 +471,11 @@ pub struct SweepOptions {
     pub retry: RetryPolicy,
     /// Deterministic faults to inject (`None` = run clean).
     pub faults: Option<FaultPlan>,
-    /// Progress-journal path for checkpoint–resume (`None` disables).
+    /// Shard-log path ([`shard_path`]): every finished job is appended
+    /// to it, fsync'd, for checkpoint–resume and merging (`None`
+    /// disables).
     pub journal: Option<PathBuf>,
-    /// Resume from an existing journal instead of starting fresh.
+    /// Continue an existing log instead of starting fresh.
     pub resume: bool,
     /// Per-cell wall-clock budget for the watchdog (`repro
     /// --cell-budget`). `None` derives one deterministically from the
@@ -503,7 +506,7 @@ impl SweepOptions {
 
 /// Per-workload baseline: the replay-first no-prefetch run the
 /// agreement gate judges, and the denominator every cell speedup uses.
-/// One type in memory, in the journal and in the shard file.
+/// One type in memory and in the shard log.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadBaseline {
     /// Benchmark name.
@@ -575,7 +578,13 @@ pub struct CellResult {
 }
 
 impl CellResult {
-    fn data(&self) -> CellData {
+    /// The cell's own fields of its shard-log row; the speedup keeps
+    /// four decimals, the precision every table prints.
+    fn write(&self, w: &mut RowWriter<'_>) {
+        w.raw("index", self.index)
+            .str("workload", self.workload)
+            .str("mode", self.mode.key())
+            .str("settings", &settings_string(&self.settings));
         CellData {
             path: self.path,
             cycles: self.cycles,
@@ -583,6 +592,12 @@ impl CellResult {
             dep_stalls: self.dep_stalls,
             validated: self.validated,
         }
+        .write(w);
+        match self.speedup {
+            Some(s) => w.raw("speedup", format_args!("{s:.4}")),
+            None => w.raw("speedup", "null"),
+        }
+        .str("cache", if self.cached { "hit" } else { "miss" });
     }
 }
 
@@ -601,12 +616,15 @@ pub struct ShardRun {
     pub shard: (usize, usize),
     /// Total jobs in the *full* sweep (all shards).
     pub total_jobs: usize,
+    /// Content hash of each workload's trace, in workload order (a log
+    /// of another trace corpus is never resumed).
+    pub traces: Vec<u64>,
     /// Baselines for every workload this shard touched.
     pub baselines: Vec<WorkloadBaseline>,
     /// This shard's cells, ascending by flat index.
     pub cells: Vec<CellResult>,
-    /// Quarantined jobs (baselines first, then cells by index) — what
-    /// `failures.json` serialises.
+    /// Quarantined jobs (baselines first, then cells by index), each
+    /// nested in its job's log row.
     pub failures: Vec<FailureRecord>,
     /// `sweep.*` counters (cache effectiveness, retries, quarantines,
     /// journal hits) plus this run's `trace.decode_errors` and
@@ -651,7 +669,7 @@ impl ShardRun {
         self.registry.counter("sweep.quarantined")
     }
 
-    /// Jobs skipped because the resume journal already had them.
+    /// Jobs skipped because the resumed shard log already held them.
     pub fn journal_hits(&self) -> u64 {
         self.registry.counter("sweep.journal.hit")
     }
@@ -683,7 +701,7 @@ impl ShardRun {
             (self.quarantined(), "quarantined"),
             (self.timeouts(), "timed out"),
             (self.livelock_aborts(), "livelock aborts"),
-            (self.journal_hits(), "resumed from journal"),
+            (self.journal_hits(), "resumed from the shard log"),
         ] {
             if count > 0 {
                 let _ = write!(s, ", {count} {what}");
@@ -823,92 +841,47 @@ struct SweepCounters {
 }
 
 // ---------------------------------------------------------------------------
-// Progress-journal entries (checkpoint–resume)
+// Shard-log rows
 // ---------------------------------------------------------------------------
 
-impl ShardRun {
-    /// The identity a shard's files open with; merges and resumes refuse
-    /// to mix sweeps, scales, trace formats or shard universes.
-    fn write_header(&self, w: &mut RowWriter<'_>) {
-        w.raw("schema", SWEEP_SCHEMA_VERSION)
-            .str("sweep", self.sweep)
-            .str("scale", &self.scale)
-            .raw("trace_format", self.trace_format)
-            .raw("shard", self.shard.0)
-            .raw("of", self.shard.1)
-            .raw("total_jobs", self.total_jobs);
-    }
-
-    /// The journal's line-0 header: the shard identity plus the gate
-    /// bits and trace content hashes. Resume discards a journal whose
-    /// header differs — progress from a different sweep, scale, or trace
-    /// corpus must never be donated. Deliberately excludes the fault
-    /// plan: a run killed *by* an injected fault resumes under a clean
-    /// plan against the same journal.
-    fn journal_header(&self, captures: &[KeyedCapture]) -> String {
-        let hashes: Vec<String> = captures
-            .iter()
-            .map(|c| format!("{:016x}", c.content_hash))
-            .collect();
-        row(|w| {
-            w.str("kind", "header");
-            self.write_header(w);
-            w.raw(
-                "gate_bits",
-                format_args!("\"{:016x}\"", DEFAULT_AGREEMENT_GATE.to_bits()),
-            )
-            .str("traces", &hashes.join(","));
-        })
-    }
-}
-
-/// One journal entry: `kind`, the finished job's own row fields, and —
-/// when the job was quarantined — its failure row nested under
-/// `"failure"`, so resume reconstructs exactly the record the first run
-/// reported.
-fn journal_entry(
+/// One finished job's log row: `kind`, the job's own fields, and — when
+/// the job was quarantined — its whole failure row nested under
+/// `"failure"`.
+fn job_row(
+    w: &mut RowWriter<'_>,
     kind: &str,
     fields: impl FnOnce(&mut RowWriter<'_>),
     failure: Option<&FailureRecord>,
-) -> String {
-    row(|w| {
-        w.str("kind", kind);
-        fields(w);
-        if let Some(f) = failure {
-            w.nested("failure", |n| f.write(n));
-        }
-    })
-}
-
-/// Journal entries that survived the seal check, indexed for resume:
-/// cells by flat job index, baselines by workload name. An entry whose
-/// row does not read back whole is dropped (its job simply re-runs).
-#[derive(Default)]
-struct Resumed {
-    cells: HashMap<usize, (CellData, Option<FailureRecord>)>,
-    baselines: HashMap<String, (WorkloadBaseline, Option<FailureRecord>)>,
-}
-
-impl Resumed {
-    fn index(&mut self, entry: &str) -> Option<()> {
-        let row = Row::parse(entry)?;
-        let failure = match row.nested("failure") {
-            Ok(raw) => Some(FailureRecord::read(&Row::parse(raw)?).ok()?),
-            Err(_) => None,
-        };
-        match &*row.str("kind").ok()? {
-            "cell" => {
-                let cell = (CellData::read(&row).ok()?, failure);
-                self.cells.insert(row.get("index").ok()?, cell);
-            }
-            "baseline" => {
-                let b = WorkloadBaseline::read(&row).ok()?;
-                self.baselines.insert(b.workload.clone(), (b, failure));
-            }
-            _ => {}
-        }
-        Some(())
+) {
+    w.str("kind", kind);
+    fields(w);
+    if let Some(f) = failure {
+        w.nested("failure", |n| f.write(n));
     }
+}
+
+/// A job row of a shard log, read back; a cell keeps its payload too,
+/// which is what a resumed run rebuilds it from.
+enum JobRow {
+    Baseline(WorkloadBaseline),
+    Cell(ParsedCell, CellData),
+}
+
+/// Reads one job row ([`job_row`]) and its nested failure, if any.
+fn read_job_row(payload: &str) -> Result<(JobRow, Option<FailureRecord>), String> {
+    let row = Row::parse(payload).ok_or("not a row")?;
+    let failure = (row.nested("failure").ok())
+        .map(|raw| FailureRecord::read(&Row::parse(raw).ok_or("malformed failure row")?))
+        .transpose()?;
+    let job = match &*row.str("kind")? {
+        "baseline" => JobRow::Baseline(WorkloadBaseline::read(&row)?),
+        "cell" => {
+            let d = CellData::read(&row)?;
+            JobRow::Cell(ParsedCell::read(&row, d)?, d)
+        }
+        other => return Err(format!("unknown row kind {other:?}")),
+    };
+    Ok((job, failure))
 }
 
 /// Runs one shard of `spec` over `workloads` (with `captures[i]` the
@@ -922,9 +895,10 @@ impl Resumed {
 /// [`ShardRun::failures`] (and a `FAILED` cell row) while the rest of
 /// the grid completes; a failed *baseline* escalates its workload's
 /// cells to the cycle core with the capture run as denominator rather
-/// than aborting the shard. With `opts.journal` set, completed jobs are
-/// checkpointed (fsync'd per entry) and `opts.resume` replays them
-/// from the journal instead of re-executing.
+/// than aborting the shard. With `opts.journal` set, every finished job
+/// is appended to that shard log (fsync'd per row), and `opts.resume`
+/// takes the jobs an existing log already holds instead of re-executing
+/// them.
 pub fn run_sweep(
     spec: &SweepSpec,
     workloads: &[BuiltWorkload],
@@ -935,14 +909,15 @@ pub fn run_sweep(
     let (k, n) = opts.shard;
     let total = spec.total_jobs(workloads.len());
     let my_jobs = shard_indices(total, k, n);
-    // The shard's identity is known before any job runs (the journal
-    // header needs it); its rows are filled in at the end.
+    // The shard's identity is known before any job runs (the log header
+    // needs it); its rows are filled in at the end.
     let run = ShardRun {
         sweep: spec.name,
         scale: opts.scale_label.clone(),
         trace_format: etpp_trace::FORMAT_VERSION,
         shard: (k, n),
         total_jobs: total,
+        traces: captures.iter().map(|c| c.content_hash).collect(),
         baselines: Vec::new(),
         cells: Vec::new(),
         failures: Vec::new(),
@@ -954,15 +929,24 @@ pub fn run_sweep(
     let plan = opts.faults.as_ref();
     let completed = AtomicU64::new(0);
 
-    // Checkpoint–resume: open (or start) the progress journal and
-    // index whatever completed entries survive its integrity checks.
-    let mut resumed = Resumed::default();
-    let journal: Option<Mutex<Journal>> = opts.journal.as_ref().and_then(|path| {
-        let header = run.journal_header(captures);
+    // Checkpoint–resume: open (or start) the shard log and index, by
+    // flat job index and by workload, whatever finished jobs survive
+    // its integrity checks. A row that does not read back whole donates
+    // nothing: its job simply re-runs.
+    let (mut resumed_cells, mut resumed_baselines) = (HashMap::new(), HashMap::new());
+    let log: Option<Mutex<Journal>> = opts.journal.as_ref().and_then(|path| {
+        let header = row(|w| run.write_header(w));
         let opened = if opts.resume {
-            Journal::resume(path, &header).map(|(j, entries)| {
-                for e in &entries {
-                    let _ = resumed.index(e);
+            Journal::resume(path, &header).map(|(j, rows)| {
+                for (job, failure) in rows.iter().filter_map(|r| read_job_row(r).ok()) {
+                    match job {
+                        JobRow::Baseline(b) => {
+                            resumed_baselines.insert(b.workload.clone(), (b, failure));
+                        }
+                        JobRow::Cell(c, d) => {
+                            resumed_cells.insert(c.index, (d, failure));
+                        }
+                    }
                 }
                 j
             })
@@ -972,17 +956,16 @@ pub fn run_sweep(
         match opened {
             Ok(j) => Some(Mutex::new(j)),
             Err(e) => {
-                eprintln!("[sweep] journal disabled ({}: {e})", path.display());
+                eprintln!("[sweep] shard log disabled ({}: {e})", path.display());
                 None
             }
         }
     });
-    let append = |payload: String| {
-        if let Some(j) = &journal {
-            if let Ok(mut g) = j.lock() {
-                if let Err(e) = g.append(&payload) {
-                    eprintln!("[sweep] journal append failed: {e}");
-                }
+    // Appends a finished job's row, fsync'd; built only if a log is open.
+    let log_job = |kind: &str, fields: &dyn Fn(&mut RowWriter<'_>), failure: Option<&_>| {
+        if let Some(Ok(mut log)) = log.as_ref().map(Mutex::lock) {
+            if let Err(e) = log.append(&row(|w| job_row(w, kind, fields, failure))) {
+                eprintln!("[sweep] shard log append failed: {e}");
             }
         }
     };
@@ -1010,7 +993,7 @@ pub fn run_sweep(
             let wi = used[ui];
             let (wl, cap) = (&workloads[wi], &captures[wi]);
             let capture_cycles = cap.trace.meta.capture_cycles;
-            if let Some((b, failure)) = resumed.baselines.get(wl.name) {
+            if let Some((b, failure)) = resumed_baselines.get(wl.name) {
                 counters.journal_hits.fetch_add(1, Ordering::Relaxed);
                 return (b.clone(), failure.clone());
             }
@@ -1030,7 +1013,7 @@ pub fn run_sweep(
                 .0
             };
             let wall_start = Instant::now();
-            let computed = run_isolated(&opts.retry, wi, &counters.attempts, |attempt| {
+            let computed = run_isolated(&opts.retry, wi, &counters.attempts, None, |attempt, _| {
                 if let Some(p) = plan {
                     p.maybe_panic_baseline(wi, attempt);
                 }
@@ -1098,7 +1081,7 @@ pub fn run_sweep(
                     (b, Some(rec))
                 }
             };
-            append(journal_entry("baseline", |w| b.write(w), failure.as_ref()));
+            log_job("baseline", &|w| b.write(w), failure.as_ref());
             (b, failure)
         });
     let mut baselines: Vec<Option<&WorkloadBaseline>> = vec![None; workloads.len()];
@@ -1124,8 +1107,8 @@ pub fn run_sweep(
     // everyone else: over a cache dir a follower then hits the entry
     // its representative wrote, so parallel workers never race to
     // simulate one key and the hit/miss split does not depend on
-    // `jobs`. Journal-resumed jobs execute nothing, so they represent
-    // nothing.
+    // `jobs`. Jobs taken from the log execute nothing, so they
+    // represent nothing.
     let keys: Vec<(u64, u64)> = map_indexed(opts.jobs, my_jobs.len(), |j| {
         let (wi, mi, value_idx) = spec.decode(my_jobs[j]);
         let escalate = baselines[wi].is_some_and(|b| b.escalate);
@@ -1139,7 +1122,7 @@ pub fn run_sweep(
     let (representatives, followers): (Vec<usize>, Vec<usize>) =
         (0..my_jobs.len()).partition(|&j| {
             distinct.insert(keys[j]);
-            !resumed.cells.contains_key(&my_jobs[j]) && claimed.insert(keys[j])
+            !resumed_cells.contains_key(&my_jobs[j]) && claimed.insert(keys[j])
         });
 
     let cell_outcomes: Vec<(CellResult, Option<FailureRecord>)> =
@@ -1167,7 +1150,7 @@ pub fn run_sweep(
                     .map(|r| r as f64 / d.cycles.max(1) as f64),
                 cached,
             };
-            if let Some((d, failure)) = resumed.cells.get(&job) {
+            if let Some((d, failure)) = resumed_cells.get(&job) {
                 counters.journal_hits.fetch_add(1, Ordering::Relaxed);
                 return (assemble(*d, false), failure.clone());
             }
@@ -1181,7 +1164,7 @@ pub fn run_sweep(
                     class: FailureClass::Panic,
                     error: format!("internal: no baseline for workload {}", wl.name),
                 }),
-                Some(bl) => run_isolated_budgeted(
+                Some(bl) => run_isolated(
                     &opts.retry,
                     job,
                     &counters.attempts,
@@ -1226,15 +1209,12 @@ pub fn run_sweep(
                     (CellData::FAILED, false, Some(rec))
                 }
             };
-            let fields = |w: &mut RowWriter<'_>| {
-                w.raw("index", job);
-                d.write(w);
-            };
-            append(journal_entry("cell", fields, failure.as_ref()));
+            let cell = assemble(d, hit);
+            log_job("cell", &|w| cell.write(w), failure.as_ref());
             if let Some(p) = plan {
                 p.maybe_kill(completed.fetch_add(1, Ordering::Relaxed) + 1);
             }
-            (assemble(d, hit), failure)
+            (cell, failure)
         });
     let (cells, cell_failures): (Vec<CellResult>, Vec<Option<FailureRecord>>) =
         cell_outcomes.into_iter().unzip();
@@ -1284,7 +1264,7 @@ pub fn run_sweep(
 }
 
 // ---------------------------------------------------------------------------
-// Shard files: serialisation, parsing, merging, rendering
+// Shard logs: serialisation, parsing, merging, rendering
 // ---------------------------------------------------------------------------
 
 /// Deterministic quarantine order: baseline failures first (`None`
@@ -1297,38 +1277,51 @@ fn failure_order(a: &FailureRecord, b: &FailureRecord) -> std::cmp::Ordering {
 }
 
 impl ShardRun {
-    /// Serialises the shard for cross-process merging: the header row,
-    /// then the baseline, cell and failure rows, one per line (what
-    /// keeps [`parse_shard`] a single forward pass).
+    /// The header row a shard log opens with. Merges refuse to mix
+    /// sweeps, scales, trace formats or shard universes; resume discards
+    /// a log whose header differs, gate and trace hashes included. The
+    /// fault plan is left out: a run killed *by* an injected fault
+    /// resumes under a clean plan against the same log.
+    fn write_header(&self, w: &mut RowWriter<'_>) {
+        let traces: Vec<String> = self.traces.iter().map(|h| format!("{h:016x}")).collect();
+        w.raw("schema", SWEEP_SCHEMA_VERSION)
+            .str("sweep", self.sweep)
+            .str("scale", &self.scale)
+            .raw("trace_format", self.trace_format)
+            .raw("shard", self.shard.0)
+            .raw("of", self.shard.1)
+            .raw("total_jobs", self.total_jobs)
+            .str(
+                "gate_bits",
+                &format!("{:016x}", DEFAULT_AGREEMENT_GATE.to_bits()),
+            )
+            .str("traces", &traces.join(","));
+    }
+
+    /// The shard's log, built from memory: the header row, then one row
+    /// per baseline and per cell in index order, each with its
+    /// quarantine nested — the rows [`run_sweep`] appends as jobs
+    /// finish, so [`parse_shard`] reads either the same way.
     pub fn to_json(&self) -> String {
-        let mut j = String::with_capacity(320 * (self.cells.len() + 4));
-        j.push_str("{\n  \"header\": ");
-        let mut w = RowWriter::open(&mut j);
-        self.write_header(&mut w);
-        w.close();
-        j.push_str(",\n  \"baselines\": ");
-        write_rows(&mut j, "  ", &self.baselines, |w, b| b.write(w));
-        j.push_str(",\n  \"cells\": ");
-        write_rows(&mut j, "  ", &self.cells, |w, c| {
-            w.raw("index", c.index)
-                .str("workload", c.workload)
-                .str("mode", c.mode.key())
-                .str("settings", &settings_string(&c.settings));
-            c.data().write(w);
-            match c.speedup {
-                Some(s) => w.raw("speedup", format_args!("{s:.4}")),
-                None => w.raw("speedup", "null"),
-            }
-            .str("cache", if c.cached { "hit" } else { "miss" });
-        });
-        j.push_str(",\n  \"failures\": ");
-        write_rows(&mut j, "  ", &self.failures, |w, f| f.write(w));
-        j.push_str("\n}\n");
-        j
+        let mut out = String::with_capacity(400 * (self.cells.len() + 4));
+        push_sealed(&mut out, |w| self.write_header(w));
+        let failure_of =
+            |index, wl: &str| (self.failures.iter()).find(|f| f.index == index && f.workload == wl);
+        for b in &self.baselines {
+            let failure = failure_of(None, &b.workload);
+            push_sealed(&mut out, |w| {
+                job_row(w, "baseline", |w| b.write(w), failure)
+            });
+        }
+        for c in &self.cells {
+            let failure = failure_of(Some(c.index), c.workload);
+            push_sealed(&mut out, |w| job_row(w, "cell", |w| c.write(w), failure));
+        }
+        out
     }
 }
 
-/// A parsed shard-file cell row.
+/// A parsed shard-log cell row.
 #[derive(Debug, Clone)]
 pub struct ParsedCell {
     /// Flat job index.
@@ -1343,6 +1336,10 @@ pub struct ParsedCell {
     pub path: String,
     /// Simulated cycles.
     pub cycles: u64,
+    /// Host driver iterations.
+    pub host_iters: u64,
+    /// Dependence-edge stalls (replay path only).
+    pub dep_stalls: u64,
     /// Speedup over the workload baseline.
     pub speedup: Option<f64>,
     /// Validation outcome.
@@ -1350,8 +1347,7 @@ pub struct ParsedCell {
 }
 
 impl ParsedCell {
-    fn read(row: &Row<'_>) -> Result<ParsedCell, String> {
-        let d = CellData::read(row)?;
+    fn read(row: &Row<'_>, d: CellData) -> Result<ParsedCell, String> {
         Ok(ParsedCell {
             index: row.get("index")?,
             workload: row.str("workload")?.into_owned(),
@@ -1359,13 +1355,15 @@ impl ParsedCell {
             settings: row.str("settings")?.into_owned(),
             path: d.path.as_str().to_string(),
             cycles: d.cycles,
+            host_iters: d.host_iters,
+            dep_stalls: d.dep_stalls,
             speedup: row.get("speedup").ok(),
             validated: d.validated,
         })
     }
 }
 
-/// A parsed shard file — or several merged into the one an unsharded
+/// A parsed shard log — or several merged into the one an unsharded
 /// run writes ([`merge_shards`]).
 #[derive(Debug)]
 pub struct ShardFile {
@@ -1389,86 +1387,64 @@ pub struct ShardFile {
     pub failures: Vec<FailureRecord>,
 }
 
-/// Parses one shard file written by [`ShardRun::to_json`].
+/// Parses one shard log — as [`run_sweep`] appended it, in completion
+/// order, or as [`ShardRun::to_json`] built it. Cells come back sorted
+/// by index, and quarantines baseline failures first, then by index.
 ///
 /// # Errors
-/// A human-readable message naming the section and the missing or
+/// A message naming the line: one that fails its seal (torn or
+/// corrupt), a header of another schema, or a row with a missing or
 /// malformed field.
-pub fn parse_shard(json: &str) -> Result<ShardFile, String> {
-    let mut file: Option<ShardFile> = None;
-    let mut section = "";
-    for line in json.lines() {
-        let t = line.trim();
-        if let Some(name) = t.strip_prefix('"').and_then(|t| t.strip_suffix("\": [")) {
-            section = name;
-        } else if let Some(header) = t.strip_prefix("\"header\": ") {
-            let row = Row::parse(header).ok_or("malformed header row")?;
-            let schema: u32 = row.get("schema")?;
-            if schema != SWEEP_SCHEMA_VERSION {
-                return Err(format!(
-                    "shard schema {schema} != supported {SWEEP_SCHEMA_VERSION}"
-                ));
-            }
-            file = Some(ShardFile {
-                sweep: row.str("sweep")?.into_owned(),
-                scale: row.str("scale")?.into_owned(),
-                trace_format: row.get("trace_format")?,
-                shard: row.get("shard")?,
-                of: row.get("of")?,
-                total_jobs: row.get("total_jobs")?,
-                baselines: Vec::new(),
-                cells: Vec::new(),
-                failures: Vec::new(),
-            });
-        } else if t.len() > 1 && t.starts_with('{') {
-            let file = file.as_mut().ok_or("row before the shard header")?;
-            let row = Row::parse(t).ok_or_else(|| format!("malformed {section} row: {t}"))?;
-            let named = |e| format!("{section} row: {e}");
-            match section {
-                "baselines" => file
-                    .baselines
-                    .push(WorkloadBaseline::read(&row).map_err(named)?),
-                "cells" => file.cells.push(ParsedCell::read(&row).map_err(named)?),
-                "failures" => file
-                    .failures
-                    .push(FailureRecord::read(&row).map_err(named)?),
-                other => return Err(format!("row in unknown section {other:?}")),
-            }
+pub fn parse_shard(log: &str) -> Result<ShardFile, String> {
+    let mut lines = log.split_inclusive('\n').zip(1..).map(|(line, n)| {
+        unseal(line)
+            .map(|payload| (n, payload))
+            .ok_or_else(|| format!("line {n} fails its seal (torn or corrupt)"))
+    });
+    let (_, header) = lines.next().ok_or("not a shard log: no header row")??;
+    let header = Row::parse(header).ok_or("malformed header row")?;
+    let schema: u32 = header.get("schema")?;
+    if schema != SWEEP_SCHEMA_VERSION {
+        return Err(format!(
+            "shard schema {schema} != supported {SWEEP_SCHEMA_VERSION}"
+        ));
+    }
+    let mut file = ShardFile {
+        sweep: header.str("sweep")?.into_owned(),
+        scale: header.str("scale")?.into_owned(),
+        trace_format: header.get("trace_format")?,
+        shard: header.get("shard")?,
+        of: header.get("of")?,
+        total_jobs: header.get("total_jobs")?,
+        baselines: Vec::new(),
+        cells: Vec::new(),
+        failures: Vec::new(),
+    };
+    for line in lines {
+        let (n, payload) = line?;
+        let (job, failure) = read_job_row(payload).map_err(|e| format!("line {n}: {e}"))?;
+        match job {
+            JobRow::Baseline(b) => file.baselines.push(b),
+            JobRow::Cell(c, _) => file.cells.push(c),
         }
+        file.failures.extend(failure);
     }
-    file.ok_or_else(|| "not a shard file: no header row".to_string())
+    file.cells.sort_by_key(|c| c.index);
+    file.failures.sort_by(failure_order);
+    Ok(file)
 }
 
-/// The files one shard of a sweep leaves in its `--sweep-dir`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SweepFile {
-    /// `shard-K-of-N.json`: [`ShardRun::to_json`].
-    Shard,
-    /// `failures-K-of-N.json`: [`crate::faults::failures_json`].
-    Failures,
-    /// `journal-K-of-N.jsonl`: the progress journal behind `--resume`.
-    Journal,
+/// Where shard `k` of `n` keeps its log inside a sweep directory.
+pub fn shard_path(dir: &Path, (k, n): (usize, usize)) -> PathBuf {
+    dir.join(format!("shard-{k}-of-{n}.jsonl"))
 }
 
-impl SweepFile {
-    /// Where shard `k` of `n` keeps this file inside `dir`.
-    pub fn path(self, dir: &Path, (k, n): (usize, usize)) -> PathBuf {
-        let (stem, ext) = match self {
-            SweepFile::Shard => ("shard", "json"),
-            SweepFile::Failures => ("failures", "json"),
-            SweepFile::Journal => ("journal", "jsonl"),
-        };
-        dir.join(format!("{stem}-{k}-of-{n}.{ext}"))
-    }
-}
-
-/// Reads every shard file (`shard-*.json`, and only those — the
-/// failures files and journals beside them are not shards) of a sweep
-/// directory, in name order.
+/// Reads every shard log (`shard-*.jsonl`) of a sweep directory, in
+/// name order.
 ///
 /// # Errors
-/// An unreadable directory or file, a directory without shard files, or
-/// a shard that does not parse — each naming the path.
+/// An unreadable directory or file, a directory without shard logs, or
+/// a log that does not parse — each naming the path.
 pub fn read_shard_dir(dir: &Path) -> Result<Vec<ShardFile>, String> {
     let entries = fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
     let mut paths: Vec<PathBuf> = entries
@@ -1476,12 +1452,12 @@ pub fn read_shard_dir(dir: &Path) -> Result<Vec<ShardFile>, String> {
         .filter(|p| {
             p.file_name()
                 .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("shard-") && n.ends_with(".json"))
+                .is_some_and(|n| n.starts_with("shard-") && n.ends_with(".jsonl"))
         })
         .collect();
     paths.sort();
     if paths.is_empty() {
-        return Err(format!("no shard-*.json files in {}", dir.display()));
+        return Err(format!("no shard-*.jsonl files in {}", dir.display()));
     }
     paths
         .iter()
@@ -1570,7 +1546,7 @@ pub fn merge_shards(files: &[ShardFile]) -> Result<ShardFile, String> {
     }
 
     // Baselines: shards sharing a workload must agree exactly (the
-    // shard file carries them bit-exact) — a mismatch means shards ran
+    // shard log carries them bit-exact) — a mismatch means shards ran
     // against different caches or configs.
     let mut by_wl: BTreeMap<&str, &WorkloadBaseline> = BTreeMap::new();
     for b in files.iter().flat_map(|f| &f.baselines) {
@@ -1815,11 +1791,11 @@ mod tests {
         // A schema bump orphans the record by file name: the version is
         // part of every path (and of the config hash), so a reader never
         // opens another schema's entry.
-        assert_eq!(SWEEP_SCHEMA_VERSION, 3);
+        assert_eq!(SWEEP_SCHEMA_VERSION, 4);
         let path = cell_cache_path(Path::new("cache"), 0xaa, 0xbb);
         assert_eq!(
             path,
-            Path::new("cache/00000000000000aa-00000000000000bb-s3.json")
+            Path::new("cache/00000000000000aa-00000000000000bb-s4.json")
         );
     }
 
@@ -1863,6 +1839,8 @@ mod tests {
             settings: "-".into(),
             path: "replay".into(),
             cycles: 1,
+            host_iters: 1,
+            dep_stalls: 0,
             speedup: Some(1.0),
             validated: true,
         };
@@ -1908,59 +1886,85 @@ mod tests {
         }
     }
 
-    #[test]
-    fn shard_json_round_trips() {
-        let baseline = WorkloadBaseline {
-            workload: "IntSort".into(),
-            replay_cycles: 1000,
-            capture_cycles: 1100,
-            agreement: Some(1000.0 / 1100.0),
-            escalate: false,
-            reference_cycles: 1000,
+    fn probe_run() -> ShardRun {
+        let cell = |index, path, cycles, speedup| CellResult {
+            index,
+            workload: "IntSort",
+            mode: PrefetchMode::Manual,
+            settings: vec![("obs_queue", 10), ("pf_buffer", 16)],
+            path,
+            cycles,
+            host_iters: 10,
+            dep_stalls: 2,
+            validated: path != CellPath::Failed,
+            speedup,
+            cached: false,
         };
-        let run = ShardRun {
+        ShardRun {
             sweep: "probe",
             scale: "tiny".into(),
             trace_format: 2,
             shard: (1, 4),
             total_jobs: 24,
-            baselines: vec![baseline.clone()],
-            cells: vec![CellResult {
-                index: 1,
-                workload: "IntSort",
-                mode: PrefetchMode::Manual,
-                settings: vec![("obs_queue", 10), ("pf_buffer", 16)],
-                path: CellPath::Replay,
-                cycles: 500,
-                host_iters: 10,
-                dep_stalls: 2,
-                validated: true,
-                speedup: Some(2.0),
-                cached: false,
+            traces: vec![0xabc, 0xdef],
+            baselines: vec![WorkloadBaseline {
+                workload: "IntSort".into(),
+                replay_cycles: 1000,
+                capture_cycles: 1100,
+                agreement: Some(1000.0 / 1100.0),
+                escalate: false,
+                reference_cycles: 1000,
             }],
+            cells: vec![
+                cell(1, CellPath::Replay, 500, Some(2.0)),
+                cell(2, CellPath::Failed, 0, None),
+            ],
             failures: vec![nasty_failure()],
             registry: Registry::new(),
-        };
-        let json = run.to_json();
-        // One row per line, `"key": value` spacing (CI greps rely on it).
-        assert!(json.contains("\n    {\"index\": 1, \"workload\": \"IntSort\", "));
-        assert!(json.contains("\"speedup\": 2.0000, \"cache\": \"miss\"}"));
-        let f = parse_shard(&json).unwrap();
+        }
+    }
+
+    #[test]
+    fn shard_json_round_trips() {
+        let run = probe_run();
+        let log = run.to_json();
+        // One sealed row per line, header first, `"key": value` spacing
+        // (CI greps rely on it); the quarantine rides in its cell's row.
+        let lines: Vec<&str> = log.lines().collect();
+        assert_eq!(lines.len(), 1 + 1 + 2, "{log}");
+        assert!(lines[0].starts_with("{\"schema\": 4, \"sweep\": \"probe\", "));
+        assert!(lines[0].contains("\"traces\": \"0000000000000abc,0000000000000def\""));
+        assert!(lines[1].starts_with("{\"kind\": \"baseline\", \"workload\": \"IntSort\", "));
+        assert!(
+            lines[2].starts_with("{\"kind\": \"cell\", \"index\": 1, \"workload\": \"IntSort\", ")
+        );
+        assert!(lines[2].contains("\"speedup\": 2.0000, \"cache\": \"miss\"}|"));
+        assert!(
+            lines[3].contains("\"failure\": {\"index\": 2, "),
+            "{}",
+            lines[3]
+        );
+        let f = parse_shard(&log).unwrap();
         assert_eq!(f.sweep, "probe");
         assert_eq!(f.scale, "tiny");
         assert_eq!(f.trace_format, 2);
         assert_eq!((f.shard, f.of, f.total_jobs), (1, 4, 24));
         // Baselines come back whole and bit-exact, agreement included.
-        assert_eq!(f.baselines, vec![baseline]);
-        assert_eq!(f.cells.len(), 1);
-        assert_eq!(f.cells[0].index, 1);
-        assert_eq!(f.cells[0].workload, "IntSort");
-        assert_eq!(f.cells[0].settings, "obs_queue=10 pf_buffer=16");
-        assert_eq!(f.cells[0].mode, "manual");
-        assert_eq!(f.cells[0].path, "replay");
-        assert_eq!(f.cells[0].cycles, 500);
-        assert!(f.cells[0].validated);
-        assert_eq!(f.cells[0].speedup, Some(2.0));
+        assert_eq!(f.baselines, run.baselines);
+        assert_eq!(f.cells.len(), 2);
+        let c = &f.cells[0];
+        assert_eq!(
+            (c.index, c.workload.as_str(), c.mode.as_str()),
+            (1, "IntSort", "manual")
+        );
+        assert_eq!(c.settings, "obs_queue=10 pf_buffer=16");
+        assert_eq!(
+            (c.path.as_str(), c.cycles, c.host_iters, c.dep_stalls),
+            ("replay", 500, 10, 2)
+        );
+        assert!(c.validated);
+        assert_eq!(c.speedup, Some(2.0));
+        assert_eq!(f.cells[1].path, "failed");
         // The failure row is the record itself: class, attempts, config
         // hash and the error text byte for byte.
         assert_eq!(f.failures, run.failures);
@@ -1969,32 +1973,56 @@ mod tests {
         // Rendered, the multi-line error stays one table row.
         let table = render_merged(&f);
         let rows = table.lines().filter(|l| l.starts_with("| 2 |")).count();
-        assert_eq!(rows, 1, "{table}");
+        assert_eq!(rows, 2, "the FAILED cell and its quarantine: {table}");
         assert!(table.contains("\"boom\" C:\\tmp / line1 line2"), "{table}");
+
+        // Completion order reads as index order.
+        let shuffled = [lines[0], lines[3], lines[2], lines[1]].map(|l| format!("{l}\n"));
+        let g = parse_shard(&shuffled.concat()).unwrap();
+        assert_eq!(format!("{:?}", g.cells), format!("{:?}", f.cells));
+        assert_eq!(g.failures, f.failures);
 
         // A skipped cell has no speedup; an empty shard still parses.
         let mut run = run;
         run.cells[0].speedup = None;
-        run.baselines.clear();
-        run.failures.clear();
         let f = parse_shard(&run.to_json()).unwrap();
         assert_eq!(f.cells[0].speedup, None);
-        assert!(f.baselines.is_empty() && f.failures.is_empty());
+        run.baselines.clear();
+        run.cells.clear();
+        run.failures.clear();
+        let f = parse_shard(&run.to_json()).unwrap();
+        assert!(f.baselines.is_empty() && f.cells.is_empty() && f.failures.is_empty());
 
-        // Errors name what is wrong.
-        let err = parse_shard(&json.replace("\"schema\": 3", "\"schema\": 2")).unwrap_err();
-        assert!(err.contains("shard schema 2 != supported 3"), "{err}");
-        let err = parse_shard(&json.replace("\"cycles\": 500, ", "")).unwrap_err();
+        // Errors name what is wrong, and where.
+        let resealed = |at: usize, edit: &dyn Fn(&str) -> String| {
+            let mut out = String::new();
+            for (i, l) in lines.iter().enumerate() {
+                let payload = unseal(&format!("{l}\n")).unwrap().to_string();
+                out += &seal(&if i == at { edit(&payload) } else { payload });
+            }
+            out
+        };
+        let err = parse_shard(&resealed(0, &|p| {
+            p.replace("\"schema\": 4", "\"schema\": 3")
+        }))
+        .unwrap_err();
+        assert!(err.contains("shard schema 3 != supported 4"), "{err}");
+        let err = parse_shard(&resealed(2, &|p| p.replace("\"cycles\": 500, ", ""))).unwrap_err();
         assert!(
-            err.contains("cells row") && err.contains("\"cycles\""),
+            err.starts_with("line 3: ") && err.contains("\"cycles\""),
             "{err}"
         );
-        let err = parse_shard("[\n]\n").unwrap_err();
-        assert!(err.contains("no header"), "{err}");
+        let err = parse_shard(&resealed(1, &|p| p.replace("baseline", "warp"))).unwrap_err();
+        assert!(err.contains("line 2: unknown row kind \"warp\""), "{err}");
+        let err = parse_shard(&log.replacen("500", "501", 1)).unwrap_err();
+        assert_eq!(err, "line 3 fails its seal (torn or corrupt)");
+        let err = parse_shard(&log[..log.len() - 1]).unwrap_err();
+        assert_eq!(err, "line 4 fails its seal (torn or corrupt)");
+        assert!(parse_shard("").unwrap_err().contains("no header"));
     }
 
     #[test]
-    fn journal_entries_round_trip_bit_exact() {
+    fn log_rows_round_trip_bit_exact() {
         let b = WorkloadBaseline {
             workload: "HJ-8".into(),
             replay_cycles: 12345,
@@ -2003,61 +2031,69 @@ mod tests {
             escalate: false,
             reference_cycles: 12345,
         };
-        let mut resumed = Resumed::default();
-        let entry = journal_entry("baseline", |w| b.write(w), None);
-        assert!(!entry.contains('\n'), "journal entries are single lines");
-        resumed.index(&entry).expect("own entry indexes");
-        let (jb, failure) = &resumed.baselines["HJ-8"];
-        assert_eq!(jb.replay_cycles, 12345);
+        let read = |kind, fields: &dyn Fn(&mut RowWriter<'_>), failure| {
+            let line = row(|w| job_row(w, kind, fields, failure));
+            assert!(!line.contains('\n'), "log rows are single lines");
+            read_job_row(&line)
+        };
+        let Ok((JobRow::Baseline(back), None)) = read("baseline", &|w| b.write(w), None) else {
+            panic!("own baseline row reads back");
+        };
         // Bit-exact, not approximate: resumed merges must stay
         // byte-identical.
         assert_eq!(
-            jb.agreement.map(f64::to_bits),
+            back.agreement.map(f64::to_bits),
             b.agreement.map(f64::to_bits)
         );
-        assert_eq!(*jb, b);
-        assert!(failure.is_none());
+        assert_eq!(back, b);
         // No reference is `null`, not a number.
         let unreferenced = WorkloadBaseline {
             agreement: None,
             ..b.clone()
         };
-        resumed
-            .index(&journal_entry("baseline", |w| unreferenced.write(w), None))
-            .unwrap();
-        assert_eq!(resumed.baselines["HJ-8"].0, unreferenced);
+        let Ok((JobRow::Baseline(back), None)) = read("baseline", &|w| unreferenced.write(w), None)
+        else {
+            panic!("unreferenced baseline reads back");
+        };
+        assert_eq!(back, unreferenced);
 
         let rec = FailureRecord {
-            index: Some(17),
+            index: Some(2),
             class: FailureClass::Livelock,
             ..nasty_failure()
         };
-        let cell = |w: &mut RowWriter<'_>| {
-            w.raw("index", 17);
-            CellData::FAILED.write(w);
+        let failed = &probe_run().cells[1];
+        let Ok((JobRow::Cell(c, d), failure)) = read("cell", &|w| failed.write(w), Some(&rec))
+        else {
+            panic!("own cell row reads back");
         };
-        let entry = journal_entry("cell", cell, Some(&rec));
-        assert!(!entry.contains('\n'));
-        resumed.index(&entry).unwrap();
-        let (jc, failure) = &resumed.cells[&17];
-        assert_eq!(*jc, CellData::FAILED);
-        // The whole record comes back — class, attempts, config hash
-        // and the error text byte for byte — so a resumed run reports
-        // exactly the quarantine its first run did.
+        // The cell rebuilds from its row, and the whole record comes
+        // back — class, attempts, config hash and the error text byte
+        // for byte — so a resumed run reports exactly the quarantine its
+        // first run did.
+        assert_eq!((c.index, c.path.as_str()), (2, "failed"));
+        let payload = CellData {
+            host_iters: 10,
+            dep_stalls: 2,
+            ..CellData::FAILED
+        };
+        assert_eq!(d, payload);
         assert_eq!(failure.as_ref(), Some(&rec));
         // A clean cell carries no failure.
-        resumed.index(&journal_entry("cell", cell, None)).unwrap();
-        assert_eq!(resumed.cells[&17], (CellData::FAILED, None));
-        // Entries that do not read back whole donate nothing.
-        let before = resumed.cells.len();
+        assert!(matches!(
+            read("cell", &|w| failed.write(w), None),
+            Ok((JobRow::Cell(..), None))
+        ));
+        // Rows that do not read back whole donate nothing.
         for bad in [
             "not json",
             "{\"kind\": \"cell\", \"index\": 3}",
-            "{\"kind\": \"cell\", \"index\": 3, \"path\": \"replay\", \"cycles\": 1, \
-             \"host_iters\": 1, \"dep_stalls\": 0, \"validated\": true, \"failure\": {}}",
+            "{\"kind\": \"header\"}",
+            "{\"kind\": \"baseline\", \"workload\": \"W\", \"replay_cycles\": 1, \
+             \"capture_cycles\": 1, \"agreement\": null, \"escalate\": false, \
+             \"reference_cycles\": 1, \"failure\": {}}",
         ] {
-            assert!(resumed.index(bad).is_none(), "{bad}");
+            assert!(read_job_row(bad).is_err(), "{bad}");
         }
-        assert_eq!(resumed.cells.len(), before);
     }
 }

@@ -10,7 +10,7 @@
 //!   costs a null-check per visit and watched runs are bit-identical to
 //!   unwatched ones (pinned by the equivalence suite). Once it expires,
 //!   the run aborts with a typed [`Cancelled`] payload that the
-//!   isolation layer ([`crate::faults::run_isolated_budgeted`])
+//!   isolation layer ([`crate::faults::run_isolated`])
 //!   classifies as a `timeout` instead of a crash.
 //!
 //! * A [`LivelockDetector`] is armed *unconditionally* in the

@@ -2,7 +2,7 @@
 //! panics, torn cache writes, and trace corruption still completes,
 //! quarantines exactly the unrecoverable cells, and keeps every
 //! surviving row byte-identical to a clean run — and a killed sweep
-//! resumes from its journal without re-executing completed cells.
+//! resumes from its shard log without re-executing completed cells.
 
 use etpp::sim::faults::{self, FatalFault, FaultPlan};
 use etpp::sim::replay::{self, try_load_or_capture_keyed, CaptureSource};
@@ -433,7 +433,7 @@ fn slow_cell_finishes_within_budget_and_changes_nothing() {
 }
 
 /// `kill=C` dies with an uncatchable-by-retry [`FatalFault`] after `C`
-/// cells; `--resume` replays the journal, re-executes zero completed
+/// cells; `--resume` continues the shard log, re-executes zero completed
 /// cells, and renders byte-identical merged tables.
 #[test]
 fn killed_sweep_resumes_from_journal_without_reexecuting_cells() {
@@ -442,7 +442,7 @@ fn killed_sweep_resumes_from_journal_without_reexecuting_cells() {
     let traces = TempDir::new("kill-traces");
     let sweep_dir = TempDir::new("kill-sweep");
     let captures = capture_all(&traces.0, &wls);
-    let journal = sweep_dir.0.join("journal-0-of-1.jsonl");
+    let journal = sweeps::shard_path(&sweep_dir.0, (0, 1));
 
     // jobs=1 keeps the worker pool on its serial path, so "5 cells
     // completed" deterministically means the first five representatives
@@ -486,7 +486,7 @@ fn killed_sweep_resumes_from_journal_without_reexecuting_cells() {
     assert_eq!(render(&clean), render(&resumed));
 }
 
-/// A quarantine survives the crash with its cell: the journal entry
+/// A quarantine survives the crash with its cell: the cell's log row
 /// carries the whole failure record, so the resumed run reports exactly
 /// the `failures` (and tables) of a run that was never killed — what
 /// lets `merge_shards` dedup a resumed shard's quarantines.
@@ -497,7 +497,7 @@ fn resumed_quarantine_equals_the_uninterrupted_runs() {
     let traces = TempDir::new("requarantine-traces");
     let sweep_dir = TempDir::new("requarantine-sweep");
     let captures = capture_all(&traces.0, &wls);
-    let journal = sweeps::SweepFile::Journal.path(&sweep_dir.0, (0, 1));
+    let journal = sweeps::shard_path(&sweep_dir.0, (0, 1));
 
     // jobs=1: the first eight completions are representatives 0, 1, 4,
     // 5, 6, 7, 8, 9 — job 5 exhausts its retries before the kill.
@@ -533,6 +533,96 @@ fn resumed_quarantine_equals_the_uninterrupted_runs() {
     assert_eq!(
         merged_render(vec![file(&resumed)]),
         merged_render(vec![file(&whole)])
+    );
+}
+
+/// With two workers, the kill stops the pool: the other worker finishes
+/// at most the one cell it had in flight, so the log holds the `C`
+/// cells before the kill and at most one more — never the rest of the
+/// grid.
+#[test]
+fn parallel_kill_stops_after_the_cells_in_flight() {
+    const KILL_AFTER: u64 = 5;
+    let spec = probe_spec();
+    let wls = build_two();
+    let traces = TempDir::new("pkill-traces");
+    let sweep_dir = TempDir::new("pkill-sweep");
+    let captures = capture_all(&traces.0, &wls);
+    let log = sweeps::shard_path(&sweep_dir.0, (0, 1));
+
+    let kill_opts = SweepOptions {
+        faults: Some(format!("kill={KILL_AFTER}").parse().unwrap()),
+        journal: Some(log.clone()),
+        ..opts(2, (0, 1), None)
+    };
+    let died = catch_unwind(AssertUnwindSafe(|| {
+        sweeps::run_sweep(&spec, &wls, &captures, &kill_opts)
+    }))
+    .expect_err("kill must abort the sweep");
+    assert!(
+        died.is::<FatalFault>(),
+        "the pool re-raises the kill itself"
+    );
+
+    let resume_opts = SweepOptions {
+        journal: Some(log),
+        resume: true,
+        ..opts(2, (0, 1), None)
+    };
+    let resumed = sweeps::run_sweep(&spec, &wls, &captures, &resume_opts);
+    let hits = resumed.journal_hits();
+    assert!(
+        (2 + KILL_AFTER..=2 + KILL_AFTER + 1).contains(&hits),
+        "2 baselines + {KILL_AFTER} cells + at most one in flight, got {hits}"
+    );
+    assert_eq!(resumed.cells.len(), 16);
+}
+
+/// The log a killed run and its `--resume` appended to, in completion
+/// order over two workers, is the sweep dir's one file, and it merges
+/// into exactly the tables of a run that was never killed.
+#[test]
+fn the_log_a_killed_and_resumed_run_leaves_merges_as_uninterrupted() {
+    let spec = probe_spec();
+    let wls = build_two();
+    let traces = TempDir::new("logmerge-traces");
+    let sweep_dir = TempDir::new("logmerge-sweep");
+    let captures = capture_all(&traces.0, &wls);
+    let log = sweeps::shard_path(&sweep_dir.0, (0, 1));
+
+    // Job 5 quarantines under either run, so its failure is in the log
+    // whichever of them finished it.
+    let run = |plan: &str, resume: bool| {
+        let o = SweepOptions {
+            faults: Some(plan.parse().unwrap()),
+            journal: Some(log.clone()),
+            resume,
+            ..opts(2, (0, 1), None)
+        };
+        sweeps::run_sweep(&spec, &wls, &captures, &o)
+    };
+    catch_unwind(AssertUnwindSafe(|| run("panic=5@9;kill=8", false)))
+        .expect_err("kill=8 must abort the sweep");
+    let resumed = run("panic=5@9", true);
+    assert!(resumed.journal_hits() >= 2 + 8);
+
+    let names: Vec<String> = std::fs::read_dir(&sweep_dir.0)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    assert_eq!(names, ["shard-0-of-1.jsonl"]);
+    let files = sweeps::read_shard_dir(&sweep_dir.0).expect("the log parses");
+    assert_eq!(files[0].failures.len(), 1);
+    assert_eq!(files[0].failures[0].index, Some(5));
+
+    let whole = SweepOptions {
+        faults: Some("panic=5@9".parse().unwrap()),
+        ..opts(2, (0, 1), None)
+    };
+    let whole = sweeps::run_sweep(&spec, &wls, &captures, &whole);
+    assert_eq!(
+        merged_render(files),
+        merged_render(vec![sweeps::parse_shard(&whole.to_json()).expect("parses")])
     );
 }
 

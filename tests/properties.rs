@@ -657,6 +657,7 @@ fn probe_shard(error: &str) -> ShardRun {
         trace_format: 2,
         shard: (0, 1),
         total_jobs: 3,
+        traces: vec![0x1234, 0x5678],
         baselines: vec![
             baseline("IntSort", Some(1000.0 / 1100.0)),
             baseline("HJ-8", None),
@@ -745,20 +746,17 @@ proptest! {
         let inner = Row::parse(row.nested("inner").unwrap()).expect("nested row parses");
         prop_assert_eq!(inner.str("other").as_deref(), Ok(other.as_str()));
 
-        // The same text through every place a failure row is written.
+        // The same text through the one place a failure row is written:
+        // nested in its job's row of the shard log.
         let run = probe_shard(&text);
         let back = sweeps::parse_shard(&run.to_json()).expect("own shard parses");
         prop_assert_eq!(&back.failures, &run.failures);
-        let listed = etpp::sim::faults::failures_json(&run.failures);
-        let line = listed.lines().nth(1).expect("one row between the brackets");
-        let read = FailureRecord::read(&Row::parse(line).expect("row parses"));
-        prop_assert_eq!(read.as_ref(), Ok(&run.failures[0]));
     }
 
     /// The three readers take arbitrary bytes and single-byte flips of
     /// valid files without panicking, and what they do accept is a row
-    /// that was written: a sealed reader (cache record, journal) returns
-    /// the original row or none; the journal keeps a prefix.
+    /// that was written: the cache record returns the original row or
+    /// none; the shard log refuses any flip; resume keeps a prefix.
     #[test]
     fn storage_readers_never_panic_or_invent_rows(
         junk in proptest::collection::vec(any::<u8>(), 0..300),
@@ -781,11 +779,12 @@ proptest! {
         let got = CellData::from_record(&flipped(&record, at, mask));
         prop_assert!(got.is_none() || got == Some(d), "flip invented {got:?}");
 
-        // Shard file (unsealed: a flip may change a digit, so the
-        // contract is "no panic", and junk is an error).
+        // Shard log: every line sealed, so junk and every single-byte
+        // flip are errors — never a silently different table.
         let shard = probe_shard(&texts[0]).to_json();
         prop_assert!(sweeps::parse_shard(&String::from_utf8_lossy(&junk)).is_err());
-        let _ = sweeps::parse_shard(&String::from_utf8_lossy(&flipped(shard.as_bytes(), at, mask)));
+        let flip = String::from_utf8_lossy(&flipped(shard.as_bytes(), at, mask)).into_owned();
+        prop_assert!(sweeps::parse_shard(&flip).is_err(), "a flip read back: {:?}", flip);
 
         // Journal.
         let path = scratch_file("fuzz");

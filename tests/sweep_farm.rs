@@ -168,27 +168,28 @@ fn result_cache_hits_warm_and_invalidates_exactly_changed_cells() {
     for entry in std::fs::read_dir(&tmp.0).unwrap() {
         let p = entry.unwrap().path();
         let name = p.file_name().unwrap().to_str().unwrap().to_string();
-        let stem = name.strip_suffix(&suffix).expect("every entry is -s3");
-        let renamed = p.with_file_name(format!("{stem}-s2.json"));
+        let stem = name
+            .strip_suffix(&suffix)
+            .expect("every entry is this schema's");
+        let renamed = p.with_file_name(format!("{stem}-s3.json"));
         std::fs::rename(&p, &renamed).unwrap();
         old.push((renamed.clone(), std::fs::read(&renamed).unwrap()));
     }
     assert_eq!(old.len(), 6 + 1 + 2, "spec + baseline + the changed spec");
     let orphaned = run(&spec);
-    assert_eq!(orphaned.cache_misses(), 7, "no -s2 entry may be served");
+    assert_eq!(orphaned.cache_misses(), 7, "no -s3 entry may be served");
     assert_eq!(orphaned.corrupt_evicted(), 0, "nor opened and evicted");
     for (path, bytes) in &old {
         assert_eq!(&std::fs::read(path).unwrap(), bytes);
     }
 }
 
-/// `repro --sweep --shard K/N --sweep-dir DIR` leaves three files per
-/// shard in DIR (shard, failures, journal); `repro --sweep-merge DIR`
-/// must merge the shards and only the shards.
+/// `repro --sweep --shard K/N --sweep-dir DIR` leaves one file per
+/// shard in DIR, the shard log its run appended to; `repro --sweep-merge
+/// DIR` merges those logs and only those.
 #[test]
 fn a_sweep_dir_as_repro_writes_it_merges() {
-    use etpp::sim::faults::{write_failures, FaultPlan};
-    use sweeps::SweepFile;
+    use etpp::sim::faults::FaultPlan;
     let spec = probe_spec();
     let wl = workload_by_name("IntSort").unwrap().build(Scale::Tiny);
     let cap = try_load_or_capture_keyed(None, &spec.base, &wl, "tiny", etpp::trace::FORMAT_VERSION)
@@ -197,36 +198,29 @@ fn a_sweep_dir_as_repro_writes_it_merges() {
     let caps = std::slice::from_ref(&cap);
     let dir = TempDir::new("sweep-dir");
 
-    // Job 5 (shard 1) exhausts its retries, so one failures file is
-    // non-empty — the shape that used to be parsed as a shard.
+    // Job 5 (shard 1) exhausts its retries: its quarantine rides in its
+    // cell's row of shard 1's log.
     let plan: FaultPlan = "panic=5@9".parse().unwrap();
     for k in 0..2 {
         let shard = (k, 2);
         let o = SweepOptions {
             faults: Some(plan.clone()),
-            journal: Some(SweepFile::Journal.path(&dir.0, shard)),
+            journal: Some(sweeps::shard_path(&dir.0, shard)),
             ..opts(2, shard, None)
         };
         let run = sweeps::run_sweep(&spec, wls, caps, &o);
-        write_failures(&SweepFile::Failures.path(&dir.0, shard), &run.failures).unwrap();
-        std::fs::write(SweepFile::Shard.path(&dir.0, shard), run.to_json()).unwrap();
+        // The log on disk (completion order) reads as the one built
+        // from memory (index order).
+        let on_disk = std::fs::read_to_string(sweeps::shard_path(&dir.0, shard)).unwrap();
+        let read = |log: &str| format!("{:?}", sweeps::parse_shard(log).unwrap());
+        assert_eq!(read(&on_disk), read(&run.to_json()));
     }
     let mut names: Vec<String> = std::fs::read_dir(&dir.0)
         .unwrap()
         .map(|e| e.unwrap().file_name().into_string().unwrap())
         .collect();
     names.sort();
-    assert_eq!(
-        names,
-        [
-            "failures-0-of-2.json",
-            "failures-1-of-2.json",
-            "journal-0-of-2.jsonl",
-            "journal-1-of-2.jsonl",
-            "shard-0-of-2.json",
-            "shard-1-of-2.json",
-        ]
-    );
+    assert_eq!(names, ["shard-0-of-2.jsonl", "shard-1-of-2.jsonl"]);
 
     let files = sweeps::read_shard_dir(&dir.0).expect("the directory merges as written");
     assert_eq!(files.len(), 2);
@@ -247,26 +241,28 @@ fn a_sweep_dir_as_repro_writes_it_merges() {
     let one = sweeps::merge_shards(std::slice::from_ref(&one)).unwrap();
     assert_eq!(tables, sweeps::render_merged(&one));
 
-    // A lost shard is a coverage error; a directory without shards, or
-    // a shard that does not parse, is an error naming the path.
-    std::fs::remove_file(SweepFile::Shard.path(&dir.0, (1, 2))).unwrap();
+    // A lost shard is a coverage error; a directory without shard logs,
+    // or a log with a line that fails its seal, is an error naming the
+    // path and the line.
+    let lost = sweeps::shard_path(&dir.0, (1, 2));
+    let log = std::fs::read_to_string(&lost).unwrap();
+    std::fs::remove_file(&lost).unwrap();
     let lone = sweeps::read_shard_dir(&dir.0).unwrap();
     let err = sweeps::merge_shards(&lone).unwrap_err();
     assert!(err.contains("missing [1, 3, 5, 7]"), "{err}");
-    std::fs::write(
-        SweepFile::Shard.path(&dir.0, (1, 2)),
-        "{\n  \"header\": {}\n}\n",
-    )
-    .unwrap();
+    let second = log.find('\n').unwrap() + 1;
+    let mut flipped = log.into_bytes();
+    flipped[second + 10] ^= 1;
+    std::fs::write(&lost, flipped).unwrap();
     let err = sweeps::read_shard_dir(&dir.0).unwrap_err();
     assert!(
-        err.contains("shard-1-of-2.json") && err.contains("\"schema\""),
+        err.contains("shard-1-of-2.jsonl: line 2 fails its seal"),
         "{err}"
     );
     let empty = TempDir::new("sweep-dir-empty");
-    write_failures(&SweepFile::Failures.path(&empty.0, (0, 1)), &[]).unwrap();
+    std::fs::write(empty.0.join("shard-0-of-1.json"), "{}\n").unwrap();
     let err = sweeps::read_shard_dir(&empty.0).unwrap_err();
-    assert!(err.contains("no shard-*.json"), "{err}");
+    assert!(err.contains("no shard-*.jsonl"), "{err}");
 }
 
 #[test]
