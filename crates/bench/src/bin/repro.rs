@@ -1,15 +1,6 @@
 //! Regenerates every table and figure of the paper's evaluation.
 //!
-//! ```text
-//! repro [--scale tiny|small|paper] [--jobs N] \
-//!       [table1|table2|fig7|fig8|fig9a|fig9b|fig10|fig11|traffic|swpf|ablate|zoo|telemetry|all]
-//! repro --replay [--trace-dir DIR] [--jobs N] [--scale tiny|small|paper]
-//! repro --telemetry DIR [--scale tiny|small|paper] [--jobs N]
-//! repro --sweep [--shard K/N] [--sweep-dir DIR] [--cache-dir DIR] \
-//!       [--scale tiny|small|paper] [--trace-dir DIR] [--jobs N] \
-//!       [--resume] [--strict] [--fault-inject PLAN] [--cell-budget SECS]
-//! repro --sweep-merge DIR
-//! ```
+//! `repro --help` prints the synopsis ([`USAGE`]).
 //!
 //! Each distinct (workload, mode) cell is simulated once per invocation:
 //! the requested experiments declare the mode columns they read
@@ -29,8 +20,9 @@
 //! demand stream is captured once from a cycle-level baseline run (cached
 //! on disk under `--trace-dir`, default `target/traces`) and then replayed
 //! against every prefetcher across `--jobs` worker threads. Replay
-//! reproduces relative speedup orderings at a fraction of the cost; see
-//! `etpp-trace` for the fidelity contract. Captures are
+//! tracks the cycle core's speedups at a fraction of the cost but can
+//! swap close modes (README "Fidelity"); see `etpp-trace` for the
+//! fidelity contract. Captures are
 //! dependence-annotated, replayed with the dependence-aware front end
 //! and reported with an absolute-cycle agreement table against the
 //! capture run.
@@ -76,10 +68,11 @@
 //! `--cell-budget SECS` overrides the budget (fractional seconds
 //! accepted; `0` disarms the watchdog entirely).
 //!
-//! Unknown flags and experiment names, experiment names a mode would
-//! ignore (`--replay fig7`) and out-of-range values (`--jobs 0`) are
-//! fatal (exit 2): a typo'd `--shard` must never silently run the full
-//! grid.
+//! Unknown flags and experiment names, flags and experiment names a
+//! mode would ignore (`--replay fig7`, `--cache-dir` without `--sweep`)
+//! and out-of-range values (`--jobs 0`) are fatal (exit 2, with the
+//! synopsis on stderr): a typo'd `--shard` must never silently run the
+//! full grid.
 //!
 //! `--telemetry DIR` enables the observability stack on the telemetry
 //! grid (IntSort + HJ-8 across the main engines): prefetch-lifecycle
@@ -125,9 +118,53 @@ const EXPERIMENTS: [&str; 14] = [
     "all",
 ];
 
+/// The synopsis `--help` prints and every usage error repeats.
+const USAGE: &str = "\
+usage: repro [--scale tiny|small|paper] [--jobs N] [--telemetry DIR]
+             [table1|table2|fig7|fig8|fig9a|fig9b|fig10|fig11|traffic|swpf|ablate|zoo|telemetry|all]
+       repro --replay [--trace-dir DIR] [--jobs N] [--scale tiny|small|paper]
+       repro --sweep [--shard K/N] [--sweep-dir DIR] [--cache-dir DIR]
+             [--scale tiny|small|paper] [--trace-dir DIR] [--jobs N]
+             [--resume] [--strict] [--fault-inject PLAN] [--cell-budget SECS]
+       repro --sweep-merge DIR
+       repro --help";
+
+/// Which of the synopsis lines a command line runs.
+#[derive(Clone, Copy, PartialEq)]
+enum Mode {
+    Experiments,
+    Replay,
+    Sweep,
+    SweepMerge,
+}
+
+impl Mode {
+    fn name(self) -> &'static str {
+        match self {
+            Mode::Experiments => "experiment runs",
+            Mode::Replay => "--replay",
+            Mode::Sweep => "--sweep",
+            Mode::SweepMerge => "--sweep-merge",
+        }
+    }
+}
+
+/// Flags only some modes read, with the modes that read them. Any other
+/// mode rejects the flag rather than ignore it.
+const MODAL_FLAGS: [(&str, &[Mode]); 9] = [
+    ("--shard", &[Mode::Sweep]),
+    ("--strict", &[Mode::Sweep]),
+    ("--resume", &[Mode::Sweep]),
+    ("--fault-inject", &[Mode::Sweep]),
+    ("--cell-budget", &[Mode::Sweep]),
+    ("--cache-dir", &[Mode::Sweep]),
+    ("--sweep-dir", &[Mode::Sweep]),
+    ("--trace-dir", &[Mode::Replay, Mode::Sweep]),
+    ("--telemetry", &[Mode::Experiments]),
+];
+
 fn usage_error(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!("see the doc comment at the top of crates/bench/src/bin/repro.rs for usage");
+    eprintln!("error: {msg}\n\n{USAGE}");
     std::process::exit(2);
 }
 
@@ -154,9 +191,16 @@ fn main() {
     let mut resume = false;
     let mut fault_plan: Option<faults::FaultPlan> = None;
     let mut cell_budget: Option<Duration> = None;
+    let mut flags: Vec<&str> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        if a == "--scale" {
+        if a.starts_with('-') {
+            flags.push(a);
+        }
+        if a == "--help" || a == "-h" {
+            println!("{USAGE}");
+            return;
+        } else if a == "--scale" {
             let v = next_value(&mut it, "--scale needs a value");
             scale = v
                 .parse()
@@ -233,21 +277,23 @@ fn main() {
             ));
         }
     }
-    if shard.is_some() && !sweep {
-        usage_error("--shard only applies to --sweep");
-    }
-    if !sweep {
-        if strict {
-            usage_error("--strict only applies to --sweep");
-        }
-        if resume {
-            usage_error("--resume only applies to --sweep");
-        }
-        if fault_plan.is_some() {
-            usage_error("--fault-inject only applies to --sweep");
-        }
-        if cell_budget.is_some() {
-            usage_error("--cell-budget only applies to --sweep");
+    let mode = if sweep_merge.is_some() {
+        Mode::SweepMerge
+    } else if sweep {
+        Mode::Sweep
+    } else if replay {
+        Mode::Replay
+    } else {
+        Mode::Experiments
+    };
+    for (flag, modes) in MODAL_FLAGS {
+        if flags.contains(&flag) && !modes.contains(&mode) {
+            let names: Vec<&str> = modes.iter().map(|m| m.name()).collect();
+            usage_error(&format!(
+                "{flag} only applies to {}, not {}",
+                names.join(" and "),
+                mode.name()
+            ));
         }
     }
     if let Some(dir) = sweep_merge {
@@ -476,10 +522,10 @@ fn run_telemetry_report(
         PrefetchMode::Manual,
     ];
     modes.extend(PrefetchMode::ZOO);
-    let spec = etpp_sim::TelemetrySpec::full(ex::sample_interval(scale));
+    let interval = ex::sample_interval(scale);
     let cells = dense(targets.len(), &modes);
     let grid = Grid::run(&targets, &cells, jobs, |_, w, mode| {
-        etpp_sim::run_telemetry(cfg, mode, w, &spec)
+        etpp_sim::run_telemetry(cfg, mode, w, interval)
     });
 
     println!("{}", report::lifecycle_table(&grid));
@@ -674,7 +720,9 @@ fn run_replay(scale: Scale, trace_dir: &std::path::Path, jobs: usize) {
     println!(
         "# ETPP reproduction (trace replay) — scale: {scale:?}, jobs: {jobs}\n\n\
          Speedups are relative to a no-prefetch *replay* baseline over the same\n\
-         captured stream; orderings are comparable with cycle-level results.\n\
+         captured stream. Replay can swap close modes (at Tiny it changes the\n\
+         best mode on 4 of 8 workloads; see README \"Fidelity\"), so confirm an\n\
+         ordering on the cycle core before quoting it.\n\
          Streams are dependence-annotated and replay with the dependence-aware\n\
          front end, whose absolute cycle counts track the cycle core (see the\n\
          agreement table below).\n"

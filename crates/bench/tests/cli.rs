@@ -30,7 +30,7 @@ fn usage_errors_exit_2_and_name_the_problem() {
     std::fs::write(&file, "").unwrap();
     let under_file = file.join("sub");
     let under_file = under_file.to_str().unwrap();
-    let cases: [(&[&str], &str); 10] = [
+    let cases: [(&[&str], &str); 18] = [
         (&["--bogus"], "unknown flag: --bogus"),
         // Retired with trace-format v1: no longer a flag at all.
         (&["--trace-format", "2"], "unknown flag: --trace-format"),
@@ -63,6 +63,36 @@ fn usage_errors_exit_2_and_name_the_problem() {
             &["--scale", "tiny", "--telemetry", under_file, "telemetry"],
             "--telemetry: cannot create",
         ),
+        // Flags the chosen mode would never read.
+        (
+            &["--replay", "--telemetry", "tel"],
+            "--telemetry only applies to experiment runs, not --replay",
+        ),
+        (
+            &["--sweep", "--telemetry", "tel"],
+            "--telemetry only applies to experiment runs, not --sweep",
+        ),
+        (
+            &["--sweep-merge", empty_dir, "--telemetry", "tel"],
+            "--telemetry only applies to experiment runs, not --sweep-merge",
+        ),
+        (
+            &["--cache-dir", "c", "fig7"],
+            "--cache-dir only applies to --sweep",
+        ),
+        (
+            &["--replay", "--sweep-dir", "s"],
+            "--sweep-dir only applies to --sweep",
+        ),
+        (
+            &["--trace-dir", "t", "table1"],
+            "--trace-dir only applies to --replay and --sweep, not experiment runs",
+        ),
+        (
+            &["--sweep-merge", empty_dir, "--trace-dir", "t"],
+            "--trace-dir only applies to --replay and --sweep, not --sweep-merge",
+        ),
+        (&["--resume"], "--resume only applies to --sweep"),
     ];
     for (args, needle) in cases {
         let (code, stderr) = repro(args);
@@ -71,6 +101,31 @@ fn usage_errors_exit_2_and_name_the_problem() {
             stderr.contains(needle),
             "{args:?}: stderr must say {needle:?}, got: {stderr}"
         );
+        assert!(
+            stderr.contains(SYNOPSIS),
+            "{args:?}: a usage error repeats the synopsis, got: {stderr}"
+        );
     }
     let _ = std::fs::remove_dir_all(&empty);
+}
+
+/// A line every synopsis carries.
+const SYNOPSIS: &str = "usage: repro [--scale tiny|small|paper]";
+
+#[test]
+fn help_prints_the_synopsis_and_exits_0() {
+    for flag in ["--help", "-h"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .arg(flag)
+            .output()
+            .expect("repro runs");
+        assert_eq!(out.status.code(), Some(0), "{flag} must exit 0");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.starts_with(SYNOPSIS), "{flag}: got {stdout}");
+        assert!(
+            stdout.contains("repro --sweep-merge DIR"),
+            "{flag}: got {stdout}"
+        );
+        assert!(out.stderr.is_empty(), "{flag} prints nothing else");
+    }
 }

@@ -124,7 +124,7 @@ pub struct CoreStats {
 
 /// Why a driver visit happened: the horizon source that pinned the
 /// cycle. [`Core::next_event_at`] records the winning arm; the
-/// `etpp_sim::run` driver counts one per visited cycle, so the pinned
+/// [`crate::drive()`] loop counts one per visit, so the pinned
 /// counts (`tests/sim_counts.rs`) and `repro --telemetry` registries can
 /// attribute where host iterations go.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -961,45 +961,59 @@ impl<'t> Core<'t> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::drive::{drive, Limits};
     use crate::trace::TraceBuilder;
-    use etpp_mem::{MemParams, MemoryImage, NullEngine};
+    use etpp_mem::{
+        DemandEvent, Line, MemParams, MemoryImage, NullEngine, PrefetchEngine, PrefetchRequest,
+        TagId,
+    };
 
-    /// Horizon-aware driver loop (the shape `etpp_sim::run` uses): the
-    /// clock jumps to the min of the core and memory horizons instead of
-    /// ticking every cycle.
-    fn run(trace: &Trace, image: MemoryImage) -> (u64, CoreStats) {
+    /// Drives `core` to completion over `image` through the production
+    /// driver (or its per-cycle reference); returns the cycle count and
+    /// the memory system.
+    fn drive_core(
+        core: &mut Core<'_>,
+        image: MemoryImage,
+        engine: &mut dyn PrefetchEngine,
+        per_cycle_reference: bool,
+    ) -> (u64, MemorySystem) {
         let mut mem = MemorySystem::new(MemParams::paper(), image);
-        let mut core = Core::new(CoreParams::paper(), trace);
-        let mut engine = NullEngine;
-        let mut now = 0u64;
-        while !core.finished() {
-            mem.tick(now, &mut engine);
-            core.tick(now, &mut mem);
-            if core.finished() {
-                now += 1;
-                break;
-            }
-            let horizon = core.next_event_at(now, &mem);
-            now = mem.advance_to(now, horizon, &mut engine).max(now + 1);
-            assert!(now < 10_000_000, "runaway simulation");
-        }
-        (now, core.stats)
+        let limits = Limits {
+            workload: "unit",
+            mode: "none",
+            max_cycles: 10_000_000,
+            per_cycle_reference,
+            deadline: None,
+        };
+        let (cycles, ..) = drive(core, &mut mem, engine, &limits, &mut ());
+        (cycles, mem)
     }
 
-    /// Per-cycle unit-tick reference loop.
-    fn run_per_cycle(trace: &Trace, image: MemoryImage) -> (u64, CoreStats) {
-        let mut mem = MemorySystem::new(MemParams::paper(), image);
-        mem.set_engine_batching(false);
+    fn run_with(trace: &Trace, image: MemoryImage, per_cycle_reference: bool) -> (u64, CoreStats) {
         let mut core = Core::new(CoreParams::paper(), trace);
-        let mut engine = NullEngine;
-        let mut now = 0u64;
-        while !core.finished() {
-            mem.tick(now, &mut engine);
-            core.tick(now, &mut mem);
-            now += 1;
-            assert!(now < 10_000_000, "runaway simulation");
+        let (cycles, _) = drive_core(&mut core, image, &mut NullEngine, per_cycle_reference);
+        (cycles, core.stats)
+    }
+
+    /// The horizon-aware driver `etpp_sim::run` uses.
+    fn run(trace: &Trace, image: MemoryImage) -> (u64, CoreStats) {
+        run_with(trace, image, false)
+    }
+
+    /// Records the configuration ops the driver routes to the engine.
+    #[derive(Default)]
+    struct ConfigLog(Vec<ConfigOp>);
+
+    impl PrefetchEngine for ConfigLog {
+        fn on_demand(&mut self, _now: u64, _ev: &DemandEvent) {}
+        fn on_prefetch_fill(&mut self, _: u64, _: u64, _: &Line, _: Option<TagId>, _: u64) {}
+        fn tick(&mut self, _now: u64) {}
+        fn pop_request(&mut self, _now: u64) -> Option<PrefetchRequest> {
+            None
         }
-        (now, core.stats)
+        fn config(&mut self, _now: u64, op: &ConfigOp) {
+            self.0.push(op.clone());
+        }
     }
 
     fn image_with_array(n: u64) -> (MemoryImage, u64) {
@@ -1098,16 +1112,8 @@ mod tests {
             b.store(base, 0xabcd, 1, [None, None]);
             b.build()
         };
-        let mut mem = MemorySystem::new(MemParams::paper(), image);
         let mut core = Core::new(CoreParams::paper(), &t);
-        let mut engine = NullEngine;
-        let mut now = 0u64;
-        while !core.finished() {
-            mem.tick(now, &mut engine);
-            core.tick(now, &mut mem);
-            now += 1;
-            assert!(now < 100_000);
-        }
+        let (_, mem) = drive_core(&mut core, image, &mut NullEngine, false);
         assert_eq!(mem.image().read_u64(base), 0xabcd);
     }
 
@@ -1120,19 +1126,10 @@ mod tests {
             b.int_op(1, [None, None]);
             b.build()
         };
-        let mut mem = MemorySystem::new(MemParams::paper(), image);
         let mut core = Core::new(CoreParams::paper(), &t);
-        let mut engine = NullEngine;
-        let mut now = 0u64;
-        let mut configs = Vec::new();
-        while !core.finished() {
-            mem.tick(now, &mut engine);
-            core.tick(now, &mut mem);
-            configs.extend(core.take_configs());
-            now += 1;
-            assert!(now < 100_000);
-        }
-        assert_eq!(configs, vec![ConfigOp::SetGlobal { idx: 1, value: 5 }]);
+        let mut log = ConfigLog::default();
+        drive_core(&mut core, image, &mut log, false);
+        assert_eq!(log.0, vec![ConfigOp::SetGlobal { idx: 1, value: 5 }]);
     }
 
     #[test]
@@ -1195,19 +1192,11 @@ mod tests {
         );
     }
 
-    /// Per-cycle run with retirement capture on, returning the records.
+    /// A run with retirement capture on, returning the records.
     fn run_captured_events(trace: &Trace, image: MemoryImage) -> Vec<TraceRecord> {
-        let mut mem = MemorySystem::new(MemParams::paper(), image);
         let mut core = Core::new(CoreParams::paper(), trace);
         core.enable_capture();
-        let mut engine = NullEngine;
-        let mut now = 0u64;
-        while !core.finished() {
-            mem.tick(now, &mut engine);
-            core.tick(now, &mut mem);
-            now += 1;
-            assert!(now < 10_000_000, "runaway simulation");
-        }
+        drive_core(&mut core, image, &mut NullEngine, false);
         core.take_captured()
     }
 
@@ -1328,7 +1317,7 @@ mod tests {
         }
         let t = b.build();
         let (fast_cycles, fast_stats) = run(&t, image.clone());
-        let (ref_cycles, ref_stats) = run_per_cycle(&t, image);
+        let (ref_cycles, ref_stats) = run_with(&t, image, true);
         assert_eq!(fast_cycles, ref_cycles, "cycle counts must be identical");
         assert_eq!(fast_stats, ref_stats, "core statistics must be identical");
     }

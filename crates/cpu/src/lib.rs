@@ -21,8 +21,10 @@
 pub mod bpred;
 mod capture;
 pub mod core;
+pub mod drive;
 pub mod trace;
 
 pub use crate::core::{Core, CoreParams, CoreStats, CoreTelemetry, HorizonSource};
 pub use bpred::{BranchPredictor, BranchPredictorParams};
+pub use drive::{drive, Limits, LivelockAbort, Probe, VisitCounts};
 pub use trace::{MicroOp, OpClass, OpId, Trace, TraceBuilder};

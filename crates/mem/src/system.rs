@@ -262,9 +262,11 @@ impl MemorySystem {
         }
     }
 
-    /// Attaches an observability collector. See [`MemTelemetry::new`].
-    pub fn enable_telemetry(&mut self, record_spans: bool, span_cap: usize) {
-        self.tel = Some(Box::new(MemTelemetry::new(record_spans, span_cap)));
+    /// Attaches an observability collector: counters, histograms and
+    /// the Chrome-trace span log (bounded by
+    /// [`etpp_telemetry::SpanSink::CAP`]).
+    pub fn enable_telemetry(&mut self) {
+        self.tel = Some(Box::new(MemTelemetry::new()));
     }
 
     /// The attached collector, if telemetry is enabled.
@@ -920,9 +922,7 @@ impl MemorySystem {
     #[inline]
     fn record_span(&mut self, name: &'static str, ts: u64, dur: u64, tid: u32) {
         if let Some(tel) = self.tel.as_deref_mut() {
-            if tel.record_spans {
-                tel.spans.push(SpanEvent { name, ts, dur, tid });
-            }
+            tel.spans.push(SpanEvent { name, ts, dur, tid });
         }
     }
 
@@ -1404,7 +1404,7 @@ mod tests {
     #[test]
     fn lifecycle_accurate_on_first_demand_hit() {
         let (mut mem, base) = setup();
-        mem.enable_telemetry(false, 0);
+        mem.enable_telemetry();
         let target = base + 8192;
         let now = prefetch_and_fill(&mut mem, target, 0);
         let id = mem.try_access(now, target, AccessKind::Load, 0x44).unwrap();
@@ -1422,7 +1422,7 @@ mod tests {
     #[test]
     fn lifecycle_late_on_inflight_merge() {
         let (mut mem, base) = setup();
-        mem.enable_telemetry(false, 0);
+        mem.enable_telemetry();
         let target = base + 8192;
         let mut engine = Queued(vec![crate::engine::PrefetchRequest {
             vaddr: target,
@@ -1443,7 +1443,7 @@ mod tests {
     #[test]
     fn lifecycle_early_vs_useless_after_unused_eviction() {
         let (mut mem, base) = setup();
-        mem.enable_telemetry(false, 0);
+        mem.enable_telemetry();
         // Prefetch two lines that map to the same L1 set (set stride for
         // the paper L1 = 256 sets * 64B = 16KB), then evict both with
         // demand fills of two more conflicting lines (2-way).
@@ -1475,7 +1475,7 @@ mod tests {
         let run = |telemetry: bool| {
             let (mut mem, base) = setup();
             if telemetry {
-                mem.enable_telemetry(true, 1024);
+                mem.enable_telemetry();
             }
             let mut completions = Vec::new();
             let mut now = 0;

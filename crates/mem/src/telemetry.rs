@@ -194,25 +194,21 @@ pub struct MemTelemetry {
     pub(crate) issue_at: FastHashMap<u64, u64>,
     /// Insert cycle of each live prefetch-buffer entry.
     pub(crate) pf_born: FastHashMap<u64, u64>,
-    /// Whether span recording is on (off keeps hooks counter-only).
-    pub(crate) record_spans: bool,
 }
 
 impl MemTelemetry {
-    /// A fresh collector. `record_spans` enables the Chrome-trace
-    /// event log (bounded by `span_cap`); counters and histograms are
-    /// always collected.
-    pub fn new(record_spans: bool, span_cap: usize) -> Self {
+    /// A fresh collector: counters, histograms and the Chrome-trace
+    /// event log (bounded by [`SpanSink::CAP`]).
+    pub(crate) fn new() -> Self {
         MemTelemetry {
             load_latency: Hist::new(),
             mshr_occupancy: Hist::new(),
             pf_buf_residency: Hist::new(),
             pf_buf_depth: Hist::new(),
             lifecycle: LifecycleTracker::default(),
-            spans: SpanSink::new(if record_spans { span_cap } else { 0 }),
+            spans: SpanSink::new(SpanSink::CAP),
             issue_at: FastHashMap::default(),
             pf_born: FastHashMap::default(),
-            record_spans,
         }
     }
 
@@ -260,7 +256,7 @@ mod tests {
 
     #[test]
     fn publish_is_deterministic() {
-        let mut t = MemTelemetry::new(false, 0);
+        let mut t = MemTelemetry::new();
         t.load_latency.record(100);
         t.lifecycle.on_issued();
         let mut a = Registry::new();

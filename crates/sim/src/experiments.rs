@@ -372,7 +372,6 @@ mod tests {
     use crate::faults::{run_isolated, Attempts, FailureClass, RetryPolicy};
     use crate::report::{adaptive_table, grid_table};
     use crate::system::{run, run_telemetry};
-    use crate::telemetry::TelemetrySpec;
     use etpp_workloads::workload_by_name;
     use std::sync::OnceLock;
     use std::time::Duration;
@@ -483,10 +482,9 @@ mod tests {
         let workloads = tiny_pair();
         let cfg = SystemConfig::paper();
         let modes = [PrefetchMode::Stride, PrefetchMode::Manual];
-        let spec = TelemetrySpec::counters_only(10_000);
         let merged_json = |jobs: usize| {
             let grid: TelemetryGrid = Grid::run(&workloads, &cross(2, &modes), jobs, |_, w, m| {
-                run_telemetry(&cfg, m, w, &spec)
+                run_telemetry(&cfg, m, w, 10_000)
             });
             assert_eq!(grid.iter().count(), workloads.len() * modes.len());
             let mut merged = etpp_telemetry::Registry::new();

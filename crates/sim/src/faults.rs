@@ -6,7 +6,7 @@
 //! degrade per cell, never per fleet) is that **no single bad input —
 //! a panicking cell, a torn cache write, a corrupt trace — may abort a
 //! grid**. Each job runs inside [`run_isolated`]: a panic is caught,
-//! retried up to [`RetryPolicy::max_attempts`] times with deterministic
+//! retried up to [`MAX_ATTEMPTS`] times in all with deterministic
 //! backoff, and finally *quarantined* as a [`JobFailure`] while the
 //! rest of the grid completes. Quarantines surface three ways: a
 //! `FAILED` row in the merged tables, a [`FailureRecord`] nested in the
@@ -29,7 +29,8 @@
 //! journal is its shard log, the one file `--sweep-merge` reads.
 
 use crate::rows::{seal, unseal, Row, RowWriter};
-use crate::watchdog::{Cancelled, Deadline, LivelockAbort, BUDGET_ESCALATION};
+use etpp_cpu::LivelockAbort;
+use etpp_mem::{Cancelled, Deadline};
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::fs;
@@ -44,11 +45,17 @@ use std::time::Duration;
 // Retry policy + panic isolation
 // ---------------------------------------------------------------------------
 
+/// Budget escalation factor for the single timeout retry: the second
+/// attempt of a timed-out cell runs under `factor × budget` before the
+/// cell is quarantined for good.
+pub const BUDGET_ESCALATION: u32 = 4;
+
+/// Attempts [`run_isolated`] gives a panicking job before quarantining it.
+pub const MAX_ATTEMPTS: u32 = 3;
+
 /// How [`run_isolated`] treats a panicking job.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
-    /// Total attempts before quarantining (≥ 1; clamped up).
-    pub max_attempts: u32,
     /// Base backoff between attempts; attempt `k` sleeps `k × backoff`
     /// (deterministic — no jitter, so reruns behave identically).
     pub backoff_ms: u64,
@@ -60,7 +67,6 @@ pub struct RetryPolicy {
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
-            max_attempts: 3,
             backoff_ms: 10,
             strict: false,
         }
@@ -118,7 +124,7 @@ pub struct JobFailure {
     /// Index the caller passed to [`run_isolated`] (a flat job index
     /// for sweep cells).
     pub index: usize,
-    /// Attempts consumed (== the policy's `max_attempts`, or 2 for
+    /// Attempts consumed ([`MAX_ATTEMPTS`], or 2 for
     /// timeout/livelock failures).
     pub attempts: u32,
     /// Classified cause of the final failed attempt.
@@ -186,7 +192,7 @@ pub struct Attempts {
 /// represent means "unbounded": either way `f` sees no deadline.
 ///
 /// Failure classes pick the retry schedule: a plain panic keeps the
-/// policy's full `max_attempts`, while a timeout or livelock gets
+/// full [`MAX_ATTEMPTS`], while a timeout or livelock gets
 /// exactly one retry — at the escalated budget for timeouts — before
 /// quarantine (a hung cell rarely heals, and re-running it is the most
 /// expensive retry there is).
@@ -213,7 +219,6 @@ pub fn run_isolated<R>(
     if policy.strict {
         return Ok(f(0, deadline_for(0)));
     }
-    let max = policy.max_attempts.max(1);
     let mut attempt = 0u32;
     loop {
         if attempt > 0 {
@@ -237,9 +242,9 @@ pub fn run_isolated<R>(
                 }
                 attempt += 1;
                 let schedule = if class == FailureClass::Panic {
-                    max
+                    MAX_ATTEMPTS
                 } else {
-                    max.min(2)
+                    2
                 };
                 if attempt >= schedule {
                     return Err(JobFailure {

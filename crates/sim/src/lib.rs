@@ -21,11 +21,11 @@ pub mod rows;
 pub mod sweeps;
 pub mod system;
 pub mod telemetry;
-pub mod watchdog;
 
 pub use adaptive::{AdaptiveChoice, AdaptiveEngine, AdaptiveParams, AdaptiveSummary};
 pub use config::{PrefetchMode, SystemConfig};
-pub use etpp_cpu::HorizonSource;
+pub use etpp_cpu::{HorizonSource, LivelockAbort, VisitCounts};
+pub use etpp_mem::{Cancelled, Deadline};
 pub use faults::{FailureRecord, FaultPlan, JobFailure, RetryPolicy};
 pub use replay::{
     replay_run, replay_run_watched, try_load_or_capture_keyed, KeyedCapture, ReplayRun,
@@ -36,7 +36,5 @@ pub use sweeps::{
 };
 pub use system::{
     make_engine, run, run_captured, run_telemetry, run_watched, Engine, RunResult, Skip,
-    VisitCounts,
 };
-pub use telemetry::{TelemetryReport, TelemetrySpec};
-pub use watchdog::{Cancelled, Deadline, LivelockAbort, LivelockDetector};
+pub use telemetry::TelemetryReport;

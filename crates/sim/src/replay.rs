@@ -6,9 +6,9 @@
 //! prefetcher configuration in the experiment grid ([`replay_run`] is a
 //! per-cell closure of [`crate::experiments::Grid::run`]). Replay skips the
 //! out-of-order core entirely, which makes sweeping prefetcher
-//! configurations an order of magnitude faster than full cycle simulation
-//! while preserving relative speedup orderings (see [`mod@etpp_trace::replay`]
-//! for the fidelity contract).
+//! configurations an order of magnitude faster than full cycle simulation.
+//! Replayed speedups track the cycle core's, but close modes can swap
+//! order (see [`mod@etpp_trace::replay`] for the fidelity contract).
 
 use crate::config::{PrefetchMode, SystemConfig};
 use crate::experiments::Cycles;

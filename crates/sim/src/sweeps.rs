@@ -61,7 +61,7 @@ use crate::faults::{
 use crate::replay::{replay_params, replay_run_watched, CaptureSource, KeyedCapture};
 use crate::rows::{push_sealed, row, seal, unseal, Row, RowWriter};
 use crate::system::run_watched;
-use crate::watchdog::Deadline;
+use etpp_mem::Deadline;
 use etpp_telemetry::Registry;
 use etpp_trace::format::{fnv1a, FNV_OFFSET};
 use etpp_workloads::BuiltWorkload;

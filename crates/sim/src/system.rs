@@ -7,41 +7,16 @@
 
 use crate::adaptive::{AdaptiveEngine, AdaptiveParams, AdaptiveSummary};
 use crate::config::{PrefetchMode, SystemConfig};
-use crate::telemetry::{hist_columns, PhaseSampler, TelemetryReport, TelemetrySpec};
-use crate::watchdog::{Deadline, LivelockDetector};
+use crate::telemetry::{TelemetryProbe, TelemetryReport};
 use etpp_baselines::{
     GhbParams, GhbPrefetcher, PcDeltaParams, PcDeltaPrefetcher, RptStridePrefetcher, StrideParams,
     StridePrefetcher,
 };
 use etpp_core::{PfEngineStats, PrefetcherParams, ProgrammablePrefetcher};
-use etpp_cpu::{Core, CoreStats, HorizonSource, Trace};
-use etpp_mem::{MemStats, MemorySystem, NullEngine, PrefetchEngine};
-use etpp_telemetry::{Registry, SpanEvent, SpanSink};
-use etpp_trace::TraceRecord;
+use etpp_cpu::{drive, Core, CoreStats, Limits, Probe, Trace, VisitCounts};
+use etpp_mem::{Deadline, MemStats, MemorySystem, NullEngine, PrefetchEngine};
+use etpp_telemetry::Registry;
 use etpp_workloads::{checksum_region, BuiltWorkload, PrefetchSetup};
-
-/// Per-source driver-visit attribution: how many visited cycles each
-/// [`HorizonSource`] pinned. `host_iters == visits.total()` on the
-/// horizon-aware path (the per-cycle reference does not attribute).
-/// This is the ROADMAP's "idle-span instrumentation": it shows where
-/// the next fast-forward factor lives, surfaced in `repro --telemetry`
-/// registries as `driver.visits.*`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VisitCounts(pub [u64; HorizonSource::COUNT]);
-
-impl VisitCounts {
-    /// `(source key, count)` pairs in stable order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        HorizonSource::ALL
-            .iter()
-            .map(move |&s| (s.key(), self.0[s as usize]))
-    }
-
-    /// Total attributed visits.
-    pub fn total(&self) -> u64 {
-        self.0.iter().sum()
-    }
-}
 
 /// Result of one simulation run.
 #[derive(Debug, Clone)]
@@ -228,22 +203,73 @@ fn programmable(
     pf
 }
 
-/// Selects the trace and engine for `mode`.
-///
-/// # Errors
-/// Returns [`Skip`] when the combination is impossible for this workload
-/// (matching the paper's missing bars).
-fn select<'w>(
-    cfg: &SystemConfig,
+/// One cycle-core run: the selected trace's core, a fresh memory
+/// system over the workload's image, and the mode's engine.
+struct Machine<'w> {
+    cfg: &'w SystemConfig,
     mode: PrefetchMode,
     wl: &'w BuiltWorkload,
-) -> Result<(&'w Trace, Engine), Skip> {
-    match mode {
-        PrefetchMode::Software => match wl.sw_trace() {
-            Some(t) => Ok((t, Engine::Null(NullEngine))),
-            None => Err(Skip::NotExpressible(wl.notes)),
-        },
-        _ => Ok((&wl.trace, make_engine(cfg, mode, wl)?)),
+    core: Core<'w>,
+    mem: MemorySystem,
+    engine: Engine,
+}
+
+impl<'w> Machine<'w> {
+    /// Selects the trace and engine for `mode`.
+    ///
+    /// # Errors
+    /// [`Skip`] when the combination is impossible for this workload
+    /// (matching the paper's missing bars).
+    fn new(cfg: &'w SystemConfig, mode: PrefetchMode, wl: &'w BuiltWorkload) -> Result<Self, Skip> {
+        let (trace, engine): (&Trace, Engine) = match mode {
+            PrefetchMode::Software => match wl.sw_trace() {
+                Some(t) => (t, Engine::Null(NullEngine)),
+                None => return Err(Skip::NotExpressible(wl.notes)),
+            },
+            _ => (&wl.trace, make_engine(cfg, mode, wl)?),
+        };
+        Ok(Machine {
+            cfg,
+            mode,
+            wl,
+            core: Core::new(cfg.core, trace),
+            mem: MemorySystem::new(cfg.mem, wl.image.clone()),
+            engine,
+        })
+    }
+
+    /// Runs the machine to completion through [`etpp_cpu::drive`] and
+    /// returns its statistics.
+    fn run(&mut self, deadline: Option<Deadline>, probe: &mut impl Probe) -> RunResult {
+        let wl = self.wl;
+        let limits = Limits {
+            workload: wl.name,
+            mode: self.mode.key(),
+            max_cycles: self.cfg.max_cycles,
+            per_cycle_reference: self.cfg.per_cycle_reference,
+            deadline,
+        };
+        let engine = self.engine.as_dyn();
+        let (cycles, host_iters, visits) =
+            drive(&mut self.core, &mut self.mem, engine, &limits, probe);
+        RunResult {
+            workload: wl.name,
+            mode: self.mode,
+            cycles,
+            host_iters,
+            core: self.core.stats,
+            mem: self.mem.stats(),
+            pf: self.engine.pf_stats(),
+            dyn_insts: self.core.stats.insts_retired,
+            mispredict_rate: self.core.bpred().mispredict_rate(),
+            validated: checksum_region(self.mem.image(), wl.check_region) == wl.expected,
+            final_lookahead: match &self.engine {
+                Engine::Prog(p) => p.lookahead(0),
+                _ => 0,
+            },
+            visits,
+            adaptive: self.engine.adaptive_summary(),
+        }
     }
 }
 
@@ -256,16 +282,16 @@ fn select<'w>(
 /// Panics if the simulation exceeds `cfg.max_cycles` (deadlock guard) or
 /// the trace accesses unmapped memory (workload generator bug).
 pub fn run(cfg: &SystemConfig, mode: PrefetchMode, wl: &BuiltWorkload) -> Result<RunResult, Skip> {
-    Ok(run_inner(cfg, mode, wl, false, None, None)?.0)
+    run_watched(cfg, mode, wl, None)
 }
 
 /// [`run`] under an optional wall-clock [`Deadline`], polled once per
 /// driver visit — never per cycle — so a deadline that never expires is
 /// pure observation and the result is bit-identical to an unwatched
 /// [`run`] (pinned by the equivalence suite). An expired deadline
-/// aborts the run by panicking with its typed
-/// [`crate::watchdog::Cancelled`] payload, which the sweep farm's
-/// isolation layer quarantines as a timeout. `None` is exactly [`run`].
+/// aborts the run by panicking with its typed [`crate::Cancelled`]
+/// payload, which the sweep farm's isolation layer quarantines as a
+/// timeout. `None` is exactly [`run`].
 ///
 /// # Errors
 /// [`Skip`] when the mode is impossible for this workload.
@@ -275,13 +301,14 @@ pub fn run_watched(
     wl: &BuiltWorkload,
     deadline: Option<Deadline>,
 ) -> Result<RunResult, Skip> {
-    Ok(run_inner(cfg, mode, wl, false, None, deadline)?.0)
+    Ok(Machine::new(cfg, mode, wl)?.run(deadline, &mut ()))
 }
 
 /// Simulates `wl` under `mode` with observability enabled, returning
 /// the usual [`RunResult`] plus a [`TelemetryReport`] (merged counter
-/// registry, phase time-series, prefetch lifecycle classification and —
-/// when `spec.chrome_spans` — the span log for a Chrome trace).
+/// registry, phase time-series sampled every `sample_interval` cycles,
+/// prefetch lifecycle classification and the span log for a Chrome
+/// trace).
 ///
 /// Telemetry is pure observation: the `RunResult` is bit-identical to a
 /// [`run`] of the same inputs (pinned by the equivalence suite).
@@ -292,10 +319,30 @@ pub fn run_telemetry(
     cfg: &SystemConfig,
     mode: PrefetchMode,
     wl: &BuiltWorkload,
-    spec: &TelemetrySpec,
+    sample_interval: u64,
 ) -> Result<(RunResult, TelemetryReport), Skip> {
-    let (result, _, report) = run_inner(cfg, mode, wl, false, Some(spec), None)?;
-    Ok((result, report.expect("telemetry was requested")))
+    let mut m = Machine::new(cfg, mode, wl)?;
+    m.mem.enable_telemetry();
+    m.core.enable_telemetry();
+    if let Engine::Prog(p) = &mut m.engine {
+        p.enable_telemetry();
+    }
+    let mut probe = TelemetryProbe::new(sample_interval);
+    let result = m.run(None, &mut probe);
+    // `take_telemetry` finalizes each collector: the memory system's
+    // turns unresolved evicted-unused prefetches into useless ones and
+    // counts the in-flight/resident populations.
+    let mut registry = Registry::new();
+    if let Some(t) = m.core.take_telemetry() {
+        t.publish(&mut registry);
+    }
+    if let Engine::Prog(p) = &mut m.engine {
+        if let Some(t) = p.take_telemetry() {
+            t.publish(&mut registry);
+        }
+    }
+    let report = probe.report(registry, m.mem.take_telemetry(), &result);
+    Ok((result, report))
 }
 
 /// Simulates `wl` under `mode` while recording the retired demand-access
@@ -312,277 +359,15 @@ pub fn run_captured(
     wl: &BuiltWorkload,
     scale_label: &str,
 ) -> Result<(RunResult, etpp_trace::CapturedTrace), Skip> {
-    let (result, records, _) = run_inner(cfg, mode, wl, true, None, None)?;
+    let mut m = Machine::new(cfg, mode, wl)?;
+    m.core.enable_capture();
+    let result = m.run(None, &mut ());
+    let records = m.core.take_captured();
     // The capture run's cycle count rides in the (v2) trace metadata so
     // replay consumers can report absolute-cycle agreement without
     // re-running the cycle core.
     let meta = etpp_trace::TraceMeta::new(wl.name, scale_label).with_capture_cycles(result.cycles);
     Ok((result, etpp_trace::CapturedTrace { meta, records }))
-}
-
-/// Phase-sample values, aligned with [`crate::telemetry::PHASE_COLUMNS`].
-fn phase_values(core: &CoreStats, mem: &MemorySystem) -> Vec<u64> {
-    let ms = mem.stats();
-    let tel = mem.telemetry();
-    let (ll, mo, lc) = match tel {
-        Some(t) => (
-            hist_columns(&t.load_latency),
-            hist_columns(&t.mshr_occupancy),
-            t.lifecycle.counts.clone(),
-        ),
-        None => ((0, 0, 0), (0, 0, 0), Default::default()),
-    };
-    vec![
-        core.insts_retired,
-        core.loads_issued,
-        core.load_retries,
-        ms.l1.read_hits,
-        ms.l1.read_misses,
-        ms.l1.late_prefetch_merges,
-        ms.l1.prefetch_fills,
-        ms.l1.prefetches_used,
-        ms.dram.reads,
-        lc.issued,
-        lc.accurate,
-        lc.late,
-        ll.0,
-        ll.1,
-        ll.2,
-        mo.0,
-        mo.2,
-    ]
-}
-
-fn run_inner(
-    cfg: &SystemConfig,
-    mode: PrefetchMode,
-    wl: &BuiltWorkload,
-    capture: bool,
-    tel: Option<&TelemetrySpec>,
-    deadline: Option<Deadline>,
-) -> Result<(RunResult, Vec<TraceRecord>, Option<TelemetryReport>), Skip> {
-    let (trace, mut engine) = select(cfg, mode, wl)?;
-    let mut mem = MemorySystem::new(cfg.mem, wl.image.clone());
-    if cfg.per_cycle_reference {
-        mem.set_engine_batching(false);
-    }
-    let mut core = Core::new(cfg.core, trace);
-    if capture {
-        core.enable_capture();
-    }
-    let mut sampler = tel.map(|s| PhaseSampler::new(s.sample_interval));
-    let mut visit_spans = tel.and_then(|s| s.chrome_spans.then(|| SpanSink::new(s.span_cap)));
-    if let Some(spec) = tel {
-        mem.enable_telemetry(spec.chrome_spans, spec.span_cap);
-        core.enable_telemetry();
-        if let Engine::Prog(p) = &mut engine {
-            p.enable_telemetry();
-        }
-    }
-
-    // Horizon-aware driver loop: one *driver visit* per iteration. A
-    // visit executes a whole *dense span* — back-to-back busy cycles
-    // whose horizon is pinned to the very next cycle (retire, issue,
-    // dispatch, store drains, FU wake chains) run cycle-locked inside
-    // the visit, the core-side analogue of `MemorySystem::advance_to`
-    // internalising transfers and engine rounds — and ends with one
-    // horizon jump through the following stall. All intermediate
-    // memory-system work (cache/DRAM transfers, engine rounds, prefetch
-    // pops) runs inside `advance_to` at its exact cycle, and the visit
-    // resumes early whenever a demand completion falls due. The
-    // sequence of per-cycle `tick` calls is identical to the unfused
-    // loop, so fusion is behaviour-preserving by construction. With
-    // `per_cycle_reference` the clock advances one cycle per iteration
-    // instead; both paths are pinned bit-identical by
-    // `tests/event_horizon_equivalence.rs`.
-    let mut now: u64 = 0;
-    let mut host_iters: u64 = 0;
-    let mut visits = VisitCounts::default();
-    // Always-armed livelock guard: observes each visit's raw reported
-    // horizon and aborts with a named diagnostic if it stops advancing
-    // — a condition impossible while the horizon invariant holds, so
-    // healthy runs are untouched (the only other runaway guard is the
-    // `max_cycles` assert, 2×10¹⁰ cycles away).
-    let mut livelock = LivelockDetector::new();
-    while !core.finished() {
-        host_iters += 1;
-        // Deadline, visit granularity: one null-check when unwatched,
-        // a strided clock read when armed.
-        if let Some(d) = deadline {
-            d.poll(host_iters, now);
-        }
-        let visit_start = now;
-        loop {
-            mem.tick(now, engine.as_dyn());
-            core.tick(now, &mut mem);
-            let configs = core.take_configs();
-            if !configs.is_empty() {
-                for op in &configs {
-                    engine.as_dyn().config(now, op);
-                }
-                // Configs mutate the engine behind the memory system's
-                // back; invalidate its cached event horizon.
-                mem.wake_engine();
-            }
-            // Phase sampler: snapshot the cumulative counters on the
-            // first tick at/after each interval boundary. `None` when
-            // telemetry is off — one Option check per visited cycle.
-            if let Some(s) = sampler.as_mut() {
-                if s.due(now) {
-                    let values = phase_values(&core.stats, &mem);
-                    s.sample(now, values);
-                }
-            }
-            if cfg.per_cycle_reference {
-                now += 1;
-                break;
-            }
-            if core.finished() {
-                // Do not fast-forward through in-flight prefetch drains
-                // after the last retirement: the reference loop exits
-                // one cycle after the finishing tick, and so must we.
-                visits.0[HorizonSource::Finish as usize] += 1;
-                if let Some(sink) = visit_spans.as_mut() {
-                    sink.push(SpanEvent {
-                        name: HorizonSource::Finish.key(),
-                        ts: visit_start,
-                        dur: now + 1 - visit_start,
-                        tid: SpanSink::LANE_VISITS,
-                    });
-                }
-                now += 1;
-                break;
-            }
-            let horizon = core.next_event_at(now, &mem);
-            livelock.observe(now, horizon, core.horizon_source(), wl.name, mode.key());
-            if horizon == now + 1 {
-                // Dense span: the core progresses on the very next
-                // cycle, so stay inside this visit (`advance_to(now,
-                // now + 1)` would return immediately anyway).
-                now += 1;
-                assert!(
-                    now < cfg.max_cycles,
-                    "simulation exceeded {} cycles for {} / {:?}",
-                    cfg.max_cycles,
-                    wl.name,
-                    mode
-                );
-                continue;
-            }
-            let next = mem.advance_to(now, horizon, engine.as_dyn()).max(now + 1);
-            // Attribute the visit to whatever ended its span: the
-            // core's winning horizon arm, or — when `advance_to`
-            // handed control back early — the memory event whose
-            // completion fell due (an LQ-full wait keeps its label:
-            // the completion is what frees the slot).
-            let src = if next < horizon && core.horizon_source() != HorizonSource::LqFull {
-                HorizonSource::MemEvent
-            } else {
-                core.horizon_source()
-            };
-            visits.0[src as usize] += 1;
-            if let Some(sink) = visit_spans.as_mut() {
-                sink.push(SpanEvent {
-                    name: src.key(),
-                    ts: visit_start,
-                    dur: next - visit_start,
-                    tid: SpanSink::LANE_VISITS,
-                });
-            }
-            now = next;
-            break;
-        }
-        assert!(
-            now < cfg.max_cycles,
-            "simulation exceeded {} cycles for {} / {:?}",
-            cfg.max_cycles,
-            wl.name,
-            mode
-        );
-    }
-
-    let validated = checksum_region(mem.image(), wl.check_region) == wl.expected;
-
-    // Assemble the telemetry report before reading engine stats (the
-    // engine collector detaches mutably). `take_telemetry` finalizes
-    // the lifecycle tracker: unresolved evicted-unused prefetches
-    // become useless, in-flight/resident populations are counted.
-    let report = tel.map(|_| {
-        let mut registry = Registry::new();
-        let mem_tel = mem.take_telemetry();
-        let core_tel = core.take_telemetry();
-        let engine_tel = match &mut engine {
-            Engine::Prog(p) => p.take_telemetry(),
-            _ => None,
-        };
-        if let Some(t) = &mem_tel {
-            t.publish(&mut registry);
-        }
-        if let Some(t) = &core_tel {
-            t.publish(&mut registry);
-        }
-        if let Some(t) = &engine_tel {
-            t.publish(&mut registry);
-        }
-        for (key, count) in visits.iter() {
-            registry.set_counter(&format!("driver.visits.{key}"), count);
-        }
-        registry.set_counter("driver.host_iters", host_iters);
-        registry.set_counter("run.cycles", now);
-        let mut spans = Vec::new();
-        let mut spans_dropped = 0;
-        if let Some(sink) = visit_spans.take() {
-            spans_dropped += sink.dropped();
-            spans.extend(sink.into_events());
-        }
-        let (lifecycle, per_pc) = match mem_tel {
-            Some(t) => {
-                spans_dropped += t.spans.dropped();
-                spans.extend(t.spans.into_events());
-                (t.lifecycle.counts, t.lifecycle.per_pc)
-            }
-            None => Default::default(),
-        };
-        registry.set_counter("trace.spans_dropped", spans_dropped);
-        TelemetryReport {
-            registry,
-            phases: sampler
-                .take()
-                .expect("sampler exists with telemetry")
-                .series,
-            lifecycle,
-            per_pc,
-            spans,
-            spans_dropped,
-        }
-    });
-
-    let pf = engine.pf_stats();
-    let adaptive = engine.adaptive_summary();
-    let final_lookahead = match &engine {
-        Engine::Prog(p) => p.lookahead(0),
-        _ => 0,
-    };
-    let records = core.take_captured();
-    Ok((
-        RunResult {
-            workload: wl.name,
-            mode,
-            cycles: now,
-            host_iters,
-            core: core.stats,
-            mem: mem.stats(),
-            pf,
-            dyn_insts: core.stats.insts_retired,
-            mispredict_rate: core.bpred().mispredict_rate(),
-            validated,
-            final_lookahead,
-            visits,
-            adaptive,
-        },
-        records,
-        report,
-    ))
 }
 
 #[cfg(test)]
@@ -647,8 +432,7 @@ mod tests {
         let wl = etpp_workloads::intsort::IntSort.build(Scale::Tiny);
         let cfg = SystemConfig::paper();
         let plain = run(&cfg, PrefetchMode::Manual, &wl).unwrap();
-        let spec = TelemetrySpec::full(10_000);
-        let (r, rep) = run_telemetry(&cfg, PrefetchMode::Manual, &wl, &spec).unwrap();
+        let (r, rep) = run_telemetry(&cfg, PrefetchMode::Manual, &wl, 10_000).unwrap();
         // Pure observation: the run itself must not change at all.
         assert_eq!(plain.cycles, r.cycles);
         assert_eq!(plain.core, r.core);

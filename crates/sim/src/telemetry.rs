@@ -1,56 +1,20 @@
-//! Run-level observability: the phase sampler, the merged counter
-//! registry and the Chrome-trace assembly for one simulation run.
+//! Run-level observability: the telemetry probe the cycle driver
+//! carries, and the report it assembles for one simulation run.
 //!
-//! [`TelemetrySpec`] configures collection (it rides *next to*
-//! [`crate::SystemConfig`], which stays `Copy`); [`TelemetryReport`] is
-//! what [`crate::run_telemetry`] hands back: every component's
-//! counters/histograms merged into one deterministic [`Registry`], an
-//! interval [`PhaseSeries`] of the run, the prefetch lifecycle
-//! classification, and (optionally) the span log rendered via
-//! [`etpp_telemetry::chrome_trace_json`].
+//! [`crate::run_telemetry`] attaches the memory, core and engine
+//! collectors and drives the run with a `TelemetryProbe`, the one
+//! non-trivial [`etpp_cpu::Probe`]: it samples the phase time-series at
+//! interval boundaries and logs each driver visit as a span. The
+//! [`TelemetryReport`] it hands back holds every component's
+//! counters/histograms merged into one deterministic [`Registry`], the
+//! interval [`PhaseSeries`], the prefetch lifecycle classification, and
+//! the span log rendered via [`etpp_telemetry::chrome_trace_json`].
 
-use etpp_mem::{LifecycleCounts, PcLifecycle};
-use etpp_telemetry::{chrome_trace_json, Hist, PhaseSeries, Registry, SpanEvent};
+use crate::system::RunResult;
+use etpp_cpu::{Core, CoreStats, HorizonSource, Probe};
+use etpp_mem::{LifecycleCounts, MemTelemetry, MemorySystem, PcLifecycle};
+use etpp_telemetry::{chrome_trace_json, Hist, PhaseSeries, Registry, SpanEvent, SpanSink};
 use std::collections::BTreeMap;
-
-/// Default cap on recorded span events per run (driver + memory lanes
-/// each), chosen so a paper-scale trace stays well under 100 MB of JSON.
-pub const DEFAULT_SPAN_CAP: usize = 200_000;
-
-/// What to collect during a run. Separate from [`crate::SystemConfig`]
-/// so the config stays `Copy` and telemetry stays strictly additive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TelemetrySpec {
-    /// Snapshot all registered counters every this many simulated
-    /// cycles (samples land on the first visit at/after each boundary).
-    pub sample_interval: u64,
-    /// Record span events for the Chrome trace (driver visits, engine
-    /// rounds, DRAM reads, fills).
-    pub chrome_spans: bool,
-    /// Cap on span events per sink; excess events are dropped and
-    /// counted in `trace.spans_dropped`.
-    pub span_cap: usize,
-}
-
-impl TelemetrySpec {
-    /// Counters + histograms + phase samples + Chrome spans.
-    pub fn full(sample_interval: u64) -> Self {
-        TelemetrySpec {
-            sample_interval,
-            chrome_spans: true,
-            span_cap: DEFAULT_SPAN_CAP,
-        }
-    }
-
-    /// Counters + histograms + phase samples, no span log (cheapest).
-    pub fn counters_only(sample_interval: u64) -> Self {
-        TelemetrySpec {
-            sample_interval,
-            chrome_spans: false,
-            span_cap: 0,
-        }
-    }
-}
 
 /// Columns of the phase time-series, in emission order. Scalar counters
 /// are cumulative; histogram-derived columns (`*.count`, `*.p50`,
@@ -88,7 +52,7 @@ pub struct TelemetryReport {
     pub lifecycle: LifecycleCounts,
     /// Per-demand-PC accurate/late attribution (sorted by PC).
     pub per_pc: BTreeMap<u32, PcLifecycle>,
-    /// Span events (empty unless `chrome_spans` was set).
+    /// Span events: driver visits, then the memory system's lanes.
     pub spans: Vec<SpanEvent>,
     /// Events dropped after a span sink's cap was reached.
     pub spans_dropped: u64,
@@ -111,30 +75,32 @@ impl TelemetryReport {
     }
 }
 
-/// Live sampling state threaded through the driver loop (internal to
-/// [`crate::system::run_inner`]; public within the crate only).
-pub(crate) struct PhaseSampler {
+/// The probe of a telemetry run: a phase sample on the first cycle
+/// at/after each interval boundary, one span per driver visit.
+pub(crate) struct TelemetryProbe {
     interval: u64,
     next_at: u64,
-    pub(crate) series: PhaseSeries,
+    series: PhaseSeries,
+    visit_spans: SpanSink,
 }
 
-impl PhaseSampler {
-    pub(crate) fn new(interval: u64) -> Self {
-        let interval = interval.max(1);
-        PhaseSampler {
+impl TelemetryProbe {
+    pub(crate) fn new(sample_interval: u64) -> Self {
+        let interval = sample_interval.max(1);
+        TelemetryProbe {
             interval,
             next_at: interval,
             series: PhaseSeries::new(
                 interval,
                 PHASE_COLUMNS.iter().map(|s| s.to_string()).collect(),
             ),
+            visit_spans: SpanSink::new(SpanSink::CAP),
         }
     }
 
     /// Whether the clock has crossed the next sample boundary.
     #[inline]
-    pub(crate) fn due(&self, now: u64) -> bool {
+    fn due(&self, now: u64) -> bool {
         now >= self.next_at
     }
 
@@ -142,14 +108,99 @@ impl PhaseSampler {
     /// boundary after `now` (visits can jump several intervals at
     /// once; cumulative counters make the skipped boundaries
     /// recoverable by interpolation).
-    pub(crate) fn sample(&mut self, now: u64, values: Vec<u64>) {
+    fn sample(&mut self, now: u64, values: Vec<u64>) {
         self.series.push(now, values);
         self.next_at = (now / self.interval + 1) * self.interval;
     }
+
+    /// Assembles the run's report. `registry` already holds the core and
+    /// engine collectors; `mem` is the memory system's finalized one.
+    pub(crate) fn report(
+        self,
+        mut registry: Registry,
+        mem: Option<Box<MemTelemetry>>,
+        run: &RunResult,
+    ) -> TelemetryReport {
+        for (key, count) in run.visits.iter() {
+            registry.set_counter(&format!("driver.visits.{key}"), count);
+        }
+        registry.set_counter("driver.host_iters", run.host_iters);
+        registry.set_counter("run.cycles", run.cycles);
+        let mut spans_dropped = self.visit_spans.dropped();
+        let mut spans = self.visit_spans.into_events();
+        let (lifecycle, per_pc) = match mem {
+            Some(t) => {
+                t.publish(&mut registry);
+                spans_dropped += t.spans.dropped();
+                spans.extend(t.spans.into_events());
+                (t.lifecycle.counts, t.lifecycle.per_pc)
+            }
+            None => Default::default(),
+        };
+        registry.set_counter("trace.spans_dropped", spans_dropped);
+        TelemetryReport {
+            registry,
+            phases: self.series,
+            lifecycle,
+            per_pc,
+            spans,
+            spans_dropped,
+        }
+    }
+}
+
+impl Probe for TelemetryProbe {
+    #[inline]
+    fn cycle(&mut self, now: u64, core: &Core<'_>, mem: &MemorySystem) {
+        if self.due(now) {
+            self.sample(now, phase_values(&core.stats, mem));
+        }
+    }
+
+    fn visit(&mut self, src: HorizonSource, start: u64, end: u64) {
+        self.visit_spans.push(SpanEvent {
+            name: src.key(),
+            ts: start,
+            dur: end - start,
+            tid: SpanSink::LANE_VISITS,
+        });
+    }
+}
+
+/// Phase-sample values, aligned with [`PHASE_COLUMNS`].
+fn phase_values(core: &CoreStats, mem: &MemorySystem) -> Vec<u64> {
+    let ms = mem.stats();
+    let (ll, mo, lc) = match mem.telemetry() {
+        Some(t) => (
+            hist_columns(&t.load_latency),
+            hist_columns(&t.mshr_occupancy),
+            t.lifecycle.counts.clone(),
+        ),
+        None => ((0, 0, 0), (0, 0, 0), Default::default()),
+    };
+    vec![
+        core.insts_retired,
+        core.loads_issued,
+        core.load_retries,
+        ms.l1.read_hits,
+        ms.l1.read_misses,
+        ms.l1.late_prefetch_merges,
+        ms.l1.prefetch_fills,
+        ms.l1.prefetches_used,
+        ms.dram.reads,
+        lc.issued,
+        lc.accurate,
+        lc.late,
+        ll.0,
+        ll.1,
+        ll.2,
+        mo.0,
+        mo.2,
+    ]
 }
 
 /// Snapshot helper: histogram-derived phase columns.
-pub(crate) fn hist_columns(h: &Hist) -> (u64, u64, u64) {
+fn hist_columns(h: &Hist) -> (u64, u64, u64) {
     (h.count(), h.quantile(0.5), h.quantile(0.99))
 }
 
@@ -159,7 +210,7 @@ mod tests {
 
     #[test]
     fn sampler_crosses_multiple_intervals() {
-        let mut s = PhaseSampler::new(100);
+        let mut s = TelemetryProbe::new(100);
         assert!(!s.due(99));
         assert!(s.due(100));
         s.sample(105, vec![0; PHASE_COLUMNS.len()]);

@@ -362,6 +362,9 @@ impl SpanSink {
     pub const LANE_DRAM: u32 = 2;
     /// Lane for cache-fill events.
     pub const LANE_FILLS: u32 = 3;
+    /// Cap on recorded events per sink in a simulation run, chosen so a
+    /// paper-scale Chrome trace stays well under 100 MB of JSON.
+    pub const CAP: usize = 200_000;
 
     /// A sink holding at most `cap` events.
     pub fn new(cap: usize) -> Self {

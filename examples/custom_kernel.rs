@@ -10,11 +10,10 @@
 //! ```
 
 use etpp::core::{PrefetchProgramBuilder, PrefetcherParams, ProgrammablePrefetcher};
-use etpp::cpu::{Core, CoreParams, TraceBuilder};
+use etpp::cpu::{drive, Core, CoreParams, Limits, TraceBuilder};
 use etpp::isa::KernelBuilder;
 use etpp::mem::{
-    AccessKind, ConfigOp, FilterFlags, MemParams, MemoryImage, MemorySystem, PrefetchEngine,
-    RangeId,
+    ConfigOp, FilterFlags, MemParams, MemoryImage, MemorySystem, PrefetchEngine, RangeId,
 };
 
 const N: u64 = 40_000;
@@ -150,21 +149,15 @@ fn main() {
 fn simulate(trace: &etpp::cpu::Trace, image: MemoryImage, engine: &mut dyn PrefetchEngine) -> u64 {
     let mut mem = MemorySystem::new(MemParams::paper(), image);
     let mut core = Core::new(CoreParams::paper(), trace);
-    let mut now = 0u64;
-    // Horizon-aware driver loop: tick only cycles where the core can
-    // make progress; `advance_to` runs intermediate memory transfers
-    // and engine rounds (prefetch pops included) at their exact cycles.
-    while !core.finished() {
-        mem.tick(now, engine);
-        core.tick(now, &mut mem);
-        if core.finished() {
-            now += 1;
-            break;
-        }
-        let horizon = core.next_event_at(now, &mem);
-        now = mem.advance_to(now, horizon, engine).max(now + 1);
-    }
-    // Keep the borrow checker honest about unused demand results.
-    let _ = AccessKind::Load;
-    now
+    // The horizon-aware driver: it ticks only cycles where the core can
+    // make progress; intermediate memory transfers and engine rounds
+    // (prefetch pops included) run at their exact cycles inside it.
+    let limits = Limits {
+        workload: "C[B[A[x]]]",
+        mode: "custom",
+        max_cycles: u64::MAX,
+        per_cycle_reference: false,
+        deadline: None,
+    };
+    drive(&mut core, &mut mem, engine, &limits, &mut ()).0
 }

@@ -14,7 +14,8 @@
 
 use etpp::mem::{ConfigOp, DemandEvent, Line, MemoryImage, PrefetchEngine, PrefetchRequest, TagId};
 use etpp::sim::{
-    make_engine, run_captured, try_load_or_capture_keyed, Engine, PrefetchMode, SystemConfig,
+    make_engine, run_captured, try_load_or_capture_keyed, Engine, PrefetchMode, RunResult,
+    SystemConfig,
 };
 use etpp::trace::{replay, ReplayParams, ReplayResult, TraceRecord, FORMAT_VERSION};
 use etpp::workloads::{checksum_region, workload_by_name, BuiltWorkload, Scale};
@@ -386,84 +387,63 @@ fn pf_buffer_backlog_is_horizon_equivalent_and_faster() {
     );
 }
 
-/// Telemetry is pure observation: a run with the full observability
-/// stack enabled (histograms, lifecycle tracking, phase sampling *and*
-/// span recording) must be bit-identical to a telemetry-off run in
-/// every externally visible respect — cycles, core/memory statistics,
-/// engine counters, visit attribution and EWMA state — across engine
-/// families (none / table-driven / programmable / blocked), on both
-/// stall-density extremes.
+/// The two stall-density extremes the observer-transparency tests run
+/// on, with their Tiny captures: built once and shared by both tests.
+fn observed_workloads() -> &'static [(BuiltWorkload, Vec<TraceRecord>)] {
+    static WORKLOADS: std::sync::OnceLock<Vec<(BuiltWorkload, Vec<TraceRecord>)>> =
+        std::sync::OnceLock::new();
+    WORKLOADS.get_or_init(|| {
+        let cfg = SystemConfig::paper();
+        ["IntSort", "HJ-8"]
+            .into_iter()
+            .map(|name| {
+                let wl = workload_by_name(name).unwrap().build(Scale::Tiny);
+                let records = try_load_or_capture_keyed(None, &cfg, &wl, "tiny", FORMAT_VERSION)
+                    .unwrap()
+                    .trace
+                    .records;
+                (wl, records)
+            })
+            .collect()
+    })
+}
+
+/// Observers read the machine and never write it. A run carrying the
+/// telemetry probe (histograms, lifecycle tracking, phase sampling and
+/// span recording) must be bit-identical to a plain run in every
+/// externally visible respect — cycles, driver visits and their
+/// attribution, core and memory statistics, engine counters, EWMA
+/// state and the adaptive decision log — for every registered mode on
+/// both stall-density extremes.
 #[test]
 fn telemetry_is_observationally_transparent() {
-    use etpp::sim::{run, run_telemetry, TelemetrySpec};
-    // A deliberately aggressive sampling interval: more samples means
-    // more chances for a sampling hook to perturb the run if it ever
-    // stopped being read-only.
-    let spec = TelemetrySpec::full(5_000);
-    for wl_name in ["IntSort", "HJ-8"] {
-        let wl = workload_by_name(wl_name).unwrap().build(Scale::Tiny);
-        let cfg = SystemConfig::paper();
-        for mode in [
-            PrefetchMode::None,
-            PrefetchMode::Stride,
-            PrefetchMode::GhbRegular,
-            PrefetchMode::Manual,
-            PrefetchMode::Blocked,
-        ] {
-            let Ok(plain) = run(&cfg, mode, &wl) else {
+    use etpp::sim::{run, run_telemetry};
+    let cfg = SystemConfig::paper();
+    for (wl, _) in observed_workloads() {
+        for mode in PrefetchMode::ALL {
+            let label = format!("{}/{mode:?}", wl.name);
+            let Ok(plain) = run(&cfg, mode, wl) else {
                 continue; // mode not expressible for this workload
             };
-            let (teled, report) = run_telemetry(&cfg, mode, &wl, &spec).expect("expressible above");
-            assert_eq!(
-                plain.cycles, teled.cycles,
-                "{wl_name}/{mode:?}: telemetry must not change the cycle count"
-            );
-            assert_eq!(
-                plain.core, teled.core,
-                "{wl_name}/{mode:?}: core statistics must be bit-identical"
-            );
-            assert_eq!(
-                plain.mem, teled.mem,
-                "{wl_name}/{mode:?}: memory statistics must be bit-identical"
-            );
-            assert_eq!(
-                plain.pf, teled.pf,
-                "{wl_name}/{mode:?}: engine counters must be bit-identical"
-            );
-            assert_eq!(
-                plain.visits, teled.visits,
-                "{wl_name}/{mode:?}: visit attribution must be bit-identical"
-            );
-            assert_eq!(
-                plain.host_iters, teled.host_iters,
-                "{wl_name}/{mode:?}: the driver must visit the same cycles"
-            );
-            assert_eq!(
-                plain.final_lookahead, teled.final_lookahead,
-                "{wl_name}/{mode:?}: EWMA look-ahead must match"
-            );
-            assert!(
-                plain.validated && teled.validated,
-                "{wl_name}/{mode:?}: both runs must reproduce the reference output"
-            );
+            // A deliberately short sampling interval: more samples
+            // mean more chances for the probe to perturb the run.
+            let (teled, report) = run_telemetry(&cfg, mode, wl, 5_000).expect("expressible above");
+            assert_same_run(&format!("{label} (telemetry)"), &plain, &teled);
             // And the observation itself must have substance.
             assert!(
                 report.registry.hist("mem.load_latency").unwrap().count() > 0,
-                "{wl_name}/{mode:?}: load-latency histogram must be populated"
+                "{label}: load-latency histogram must be populated"
             );
             assert!(
                 !report.phases.samples.is_empty(),
-                "{wl_name}/{mode:?}: phase sampler must have fired"
+                "{label}: phase sampler must have fired"
             );
         }
     }
 }
 
-/// Arming the watchdog with a budget that never fires must be
-/// observationally invisible: the strided deadline polls and the
-/// livelock detector read driver state but never write simulation
-/// state, so a watched run must be bit-identical to a plain one across
-/// every engine mode, on both the cycle and the replay path.
+/// The same contract for an armed deadline that never fires, on the
+/// cycle and the replay paths.
 #[test]
 fn armed_watchdog_is_bit_identical_when_the_budget_never_fires() {
     use etpp::sim::{replay_run, replay_run_watched, run, run_watched, Deadline};
@@ -473,75 +453,75 @@ fn armed_watchdog_is_bit_identical_when_the_budget_never_fires() {
     // driver visit, which is exactly what must stay invisible.
     let budget = Duration::from_secs(3600);
     let cfg = SystemConfig::paper();
-    for wl_name in ["IntSort", "HJ-8"] {
-        let wl = workload_by_name(wl_name).unwrap().build(Scale::Tiny);
-        let trace = try_load_or_capture_keyed(None, &cfg, &wl, "tiny", FORMAT_VERSION)
-            .unwrap()
-            .trace;
-        for mode in [
-            PrefetchMode::None,
-            PrefetchMode::Stride,
-            PrefetchMode::GhbRegular,
-            PrefetchMode::Manual,
-            PrefetchMode::Blocked,
-        ] {
-            if let Ok(plain) = run(&cfg, mode, &wl) {
+    for (wl, records) in observed_workloads() {
+        for mode in PrefetchMode::ALL {
+            let label = format!("{}/{mode:?}", wl.name);
+            if let Ok(plain) = run(&cfg, mode, wl) {
                 let deadline = Deadline::after(budget);
-                assert!(deadline.is_some(), "the watchdog is armed");
-                let watched = run_watched(&cfg, mode, &wl, deadline).expect("expressible above");
-                assert_eq!(
-                    plain.cycles, watched.cycles,
-                    "{wl_name}/{mode:?}: the watchdog must not change the cycle count"
-                );
-                assert_eq!(
-                    plain.host_iters, watched.host_iters,
-                    "{wl_name}/{mode:?}: the driver must visit the same cycles"
-                );
-                assert_eq!(
-                    plain.core, watched.core,
-                    "{wl_name}/{mode:?}: core statistics must be bit-identical"
-                );
-                assert_eq!(
-                    plain.mem, watched.mem,
-                    "{wl_name}/{mode:?}: memory statistics must be bit-identical"
-                );
-                assert_eq!(
-                    plain.pf, watched.pf,
-                    "{wl_name}/{mode:?}: engine counters must be bit-identical"
-                );
-                assert_eq!(
-                    plain.visits, watched.visits,
-                    "{wl_name}/{mode:?}: visit attribution must be bit-identical"
-                );
-                assert_eq!(
-                    plain.final_lookahead, watched.final_lookahead,
-                    "{wl_name}/{mode:?}: EWMA look-ahead must match"
-                );
-                assert!(
-                    plain.validated && watched.validated,
-                    "{wl_name}/{mode:?}: both runs must reproduce the reference output"
-                );
+                assert!(deadline.is_some(), "the deadline is armed");
+                let watched = run_watched(&cfg, mode, wl, deadline).expect("expressible above");
+                assert_same_run(&format!("{label} (deadline)"), &plain, &watched);
             }
-            if let Ok(plain) = replay_run(&cfg, mode, &wl, &trace.records) {
+            if let Ok(plain) = replay_run(&cfg, mode, wl, records) {
                 let deadline = Deadline::after(budget);
-                let watched = replay_run_watched(&cfg, mode, &wl, &trace.records, deadline)
+                let watched = replay_run_watched(&cfg, mode, wl, records, deadline)
                     .expect("expressible above");
                 assert_eq!(
                     (plain.cycles, plain.host_iters, plain.dep_stalls),
                     (watched.cycles, watched.host_iters, watched.dep_stalls),
-                    "{wl_name}/{mode:?}: watched replay must be cycle-identical"
+                    "{label}: watched replay must be cycle-identical"
                 );
                 assert_eq!(
                     plain.mem, watched.mem,
-                    "{wl_name}/{mode:?}: watched replay memory statistics must be bit-identical"
+                    "{label}: watched replay memory statistics must be bit-identical"
                 );
                 assert!(
                     plain.validated && watched.validated,
-                    "{wl_name}/{mode:?}: both replays must reproduce the reference output"
+                    "{label}: both replays must reproduce the reference output"
                 );
             }
         }
     }
+}
+
+/// Asserts an observed run is bit-identical to the plain one.
+fn assert_same_run(label: &str, plain: &RunResult, observed: &RunResult) {
+    assert_eq!(
+        plain.cycles, observed.cycles,
+        "{label}: an observer must not change the cycle count"
+    );
+    assert_eq!(
+        plain.host_iters, observed.host_iters,
+        "{label}: the driver must visit the same cycles"
+    );
+    assert_eq!(
+        plain.visits, observed.visits,
+        "{label}: visit attribution must be bit-identical"
+    );
+    assert_eq!(
+        plain.core, observed.core,
+        "{label}: core statistics must be bit-identical"
+    );
+    assert_eq!(
+        plain.mem, observed.mem,
+        "{label}: memory statistics must be bit-identical"
+    );
+    assert_eq!(
+        plain.pf, observed.pf,
+        "{label}: engine counters must be bit-identical"
+    );
+    assert_eq!(
+        plain.final_lookahead, observed.final_lookahead,
+        "{label}: EWMA look-ahead must match"
+    );
+    assert_eq!(
+        plain.adaptive, observed.adaptive,
+        "{label}: the adaptive decision log must not read an observer"
+    );
+    assert!(
+        plain.validated && observed.validated,
+        "{label}: both runs must reproduce the reference output"
+    );
 }
 
 /// Small-scale spot check (the scale of the nightly telemetry grid): the

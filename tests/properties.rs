@@ -1,6 +1,6 @@
 //! Property-based tests over the simulator's core invariants.
 
-use etpp::cpu::{Core, CoreParams, TraceBuilder};
+use etpp::cpu::{drive, Core, CoreParams, Limits, TraceBuilder};
 use etpp::isa::{run_kernel, EventCtx, Inst, Kernel};
 use etpp::mem::cache::{Eviction, LookupResult};
 use etpp::mem::mshr::Waiter;
@@ -448,21 +448,20 @@ proptest! {
         let trace = b.build();
         let mut mem = MemorySystem::new(MemParams::paper(), img);
         let mut core = Core::new(CoreParams::paper(), &trace);
-        let mut engine = NullEngine;
-        let mut now = 0u64;
-        while !core.finished() {
-            mem.tick(now, &mut engine);
-            core.tick(now, &mut mem);
-            now += 1;
-            prop_assert!(now < 2_000_000, "simulation wedged");
-        }
+        let limits = Limits {
+            workload: "random trace",
+            mode: "none",
+            max_cycles: 2_000_000,
+            per_cycle_reference: false,
+            deadline: None,
+        };
+        drive(&mut core, &mut mem, &mut NullEngine, &limits, &mut ());
         prop_assert_eq!(core.stats.insts_retired, n);
         for (a, v) in stored {
             // The trace's final store to `a` is the max index — we recorded
             // last-write-wins into the map as we built it.
             prop_assert_eq!(mem.image().read_u64(a), v);
         }
-        let _ = AccessKind::Load;
     }
 }
 
