@@ -94,6 +94,7 @@ use etpp_sim::sweeps::{self, axes};
 use etpp_sim::{ablations, faults, replay as rp, report};
 use etpp_sim::{PrefetchMode, SystemConfig};
 use etpp_workloads::{BuiltWorkload, Scale, Workload};
+use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -162,6 +163,42 @@ const MODAL_FLAGS: [(&str, &[Mode]); 9] = [
     ("--trace-dir", &[Mode::Replay, Mode::Sweep]),
     ("--telemetry", &[Mode::Experiments]),
 ];
+
+/// The `[build]` stderr line: how many workloads were built, how long
+/// it took, and the heap bytes their traces hold for the whole run.
+fn report_build(workloads: &[BuiltWorkload], t0: Instant) {
+    let bytes: usize = workloads.iter().map(|w| w.trace.bytes()).sum();
+    eprintln!(
+        "[build] {} workloads in {:?}, traces {:.1} MiB",
+        workloads.len(),
+        t0.elapsed(),
+        bytes as f64 / (1 << 20) as f64
+    );
+}
+
+/// Prints the process's peak resident set to stderr when dropped, where
+/// the host reports one (`VmHWM` in `/proc/self/status`). Armed once the
+/// command line is accepted, so every run that returns normally ends
+/// with the line.
+struct PeakRssOnExit;
+
+impl Drop for PeakRssOnExit {
+    fn drop(&mut self) {
+        let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+        let kib = status.lines().find_map(|l| {
+            let v = l.strip_prefix("VmHWM:")?;
+            v.trim().strip_suffix("kB")?.trim().parse::<u64>().ok()
+        });
+        if let Some(kib) = kib {
+            // A failed write is ignored: `Drop` must not panic.
+            let _ = writeln!(
+                std::io::stderr(),
+                "[host] peak RSS {:.1} MiB",
+                kib as f64 / 1024.0
+            );
+        }
+    }
+}
 
 fn usage_error(msg: &str) -> ! {
     eprintln!("error: {msg}\n\n{USAGE}");
@@ -296,6 +333,7 @@ fn main() {
             ));
         }
     }
+    let _peak_rss = PeakRssOnExit;
     if let Some(dir) = sweep_merge {
         if sweep || replay || !what.is_empty() {
             usage_error("--sweep-merge runs alone");
@@ -375,7 +413,7 @@ fn main() {
     let t0 = Instant::now();
     let workloads = if needs_builds {
         let w = ex::build_all(scale, jobs);
-        eprintln!("[build] {} workloads in {:?}", w.len(), t0.elapsed());
+        report_build(&w, t0);
         w
     } else {
         Vec::new()
@@ -587,11 +625,7 @@ fn run_sweep_cmd(cli: &SweepCli) {
             .expect("sweep workload exists")
             .build(cli.scale)
     });
-    eprintln!(
-        "[build] {} workloads in {:?}",
-        workloads.len(),
-        t0.elapsed()
-    );
+    report_build(&workloads, t0);
 
     let t0 = Instant::now();
     let capture_results: Vec<Result<rp::KeyedCapture, String>> =
@@ -730,11 +764,7 @@ fn run_replay(scale: Scale, trace_dir: &std::path::Path, jobs: usize) {
 
     let t0 = Instant::now();
     let workloads = ex::build_all(scale, jobs);
-    eprintln!(
-        "[build] {} workloads in {:?}",
-        workloads.len(),
-        t0.elapsed()
-    );
+    report_build(&workloads, t0);
 
     // Capture (or load from cache) every workload's stream, `jobs` at a time.
     let t0 = Instant::now();

@@ -11,15 +11,16 @@
 //! * a ring of [`RING`] load numbers indexed by trace index holds, per
 //!   recent op, the youngest load feeding its output;
 //! * the few producers some consumer reads [`RING`] or more ops later
-//!   are found by one scan of the trace's dependence edges up front and
-//!   kept in a small sorted map;
+//!   are taken from the trace's far-edge table (every such edge is
+//!   escaped there, since [`RING`] exceeds the longest one-byte
+//!   back-distance) and kept in a small sorted map;
 //! * a retiring load's producer is computed at dispatch and stashed in
 //!   its ROB slot, since the ring may have moved on by retire;
 //! * store-forwarded loads never reach the memory system and are not
 //!   captured; their load numbers are kept sorted, so a load's captured
 //!   ordinal is its load number minus the forwarded numbers below it.
 
-use crate::trace::{MicroOp, OpClass, Trace};
+use crate::trace::{MicroOp, OpClass, OpId, Trace};
 use etpp_mem::{AccessKind, ConfigOp};
 use etpp_trace::TraceRecord;
 use std::collections::BTreeSet;
@@ -27,6 +28,7 @@ use std::collections::BTreeSet;
 /// Trace-index span of the producer ring (a power of two).
 pub(crate) const RING: usize = 256;
 const _: () = assert!(RING.is_power_of_two());
+const _: () = assert!(RING >= MicroOp::ESCAPED as usize);
 
 /// The capture sink and its dependence tracker.
 #[derive(Debug)]
@@ -53,14 +55,15 @@ pub(crate) struct Capture {
 impl Capture {
     /// An empty capture for `trace`: the record vector is reserved for
     /// every load, store and config op (forwarded loads are the only
-    /// ones left out), and the far producers are collected.
+    /// ones left out), and the far producers are collected from the
+    /// trace's escaped edges.
     pub(crate) fn new(trace: &Trace) -> Self {
         let c = trace.class_counts();
         let far: BTreeSet<u32> = trace
-            .ops
+            .far
             .iter()
-            .enumerate()
-            .flat_map(|(i, op)| op.deps().filter(move |&d| i - d as usize >= RING))
+            .filter(|&&(i, p)| (i - p) as usize >= RING)
+            .map(|&(_, p)| p)
             .collect();
         Capture {
             records: Vec::with_capacity((c.loads + c.stores + c.config) as usize),
@@ -84,16 +87,22 @@ impl Capture {
             let at = self
                 .far
                 .binary_search_by_key(&d, |&(i, _)| i)
-                .expect("every far producer is found by the scan in `new`");
+                .expect("every far producer is collected in `new`");
             self.far[at].1
         }
     }
 
-    /// Tracks op `idx` entering the window (every op dispatches, in
-    /// program order). Returns the youngest load feeding its inputs —
-    /// for a load, the address producer [`Capture::retire_load`] needs.
-    pub(crate) fn dispatch(&mut self, idx: u32, op: &MicroOp) -> u32 {
-        let producer = op.deps().map(|d| self.feed(idx, d)).max().unwrap_or(0);
+    /// Tracks op `idx`, whose producers are `deps`, entering the window
+    /// (every op dispatches, in program order). Returns the youngest load
+    /// feeding its inputs — for a load, the address producer
+    /// [`Capture::retire_load`] needs.
+    pub(crate) fn dispatch(&mut self, idx: u32, op: &MicroOp, deps: [Option<OpId>; 2]) -> u32 {
+        let producer = deps
+            .into_iter()
+            .flatten()
+            .map(|OpId(d)| self.feed(idx, d))
+            .max()
+            .unwrap_or(0);
         let out = if op.class == OpClass::Load {
             self.dispatched_loads += 1;
             self.dispatched_loads
@@ -204,7 +213,7 @@ mod tests {
                 }
             }
             if i < n {
-                stash[i % window] = cap.dispatch(i as u32, &trace.ops[i]);
+                stash[i % window] = cap.dispatch(i as u32, &trace.ops[i], trace.deps(i as u32));
             }
         }
         cap.finish()
@@ -219,7 +228,12 @@ mod tests {
         let mut captured = 0;
         let mut deps = Vec::new();
         for (i, op) in trace.ops.iter().enumerate() {
-            let producer = op.deps().filter_map(|d| feed[d as usize]).max();
+            let producer = trace
+                .deps(i as u32)
+                .into_iter()
+                .flatten()
+                .filter_map(|OpId(d)| feed[d as usize])
+                .max();
             if op.class == OpClass::Load {
                 feed[i] = Some(i);
                 if !forwarded.contains(&(i as u32)) {
@@ -449,8 +463,8 @@ mod tests {
         b.load(0x80, 1, [None, None]);
         let t = b.build();
         let mut cap = Capture::new(&t);
-        cap.dispatch(0, &t.ops[0]);
-        cap.dispatch(1, &t.ops[1]);
+        cap.dispatch(0, &t.ops[0], [None, None]);
+        cap.dispatch(1, &t.ops[1], [None, None]);
         cap.retire_load(5, &t.ops[0], 0, false);
         cap.retire_load(4, &t.ops[1], 0, false);
     }

@@ -22,7 +22,7 @@
 
 use crate::bpred::{BranchPredictor, BranchPredictorParams};
 use crate::capture::Capture;
-use crate::trace::{OpClass, Trace};
+use crate::trace::{OpClass, OpId, Trace};
 use etpp_mem::{AccessKind, Completion, ConfigOp, MemorySystem, Rejection};
 use etpp_telemetry::{Hist, Registry};
 use etpp_trace::TraceRecord;
@@ -374,6 +374,13 @@ impl<'t> Core<'t> {
     /// Detaches the collector for publishing.
     pub fn take_telemetry(&mut self) -> Option<Box<CoreTelemetry>> {
         self.tel.take()
+    }
+
+    /// The oldest un-retired op and its class; `None` once every op has
+    /// retired.
+    pub(crate) fn rob_head(&self) -> Option<(u32, OpClass)> {
+        let op = self.trace.ops.get(self.head as usize)?;
+        Some((self.head, op.class))
     }
 
     /// Branch predictor accuracy access for reporting.
@@ -883,8 +890,9 @@ impl<'t> Core<'t> {
             }
 
             let idx = self.cursor;
+            let deps = self.trace.deps(idx);
             let producer = match self.capture.as_deref_mut() {
-                Some(cap) => cap.dispatch(idx, &op),
+                Some(cap) => cap.dispatch(idx, &op, deps),
                 None => 0,
             };
             let slot = self.slot_of(idx);
@@ -914,7 +922,7 @@ impl<'t> Core<'t> {
 
             // Resolve dependencies.
             let mut waits = 0u8;
-            for dep in op.deps() {
+            for OpId(dep) in deps.into_iter().flatten() {
                 if dep >= self.head {
                     let ds = self.slot_of(dep);
                     if self.slots[ds].state != State::Done {

@@ -16,12 +16,13 @@
 //! one cycle per visit instead, and the two are pinned bit-identical by
 //! the equivalence suite.
 //!
-//! The driver also owns the run's guards: the `max_cycles` deadlock
-//! assert, the wall-clock [`Deadline`] (polled once per visit, never per
-//! cycle) and an always-armed livelock detector. Observation rides a
-//! [`Probe`]: `()` observes nothing and compiles away; a probe reads the
-//! machine and never writes it, so probed runs are bit-identical to
-//! plain ones.
+//! The driver also owns the run's guards: the `max_cycles` assert, a
+//! deadlock check (the core waits on no scheduled event while the memory
+//! system is quiescent, so nothing can ever change), the wall-clock
+//! [`Deadline`] (polled once per visit, never per cycle) and an
+//! always-armed livelock detector. Observation rides a [`Probe`]: `()`
+//! observes nothing and compiles away; a probe reads the machine and
+//! never writes it, so probed runs are bit-identical to plain ones.
 
 use crate::core::{Core, HorizonSource};
 use etpp_mem::{Deadline, MemorySystem, PrefetchEngine};
@@ -41,7 +42,7 @@ pub struct Limits<'a> {
     pub workload: &'a str,
     /// Engine-mode key, likewise.
     pub mode: &'a str,
-    /// Deadlock guard: the run panics once the clock reaches this.
+    /// Cycle cap: the run panics once the clock reaches this.
     pub max_cycles: u64,
     /// Unit-tick reference: one cycle per visit, engine batching off,
     /// no visit attribution.
@@ -96,9 +97,10 @@ impl VisitCounts {
 /// per-source attribution.
 ///
 /// # Panics
-/// When the clock reaches `limits.max_cycles`, with a [`LivelockAbort`]
-/// payload when the horizon stops advancing, and with a
-/// [`etpp_mem::Cancelled`] payload once `limits.deadline` expires.
+/// When the clock reaches `limits.max_cycles`, when the run deadlocks
+/// (the diagnostic names the cycle and the ROB-head op), with a
+/// [`LivelockAbort`] payload when the horizon stops advancing, and with
+/// a [`etpp_mem::Cancelled`] payload once `limits.deadline` expires.
 pub fn drive(
     core: &mut Core<'_>,
     mem: &mut MemorySystem,
@@ -160,6 +162,9 @@ pub fn drive(
                 limits.check(now);
                 continue;
             }
+            if horizon == u64::MAX && mem.next_horizon(now).is_none() {
+                limits.deadlock(now, core);
+            }
             let next = mem.advance_to(now, horizon, engine).max(now + 1);
             // Attribute the visit to whatever ended its span: the core's
             // winning horizon arm, or — when `advance_to` handed control
@@ -190,6 +195,22 @@ impl Limits<'_> {
             self.max_cycles,
             self.workload,
             self.mode
+        );
+    }
+
+    /// Aborts a run that can never move again: the core waits on a
+    /// memory completion nothing has scheduled, and the memory system
+    /// has no event, engine round or delivery pending.
+    #[cold]
+    fn deadlock(&self, now: u64, core: &Core<'_>) -> ! {
+        let head = match core.rob_head() {
+            Some((idx, class)) => format!("op {idx} ({class:?})"),
+            None => "empty".to_string(),
+        };
+        panic!(
+            "deadlock at cycle {now} for {} / {}: the core waits on no scheduled event \
+             and the memory system is quiescent (ROB head: {head})",
+            self.workload, self.mode
         );
     }
 }
@@ -291,6 +312,9 @@ impl LivelockDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core::CoreParams;
+    use crate::trace::TraceBuilder;
+    use etpp_mem::{MemParams, MemoryImage, NullEngine};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
@@ -311,6 +335,42 @@ mod tests {
         assert_eq!(abort.source, HorizonSource::CoreProgress);
         assert_eq!(abort.recent_horizons, vec![1000; LIVELOCK_WINDOW]);
         assert!(abort.to_string().contains("livelock: horizon stuck"));
+    }
+
+    /// A load queue of zero entries can never issue the load: the core
+    /// waits on a completion nothing will schedule. The driver names the
+    /// deadlock at once instead of crawling one visit per cycle to
+    /// `max_cycles` (whose message this test would then see).
+    #[test]
+    fn a_deadlocked_core_is_named_at_once() {
+        let mut image = MemoryImage::new();
+        let base = image.alloc(4096, 4096);
+        let mut b = TraceBuilder::new();
+        b.load(base, 1, [None, None]);
+        let trace = b.build();
+        let params = CoreParams {
+            lq_entries: 0,
+            ..CoreParams::paper()
+        };
+        let mut core = Core::new(params, &trace);
+        let mut mem = MemorySystem::new(MemParams::paper(), image);
+        let limits = Limits {
+            workload: "one load",
+            mode: "none",
+            max_cycles: 1_000_000,
+            per_cycle_reference: false,
+            deadline: None,
+        };
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            drive(&mut core, &mut mem, &mut NullEngine, &limits, &mut ())
+        }))
+        .expect_err("a deadlocked core must abort");
+        let msg = err.downcast_ref::<String>().expect("a message");
+        assert!(
+            msg.starts_with("deadlock at cycle 0 for one load / none:"),
+            "{msg}"
+        );
+        assert!(msg.ends_with("(ROB head: op 0 (Load))"), "{msg}");
     }
 
     #[test]

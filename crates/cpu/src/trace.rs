@@ -9,9 +9,14 @@
 //! * its branch outcome where applicable, and
 //! * up to two *register dependencies* on earlier trace entries.
 //!
-//! A [`MicroOp`] is 24 bytes. Store data lives beside the ops in
+//! A [`MicroOp`] is 16 bytes. Store data lives beside the ops in
 //! [`Trace::store_values`], one entry per store in program order, because
 //! most ops carry none; a consumer walks it with a running store index.
+//! Each dependence is one byte: how many ops back its producer sits.
+//! Almost every producer is a few ops back; the rare one 255 or more
+//! ops back is *escaped* and kept exactly in a side table of
+//! `(op index, producer index)` pairs. [`Trace::deps`] is the one
+//! decoder, and it returns exactly the edges the builder was given.
 //!
 //! Dependencies are what give the trace its timing semantics: a load whose
 //! address comes from another load (pointer chasing) depends on it and
@@ -51,6 +56,9 @@ pub enum OpClass {
 /// One dynamic micro-operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MicroOp {
+    /// Virtual address (memory ops), branch target (branches) or
+    /// [`Trace::configs`] index (config ops).
+    pub addr: u64,
     /// Static program counter (drives the branch predictor and the
     /// PC-indexed prefetcher baselines).
     pub pc: u32,
@@ -58,26 +66,20 @@ pub struct MicroOp {
     pub class: OpClass,
     /// Latency, size, or taken-bit depending on class.
     pub aux: u8,
-    /// First dependency as `index+1` into the trace; 0 = none.
-    pub dep1: u32,
-    /// Second dependency as `index+1`; 0 = none.
-    pub dep2: u32,
-    /// Virtual address (memory ops), branch target (branches) or
-    /// [`Trace::configs`] index (config ops).
-    pub addr: u64,
+    /// The two dependence operands as back-distances: 0 = none, `1..=254`
+    /// = the producer is that many ops earlier, `MicroOp::ESCAPED` = the
+    /// producer is in the trace's far-edge table. Only [`TraceBuilder`]
+    /// writes them and only [`Trace::deps`] reads them.
+    pub(crate) back: [u8; 2],
 }
 
-const _: () = assert!(std::mem::size_of::<MicroOp>() == 24);
+const _: () = assert!(std::mem::size_of::<MicroOp>() == 16);
 
 impl MicroOp {
-    /// Iterator over this op's dependencies as trace indices.
-    #[inline]
-    pub fn deps(&self) -> impl Iterator<Item = u32> {
-        [self.dep1, self.dep2]
-            .into_iter()
-            .filter(|&d| d != 0)
-            .map(|d| d - 1)
-    }
+    /// The back-distance byte of an operand whose producer is this many
+    /// ops back or more: an escaped edge, kept exactly in the trace's
+    /// far-edge table.
+    pub(crate) const ESCAPED: u8 = u8::MAX;
 }
 
 /// A complete program trace plus its side tables.
@@ -90,6 +92,9 @@ pub struct Trace {
     pub store_values: Vec<u64>,
     /// Prefetcher configuration operations referenced by `Config` ops.
     pub configs: Vec<ConfigOp>,
+    /// `(op index, producer index)` of every escaped dependence, in
+    /// program order (an op's two operands in operand order).
+    pub(crate) far: Vec<(u32, u32)>,
 }
 
 impl Trace {
@@ -103,10 +108,31 @@ impl Trace {
         self.ops.is_empty()
     }
 
-    /// Heap bytes the micro-ops and store data occupy.
+    /// Heap bytes the micro-ops, store data and far edges occupy.
     pub fn bytes(&self) -> usize {
         std::mem::size_of_val(self.ops.as_slice())
             + std::mem::size_of_val(self.store_values.as_slice())
+            + std::mem::size_of_val(self.far.as_slice())
+    }
+
+    /// The producers of op `idx`, in operand order: exactly the edges
+    /// its [`TraceBuilder`] call was given.
+    #[inline]
+    pub fn deps(&self, idx: u32) -> [Option<OpId>; 2] {
+        let back = self.ops[idx as usize].back;
+        let mut far = if back.contains(&MicroOp::ESCAPED) {
+            self.far.partition_point(|&(i, _)| i < idx)
+        } else {
+            0
+        };
+        back.map(|b| match b {
+            0 => None,
+            MicroOp::ESCAPED => {
+                far += 1;
+                Some(OpId(self.far[far - 1].1))
+            }
+            b => Some(OpId(idx - b as u32)),
+        })
     }
 
     /// Counts ops per class (used for the §7.1 dynamic-instruction-overhead
@@ -158,7 +184,9 @@ impl TraceClassCounts {
     }
 }
 
-/// Incremental builder used by workload generators.
+/// Incremental builder used by workload generators. Every dependence must
+/// name an op emitted earlier; a self or forward edge panics, naming the
+/// op and the edge.
 ///
 /// # Example
 /// ```
@@ -170,7 +198,7 @@ impl TraceClassCounts {
 /// b.load(0x2000, 2, [Some(hash), None]);            // bucket = htab[h]
 /// let t = b.build();
 /// assert_eq!(t.len(), 3);
-/// assert_eq!(t.ops[2].deps().collect::<Vec<_>>(), vec![1]);
+/// assert_eq!(t.deps(2), [Some(hash), None]);
 /// ```
 #[derive(Debug, Default)]
 pub struct TraceBuilder {
@@ -193,54 +221,57 @@ impl TraceBuilder {
         self.trace.is_empty()
     }
 
-    fn push(&mut self, op: MicroOp) -> OpId {
-        let id = OpId(self.trace.ops.len() as u32);
-        self.trace.ops.push(op);
-        id
-    }
-
-    fn dep_fields(deps: [Option<OpId>; 2]) -> (u32, u32) {
-        let enc = |d: Option<OpId>| d.map(|o| o.0 + 1).unwrap_or(0);
-        (enc(deps[0]), enc(deps[1]))
+    /// Appends one op, encoding its dependences as back-distances.
+    ///
+    /// # Panics
+    /// If a dependence names this op itself or one not emitted yet.
+    fn emit(
+        &mut self,
+        class: OpClass,
+        aux: u8,
+        pc: u32,
+        addr: u64,
+        deps: [Option<OpId>; 2],
+    ) -> OpId {
+        let idx = self.trace.ops.len() as u32;
+        let far = &mut self.trace.far;
+        let back = deps.map(|d| {
+            let Some(OpId(p)) = d else { return 0 };
+            assert!(
+                p < idx,
+                "op {idx} depends on op {p}, which is not emitted before it"
+            );
+            match u8::try_from(idx - p) {
+                Ok(b) if b < MicroOp::ESCAPED => b,
+                _ => {
+                    far.push((idx, p));
+                    MicroOp::ESCAPED
+                }
+            }
+        });
+        self.trace.ops.push(MicroOp {
+            addr,
+            pc,
+            class,
+            aux,
+            back,
+        });
+        OpId(idx)
     }
 
     /// Emits an integer ALU op with the given latency.
     pub fn int_op(&mut self, lat: u8, deps: [Option<OpId>; 2]) -> OpId {
-        let (dep1, dep2) = Self::dep_fields(deps);
-        self.push(MicroOp {
-            pc: 0,
-            class: OpClass::Int,
-            aux: lat,
-            dep1,
-            dep2,
-            addr: 0,
-        })
+        self.emit(OpClass::Int, lat, 0, 0, deps)
     }
 
     /// Emits a floating-point op.
     pub fn fp_op(&mut self, lat: u8, deps: [Option<OpId>; 2]) -> OpId {
-        let (dep1, dep2) = Self::dep_fields(deps);
-        self.push(MicroOp {
-            pc: 0,
-            class: OpClass::Fp,
-            aux: lat,
-            dep1,
-            dep2,
-            addr: 0,
-        })
+        self.emit(OpClass::Fp, lat, 0, 0, deps)
     }
 
     /// Emits a multiply/divide op.
     pub fn muldiv(&mut self, lat: u8, deps: [Option<OpId>; 2]) -> OpId {
-        let (dep1, dep2) = Self::dep_fields(deps);
-        self.push(MicroOp {
-            pc: 0,
-            class: OpClass::MulDiv,
-            aux: lat,
-            dep1,
-            dep2,
-            addr: 0,
-        })
+        self.emit(OpClass::MulDiv, lat, 0, 0, deps)
     }
 
     /// Emits an 8-byte load from `addr` at static PC `pc`.
@@ -250,15 +281,7 @@ impl TraceBuilder {
 
     /// Emits a load of `size` bytes.
     pub fn load_sized(&mut self, addr: u64, size: u8, pc: u32, deps: [Option<OpId>; 2]) -> OpId {
-        let (dep1, dep2) = Self::dep_fields(deps);
-        self.push(MicroOp {
-            pc,
-            class: OpClass::Load,
-            aux: size,
-            dep1,
-            dep2,
-            addr,
-        })
+        self.emit(OpClass::Load, size, pc, addr, deps)
     }
 
     /// Emits an 8-byte store of `value` to `addr`.
@@ -275,62 +298,33 @@ impl TraceBuilder {
         pc: u32,
         deps: [Option<OpId>; 2],
     ) -> OpId {
-        let (dep1, dep2) = Self::dep_fields(deps);
+        let id = self.emit(OpClass::Store, size, pc, addr, deps);
         self.trace.store_values.push(value);
-        self.push(MicroOp {
-            pc,
-            class: OpClass::Store,
-            aux: size,
-            dep1,
-            dep2,
-            addr,
-        })
+        id
     }
 
     /// Emits a software prefetch of `addr`.
     pub fn swpf(&mut self, addr: u64, pc: u32, deps: [Option<OpId>; 2]) -> OpId {
-        let (dep1, dep2) = Self::dep_fields(deps);
-        self.push(MicroOp {
-            pc,
-            class: OpClass::Swpf,
-            aux: 0,
-            dep1,
-            dep2,
-            addr,
-        })
+        self.emit(OpClass::Swpf, 0, pc, addr, deps)
     }
 
     /// Emits a conditional branch at `pc` with the given outcome.
     pub fn branch(&mut self, pc: u32, taken: bool, deps: [Option<OpId>; 2]) -> OpId {
-        let (dep1, dep2) = Self::dep_fields(deps);
-        self.push(MicroOp {
-            pc,
-            class: OpClass::Branch,
-            aux: taken as u8,
-            dep1,
-            dep2,
-            addr: 0,
-        })
+        self.emit(OpClass::Branch, taken as u8, pc, 0, deps)
     }
 
     /// Emits a prefetcher configuration instruction.
     pub fn config(&mut self, op: ConfigOp) -> OpId {
         let idx = self.trace.configs.len() as u64;
         self.trace.configs.push(op);
-        self.push(MicroOp {
-            pc: 0,
-            class: OpClass::Config,
-            aux: 0,
-            dep1: 0,
-            dep2: 0,
-            addr: idx,
-        })
+        self.emit(OpClass::Config, 0, 0, idx, [None, None])
     }
 
     /// Finalises the trace, releasing the builder's spare capacity.
     pub fn build(mut self) -> Trace {
         self.trace.ops.shrink_to_fit();
         self.trace.store_values.shrink_to_fit();
+        self.trace.far.shrink_to_fit();
         self.trace
     }
 }
@@ -344,12 +338,64 @@ mod tests {
         let mut b = TraceBuilder::new();
         let a = b.int_op(1, [None, None]);
         let c = b.int_op(1, [Some(a), None]);
-        let d = b.int_op(1, [Some(a), Some(c)]);
+        b.int_op(1, [Some(a), Some(c)]);
+        b.int_op(1, [None, Some(c)]);
         let t = b.build();
-        assert_eq!(t.ops[0].deps().count(), 0);
-        assert_eq!(t.ops[1].deps().collect::<Vec<_>>(), vec![0]);
-        assert_eq!(t.ops[2].deps().collect::<Vec<_>>(), vec![0, 1]);
-        let _ = d;
+        assert_eq!(t.deps(0), [None, None]);
+        assert_eq!(t.deps(1), [Some(a), None]);
+        assert_eq!(t.deps(2), [Some(a), Some(c)]);
+        assert_eq!(t.deps(3), [None, Some(c)]);
+        assert_eq!(t.ops[3].back, [0, 2]);
+        assert!(t.far.is_empty());
+    }
+
+    #[test]
+    fn every_back_distance_decodes_to_its_exact_producer() {
+        let dists = [1u32, 254, 255, 256, 65_535, 70_000];
+        let mut b = TraceBuilder::new();
+        for _ in 0..70_000 {
+            b.int_op(1, [None, None]);
+        }
+        // One consumer per distance, and one op with both operands
+        // escaped (the far table keeps them in operand order).
+        let mut consumers = Vec::new();
+        for &d in &dists {
+            let at = b.len() as u32;
+            let p = OpId(at - d);
+            consumers.push((b.int_op(1, [Some(p), None]), p));
+        }
+        let at = b.len() as u32;
+        let (p, q) = (OpId(at - 70_000), OpId(at - 300));
+        let both = b.int_op(1, [Some(p), Some(q)]);
+        let t = b.build();
+        for (&d, &(c, p)) in dists.iter().zip(&consumers) {
+            assert_eq!(t.deps(c.0), [Some(p), None], "distance {d}");
+            let escaped = d >= MicroOp::ESCAPED as u32;
+            assert_eq!(t.ops[c.0 as usize].back[0] == MicroOp::ESCAPED, escaped);
+        }
+        assert_eq!(t.deps(both.0), [Some(p), Some(q)]);
+        assert_eq!(
+            t.far.len(),
+            6,
+            "255, 256, 65 535, 70 000 and both of `both`"
+        );
+        assert_eq!(t.bytes(), t.len() * 16 + 6 * 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "op 1 depends on op 1, which is not emitted before it")]
+    fn a_self_edge_is_refused_by_name() {
+        let mut b = TraceBuilder::new();
+        b.int_op(1, [None, None]);
+        b.load(0x40, 1, [None, Some(OpId(1))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "op 1 depends on op 5, which is not emitted before it")]
+    fn a_forward_edge_is_refused_by_name() {
+        let mut b = TraceBuilder::new();
+        b.int_op(1, [None, None]);
+        b.int_op(1, [Some(OpId(5)), None]);
     }
 
     #[test]
@@ -390,6 +436,6 @@ mod tests {
         b.store_sized(0x88, 9, 4, 3, [None, None]);
         let t = b.build();
         assert_eq!(t.store_values, vec![7, 9]);
-        assert_eq!(t.bytes(), 3 * 24 + 2 * 8);
+        assert_eq!(t.bytes(), 3 * 16 + 2 * 8);
     }
 }

@@ -53,8 +53,10 @@ pub struct ReplayRun {
 /// version, so regenerating a workload with different parameters — or
 /// a build with a different [`etpp_trace::FORMAT_VERSION`] —
 /// invalidates the cached capture instead of silently serving stale
-/// bytes. The dependence edges are part of the content: a capture's
-/// load→load `dep` distances are derived from them.
+/// bytes. The dependence edges are part of the content, hashed as
+/// absolute `index + 1` values (0 = none) whatever their in-memory
+/// encoding: a capture's load→load `dep` distances are derived from
+/// them.
 pub fn workload_trace_key(wl: &BuiltWorkload, scale_label: &str) -> u64 {
     use etpp_trace::format::{fnv1a, FNV_OFFSET};
     let mut h = FNV_OFFSET;
@@ -62,11 +64,12 @@ pub fn workload_trace_key(wl: &BuiltWorkload, scale_label: &str) -> u64 {
     h = fnv1a(scale_label.as_bytes(), h);
     h = fnv1a(&(FORMAT_VERSION as u64).to_le_bytes(), h);
     h = fnv1a(&(wl.trace.len() as u64).to_le_bytes(), h);
-    for op in &wl.trace.ops {
+    for (i, op) in wl.trace.ops.iter().enumerate() {
         h = fnv1a(&op.pc.to_le_bytes(), h);
         h = fnv1a(&[op.class as u8, op.aux], h);
-        h = fnv1a(&op.dep1.to_le_bytes(), h);
-        h = fnv1a(&op.dep2.to_le_bytes(), h);
+        for d in wl.trace.deps(i as u32) {
+            h = fnv1a(&d.map_or(0, |p| p.0 + 1).to_le_bytes(), h);
+        }
         h = fnv1a(&op.addr.to_le_bytes(), h);
     }
     for value in &wl.trace.store_values {
@@ -281,7 +284,9 @@ impl Cycles for ReplayRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use etpp_cpu::{OpId, TraceBuilder};
     use etpp_workloads::{Scale, Workload};
+    use std::collections::HashSet;
     use std::time::Duration;
 
     fn capture(dir: Option<&Path>, cfg: &SystemConfig, wl: &BuiltWorkload) -> KeyedCapture {
@@ -320,10 +325,24 @@ mod tests {
     fn trace_key_sees_dependence_edges_and_store_data() {
         let wl = etpp_workloads::intsort::IntSort.build(Scale::Tiny);
         let key = workload_trace_key(&wl, "tiny");
-        let mut edge = wl.clone();
-        let op = edge.trace.ops.iter_mut().find(|op| op.dep1 != 0).unwrap();
-        op.dep1 -= 1;
-        assert_ne!(workload_trace_key(&edge, "tiny"), key);
+        // The same ops with the last one's producer absent, one op back,
+        // or either side of the one-byte back-distance escape.
+        let key_with = |back: Option<u32>| {
+            let mut b = TraceBuilder::new();
+            for _ in 0..400 {
+                b.int_op(1, [None, None]);
+            }
+            let at = b.len() as u32;
+            b.load(0x40, 1, [None, back.map(|d| OpId(at - d))]);
+            let mut w = wl.clone();
+            w.trace = b.build();
+            workload_trace_key(&w, "tiny")
+        };
+        let keys: HashSet<u64> = [None, Some(1), Some(254), Some(255), Some(300)]
+            .into_iter()
+            .map(key_with)
+            .collect();
+        assert_eq!(keys.len(), 5, "every edge gives its own key");
         let mut data = wl.clone();
         data.trace.store_values[0] ^= 1;
         assert_ne!(workload_trace_key(&data, "tiny"), key);

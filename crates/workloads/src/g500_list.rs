@@ -364,16 +364,13 @@ mod tests {
         let w = G500List.build(Scale::Tiny);
         // Every node load depends on the previous node load in its list:
         // check at least one 3-deep dependence chain of PC_NODE loads exists.
-        let ops = &w.trace.ops;
+        let t = &w.trace;
         let mut chain = 0;
         let mut best = 0;
-        for op in ops {
+        for (i, op) in t.ops.iter().enumerate() {
             if op.pc == PC_NODE {
-                let dep_is_node = op
-                    .deps()
-                    .next()
-                    .map(|d| ops[d as usize].pc == PC_NODE)
-                    .unwrap_or(false);
+                let dep_is_node =
+                    t.deps(i as u32)[0].is_some_and(|d| t.ops[d.0 as usize].pc == PC_NODE);
                 chain = if dep_is_node { chain + 1 } else { 1 };
                 best = best.max(chain);
             }

@@ -71,9 +71,9 @@ mod tests {
         assert!(workload_by_name("nope").is_none());
     }
 
-    /// FNV-1a over every op's (pc, class, aux, dep1, dep2, address,
-    /// payload), the payload being a store's data or a config op's
-    /// side-table index (0 otherwise).
+    /// FNV-1a over every op's (pc, class, aux, both dependences as
+    /// `index + 1` or 0, address, payload), the payload being a store's
+    /// data or a config op's side-table index (0 otherwise).
     fn op_hash(t: &etpp_cpu::Trace) -> u64 {
         use etpp_cpu::OpClass;
         let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -84,7 +84,7 @@ mod tests {
             }
         };
         let mut stores = t.store_values.iter();
-        for op in &t.ops {
+        for (i, op) in t.ops.iter().enumerate() {
             let (addr, payload) = match op.class {
                 OpClass::Store => (op.addr, *stores.next().unwrap()),
                 OpClass::Config => (0, op.addr),
@@ -92,8 +92,9 @@ mod tests {
             };
             eat(&op.pc.to_le_bytes());
             eat(&[op.class as u8, op.aux]);
-            eat(&op.dep1.to_le_bytes());
-            eat(&op.dep2.to_le_bytes());
+            for d in t.deps(i as u32) {
+                eat(&d.map_or(0, |p| p.0 + 1).to_le_bytes());
+            }
             eat(&addr.to_le_bytes());
             eat(&payload.to_le_bytes());
         }

@@ -11,7 +11,7 @@
 //! than by timing noise.
 //!
 //! The byte budget covers what a built workload holds: its micro-op
-//! traces dominate a process's peak heap. A run with no Software cell
+//! traces, 16 bytes per op, dominate a process's peak heap. A run with no Software cell
 //! must never materialise the software-prefetch trace; building the three
 //! software traces eagerly pushes the peak past the budget. A capture
 //! adds exactly one copy of its records: the core retires straight into
@@ -79,8 +79,10 @@ static GLOBAL: Counting = Counting;
 const BUDGET: u64 = 1_000;
 
 /// Peak live heap while building IntSort, HJ-8 and ConjGrad at Tiny and
-/// running their `none` cells: 12.0 MiB with 24-byte ops and no software
-/// trace; 42.4 MiB with eagerly built software traces of 32-byte ops.
+/// running their `none` cells: 8.8 MiB with 16-byte ops and no software
+/// trace; 12.0 MiB with 24-byte ops (two absolute `u32` dependence
+/// indices per op); 42.4 MiB with eagerly built software traces of
+/// 32-byte ops.
 const BYTE_BUDGET: u64 = 20 << 20;
 
 #[test]

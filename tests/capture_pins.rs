@@ -8,7 +8,12 @@
 //!
 //! The same captures check that the record vector is reserved exactly
 //! once, for every load, store and config op of the trace.
+//!
+//! Each Tiny workload's trace-cache key is pinned too: it names the
+//! cached capture file, so a key that moves silently orphans every
+//! cached `.etpt`.
 
+use etpp::sim::replay::workload_trace_key;
 use etpp::sim::{run_captured, PrefetchMode, SystemConfig};
 use etpp::trace::content_hash;
 use etpp::workloads::{all_workloads, Scale};
@@ -57,4 +62,33 @@ fn tiny_captures_match_their_pinned_counts_and_hashes() {
     }
     assert!(moved.is_empty(), "captures moved:\n{}", moved.join("\n"));
     assert_eq!(forwarding, ["G500-CSR", "G500-List", "IntSort"]);
+}
+
+/// `(workload, workload_trace_key(wl, "tiny"))`: the trace-cache key of
+/// each Tiny workload. It hashes the logical trace — each op's fields
+/// with its dependences as absolute `index + 1` values — so a change to
+/// how a built trace is laid out in memory renames no cached capture.
+const TRACE_KEYS: [(&str, u64); 8] = [
+    ("G500-CSR", 0x67b35ae30b4fff78),
+    ("G500-List", 0x4a33995baa58460d),
+    ("HJ-2", 0xd7fa44eb4261d8cd),
+    ("HJ-8", 0x44f742ae1a5c0fa9),
+    ("PageRank", 0xb6ad7a0d071fad4c),
+    ("RandAcc", 0x5bfa3b8e78c19dd4),
+    ("IntSort", 0x172cfc3c0039ed63),
+    ("ConjGrad", 0xf725fa4b0bdce307),
+];
+
+#[test]
+fn tiny_trace_keys_match_their_pins() {
+    let mut moved = Vec::new();
+    for (w, &(name, key)) in all_workloads().into_iter().zip(&TRACE_KEYS) {
+        let wl = w.build(Scale::Tiny);
+        assert_eq!(wl.name, name, "Table-2 order");
+        let got = workload_trace_key(&wl, "tiny");
+        if got != key {
+            moved.push(format!("{name}: key {key:#018x} -> {got:#018x}"));
+        }
+    }
+    assert!(moved.is_empty(), "trace keys moved:\n{}", moved.join("\n"));
 }

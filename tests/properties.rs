@@ -1,6 +1,6 @@
 //! Property-based tests over the simulator's core invariants.
 
-use etpp::cpu::{drive, Core, CoreParams, Limits, TraceBuilder};
+use etpp::cpu::{drive, Core, CoreParams, Limits, OpId, TraceBuilder};
 use etpp::isa::{run_kernel, EventCtx, Inst, Kernel};
 use etpp::mem::cache::{Eviction, LookupResult};
 use etpp::mem::mshr::Waiter;
@@ -462,6 +462,47 @@ proptest! {
             // last-write-wins into the map as we built it.
             prop_assert_eq!(mem.image().read_u64(a), v);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+    /// However far back a producer sits — a few ops, either side of the
+    /// one-byte escape boundary, or thousands — `Trace::deps` decodes
+    /// exactly the edges the builder was given, in operand order, and
+    /// every escaped edge costs 8 bytes in `Trace::bytes`.
+    #[test]
+    fn decoded_edges_equal_the_built_edges(
+        ops in proptest::collection::vec(((0u8..4, 0u32..3000), (0u8..4, 0u32..3000)), 1..1500)
+    ) {
+        let mut b = TraceBuilder::new();
+        let mut built = Vec::with_capacity(ops.len());
+        let mut escaped = 0;
+        for (i, &operands) in ops.iter().enumerate() {
+            let i = i as u32;
+            let [x, y] = [operands.0, operands.1].map(|(kind, r)| {
+                let back = match kind {
+                    0 => return None,
+                    1 => 1 + r % 8,
+                    2 => 250 + r % 10,
+                    _ => 1 + r,
+                };
+                (i > 0).then(|| OpId(i - back.min(i)))
+            });
+            let deps = [x, y];
+            escaped += deps.iter().flatten().filter(|p| i - p.0 >= 255).count();
+            if i.is_multiple_of(3) {
+                b.load(u64::from(i) * 8, 1, deps);
+            } else {
+                b.int_op(1, deps);
+            }
+            built.push(deps);
+        }
+        let t = b.build();
+        for (i, deps) in built.iter().enumerate() {
+            prop_assert_eq!(t.deps(i as u32), *deps);
+        }
+        prop_assert_eq!(t.bytes(), t.len() * 16 + escaped * 8);
     }
 }
 
