@@ -13,8 +13,14 @@
 //! Here "large" uses 2²⁴ entries — far more than the distinct lines any
 //! scaled workload touches, so it behaves as unbounded history (the
 //! substitution is recorded in DESIGN.md).
+//!
+//! The tables cost what a run writes, not their capacity: the history
+//! grows by push until it holds `ghb_entries` misses and only then
+//! wraps, and the index table holds only the slots a miss has hashed to.
 
-use etpp_mem::{ConfigOp, DemandEvent, Line, PrefetchEngine, PrefetchRequest, TagId, LINE_SIZE};
+use etpp_mem::{
+    ConfigOp, DemandEvent, FastHashMap, Line, PrefetchEngine, PrefetchRequest, TagId, LINE_SIZE,
+};
 use std::collections::VecDeque;
 
 /// GHB configuration.
@@ -61,12 +67,15 @@ impl GhbParams {
 #[derive(Debug)]
 pub struct GhbPrefetcher {
     params: GhbParams,
-    /// Line address (compressed to u32 line index) per GHB slot.
+    /// Line address (compressed to u32 line index) per GHB slot. Grows
+    /// by push to `ghb_entries` entries, then wraps.
     lines: Vec<u32>,
-    /// Link to the previous occurrence (absolute position), or `u64::MAX`.
+    /// Link to the previous occurrence (absolute position), or
+    /// `u64::MAX`; laid out as `lines`.
     links: Vec<u64>,
-    /// Index table: line-index hash → last absolute position.
-    index: Vec<u64>,
+    /// Index table: line-index hash → last absolute position. A slot
+    /// no miss has hashed to is absent.
+    index: FastHashMap<usize, u64>,
     /// Absolute write position (monotonic; slot = pos % ghb_entries).
     pos: u64,
     queue: VecDeque<u64>,
@@ -80,9 +89,9 @@ impl GhbPrefetcher {
         assert!(params.index_entries.is_power_of_two());
         assert!(params.ghb_entries.is_power_of_two());
         GhbPrefetcher {
-            lines: vec![0; params.ghb_entries],
-            links: vec![u64::MAX; params.ghb_entries],
-            index: vec![u64::MAX; params.index_entries],
+            lines: Vec::new(),
+            links: Vec::new(),
+            index: FastHashMap::default(),
             pos: 0,
             queue: VecDeque::with_capacity(params.queue),
             issued: 0,
@@ -126,12 +135,15 @@ impl PrefetchEngine for GhbPrefetcher {
         }
         let line = Self::line_index(ev.vaddr);
         let h = self.hash(line);
+        // The miss becomes its slot's newest occurrence; the walk below
+        // reads only the occurrence it replaces.
+        let head = self.index.insert(h, self.pos).unwrap_or(u64::MAX);
 
         // Predict: walk prior occurrences (newest first), fetching their
         // successors until `width` total prefetches are gathered. `depth`
         // bounds the chain walk; `width` bounds traffic per miss, as in the
         // G/AC organisation.
-        let mut occurrence = self.index[h];
+        let mut occurrence = head;
         let mut walked = 0;
         let mut budget = self.params.width;
         while walked < self.params.depth && budget > 0 && self.in_window(occurrence) {
@@ -156,9 +168,13 @@ impl PrefetchEngine for GhbPrefetcher {
 
         // Record the miss.
         let slot = (self.pos % self.params.ghb_entries as u64) as usize;
-        self.lines[slot] = line;
-        self.links[slot] = self.index[h];
-        self.index[h] = self.pos;
+        if slot == self.lines.len() {
+            self.lines.push(line);
+            self.links.push(head);
+        } else {
+            self.lines[slot] = line;
+            self.links[slot] = head;
+        }
         self.pos += 1;
     }
 
@@ -220,6 +236,116 @@ mod tests {
             v.push(r.vaddr);
         }
         v
+    }
+
+    /// Reference GHB with every table allocated dense and filled at
+    /// construction: the grown, sparse layout must match it prediction
+    /// for prediction.
+    struct DenseGhb {
+        params: GhbParams,
+        lines: Vec<u32>,
+        links: Vec<u64>,
+        index: Vec<u64>,
+        pos: u64,
+        queue: VecDeque<u64>,
+    }
+
+    impl DenseGhb {
+        fn new(params: GhbParams) -> Self {
+            DenseGhb {
+                lines: vec![0; params.ghb_entries],
+                links: vec![u64::MAX; params.ghb_entries],
+                index: vec![u64::MAX; params.index_entries],
+                pos: 0,
+                queue: VecDeque::new(),
+                params,
+            }
+        }
+
+        fn in_window(&self, abs: u64) -> bool {
+            abs != u64::MAX && abs < self.pos && self.pos - abs <= self.params.ghb_entries as u64
+        }
+
+        fn enqueue(&mut self, line: u32) {
+            let vaddr = line as u64 * LINE_SIZE;
+            if self.queue.contains(&vaddr) {
+                return;
+            }
+            if self.queue.len() >= self.params.queue {
+                self.queue.pop_front();
+            }
+            self.queue.push_back(vaddr);
+        }
+
+        fn miss(&mut self, vaddr: u64) {
+            let n = self.params.ghb_entries as u64;
+            let line = (vaddr / LINE_SIZE) as u32;
+            let h = ((line as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as usize
+                & (self.params.index_entries - 1);
+            let mut occurrence = self.index[h];
+            let (mut walked, mut budget) = (0, self.params.width);
+            while walked < self.params.depth && budget > 0 && self.in_window(occurrence) {
+                let slot = (occurrence % n) as usize;
+                if self.lines[slot] != line {
+                    break;
+                }
+                for w in 1..=self.params.width as u64 {
+                    if budget == 0 {
+                        break;
+                    }
+                    if occurrence + w < self.pos {
+                        self.enqueue(self.lines[((occurrence + w) % n) as usize]);
+                        budget -= 1;
+                    }
+                }
+                occurrence = self.links[slot];
+                walked += 1;
+            }
+            let slot = (self.pos % n) as usize;
+            self.lines[slot] = line;
+            self.links[slot] = self.index[h];
+            self.index[h] = self.pos;
+            self.pos += 1;
+        }
+    }
+
+    #[test]
+    fn grown_sparse_tables_match_the_dense_layout() {
+        let mut seed = 0x5eed_u64;
+        let mut next = move || {
+            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (seed ^ (seed >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z ^ (z >> 29)
+        };
+        for (index_entries, ghb_entries, queue) in [(8, 16, 4), (64, 32, 16), (16, 256, 128)] {
+            let params = GhbParams {
+                index_entries,
+                ghb_entries,
+                depth: 4,
+                width: 3,
+                queue,
+            };
+            let mut g = GhbPrefetcher::new(params);
+            let mut d = DenseGhb::new(params);
+            let mut dense_issued = 0u64;
+            // A small pool of lines repeats often enough to correlate,
+            // and 20 wraps of the history run past `ghb_entries`.
+            let pool = 1 + next() % 96;
+            for i in 0..20 * ghb_entries as u64 {
+                let vaddr = 0x40_0000 + (next() % pool) * LINE_SIZE + next() % LINE_SIZE;
+                g.on_demand(0, &miss(vaddr));
+                d.miss(vaddr);
+                assert_eq!(g.queue, d.queue, "params {params:?}, miss {i}");
+                for _ in 0..next() % 3 {
+                    let popped = g.pop_request(0).map(|r| r.vaddr);
+                    dense_issued += u64::from(popped.is_some());
+                    assert_eq!(popped, d.queue.pop_front());
+                }
+            }
+            assert!(dense_issued > 0, "the stream must exercise predictions");
+            assert_eq!(g.issued, dense_issued);
+            assert!(g.lines.len() == ghb_entries && g.index.len() <= index_entries);
+        }
     }
 
     #[test]

@@ -43,7 +43,7 @@ const BIRTH_MASK: u64 = (1 << 48) - 1;
 
 /// Configuration of the prefetcher (Table 1 defaults via
 /// [`PrefetcherParams::paper`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PrefetcherParams {
     /// Number of PPUs.
     pub num_ppus: usize,

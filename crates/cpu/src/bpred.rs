@@ -8,7 +8,7 @@
 //! BTB-missing taken) branch blocks fetch until the branch resolves.
 
 /// Geometry of the tournament predictor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BranchPredictorParams {
     /// Entries in the local history table / local pattern table.
     pub local_entries: usize,

@@ -51,7 +51,7 @@ impl CoreTelemetry {
 }
 
 /// Core configuration (Table 1 defaults via [`CoreParams::paper`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CoreParams {
     /// Reorder buffer entries.
     pub rob_entries: usize,

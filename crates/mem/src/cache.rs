@@ -13,7 +13,7 @@ use crate::stats::CacheStats;
 pub type Line = [u8; LINE_SIZE as usize];
 
 /// Static parameters of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheParams {
     /// Total capacity in bytes.
     pub size: u64,

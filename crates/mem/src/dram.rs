@@ -15,7 +15,7 @@
 use crate::stats::DramStats;
 
 /// DDR3 timing and geometry parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DramParams {
     /// CAS latency in DRAM cycles.
     pub t_cl: u64,

@@ -183,6 +183,25 @@ impl MemoryImage {
         }
     }
 
+    /// The bytes of `region` in address order, one page slice at a
+    /// time: one page lookup per page, not per byte. Unmapped pages read
+    /// as zeros, as [`MemoryImage::read_u8`] reads them.
+    pub fn region_slices(&self, region: Region) -> impl Iterator<Item = &[u8]> + '_ {
+        static ZEROS: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
+        let end = region.end();
+        let mut addr = region.base;
+        std::iter::from_fn(move || {
+            if addr >= end {
+                return None;
+            }
+            let off = (addr % PAGE_SIZE) as usize;
+            let len = (PAGE_SIZE - off as u64).min(end - addr) as usize;
+            let page = self.pages.get(&page_of(addr)).map_or(&ZEROS, |p| &**p);
+            addr += len as u64;
+            Some(&page[off..off + len])
+        })
+    }
+
     /// Writes `n` consecutive little-endian `u64`s starting at `addr`.
     pub fn write_u64_slice(&mut self, addr: u64, vals: &[u64]) {
         for (i, v) in vals.iter().enumerate() {

@@ -70,7 +70,7 @@ pub struct Completion {
 }
 
 /// Full-hierarchy parameters (Table 1 of the paper by default).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 pub struct MemParams {
     /// L1 data cache geometry/latency.
     pub l1: CacheParams,

@@ -14,7 +14,7 @@ use crate::addr::page_of;
 use crate::stats::TlbStats;
 
 /// TLB geometry and timing parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TlbParams {
     /// L1 TLB entries (fully associative).
     pub l1_entries: usize,

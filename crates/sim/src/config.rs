@@ -147,7 +147,7 @@ impl std::str::FromStr for PrefetchMode {
 }
 
 /// Complete system configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 pub struct SystemConfig {
     /// Out-of-order core parameters.
     pub core: CoreParams,

@@ -63,11 +63,12 @@ use crate::rows::{push_sealed, row, seal, unseal, Row, RowWriter};
 use crate::system::run_watched;
 use etpp_mem::Deadline;
 use etpp_telemetry::Registry;
-use etpp_trace::format::{fnv1a, FNV_OFFSET};
+use etpp_trace::format::Fnv1a;
 use etpp_workloads::BuiltWorkload;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
 use std::fs;
+use std::hash::{Hash, Hasher};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -313,27 +314,27 @@ pub fn composed_grid() -> SweepSpec {
 // Result cache
 // ---------------------------------------------------------------------------
 
-/// Canonical configuration hash for one cell: FNV-1a over the `Debug`
-/// rendering of the fully-mutated [`SystemConfig`] *as `mode` can read
-/// it* ([`SystemConfig::effective_for`] — every field of that, so any
-/// config drift the cell could observe invalidates, and none it could
-/// not), the mode key, the escalation decision the cell executed
-/// under, the replay front-end parameters, and
-/// [`SWEEP_SCHEMA_VERSION`]. Two cells that arrive at the same
+/// Canonical configuration hash for one cell: FNV-1a ([`Fnv1a`]) over
+/// the fields of the fully-mutated [`SystemConfig`] *as `mode` can read
+/// it* ([`SystemConfig::effective_for`] — every field of that, through
+/// its derived `Hash`, so any config drift the cell could observe
+/// invalidates, and none it could not), the mode key, the escalation
+/// decision the cell executed under, the replay front-end parameters,
+/// and [`SWEEP_SCHEMA_VERSION`]. Two cells that arrive at the same
 /// effective configuration — by different axis paths, or by differing
 /// only in fields their mode ignores — share one cache entry;
 /// `exec_cell` runs on the same projection, so key and simulation
-/// cannot disagree.
+/// cannot disagree. Nothing is rendered or allocated: the key costs a
+/// few hundred bytes of hashing per job.
 pub fn cell_config_hash(cfg: &SystemConfig, mode: PrefetchMode, escalate: bool) -> u64 {
-    let cfg = cfg.effective_for(mode);
-    let mut h = FNV_OFFSET;
-    h = fnv1a(b"etpp-sweep-cell", h);
-    h = fnv1a(format!("{cfg:?}").as_bytes(), h);
-    h = fnv1a(mode.key().as_bytes(), h);
-    h = fnv1a(&[escalate as u8], h);
-    h = fnv1a(format!("{:?}", replay_params()).as_bytes(), h);
-    h = fnv1a(&u64::from(SWEEP_SCHEMA_VERSION).to_le_bytes(), h);
-    h
+    let mut h = Fnv1a::default();
+    h.write(b"etpp-sweep-cell");
+    cfg.effective_for(mode).hash(&mut h);
+    h.write(mode.key().as_bytes());
+    h.write_u8(escalate as u8);
+    replay_params().hash(&mut h);
+    h.write_u64(u64::from(SWEEP_SCHEMA_VERSION));
+    h.finish()
 }
 
 /// On-disk path of a cell's cached result inside `dir`.
@@ -1765,6 +1766,17 @@ mod tests {
         let s = key(&[0, 0], PrefetchMode::Stride, false);
         assert_eq!(s, key(&[1, 0], PrefetchMode::Stride, false), "pf axis");
         assert_ne!(s, key(&[0, 1], PrefetchMode::Stride, false), "mem axis");
+    }
+
+    /// The literal keys of the paper config. A derive, field order or
+    /// hasher change that moves them orphans every existing result
+    /// cache, so it must be deliberate: re-pin here and say so.
+    #[test]
+    fn paper_config_keys_are_pinned() {
+        let cfg = SystemConfig::paper();
+        let key = |mode| format!("{:016x}", cell_config_hash(&cfg, mode, false));
+        assert_eq!(key(PrefetchMode::None), "65710d011c2d1326");
+        assert_eq!(key(PrefetchMode::Manual), "90f130e4f093a0ee");
     }
 
     #[test]

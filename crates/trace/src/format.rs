@@ -186,6 +186,53 @@ pub fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
 /// FNV-1a offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
+/// [`fnv1a`] as a [`std::hash::Hasher`], so a `#[derive(Hash)]` value
+/// can be hashed field by field without rendering it. Integers are
+/// written as little-endian bytes, `usize`/`isize` widened to 64 bits,
+/// so a value hashes the same on every host.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(FNV_OFFSET)
+    }
+}
+
+impl std::hash::Hasher for Fnv1a {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = fnv1a(bytes, self.0);
+    }
+
+    fn write_u16(&mut self, v: u16) {
+        self.write(&v.to_le_bytes());
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write(&v.to_le_bytes());
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
+    }
+
+    fn write_u128(&mut self, v: u128) {
+        self.write(&v.to_le_bytes());
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+
+    fn write_isize(&mut self, v: isize) {
+        self.write_u64(v as i64 as u64);
+    }
+}
+
 /// Content hash of an encoded record stream (what
 /// [`crate::TraceWriter::finish`] returns).
 ///
@@ -480,6 +527,18 @@ fn decode_config(cur: &mut ByteCursor<'_>) -> Result<ConfigOp, FormatError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_hasher_writes_integers_little_endian() {
+        use std::hash::{Hash, Hasher};
+        let mut h = Fnv1a::default();
+        7usize.hash(&mut h);
+        0x0102_0304u32.hash(&mut h);
+        true.hash(&mut h);
+        let mut bytes = 7u64.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[4, 3, 2, 1, 1]);
+        assert_eq!(h.finish(), fnv1a(&bytes, FNV_OFFSET));
+    }
 
     #[test]
     fn varint_roundtrip_edges() {

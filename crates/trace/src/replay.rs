@@ -49,7 +49,7 @@ const ISSUE_GAP: u64 = 1;
 const STORE_BUFFER: usize = 32;
 
 /// Replay front-end parameters.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 pub struct ReplayParams {
     /// Maximum outstanding demand accesses.
     pub window: usize,

@@ -150,9 +150,11 @@ pub trait Workload: Send + Sync {
 /// FNV-1a over a region of the image — the validation checksum.
 pub fn checksum_region(image: &MemoryImage, region: Region) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for addr in region.base..region.end() {
-        h ^= image.read_u8(addr) as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    for slice in image.region_slices(region) {
+        for &b in slice {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
     }
     h
 }
@@ -178,6 +180,49 @@ mod tests {
         img.write_u64(r.base + 64, 1);
         let b = checksum_region(&img, r);
         assert_ne!(a, b);
+    }
+
+    /// Reference checksum: one `read_u8` per byte.
+    fn checksum_bytewise(image: &MemoryImage, region: Region) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for addr in region.base..region.end() {
+            h ^= image.read_u8(addr) as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        h
+    }
+
+    #[test]
+    fn checksum_by_page_slices_matches_bytewise() {
+        use etpp_mem::PAGE_SIZE;
+        let mut img = MemoryImage::new();
+        let base = img.alloc(2 * PAGE_SIZE, PAGE_SIZE);
+        // Pages 0 and 1 are allocated and page 3 is mapped by the writes
+        // into it; page 2 and everything past page 3 stay unmapped.
+        for i in (0..2 * PAGE_SIZE).chain(3 * PAGE_SIZE..4 * PAGE_SIZE) {
+            img.write_u8(base + i, mix64(i) as u8);
+        }
+        assert!(!img.is_mapped(base + 2 * PAGE_SIZE));
+        let cases = [
+            // Mid-page to mid-page over pages 0, 1 and unmapped 2.
+            (base + 100, 2 * PAGE_SIZE + 50),
+            // Mid-page to mid-page over pages 1, unmapped 2 and 3.
+            (base + PAGE_SIZE + 7, 2 * PAGE_SIZE + 9),
+            // Wholly unmapped, wholly inside one page, and empty.
+            (base + 5 * PAGE_SIZE + 1, 3 * PAGE_SIZE),
+            (base + 33, 64),
+            (base, 0),
+        ];
+        for (start, len) in cases {
+            let r = Region { base: start, len };
+            assert_eq!(
+                checksum_region(&img, r),
+                checksum_bytewise(&img, r),
+                "{r:?}"
+            );
+            let bytes: usize = img.region_slices(r).map(<[u8]>::len).sum();
+            assert_eq!(bytes as u64, len);
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! the cells that can observe it, and the effective-config projection
 //! behind that key changes no simulated number.
 
-use etpp::sim::replay::{replay_run, try_load_or_capture_keyed};
+use etpp::sim::replay::{replay_params, replay_run, try_load_or_capture_keyed};
 use etpp::sim::sweeps::{self, axes, SweepOptions, SweepSpec};
 use etpp::sim::{PrefetchMode, SystemConfig};
 use etpp::workloads::{workload_by_name, Scale};
@@ -288,23 +288,50 @@ fn composed_grid_covers_the_documented_cross_product() {
     }
 }
 
+/// Reference keying: FNV-1a over the effective config's `Debug` text.
+/// The field-hashed key must split the grid exactly as this does.
+fn debug_text_key(cfg: &SystemConfig, mode: PrefetchMode, escalate: bool) -> u64 {
+    use etpp::trace::format::{fnv1a, FNV_OFFSET};
+    let cfg = cfg.effective_for(mode);
+    let mut h = FNV_OFFSET;
+    h = fnv1a(b"etpp-sweep-cell", h);
+    h = fnv1a(format!("{cfg:?}").as_bytes(), h);
+    h = fnv1a(mode.key().as_bytes(), h);
+    h = fnv1a(&[escalate as u8], h);
+    h = fnv1a(format!("{:?}", replay_params()).as_bytes(), h);
+    fnv1a(&u64::from(sweeps::SWEEP_SCHEMA_VERSION).to_le_bytes(), h)
+}
+
 /// The dedupe is exact: a fixed-function mode's key moves with
-/// `pf_buffer` only, a programmable mode's with every axis.
+/// `pf_buffer` only, a programmable mode's with every axis. And the
+/// field-hashed key splits the grid exactly as the `Debug`-text
+/// reference does: two jobs share one exactly when they share the other.
 #[test]
 fn composed_grid_has_exactly_2080_distinct_cells() {
     let spec = sweeps::composed_grid();
     let total = spec.total_jobs(2);
-    let keys: HashSet<(usize, u64)> = (0..total)
-        .map(|job| {
-            let (wi, mi, vi) = spec.decode(job);
-            let hash = sweeps::cell_config_hash(&spec.config_for(&vi), spec.modes[mi], false);
-            (wi, hash)
-        })
-        .collect();
-    // 2 workloads × (4 fixed-function modes × 4 pf_buffer values +
-    // 2 programmable modes × the full 512-point axis product).
     assert_eq!(total, 6144);
-    assert_eq!(keys.len(), 2 * (4 * 4 + 2 * 512));
+    for escalate in [false, true] {
+        let mut keys = HashSet::new();
+        let mut pairs = HashSet::new();
+        let mut old_keys = HashSet::new();
+        for job in 0..total {
+            let (wi, mi, vi) = spec.decode(job);
+            let cfg = spec.config_for(&vi);
+            let hash = sweeps::cell_config_hash(&cfg, spec.modes[mi], escalate);
+            let old = debug_text_key(&cfg, spec.modes[mi], escalate);
+            keys.insert((wi, hash));
+            old_keys.insert((wi, old));
+            pairs.insert((wi, hash, old));
+        }
+        // 2 workloads × (4 fixed-function modes × 4 pf_buffer values +
+        // 2 programmable modes × the full 512-point axis product).
+        assert_eq!(keys.len(), 2 * (4 * 4 + 2 * 512), "escalate {escalate}");
+        // A bijection between the two keyings: as many (new, old) pairs
+        // as distinct keys on either side.
+        assert_eq!(old_keys.len(), keys.len(), "escalate {escalate}");
+        assert_eq!(pairs.len(), keys.len(), "escalate {escalate}");
+    }
 }
 
 /// The tripwire behind the effective-config key: no fixed-function
