@@ -21,7 +21,7 @@
 //!   ordinal is its load number minus the forwarded numbers below it.
 
 use crate::trace::{MicroOp, OpClass, OpId, Trace};
-use etpp_mem::{AccessKind, ConfigOp};
+use etpp_mem::ConfigOp;
 use etpp_trace::TraceRecord;
 use std::collections::BTreeSet;
 
@@ -143,27 +143,22 @@ impl Capture {
             // No producer, or a forwarded one that was never captured.
             _ => 0,
         };
-        self.push(TraceRecord::Access {
+        self.push(TraceRecord::Load {
             cycle,
             pc: op.pc,
             vaddr: op.addr,
-            kind: AccessKind::Load,
-            value: 0,
-            size: 0,
             dep,
         });
     }
 
     /// Records a retiring store and its data.
     pub(crate) fn retire_store(&mut self, cycle: u64, op: &MicroOp, value: u64) {
-        self.push(TraceRecord::Access {
+        self.push(TraceRecord::Store {
             cycle,
             pc: op.pc,
             vaddr: op.addr,
-            kind: AccessKind::Store,
             value,
             size: op.aux,
-            dep: 0,
         });
     }
 
@@ -256,11 +251,7 @@ mod tests {
         records
             .iter()
             .filter_map(|r| match r {
-                TraceRecord::Access {
-                    kind: AccessKind::Load,
-                    dep,
-                    ..
-                } => Some(*dep),
+                TraceRecord::Load { dep, .. } => Some(*dep),
                 _ => None,
             })
             .collect()
@@ -401,9 +392,10 @@ mod tests {
         let r = capture(&b.build(), &[], 1);
         assert!(matches!(
             r[0],
-            TraceRecord::Access {
-                value: 0,
-                size: 0,
+            TraceRecord::Load {
+                pc: 1,
+                vaddr: 0x40,
+                dep: 0,
                 ..
             }
         ));
@@ -418,22 +410,13 @@ mod tests {
         let r = capture(&b.build(), &[], 4);
         assert!(matches!(
             r[1],
-            TraceRecord::Access {
-                kind: AccessKind::Store,
+            TraceRecord::Store {
                 value: 7,
                 size: 8,
-                dep: 0,
                 ..
             }
         ));
-        assert!(matches!(
-            r[2],
-            TraceRecord::Access {
-                kind: AccessKind::Load,
-                dep: 1,
-                ..
-            }
-        ));
+        assert!(matches!(r[2], TraceRecord::Load { dep: 1, .. }));
     }
 
     #[test]

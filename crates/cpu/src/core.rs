@@ -1212,11 +1212,7 @@ mod tests {
         records
             .iter()
             .filter_map(|r| match r {
-                TraceRecord::Access {
-                    kind: AccessKind::Load,
-                    dep,
-                    ..
-                } => Some(*dep),
+                TraceRecord::Load { dep, .. } => Some(*dep),
                 _ => None,
             })
             .collect()

@@ -290,6 +290,10 @@ impl TraceBuilder {
     }
 
     /// Emits a store of `size` bytes.
+    ///
+    /// # Panics
+    /// If `size` is not 1, 4 or 8, the store widths the memory image
+    /// commits and the trace format records.
     pub fn store_sized(
         &mut self,
         addr: u64,
@@ -298,6 +302,11 @@ impl TraceBuilder {
         pc: u32,
         deps: [Option<OpId>; 2],
     ) -> OpId {
+        assert!(
+            matches!(size, 1 | 4 | 8),
+            "store op {} (pc {pc:#x}, addr {addr:#x}): size {size} is not 1, 4 or 8",
+            self.trace.ops.len()
+        );
         let id = self.emit(OpClass::Store, size, pc, addr, deps);
         self.trace.store_values.push(value);
         id
@@ -437,5 +446,13 @@ mod tests {
         let t = b.build();
         assert_eq!(t.store_values, vec![7, 9]);
         assert_eq!(t.bytes(), 3 * 16 + 2 * 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "store op 1 (pc 0x3, addr 0x88): size 2 is not 1, 4 or 8")]
+    fn stores_of_unsupported_size_are_refused() {
+        let mut b = TraceBuilder::new();
+        b.store_sized(0x80, 7, 1, 2, [None, None]);
+        b.store_sized(0x88, 9, 2, 3, [None, None]);
     }
 }

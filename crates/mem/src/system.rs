@@ -937,11 +937,15 @@ impl MemorySystem {
 
     /// The core writes committed store data straight into the image so that
     /// prefetch kernels observe current program state.
+    ///
+    /// # Panics
+    /// If `size` is not 1, 4 or 8.
     pub fn commit_store_data(&mut self, vaddr: u64, value: u64, size: u8) {
         match size {
             1 => self.image.write_u8(vaddr, value as u8),
             4 => self.image.write_u32(vaddr, value as u32),
-            _ => self.image.write_u64(vaddr, value),
+            8 => self.image.write_u64(vaddr, value),
+            other => panic!("store of {other} bytes at {vaddr:#x}: size must be 1, 4 or 8"),
         }
     }
 
@@ -1136,6 +1140,27 @@ mod tests {
             }
         }
         panic!("access never completed");
+    }
+
+    #[test]
+    fn store_data_commits_exactly_its_size() {
+        let (mut mem, base) = setup();
+        let all = u64::MAX;
+        mem.commit_store_data(base, all, 1);
+        mem.commit_store_data(base + 8, all, 4);
+        mem.commit_store_data(base + 16, all, 8);
+        let image = mem.image();
+        assert_eq!(image.read_u64(base), 0xFF);
+        assert_eq!(image.read_u64(base + 8), 0xFFFF_FFFF);
+        assert_eq!(image.read_u64(base + 16), all);
+        assert_eq!(image.read_u64(base + 24), 3, "the next word is untouched");
+    }
+
+    #[test]
+    #[should_panic(expected = "store of 2 bytes at")]
+    fn store_data_of_unsupported_size_is_refused() {
+        let (mut mem, base) = setup();
+        mem.commit_store_data(base, u64::MAX, 2);
     }
 
     #[test]

@@ -17,6 +17,7 @@ use etpp_cpu::{drive, Core, CoreStats, Limits, Probe, Trace, VisitCounts};
 use etpp_mem::{Deadline, MemStats, MemorySystem, NullEngine, PrefetchEngine};
 use etpp_telemetry::Registry;
 use etpp_workloads::{checksum_region, BuiltWorkload, PrefetchSetup};
+use std::borrow::Cow;
 
 /// Result of one simulation run.
 #[derive(Debug, Clone)]
@@ -203,7 +204,23 @@ fn programmable(
     pf
 }
 
-/// One cycle-core run: the selected trace's core, a fresh memory
+/// The micro-op trace a `mode` cell runs: the workload's plain trace, or
+/// for `Software` its software-prefetch variant, generated for this cell
+/// alone and dropped with it.
+///
+/// # Errors
+/// [`Skip`] when the workload has no software-prefetch variant.
+fn cell_trace(mode: PrefetchMode, wl: &BuiltWorkload) -> Result<Cow<'_, Trace>, Skip> {
+    match mode {
+        PrefetchMode::Software => wl
+            .sw_trace()
+            .map(Cow::Owned)
+            .ok_or(Skip::NotExpressible(wl.notes)),
+        _ => Ok(Cow::Borrowed(&wl.trace)),
+    }
+}
+
+/// One cycle-core run: a core over the cell's trace, a fresh memory
 /// system over the workload's image, and the mode's engine.
 struct Machine<'w> {
     cfg: &'w SystemConfig,
@@ -215,18 +232,21 @@ struct Machine<'w> {
 }
 
 impl<'w> Machine<'w> {
-    /// Selects the trace and engine for `mode`.
+    /// Runs `trace`, the caller's [`cell_trace`] for `mode`, under the
+    /// mode's engine.
     ///
     /// # Errors
     /// [`Skip`] when the combination is impossible for this workload
     /// (matching the paper's missing bars).
-    fn new(cfg: &'w SystemConfig, mode: PrefetchMode, wl: &'w BuiltWorkload) -> Result<Self, Skip> {
-        let (trace, engine): (&Trace, Engine) = match mode {
-            PrefetchMode::Software => match wl.sw_trace() {
-                Some(t) => (t, Engine::Null(NullEngine)),
-                None => return Err(Skip::NotExpressible(wl.notes)),
-            },
-            _ => (&wl.trace, make_engine(cfg, mode, wl)?),
+    fn new(
+        cfg: &'w SystemConfig,
+        mode: PrefetchMode,
+        wl: &'w BuiltWorkload,
+        trace: &'w Trace,
+    ) -> Result<Self, Skip> {
+        let engine = match mode {
+            PrefetchMode::Software => Engine::Null(NullEngine),
+            _ => make_engine(cfg, mode, wl)?,
         };
         Ok(Machine {
             cfg,
@@ -301,7 +321,8 @@ pub fn run_watched(
     wl: &BuiltWorkload,
     deadline: Option<Deadline>,
 ) -> Result<RunResult, Skip> {
-    Ok(Machine::new(cfg, mode, wl)?.run(deadline, &mut ()))
+    let trace = cell_trace(mode, wl)?;
+    Ok(Machine::new(cfg, mode, wl, &trace)?.run(deadline, &mut ()))
 }
 
 /// Simulates `wl` under `mode` with observability enabled, returning
@@ -321,7 +342,8 @@ pub fn run_telemetry(
     wl: &BuiltWorkload,
     sample_interval: u64,
 ) -> Result<(RunResult, TelemetryReport), Skip> {
-    let mut m = Machine::new(cfg, mode, wl)?;
+    let trace = cell_trace(mode, wl)?;
+    let mut m = Machine::new(cfg, mode, wl, &trace)?;
     m.mem.enable_telemetry();
     m.core.enable_telemetry();
     if let Engine::Prog(p) = &mut m.engine {
@@ -359,7 +381,8 @@ pub fn run_captured(
     wl: &BuiltWorkload,
     scale_label: &str,
 ) -> Result<(RunResult, etpp_trace::CapturedTrace), Skip> {
-    let mut m = Machine::new(cfg, mode, wl)?;
+    let trace = cell_trace(mode, wl)?;
+    let mut m = Machine::new(cfg, mode, wl, &trace)?;
     m.core.enable_capture();
     let result = m.run(None, &mut ());
     let records = m.core.take_captured();

@@ -15,34 +15,40 @@
 //!                         encoded record byte)
 //! ```
 //!
-//! Each record starts with a tag byte (`0` load, `1` store, `2` config).
-//! Cycles are encoded as varint deltas from the previous record (the
-//! stream is non-decreasing in time); PCs and virtual addresses as
-//! zigzag-varint deltas from the previous record's values, which turns
-//! the regular strides of these workloads into single-byte deltas.
-//! Store records additionally carry the access size and the store data
-//! (so replay can commit real values and still validate checksums);
-//! config records carry a compact [`ConfigOp`] encoding.
+//! Each record starts with a tag byte (`0` load, `1` store, `2` config),
+//! one per [`TraceRecord`] variant. Cycles are encoded as varint deltas
+//! from the previous record (the stream is non-decreasing in time); PCs
+//! and virtual addresses as zigzag-varint deltas from the previous
+//! load's or store's values, which turns the regular strides of these
+//! workloads into single-byte deltas. Store records then carry the
+//! access size (one byte: 1, 4 or 8; the decoder refuses any other as
+//! `store size N`) and the store data as a varint, so replay can commit
+//! real values and still validate checksums; config records carry a
+//! compact [`ConfigOp`] encoding.
+//!
+//! In memory a record is 32 bytes (asserted at compile time): a load
+//! holds its dependence distance, a store its value and size, and a
+//! config record boxes its rare, larger operation.
 //!
 //! ## Load→load dependence edges
 //!
-//! Load records additionally carry the record's *dependence
-//! distance*: how many captured load records back the load sits whose
-//! result feeds this load's address (0 = address independent of any
-//! in-flight load). `etpp_cpu::Core` tracks register producers through
-//! the ALU dataflow as it captures, so a pointer chase
-//! `p = p->next` records distance 1 per hop while streaming loops
-//! record none. Distances are zigzag-delta coded against the previous
-//! load's distance — chases encode as runs of zero bytes. Replay uses
-//! the edges to model pointer-chase serialisation instead of a fixed
-//! issue window (see [`mod@crate::replay`]).
+//! Load records end with the record's *dependence distance*: how many
+//! captured load records back the load sits whose result feeds this
+//! load's address (0 = address independent of any in-flight load).
+//! `etpp_cpu::Core` tracks register producers through the ALU dataflow
+//! as it captures, so a pointer chase `p = p->next` records distance 1
+//! per hop while streaming loops record none. Distances are
+//! zigzag-delta coded against the previous load's distance — chases
+//! encode as runs of zero bytes. Replay uses the edges to model
+//! pointer-chase serialisation instead of a fixed issue window (see
+//! [`mod@crate::replay`]).
 //!
 //! Readers accept exactly [`FORMAT_VERSION`]: a file whose header names
 //! any other version is refused by name (`unsupported trace version N`),
 //! which the capture cache treats like any other bad file — discard and
 //! recapture.
 
-use etpp_mem::{AccessKind, ConfigOp, FilterFlags, RangeId, TagId};
+use etpp_mem::{ConfigOp, FilterFlags, RangeId, TagId};
 
 /// The on-disk format version this build writes and reads.
 pub const FORMAT_VERSION: u16 = 2;
@@ -86,28 +92,36 @@ impl TraceMeta {
     }
 }
 
-/// One captured event.
+/// One captured event. Loads and stores are separate variants, as the
+/// on-disk format stores them (tags `0` and `1`), so a record is 32
+/// bytes: a load keeps 7 spare bytes, a store carries its payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceRecord {
-    /// A retired demand access.
-    Access {
+    /// A retired demand load.
+    Load {
         /// Retirement cycle in the capture run.
         cycle: u64,
         /// Static program counter.
         pc: u32,
         /// Virtual address accessed.
         vaddr: u64,
-        /// Load or store.
-        kind: AccessKind,
-        /// Store data (stores only; 0 for loads).
-        value: u64,
-        /// Access size in bytes (stores only; 0 for loads).
-        size: u8,
         /// Load→load dependence distance in captured-load ordinals:
         /// this load's address is fed by the load `dep` load records
-        /// earlier in the stream. 0 = no recorded producer (always 0
-        /// for stores).
+        /// earlier in the stream. 0 = no recorded producer.
         dep: u32,
+    },
+    /// A retired demand store.
+    Store {
+        /// Retirement cycle in the capture run.
+        cycle: u64,
+        /// Static program counter.
+        pc: u32,
+        /// Virtual address accessed.
+        vaddr: u64,
+        /// Store data.
+        value: u64,
+        /// Access size in bytes: 1, 4 or 8.
+        size: u8,
     },
     /// A retired prefetcher-configuration instruction.
     Config {
@@ -120,13 +134,15 @@ pub enum TraceRecord {
     },
 }
 
-const _: () = assert!(std::mem::size_of::<TraceRecord>() == 40);
+const _: () = assert!(std::mem::size_of::<TraceRecord>() == 32);
 
 impl TraceRecord {
     /// The record's capture-run cycle.
     pub fn cycle(&self) -> u64 {
         match self {
-            TraceRecord::Access { cycle, .. } | TraceRecord::Config { cycle, .. } => *cycle,
+            TraceRecord::Load { cycle, .. }
+            | TraceRecord::Store { cycle, .. }
+            | TraceRecord::Config { cycle, .. } => *cycle,
         }
     }
 }
@@ -145,7 +161,7 @@ impl CapturedTrace {
     pub fn access_count(&self) -> u64 {
         self.records
             .iter()
-            .filter(|r| matches!(r, TraceRecord::Access { .. }))
+            .filter(|r| !matches!(r, TraceRecord::Config { .. }))
             .count() as u64
     }
 }
@@ -268,35 +284,28 @@ impl Encoder {
     /// Appends the encoding of `r` to `out`.
     pub(crate) fn encode(&mut self, r: &TraceRecord, out: &mut Vec<u8>) {
         match r {
-            TraceRecord::Access {
+            TraceRecord::Load {
                 cycle,
                 pc,
                 vaddr,
-                kind,
-                value,
-                size,
                 dep,
             } => {
-                out.push(match kind {
-                    AccessKind::Load => TAG_LOAD,
-                    AccessKind::Store => TAG_STORE,
-                });
-                write_varint(out, cycle.wrapping_sub(self.prev_cycle));
-                write_varint(out, zigzag(*pc as i64 - self.prev_pc as i64));
-                write_varint(out, zigzag(vaddr.wrapping_sub(self.prev_vaddr) as i64));
-                match kind {
-                    AccessKind::Store => {
-                        out.push(*size);
-                        write_varint(out, *value);
-                    }
-                    AccessKind::Load => {
-                        write_varint(out, zigzag(*dep as i64 - self.prev_dep as i64));
-                        self.prev_dep = *dep;
-                    }
-                }
-                self.prev_cycle = *cycle;
-                self.prev_pc = *pc;
-                self.prev_vaddr = *vaddr;
+                out.push(TAG_LOAD);
+                self.encode_access(*cycle, *pc, *vaddr, out);
+                write_varint(out, zigzag(*dep as i64 - self.prev_dep as i64));
+                self.prev_dep = *dep;
+            }
+            TraceRecord::Store {
+                cycle,
+                pc,
+                vaddr,
+                value,
+                size,
+            } => {
+                out.push(TAG_STORE);
+                self.encode_access(*cycle, *pc, *vaddr, out);
+                out.push(*size);
+                write_varint(out, *value);
             }
             TraceRecord::Config { cycle, op } => {
                 out.push(TAG_CONFIG);
@@ -305,6 +314,16 @@ impl Encoder {
                 self.prev_cycle = *cycle;
             }
         }
+    }
+
+    /// The cycle, pc and vaddr deltas every load and store opens with.
+    fn encode_access(&mut self, cycle: u64, pc: u32, vaddr: u64, out: &mut Vec<u8>) {
+        write_varint(out, cycle.wrapping_sub(self.prev_cycle));
+        write_varint(out, zigzag(pc as i64 - self.prev_pc as i64));
+        write_varint(out, zigzag(vaddr.wrapping_sub(self.prev_vaddr) as i64));
+        self.prev_cycle = cycle;
+        self.prev_pc = pc;
+        self.prev_vaddr = vaddr;
     }
 }
 
@@ -376,27 +395,32 @@ impl Decoder {
                 // footer hash rejects the record stream afterwards).
                 let pc = (self.prev_pc as i64).wrapping_add(unzigzag(cur.varint()?)) as u32;
                 let vaddr = self.prev_vaddr.wrapping_add(unzigzag(cur.varint()?) as u64);
-                let (kind, value, size, dep) = if tag == TAG_STORE {
-                    let size = cur.u8()?;
-                    let value = cur.varint()?;
-                    (AccessKind::Store, value, size, 0)
-                } else {
-                    let dep = (self.prev_dep as i64).wrapping_add(unzigzag(cur.varint()?)) as u32;
-                    self.prev_dep = dep;
-                    (AccessKind::Load, 0, 0, dep)
-                };
                 self.prev_cycle = cycle;
                 self.prev_pc = pc;
                 self.prev_vaddr = vaddr;
-                Ok(TraceRecord::Access {
-                    cycle,
-                    pc,
-                    vaddr,
-                    kind,
-                    value,
-                    size,
-                    dep,
-                })
+                if tag == TAG_STORE {
+                    let size = cur.u8()?;
+                    if !matches!(size, 1 | 4 | 8) {
+                        return Err(FormatError(format!("store size {size}")));
+                    }
+                    let value = cur.varint()?;
+                    Ok(TraceRecord::Store {
+                        cycle,
+                        pc,
+                        vaddr,
+                        value,
+                        size,
+                    })
+                } else {
+                    let dep = (self.prev_dep as i64).wrapping_add(unzigzag(cur.varint()?)) as u32;
+                    self.prev_dep = dep;
+                    Ok(TraceRecord::Load {
+                        cycle,
+                        pc,
+                        vaddr,
+                        dep,
+                    })
+                }
             }
             TAG_CONFIG => {
                 let cycle = self.prev_cycle.wrapping_add(cur.varint()?);
@@ -568,13 +592,10 @@ mod tests {
         let mut out = Vec::new();
         for i in 0..1000u64 {
             enc.encode(
-                &TraceRecord::Access {
+                &TraceRecord::Load {
                     cycle: i * 3,
                     pc: 0x400,
                     vaddr: 0x10000 + i * 64,
-                    kind: AccessKind::Load,
-                    value: 0,
-                    size: 0,
                     dep: 0,
                 },
                 &mut out,
@@ -593,13 +614,10 @@ mod tests {
     fn pointer_chase_deps_encode_as_single_zero_bytes() {
         // A dep-distance-1 chain delta-encodes every dep after the first
         // edge as zigzag(0) = one zero byte: tag + four one-byte deltas.
-        let mk = |dep| TraceRecord::Access {
+        let mk = |dep| TraceRecord::Load {
             cycle: 0,
             pc: 0x40,
             vaddr: 0x1000,
-            kind: AccessKind::Load,
-            value: 0,
-            size: 0,
             dep,
         };
         let mut enc = Encoder::default();
@@ -653,22 +671,16 @@ mod tests {
 
     #[test]
     fn content_hash_is_order_sensitive() {
-        let a = TraceRecord::Access {
+        let a = TraceRecord::Load {
             cycle: 1,
             pc: 1,
             vaddr: 0x40,
-            kind: AccessKind::Load,
-            value: 0,
-            size: 0,
             dep: 0,
         };
-        let b = TraceRecord::Access {
+        let b = TraceRecord::Load {
             cycle: 2,
             pc: 2,
             vaddr: 0x80,
-            kind: AccessKind::Load,
-            value: 0,
-            size: 0,
             dep: 0,
         };
         assert_ne!(content_hash(&[a.clone(), b.clone()]), content_hash(&[b, a]));
@@ -676,13 +688,10 @@ mod tests {
 
     #[test]
     fn content_hash_covers_dependence_edges() {
-        let mk = |dep| TraceRecord::Access {
+        let mk = |dep| TraceRecord::Load {
             cycle: 3,
             pc: 9,
             vaddr: 0x140,
-            kind: AccessKind::Load,
-            value: 0,
-            size: 0,
             dep,
         };
         assert_ne!(content_hash(&[mk(0)]), content_hash(&[mk(5)]));

@@ -171,9 +171,11 @@ fn read_varint<R: Read>(src: &mut R) -> Result<u64, TraceIoError> {
 
 /// Streaming reader: parses the header eagerly, then iterates records.
 ///
-/// The reader slurps the remaining stream into memory in 64 KiB chunks as
-/// needed; records decode lazily from the buffer. (Traces compress to a
-/// few bytes per access, so even paper-scale captures fit comfortably.)
+/// The reader buffers the stream in 64 KiB chunks as records need them
+/// and decodes each record from that buffer on demand; consumed bytes are
+/// dropped once more than 1 MiB has been read past, so the buffer stays
+/// bounded however long the file is. A record that fails to decode is
+/// named by its ordinal (`record N: ...`).
 pub struct TraceReader<R: Read> {
     src: R,
     meta: TraceMeta,
@@ -343,7 +345,7 @@ impl<R: Read> Iterator for TraceReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use etpp_mem::{AccessKind, ConfigOp};
+    use etpp_mem::ConfigOp;
 
     fn sample_records() -> Vec<TraceRecord> {
         let mut v = Vec::new();
@@ -352,18 +354,22 @@ mod tests {
             op: Box::new(ConfigOp::SetGlobal { idx: 1, value: 42 }),
         });
         for i in 0..100u64 {
-            v.push(TraceRecord::Access {
-                cycle: 5 + i * 7,
-                pc: 0x40 + (i as u32 % 3) * 4,
-                vaddr: 0x1_0000 + i * 64,
-                kind: if i % 5 == 0 {
-                    AccessKind::Store
-                } else {
-                    AccessKind::Load
-                },
-                value: if i % 5 == 0 { i * 3 } else { 0 },
-                size: if i % 5 == 0 { 8 } else { 0 },
-                dep: if i % 5 == 0 { 0 } else { (i % 4) as u32 },
+            let (cycle, pc, vaddr) = (5 + i * 7, 0x40 + (i as u32 % 3) * 4, 0x1_0000 + i * 64);
+            v.push(if i % 5 == 0 {
+                TraceRecord::Store {
+                    cycle,
+                    pc,
+                    vaddr,
+                    value: i * 3,
+                    size: 8,
+                }
+            } else {
+                TraceRecord::Load {
+                    cycle,
+                    pc,
+                    vaddr,
+                    dep: (i % 4) as u32,
+                }
             });
         }
         v
@@ -467,6 +473,30 @@ mod tests {
         buf.truncate(buf.len() - 4);
         let res = TraceReader::new(buf.as_slice()).and_then(|r| r.read_to_end());
         assert!(res.is_err());
+    }
+
+    #[test]
+    fn store_of_unsupported_size_is_refused_by_record() {
+        // The writer encodes whatever size it is handed; the reader
+        // refuses any store size but 1, 4 and 8, naming the record.
+        let mut records = sample_records();
+        let TraceRecord::Store { size, .. } = &mut records[6] else {
+            panic!("sample record 6 is a store");
+        };
+        *size = 2;
+        let mut buf = Vec::new();
+        let mut w = TraceWriter::new(&mut buf, &TraceMeta::new("x", "tiny")).unwrap();
+        for r in &records {
+            w.record(r).unwrap();
+        }
+        w.finish().unwrap();
+        let err = TraceReader::new(buf.as_slice())
+            .and_then(|r| r.read_to_end())
+            .expect_err("a 2-byte store must not decode");
+        assert_eq!(
+            err.to_string(),
+            "trace format error: record 6: store size 2"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! stream. This crate removes that redundancy, ChampSim-style:
 //!
 //! * [`mod@format`] — a compact, versioned, delta-encoded binary record format
-//!   for retired demand accesses (PC, vaddr, kind, cycle, store data) and
+//!   for retired demand loads and stores (PC, vaddr, cycle, store data) and
 //!   prefetcher-configuration operations, with load→load dependence
 //!   edges, workload metadata and the capture run's cycle count;
 //! * [`io`] — a streaming [`TraceWriter`]/[`TraceReader`] pair over any
@@ -33,15 +33,13 @@
 //!
 //! ```
 //! use etpp_trace::{CapturedTrace, ReplayParams, TraceMeta, TraceReader, TraceRecord, TraceWriter};
-//! use etpp_mem::{AccessKind, MemParams, MemoryImage, NullEngine};
+//! use etpp_mem::{MemParams, MemoryImage, NullEngine};
 //!
-//! // Two retired loads as the core captures them (a load record carries
-//! // no store payload), round-tripped through the binary format...
+//! // Two retired loads as the core captures them, round-tripped through
+//! // the binary format...
 //! let mut image = MemoryImage::new();
 //! let base = image.alloc(4096, 64);
-//! let load = |cycle, pc, vaddr, dep| TraceRecord::Access {
-//!     cycle, pc, vaddr, kind: AccessKind::Load, value: 0, size: 0, dep,
-//! };
+//! let load = |cycle, pc, vaddr, dep| TraceRecord::Load { cycle, pc, vaddr, dep };
 //! let trace = CapturedTrace {
 //!     meta: TraceMeta::new("demo", "tiny"),
 //!     records: vec![load(10, 0x400, base, 0), load(14, 0x404, base + 64, 1)], // fed by the first load

@@ -209,7 +209,7 @@ pub fn replay_cancellable(
     // `inflight_ord` maps an in-flight access id back to its ordinal.
     let track_deps = records
         .iter()
-        .any(|r| matches!(r, TraceRecord::Access { dep, .. } if *dep > 0));
+        .any(|r| matches!(r, TraceRecord::Load { dep, .. } if *dep > 0));
     let mut load_done_at = vec![0u64; if track_deps { DEP_RING } else { 0 }];
     let mut issued_loads: u64 = 0;
     let mut inflight_ord: etpp_mem::FastHashMap<u64, u64> = etpp_mem::FastHashMap::default();
@@ -263,99 +263,80 @@ pub fn replay_cancellable(
                     configs += 1;
                     i += 1;
                 }
-                TraceRecord::Access {
-                    pc,
-                    vaddr,
-                    kind,
-                    value,
-                    size,
-                    dep,
-                    ..
+                TraceRecord::Store {
+                    vaddr, value, size, ..
                 } => {
-                    if now < next_issue_at {
+                    if now < next_issue_at || store_q.len() >= STORE_BUFFER {
                         break;
                     }
-                    match kind {
-                        AccessKind::Store => {
-                            if store_q.len() >= STORE_BUFFER {
+                    // Eager path: a store whose line is present (or absent
+                    // but not being fetched) drains inline; only stores
+                    // racing an in-flight fill queue up, so the buffer is
+                    // empty most of the time and idle fast-forwarding
+                    // stays effective.
+                    if store_q.is_empty() && !mem.line_in_flight(*vaddr) {
+                        match mem.try_access(now, *vaddr, AccessKind::Store, 0) {
+                            Ok(id) => {
+                                stores_in_mem.insert(id.0);
+                            }
+                            Err(Rejection::Fault) => {
+                                panic!("replay: store to unmapped address {vaddr:#x}")
+                            }
+                            Err(_) => {
+                                structural_stall = true;
                                 break;
                             }
-                            // Eager path: a store whose line is present (or
-                            // absent but not being fetched) drains inline;
-                            // only stores racing an in-flight fill queue up,
-                            // so the buffer is empty most of the time and
-                            // idle fast-forwarding stays effective.
-                            if store_q.is_empty() && !mem.line_in_flight(*vaddr) {
-                                match mem.try_access(now, *vaddr, AccessKind::Store, 0) {
-                                    Ok(id) => {
-                                        stores_in_mem.insert(id.0);
-                                    }
-                                    Err(Rejection::Fault) => {
-                                        panic!("replay: store to unmapped address {vaddr:#x}")
-                                    }
-                                    Err(_) => {
-                                        structural_stall = true;
-                                        break;
-                                    }
-                                }
-                            } else {
-                                store_q.push_back(*vaddr);
-                            }
-                            mem.commit_store_data(*vaddr, *value, *size);
+                        }
+                    } else {
+                        store_q.push_back(*vaddr);
+                    }
+                    mem.commit_store_data(*vaddr, *value, *size);
+                    accesses += 1;
+                    next_issue_at = now + ISSUE_GAP;
+                    i += 1;
+                }
+                TraceRecord::Load { pc, vaddr, dep, .. } => {
+                    if now < next_issue_at || inflight >= params.window {
+                        break;
+                    }
+                    // Dependence gate: the recorded address producer's fill
+                    // must have completed, as the real core cannot compute
+                    // this address before its feeding load returns. The
+                    // wake is that producer's completion, on which
+                    // `advance_to` hands control back.
+                    let producer_done_at = if track_deps {
+                        match dep_completed_at(&load_done_at, &inflight_ord, issued_loads, *dep) {
+                            Some(at) => at,
+                            None => break,
+                        }
+                    } else {
+                        0
+                    };
+                    match mem.try_access(now, *vaddr, AccessKind::Load, *pc) {
+                        Ok(id) => {
+                            inflight += 1;
                             accesses += 1;
+                            if track_deps {
+                                // Issued the very cycle the producer's fill
+                                // returned: the dependence edge, not the
+                                // window, gated this issue.
+                                if *dep > 0 && producer_done_at == now {
+                                    dep_stalls += 1;
+                                }
+                                issued_loads += 1;
+                                load_done_at[(issued_loads as usize) & (DEP_RING - 1)] =
+                                    DEP_INFLIGHT;
+                                inflight_ord.insert(id.0, issued_loads);
+                            }
                             next_issue_at = now + ISSUE_GAP;
                             i += 1;
                         }
-                        AccessKind::Load => {
-                            if inflight >= params.window {
-                                break;
-                            }
-                            // Dependence gate: the recorded address
-                            // producer's fill must have completed, as
-                            // the real core cannot compute this address
-                            // before its feeding load returns. The wake
-                            // is that producer's completion, on which
-                            // `advance_to` hands control back.
-                            let producer_done_at = if track_deps {
-                                match dep_completed_at(
-                                    &load_done_at,
-                                    &inflight_ord,
-                                    issued_loads,
-                                    *dep,
-                                ) {
-                                    Some(at) => at,
-                                    None => break,
-                                }
-                            } else {
-                                0
-                            };
-                            match mem.try_access(now, *vaddr, AccessKind::Load, *pc) {
-                                Ok(id) => {
-                                    inflight += 1;
-                                    accesses += 1;
-                                    if track_deps {
-                                        // Issued the very cycle the producer's
-                                        // fill returned: the dependence edge,
-                                        // not the window, gated this issue.
-                                        if *dep > 0 && producer_done_at == now {
-                                            dep_stalls += 1;
-                                        }
-                                        issued_loads += 1;
-                                        load_done_at[(issued_loads as usize) & (DEP_RING - 1)] =
-                                            DEP_INFLIGHT;
-                                        inflight_ord.insert(id.0, issued_loads);
-                                    }
-                                    next_issue_at = now + ISSUE_GAP;
-                                    i += 1;
-                                }
-                                Err(Rejection::Fault) => {
-                                    panic!("replay: access to unmapped address {vaddr:#x}")
-                                }
-                                Err(_) => {
-                                    structural_stall = true;
-                                    break;
-                                }
-                            }
+                        Err(Rejection::Fault) => {
+                            panic!("replay: access to unmapped address {vaddr:#x}")
+                        }
+                        Err(_) => {
+                            structural_stall = true;
+                            break;
                         }
                     }
                 }
@@ -392,20 +373,18 @@ pub fn replay_cancellable(
                 // `advance_to` stops.
                 let can_issue = match &records[i] {
                     TraceRecord::Config { .. } => true,
-                    TraceRecord::Access { kind, dep, .. } => match kind {
-                        AccessKind::Load => {
-                            inflight < params.window
-                                && (!track_deps
-                                    || dep_completed_at(
-                                        &load_done_at,
-                                        &inflight_ord,
-                                        issued_loads,
-                                        *dep,
-                                    )
-                                    .is_some())
-                        }
-                        AccessKind::Store => store_q.len() < STORE_BUFFER,
-                    },
+                    TraceRecord::Load { dep, .. } => {
+                        inflight < params.window
+                            && (!track_deps
+                                || dep_completed_at(
+                                    &load_done_at,
+                                    &inflight_ord,
+                                    issued_loads,
+                                    *dep,
+                                )
+                                .is_some())
+                    }
+                    TraceRecord::Store { .. } => store_q.len() < STORE_BUFFER,
                 };
                 if can_issue {
                     front_at = front_at.min(next_issue_at);
@@ -479,13 +458,10 @@ mod tests {
 
     fn mk_dep_records(n: u64, stride: u64, base: u64, dep: u32) -> Vec<TraceRecord> {
         (0..n)
-            .map(|i| TraceRecord::Access {
+            .map(|i| TraceRecord::Load {
                 cycle: i,
                 pc: 0x40,
                 vaddr: base + i * stride,
-                kind: AccessKind::Load,
-                value: 0,
-                size: 0,
                 dep: if i == 0 { 0 } else { dep },
             })
             .collect()
@@ -527,14 +503,12 @@ mod tests {
     #[test]
     fn stores_commit_their_data() {
         let (image, base) = image_with(4096);
-        let recs = vec![TraceRecord::Access {
+        let recs = vec![TraceRecord::Store {
             cycle: 0,
             pc: 4,
             vaddr: base + 128,
-            kind: AccessKind::Store,
             value: 0xdead_beef,
             size: 8,
-            dep: 0,
         }];
         let mut engine = NullEngine;
         let r = replay(
@@ -654,13 +628,10 @@ mod tests {
         let (image, base) = image_with(1 << 22);
         let mut recs = Vec::new();
         for i in 0..200u64 {
-            recs.push(TraceRecord::Access {
+            recs.push(TraceRecord::Load {
                 cycle: i,
                 pc: 0x40,
                 vaddr: base + (i * 2657) % (1 << 21),
-                kind: AccessKind::Load,
-                value: 0,
-                size: 0,
                 dep: match i % 5 {
                     0 => 0,
                     1 => 1,
@@ -669,14 +640,12 @@ mod tests {
                 },
             });
             if i % 7 == 0 {
-                recs.push(TraceRecord::Access {
+                recs.push(TraceRecord::Store {
                     cycle: i,
                     pc: 0x44,
                     vaddr: base + (i * 389) % (1 << 21),
-                    kind: AccessKind::Store,
                     value: i,
                     size: 8,
-                    dep: 0,
                 });
             }
         }

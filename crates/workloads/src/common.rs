@@ -14,12 +14,13 @@
 //! Only the paper's Software bars and its §7.1 instruction-overhead table
 //! read the software-prefetch variant, so a builder hands over a generator
 //! for it instead of the trace, and [`BuiltWorkload::sw_trace`] runs it
-//! once, on first use, from the pristine image.
+//! from the pristine image for each caller, who owns the trace and drops
+//! it when done: a built workload never holds a software trace.
 
 use etpp_cpu::Trace;
 use etpp_isa::Program;
 use etpp_mem::{ConfigOp, MemoryImage, Region};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Input scale for a workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,31 +74,24 @@ pub struct PrefetchSetup {
 /// Builds a software-prefetch trace from a workload's pristine image.
 type TraceGen = dyn Fn(&MemoryImage) -> Trace + Send + Sync;
 
-/// A workload's software-prefetch trace: absent, or built once from its
-/// generator the first time [`BuiltWorkload::sw_trace`] asks.
+/// A workload's software-prefetch trace: absent, or the generator that
+/// builds it whenever [`BuiltWorkload::sw_trace`] asks.
 #[derive(Clone, Default)]
-pub(crate) struct SoftwareTrace {
-    generate: Option<Arc<TraceGen>>,
-    pub(crate) built: OnceLock<Trace>,
-}
+pub(crate) struct SoftwareTrace(Option<Arc<TraceGen>>);
 
 impl SoftwareTrace {
-    /// A variant `generate` builds on first use.
+    /// A variant `generate` builds on each use.
     pub(crate) fn generated_by(
         generate: impl Fn(&MemoryImage) -> Trace + Send + Sync + 'static,
     ) -> Self {
-        SoftwareTrace {
-            generate: Some(Arc::new(generate)),
-            built: OnceLock::new(),
-        }
+        SoftwareTrace(Some(Arc::new(generate)))
     }
 }
 
 impl std::fmt::Debug for SoftwareTrace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SoftwareTrace")
-            .field("available", &self.generate.is_some())
-            .field("built", &self.built.get().map(Trace::len))
+            .field("available", &self.0.is_some())
             .finish()
     }
 }
@@ -111,7 +105,7 @@ pub struct BuiltWorkload {
     pub image: MemoryImage,
     /// Plain trace (no software prefetches).
     pub trace: Trace,
-    /// Software-prefetch variant, built on first use (see
+    /// Software-prefetch variant's generator (see
     /// [`BuiltWorkload::sw_trace`]).
     pub(crate) software: SoftwareTrace,
     /// Hand-written prefetch program (the paper's `Manual` bars).
@@ -130,12 +124,15 @@ pub struct BuiltWorkload {
 
 impl BuiltWorkload {
     /// The software-prefetch variant; `None` where the paper notes it is
-    /// not possible (PageRank's iterator-hidden addresses). The first
-    /// call builds it from [`BuiltWorkload::image`]; concurrent callers
-    /// wait for that one build and share it.
-    pub fn sw_trace(&self) -> Option<&Trace> {
-        let generate = self.software.generate.as_ref()?;
-        Some(self.software.built.get_or_init(|| generate(&self.image)))
+    /// not possible (PageRank's iterator-hidden addresses). Each call
+    /// generates it afresh from [`BuiltWorkload::image`] (the same trace
+    /// every time) and hands it to the caller, so it lives only as long
+    /// as the cell or table that asked for it.
+    pub fn sw_trace(&self) -> Option<Trace> {
+        self.software
+            .0
+            .as_ref()
+            .map(|generate| generate(&self.image))
     }
 }
 

@@ -13,9 +13,11 @@
 //! The byte budget covers what a built workload holds: its micro-op
 //! traces, 16 bytes per op, dominate a process's peak heap. A run with no Software cell
 //! must never materialise the software-prefetch trace; building the three
-//! software traces eagerly pushes the peak past the budget. A capture
-//! adds exactly one copy of its records: the core retires straight into
-//! them, and its dependence tracking is bounded by the window.
+//! software traces eagerly pushes the peak past the budget (a Software
+//! cell generates its trace for itself and drops it when it ends). A
+//! capture adds exactly one copy of its records, 32 bytes each: the core
+//! retires straight into them, and its dependence tracking is bounded by
+//! the window.
 
 use etpp::sim::{run, run_captured, PrefetchMode, SystemConfig};
 use etpp::trace::TraceRecord;
@@ -155,10 +157,12 @@ fn a_capture_holds_one_copy_of_its_records() {
     let (r, t) = run_captured(&cfg, PrefetchMode::None, &wl, "tiny").unwrap();
     assert!(r.validated);
     let peak = PEAK.with(Cell::get) - base;
-    // One 40-byte record per captured access and nothing per op. A
-    // capture holding a second 48-byte copy of the stream (reserved per
-    // op) plus two trace-length `u32` arrays peaks 10.4 MiB over the
-    // built workload and fails here.
+    // One 32-byte record per captured access and nothing per op: the
+    // peak is 5.00 MiB (5.34 MiB with 40-byte records, whose loads
+    // carried an unused store value and size). A capture holding a
+    // second 48-byte copy of the stream (reserved per op) plus two
+    // trace-length `u32` arrays peaks 10.4 MiB over the built workload
+    // and fails here.
     assert_eq!(t.records.len(), 43_653);
     let records = 43_653 * std::mem::size_of::<TraceRecord>() as u64;
     let budget = built + records + RUN_ALLOWANCE;
@@ -175,4 +179,22 @@ fn a_capture_holds_one_copy_of_its_records() {
         peak <= budget,
         "capture peak live heap {peak} B exceeds the {budget} B budget"
     );
+}
+
+#[test]
+fn a_software_cell_frees_its_trace_when_it_ends() {
+    let cfg = SystemConfig::paper();
+    let wl = workload_by_name("IntSort").unwrap().build(Scale::Tiny);
+    let base = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(base));
+    assert!(run(&cfg, PrefetchMode::Software, &wl).unwrap().validated);
+    let peak = PEAK.with(Cell::get) - base;
+    let held = LIVE.with(Cell::get).saturating_sub(base);
+    let trace = wl.sw_trace().unwrap().bytes() as u64;
+    println!("software cell peak {peak} B over the built workload, {held} B held after it, trace {trace} B");
+    // The cell generated its own software trace, and nothing keeps it
+    // once the cell is done: a workload that memoised the trace would
+    // still hold its 2.9 MiB here.
+    assert!(peak >= trace, "the cell ran without its {trace} B trace");
+    assert!(held < 64 << 10, "{held} B outlived the Software cell");
 }

@@ -6,8 +6,8 @@ use etpp::mem::cache::{Eviction, LookupResult};
 use etpp::mem::mshr::Waiter;
 use etpp::mem::tlb::Translation;
 use etpp::mem::{
-    AccessKind, Cache, CacheParams, CacheStats, MemParams, MemoryImage, MemorySystem, MshrFile,
-    MshrId, NullEngine, TlbHierarchy, TlbParams, TlbStats,
+    Cache, CacheParams, CacheStats, MemParams, MemoryImage, MemorySystem, MshrFile, MshrId,
+    NullEngine, TlbHierarchy, TlbParams, TlbStats,
 };
 use etpp::trace::{content_hash, TraceMeta, TraceReader, TraceRecord, TraceWriter};
 use proptest::prelude::*;
@@ -522,23 +522,18 @@ fn materialise_v2(raw: Vec<RawV2>) -> Vec<TraceRecord> {
     for ((dcycle, pc, vaddr), (sel, value, dep)) in raw {
         cycle += dcycle;
         out.push(if sel % 4 == 0 {
-            TraceRecord::Access {
+            TraceRecord::Store {
                 cycle,
                 pc,
                 vaddr,
-                kind: AccessKind::Store,
                 value,
                 size: [1u8, 4, 8][sel as usize % 3],
-                dep: 0,
             }
         } else {
-            TraceRecord::Access {
+            TraceRecord::Load {
                 cycle,
                 pc,
                 vaddr,
-                kind: AccessKind::Load,
-                value: 0,
-                size: 0,
                 dep,
             }
         });
