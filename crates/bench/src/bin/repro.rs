@@ -37,7 +37,9 @@
 //! `target/sweep-cache`) so warm re-runs are near-free. `--shard K/N`
 //! runs only jobs `i ≡ K (mod N)`. Each shard leaves one file,
 //! `--sweep-dir`/shard-K-of-N.jsonl (default `target/sweeps`): a
-//! sealed, fsync'd log with one row per finished job; a full `--sweep`
+//! sealed log with one row per finished job, fsync'd when the job
+//! simulated; the result cache is one log too,
+//! `--cache-dir`/cells-s4.jsonl, read once per run. A full `--sweep`
 //! (no `--shard`) also prints the merged tables, read back from its
 //! own log. `--sweep-merge DIR` parses every `shard-*.jsonl` in DIR,
 //! verifies exact job coverage, and prints tables that are
@@ -53,8 +55,8 @@
 //! log after a crash or SIGTERM, skipping the jobs it already holds.
 //! `--fault-inject PLAN` injects deterministic faults for testing —
 //! `panic=J@K` (cell J panics on its first K attempts), `bpanic=W@K`
-//! (workload W's baseline), `tear=J@B` (cell J's cache write torn at B
-//! bytes), `trace=W@OFF` (flip a byte of workload W's trace file),
+//! (workload W's baseline), `tear=J@B` (cell J's cache-log append torn
+//! at B bytes), `trace=W@OFF` (flip a byte of workload W's trace file),
 //! `hang=J@P` (cell J spins until its deadline expires, polling every
 //! P ms), `slow=J@D` (cell J sleeps D ms before running), `kill=C`
 //! (simulate a crash after C cells), joined by `;`. A directive naming

@@ -22,19 +22,21 @@
 //! RNG state) so `tests/fault_injection.rs` can assert bit-exact
 //! convergence between a faulted-and-recovered run and a clean one.
 //!
-//! The [`Journal`] is the checkpoint–resume half: an append-only,
-//! fsync-per-entry file of sealed lines ([`crate::rows::seal`]:
-//! `payload|fnv16hex`), so a crash mid-write leaves at worst one torn
-//! tail line that resume detects and truncates. A sweep shard's
-//! journal is its shard log, the one file `--sweep-merge` reads.
+//! The [`Journal`] is the checkpoint–resume half: an append-only file
+//! of sealed lines ([`crate::rows::seal`]: `payload|fnv16hex`), so a
+//! crash mid-write leaves at worst one torn line, which readers detect
+//! and the next append steps past. A sweep shard's journal is its shard
+//! log, the one file `--sweep-merge` reads; a `--cache-dir`'s is its
+//! result-cache log, shared by every shard over that directory.
 
 use crate::rows::{seal, unseal, Row, RowWriter};
 use etpp_cpu::LivelockAbort;
 use etpp_mem::{Cancelled, Deadline};
 use std::any::Any;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{self, BufWriter, Seek, SeekFrom, Write as _};
+use std::io::{self, BufWriter, Read as _, Seek, SeekFrom, Write as _};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
@@ -274,10 +276,11 @@ pub fn run_isolated<R>(
 ///   else is quarantined);
 /// * `bpanic=W@K` — the *baseline* of workload index `W` panics the
 ///   same way;
-/// * `tear=J@B` — the result-cache write of job `J` is torn
-///   (truncated) at `B` bytes, leaving a corrupt entry for the next
-///   reader to evict (a job that hits the cache writes nothing, so
-///   nothing tears: name a job that simulates);
+/// * `tear=J@B` — the result-cache append of job `J` is torn
+///   (truncated) at `B` bytes, leaving a broken line in the cache log:
+///   it serves nothing, and the next run to read the log evicts it (a
+///   job that hits the cache writes nothing, so nothing tears: name a
+///   job that simulates);
 /// * `trace=W@OFF` — one byte of workload `W`'s trace file is flipped
 ///   (XOR `0x55`) at offset `OFF mod len` before the sweep loads it;
 /// * `hang=J@P` — cell `J` spins until its deadline expires
@@ -348,7 +351,7 @@ impl FaultPlan {
         }
     }
 
-    /// Byte length to tear job `job`'s cache write at, if any.
+    /// Byte length to tear job `job`'s cache append at, if any.
     pub fn tear_at(&self, job: usize) -> Option<u64> {
         self.tear_writes.get(&job).copied()
     }
@@ -591,8 +594,8 @@ impl FailureRecord {
 /// large file is never held whole; on any error the temp file is
 /// removed and `path` is left as it was. The temp name is unique per
 /// *writer* — pid plus a process-wide counter — because two workers of
-/// one process may publish the same path (two sweep jobs sharing a
-/// result-cache key, or two captures of one trace); a per-process name
+/// one process may publish the same path (two sweeps repairing one
+/// result-cache log, or two captures of one trace); a per-process name
 /// would let one's rename publish the other's half-written bytes.
 pub(crate) fn publish(
     path: &Path,
@@ -620,26 +623,49 @@ pub(crate) fn publish(
 }
 
 // ---------------------------------------------------------------------------
-// Shard log (checkpoint–resume)
+// Append-only logs: the shard log and the result-cache log
 // ---------------------------------------------------------------------------
 
-/// The append-only, fsync'd log a sweep shard writes — its shard file —
-/// so `--resume` can skip completed cells after a crash.
+/// An append-only file of [`seal`]ed lines. One type serves both logs of
+/// the sweep farm: a shard's log ([`Journal::create`] /
+/// [`Journal::resume`]), which `--resume` continues after a crash, and
+/// the result-cache log of a `--cache-dir` (`Journal::open_shared`,
+/// used by the sweep farm's result cache), which every shard over that
+/// directory reads once and appends to, and which the run that finds a
+/// corrupt line in it rewrites without that line.
 ///
-/// Every line is one [`seal`]ed payload, fsync'd per append. Line 0
-/// is a header describing the
-/// sweep identity (sweep, scale, shard, trace hashes); [`Journal::resume`]
+/// Each append is one `write` of one sealed line, synced or not as the
+/// caller chooses ([`Journal::append`]); [`Journal::sync`] makes every
+/// earlier append durable. A torn tail (a crash mid-write, or an
+/// injected tear) is detected by its missing newline or bad hash, and an
+/// append after one starts on a fresh line, so a torn line never
+/// swallows the row after it.
+///
+/// A shard log has one writer. Line 0 is a header describing the sweep
+/// identity (sweep, scale, shard, trace hashes); [`Journal::resume`]
 /// discards the whole file if the header does not match — a journal
-/// from a different sweep must never donate progress. A torn tail
-/// (crash mid-write) is detected by the missing newline / bad hash and
-/// truncated away; everything before it is trusted.
+/// from a different sweep must never donate progress — and truncates a
+/// torn tail away; everything before it is trusted.
+///
+/// A shared log may have several writers at once, so it is never
+/// truncated: each append reopens the file by path in append mode (a
+/// log another writer has just rewritten is appended to, not the file
+/// it replaced) and checks the file's real last byte before writing. A
+/// writer that opened the log just before a rewrite's rename and
+/// appends just after its carry-over loses that row; in a result cache
+/// that costs one re-execution.
 pub struct Journal {
     file: fs::File,
+    /// The path of a shared log, reopened for each append.
+    shared: Option<PathBuf>,
+    /// The last byte written (as far as this writer knows) is not a
+    /// newline.
+    tail_open: bool,
 }
 
 impl Journal {
     /// Starts a fresh journal at `path` (truncating any previous one)
-    /// with `header` as line 0.
+    /// with `header` as line 0, synced.
     ///
     /// # Errors
     /// I/O failure creating the directory or file.
@@ -648,8 +674,12 @@ impl Journal {
             fs::create_dir_all(dir)?;
         }
         let file = fs::File::create(path)?;
-        let mut j = Journal { file };
-        j.append(header)?;
+        let mut j = Journal {
+            file,
+            shared: None,
+            tail_open: false,
+        };
+        j.append(header, true)?;
         Ok(j)
     }
 
@@ -688,16 +718,128 @@ impl Journal {
         let mut file = fs::OpenOptions::new().write(true).open(path)?;
         file.set_len(valid_len as u64)?;
         file.seek(SeekFrom::End(0))?;
-        Ok((Journal { file }, entries))
+        let j = Journal {
+            file,
+            shared: None,
+            tail_open: false,
+        };
+        Ok((j, entries))
     }
 
-    /// Appends one entry (must not contain a newline) and fsyncs.
+    /// Opens the shared log at `path` (creating it and its directory)
+    /// and returns it with every byte it held; nothing is truncated or
+    /// validated — what a line means is the caller's to judge.
+    ///
+    /// # Errors
+    /// I/O failure creating or reading the file.
+    pub(crate) fn open_shared(path: &Path) -> io::Result<(Journal, Vec<u8>)> {
+        if let Some(dir) = path.parent() {
+            fs::create_dir_all(dir)?;
+        }
+        let mut file = Journal::open_for_append(path)?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        let j = Journal {
+            file,
+            shared: Some(path.to_path_buf()),
+            tail_open: false,
+        };
+        Ok((j, bytes))
+    }
+
+    fn open_for_append(path: &Path) -> io::Result<fs::File> {
+        fs::OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(path)
+    }
+
+    /// Appends one entry (must not contain a newline) as one sealed
+    /// line, fsync'd when `sync` is set.
     ///
     /// # Errors
     /// I/O failure writing or syncing.
-    pub fn append(&mut self, payload: &str) -> io::Result<()> {
-        self.file.write_all(seal(payload).as_bytes())?;
+    pub fn append(&mut self, payload: &str, sync: bool) -> io::Result<()> {
+        self.write_line(seal(payload).as_bytes(), sync)
+    }
+
+    /// Fault injection: appends only the first `at` bytes of `payload`'s
+    /// sealed line, as a crash mid-write would leave it. Returns whether
+    /// the whole line was written after all (`at` reached its end).
+    ///
+    /// # Errors
+    /// I/O failure writing.
+    pub(crate) fn append_torn(&mut self, payload: &str, at: u64) -> io::Result<bool> {
+        let line = seal(payload);
+        let cut = usize::try_from(at).map_or(line.len(), |at| at.min(line.len()));
+        self.write_line(&line.as_bytes()[..cut], false)?;
+        Ok(cut == line.len())
+    }
+
+    /// Rewrites a shared log, through [`publish`], as the lines of
+    /// `read` — the bytes [`Journal::open_shared`] returned — that `keep`
+    /// accepts. Whatever other writers appended after that read went to
+    /// the file the rename replaces; it is carried over to the new one,
+    /// so the rewrite drops no byte this writer did not read.
+    ///
+    /// # Errors
+    /// I/O failure writing, renaming or reading; on a failed rename the
+    /// log is left as it was.
+    pub(crate) fn rewrite(&mut self, read: &[u8], keep: impl Fn(&[u8]) -> bool) -> io::Result<()> {
+        let path = self.shared.clone().expect("only a shared log is rewritten");
+        publish(&path, |out| {
+            (read.split_inclusive(|&b| b == b'\n'))
+                .filter(|line| keep(line))
+                .try_for_each(|line| out.write_all(line))
+        })?;
+        let mut late = Vec::new();
+        self.file.read_to_end(&mut late)?;
+        // After a read that ended in a torn line, the next append began
+        // with the newline that closed it; that line is gone now.
+        let late = match read.last() {
+            Some(&b) if b != b'\n' => late.strip_prefix(b"\n").unwrap_or(&late),
+            _ => &late,
+        };
+        if late.is_empty() {
+            Ok(())
+        } else {
+            self.write_line(late, false)
+        }
+    }
+
+    /// Makes every earlier append durable.
+    ///
+    /// # Errors
+    /// I/O failure syncing.
+    pub fn sync(&self) -> io::Result<()> {
         self.file.sync_data()
+    }
+
+    /// Writes `line` in one `write`, after a newline if the file's tail
+    /// is open.
+    fn write_line(&mut self, line: &[u8], sync: bool) -> io::Result<()> {
+        if let Some(path) = &self.shared {
+            self.file = Journal::open_for_append(path)?;
+            self.tail_open = self.file.seek(SeekFrom::End(-1)).is_ok() && {
+                let mut last = [0u8];
+                self.file.read_exact(&mut last)?;
+                last[0] != b'\n'
+            };
+        }
+        let bytes: Cow<'_, [u8]> = if self.tail_open {
+            [b"\n".as_slice(), line].concat().into()
+        } else {
+            line.into()
+        };
+        self.file.write_all(&bytes)?;
+        if let Some(&last) = bytes.last() {
+            self.tail_open = last != b'\n';
+        }
+        if sync {
+            self.file.sync_data()?;
+        }
+        Ok(())
     }
 }
 
@@ -934,8 +1076,8 @@ mod tests {
         let path = dir.join("j.jsonl");
         {
             let mut j = Journal::create(&path, "HDR").unwrap();
-            j.append("one").unwrap();
-            j.append("two").unwrap();
+            j.append("one", true).unwrap();
+            j.append("two", true).unwrap();
         }
         // Simulate a crash mid-append: a tail without newline/hash.
         let mut bytes = fs::read(&path).unwrap();
@@ -944,7 +1086,7 @@ mod tests {
 
         let (mut j, entries) = Journal::resume(&path, "HDR").unwrap();
         assert_eq!(entries, vec!["one".to_string(), "two".to_string()]);
-        j.append("three").unwrap();
+        j.append("three", true).unwrap();
         drop(j);
         let (_, entries) = Journal::resume(&path, "HDR").unwrap();
         assert_eq!(entries, vec!["one", "two", "three"]);
@@ -959,7 +1101,7 @@ mod tests {
             fs::write(&path, &bytes).unwrap();
             let (mut j, entries) = Journal::resume(&path, "HDR").unwrap();
             assert_eq!(entries, vec!["one"], "flip {flip:#x}");
-            j.append("again").unwrap();
+            j.append("again", true).unwrap();
             drop(j);
             let (_, entries) = Journal::resume(&path, "HDR").unwrap();
             assert_eq!(entries, vec!["one", "again"], "truncated, then appended");
@@ -968,6 +1110,71 @@ mod tests {
         // A different header discards everything.
         let (_, entries) = Journal::resume(&path, "OTHER").unwrap();
         assert!(entries.is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_append_after_a_torn_tail_starts_a_fresh_line() {
+        let dir = std::env::temp_dir().join(format!("etpp-shared-log-test-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let path = dir.join("log.jsonl");
+        let lines = || -> Vec<Option<String>> {
+            let (_, bytes) = Journal::open_shared(&path).unwrap();
+            (bytes.split_inclusive(|&b| b == b'\n'))
+                .map(|l| {
+                    std::str::from_utf8(l)
+                        .ok()
+                        .and_then(unseal)
+                        .map(String::from)
+                })
+                .collect()
+        };
+        let (mut a, bytes) = Journal::open_shared(&path).unwrap();
+        assert!(bytes.is_empty(), "a missing log opens empty");
+        a.append("one", false).unwrap();
+        assert!(!a.append_torn("two", 4).unwrap());
+        assert_eq!(lines(), [Some("one".into()), None]);
+        a.append("three", false).unwrap();
+        assert_eq!(lines(), [Some("one".into()), None, Some("three".into())]);
+
+        // A writer that opened the log before another one tore it still
+        // steps past the torn line: it checks the file, not its memory.
+        let (mut b, _) = Journal::open_shared(&path).unwrap();
+        assert!(!a.append_torn("four", 3).unwrap());
+        b.append("five", true).unwrap();
+        // A tear at or past the end writes the whole line.
+        assert!(b.append_torn("six", 1 << 40).unwrap());
+        assert_eq!(
+            lines(),
+            [
+                Some("one".into()),
+                None,
+                Some("three".into()),
+                None,
+                Some("five".into()),
+                Some("six".into())
+            ]
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_rewrite_keeps_the_rows_appended_after_its_read() {
+        let dir = std::env::temp_dir().join(format!("etpp-rewrite-test-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let path = dir.join("log.jsonl");
+        let (mut a, _) = Journal::open_shared(&path).unwrap();
+        a.append("one", false).unwrap();
+        a.append_torn("two", 3).unwrap();
+        let (mut reader, read) = Journal::open_shared(&path).unwrap();
+        // Appended after the reader's read, before its rewrite.
+        a.append("three", false).unwrap();
+        let whole = |l: &[u8]| std::str::from_utf8(l).ok().and_then(unseal).is_some();
+        reader.rewrite(&read, whole).unwrap();
+        a.append("four", false).unwrap();
+        let (_, bytes) = Journal::open_shared(&path).unwrap();
+        let text = String::from_utf8(bytes).unwrap();
+        assert_eq!(text, [seal("one"), seal("three"), seal("four")].concat());
         let _ = fs::remove_dir_all(&dir);
     }
 

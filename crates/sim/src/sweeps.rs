@@ -20,10 +20,11 @@
 //!   disagreement signal replay can produce without a reference run.
 //!
 //! Every cell is memoized in a **content-hash result cache** on disk,
-//! keyed by `(trace content hash, canonical config hash, schema
-//! version)` — see [`cell_config_hash`] — so warm re-runs are
-//! near-free and a workload regeneration or config change invalidates
-//! exactly the affected cells.
+//! keyed by `(trace content hash, canonical config hash)` — the config
+//! hash covers the schema version, see [`cell_config_hash`] — so warm
+//! re-runs are near-free and a workload regeneration or config change
+//! invalidates exactly the affected cells. The cache is one append-only
+//! log per directory ([`cache_log_path`]), read once per run.
 //!
 //! The config in that key — and the config the cell *runs* on — is the
 //! **effective** one, [`SystemConfig::effective_for`]: fields the mode
@@ -47,15 +48,16 @@
 //! On disk everything is a sealed **row** ([`crate::rows`]): a cell's
 //! payload ([`CellData`]), a baseline ([`WorkloadBaseline`]) and a
 //! quarantine ([`FailureRecord`]) each have one field writer and one
-//! reader. A cache record is one cell payload. A shard log is a header
-//! row, then one `baseline` or `cell` row per finished job (any
-//! quarantine nested in it): appended as jobs finish, continued by
-//! `--resume`, read by [`parse_shard`], rebuilt by [`ShardRun::to_json`].
+//! reader. A cache log row is one cell payload behind its key. A shard
+//! log is a header row, then one `baseline` or `cell` row per finished
+//! job (any quarantine nested in it): appended as jobs finish, continued
+//! by `--resume`, read by [`parse_shard`], rebuilt by
+//! [`ShardRun::to_json`]. Both logs are [`Journal`]s.
 
 use crate::config::{PrefetchMode, SystemConfig};
 use crate::experiments::{map_indexed, shard_indices};
 use crate::faults::{
-    publish, run_isolated, Attempts, FailureClass, FailureRecord, FaultPlan, JobFailure, Journal,
+    run_isolated, Attempts, FailureClass, FailureRecord, FaultPlan, JobFailure, Journal,
     RetryPolicy,
 };
 use crate::replay::{replay_params, replay_run_watched, CaptureSource, KeyedCapture};
@@ -69,10 +71,9 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
 use std::fs;
 use std::hash::{Hash, Hasher};
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Version of the result-cache record and shard-log layout. Part of
@@ -337,11 +338,10 @@ pub fn cell_config_hash(cfg: &SystemConfig, mode: PrefetchMode, escalate: bool) 
     h.finish()
 }
 
-/// On-disk path of a cell's cached result inside `dir`.
-pub fn cell_cache_path(dir: &Path, trace_hash: u64, config_hash: u64) -> PathBuf {
-    dir.join(format!(
-        "{trace_hash:016x}-{config_hash:016x}-s{SWEEP_SCHEMA_VERSION}.json"
-    ))
+/// The result-cache log of a `--cache-dir`: one file, named by the
+/// schema version, so a schema bump orphans (never opens) the old log.
+pub fn cache_log_path(dir: &Path) -> PathBuf {
+    dir.join(format!("cells-s{SWEEP_SCHEMA_VERSION}.jsonl"))
 }
 
 /// Which execution path produced a cell's numbers.
@@ -379,10 +379,9 @@ impl CellPath {
     }
 }
 
-/// The payload of one executed cell: what the result cache stores
-/// (identity lives in the file name) and what a shard-log cell row
-/// carries; speedups are derived at assembly from the workload
-/// baseline.
+/// The payload of one executed cell: what a result-cache row stores
+/// behind its key and what a shard-log cell row carries; speedups are
+/// derived at assembly from the workload baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CellData {
     /// Which path produced the numbers.
@@ -426,30 +425,103 @@ impl CellData {
         })
     }
 
-    /// The on-disk cache record: the payload row, sealed.
-    pub fn to_record(&self) -> String {
-        seal(&row(|w| self.write(w)))
+    /// One result-cache row, unsealed: the cell's key — `(trace content
+    /// hash, [`cell_config_hash`])` — then its payload.
+    fn keyed_row(&self, (trace, config): (u64, u64)) -> String {
+        row(|w| {
+            w.raw("trace", format_args!("\"{trace:016x}\""))
+                .raw("config", format_args!("\"{config:016x}\""));
+            self.write(w);
+        })
     }
 
-    /// Reads a cache record back. `None` means corrupt, truncated or
-    /// drifted — the caller evicts the entry and treats the lookup as a
-    /// miss.
-    pub fn from_record(raw: &[u8]) -> Option<CellData> {
-        let payload = unseal(std::str::from_utf8(raw).ok()?)?;
-        CellData::read(&Row::parse(payload)?).ok()
+    /// One line of the result-cache log: the keyed row, sealed.
+    pub fn to_record(&self, key: (u64, u64)) -> String {
+        seal(&self.keyed_row(key))
+    }
+
+    /// Reads one line of the result-cache log back as its key and
+    /// payload. `None` means torn, corrupt or drifted — not a whole
+    /// keyed row; the run that reads it counts it evicted.
+    pub fn from_record(line: &[u8]) -> Option<((u64, u64), CellData)> {
+        let row = Row::parse(unseal(std::str::from_utf8(line).ok()?)?)?;
+        let hash = |key| u64::from_str_radix(&row.str(key).ok()?, 16).ok();
+        Some((
+            (hash("trace")?, hash("config")?),
+            CellData::read(&row).ok()?,
+        ))
     }
 }
 
-fn store_cell(path: &Path, d: &CellData, tear: Option<u64>) -> std::io::Result<()> {
-    let mut bytes = d.to_record().into_bytes();
-    if let Some(k) = tear {
-        // Fault injection: a torn write — the rename still happens, so
-        // the next reader sees a syntactically broken record.
-        bytes.truncate((k as usize).min(bytes.len()));
+/// The result cache of one `--cache-dir`: its log ([`cache_log_path`]),
+/// read once into a key index, and appended to as cells simulate.
+struct ResultCache {
+    path: PathBuf,
+    log: Mutex<Journal>,
+    index: Mutex<HashMap<(u64, u64), CellData>>,
+}
+
+impl ResultCache {
+    /// Opens `dir`'s log and indexes every whole keyed row in it.
+    /// Returns the cache and the number of lines that were not whole
+    /// rows (torn or corrupt); when there are any, the log is rewritten
+    /// without them, so they are counted once.
+    fn open(dir: &Path) -> std::io::Result<(ResultCache, u64)> {
+        let path = cache_log_path(dir);
+        let (mut log, bytes) = Journal::open_shared(&path)?;
+        let mut index = HashMap::new();
+        let mut corrupt = 0u64;
+        for line in bytes.split_inclusive(|&b| b == b'\n') {
+            match CellData::from_record(line) {
+                Some((key, d)) => {
+                    index.insert(key, d);
+                }
+                None => corrupt += 1,
+            }
+        }
+        if corrupt > 0 {
+            log.rewrite(&bytes, |line| CellData::from_record(line).is_some())?;
+            eprintln!(
+                "[sweep] evicted {corrupt} corrupt row(s) from {}",
+                path.display()
+            );
+        }
+        let cache = ResultCache {
+            path,
+            log: Mutex::new(log),
+            index: Mutex::new(index),
+        };
+        Ok((cache, corrupt))
     }
-    // Write-then-rename so concurrent shards on a shared cache dir can
-    // only ever observe complete records.
-    publish(path, |out| out.write_all(&bytes))
+
+    fn index(&self) -> std::sync::MutexGuard<'_, HashMap<(u64, u64), CellData>> {
+        self.index.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn get(&self, key: (u64, u64)) -> Option<CellData> {
+        self.index().get(&key).copied()
+    }
+
+    /// Appends `d` under `key` (no fsync: a lost row costs a
+    /// re-execution, never a result) and serves it to later lookups —
+    /// unless the fault plan tears the write (`tear`, in bytes), which
+    /// leaves a broken line and serves nothing.
+    fn put(&self, key: (u64, u64), d: CellData, tear: Option<u64>) {
+        let payload = d.keyed_row(key);
+        let mut log = self.log.lock().unwrap_or_else(PoisonError::into_inner);
+        let whole = match tear {
+            None => log.append(&payload, false).map(|()| true),
+            Some(at) => log.append_torn(&payload, at),
+        };
+        drop(log);
+        match whole {
+            Ok(true) => {
+                self.index().insert(key, d);
+            }
+            Ok(false) => {}
+            Err(e) => eprintln!("[sweep] could not cache to {}: {e}", self.path.display()),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -473,8 +545,8 @@ pub struct SweepOptions {
     /// Deterministic faults to inject (`None` = run clean).
     pub faults: Option<FaultPlan>,
     /// Shard-log path ([`shard_path`]): every finished job is appended
-    /// to it, fsync'd, for checkpoint–resume and merging (`None`
-    /// disables).
+    /// to it, for checkpoint–resume and merging (`None` disables); see
+    /// [`run_sweep`] for when a row is fsync'd.
     pub journal: Option<PathBuf>,
     /// Continue an existing log instead of starting fresh.
     pub resume: bool,
@@ -720,13 +792,13 @@ impl ShardRun {
 /// returns, so an attempt that unwinds inside the simulation counts
 /// (and stores) nothing.
 ///
-/// A present-but-invalid entry (torn write, bit flip, schema drift) is
-/// **atomically evicted** — `remove_file` then treated as a plain miss —
-/// and counted as `sweep.cache.corrupt_evicted`; corruption can cost a
-/// re-execution but never poison a result.
+/// Corruption (a torn write, a bit flip, schema drift) was dealt with
+/// when the log was read ([`ResultCache::open`]): a line that is not a
+/// whole keyed row serves nothing, so it can cost a re-execution but
+/// never poison a result.
 #[allow(clippy::too_many_arguments)]
 fn cached_exec(
-    cache_dir: Option<&Path>,
+    cache: Option<&ResultCache>,
     key: (u64, u64),
     cfg: &SystemConfig,
     mode: PrefetchMode,
@@ -738,29 +810,17 @@ fn cached_exec(
     counters: &SweepCounters,
 ) -> (CellData, bool) {
     debug_assert_eq!(key.1, cell_config_hash(cfg, mode, escalate));
-    let path = cache_dir.map(|d| cell_cache_path(d, key.0, key.1));
-    if let Some(p) = &path {
-        // Unreadable (ENOENT, EACCES...) is just a miss; readable but
-        // not a valid record is corruption.
-        if let Ok(raw) = fs::read(p) {
-            if let Some(d) = CellData::from_record(&raw) {
-                counters.hits.fetch_add(1, Ordering::Relaxed);
-                return (d, true);
-            }
-            counters.corrupt_evicted.fetch_add(1, Ordering::Relaxed);
-            let _ = fs::remove_file(p);
-            eprintln!("[sweep] evicted corrupt cache entry {}", p.display());
-        }
+    if let Some(d) = cache.and_then(|c| c.get(key)) {
+        counters.hits.fetch_add(1, Ordering::Relaxed);
+        return (d, true);
     }
     let d = exec_cell(cfg, mode, wl, records, escalate, deadline);
     counters.misses.fetch_add(1, Ordering::Relaxed);
     if d.path == CellPath::Cycle {
         counters.escalated.fetch_add(1, Ordering::Relaxed);
     }
-    if let Some(p) = &path {
-        if let Err(e) = store_cell(p, &d, tear) {
-            eprintln!("[sweep] could not cache {}: {e}", p.display());
-        }
+    if let Some(c) = cache {
+        c.put(key, d, tear);
     }
     (d, false)
 }
@@ -834,7 +894,6 @@ struct SweepCounters {
     hits: AtomicU64,
     misses: AtomicU64,
     escalated: AtomicU64,
-    corrupt_evicted: AtomicU64,
     attempts: Attempts,
     quarantined: AtomicU64,
     journal_hits: AtomicU64,
@@ -897,9 +956,16 @@ fn read_job_row(payload: &str) -> Result<(JobRow, Option<FailureRecord>), String
 /// the grid completes; a failed *baseline* escalates its workload's
 /// cells to the cycle core with the capture run as denominator rather
 /// than aborting the shard. With `opts.journal` set, every finished job
-/// is appended to that shard log (fsync'd per row), and `opts.resume`
-/// takes the jobs an existing log already holds instead of re-executing
-/// them.
+/// is appended to that shard log, and `opts.resume` takes the jobs an
+/// existing log already holds instead of re-executing them. A row is
+/// fsync'd when its job simulated; a row the result cache served is
+/// not (losing it to a crash only makes `--resume` serve it from the
+/// cache again), and the log is synced once when the run ends.
+///
+/// With `opts.cache_dir` set, the directory's result-cache log is read
+/// once, up front, into a key index; every lookup is served from that
+/// index, and every simulated cell is appended to the log as one write
+/// and served to the followers of its key.
 pub fn run_sweep(
     spec: &SweepSpec,
     workloads: &[BuiltWorkload],
@@ -925,7 +991,17 @@ pub fn run_sweep(
         registry: Registry::new(),
     };
     let counters = SweepCounters::default();
-    let cache_dir = opts.cache_dir.as_deref();
+    let opened = opts.cache_dir.as_deref().map(|dir| {
+        ResultCache::open(dir).map_err(|e| {
+            let path = cache_log_path(dir);
+            eprintln!("[sweep] result cache disabled ({}: {e})", path.display());
+        })
+    });
+    let (cache, corrupt_evicted) = match opened {
+        Some(Ok((cache, corrupt))) => (Some(cache), corrupt),
+        _ => (None, 0),
+    };
+    let cache = cache.as_ref();
     let baseline_hash = |escalate| cell_config_hash(&spec.base, PrefetchMode::None, escalate);
     let plan = opts.faults.as_ref();
     let completed = AtomicU64::new(0);
@@ -962,14 +1038,16 @@ pub fn run_sweep(
             }
         }
     });
-    // Appends a finished job's row, fsync'd; built only if a log is open.
-    let log_job = |kind: &str, fields: &dyn Fn(&mut RowWriter<'_>), failure: Option<&_>| {
-        if let Some(Ok(mut log)) = log.as_ref().map(Mutex::lock) {
-            if let Err(e) = log.append(&row(|w| job_row(w, kind, fields, failure))) {
-                eprintln!("[sweep] shard log append failed: {e}");
+    // Appends a finished job's row, fsync'd if the job simulated (`sync`);
+    // built only if a log is open.
+    let log_job =
+        |kind: &str, fields: &dyn Fn(&mut RowWriter<'_>), failure: Option<&_>, sync: bool| {
+            if let Some(Ok(mut log)) = log.as_ref().map(Mutex::lock) {
+                if let Err(e) = log.append(&row(|w| job_row(w, kind, fields, failure)), sync) {
+                    eprintln!("[sweep] shard log append failed: {e}");
+                }
             }
-        }
-    };
+        };
 
     // Baselines first, for every workload this shard touches: the
     // no-prefetch replay whose agreement against the capture run's
@@ -998,9 +1076,11 @@ pub fn run_sweep(
                 counters.journal_hits.fetch_add(1, Ordering::Relaxed);
                 return (b.clone(), failure.clone());
             }
+            // Whether every lookup of this baseline hit the cache.
+            let served = AtomicBool::new(true);
             let exec = |escalate: bool| {
-                cached_exec(
-                    cache_dir,
+                let (d, hit) = cached_exec(
+                    cache,
                     (cap.content_hash, baseline_hash(escalate)),
                     &spec.base,
                     PrefetchMode::None,
@@ -1010,8 +1090,9 @@ pub fn run_sweep(
                     None,
                     None,
                     &counters,
-                )
-                .0
+                );
+                served.fetch_and(hit, Ordering::Relaxed);
+                d
             };
             let wall_start = Instant::now();
             let computed = run_isolated(&opts.retry, wi, &counters.attempts, None, |attempt, _| {
@@ -1082,7 +1163,8 @@ pub fn run_sweep(
                     (b, Some(rec))
                 }
             };
-            log_job("baseline", &|w| b.write(w), failure.as_ref());
+            let sync = failure.is_some() || !served.load(Ordering::Relaxed);
+            log_job("baseline", &|w| b.write(w), failure.as_ref(), sync);
             (b, failure)
         });
     let mut baselines: Vec<Option<&WorkloadBaseline>> = vec![None; workloads.len()];
@@ -1177,7 +1259,7 @@ pub fn run_sweep(
                             p.maybe_panic(job, attempt);
                         }
                         cached_exec(
-                            cache_dir,
+                            cache,
                             keys[j],
                             &cfg,
                             mode,
@@ -1211,12 +1293,17 @@ pub fn run_sweep(
                 }
             };
             let cell = assemble(d, hit);
-            log_job("cell", &|w| cell.write(w), failure.as_ref());
+            log_job("cell", &|w| cell.write(w), failure.as_ref(), !cell.cached);
             if let Some(p) = plan {
                 p.maybe_kill(completed.fetch_add(1, Ordering::Relaxed) + 1);
             }
             (cell, failure)
         });
+    if let Some(Ok(log)) = log.as_ref().map(Mutex::lock) {
+        if let Err(e) = log.sync() {
+            eprintln!("[sweep] shard log sync failed: {e}");
+        }
+    }
     let (cells, cell_failures): (Vec<CellResult>, Vec<Option<FailureRecord>>) =
         cell_outcomes.into_iter().unzip();
     let mut failures: Vec<FailureRecord> = baselines_used
@@ -1233,10 +1320,7 @@ pub fn run_sweep(
         ("sweep.cache.miss", count(&counters.misses)),
         ("sweep.cells.distinct", distinct.len() as u64),
         ("sweep.cache.escalated", count(&counters.escalated)),
-        (
-            "sweep.cache.corrupt_evicted",
-            count(&counters.corrupt_evicted),
-        ),
+        ("sweep.cache.corrupt_evicted", corrupt_evicted),
         ("sweep.retry", count(&counters.attempts.retries)),
         ("sweep.quarantined", count(&counters.quarantined)),
         ("sweep.journal.hit", count(&counters.journal_hits)),
@@ -1788,34 +1872,39 @@ mod tests {
             dep_stalls: 42,
             validated: true,
         };
-        let record = d.to_record();
+        let key = (0xaa, u64::MAX - 1);
+        let record = d.to_record(key);
         assert!(
-            record.starts_with("{\"path\": \"replay\", \"cycles\": 123456, "),
+            record.starts_with(
+                "{\"trace\": \"00000000000000aa\", \"config\": \"fffffffffffffffe\", \
+                 \"path\": \"replay\", \"cycles\": 123456, "
+            ),
             "{record}"
         );
-        assert_eq!(CellData::from_record(record.as_bytes()), Some(d));
+        assert_eq!(CellData::from_record(record.as_bytes()), Some((key, d)));
         // Counts above 2^53 survive: integers never pass through f64.
         let big = CellData {
             cycles: u64::MAX,
             ..d
         };
-        assert_eq!(CellData::from_record(big.to_record().as_bytes()), Some(big));
-        // A schema bump orphans the record by file name: the version is
-        // part of every path (and of the config hash), so a reader never
-        // opens another schema's entry.
-        assert_eq!(SWEEP_SCHEMA_VERSION, 4);
-        let path = cell_cache_path(Path::new("cache"), 0xaa, 0xbb);
         assert_eq!(
-            path,
-            Path::new("cache/00000000000000aa-00000000000000bb-s4.json")
+            CellData::from_record(big.to_record(key).as_bytes()),
+            Some((key, big))
         );
+        // A schema bump orphans the log by file name: the version is part
+        // of its name (and of the config hash), so a reader never opens
+        // another schema's log.
+        assert_eq!(SWEEP_SCHEMA_VERSION, 4);
+        let path = cache_log_path(Path::new("cache"));
+        assert_eq!(path, Path::new("cache/cells-s4.jsonl"));
     }
 
     #[test]
     fn cell_record_trailer_rejects_corruption() {
         let d = CellData::FAILED;
-        let record = d.to_record();
-        assert_eq!(CellData::from_record(record.as_bytes()), Some(d));
+        let key = (1, 2);
+        let record = d.to_record(key);
+        assert_eq!(CellData::from_record(record.as_bytes()), Some((key, d)));
         // Torn write: any truncation invalidates the frame.
         for cut in 0..record.len() {
             assert_eq!(
@@ -1827,12 +1916,26 @@ mod tests {
         // A flipped byte in the body breaks the content hash.
         let flipped = record.replacen("cycles", "cycIes", 1);
         assert_eq!(CellData::from_record(flipped.as_bytes()), None);
-        // A correctly sealed row that is not a whole cell payload is
-        // schema drift, as is an unknown path.
-        let drifted = seal("{\"path\": \"replay\", \"cycles\": 1}");
+        // A correctly sealed row that is not a whole keyed cell payload
+        // is schema drift, as is an unknown path, a missing or malformed
+        // key, and the unkeyed payload an older cache file held.
+        let drifted =
+            seal("{\"trace\": \"1\", \"config\": \"2\", \"path\": \"replay\", \"cycles\": 1}");
         assert_eq!(CellData::from_record(drifted.as_bytes()), None);
-        let unknown = seal(&row(|w| d.write(w)).replace("failed", "warp"));
-        assert_eq!(CellData::from_record(unknown.as_bytes()), None);
+        let keyed = d.keyed_row(key);
+        for edit in [
+            keyed.replace("failed", "warp"),
+            keyed.replace("\"trace\"", "\"trail\""),
+            keyed.replace("\"0000000000000002\"", "\"00000000000000g2\""),
+            keyed.replace("\"0000000000000002\"", "2"),
+            row(|w| d.write(w)),
+        ] {
+            assert_eq!(
+                CellData::from_record(seal(&edit).as_bytes()),
+                None,
+                "{edit}"
+            );
+        }
         // Not a record, a second record appended, invalid UTF-8.
         assert_eq!(CellData::from_record(b"not a record at all"), None);
         assert_eq!(

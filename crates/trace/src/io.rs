@@ -101,8 +101,22 @@ impl<W: Write> TraceWriter<W> {
     }
 
     /// Appends one record.
+    ///
+    /// # Errors
+    /// The underlying writer's error, or `InvalidInput` (`record N: store
+    /// size S`) for a store of a size the reader refuses — anything but
+    /// 1, 4 or 8 bytes — before any of its bytes is written, so the count
+    /// and hashes stay those of the records before it.
     pub fn record(&mut self, r: &TraceRecord) -> io::Result<()> {
         debug_assert!(!self.finished, "record() after finish()");
+        if let TraceRecord::Store { size, .. } = r {
+            if !matches!(size, 1 | 4 | 8) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("record {}: store size {size}", self.count),
+                ));
+            }
+        }
         self.buf.clear();
         self.enc.encode(r, &mut self.buf);
         self.hash = fnv1a(&self.buf, self.hash);
@@ -477,19 +491,29 @@ mod tests {
 
     #[test]
     fn store_of_unsupported_size_is_refused_by_record() {
-        // The writer encodes whatever size it is handed; the reader
-        // refuses any store size but 1, 4 and 8, naming the record.
-        let mut records = sample_records();
-        let TraceRecord::Store { size, .. } = &mut records[6] else {
-            panic!("sample record 6 is a store");
+        // The writer refuses to encode such a store, so patch the size
+        // byte of a valid stream: the one byte where a 4-byte and an
+        // 8-byte store 6 differ before the footer.
+        let encode = |size: u8| {
+            let mut records = sample_records();
+            let TraceRecord::Store { size: s, .. } = &mut records[6] else {
+                panic!("sample record 6 is a store");
+            };
+            *s = size;
+            let mut buf = Vec::new();
+            let mut w = TraceWriter::new(&mut buf, &TraceMeta::new("x", "tiny")).unwrap();
+            for r in &records {
+                w.record(r).unwrap();
+            }
+            w.finish().unwrap();
+            buf
         };
-        *size = 2;
-        let mut buf = Vec::new();
-        let mut w = TraceWriter::new(&mut buf, &TraceMeta::new("x", "tiny")).unwrap();
-        for r in &records {
-            w.record(r).unwrap();
-        }
-        w.finish().unwrap();
+        let (mut buf, eight) = (encode(4), encode(8));
+        let at = (buf.iter().zip(&eight)).position(|(a, b)| a != b).unwrap();
+        assert_eq!((buf[at], eight[at]), (4, 8), "the size byte");
+        buf[at] = 2;
+        // The reader refuses any store size but 1, 4 and 8, naming the
+        // record.
         let err = TraceReader::new(buf.as_slice())
             .and_then(|r| r.read_to_end())
             .expect_err("a 2-byte store must not decode");
@@ -497,6 +521,40 @@ mod tests {
             err.to_string(),
             "trace format error: record 6: store size 2"
         );
+    }
+
+    #[test]
+    fn writer_refuses_a_store_size_the_reader_refuses() {
+        let records = sample_records();
+        let mut buf = Vec::new();
+        let mut w = TraceWriter::new(&mut buf, &TraceMeta::new("x", "tiny")).unwrap();
+        for r in &records[..6] {
+            w.record(r).unwrap();
+        }
+        let before = (w.count(), w.hash, w.file_hash);
+        for size in [0, 2, 3, 5, 16, 255] {
+            let bad = TraceRecord::Store {
+                cycle: 99,
+                pc: 0x40,
+                vaddr: 0x1_0000,
+                value: 7,
+                size,
+            };
+            let err = w.record(&bad).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            assert_eq!(err.to_string(), format!("record 6: store size {size}"));
+            assert_eq!((w.count(), w.hash, w.file_hash), before, "size {size}");
+        }
+        // Nothing of the refused records reached the stream: the rest
+        // writes and reads back as if they had never been offered.
+        for r in &records[6..] {
+            w.record(r).unwrap();
+        }
+        w.finish().unwrap();
+        let back = TraceReader::new(buf.as_slice())
+            .and_then(|r| r.read_to_end())
+            .unwrap();
+        assert_eq!(back.records, records);
     }
 
     #[test]

@@ -737,9 +737,43 @@ fn probe_journal(path: &std::path::Path, texts: &[String]) -> Vec<String> {
         .collect();
     let mut j = Journal::create(path, "HDR").unwrap();
     for e in &entries {
-        j.append(e).unwrap();
+        j.append(e, true).unwrap();
     }
     entries
+}
+
+/// One result-cache row: its `(trace hash, config hash)` key and payload.
+type KeyedRow = ((u64, u64), CellData);
+
+/// A result-cache log of three keyed rows, and the rows.
+fn probe_cache_log(cycles: u64, at: u64) -> (Vec<u8>, Vec<KeyedRow>) {
+    let rows: Vec<KeyedRow> = [CellPath::Cycle, CellPath::Replay, CellPath::Skip]
+        .into_iter()
+        .enumerate()
+        .map(|(i, path)| {
+            let d = CellData {
+                path,
+                cycles: cycles.wrapping_add(i as u64),
+                host_iters: cycles / 3,
+                dep_stalls: at,
+                validated: i % 2 == 0,
+            };
+            ((at ^ i as u64, cycles.rotate_left(i as u32)), d)
+        })
+        .collect();
+    let log = rows
+        .iter()
+        .map(|(k, d)| d.to_record(*k))
+        .collect::<String>();
+    (log.into_bytes(), rows)
+}
+
+/// What a run serves from a cache log: every line that reads back as a
+/// whole keyed row.
+fn served(log: &[u8]) -> Vec<KeyedRow> {
+    (log.split_inclusive(|&b| b == b'\n'))
+        .filter_map(CellData::from_record)
+        .collect()
 }
 
 /// Flips one byte (`mask + 1` is in `1..=255`, always a real change).
@@ -790,8 +824,10 @@ proptest! {
 
     /// The three readers take arbitrary bytes and single-byte flips of
     /// valid files without panicking, and what they do accept is a row
-    /// that was written: the cache record returns the original row or
-    /// none; the shard log refuses any flip; resume keeps a prefix.
+    /// that was written: the cache log serves written rows only, and a
+    /// flip costs at most the rows of the line it lands in (two, when it
+    /// breaks a newline); the shard log refuses any flip; resume keeps a
+    /// prefix.
     #[test]
     fn storage_readers_never_panic_or_invent_rows(
         junk in proptest::collection::vec(any::<u8>(), 0..300),
@@ -800,19 +836,13 @@ proptest! {
         at in any::<u64>(),
         mask in 0u8..255,
     ) {
-        // Cache record.
-        let d = CellData {
-            path: CellPath::Cycle,
-            cycles,
-            host_iters: cycles / 3,
-            dep_stalls: at,
-            validated: mask % 2 == 0,
-        };
-        let record = d.to_record().into_bytes();
-        prop_assert_eq!(CellData::from_record(&record), Some(d));
-        prop_assert_eq!(CellData::from_record(&junk), None);
-        let got = CellData::from_record(&flipped(&record, at, mask));
-        prop_assert!(got.is_none() || got == Some(d), "flip invented {got:?}");
+        // Cache log.
+        let (log, rows) = probe_cache_log(cycles, at);
+        prop_assert_eq!(&served(&log), &rows);
+        prop_assert!(served(&junk).is_empty(), "junk served a row");
+        let got = served(&flipped(&log, at, mask));
+        prop_assert!(got.iter().all(|r| rows.contains(r)), "flip invented {got:?}");
+        prop_assert!(got.len() + 2 >= rows.len(), "a flip cost {} rows", rows.len() - got.len());
 
         // Shard log: every line sealed, so junk and every single-byte
         // flip are errors — never a silently different table.
@@ -838,21 +868,15 @@ proptest! {
     }
 }
 
-/// Every truncation length of a valid cache record, shard file and
-/// journal: the sealed readers return nothing (record) or a prefix
-/// (journal); the shard reader returns an error or a prefix of the rows.
+/// Every truncation length of a valid cache log, shard file and
+/// journal: the sealed readers return a prefix of whole rows (cache log,
+/// journal); the shard reader returns an error or a prefix of the rows.
 #[test]
 fn every_truncation_of_a_valid_file_reads_as_a_prefix_or_nothing() {
-    let d = CellData {
-        path: CellPath::Replay,
-        cycles: 123_456,
-        host_iters: 789,
-        dep_stalls: 42,
-        validated: true,
-    };
-    let record = d.to_record().into_bytes();
-    for cut in 0..record.len() {
-        assert_eq!(CellData::from_record(&record[..cut]), None, "cut {cut}");
+    let (log, rows) = probe_cache_log(123_456, 42);
+    for cut in 0..=log.len() {
+        let whole_lines = log[..cut].iter().filter(|&&b| b == b'\n').count();
+        assert_eq!(served(&log[..cut]), rows[..whole_lines], "cut {cut}");
     }
 
     let shard = probe_shard("a \"quoted\" \\ line\nbreak é").to_json();

@@ -160,28 +160,117 @@ fn result_cache_hits_warm_and_invalidates_exactly_changed_cells() {
         );
     }
 
-    // A schema bump orphans entries by file name: rename every record
-    // to the previous schema's name and nothing is opened — the run is
-    // cold again — while the old files are left as they were.
-    let suffix = format!("-s{}.json", sweeps::SWEEP_SCHEMA_VERSION);
-    let mut old = Vec::new();
-    for entry in std::fs::read_dir(&tmp.0).unwrap() {
-        let p = entry.unwrap().path();
-        let name = p.file_name().unwrap().to_str().unwrap().to_string();
-        let stem = name
-            .strip_suffix(&suffix)
-            .expect("every entry is this schema's");
-        let renamed = p.with_file_name(format!("{stem}-s3.json"));
-        std::fs::rename(&p, &renamed).unwrap();
-        old.push((renamed.clone(), std::fs::read(&renamed).unwrap()));
-    }
-    assert_eq!(old.len(), 6 + 1 + 2, "spec + baseline + the changed spec");
+    // A schema bump orphans the log by file name: rename it to the
+    // previous schema's name and it is never opened — the run is cold
+    // again — while the old file is left as it was.
+    let log = sweeps::cache_log_path(&tmp.0);
+    let bytes = std::fs::read(&log).unwrap();
+    let rows = bytes.iter().filter(|&&b| b == b'\n').count();
+    assert_eq!(rows, 6 + 1 + 2, "spec + baseline + the changed spec");
+    let name = log.file_name().unwrap().to_str().unwrap();
+    let old = log.with_file_name(name.replace("-s4.", "-s3."));
+    assert_ne!(old, log);
+    std::fs::rename(&log, &old).unwrap();
     let orphaned = run(&spec);
-    assert_eq!(orphaned.cache_misses(), 7, "no -s3 entry may be served");
-    assert_eq!(orphaned.corrupt_evicted(), 0, "nor opened and evicted");
-    for (path, bytes) in &old {
-        assert_eq!(&std::fs::read(path).unwrap(), bytes);
+    assert_eq!(orphaned.cache_misses(), 7, "no -s3 row may be served");
+    assert_eq!(orphaned.corrupt_evicted(), 0, "nor read and evicted");
+    assert_eq!(std::fs::read(&old).unwrap(), bytes);
+}
+
+/// The files in `dir`, by name.
+fn file_names(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
+/// However many cells a sweep caches, its cache directory holds one
+/// file: the log every lookup of the next run is served from.
+#[test]
+fn a_sweep_leaves_one_file_in_its_cache_directory() {
+    let spec = probe_spec();
+    let wl = workload_by_name("IntSort").unwrap().build(Scale::Tiny);
+    let cap = try_load_or_capture_keyed(None, &spec.base, &wl, "tiny", etpp::trace::FORMAT_VERSION)
+        .unwrap();
+    let tmp = TempDir::new("one-file");
+    let cache = tmp.0.join("cache");
+    for k in 0..2 {
+        let o = opts(2, (k, 2), Some(cache.clone()));
+        let run = sweeps::run_sweep(
+            &spec,
+            std::slice::from_ref(&wl),
+            std::slice::from_ref(&cap),
+            &o,
+        );
+        assert_eq!(run.cache_hits() + run.cache_misses(), 4 + 1);
     }
+    assert_eq!(file_names(&cache), ["cells-s4.jsonl"]);
+}
+
+/// Two shards appending to one cache directory at once lose no row: a
+/// warm rerun of both hits on every lookup, and every row they wrote
+/// reads back whole.
+#[test]
+fn concurrent_shards_share_one_cache_directory() {
+    let spec = probe_spec();
+    let wl = workload_by_name("IntSort").unwrap().build(Scale::Tiny);
+    let cap = try_load_or_capture_keyed(None, &spec.base, &wl, "tiny", etpp::trace::FORMAT_VERSION)
+        .unwrap();
+    let wls = std::slice::from_ref(&wl);
+    let caps = std::slice::from_ref(&cap);
+    let tmp = TempDir::new("concurrent");
+    let spec = &spec;
+    // Both shards start together, so their reads and appends overlap.
+    let both = || {
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let shards: Vec<_> = (0..2)
+                .map(|k| {
+                    let o = opts(1, (k, 2), Some(tmp.0.clone()));
+                    let start = &start;
+                    s.spawn(move || {
+                        start.wait();
+                        sweeps::run_sweep(spec, wls, caps, &o)
+                    })
+                })
+                .collect();
+            shards
+                .into_iter()
+                .map(|h| h.join().unwrap())
+                .collect::<Vec<_>>()
+        })
+    };
+    let cold = both();
+    let lookups =
+        |runs: &[sweeps::ShardRun]| -> u64 { runs.iter().map(|r| r.cells.len() as u64 + 1).sum() };
+    let cold_misses: u64 = cold.iter().map(sweeps::ShardRun::cache_misses).sum();
+    // Each shard simulates its own cells; the baseline both need is
+    // simulated once or, if both read the log before either wrote it,
+    // twice — a race the log allows, never a lost or torn row.
+    assert!((7..=8).contains(&cold_misses), "{cold_misses} misses");
+    let bytes = std::fs::read(sweeps::cache_log_path(&tmp.0)).unwrap();
+    let lines: Vec<&[u8]> = bytes.split_inclusive(|&b| b == b'\n').collect();
+    assert_eq!(
+        lines.len() as u64,
+        cold_misses,
+        "one row per simulated cell"
+    );
+    assert!(lines
+        .iter()
+        .all(|l| sweeps::CellData::from_record(l).is_some()));
+
+    let warm = both();
+    assert_eq!(
+        warm.iter().map(sweeps::ShardRun::cache_misses).sum::<u64>(),
+        0
+    );
+    let hits: u64 = warm.iter().map(sweeps::ShardRun::cache_hits).sum();
+    assert_eq!(hits, lookups(&warm));
+    assert!(warm.iter().all(|r| r.corrupt_evicted() == 0));
+    assert_eq!(file_names(&tmp.0), ["cells-s4.jsonl"]);
 }
 
 /// `repro --sweep --shard K/N --sweep-dir DIR` leaves one file per
@@ -215,12 +304,10 @@ fn a_sweep_dir_as_repro_writes_it_merges() {
         let read = |log: &str| format!("{:?}", sweeps::parse_shard(log).unwrap());
         assert_eq!(read(&on_disk), read(&run.to_json()));
     }
-    let mut names: Vec<String> = std::fs::read_dir(&dir.0)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().into_string().unwrap())
-        .collect();
-    names.sort();
-    assert_eq!(names, ["shard-0-of-2.jsonl", "shard-1-of-2.jsonl"]);
+    assert_eq!(
+        file_names(&dir.0),
+        ["shard-0-of-2.jsonl", "shard-1-of-2.jsonl"]
+    );
 
     let files = sweeps::read_shard_dir(&dir.0).expect("the directory merges as written");
     assert_eq!(files.len(), 2);
