@@ -23,11 +23,13 @@
 use crate::bpred::{BranchPredictor, BranchPredictorParams};
 use crate::capture::Capture;
 use crate::trace::{OpClass, OpId, Trace};
-use etpp_mem::{AccessKind, Completion, ConfigOp, MemorySystem, Rejection};
+use etpp_mem::{AccessKind, Completion, ConfigOp, FrontEnd, MemorySystem, Rejection};
 use etpp_telemetry::{Hist, Registry};
 use etpp_trace::TraceRecord;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+
+pub use etpp_mem::HorizonSource;
 
 /// Core-side observability: occupancy distributions of the load and
 /// store queues, sampled at each issue/enqueue. Attached to a [`Core`]
@@ -120,81 +122,6 @@ pub struct CoreStats {
     pub mispredicts: u64,
     /// Cycles with at least one op retired.
     pub active_cycles: u64,
-}
-
-/// Why a driver visit happened: the horizon source that pinned the
-/// cycle. [`Core::next_event_at`] records the winning arm; the
-/// [`crate::drive()`] loop counts one per visit, so the pinned
-/// counts (`tests/sim_counts.rs`) and `repro --telemetry` registries can
-/// attribute where host iterations go.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum HorizonSource {
-    /// Retire/issue/dispatch proceeds next cycle — real core work.
-    CoreProgress = 0,
-    /// Every ready load is parked on a full MSHR file; woken by the
-    /// next hierarchy state change (retries for the skipped span are
-    /// synthesised so `load_retries` stays bit-exact).
-    LoadRetry,
-    /// Load queue at capacity; woken by the completion freeing a slot.
-    LqFull,
-    /// A store writeback is pending issue — draining next cycle, or
-    /// parked on a full MSHR file and woken by the next state change.
-    StoreWriteback,
-    /// Front-end refill ending after a mispredicted branch resolved.
-    FetchStall,
-    /// Next functional-unit completion (also resolves blocking branches).
-    FuCompletion,
-    /// Completion of the oldest in-flight demand miss the ROB waits on.
-    OldestMiss,
-    /// A memory event (DRAM return / cache fill) produced a completion
-    /// before the core's own horizon fell due.
-    MemEvent,
-    /// A parked span pinned per-cycle by the engine round (requests
-    /// draining through pops / a backlogged pop queue).
-    EngineRound,
-    /// A parked span pinned by snooped events awaiting delivery to the
-    /// engine.
-    PendingDelivery,
-    /// The final drain visit after the last retirement.
-    Finish,
-}
-
-impl HorizonSource {
-    /// Number of sources (size of attribution counter arrays).
-    pub const COUNT: usize = 11;
-
-    /// Every source, indexable by `as usize`.
-    pub const ALL: [HorizonSource; HorizonSource::COUNT] = [
-        HorizonSource::CoreProgress,
-        HorizonSource::LoadRetry,
-        HorizonSource::LqFull,
-        HorizonSource::StoreWriteback,
-        HorizonSource::FetchStall,
-        HorizonSource::FuCompletion,
-        HorizonSource::OldestMiss,
-        HorizonSource::MemEvent,
-        HorizonSource::EngineRound,
-        HorizonSource::PendingDelivery,
-        HorizonSource::Finish,
-    ];
-
-    /// Stable machine-readable key (JSON field material).
-    pub fn key(self) -> &'static str {
-        match self {
-            HorizonSource::CoreProgress => "core_progress",
-            HorizonSource::LoadRetry => "load_retry",
-            HorizonSource::LqFull => "lq_full",
-            HorizonSource::StoreWriteback => "store_writeback",
-            HorizonSource::FetchStall => "fetch_stall",
-            HorizonSource::FuCompletion => "fu_completion",
-            HorizonSource::OldestMiss => "oldest_miss",
-            HorizonSource::MemEvent => "mem_event",
-            HorizonSource::EngineRound => "engine_round",
-            HorizonSource::PendingDelivery => "pending_delivery",
-            HorizonSource::Finish => "finish",
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -374,13 +301,6 @@ impl<'t> Core<'t> {
     /// Detaches the collector for publishing.
     pub fn take_telemetry(&mut self) -> Option<Box<CoreTelemetry>> {
         self.tel.take()
-    }
-
-    /// The oldest un-retired op and its class; `None` once every op has
-    /// retired.
-    pub(crate) fn rob_head(&self) -> Option<(u32, OpClass)> {
-        let op = self.trace.ops.get(self.head as usize)?;
-        Some((self.head, op.class))
     }
 
     /// Branch predictor accuracy access for reporting.
@@ -966,11 +886,48 @@ impl<'t> Core<'t> {
     }
 }
 
+/// The core as a front end of [`etpp_mem::drive()`]: each call is the
+/// inherent method of the same name, and the deadlock diagnostic names
+/// the oldest un-retired op (`ROB head: op N (Class)`).
+impl FrontEnd for Core<'_> {
+    #[inline]
+    fn tick(&mut self, now: u64, mem: &mut MemorySystem) {
+        Core::tick(self, now, mem);
+    }
+
+    #[inline]
+    fn take_configs(&mut self) -> Vec<ConfigOp> {
+        Core::take_configs(self)
+    }
+
+    #[inline]
+    fn finished(&self) -> bool {
+        Core::finished(self)
+    }
+
+    #[inline]
+    fn next_event_at(&mut self, now: u64, mem: &MemorySystem) -> u64 {
+        Core::next_event_at(self, now, mem)
+    }
+
+    #[inline]
+    fn horizon_source(&self) -> HorizonSource {
+        self.horizon_source
+    }
+
+    fn head(&self) -> String {
+        match self.trace.ops.get(self.head as usize) {
+            Some(op) => format!("ROB head: op {} ({:?})", self.head, op.class),
+            None => "ROB head: empty".to_string(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::drive::{drive, Limits};
     use crate::trace::TraceBuilder;
+    use etpp_mem::{drive, Limits};
     use etpp_mem::{
         DemandEvent, Line, MemParams, MemoryImage, NullEngine, PrefetchEngine, PrefetchRequest,
         TagId,

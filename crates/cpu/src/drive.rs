@@ -1,341 +1,18 @@
-//! The cycle driver: the one horizon loop every cycle-core run goes
-//! through.
-//!
-//! [`drive`] runs a [`Core`] against a [`MemorySystem`] and a prefetch
-//! engine until the trace retires. One iteration is a *driver visit*: it
-//! executes a whole *dense span* — back-to-back busy cycles whose
-//! horizon is pinned to the very next cycle (retire, issue, dispatch,
-//! store drains, FU wake chains) run cycle-locked inside the visit — and
-//! ends with one horizon jump ([`MemorySystem::advance_to`]) through the
-//! stall that follows. All intermediate memory-system work (cache/DRAM
-//! transfers, engine rounds, prefetch pops) runs inside `advance_to` at
-//! its exact cycle, and the visit resumes early whenever a demand
-//! completion falls due. The sequence of per-cycle `tick` calls is that
-//! of a unit-tick loop, so the horizon path is behaviour-preserving by
-//! construction; with [`Limits::per_cycle_reference`] the clock advances
-//! one cycle per visit instead, and the two are pinned bit-identical by
-//! the equivalence suite.
-//!
-//! The driver also owns the run's guards: the `max_cycles` assert, a
-//! deadlock check (the core waits on no scheduled event while the memory
-//! system is quiescent, so nothing can ever change), the wall-clock
-//! [`Deadline`] (polled once per visit, never per cycle) and an
-//! always-armed livelock detector. Observation rides a [`Probe`]: `()`
-//! observes nothing and compiles away; a probe reads the machine and
-//! never writes it, so probed runs are bit-identical to plain ones.
+//! The one driver, [`etpp_mem::drive()`], re-exported with its limits,
+//! probe and visit attribution: [`crate::Core`] is one of its
+//! [`FrontEnd`]s.
 
-use crate::core::{Core, HorizonSource};
-use etpp_mem::{Deadline, MemorySystem, PrefetchEngine};
-use std::fmt;
-use std::panic::panic_any;
-
-/// Consecutive non-advancing visits before the livelock detector aborts.
-pub const LIVELOCK_THRESHOLD: u32 = 64;
-
-/// Raw horizons kept in the livelock diagnostic's tail window.
-pub const LIVELOCK_WINDOW: usize = 8;
-
-/// What bounds one run, and the names its diagnostics carry.
-#[derive(Debug, Clone, Copy)]
-pub struct Limits<'a> {
-    /// Benchmark name, for the `max_cycles` and livelock diagnostics.
-    pub workload: &'a str,
-    /// Engine-mode key, likewise.
-    pub mode: &'a str,
-    /// Cycle cap: the run panics once the clock reaches this.
-    pub max_cycles: u64,
-    /// Unit-tick reference: one cycle per visit, engine batching off,
-    /// no visit attribution.
-    pub per_cycle_reference: bool,
-    /// Wall-clock deadline, polled once per visit; expiry aborts the
-    /// run with a [`etpp_mem::Cancelled`] payload.
-    pub deadline: Option<Deadline>,
-}
-
-/// Observation hooks the driver calls. A probe reads the machine and
-/// never writes it; `()` is the no-op.
-pub trait Probe {
-    /// After every simulated cycle the driver ticks, once that cycle's
-    /// configuration ops have reached the engine.
-    fn cycle(&mut self, now: u64, core: &Core<'_>, mem: &MemorySystem);
-
-    /// Once per attributed visit: `src` ended the span `[start, end)`.
-    fn visit(&mut self, src: HorizonSource, start: u64, end: u64);
-}
-
-impl Probe for () {
-    #[inline(always)]
-    fn cycle(&mut self, _now: u64, _core: &Core<'_>, _mem: &MemorySystem) {}
-
-    #[inline(always)]
-    fn visit(&mut self, _src: HorizonSource, _start: u64, _end: u64) {}
-}
-
-/// Per-source driver-visit attribution: how many visits each
-/// [`HorizonSource`] ended. `host_iters == visits.total()` on the
-/// horizon path (the per-cycle reference does not attribute). Surfaced
-/// in `repro --telemetry` registries as `driver.visits.*`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VisitCounts(pub [u64; HorizonSource::COUNT]);
-
-impl VisitCounts {
-    /// `(source key, count)` pairs in stable order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        HorizonSource::ALL
-            .iter()
-            .map(move |&s| (s.key(), self.0[s as usize]))
-    }
-
-    /// Total attributed visits.
-    pub fn total(&self) -> u64 {
-        self.0.iter().sum()
-    }
-}
-
-/// Runs `core` to completion and returns `(cycles, host_iters, visits)`:
-/// the simulated cycle count, the driver visits it took, and their
-/// per-source attribution.
-///
-/// # Panics
-/// When the clock reaches `limits.max_cycles`, when the run deadlocks
-/// (the diagnostic names the cycle and the ROB-head op), with a
-/// [`LivelockAbort`] payload when the horizon stops advancing, and with
-/// a [`etpp_mem::Cancelled`] payload once `limits.deadline` expires.
-pub fn drive(
-    core: &mut Core<'_>,
-    mem: &mut MemorySystem,
-    engine: &mut dyn PrefetchEngine,
-    limits: &Limits<'_>,
-    probe: &mut impl Probe,
-) -> (u64, u64, VisitCounts) {
-    if limits.per_cycle_reference {
-        mem.set_engine_batching(false);
-    }
-    let mut now: u64 = 0;
-    let mut host_iters: u64 = 0;
-    let mut visits = VisitCounts::default();
-    let mut livelock = LivelockDetector::new();
-    while !core.finished() {
-        host_iters += 1;
-        if let Some(d) = limits.deadline {
-            d.poll(host_iters, now);
-        }
-        let visit_start = now;
-        loop {
-            mem.tick(now, engine);
-            core.tick(now, mem);
-            let configs = core.take_configs();
-            if !configs.is_empty() {
-                for op in &configs {
-                    engine.config(now, op);
-                }
-                // Configs mutate the engine behind the memory system's
-                // back; invalidate its cached event horizon.
-                mem.wake_engine();
-            }
-            probe.cycle(now, core, mem);
-            if limits.per_cycle_reference {
-                now += 1;
-                break;
-            }
-            if core.finished() {
-                // Do not fast-forward through in-flight prefetch drains
-                // after the last retirement: the reference loop exits
-                // one cycle after the finishing tick, and so must we.
-                visits.0[HorizonSource::Finish as usize] += 1;
-                probe.visit(HorizonSource::Finish, visit_start, now + 1);
-                now += 1;
-                break;
-            }
-            let horizon = core.next_event_at(now, mem);
-            livelock.observe(
-                now,
-                horizon,
-                core.horizon_source(),
-                limits.workload,
-                limits.mode,
-            );
-            if horizon == now + 1 {
-                // Dense span: the core progresses on the very next
-                // cycle, so stay inside this visit.
-                now += 1;
-                limits.check(now);
-                continue;
-            }
-            if horizon == u64::MAX && mem.next_horizon(now).is_none() {
-                limits.deadlock(now, core);
-            }
-            let next = mem.advance_to(now, horizon, engine).max(now + 1);
-            // Attribute the visit to whatever ended its span: the core's
-            // winning horizon arm, or — when `advance_to` handed control
-            // back early — the memory event whose completion fell due
-            // (an LQ-full wait keeps its label: the completion is what
-            // frees the slot).
-            let src = if next < horizon && core.horizon_source() != HorizonSource::LqFull {
-                HorizonSource::MemEvent
-            } else {
-                core.horizon_source()
-            };
-            visits.0[src as usize] += 1;
-            probe.visit(src, visit_start, next);
-            now = next;
-            break;
-        }
-        limits.check(now);
-    }
-    (now, host_iters, visits)
-}
-
-impl Limits<'_> {
-    #[inline]
-    fn check(&self, now: u64) {
-        assert!(
-            now < self.max_cycles,
-            "simulation exceeded {} cycles for {} / {}",
-            self.max_cycles,
-            self.workload,
-            self.mode
-        );
-    }
-
-    /// Aborts a run that can never move again: the core waits on a
-    /// memory completion nothing has scheduled, and the memory system
-    /// has no event, engine round or delivery pending.
-    #[cold]
-    fn deadlock(&self, now: u64, core: &Core<'_>) -> ! {
-        let head = match core.rob_head() {
-            Some((idx, class)) => format!("op {idx} ({class:?})"),
-            None => "empty".to_string(),
-        };
-        panic!(
-            "deadlock at cycle {now} for {} / {}: the core waits on no scheduled event \
-             and the memory system is quiescent (ROB head: {head})",
-            self.workload, self.mode
-        );
-    }
-}
-
-/// Typed panic payload of a livelock abort: the named diagnostic the
-/// driver raises when the event horizon stops advancing.
-#[derive(Debug, Clone)]
-pub struct LivelockAbort {
-    /// Benchmark name.
-    pub workload: String,
-    /// Engine-mode key.
-    pub mode: String,
-    /// Cycle the driver was stuck at.
-    pub at_cycle: u64,
-    /// The horizon source that "won" the stuck visits.
-    pub source: HorizonSource,
-    /// Consecutive visits whose horizon failed to advance.
-    pub stalled_visits: u32,
-    /// The last [`LIVELOCK_WINDOW`] raw horizons, oldest first.
-    pub recent_horizons: Vec<u64>,
-}
-
-impl fmt::Display for LivelockAbort {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "livelock: horizon stuck at cycle {} for {} consecutive visits \
-             ({} / {}, winning source {}, last horizons {:?})",
-            self.at_cycle,
-            self.stalled_visits,
-            self.workload,
-            self.mode,
-            self.source.key(),
-            self.recent_horizons,
-        )
-    }
-}
-
-/// Watches the reported horizons and aborts the run with a
-/// [`LivelockAbort`] once they stop advancing. A buggy `next_event_at`
-/// arm that reports a horizon `<= now` would degrade the driver to
-/// one-cycle-per-visit crawling, indistinguishable from a hang, long
-/// before `max_cycles` fires. Healthy horizons exceed `now` by
-/// construction, so the always-armed detector costs two compares per
-/// visit and never fires on a healthy run.
-#[derive(Debug)]
-struct LivelockDetector {
-    stalled: u32,
-    recent: [u64; LIVELOCK_WINDOW],
-    seen: usize,
-}
-
-impl LivelockDetector {
-    fn new() -> Self {
-        LivelockDetector {
-            stalled: 0,
-            recent: [0; LIVELOCK_WINDOW],
-            seen: 0,
-        }
-    }
-
-    /// Observes one visit's *raw* reported horizon (before the driver
-    /// clamps it to `now + 1`). Aborts with a [`LivelockAbort`] after
-    /// [`LIVELOCK_THRESHOLD`] consecutive visits whose horizon failed to
-    /// exceed `now`.
-    #[inline]
-    fn observe(
-        &mut self,
-        now: u64,
-        horizon: u64,
-        source: HorizonSource,
-        workload: &str,
-        mode: &str,
-    ) {
-        if horizon > now {
-            self.stalled = 0;
-            return;
-        }
-        self.recent[self.seen % LIVELOCK_WINDOW] = horizon;
-        self.seen += 1;
-        self.stalled += 1;
-        if self.stalled >= LIVELOCK_THRESHOLD {
-            let kept = LIVELOCK_WINDOW.min(self.seen);
-            let recent_horizons = (0..kept)
-                .map(|i| self.recent[(self.seen - kept + i) % LIVELOCK_WINDOW])
-                .collect();
-            panic_any(LivelockAbort {
-                workload: workload.to_string(),
-                mode: mode.to_string(),
-                at_cycle: now,
-                source,
-                stalled_visits: self.stalled,
-                recent_horizons,
-            });
-        }
-    }
-}
+pub use etpp_mem::drive::{
+    drive, FrontEnd, Limits, LivelockAbort, Probe, VisitCounts, LIVELOCK_THRESHOLD, LIVELOCK_WINDOW,
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::core::CoreParams;
+    use crate::core::{Core, CoreParams};
     use crate::trace::TraceBuilder;
-    use etpp_mem::{MemParams, MemoryImage, NullEngine};
+    use etpp_mem::{MemParams, MemoryImage, MemorySystem, NullEngine};
     use std::panic::{catch_unwind, AssertUnwindSafe};
-
-    #[test]
-    fn detector_fires_on_a_synthetic_non_advancing_horizon() {
-        let mut d = LivelockDetector::new();
-        let err = catch_unwind(AssertUnwindSafe(|| {
-            for _ in 0..LIVELOCK_THRESHOLD + 10 {
-                // A buggy horizon arm keeps reporting `horizon == now`.
-                d.observe(1000, 1000, HorizonSource::CoreProgress, "IntSort", "manual");
-            }
-        }))
-        .expect_err("a stuck horizon must abort");
-        let abort = err
-            .downcast_ref::<LivelockAbort>()
-            .expect("typed LivelockAbort payload");
-        assert_eq!(abort.at_cycle, 1000);
-        assert_eq!(abort.stalled_visits, LIVELOCK_THRESHOLD);
-        assert_eq!(abort.source, HorizonSource::CoreProgress);
-        assert_eq!(abort.recent_horizons, vec![1000; LIVELOCK_WINDOW]);
-        assert!(abort.to_string().contains("livelock: horizon stuck"));
-    }
 
     /// A load queue of zero entries can never issue the load: the core
     /// waits on a completion nothing will schedule. The driver names the
@@ -371,17 +48,5 @@ mod tests {
             "{msg}"
         );
         assert!(msg.ends_with("(ROB head: op 0 (Load))"), "{msg}");
-    }
-
-    #[test]
-    fn detector_resets_on_any_advancing_visit() {
-        let mut d = LivelockDetector::new();
-        for round in 0..3u64 {
-            for _ in 0..LIVELOCK_THRESHOLD - 1 {
-                d.observe(round, round, HorizonSource::MemEvent, "wl", "none");
-            }
-            // One healthy visit clears the streak.
-            d.observe(round, round + 5, HorizonSource::MemEvent, "wl", "none");
-        }
     }
 }

@@ -26,5 +26,5 @@ pub mod trace;
 
 pub use crate::core::{Core, CoreParams, CoreStats, CoreTelemetry, HorizonSource};
 pub use bpred::{BranchPredictor, BranchPredictorParams};
-pub use drive::{drive, Limits, LivelockAbort, Probe, VisitCounts};
+pub use drive::{drive, FrontEnd, Limits, LivelockAbort, Probe, VisitCounts};
 pub use trace::{MicroOp, OpClass, OpId, Trace, TraceBuilder};

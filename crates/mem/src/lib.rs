@@ -16,6 +16,9 @@
 //! * [`PrefetchEngine`] — the attachment point every prefetcher in this
 //!   repository implements (the programmable prefetcher as well as the
 //!   stride/GHB baselines).
+//! * [`drive()`] — the one horizon loop that runs a [`FrontEnd`] (the
+//!   cycle-level core or trace replay's window) against the hierarchy
+//!   and an engine.
 //!
 //! # Example
 //!
@@ -49,6 +52,7 @@ pub mod addr;
 pub mod cache;
 pub mod cancel;
 pub mod dram;
+pub mod drive;
 pub mod engine;
 pub mod fasthash;
 pub mod image;
@@ -62,6 +66,7 @@ pub use addr::{line_of, offset_in_line, page_of, LINE_SIZE, PAGE_SIZE};
 pub use cache::{Cache, CacheParams, Line};
 pub use cancel::{Cancelled, Deadline};
 pub use dram::{Dram, DramParams};
+pub use drive::{drive, FrontEnd, HorizonSource, Limits, LivelockAbort, Probe, VisitCounts};
 pub use engine::{
     ConfigOp, DemandEvent, FilterFlags, NullEngine, PrefetchEngine, PrefetchRequest, RangeId, TagId,
 };

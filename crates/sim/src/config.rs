@@ -2,7 +2,7 @@
 
 use etpp_core::PrefetcherParams;
 use etpp_cpu::CoreParams;
-use etpp_mem::MemParams;
+use etpp_mem::{Deadline, Limits, MemParams};
 
 /// Which prefetching scheme a run uses — one per bar group in Figure 7,
 /// plus the Figure 11 ablation.
@@ -155,14 +155,15 @@ pub struct SystemConfig {
     pub mem: MemParams,
     /// Programmable prefetcher parameters (used by programmable modes).
     pub pf: PrefetcherParams,
-    /// Upper bound on simulated cycles (runaway guard).
+    /// Upper bound on simulated cycles (runaway guard), on the cycle
+    /// core and replay alike.
     pub max_cycles: u64,
-    /// Disable horizon-aware fast-forwarding in the cycle-level driver:
-    /// advance the clock one cycle at a time and run the engine round
-    /// every tick, exactly as the pre-horizon simulator did. Mirrors
-    /// [`etpp_trace::ReplayParams::per_cycle_reference`]; slow, and kept
-    /// as the authoritative reference the equivalence suite pins the
-    /// fast path against.
+    /// Disable horizon-aware fast-forwarding in the driver, for the
+    /// cycle core and replay alike: advance the clock one cycle at a
+    /// time and run the engine round every tick, exactly as the
+    /// pre-horizon simulator did ([`etpp_mem::Limits::per_cycle_reference`]).
+    /// Slow, and kept as the authoritative reference the equivalence
+    /// suite pins the fast path against.
     pub per_cycle_reference: bool,
 }
 
@@ -176,6 +177,24 @@ impl SystemConfig {
             pf: PrefetcherParams::paper(),
             max_cycles: 20_000_000_000,
             per_cycle_reference: false,
+        }
+    }
+
+    /// The driver limits of one run of `mode` on `workload`, on either
+    /// front end: this configuration's cycle cap and per-cycle reference,
+    /// and the run's `deadline`.
+    pub fn limits<'a>(
+        &self,
+        workload: &'a str,
+        mode: PrefetchMode,
+        deadline: Option<Deadline>,
+    ) -> Limits<'a> {
+        Limits {
+            workload,
+            mode: mode.key(),
+            max_cycles: self.max_cycles,
+            per_cycle_reference: self.per_cycle_reference,
+            deadline,
         }
     }
 

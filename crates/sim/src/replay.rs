@@ -35,8 +35,8 @@ pub struct ReplayRun {
     /// Replayed cycles (directly comparable with the cycle core's on
     /// dependence-annotated streams; see `etpp_trace::replay`).
     pub cycles: u64,
-    /// Host loop iterations (visited cycles); `cycles / host_iters` is
-    /// the event-horizon fast-forward factor.
+    /// Driver visits, as [`crate::RunResult::host_iters`];
+    /// `cycles / host_iters` is the event-horizon fast-forward factor.
     pub host_iters: u64,
     /// Demand accesses replayed.
     pub accesses: u64,
@@ -238,11 +238,12 @@ pub fn replay_run(
     replay_run_watched(cfg, mode, wl, records, None)
 }
 
-/// [`replay_run`] under a sweep attempt's [`Deadline`]: the replay loop
-/// polls it at host-visit granularity, so a deadline that never expires
-/// leaves results bit-identical while an expired one aborts with a
-/// typed [`etpp_mem::Cancelled`] payload for the isolation layer to
-/// classify. `None` is exactly [`replay_run`].
+/// [`replay_run`] under a sweep attempt's [`Deadline`]: the driver
+/// polls it once per visit, so a deadline that never expires leaves
+/// results bit-identical while an expired one aborts with a typed
+/// [`etpp_mem::Cancelled`] payload for the isolation layer to classify.
+/// `None` is exactly [`replay_run`]. The cycle cap and the per-cycle
+/// reference come from `cfg`, as for [`crate::run`].
 ///
 /// # Errors
 /// [`Skip`], as for [`replay_run`].
@@ -254,13 +255,13 @@ pub fn replay_run_watched(
     deadline: Option<Deadline>,
 ) -> Result<ReplayRun, Skip> {
     let mut engine = make_engine(cfg, mode, wl)?;
-    let res = etpp_trace::replay_cancellable(
+    let res = etpp_trace::replay_limited(
         &replay_params(),
         cfg.mem,
         wl.image.clone(),
         records,
         engine.as_dyn(),
-        deadline,
+        &cfg.limits(wl.name, mode, deadline),
     );
     let validated = checksum_region(&res.image, wl.check_region) == wl.expected;
     Ok(ReplayRun {
@@ -451,6 +452,47 @@ mod tests {
         assert!(
             err.downcast_ref::<etpp_mem::Cancelled>().is_some(),
             "an expired deadline aborts replay with a typed payload"
+        );
+    }
+
+    /// `replay_run` takes its cycle cap and its per-cycle reference from
+    /// the `SystemConfig`, as `run` does.
+    #[test]
+    fn replay_run_honours_the_per_cycle_reference() {
+        let wl = etpp_workloads::intsort::IntSort.build(Scale::Tiny);
+        let cfg = SystemConfig::paper();
+        let trace = capture(None, &cfg, &wl).trace;
+        let fast = replay_run(&cfg, PrefetchMode::Stride, &wl, &trace.records).unwrap();
+        let reference = replay_run(
+            &SystemConfig::paper_per_cycle(),
+            PrefetchMode::Stride,
+            &wl,
+            &trace.records,
+        )
+        .unwrap();
+        assert_eq!(
+            reference.host_iters,
+            reference.cycles + 1,
+            "the reference visits every cycle, the finishing one included"
+        );
+        assert!(fast.host_iters < reference.host_iters);
+        assert_eq!(
+            (fast.cycles, fast.dep_stalls),
+            (reference.cycles, reference.dep_stalls)
+        );
+        assert_eq!(fast.mem, reference.mem);
+        let capped = SystemConfig {
+            max_cycles: fast.cycles / 2,
+            ..SystemConfig::paper()
+        };
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            replay_run(&capped, PrefetchMode::Stride, &wl, &trace.records)
+        }))
+        .unwrap_err();
+        let msg = err.downcast_ref::<String>().expect("a message");
+        assert!(
+            msg.starts_with("simulation exceeded") && msg.ends_with("for IntSort / stride"),
+            "{msg}"
         );
     }
 

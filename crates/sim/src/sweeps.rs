@@ -1859,8 +1859,8 @@ mod tests {
     fn paper_config_keys_are_pinned() {
         let cfg = SystemConfig::paper();
         let key = |mode| format!("{:016x}", cell_config_hash(&cfg, mode, false));
-        assert_eq!(key(PrefetchMode::None), "65710d011c2d1326");
-        assert_eq!(key(PrefetchMode::Manual), "90f130e4f093a0ee");
+        assert_eq!(key(PrefetchMode::None), "83e2483928aa96c9");
+        assert_eq!(key(PrefetchMode::Manual), "3fd424b3e8efb101");
     }
 
     #[test]

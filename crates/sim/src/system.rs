@@ -13,7 +13,7 @@ use etpp_baselines::{
     StridePrefetcher,
 };
 use etpp_core::{PfEngineStats, PrefetcherParams, ProgrammablePrefetcher};
-use etpp_cpu::{drive, Core, CoreStats, Limits, Probe, Trace, VisitCounts};
+use etpp_cpu::{drive, Core, CoreStats, Probe, Trace, VisitCounts};
 use etpp_mem::{Deadline, MemStats, MemorySystem, NullEngine, PrefetchEngine};
 use etpp_telemetry::Registry;
 use etpp_workloads::{checksum_region, BuiltWorkload, PrefetchSetup};
@@ -260,15 +260,9 @@ impl<'w> Machine<'w> {
 
     /// Runs the machine to completion through [`etpp_cpu::drive`] and
     /// returns its statistics.
-    fn run(&mut self, deadline: Option<Deadline>, probe: &mut impl Probe) -> RunResult {
+    fn run(&mut self, deadline: Option<Deadline>, probe: &mut impl Probe<Core<'w>>) -> RunResult {
         let wl = self.wl;
-        let limits = Limits {
-            workload: wl.name,
-            mode: self.mode.key(),
-            max_cycles: self.cfg.max_cycles,
-            per_cycle_reference: self.cfg.per_cycle_reference,
-            deadline,
-        };
+        let limits = self.cfg.limits(wl.name, self.mode, deadline);
         let engine = self.engine.as_dyn();
         let (cycles, host_iters, visits) =
             drive(&mut self.core, &mut self.mem, engine, &limits, probe);

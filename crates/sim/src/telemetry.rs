@@ -149,7 +149,7 @@ impl TelemetryProbe {
     }
 }
 
-impl Probe for TelemetryProbe {
+impl Probe<Core<'_>> for TelemetryProbe {
     #[inline]
     fn cycle(&mut self, now: u64, core: &Core<'_>, mem: &MemorySystem) {
         if self.due(now) {

@@ -69,4 +69,4 @@ pub mod replay;
 
 pub use format::{content_hash, CapturedTrace, TraceMeta, TraceRecord, FORMAT_VERSION};
 pub use io::{TraceReader, TraceWriter};
-pub use replay::{replay, replay_cancellable, ReplayParams, ReplayResult};
+pub use replay::{replay, replay_cancellable, replay_limited, ReplayParams, ReplayResult};

@@ -22,23 +22,28 @@
 //! *absolute* cycle counts within a pinned tolerance of the cycle-level
 //! core (see `tests/replay_fidelity.rs`).
 //!
-//! The clock never ticks through dead cycles: each iteration jumps
-//! straight to the earliest *event horizon* across the memory system
-//! (pending transfer or completion), the prefetch engine
-//! ([`PrefetchEngine::next_event_at`] — a due emission, a PPU freeing
-//! up, a queued request awaiting its pop), the issue window, and the
-//! store buffer. Engines that once forced per-cycle ticking whenever
-//! they held any state (the old `is_idle` gate) now fast-forward
-//! through PPU execution and release delays too, which is where the
-//! order-of-magnitude host speedup on programmable modes comes from.
-//! Setting [`ReplayParams::per_cycle_reference`] restores the unit-tick
-//! loop; the equivalence tests pin both paths to identical cycle
-//! counts, statistics and request streams.
+//! The window is a [`FrontEnd`] of the one driver, [`etpp_mem::drive()`],
+//! as the cycle core is: the driver owns the clock, dense spans, horizon
+//! jumps, visit attribution, the `max_cycles` cap, the deadline, and the
+//! deadlock and livelock guards. The window's horizon is the next cycle
+//! it can act — an issue slot opening, a drainable store — or `u64::MAX`
+//! while its head waits on a fill, on which `MemorySystem::advance_to`
+//! hands control back. While a buffered store waits on its line's fill,
+//! or once every record has drained, the horizon folds in the memory
+//! system's own, so the driver witnesses every hierarchy event itself:
+//! the run ends at the first cycle the hierarchy is idle, even if the
+//! engine still holds a live prefetch chain (`MemorySystem::busy` does
+//! not count engine state). [`Limits::per_cycle_reference`] is the
+//! unit-tick reference; the equivalence suite pins both paths to
+//! identical cycle counts, statistics and request streams.
 
 use crate::format::TraceRecord;
 use etpp_mem::{
-    AccessKind, MemParams, MemStats, MemoryImage, MemorySystem, PrefetchEngine, Rejection,
+    drive, AccessKind, Completion, ConfigOp, Deadline, FastHashMap, FastHashSet, FrontEnd,
+    HorizonSource, Limits, MemParams, MemStats, MemoryImage, MemorySystem, PrefetchEngine,
+    Rejection, VisitCounts,
 };
+use std::collections::VecDeque;
 
 /// Minimum cycles between successive issues (models front-end width).
 const ISSUE_GAP: u64 = 1;
@@ -48,18 +53,15 @@ const ISSUE_GAP: u64 = 1;
 /// window.
 const STORE_BUFFER: usize = 32;
 
+/// The runaway guard of [`replay_cancellable`], which has no
+/// `SystemConfig` to take one from (the paper configuration's value).
+const MAX_CYCLES: u64 = 20_000_000_000;
+
 /// Replay front-end parameters.
 #[derive(Debug, Clone, Copy, Hash)]
 pub struct ReplayParams {
     /// Maximum outstanding demand accesses.
     pub window: usize,
-    /// Runaway guard.
-    pub max_cycles: u64,
-    /// Disable all event-horizon batching: advance the clock one cycle
-    /// at a time and run the engine round every tick, exactly as the
-    /// pre-batching simulator did. Slow; exists so the equivalence
-    /// tests can pin the fast path against a unit-tick reference.
-    pub per_cycle_reference: bool,
 }
 
 impl Default for ReplayParams {
@@ -71,23 +73,23 @@ impl Default for ReplayParams {
     /// windows for absolute-cycle agreement (see
     /// `tests/replay_fidelity.rs`).
     fn default() -> Self {
-        ReplayParams {
-            window: 8,
-            max_cycles: 20_000_000_000,
-            per_cycle_reference: false,
-        }
+        ReplayParams { window: 8 }
     }
 }
 
 /// Outcome of one replay run.
 #[derive(Debug)]
 pub struct ReplayResult {
-    /// Replayed cycles (re-simulated; see module docs).
+    /// Replayed cycles (re-simulated; see module docs): the cycle at
+    /// which the window found itself drained and the hierarchy idle.
     pub cycles: u64,
-    /// Host loop iterations — simulated cycles actually *visited*. The
-    /// ratio `cycles / host_iters` is the event-horizon fast-forward
-    /// factor; per-cycle reference runs have `host_iters == cycles + 1`.
+    /// Driver visits (see [`etpp_mem::drive()`]). The ratio
+    /// `cycles / host_iters` is the event-horizon fast-forward factor;
+    /// per-cycle reference runs have `host_iters == cycles + 1`.
     pub host_iters: u64,
+    /// Per-source attribution of the visits (zeros on the per-cycle
+    /// reference).
+    pub visits: VisitCounts,
     /// Demand accesses issued.
     pub accesses: u64,
     /// Configuration records applied to the engine.
@@ -127,7 +129,7 @@ const DEP_INFLIGHT: u64 = u64::MAX;
 #[inline]
 fn dep_completed_at(
     load_done_at: &[u64],
-    inflight_ord: &etpp_mem::FastHashMap<u64, u64>,
+    inflight_ord: &FastHashMap<u64, u64>,
     issued_loads: u64,
     dep: u32,
 ) -> Option<u64> {
@@ -152,11 +154,306 @@ fn dep_completed_at(
     }
 }
 
+/// The in-order issue window: the replay [`FrontEnd`].
+#[derive(Debug)]
+struct Window<'r> {
+    records: &'r [TraceRecord],
+    /// Maximum outstanding demand loads.
+    window: usize,
+    /// Index of the next record to issue.
+    next: usize,
+    inflight: usize,
+    next_issue_at: u64,
+    /// Store buffer: data is committed when the record is reached (as
+    /// the cycle core commits at retire), but the cache access drains
+    /// later — one per cycle, FIFO, and only once the line is no longer
+    /// being fetched. This keeps load-modify-store pairs from counting
+    /// spurious write misses while never blocking the load window
+    /// behind a store.
+    store_q: VecDeque<u64>,
+    stores_in_mem: FastHashSet<u64>,
+    due: Vec<Completion>,
+    /// Dependence tracking (skipped entirely on a stream that records no
+    /// edge — the gate would never close): load records get 1-based
+    /// issue ordinals, `load_done_at` rings their completion state, and
+    /// `inflight_ord` maps an in-flight access id back to its ordinal.
+    track_deps: bool,
+    load_done_at: Vec<u64>,
+    issued_loads: u64,
+    inflight_ord: FastHashMap<u64, u64>,
+    /// Configuration records reached this cycle, for the driver.
+    pending_configs: Vec<ConfigOp>,
+    /// The hierarchy refused an access this cycle: retry next cycle, as
+    /// the LSQ would.
+    structural_stall: bool,
+    /// Every record issued, every access returned, the hierarchy idle.
+    done: bool,
+    horizon_source: HorizonSource,
+    accesses: u64,
+    configs: u64,
+    dep_stalls: u64,
+}
+
+impl<'r> Window<'r> {
+    fn new(params: &ReplayParams, records: &'r [TraceRecord]) -> Self {
+        let track_deps = records
+            .iter()
+            .any(|r| matches!(r, TraceRecord::Load { dep, .. } if *dep > 0));
+        Window {
+            records,
+            window: params.window,
+            next: 0,
+            inflight: 0,
+            next_issue_at: 0,
+            store_q: VecDeque::new(),
+            stores_in_mem: FastHashSet::default(),
+            due: Vec::new(),
+            track_deps,
+            load_done_at: vec![0; if track_deps { DEP_RING } else { 0 }],
+            issued_loads: 0,
+            inflight_ord: FastHashMap::default(),
+            pending_configs: Vec::new(),
+            structural_stall: false,
+            done: false,
+            horizon_source: HorizonSource::CoreProgress,
+            accesses: 0,
+            configs: 0,
+            dep_stalls: 0,
+        }
+    }
+
+    /// When the `dep`-back producer of the next load completed, as
+    /// [`dep_completed_at`]; `Some(0)` on a stream without edges.
+    #[inline]
+    fn producer_done_at(&self, dep: u32) -> Option<u64> {
+        if !self.track_deps {
+            return Some(0);
+        }
+        dep_completed_at(
+            &self.load_done_at,
+            &self.inflight_ord,
+            self.issued_loads,
+            dep,
+        )
+    }
+
+    /// Every record issued and every access returned.
+    fn drained(&self) -> bool {
+        self.next >= self.records.len()
+            && self.inflight == 0
+            && self.store_q.is_empty()
+            && self.stores_in_mem.is_empty()
+    }
+
+    /// Absorbs the demand completions due at `now`.
+    fn absorb(&mut self, now: u64, mem: &mut MemorySystem) {
+        let mut due = std::mem::take(&mut self.due);
+        due.clear();
+        mem.drain_completions_due(now, &mut due);
+        for c in &due {
+            if !self.stores_in_mem.remove(&c.id.0) {
+                self.inflight -= 1;
+                if self.track_deps {
+                    if let Some(o) = self.inflight_ord.remove(&c.id.0) {
+                        self.load_done_at[(o as usize) & (DEP_RING - 1)] = now;
+                    }
+                }
+            }
+        }
+        self.due = due;
+    }
+
+    /// Issues a store's cache access; `false` on a structural stall.
+    fn issue_store(&mut self, now: u64, vaddr: u64, mem: &mut MemorySystem) -> bool {
+        match mem.try_access(now, vaddr, AccessKind::Store, 0) {
+            Ok(id) => {
+                self.stores_in_mem.insert(id.0);
+                true
+            }
+            Err(Rejection::Fault) => panic!("replay: store to unmapped address {vaddr:#x}"),
+            Err(_) => {
+                self.structural_stall = true;
+                false
+            }
+        }
+    }
+
+    /// Issue phase: queue configs for the driver, issue accesses while
+    /// the window and the hierarchy accept them.
+    fn issue(&mut self, now: u64, mem: &mut MemorySystem) {
+        while let Some(record) = self.records.get(self.next) {
+            match record {
+                TraceRecord::Config { op, .. } => {
+                    self.pending_configs.push(ConfigOp::clone(op));
+                    self.configs += 1;
+                }
+                TraceRecord::Store {
+                    vaddr, value, size, ..
+                } => {
+                    if now < self.next_issue_at || self.store_q.len() >= STORE_BUFFER {
+                        return;
+                    }
+                    // Eager path: a store whose line is present (or absent
+                    // but not being fetched) drains inline; only stores
+                    // racing an in-flight fill queue up, so the buffer is
+                    // empty most of the time and idle fast-forwarding
+                    // stays effective.
+                    if self.store_q.is_empty() && !mem.line_in_flight(*vaddr) {
+                        if !self.issue_store(now, *vaddr, mem) {
+                            return;
+                        }
+                    } else {
+                        self.store_q.push_back(*vaddr);
+                    }
+                    mem.commit_store_data(*vaddr, *value, *size);
+                    self.accesses += 1;
+                    self.next_issue_at = now + ISSUE_GAP;
+                }
+                TraceRecord::Load { pc, vaddr, dep, .. } => {
+                    if now < self.next_issue_at || self.inflight >= self.window {
+                        return;
+                    }
+                    // Dependence gate: the recorded address producer's fill
+                    // must have completed, as the real core cannot compute
+                    // this address before its feeding load returns. The
+                    // wake is that producer's completion, on which
+                    // `advance_to` hands control back.
+                    let Some(producer_done_at) = self.producer_done_at(*dep) else {
+                        return;
+                    };
+                    match mem.try_access(now, *vaddr, AccessKind::Load, *pc) {
+                        Ok(id) => {
+                            self.inflight += 1;
+                            self.accesses += 1;
+                            if self.track_deps {
+                                // Issued the very cycle the producer's fill
+                                // returned: the dependence edge, not the
+                                // window, gated this issue.
+                                if *dep > 0 && producer_done_at == now {
+                                    self.dep_stalls += 1;
+                                }
+                                self.issued_loads += 1;
+                                self.load_done_at[(self.issued_loads as usize) & (DEP_RING - 1)] =
+                                    DEP_INFLIGHT;
+                                self.inflight_ord.insert(id.0, self.issued_loads);
+                            }
+                            self.next_issue_at = now + ISSUE_GAP;
+                        }
+                        Err(Rejection::Fault) => {
+                            panic!("replay: access to unmapped address {vaddr:#x}")
+                        }
+                        Err(_) => {
+                            self.structural_stall = true;
+                            return;
+                        }
+                    }
+                }
+            }
+            self.next += 1;
+        }
+    }
+
+    /// The horizon after ticking `now` and the arm that pinned it.
+    fn horizon(&self, now: u64, mem: &MemorySystem) -> (u64, HorizonSource) {
+        if self.structural_stall {
+            return (now + 1, HorizonSource::CoreProgress);
+        }
+        // Only a record that can actually issue pins the issue horizon:
+        // the issue phase leaves `next` at an access (it queues configs
+        // inline), so ask whether *that* access has capacity — a load
+        // needs a window slot (and, with dependence edges, its
+        // producer's fill), a store a buffer slot. A blocked head record
+        // wakes with the demand completion that frees its resource, on
+        // which `advance_to` stops.
+        let mut at = u64::MAX;
+        let mut src = HorizonSource::CoreProgress;
+        match self.records.get(self.next) {
+            Some(TraceRecord::Load { .. }) if self.inflight >= self.window => {
+                src = HorizonSource::LqFull;
+            }
+            Some(TraceRecord::Load { dep, .. }) if self.producer_done_at(*dep).is_none() => {
+                src = HorizonSource::OldestMiss;
+            }
+            Some(TraceRecord::Store { .. }) if self.store_q.len() >= STORE_BUFFER => {
+                src = HorizonSource::StoreWriteback;
+            }
+            Some(_) => at = self.next_issue_at,
+            None => {}
+        }
+        let mut fold = self.drained();
+        if fold {
+            src = HorizonSource::MemEvent;
+        }
+        if let Some(&v) = self.store_q.front() {
+            if mem.line_in_flight(v) {
+                // The store wakes with its line's fill — a memory event
+                // the driver must witness itself, so it cannot be
+                // advanced through.
+                fold = true;
+                src = HorizonSource::StoreWriteback;
+            } else if now + 1 < at {
+                // A drainable store goes next cycle.
+                at = now + 1;
+                src = HorizonSource::StoreWriteback;
+            }
+        }
+        if fold {
+            // The wake event (a parked store's fill, or any residual
+            // hierarchy/engine activity before the idle check) is in the
+            // memory horizon.
+            at = at.min(mem.next_horizon(now).unwrap_or(u64::MAX));
+        }
+        (at, src)
+    }
+}
+
+impl FrontEnd for Window<'_> {
+    fn tick(&mut self, now: u64, mem: &mut MemorySystem) {
+        self.absorb(now, mem);
+        self.structural_stall = false;
+        // Drain at most one buffered store per cycle, oldest first.
+        if let Some(&vaddr) = self.store_q.front() {
+            if !mem.line_in_flight(vaddr) && self.issue_store(now, vaddr, mem) {
+                self.store_q.pop_front();
+            }
+        }
+        self.issue(now, mem);
+        self.done = self.drained() && !mem.busy();
+    }
+
+    fn take_configs(&mut self) -> Vec<ConfigOp> {
+        std::mem::take(&mut self.pending_configs)
+    }
+
+    fn finished(&self) -> bool {
+        self.done
+    }
+
+    fn next_event_at(&mut self, now: u64, mem: &MemorySystem) -> u64 {
+        let (at, src) = self.horizon(now, mem);
+        self.horizon_source = src;
+        at
+    }
+
+    fn horizon_source(&self) -> HorizonSource {
+        self.horizon_source
+    }
+
+    fn head(&self) -> String {
+        let kind = match self.records.get(self.next) {
+            None => return "replay head: drained".to_string(),
+            Some(TraceRecord::Load { .. }) => "Load",
+            Some(TraceRecord::Store { .. }) => "Store",
+            Some(TraceRecord::Config { .. }) => "Config",
+        };
+        format!("replay head: record {} ({kind})", self.next)
+    }
+}
+
 /// Replays `records` through a fresh hierarchy attached to `engine`.
 ///
 /// # Panics
-/// Panics on demand accesses to unmapped addresses (a corrupt trace or
-/// wrong memory image) and when `params.max_cycles` is exceeded.
+/// As [`replay_limited`] under the default limits.
 pub fn replay(
     params: &ReplayParams,
     mem_params: MemParams,
@@ -168,282 +465,63 @@ pub fn replay(
 }
 
 /// [`replay`] under an optional wall-clock deadline, polled once per
-/// replay host iteration (never per simulated cycle) through
+/// driver visit (never per simulated cycle) through
 /// [`etpp_mem::Deadline::poll`]. A deadline that never expires is pure
 /// observation — the result is bit-identical to [`replay`]; an expired
 /// one aborts by panicking with its typed [`etpp_mem::Cancelled`]
 /// payload, which the sweep farm quarantines as a timeout.
 ///
 /// # Panics
-/// As [`replay`], plus the deadline's payload once it expires.
+/// As [`replay_limited`], whose diagnostics name the run `trace /
+/// replay`.
 pub fn replay_cancellable(
     params: &ReplayParams,
     mem_params: MemParams,
     image: MemoryImage,
     records: &[TraceRecord],
     engine: &mut dyn PrefetchEngine,
-    deadline: Option<etpp_mem::Deadline>,
+    deadline: Option<Deadline>,
+) -> ReplayResult {
+    let limits = Limits {
+        workload: "trace",
+        mode: "replay",
+        max_cycles: MAX_CYCLES,
+        per_cycle_reference: false,
+        deadline,
+    };
+    replay_limited(params, mem_params, image, records, engine, &limits)
+}
+
+/// Replays `records` through a fresh hierarchy attached to `engine`,
+/// driven by [`etpp_mem::drive()`] under `limits`.
+///
+/// # Panics
+/// On demand accesses to unmapped addresses (a corrupt trace or wrong
+/// memory image), and as [`etpp_mem::drive()`]: at `limits.max_cycles`,
+/// on a deadlock (naming the replay head record), a livelock or an
+/// expired deadline.
+pub fn replay_limited(
+    params: &ReplayParams,
+    mem_params: MemParams,
+    image: MemoryImage,
+    records: &[TraceRecord],
+    engine: &mut dyn PrefetchEngine,
+    limits: &Limits<'_>,
 ) -> ReplayResult {
     let mut mem = MemorySystem::new(mem_params, image);
-    if params.per_cycle_reference {
-        mem.set_engine_batching(false);
-    }
-    let mut now: u64 = 0;
-    let mut inflight: usize = 0;
-    let mut next_issue_at: u64 = 0;
-    let mut accesses: u64 = 0;
-    let mut configs: u64 = 0;
-    let mut host_iters: u64 = 0;
-    let mut i = 0usize;
-    // Store buffer: data is committed when the record is reached (as the
-    // cycle core commits at retire), but the cache access drains later —
-    // one per cycle, FIFO, and only once the line is no longer being
-    // fetched. This keeps load-modify-store pairs from counting spurious
-    // write misses while never blocking the load window behind a store.
-    let mut store_q: std::collections::VecDeque<u64> = std::collections::VecDeque::new();
-    let mut stores_in_mem: etpp_mem::FastHashSet<u64> = etpp_mem::FastHashSet::default();
-    let mut due: Vec<etpp_mem::Completion> = Vec::new();
-    // Dependence tracking (skipped entirely on a stream that records no
-    // edge — the gate would never close): load records get 1-based issue
-    // ordinals, `load_done_at` rings their completion state, and
-    // `inflight_ord` maps an in-flight access id back to its ordinal.
-    let track_deps = records
-        .iter()
-        .any(|r| matches!(r, TraceRecord::Load { dep, .. } if *dep > 0));
-    let mut load_done_at = vec![0u64; if track_deps { DEP_RING } else { 0 }];
-    let mut issued_loads: u64 = 0;
-    let mut inflight_ord: etpp_mem::FastHashMap<u64, u64> = etpp_mem::FastHashMap::default();
-    let mut dep_stalls: u64 = 0;
-
-    loop {
-        host_iters += 1;
-        if let Some(d) = deadline {
-            d.poll(host_iters, now);
-        }
-        mem.tick(now, engine);
-        due.clear();
-        mem.drain_completions_due(now, &mut due);
-        for c in &due {
-            if !stores_in_mem.remove(&c.id.0) {
-                inflight -= 1;
-                if track_deps {
-                    if let Some(o) = inflight_ord.remove(&c.id.0) {
-                        load_done_at[(o as usize) & (DEP_RING - 1)] = now;
-                    }
-                }
-            }
-        }
-
-        // Drain at most one buffered store per cycle, oldest first.
-        let mut structural_stall = false;
-        if let Some(&vaddr) = store_q.front() {
-            if !mem.line_in_flight(vaddr) {
-                match mem.try_access(now, vaddr, AccessKind::Store, 0) {
-                    Ok(id) => {
-                        store_q.pop_front();
-                        stores_in_mem.insert(id.0);
-                    }
-                    Err(Rejection::Fault) => {
-                        panic!("replay: store to unmapped address {vaddr:#x}")
-                    }
-                    Err(_) => structural_stall = true,
-                }
-            }
-        }
-
-        // Issue phase: apply configs immediately, issue accesses while the
-        // window and the hierarchy accept them.
-        while i < records.len() {
-            match &records[i] {
-                TraceRecord::Config { op, .. } => {
-                    engine.config(now, op);
-                    // The config may have armed the engine (or re-enabled
-                    // it with queued state); drop the cached horizon.
-                    mem.wake_engine();
-                    configs += 1;
-                    i += 1;
-                }
-                TraceRecord::Store {
-                    vaddr, value, size, ..
-                } => {
-                    if now < next_issue_at || store_q.len() >= STORE_BUFFER {
-                        break;
-                    }
-                    // Eager path: a store whose line is present (or absent
-                    // but not being fetched) drains inline; only stores
-                    // racing an in-flight fill queue up, so the buffer is
-                    // empty most of the time and idle fast-forwarding
-                    // stays effective.
-                    if store_q.is_empty() && !mem.line_in_flight(*vaddr) {
-                        match mem.try_access(now, *vaddr, AccessKind::Store, 0) {
-                            Ok(id) => {
-                                stores_in_mem.insert(id.0);
-                            }
-                            Err(Rejection::Fault) => {
-                                panic!("replay: store to unmapped address {vaddr:#x}")
-                            }
-                            Err(_) => {
-                                structural_stall = true;
-                                break;
-                            }
-                        }
-                    } else {
-                        store_q.push_back(*vaddr);
-                    }
-                    mem.commit_store_data(*vaddr, *value, *size);
-                    accesses += 1;
-                    next_issue_at = now + ISSUE_GAP;
-                    i += 1;
-                }
-                TraceRecord::Load { pc, vaddr, dep, .. } => {
-                    if now < next_issue_at || inflight >= params.window {
-                        break;
-                    }
-                    // Dependence gate: the recorded address producer's fill
-                    // must have completed, as the real core cannot compute
-                    // this address before its feeding load returns. The
-                    // wake is that producer's completion, on which
-                    // `advance_to` hands control back.
-                    let producer_done_at = if track_deps {
-                        match dep_completed_at(&load_done_at, &inflight_ord, issued_loads, *dep) {
-                            Some(at) => at,
-                            None => break,
-                        }
-                    } else {
-                        0
-                    };
-                    match mem.try_access(now, *vaddr, AccessKind::Load, *pc) {
-                        Ok(id) => {
-                            inflight += 1;
-                            accesses += 1;
-                            if track_deps {
-                                // Issued the very cycle the producer's fill
-                                // returned: the dependence edge, not the
-                                // window, gated this issue.
-                                if *dep > 0 && producer_done_at == now {
-                                    dep_stalls += 1;
-                                }
-                                issued_loads += 1;
-                                load_done_at[(issued_loads as usize) & (DEP_RING - 1)] =
-                                    DEP_INFLIGHT;
-                                inflight_ord.insert(id.0, issued_loads);
-                            }
-                            next_issue_at = now + ISSUE_GAP;
-                            i += 1;
-                        }
-                        Err(Rejection::Fault) => {
-                            panic!("replay: access to unmapped address {vaddr:#x}")
-                        }
-                        Err(_) => {
-                            structural_stall = true;
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-
-        if i >= records.len()
-            && inflight == 0
-            && store_q.is_empty()
-            && stores_in_mem.is_empty()
-            && !mem.busy()
-        {
-            break;
-        }
-
-        // Advance time: jump to the next moment the *front end* can act
-        // — an issue slot opening or a drainable store — and let
-        // `MemorySystem::advance_to` run every intermediate transfer and
-        // engine round (bulk prefetch pops included) at its exact cycle,
-        // handing control back early when a demand completion falls due.
-        // Structural stalls retry next cycle, as the LSQ would.
-        if params.per_cycle_reference || structural_stall {
-            now += 1;
-        } else {
-            let mut front_at = u64::MAX;
-            if i < records.len() {
-                // Only a record that can actually issue pins the issue
-                // horizon: the phase above leaves `i` at an access (it
-                // applies configs inline), so ask whether *that* access
-                // has capacity — a load needs a window slot (and, with
-                // dependence edges, its producer's fill), a store a
-                // buffer slot. A blocked head record wakes with the
-                // demand completion that frees its resource, on which
-                // `advance_to` stops.
-                let can_issue = match &records[i] {
-                    TraceRecord::Config { .. } => true,
-                    TraceRecord::Load { dep, .. } => {
-                        inflight < params.window
-                            && (!track_deps
-                                || dep_completed_at(
-                                    &load_done_at,
-                                    &inflight_ord,
-                                    issued_loads,
-                                    *dep,
-                                )
-                                .is_some())
-                    }
-                    TraceRecord::Store { .. } => store_q.len() < STORE_BUFFER,
-                };
-                if can_issue {
-                    front_at = front_at.min(next_issue_at);
-                }
-            }
-            let mut blocked_store = false;
-            if let Some(&v) = store_q.front() {
-                if mem.line_in_flight(v) {
-                    // The store wakes with its line's fill — a memory
-                    // event the driver must witness itself, so it cannot
-                    // be advanced through.
-                    blocked_store = true;
-                } else {
-                    // A drainable store goes next cycle.
-                    front_at = front_at.min(now + 1);
-                }
-            }
-            // Once the front end has fully drained, the run ends at the
-            // first cycle the hierarchy goes idle — even if the engine
-            // still holds a live prefetch chain (`MemorySystem::busy`
-            // does not count engine state, exactly as the per-cycle
-            // reference terminates). The driver must therefore witness
-            // every horizon cycle itself rather than let `advance_to`
-            // run the chain to exhaustion behind its back.
-            let front_done = i >= records.len()
-                && inflight == 0
-                && store_q.is_empty()
-                && stores_in_mem.is_empty();
-            now = if blocked_store || front_done {
-                // Classic fold: the wake event (a parked store's fill,
-                // or any residual hierarchy/engine activity before the
-                // termination check) is in the memory horizon.
-                let next = front_at.min(mem.next_horizon(now).unwrap_or(u64::MAX));
-                if next == u64::MAX {
-                    now + 1
-                } else {
-                    next.max(now + 1)
-                }
-            } else {
-                mem.advance_to(now, front_at, engine).max(now + 1)
-            };
-        }
-        assert!(
-            now < params.max_cycles,
-            "replay exceeded {} cycles",
-            params.max_cycles
-        );
-    }
-
-    let stats = mem.stats();
-    let image = mem.into_image();
+    let mut window = Window::new(params, records);
+    let (end, host_iters, visits) = drive(&mut window, &mut mem, engine, limits, &mut ());
     ReplayResult {
-        cycles: now,
+        // The driver stops one cycle after the finishing tick; replay
+        // counts the finishing cycle itself.
+        cycles: end - 1,
         host_iters,
-        accesses,
-        configs,
-        dep_stalls,
-        mem: stats,
-        image,
+        visits,
+        accesses: window.accesses,
+        configs: window.configs,
+        dep_stalls: window.dep_stalls,
+        mem: mem.stats(),
+        image: mem.into_image(),
     }
 }
 
@@ -465,6 +543,16 @@ mod tests {
                 dep: if i == 0 { 0 } else { dep },
             })
             .collect()
+    }
+
+    fn limits<'a>(workload: &'a str, mode: &'a str) -> Limits<'a> {
+        Limits {
+            workload,
+            mode,
+            max_cycles: 1_000_000,
+            per_cycle_reference: false,
+            deadline: None,
+        }
     }
 
     fn image_with(bytes: u64) -> (MemoryImage, u64) {
@@ -529,10 +617,7 @@ mod tests {
         let recs = mk_records(64, 4096, base);
         let mut e1 = NullEngine;
         let narrow = replay(
-            &ReplayParams {
-                window: 2,
-                ..ReplayParams::default()
-            },
+            &ReplayParams { window: 2 },
             MemParams::paper(),
             {
                 let (img, _) = image_with(1 << 22);
@@ -543,10 +628,7 @@ mod tests {
         );
         let mut e2 = NullEngine;
         let wide = replay(
-            &ReplayParams {
-                window: 16,
-                ..ReplayParams::default()
-            },
+            &ReplayParams { window: 16 },
             MemParams::paper(),
             image,
             &recs,
@@ -650,16 +732,18 @@ mod tests {
             }
         }
         let run = |per_cycle_reference: bool, image: MemoryImage| {
+            let limits = Limits {
+                per_cycle_reference,
+                ..limits("mixed", "none")
+            };
             let mut engine = NullEngine;
-            replay(
-                &ReplayParams {
-                    per_cycle_reference,
-                    ..ReplayParams::default()
-                },
+            replay_limited(
+                &ReplayParams::default(),
                 MemParams::paper(),
                 image,
                 &recs,
                 &mut engine,
+                &limits,
             )
         };
         let fast = run(false, image.clone());
@@ -667,6 +751,16 @@ mod tests {
         assert_eq!(fast.cycles, reference.cycles, "cycle counts must match");
         assert_eq!(fast.mem, reference.mem, "memory stats must match");
         assert_eq!(fast.dep_stalls, reference.dep_stalls);
+        assert_eq!(
+            reference.host_iters,
+            reference.cycles + 1,
+            "reference visits every cycle"
+        );
+        assert_eq!(
+            fast.visits.total(),
+            fast.host_iters,
+            "every visit is attributed"
+        );
         assert!(
             fast.host_iters < reference.host_iters,
             "fast path must skip cycles ({} vs {})",
@@ -688,5 +782,32 @@ mod tests {
         );
         assert_eq!(r.accesses, 0);
         assert!(r.cycles < 10);
+    }
+
+    /// A window of zero entries can never issue the load: the head
+    /// record waits on a completion nothing will schedule. The driver
+    /// names the deadlock at once instead of crawling one cycle per
+    /// visit to the cycle cap.
+    #[test]
+    fn a_deadlocked_replay_is_named_at_once() {
+        let (image, base) = image_with(4096);
+        let recs = mk_records(1, 64, base);
+        let err = std::panic::catch_unwind(|| {
+            replay_limited(
+                &ReplayParams { window: 0 },
+                MemParams::paper(),
+                image,
+                &recs,
+                &mut NullEngine,
+                &limits("one load", "none"),
+            )
+        })
+        .expect_err("a deadlocked replay must abort");
+        let msg = err.downcast_ref::<String>().expect("a message");
+        assert!(
+            msg.starts_with("deadlock at cycle 0 for one load / none:"),
+            "{msg}"
+        );
+        assert!(msg.ends_with("(replay head: record 0 (Load))"), "{msg}");
     }
 }

@@ -5,8 +5,8 @@
 //! accuracy-threshold engine and the phase-adaptive meta-engine — must:
 //!
 //! 1. be **bit-identical** on the horizon-aware fast path vs the
-//!    per-cycle unit-tick reference, on both the cycle-level and the
-//!    trace-replay drivers;
+//!    per-cycle unit-tick reference, on both of the driver's front ends
+//!    (cycle core and trace replay);
 //! 2. be **observationally transparent** under telemetry on the
 //!    synthetic two-phase workload (every mode's transparency on the
 //!    Table 2 workloads is the equivalence suite's
@@ -24,14 +24,16 @@
 //! two-phase workload and beats every static configuration it chooses
 //! between.
 
+mod common;
+
+use common::{assert_equivalent, Front};
 use etpp::baselines::{
     PcDeltaParams, PcDeltaPrefetcher, RptStridePrefetcher, StrideParams, StridePrefetcher,
 };
 use etpp::mem::{DemandEvent, PrefetchEngine, LINE_SIZE};
 use etpp::sim::experiments::{columns, cross, CycleGrid, Grid};
 use etpp::sim::{
-    make_engine, replay_run, report, run, run_captured, run_telemetry, try_load_or_capture_keyed,
-    PrefetchMode, SystemConfig,
+    replay_run, report, run, run_telemetry, try_load_or_capture_keyed, PrefetchMode, SystemConfig,
 };
 use etpp::trace::FORMAT_VERSION;
 use etpp::workloads::{workload_by_name, BuiltWorkload, Scale, Workload};
@@ -59,101 +61,27 @@ fn zoo_grid(workloads: &[BuiltWorkload], jobs: usize) -> CycleGrid {
 }
 
 // ---------------------------------------------------------------------------
-// 1. Fast path vs per-cycle reference, cycle-level and replay drivers
+// 1. Fast path vs per-cycle reference, cycle-level and replay front ends
 // ---------------------------------------------------------------------------
 
-/// IntSort and HJ-8 × every mode (the zoo included) are the equivalence
-/// suite's `cycle_path_is_horizon_equivalent_across_modes`, which makes
-/// every check below; only the synthetic TwoPhase workload is this
-/// suite's own.
+/// Every zoo mode, fast path vs per-cycle reference, on both front
+/// ends. On the cycle core IntSort and HJ-8 × every mode (the zoo
+/// included) are the equivalence suite's
+/// `cycle_path_is_horizon_equivalent_across_modes`, so only the
+/// synthetic TwoPhase workload is this suite's own; replay runs the
+/// whole suite set.
 #[test]
 fn zoo_cycle_path_is_bit_identical_to_per_cycle_reference() {
-    let fast_cfg = SystemConfig::paper();
-    let ref_cfg = SystemConfig::paper_per_cycle();
-    let wl = &two_phase();
-    for mode in PrefetchMode::ZOO {
-        let (fast, fast_trace) =
-            run_captured(&fast_cfg, mode, wl, "zoo").expect("zoo modes never skip");
-        let (reference, ref_trace) =
-            run_captured(&ref_cfg, mode, wl, "zoo").expect("zoo modes never skip");
-        let name = wl.name;
-        assert_eq!(
-            fast.cycles, reference.cycles,
-            "{name}/{mode:?}: cycle counts must be identical"
-        );
-        assert_eq!(
-            reference.host_iters, reference.cycles,
-            "{name}/{mode:?}: the reference loop must visit every cycle"
-        );
-        assert!(
-            fast.host_iters < reference.host_iters,
-            "{name}/{mode:?}: the fast path must actually skip cycles"
-        );
-        assert_eq!(
-            fast.core, reference.core,
-            "{name}/{mode:?}: core statistics must be bit-identical"
-        );
-        assert_eq!(
-            fast.mem, reference.mem,
-            "{name}/{mode:?}: memory statistics must be bit-identical"
-        );
-        assert_eq!(
-            fast.pf, reference.pf,
-            "{name}/{mode:?}: engine counters must be bit-identical"
-        );
-        assert_eq!(
-            fast.adaptive, reference.adaptive,
-            "{name}/{mode:?}: the adaptive decision log must be bit-identical"
-        );
-        assert_eq!(
-            fast_trace.records, ref_trace.records,
-            "{name}/{mode:?}: retirement streams must be bit-identical"
-        );
-        assert!(
-            fast.validated && reference.validated,
-            "{name}/{mode:?}: both paths must reproduce the reference output"
-        );
-    }
-}
-
-#[test]
-fn zoo_replay_fast_path_matches_per_cycle_reference() {
-    use etpp::trace::{replay, ReplayParams};
-    let cfg = SystemConfig::paper();
-    for wl in &suite_workloads() {
-        let trace = try_load_or_capture_keyed(None, &cfg, wl, "tiny", FORMAT_VERSION)
-            .unwrap()
-            .trace;
-        for mode in PrefetchMode::ZOO {
-            let run_one = |per_cycle: bool| {
-                let mut engine = make_engine(&cfg, mode, wl).expect("zoo modes never skip");
-                let params = ReplayParams {
-                    per_cycle_reference: per_cycle,
-                    ..ReplayParams::default()
-                };
-                replay(
-                    &params,
-                    cfg.mem,
-                    wl.image.clone(),
-                    &trace.records,
-                    engine.as_dyn(),
-                )
-            };
-            let fast = run_one(false);
-            let reference = run_one(true);
-            let name = wl.name;
-            assert_eq!(
-                fast.cycles, reference.cycles,
-                "{name}/{mode:?}: replayed cycle counts must be identical"
-            );
-            assert_eq!(
-                fast.accesses, reference.accesses,
-                "{name}/{mode:?}: access counts must match"
-            );
-            assert_eq!(
-                fast.mem, reference.mem,
-                "{name}/{mode:?}: replay memory statistics must be bit-identical"
-            );
+    let two = two_phase();
+    let suite = suite_workloads();
+    for (front, workloads) in [
+        (Front::Cycle, std::slice::from_ref(&two)),
+        (Front::Replay, &suite[..]),
+    ] {
+        for wl in workloads {
+            for mode in PrefetchMode::ZOO {
+                assert_equivalent(front, mode, wl);
+            }
         }
     }
 }

@@ -1,169 +1,48 @@
 //! Event-horizon scheduler equivalence (PR 2 + PR 3's correctness
 //! contract).
 //!
-//! The batched fast paths — engine-horizon fast-forwarding in trace
-//! replay, engine-round skipping inside `MemorySystem::tick`, and the
-//! horizon-aware cycle-level driver (`Core::next_event_at` +
-//! `MemorySystem::advance_to`) — must be *bit-identical* to a per-cycle
-//! unit-tick reference loop: same cycle counts, same core and memory
-//! statistics, same retirement streams, same prefetch request stream
-//! (cycle, address, tag, metadata), same engine counters, same post-run
-//! image checksum. Any divergence means a horizon contract
-//! ([`PrefetchEngine::next_event_at`] or `Core::next_event_at`)
-//! under-reported pending work.
+//! The batched fast paths — engine-round skipping inside
+//! `MemorySystem::tick` and the horizon-aware driver (`FrontEnd::
+//! next_event_at` + `MemorySystem::advance_to`) on both of its front
+//! ends, the cycle core and trace replay — must be *bit-identical* to a
+//! per-cycle unit-tick reference loop: same cycle counts, same core and
+//! memory statistics, same retirement streams, same prefetch request
+//! stream (cycle, address, tag, metadata), same engine counters, same
+//! post-run image checksum. Any divergence means a horizon contract
+//! (`PrefetchEngine::next_event_at` or a front end's `next_event_at`)
+//! under-reported pending work. One helper, `common::
+//! assert_equivalent_with`, makes every check on either front end.
 
-use etpp::mem::{ConfigOp, DemandEvent, Line, MemoryImage, PrefetchEngine, PrefetchRequest, TagId};
+mod common;
+
+use common::{assert_equivalent, assert_equivalent_with, Front};
 use etpp::sim::{
-    make_engine, run_captured, try_load_or_capture_keyed, Engine, PrefetchMode, RunResult,
-    SystemConfig,
+    make_engine, try_load_or_capture_keyed, Engine, PrefetchMode, RunResult, SystemConfig,
 };
-use etpp::trace::{replay, ReplayParams, ReplayResult, TraceRecord, FORMAT_VERSION};
-use etpp::workloads::{checksum_region, workload_by_name, BuiltWorkload, Scale};
+use etpp::trace::{replay, ReplayParams, TraceRecord, FORMAT_VERSION};
+use etpp::workloads::{workload_by_name, BuiltWorkload, Scale};
 
-/// Forwards to an inner engine, logging every popped request with its
-/// issue cycle so two runs' request streams compare exactly.
-struct Recording<'a> {
-    inner: &'a mut dyn PrefetchEngine,
-    log: Vec<(u64, u64, Option<TagId>, u64)>,
+fn built(name: &str) -> BuiltWorkload {
+    workload_by_name(name).unwrap().build(Scale::Tiny)
 }
 
-impl PrefetchEngine for Recording<'_> {
-    fn on_demand(&mut self, now: u64, ev: &DemandEvent) {
-        self.inner.on_demand(now, ev);
-    }
-    fn on_prefetch_fill(
-        &mut self,
-        now: u64,
-        vaddr: u64,
-        line: &Line,
-        tag: Option<TagId>,
-        meta: u64,
-    ) {
-        self.inner.on_prefetch_fill(now, vaddr, line, tag, meta);
-    }
-    fn tick(&mut self, now: u64) {
-        self.inner.tick(now);
-    }
-    fn pop_request(&mut self, now: u64) -> Option<PrefetchRequest> {
-        let r = self.inner.pop_request(now);
-        if let Some(req) = r {
-            self.log.push((now, req.vaddr, req.tag, req.meta));
-        }
-        r
-    }
-    fn config(&mut self, now: u64, op: &ConfigOp) {
-        self.inner.config(now, op);
-    }
-    fn next_event_at(&self, now: u64) -> Option<u64> {
-        self.inner.next_event_at(now)
-    }
-    fn next_tick_at(&self, now: u64) -> Option<u64> {
-        self.inner.next_tick_at(now)
-    }
-}
-
-struct Outcome {
-    result: ReplayResult,
-    requests: Vec<(u64, u64, Option<TagId>, u64)>,
-    engine: Engine,
-}
-
-fn replay_with(
-    cfg: &SystemConfig,
-    mode: PrefetchMode,
-    wl: &BuiltWorkload,
-    image: MemoryImage,
-    records: &[TraceRecord],
-    per_cycle_reference: bool,
-) -> Outcome {
-    let mut engine = make_engine(cfg, mode, wl).expect("engine modes only");
-    let params = ReplayParams {
-        per_cycle_reference,
-        ..ReplayParams::default()
-    };
-    let mut rec = Recording {
-        inner: engine.as_dyn(),
-        log: Vec::new(),
-    };
-    let result = replay(&params, cfg.mem, image, records, &mut rec);
-    let requests = rec.log;
-    Outcome {
-        result,
-        requests,
-        engine,
-    }
-}
-
-fn assert_equivalent(mode: PrefetchMode, wl_name: &str) {
-    assert_equivalent_with(mode, wl_name, |_| {});
-}
-
-fn assert_equivalent_with(mode: PrefetchMode, wl_name: &str, tweak: impl Fn(&mut SystemConfig)) {
-    let wl = workload_by_name(wl_name).unwrap().build(Scale::Tiny);
-    let mut cfg = SystemConfig::paper();
-    tweak(&mut cfg);
-    let trace = try_load_or_capture_keyed(None, &cfg, &wl, "tiny", FORMAT_VERSION)
-        .unwrap()
-        .trace;
-
-    let fast = replay_with(&cfg, mode, &wl, wl.image.clone(), &trace.records, false);
-    let reference = replay_with(&cfg, mode, &wl, wl.image.clone(), &trace.records, true);
-
-    assert_eq!(
-        fast.result.cycles, reference.result.cycles,
-        "{wl_name}/{mode:?}: replayed cycle counts must be identical"
-    );
-    assert_eq!(
-        fast.result.accesses, reference.result.accesses,
-        "{wl_name}/{mode:?}: access counts must match"
-    );
-    assert_eq!(
-        fast.result.mem, reference.result.mem,
-        "{wl_name}/{mode:?}: memory statistics must be bit-identical"
-    );
-    assert_eq!(
-        fast.requests.len(),
-        reference.requests.len(),
-        "{wl_name}/{mode:?}: prefetch request counts must match"
-    );
-    for (i, (f, r)) in fast.requests.iter().zip(&reference.requests).enumerate() {
-        assert_eq!(
-            f, r,
-            "{wl_name}/{mode:?}: request #{i} diverged (cycle, vaddr, tag, meta)"
-        );
-    }
-    if let (Engine::Prog(fp), Engine::Prog(rp)) = (&fast.engine, &reference.engine) {
-        assert_eq!(
-            fp.counters(),
-            rp.counters(),
-            "{wl_name}/{mode:?}: engine counters must match"
-        );
-    }
-    let fsum = checksum_region(&fast.result.image, wl.check_region);
-    assert_eq!(
-        fsum,
-        checksum_region(&reference.result.image, wl.check_region),
-        "{wl_name}/{mode:?}: post-replay image checksums must match"
-    );
-    assert_eq!(
-        fsum, wl.expected,
-        "{wl_name}/{mode:?}: replay must reproduce the reference output"
-    );
-}
+// ---------------------------------------------------------------------------
+// Replay path: the trace front end vs per-cycle reference
+// ---------------------------------------------------------------------------
 
 #[test]
 fn null_engine_is_horizon_equivalent() {
-    assert_equivalent(PrefetchMode::None, "IntSort");
+    assert_equivalent(Front::Replay, PrefetchMode::None, &built("IntSort"));
 }
 
 #[test]
 fn stride_is_horizon_equivalent() {
-    assert_equivalent(PrefetchMode::Stride, "IntSort");
+    assert_equivalent(Front::Replay, PrefetchMode::Stride, &built("IntSort"));
 }
 
 #[test]
 fn ghb_is_horizon_equivalent() {
-    assert_equivalent(PrefetchMode::GhbRegular, "RandAcc");
+    assert_equivalent(Front::Replay, PrefetchMode::GhbRegular, &built("RandAcc"));
 }
 
 #[test]
@@ -172,16 +51,16 @@ fn programmable_is_horizon_equivalent_on_mixed_workloads() {
     // (tagged chained prefetches); IntSort mixes dense histogramming
     // with indirect scatter stores; G500-List is the pure pointer-chase
     // extreme whose replay is dominated by store-parked front-end waits.
-    assert_equivalent(PrefetchMode::Manual, "IntSort");
-    assert_equivalent(PrefetchMode::Manual, "HJ-8");
-    assert_equivalent(PrefetchMode::Manual, "G500-List");
+    for name in ["IntSort", "HJ-8", "G500-List"] {
+        assert_equivalent(Front::Replay, PrefetchMode::Manual, &built(name));
+    }
 }
 
 #[test]
 fn blocked_mode_is_horizon_equivalent() {
     // Blocked mode exercises the timeout-as-scheduled-event path and
     // blocked-PPU horizon accounting.
-    assert_equivalent(PrefetchMode::Blocked, "HJ-8");
+    assert_equivalent(Front::Replay, PrefetchMode::Blocked, &built("HJ-8"));
 }
 
 #[test]
@@ -191,10 +70,15 @@ fn replay_pf_buffer_backlog_is_horizon_equivalent() {
     // horizon (`PrefetchEngine::next_tick_at` + the `PfBufFill` re-arm)
     // on the replay path: pop cycles, request streams and statistics
     // must stay bit-identical to per-cycle ticking.
-    assert_equivalent_with(PrefetchMode::Manual, "IntSort", |cfg| {
-        cfg.mem.pf_buffer_entries = 1;
-    });
-    assert_equivalent_with(PrefetchMode::Manual, "HJ-8", |cfg| {
+    assert_equivalent_with(
+        Front::Replay,
+        PrefetchMode::Manual,
+        &built("IntSort"),
+        |cfg| {
+            cfg.mem.pf_buffer_entries = 1;
+        },
+    );
+    assert_equivalent_with(Front::Replay, PrefetchMode::Manual, &built("HJ-8"), |cfg| {
         cfg.mem.pf_buffer_entries = 2;
     });
 }
@@ -202,101 +86,6 @@ fn replay_pf_buffer_backlog_is_horizon_equivalent() {
 // ---------------------------------------------------------------------------
 // Cycle-level path: horizon-aware driver vs per-cycle reference
 // ---------------------------------------------------------------------------
-
-/// Runs `wl` under `mode` through both cycle-level drivers — the
-/// horizon-aware fast-forward loop and the per-cycle unit-tick
-/// reference — with retirement capture enabled, and asserts
-/// bit-identical outcomes: cycles, core statistics, memory statistics,
-/// engine counters, the full retirement stream (cycle stamps included)
-/// and the post-run image checksum. The reference must also have
-/// visited every cycle while the fast path skipped some.
-fn assert_cycle_equivalent(mode: PrefetchMode, wl: &BuiltWorkload) {
-    assert_cycle_equivalent_with(mode, wl, |_| {});
-}
-
-/// [`assert_cycle_equivalent`] under a tweaked system configuration
-/// (applied to the fast and reference runs alike), returning the fast
-/// path's deterministic fast-forward factor so saturation cases can
-/// additionally pin a floor on it.
-fn assert_cycle_equivalent_with(
-    mode: PrefetchMode,
-    wl: &BuiltWorkload,
-    tweak: impl Fn(&mut SystemConfig),
-) -> f64 {
-    let mut fast_cfg = SystemConfig::paper();
-    tweak(&mut fast_cfg);
-    let mut ref_cfg = SystemConfig::paper_per_cycle();
-    tweak(&mut ref_cfg);
-
-    let Ok((fast, fast_trace)) = run_captured(&fast_cfg, mode, wl, "equiv") else {
-        return 0.0; // mode not expressible for this workload
-    };
-    let (reference, ref_trace) =
-        run_captured(&ref_cfg, mode, wl, "equiv").expect("expressible above");
-
-    let name = wl.name;
-    assert_eq!(
-        fast.cycles, reference.cycles,
-        "{name}/{mode:?}: cycle counts must be identical"
-    );
-    assert_eq!(
-        reference.host_iters, reference.cycles,
-        "{name}/{mode:?}: the reference loop must visit every cycle"
-    );
-    assert!(
-        fast.host_iters < reference.host_iters,
-        "{name}/{mode:?}: the fast path must actually skip cycles \
-         ({} visited of {})",
-        fast.host_iters,
-        fast.cycles
-    );
-    assert_eq!(
-        fast.core, reference.core,
-        "{name}/{mode:?}: core statistics must be bit-identical"
-    );
-    assert_eq!(
-        fast.mem, reference.mem,
-        "{name}/{mode:?}: memory statistics must be bit-identical"
-    );
-    assert_eq!(
-        fast.pf, reference.pf,
-        "{name}/{mode:?}: engine counters must be bit-identical"
-    );
-    assert_eq!(
-        fast.final_lookahead, reference.final_lookahead,
-        "{name}/{mode:?}: EWMA look-ahead must match"
-    );
-    assert_eq!(
-        fast.adaptive, reference.adaptive,
-        "{name}/{mode:?}: the adaptive decision log must be bit-identical"
-    );
-    assert_eq!(
-        fast_trace.records.len(),
-        ref_trace.records.len(),
-        "{name}/{mode:?}: retirement stream lengths must match"
-    );
-    for (i, (f, r)) in fast_trace
-        .records
-        .iter()
-        .zip(&ref_trace.records)
-        .enumerate()
-    {
-        assert_eq!(
-            f, r,
-            "{name}/{mode:?}: retirement record #{i} diverged (cycle, pc, vaddr, kind)"
-        );
-    }
-    assert!(
-        fast.validated && reference.validated,
-        "{name}/{mode:?}: both paths must reproduce the reference output"
-    );
-    assert_eq!(
-        fast.visits.total(),
-        fast.host_iters,
-        "{name}/{mode:?}: every driver visit must be attributed to a horizon source"
-    );
-    fast.ff()
-}
 
 /// Every registered mode — the full Figure 7 set, the Figure 11
 /// blocked ablation and the engine zoo (`PrefetchMode::ALL` is the
@@ -309,7 +98,7 @@ fn cycle_path_is_horizon_equivalent_across_modes() {
     for wl_name in ["IntSort", "HJ-8"] {
         let wl = workload_by_name(wl_name).unwrap().build(Scale::Tiny);
         for mode in PrefetchMode::ALL {
-            assert_cycle_equivalent(mode, &wl);
+            assert_equivalent(Front::Cycle, mode, &wl);
         }
     }
 }
@@ -326,7 +115,7 @@ fn cycle_path_is_horizon_equivalent_across_modes() {
 fn lq_saturation_is_horizon_equivalent_and_faster() {
     for (wl_name, min_ff) in [("HJ-8", 9.3), ("IntSort", 8.9)] {
         let wl = workload_by_name(wl_name).unwrap().build(Scale::Tiny);
-        let ff = assert_cycle_equivalent_with(PrefetchMode::Manual, &wl, |cfg| {
+        let ff = assert_equivalent_with(Front::Cycle, PrefetchMode::Manual, &wl, |cfg| {
             cfg.core.lq_entries = 2;
         });
         assert!(
@@ -347,7 +136,7 @@ fn lq_saturation_is_horizon_equivalent_and_faster() {
 fn tiny_non_power_of_two_window_is_horizon_equivalent() {
     let wl = workload_by_name("IntSort").unwrap().build(Scale::Tiny);
     for mode in [PrefetchMode::None, PrefetchMode::Manual] {
-        assert_cycle_equivalent_with(mode, &wl, |cfg| {
+        assert_equivalent_with(Front::Cycle, mode, &wl, |cfg| {
             cfg.core.rob_entries = 7;
             cfg.core.iq_entries = 5;
             cfg.core.lq_entries = 2;
@@ -367,7 +156,7 @@ fn tiny_non_power_of_two_window_is_horizon_equivalent() {
 #[test]
 fn pf_buffer_backlog_is_horizon_equivalent_and_faster() {
     let wl = workload_by_name("IntSort").unwrap().build(Scale::Tiny);
-    let ff = assert_cycle_equivalent_with(PrefetchMode::Manual, &wl, |cfg| {
+    let ff = assert_equivalent_with(Front::Cycle, PrefetchMode::Manual, &wl, |cfg| {
         cfg.mem.pf_buffer_entries = 1;
         cfg.mem.l1.mshrs = 3;
     });
@@ -377,7 +166,7 @@ fn pf_buffer_backlog_is_horizon_equivalent_and_faster() {
          behaviour by 2x (floor 3.2x)"
     );
     let wl = workload_by_name("HJ-8").unwrap().build(Scale::Tiny);
-    let ff = assert_cycle_equivalent_with(PrefetchMode::Manual, &wl, |cfg| {
+    let ff = assert_equivalent_with(Front::Cycle, PrefetchMode::Manual, &wl, |cfg| {
         cfg.mem.pf_buffer_entries = 2;
     });
     assert!(
@@ -539,7 +328,7 @@ fn cycle_path_is_horizon_equivalent_at_small_scale() {
             PrefetchMode::Stride,
             PrefetchMode::Manual,
         ] {
-            assert_cycle_equivalent(mode, &wl);
+            assert_equivalent(Front::Cycle, mode, &wl);
         }
     }
 }
