@@ -35,8 +35,8 @@ pub const LIVELOCK_THRESHOLD: u32 = 64;
 /// Raw horizons kept in the livelock diagnostic's tail window.
 pub const LIVELOCK_WINDOW: usize = 8;
 
-/// What the driver runs: a source of demand accesses and configuration
-/// ops that ticks once per simulated cycle and reports the next cycle
+/// A source of demand accesses and configuration ops, stepped by
+/// [`drive()`]: it ticks once per simulated cycle and reports the next cycle
 /// at which it can act.
 pub trait FrontEnd {
     /// Simulates cycle `now`, after the memory system's own tick for it.

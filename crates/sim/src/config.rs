@@ -180,7 +180,7 @@ impl SystemConfig {
         }
     }
 
-    /// The driver limits of one run of `mode` on `workload`, on either
+    /// The horizon-loop limits of one run of `mode` on `workload`, on either
     /// front end: this configuration's cycle cap and per-cycle reference,
     /// and the run's `deadline`.
     pub fn limits<'a>(

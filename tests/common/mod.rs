@@ -1,6 +1,6 @@
-//! The fast-path-vs-reference check both driver suites share
+//! The fast-path-vs-reference check both horizon-loop suites share
 //! (`event_horizon_equivalence.rs`, `engine_zoo.rs`), parametrised over
-//! the front end the driver runs.
+//! the front end that `drive()` steps.
 
 use etpp::core::PfEngineStats;
 use etpp::cpu::CoreStats;
