@@ -20,7 +20,7 @@
 //!   captured; their load numbers are kept sorted, so a load's captured
 //!   ordinal is its load number minus the forwarded numbers below it.
 
-use crate::trace::{MicroOp, OpClass, OpId, Trace};
+use crate::trace::{MicroOp, OpClass, OpId, PackedOp, Trace};
 use etpp_mem::ConfigOp;
 use etpp_trace::TraceRecord;
 use std::collections::BTreeSet;
@@ -28,7 +28,7 @@ use std::collections::BTreeSet;
 /// Trace-index span of the producer ring (a power of two).
 pub(crate) const RING: usize = 256;
 const _: () = assert!(RING.is_power_of_two());
-const _: () = assert!(RING >= MicroOp::ESCAPED as usize);
+const _: () = assert!(RING >= PackedOp::ESCAPED as usize);
 
 /// The capture sink and its dependence tracker.
 #[derive(Debug)]
@@ -191,7 +191,7 @@ mod tests {
         let n = trace.len();
         for i in 0..n + window {
             if let Some(r) = i.checked_sub(window) {
-                let op = &trace.ops[r];
+                let op = &trace.op(r as u32);
                 match op.class {
                     OpClass::Load => {
                         let fwd = forwarded.contains(&(r as u32));
@@ -208,7 +208,8 @@ mod tests {
                 }
             }
             if i < n {
-                stash[i % window] = cap.dispatch(i as u32, &trace.ops[i], trace.deps(i as u32));
+                stash[i % window] =
+                    cap.dispatch(i as u32, &trace.op(i as u32), trace.deps(i as u32));
             }
         }
         cap.finish()
@@ -222,7 +223,7 @@ mod tests {
         let mut ordinal = vec![None::<u32>; trace.len()];
         let mut captured = 0;
         let mut deps = Vec::new();
-        for (i, op) in trace.ops.iter().enumerate() {
+        for (i, op) in trace.ops().enumerate() {
             let producer = trace
                 .deps(i as u32)
                 .into_iter()
@@ -446,9 +447,9 @@ mod tests {
         b.load(0x80, 1, [None, None]);
         let t = b.build();
         let mut cap = Capture::new(&t);
-        cap.dispatch(0, &t.ops[0], [None, None]);
-        cap.dispatch(1, &t.ops[1], [None, None]);
-        cap.retire_load(5, &t.ops[0], 0, false);
-        cap.retire_load(4, &t.ops[1], 0, false);
+        cap.dispatch(0, &t.op(0), [None, None]);
+        cap.dispatch(1, &t.op(1), [None, None]);
+        cap.retire_load(5, &t.op(0), 0, false);
+        cap.retire_load(4, &t.op(1), 0, false);
     }
 }

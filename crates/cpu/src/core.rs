@@ -400,7 +400,7 @@ impl<'t> Core<'t> {
         let mut lq_blocked = false;
         let mut defer_loads = false;
         if let Some(&idx) = self.ready_mem.front() {
-            lq_blocked = self.trace.ops[idx as usize].class == OpClass::Load
+            lq_blocked = self.trace.op(idx).class == OpClass::Load
                 && self.lq_inflight >= self.params.lq_entries;
             if !lq_blocked {
                 if self.mem_queue_all_parked(mem) {
@@ -442,7 +442,7 @@ impl<'t> Core<'t> {
         // by the arms above/below.
         if self.blocking_branch.is_none() && (self.cursor as usize) < self.trace.len() {
             let rob_free = ((self.cursor - self.head) as usize) < self.params.rob_entries;
-            let op = &self.trace.ops[self.cursor as usize];
+            let op = self.trace.op(self.cursor);
             let needs_iq = op.class != OpClass::Config;
             let iq_free = !needs_iq || self.iq_count < self.params.iq_entries;
             let sq_free = op.class != OpClass::Store || self.sq.len() < self.params.sq_entries;
@@ -516,7 +516,7 @@ impl<'t> Core<'t> {
     /// retry round adding `ready_mem.len()` to `load_retries`.
     fn mem_queue_all_parked(&self, mem: &MemorySystem) -> bool {
         self.ready_mem.iter().all(|&idx| {
-            let op = &self.trace.ops[idx as usize];
+            let op = self.trace.op(idx);
             if op.class != OpClass::Load {
                 return false;
             }
@@ -591,7 +591,7 @@ impl<'t> Core<'t> {
     }
 
     fn enqueue_ready(&mut self, idx: u32) {
-        match self.trace.ops[idx as usize].class {
+        match self.trace.op(idx).class {
             OpClass::Int | OpClass::Branch | OpClass::Store => self.ready_int.push_back(idx),
             OpClass::Fp => self.ready_fp.push_back(idx),
             OpClass::MulDiv => self.ready_muldiv.push_back(idx),
@@ -608,7 +608,7 @@ impl<'t> Core<'t> {
             if self.head >= self.cursor || self.slots[slot].state != State::Done {
                 break;
             }
-            let op = self.trace.ops[self.head as usize];
+            let op = self.trace.op(self.head);
             match op.class {
                 OpClass::Store => {
                     // Commit the data so prefetch kernels see current state,
@@ -703,7 +703,7 @@ impl<'t> Core<'t> {
             let Some(idx) = self.ready_mem.pop_front() else {
                 break;
             };
-            let op = self.trace.ops[idx as usize];
+            let op = self.trace.op(idx);
             match op.class {
                 OpClass::Swpf => {
                     let slot = self.slot_of(idx);
@@ -779,7 +779,7 @@ impl<'t> Core<'t> {
     }
 
     fn begin_exec(&mut self, idx: u32, now: u64) {
-        let op = self.trace.ops[idx as usize];
+        let op = self.trace.op(idx);
         let slot = self.slot_of(idx);
         self.slots[slot].state = State::Executing;
         self.leave_iq(slot);
@@ -800,7 +800,7 @@ impl<'t> Core<'t> {
             if (self.cursor - self.head) as usize >= self.params.rob_entries {
                 break; // ROB full
             }
-            let op = self.trace.ops[self.cursor as usize];
+            let op = self.trace.op(self.cursor);
             let needs_iq = op.class != OpClass::Config;
             if needs_iq && self.iq_count >= self.params.iq_entries {
                 break;
@@ -916,9 +916,14 @@ impl FrontEnd for Core<'_> {
     }
 
     fn head(&self) -> String {
-        match self.trace.ops.get(self.head as usize) {
-            Some(op) => format!("ROB head: op {} ({:?})", self.head, op.class),
-            None => "ROB head: empty".to_string(),
+        if (self.head as usize) < self.trace.len() {
+            format!(
+                "ROB head: op {} ({:?})",
+                self.head,
+                self.trace.op(self.head).class
+            )
+        } else {
+            "ROB head: empty".to_string()
         }
     }
 }

@@ -9,12 +9,17 @@
 //! * its branch outcome where applicable, and
 //! * up to two *register dependencies* on earlier trace entries.
 //!
-//! A [`MicroOp`] is 16 bytes. Store data lives beside the ops in
-//! [`Trace::store_values`], one entry per store in program order, because
-//! most ops carry none; a consumer walks it with a running store index.
-//! Each dependence is one byte: how many ops back its producer sits.
-//! Almost every producer is a few ops back; the rare one 255 or more
-//! ops back is *escaped* and kept exactly in a side table of
+//! A stored op is 8 bytes: one `u64` packing its two dependence bytes,
+//! an 8-bit index into the trace's table of distinct `(class, aux, pc)`
+//! triples, and a 40-bit `addr`. A trace has only a handful of static
+//! instructions, so each op's class, latency/size/taken bit and PC are
+//! kept once in that table (at most 256 entries); [`Trace::op`] decodes
+//! an op back into a [`MicroOp`] by value. Store data lives beside the
+//! ops in [`Trace::store_values`], one entry per store in program order,
+//! because most ops carry none; a consumer walks it with a running store
+//! index. Each dependence is one byte: how many ops back its producer
+//! sits. Almost every producer is a few ops back; the rare one 255 or
+//! more ops back is *escaped* and kept exactly in a side table of
 //! `(op index, producer index)` pairs. [`Trace::deps`] is the one
 //! decoder, and it returns exactly the edges the builder was given.
 //!
@@ -53,7 +58,7 @@ pub enum OpClass {
     Config,
 }
 
-/// One dynamic micro-operation.
+/// One dynamic micro-operation, as [`Trace::op`] decodes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MicroOp {
     /// Virtual address (memory ops), branch target (branches) or
@@ -66,29 +71,68 @@ pub struct MicroOp {
     pub class: OpClass,
     /// Latency, size, or taken-bit depending on class.
     pub aux: u8,
-    /// The two dependence operands as back-distances: 0 = none, `1..=254`
-    /// = the producer is that many ops earlier, `MicroOp::ESCAPED` = the
-    /// producer is in the trace's far-edge table. Only [`TraceBuilder`]
-    /// writes them and only [`Trace::deps`] reads them.
-    pub(crate) back: [u8; 2],
 }
 
-const _: () = assert!(std::mem::size_of::<MicroOp>() == 16);
+/// The fields an op shares with every other dynamic instance of the
+/// same static instruction: one entry of a trace's kind table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct OpKind {
+    pc: u32,
+    class: OpClass,
+    aux: u8,
+}
 
-impl MicroOp {
+/// One op as a trace stores it. Bits 0–15: the two dependence operands
+/// as back-distances (0 = none, `1..=254` = the producer is that many
+/// ops earlier, [`PackedOp::ESCAPED`] = the producer is in the trace's
+/// far-edge table). Bits 16–23: index into the trace's kind table.
+/// Bits 24–63: `addr`. Only [`TraceBuilder`] writes it; only
+/// [`Trace::op`] and [`Trace::deps`] read it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PackedOp(u64);
+
+const _: () = assert!(std::mem::size_of::<PackedOp>() == 8);
+
+impl PackedOp {
     /// The back-distance byte of an operand whose producer is this many
     /// ops back or more: an escaped edge, kept exactly in the trace's
     /// far-edge table.
     pub(crate) const ESCAPED: u8 = u8::MAX;
+    /// Width of the stored `addr`.
+    const ADDR_BITS: u32 = 40;
+    /// Most distinct `(class, aux, pc)` triples one trace can hold.
+    const KINDS: usize = 1 << 8;
+
+    fn new(back: [u8; 2], kind: u8, addr: u64) -> Self {
+        PackedOp(u64::from(back[0]) | u64::from(back[1]) << 8 | u64::from(kind) << 16 | addr << 24)
+    }
+
+    #[inline]
+    fn back(self) -> [u8; 2] {
+        [self.0 as u8, (self.0 >> 8) as u8]
+    }
+
+    #[inline]
+    fn kind(self) -> usize {
+        usize::from((self.0 >> 16) as u8)
+    }
+
+    #[inline]
+    fn addr(self) -> u64 {
+        self.0 >> 24
+    }
 }
 
 /// A complete program trace plus its side tables.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
-    /// The dynamic micro-ops in program order.
-    pub ops: Vec<MicroOp>,
+    /// The dynamic micro-ops in program order, packed.
+    ops: Vec<PackedOp>,
+    /// The distinct `(class, aux, pc)` triples the ops index, in order
+    /// of first use.
+    kinds: Vec<OpKind>,
     /// Data of each `Store` op, in program order: the `k`-th store in
-    /// `ops` writes `store_values[k]`.
+    /// the trace writes `store_values[k]`.
     pub store_values: Vec<u64>,
     /// Prefetcher configuration operations referenced by `Config` ops.
     pub configs: Vec<ConfigOp>,
@@ -108,26 +152,47 @@ impl Trace {
         self.ops.is_empty()
     }
 
-    /// Heap bytes the micro-ops, store data and far edges occupy.
+    /// Heap bytes the micro-ops, their kind table, store data and far
+    /// edges occupy.
     pub fn bytes(&self) -> usize {
         std::mem::size_of_val(self.ops.as_slice())
+            + std::mem::size_of_val(self.kinds.as_slice())
             + std::mem::size_of_val(self.store_values.as_slice())
             + std::mem::size_of_val(self.far.as_slice())
+    }
+
+    /// Op `idx`, decoded: exactly the fields its [`TraceBuilder`] call
+    /// emitted.
+    #[inline]
+    pub fn op(&self, idx: u32) -> MicroOp {
+        let op = self.ops[idx as usize];
+        let OpKind { pc, class, aux } = self.kinds[op.kind()];
+        MicroOp {
+            addr: op.addr(),
+            pc,
+            class,
+            aux,
+        }
+    }
+
+    /// Every op in program order, decoded as by [`Trace::op`].
+    pub fn ops(&self) -> impl ExactSizeIterator<Item = MicroOp> + '_ {
+        (0..self.len() as u32).map(|i| self.op(i))
     }
 
     /// The producers of op `idx`, in operand order: exactly the edges
     /// its [`TraceBuilder`] call was given.
     #[inline]
     pub fn deps(&self, idx: u32) -> [Option<OpId>; 2] {
-        let back = self.ops[idx as usize].back;
-        let mut far = if back.contains(&MicroOp::ESCAPED) {
+        let back = self.ops[idx as usize].back();
+        let mut far = if back.contains(&PackedOp::ESCAPED) {
             self.far.partition_point(|&(i, _)| i < idx)
         } else {
             0
         };
         back.map(|b| match b {
             0 => None,
-            MicroOp::ESCAPED => {
+            PackedOp::ESCAPED => {
                 far += 1;
                 Some(OpId(self.far[far - 1].1))
             }
@@ -139,7 +204,7 @@ impl Trace {
     /// comparison between plain and software-prefetch traces).
     pub fn class_counts(&self) -> TraceClassCounts {
         let mut c = TraceClassCounts::default();
-        for op in &self.ops {
+        for op in self.ops() {
             match op.class {
                 OpClass::Int => c.int += 1,
                 OpClass::Fp => c.fp += 1,
@@ -200,9 +265,22 @@ impl TraceClassCounts {
 /// assert_eq!(t.len(), 3);
 /// assert_eq!(t.deps(2), [Some(hash), None]);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct TraceBuilder {
     trace: Trace,
+    /// Open-addressed index of `trace.kinds`, keyed by a multiplicative
+    /// hash of the triple: kind index + 1, or 0 for an empty slot. Twice
+    /// the table's capacity, so a probe always ends.
+    lookup: [u16; 2 * PackedOp::KINDS],
+}
+
+impl Default for TraceBuilder {
+    fn default() -> Self {
+        TraceBuilder {
+            trace: Trace::default(),
+            lookup: [0; 2 * PackedOp::KINDS],
+        }
+    }
 }
 
 impl TraceBuilder {
@@ -221,10 +299,13 @@ impl TraceBuilder {
         self.trace.is_empty()
     }
 
-    /// Appends one op, encoding its dependences as back-distances.
+    /// Appends one op, encoding its dependences as back-distances and
+    /// its `(class, aux, pc)` as a kind-table index.
     ///
     /// # Panics
-    /// If a dependence names this op itself or one not emitted yet.
+    /// If a dependence names this op itself or one not emitted yet, if
+    /// `addr` does not fit in 40 bits, or if the op would be the trace's
+    /// 257th distinct `(class, aux, pc)`.
     fn emit(
         &mut self,
         class: OpClass,
@@ -234,6 +315,12 @@ impl TraceBuilder {
         deps: [Option<OpId>; 2],
     ) -> OpId {
         let idx = self.trace.ops.len() as u32;
+        assert!(
+            addr >> PackedOp::ADDR_BITS == 0,
+            "op {idx} ({class:?}, pc {pc:#x}): address {addr:#x} does not fit in {} bits",
+            PackedOp::ADDR_BITS
+        );
+        let kind = self.kind_index(idx, OpKind { pc, class, aux });
         let far = &mut self.trace.far;
         let back = deps.map(|d| {
             let Some(OpId(p)) = d else { return 0 };
@@ -242,21 +329,43 @@ impl TraceBuilder {
                 "op {idx} depends on op {p}, which is not emitted before it"
             );
             match u8::try_from(idx - p) {
-                Ok(b) if b < MicroOp::ESCAPED => b,
+                Ok(b) if b < PackedOp::ESCAPED => b,
                 _ => {
                     far.push((idx, p));
-                    MicroOp::ESCAPED
+                    PackedOp::ESCAPED
                 }
             }
         });
-        self.trace.ops.push(MicroOp {
-            addr,
-            pc,
-            class,
-            aux,
-            back,
-        });
+        self.trace.ops.push(PackedOp::new(back, kind, addr));
         OpId(idx)
+    }
+
+    /// The kind-table index of `kind`, appending it on first use.
+    fn kind_index(&mut self, idx: u32, kind: OpKind) -> u8 {
+        let key = u64::from(kind.pc) << 16 | u64::from(kind.class as u8) << 8 | u64::from(kind.aux);
+        let bits = self.lookup.len().trailing_zeros();
+        let mut slot = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - bits)) as usize;
+        loop {
+            match self.lookup[slot] {
+                0 => break,
+                k if self.trace.kinds[usize::from(k) - 1] == kind => return (k - 1) as u8,
+                _ => slot = (slot + 1) % self.lookup.len(),
+            }
+        }
+        let k = self.trace.kinds.len();
+        assert!(
+            k < PackedOp::KINDS,
+            "op {idx} ({:?}, aux {}, pc {:#x}) would be the trace's {}th distinct \
+             (class, aux, pc); a trace holds at most {}",
+            kind.class,
+            kind.aux,
+            kind.pc,
+            k + 1,
+            PackedOp::KINDS
+        );
+        self.trace.kinds.push(kind);
+        self.lookup[slot] = k as u16 + 1;
+        k as u8
     }
 
     /// Emits an integer ALU op with the given latency.
@@ -332,6 +441,7 @@ impl TraceBuilder {
     /// Finalises the trace, releasing the builder's spare capacity.
     pub fn build(mut self) -> Trace {
         self.trace.ops.shrink_to_fit();
+        self.trace.kinds.shrink_to_fit();
         self.trace.store_values.shrink_to_fit();
         self.trace.far.shrink_to_fit();
         self.trace
@@ -354,7 +464,7 @@ mod tests {
         assert_eq!(t.deps(1), [Some(a), None]);
         assert_eq!(t.deps(2), [Some(a), Some(c)]);
         assert_eq!(t.deps(3), [None, Some(c)]);
-        assert_eq!(t.ops[3].back, [0, 2]);
+        assert_eq!(t.ops[3].back(), [0, 2]);
         assert!(t.far.is_empty());
     }
 
@@ -379,8 +489,8 @@ mod tests {
         let t = b.build();
         for (&d, &(c, p)) in dists.iter().zip(&consumers) {
             assert_eq!(t.deps(c.0), [Some(p), None], "distance {d}");
-            let escaped = d >= MicroOp::ESCAPED as u32;
-            assert_eq!(t.ops[c.0 as usize].back[0] == MicroOp::ESCAPED, escaped);
+            let escaped = d >= PackedOp::ESCAPED as u32;
+            assert_eq!(t.ops[c.0 as usize].back()[0] == PackedOp::ESCAPED, escaped);
         }
         assert_eq!(t.deps(both.0), [Some(p), Some(q)]);
         assert_eq!(
@@ -388,7 +498,8 @@ mod tests {
             6,
             "255, 256, 65 535, 70 000 and both of `both`"
         );
-        assert_eq!(t.bytes(), t.len() * 16 + 6 * 8);
+        // Every op is the one kind `(Int, 1, 0)`.
+        assert_eq!(t.bytes(), t.len() * 8 + 8 + 6 * 8);
     }
 
     #[test]
@@ -405,6 +516,45 @@ mod tests {
         let mut b = TraceBuilder::new();
         b.int_op(1, [None, None]);
         b.int_op(1, [Some(OpId(5)), None]);
+    }
+
+    #[test]
+    fn a_full_kind_table_and_the_top_address_fit() {
+        let top = (1 << PackedOp::ADDR_BITS) - 1;
+        let mut b = TraceBuilder::new();
+        for pc in 0..PackedOp::KINDS as u32 {
+            b.load(top - u64::from(pc), pc, [None, None]);
+        }
+        // Repeating a triple adds no kind.
+        b.load(top, 0, [None, None]);
+        let t = b.build();
+        assert_eq!(t.kinds.len(), PackedOp::KINDS);
+        assert_eq!(t.op(255).pc, 255);
+        assert_eq!(t.op(255).addr, top - 255);
+        assert_eq!(t.op(256).addr, top);
+        assert_eq!(t.ops[256].kind(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "op 1 (Load, pc 0x7): address 0x10000000000 does not fit in 40 bits")]
+    fn an_address_past_40_bits_is_refused_by_name() {
+        let mut b = TraceBuilder::new();
+        b.load((1 << 40) - 1, 7, [None, None]);
+        b.load(1 << 40, 7, [None, None]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "op 257 (Int, aux 1, pc 0x0) would be the trace's 257th distinct \
+                               (class, aux, pc); a trace holds at most 256"
+    )]
+    fn a_257th_distinct_triple_is_refused_by_name() {
+        let mut b = TraceBuilder::new();
+        for pc in 0..256 {
+            b.load(0x40, pc, [None, None]);
+        }
+        b.load(0x40, 0, [None, None]);
+        b.int_op(1, [None, None]);
     }
 
     #[test]
@@ -432,9 +582,9 @@ mod tests {
         b.config(ConfigOp::Enable(true));
         let t = b.build();
         assert_eq!(t.configs.len(), 2);
-        assert_eq!(t.ops[0].addr, 0);
-        assert_eq!(t.ops[1].addr, 1);
-        assert_eq!(t.ops[0].class, OpClass::Config);
+        assert_eq!(t.op(0).addr, 0);
+        assert_eq!(t.op(1).addr, 1);
+        assert_eq!(t.op(0).class, OpClass::Config);
     }
 
     #[test]
@@ -445,7 +595,8 @@ mod tests {
         b.store_sized(0x88, 9, 4, 3, [None, None]);
         let t = b.build();
         assert_eq!(t.store_values, vec![7, 9]);
-        assert_eq!(t.bytes(), 3 * 16 + 2 * 8);
+        // Three ops of three kinds, two store values.
+        assert_eq!(t.bytes(), 3 * 8 + 3 * 8 + 2 * 8);
     }
 
     #[test]

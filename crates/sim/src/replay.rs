@@ -64,7 +64,7 @@ pub fn workload_trace_key(wl: &BuiltWorkload, scale_label: &str) -> u64 {
     h = fnv1a(scale_label.as_bytes(), h);
     h = fnv1a(&(FORMAT_VERSION as u64).to_le_bytes(), h);
     h = fnv1a(&(wl.trace.len() as u64).to_le_bytes(), h);
-    for (i, op) in wl.trace.ops.iter().enumerate() {
+    for (i, op) in wl.trace.ops().enumerate() {
         h = fnv1a(&op.pc.to_le_bytes(), h);
         h = fnv1a(&[op.class as u8, op.aux], h);
         for d in wl.trace.deps(i as u32) {

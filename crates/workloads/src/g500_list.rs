@@ -367,10 +367,9 @@ mod tests {
         let t = &w.trace;
         let mut chain = 0;
         let mut best = 0;
-        for (i, op) in t.ops.iter().enumerate() {
+        for (i, op) in t.ops().enumerate() {
             if op.pc == PC_NODE {
-                let dep_is_node =
-                    t.deps(i as u32)[0].is_some_and(|d| t.ops[d.0 as usize].pc == PC_NODE);
+                let dep_is_node = t.deps(i as u32)[0].is_some_and(|d| t.op(d.0).pc == PC_NODE);
                 chain = if dep_is_node { chain + 1 } else { 1 };
                 best = best.max(chain);
             }

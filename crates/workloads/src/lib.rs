@@ -84,7 +84,7 @@ mod tests {
             }
         };
         let mut stores = t.store_values.iter();
-        for (i, op) in t.ops.iter().enumerate() {
+        for (i, op) in t.ops().enumerate() {
             let (addr, payload) = match op.class {
                 OpClass::Store => (op.addr, *stores.next().unwrap()),
                 OpClass::Config => (0, op.addr),

@@ -11,7 +11,7 @@
 //! than by timing noise.
 //!
 //! The byte budget covers what a built workload holds: its micro-op
-//! traces, 16 bytes per op, dominate a process's peak heap. A run with no Software cell
+//! traces, 8 bytes per op, dominate a process's peak heap. A run with no Software cell
 //! must never materialise the software-prefetch trace; building the three
 //! software traces eagerly pushes the peak past the budget (a Software
 //! cell generates its trace for itself and drops it when it ends). A
@@ -81,11 +81,12 @@ static GLOBAL: Counting = Counting;
 const BUDGET: u64 = 1_000;
 
 /// Peak live heap while building IntSort, HJ-8 and ConjGrad at Tiny and
-/// running their `none` cells: 8.8 MiB with 16-byte ops and no software
-/// trace; 12.0 MiB with 24-byte ops (two absolute `u32` dependence
-/// indices per op); 42.4 MiB with eagerly built software traces of
-/// 32-byte ops.
-const BYTE_BUDGET: u64 = 20 << 20;
+/// running their `none` cells: 5.7 MiB with 8-byte ops and no software
+/// trace; 8.8 MiB with 16-byte ops (pc, class and aux stored per op
+/// rather than once per trace), which fails here; 12.0 MiB with 24-byte
+/// ops (two absolute `u32` dependence indices per op); 42.4 MiB with
+/// eagerly built software traces of 32-byte ops.
+const BYTE_BUDGET: u64 = 7 << 20;
 
 #[test]
 fn a_cycle_core_cell_allocates_a_few_hundred_times_not_once_per_instruction() {
@@ -158,11 +159,11 @@ fn a_capture_holds_one_copy_of_its_records() {
     assert!(r.validated);
     let peak = PEAK.with(Cell::get) - base;
     // One 32-byte record per captured access and nothing per op: the
-    // peak is 5.00 MiB (5.34 MiB with 40-byte records, whose loads
-    // carried an unused store value and size). A capture holding a
-    // second 48-byte copy of the stream (reserved per op) plus two
-    // trace-length `u32` arrays peaks 10.4 MiB over the built workload
-    // and fails here.
+    // peak is 3.78 MiB (5.00 MiB with 16-byte ops; 5.34 MiB with those
+    // and 40-byte records, whose loads carried an unused store value and
+    // size). A capture holding a second 48-byte copy of the stream
+    // (reserved per op) plus two trace-length `u32` arrays peaks 10.4 MiB
+    // over the built workload and fails here.
     assert_eq!(t.records.len(), 43_653);
     let records = 43_653 * std::mem::size_of::<TraceRecord>() as u64;
     let budget = built + records + RUN_ALLOWANCE;
@@ -194,7 +195,7 @@ fn a_software_cell_frees_its_trace_when_it_ends() {
     println!("software cell peak {peak} B over the built workload, {held} B held after it, trace {trace} B");
     // The cell generated its own software trace, and nothing keeps it
     // once the cell is done: a workload that memoised the trace would
-    // still hold its 2.9 MiB here.
+    // still hold its 1.5 MiB here.
     assert!(peak >= trace, "the cell ran without its {trace} B trace");
     assert!(held < 64 << 10, "{held} B outlived the Software cell");
 }

@@ -1,13 +1,13 @@
 //! Property-based tests over the simulator's core invariants.
 
-use etpp::cpu::{drive, Core, CoreParams, Limits, OpId, TraceBuilder};
+use etpp::cpu::{drive, Core, CoreParams, Limits, MicroOp, OpClass, OpId, TraceBuilder};
 use etpp::isa::{run_kernel, EventCtx, Inst, Kernel};
 use etpp::mem::cache::{Eviction, LookupResult};
 use etpp::mem::mshr::Waiter;
 use etpp::mem::tlb::Translation;
 use etpp::mem::{
-    Cache, CacheParams, CacheStats, MemParams, MemoryImage, MemorySystem, MshrFile, MshrId,
-    NullEngine, TlbHierarchy, TlbParams, TlbStats,
+    Cache, CacheParams, CacheStats, ConfigOp, MemParams, MemoryImage, MemorySystem, MshrFile,
+    MshrId, NullEngine, TlbHierarchy, TlbParams, TlbStats,
 };
 use etpp::trace::{content_hash, TraceMeta, TraceReader, TraceRecord, TraceWriter};
 use proptest::prelude::*;
@@ -502,7 +502,117 @@ proptest! {
         for (i, deps) in built.iter().enumerate() {
             prop_assert_eq!(t.deps(i as u32), *deps);
         }
-        prop_assert_eq!(t.bytes(), t.len() * 16 + escaped * 8);
+        // 8 bytes per op, per kind (the load's and the int op's) and per
+        // escaped edge.
+        let kinds = ops.len().min(2);
+        prop_assert_eq!(t.bytes(), t.len() * 8 + kinds * 8 + escaped * 8);
+    }
+}
+
+/// Emits one op of class `class` (0–7, in `OpClass` order) through its
+/// builder call and returns what that op must decode to: the call for
+/// each class fixes the fields the class does not take (an ALU op has
+/// no address or PC, a store's size is 1, 4 or 8, a branch's aux is its
+/// taken bit, a config op's address is its side-table index).
+fn emit_op(
+    b: &mut TraceBuilder,
+    (class, aux, pc): (u8, u8, u32),
+    addr: u64,
+    deps: [Option<OpId>; 2],
+    configs: &mut u64,
+) -> (OpId, MicroOp) {
+    let op = |class, addr, pc, aux| MicroOp {
+        addr,
+        pc,
+        class,
+        aux,
+    };
+    match class {
+        0 => (b.int_op(aux, deps), op(OpClass::Int, 0, 0, aux)),
+        1 => (b.fp_op(aux, deps), op(OpClass::Fp, 0, 0, aux)),
+        2 => (b.muldiv(aux, deps), op(OpClass::MulDiv, 0, 0, aux)),
+        3 => (
+            b.load_sized(addr, aux, pc, deps),
+            op(OpClass::Load, addr, pc, aux),
+        ),
+        4 => {
+            let size = [1, 4, 8][usize::from(aux % 3)];
+            let id = b.store_sized(addr, !addr, size, pc, deps);
+            (id, op(OpClass::Store, addr, pc, size))
+        }
+        5 => (b.swpf(addr, pc, deps), op(OpClass::Swpf, addr, pc, 0)),
+        6 => (
+            b.branch(pc, aux & 1 == 1, deps),
+            op(OpClass::Branch, 0, pc, aux & 1),
+        ),
+        _ => {
+            let id = b.config(ConfigOp::SetGlobal {
+                idx: aux,
+                value: addr,
+            });
+            *configs += 1;
+            (id, op(OpClass::Config, *configs - 1, 0, 0))
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+    /// A packed op decodes to exactly what was emitted: every class, aux
+    /// 0–255, PCs up to 2^20, addresses from 0 to 2^40 − 1, edges a few
+    /// ops back, either side of the escape boundary and thousands back,
+    /// and up to the kind table's full 256 distinct `(class, aux, pc)`
+    /// triples (ops draw their triple from a palette of at most 256).
+    #[test]
+    fn packed_ops_decode_to_exactly_what_was_emitted(
+        palette in proptest::collection::vec((0u8..8, any::<u8>(), 0u32..1 << 20), 1..257),
+        raw in proptest::collection::vec(
+            (0usize..256, (0u8..3, 0u64..1 << 40), ((0u8..4, 0u32..3000), (0u8..4, 0u32..3000))),
+            1..1200,
+        )
+    ) {
+        let mut b = TraceBuilder::new();
+        let mut emitted = Vec::with_capacity(raw.len());
+        let mut configs = 0;
+        for (i, &(pick, (sel, addr), (x, y))) in raw.iter().enumerate() {
+            let i = i as u32;
+            let kind = palette[pick % palette.len()];
+            let addr = match sel {
+                0 => 0,
+                1 => (1 << 40) - 1,
+                _ => addr,
+            };
+            let deps = if kind.0 == 7 {
+                [None, None]
+            } else {
+                [x, y].map(|(sel, r)| {
+                    let back = match sel {
+                        0 => return None,
+                        1 => 1 + r % 8,
+                        2 => 250 + r % 10,
+                        _ => 1 + r,
+                    };
+                    (i > 0).then(|| OpId(i - back.min(i)))
+                })
+            };
+            let (id, op) = emit_op(&mut b, kind, addr, deps, &mut configs);
+            prop_assert_eq!(id, OpId(i));
+            emitted.push((op, deps));
+        }
+        let t = b.build();
+        prop_assert_eq!(t.len(), emitted.len());
+        prop_assert_eq!(t.configs.len() as u64, configs);
+        for (i, (decoded, &(op, deps))) in t.ops().zip(&emitted).enumerate() {
+            prop_assert_eq!(decoded, op);
+            prop_assert_eq!(t.op(i as u32), op);
+            prop_assert_eq!(t.deps(i as u32), deps);
+        }
+        let stores: Vec<u64> = emitted
+            .iter()
+            .filter(|(op, _)| op.class == OpClass::Store)
+            .map(|(op, _)| !op.addr)
+            .collect();
+        prop_assert_eq!(&t.store_values, &stores);
     }
 }
 
