@@ -1,6 +1,14 @@
-//! Regenerates every table and figure of the paper's evaluation.
+//! Regenerates every table and figure of the paper's evaluation, as
+//! GitHub-flavoured Markdown on stdout.
 //!
-//! `repro --help` prints the synopsis ([`USAGE`]).
+//! `repro --help` prints the synopsis, one line per mode. [`FLAGS`] is
+//! the flag reference: every flag, its value and the modes that read
+//! it. Parsing, the synopsis and the mode check all read that table, so
+//! an unknown flag or experiment name, a flag the chosen mode would
+//! ignore (`--cache-dir` without `--sweep`), experiment names beside a
+//! mode switch (`--replay fig7`) and an out-of-range value (`--jobs 0`)
+//! are fatal (exit 2, with the synopsis on stderr): a typo'd `--shard`
+//! must never silently run the full grid.
 //!
 //! Each distinct (workload, mode) cell is simulated once per invocation:
 //! the requested experiments declare the mode columns they read
@@ -10,94 +18,58 @@
 //! adaptive table and the telemetry grid run beside it. Each grid
 //! prints `[grid] N cells (W workloads × M modes)` on stderr.
 //!
-//! `--jobs N` (default: available parallelism) shards every grid —
-//! workload builds, the cycle-level grid, the ablation sweeps and the
-//! replay grid — across N shared-queue worker threads; results are
-//! collected by cell index, so output tables are byte-identical for any
-//! worker count.
+//! `--jobs N` (default: available parallelism) shards every grid across
+//! N shared-queue worker threads; results are collected by cell index,
+//! so output tables are byte-identical for any worker count.
 //!
 //! `--replay` switches to the trace-replay fast path: each workload's
-//! demand stream is captured once from a cycle-level baseline run (cached
-//! on disk under `--trace-dir`, default `target/traces`) and then replayed
-//! against every prefetcher across `--jobs` worker threads. Replay
+//! dependence-annotated demand stream is captured once from a
+//! cycle-level baseline run (cached under `--trace-dir`, default
+//! `target/traces`) and replayed against every prefetcher, with an
+//! absolute-cycle agreement table against the capture run. Replay
 //! tracks the cycle core's speedups at a fraction of the cost but can
-//! swap close modes (README "Fidelity"); see `etpp-trace` for the
-//! fidelity contract. Captures are
-//! dependence-annotated, replayed with the dependence-aware front end
-//! and reported with an absolute-cycle agreement table against the
-//! capture run.
+//! swap close modes (README "Fidelity").
 //!
-//! `--sweep` runs the composed ablation grid (observation-queue depth ×
-//! request-queue depth × EWMA look-ahead scale × prefetch-buffer
-//! capacity × PPU count × PPU clock × engine mode, on IntSort and HJ-8)
-//! through the sweep farm: every cell replays the captured demand
-//! stream, escalating to the cycle core only where the stream-level
-//! agreement gate fails, and every cell result is memoized in the
-//! `--cache-dir` content-hash result cache (default
-//! `target/sweep-cache`) so warm re-runs are near-free. `--shard K/N`
-//! runs only jobs `i ≡ K (mod N)`. Each shard leaves one file,
-//! `--sweep-dir`/shard-K-of-N.jsonl (default `target/sweeps`): a
-//! sealed log with one row per finished job, fsync'd when the job
-//! simulated; the result cache is one log too,
-//! `--cache-dir`/cells-s4.jsonl, read once per run. A full `--sweep`
-//! (no `--shard`) also prints the merged tables, read back from its
-//! own log. `--sweep-merge DIR` parses every `shard-*.jsonl` in DIR,
-//! verifies exact job coverage, and prints tables that are
-//! byte-identical for any (jobs, shard-count) split of the same sweep;
+//! `--sweep` runs the composed ablation grid (queue depths, look-ahead
+//! scale, prefetch-buffer capacity, PPU count and clock, engine mode;
+//! on IntSort and HJ-8) through the sweep farm: each cell replays the
+//! captured stream, escalating to the cycle core where the agreement
+//! gate fails, and its result is memoized in the `--cache-dir` result
+//! log (default `target/sweep-cache`). `--shard K/N` runs only jobs
+//! `i ≡ K (mod N)`; each shard leaves one sealed log under
+//! `--sweep-dir` (default `target/sweeps`). A full `--sweep` also
+//! prints the merged tables, read back from its own log.
+//! `--sweep-merge DIR` checks exact job coverage over DIR's shard logs
+//! and prints tables byte-identical for any (jobs, shard-count) split;
 //! a torn or altered line is an error naming the file and line. The
-//! file name and format belong to `etpp_sim::sweeps`.
+//! file names and formats belong to [`sweeps`].
 //!
-//! Sweeps are **fail-soft** (see the README's Robustness section): a
-//! panicking cell is retried with deterministic backoff and then
-//! quarantined — a `FAILED` row, with the failure record nested in the
-//! job's log row — while the rest of the grid completes; `--strict`
-//! restores abort-on-first-failure. `--resume` continues the shard's
-//! log after a crash or SIGTERM, skipping the jobs it already holds.
-//! `--fault-inject PLAN` injects deterministic faults for testing —
-//! `panic=J@K` (cell J panics on its first K attempts), `bpanic=W@K`
-//! (workload W's baseline), `tear=J@B` (cell J's cache-log append torn
-//! at B bytes), `trace=W@OFF` (flip a byte of workload W's trace file),
-//! `hang=J@P` (cell J spins until its deadline expires, polling every
-//! P ms), `slow=J@D` (cell J sleeps D ms before running), `kill=C`
-//! (simulate a crash after C cells), joined by `;`. A directive naming
-//! a job or workload the grid does not have is a usage error.
+//! Sweeps are **fail-soft** (README "Robustness"): a panicking cell is
+//! retried with deterministic backoff, then quarantined as a `FAILED`
+//! row while the rest of the grid completes; `--strict` aborts on the
+//! first failure instead. `--resume` continues the shard's log after a
+//! crash, skipping the jobs it holds. `--fault-inject PLAN` injects
+//! deterministic faults for testing ([`faults::FaultPlan`] gives the
+//! syntax). Each cell runs under a cooperative watchdog
+//! ([`sweeps::SweepOptions::cell_budget`]); `--cell-budget SECS`
+//! overrides its wall-clock budget (`0` disarms it).
 //!
-//! Every sweep cell runs under a cooperative watchdog: a per-cell
-//! wall-clock budget (default: a deterministic multiple of this
-//! shard's measured baseline-cell time) aborts overrunning cells at
-//! driver-visit granularity, retries them once at an escalated
-//! budget, and then quarantines them as `timeout` alongside panics.
-//! `--cell-budget SECS` overrides the budget (fractional seconds
-//! accepted; `0` disarms the watchdog entirely).
-//!
-//! Unknown flags and experiment names, flags and experiment names a
-//! mode would ignore (`--replay fig7`, `--cache-dir` without `--sweep`)
-//! and out-of-range values (`--jobs 0`) are fatal (exit 2, with the
-//! synopsis on stderr): a typo'd `--shard` must never silently run the
-//! full grid.
-//!
-//! `--telemetry DIR` enables the observability stack on the telemetry
-//! grid (IntSort + HJ-8 across the main engines): prefetch-lifecycle
-//! classification tables, phase-timeline summaries, and — per cell —
-//! `<wl>-<mode>.phases.json` (the interval counter time-series),
-//! `<wl>-<mode>.registry.json` (all merged counters/histograms) and
-//! `<wl>-<mode>.trace.json` (a Chrome-trace-event span log, loadable in
-//! Perfetto / `chrome://tracing`) written under DIR. On its own it runs
-//! just the `telemetry` experiment; combined with explicit experiment
-//! names (or `all`) it appends the telemetry grid to them. Telemetry
-//! never changes simulation results — runs are bit-identical with it
-//! on or off (pinned by the equivalence suite).
-//!
-//! Output is GitHub-flavoured Markdown on stdout, suitable for pasting into
-//! EXPERIMENTS.md.
+//! `--telemetry DIR` runs the telemetry grid (IntSort + HJ-8 across the
+//! main engines): prefetch-lifecycle and phase-summary tables, and per
+//! cell a phase series, a merged counter registry and a Chrome trace
+//! (`<wl>-<mode>.{phases,registry,trace}.json`) under DIR. Alone it
+//! runs just the `telemetry` experiment; beside experiment names (or
+//! `all`) it appends to them. Telemetry never changes results.
 
 use etpp_sim::experiments::{self as ex, Grid};
 use etpp_sim::sweeps::{self, axes};
 use etpp_sim::{ablations, faults, replay as rp, report};
 use etpp_sim::{PrefetchMode, SystemConfig};
 use etpp_workloads::{BuiltWorkload, Scale, Workload};
+use std::fmt::Display;
 use std::io::Write as _;
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 /// The workloads `--sweep` runs the composed grid on.
@@ -121,61 +93,132 @@ const EXPERIMENTS: [&str; 14] = [
     "all",
 ];
 
-/// The synopsis `--help` prints and every usage error repeats.
-const USAGE: &str = "\
-usage: repro [--scale tiny|small|paper] [--jobs N] [--telemetry DIR]
-             [table1|table2|fig7|fig8|fig9a|fig9b|fig10|fig11|traffic|swpf|ablate|zoo|telemetry|all]
-       repro --replay [--trace-dir DIR] [--jobs N] [--scale tiny|small|paper]
-       repro --sweep [--shard K/N] [--sweep-dir DIR] [--cache-dir DIR]
-             [--scale tiny|small|paper] [--trace-dir DIR] [--jobs N]
-             [--resume] [--strict] [--fault-inject PLAN] [--cell-budget SECS]
-       repro --sweep-merge DIR
-       repro --help";
+/// A mode is one line of the synopsis, named by the switch that selects
+/// it; experiment runs have no switch.
+type Mode = &'static str;
+const RUNS: Mode = "experiment runs";
+const REPLAY: Mode = "--replay";
+const SWEEP: Mode = "--sweep";
+const MERGE: Mode = "--sweep-merge";
 
-/// Which of the synopsis lines a command line runs.
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    Experiments,
-    Replay,
-    Sweep,
-    SweepMerge,
-}
+/// Every mode in synopsis order. Of several switches given (a usage
+/// error), the last here names the mode.
+const MODES: [Mode; 4] = [RUNS, REPLAY, SWEEP, MERGE];
 
-impl Mode {
-    fn name(self) -> &'static str {
-        match self {
-            Mode::Experiments => "experiment runs",
-            Mode::Replay => "--replay",
-            Mode::Sweep => "--sweep",
-            Mode::SweepMerge => "--sweep-merge",
+/// One row of [`FLAGS`]: the flag; its value's metavariable in the
+/// synopsis (`None` for a switch); the modes that read it, where the
+/// rest reject it rather than ignore it (a mode switch lists only the
+/// mode it selects); and its setter, which stores the value (`"true"`
+/// for a switch) or says why it is invalid.
+type Flag = (&'static str, Option<&'static str>, &'static [Mode], Setter);
+type Setter = fn(&mut Cli, &str) -> Result<(), String>;
+
+/// The flag reference, in synopsis order: every flag `repro` accepts,
+/// its value, the modes that read it and how it stores its value.
+/// Parsing, the mode check and the synopsis all come from this table,
+/// one row per flag. A mode's switch leads its synopsis line, so the
+/// switches come first.
+#[rustfmt::skip]
+const FLAGS: [Flag; 14] = [
+    (REPLAY, None, &[REPLAY], |_, _| Ok(())),
+    (SWEEP, None, &[SWEEP], |_, _| Ok(())),
+    // Merges the shard logs `--sweep` wrote to its `--sweep-dir`.
+    (MERGE, Some("DIR"), &[MERGE], |c, v| store(&mut c.sweep_dir, v)),
+    ("--scale", Some("tiny|small|paper"), &[RUNS, REPLAY, SWEEP], |c, v| store(&mut c.scale, v)),
+    ("--jobs", Some("N"), &[RUNS, REPLAY, SWEEP], |c, v| {
+        let n = v.parse().ok().filter(|&n| n > 0);
+        n.map(|n| c.jobs = n).ok_or(format!("positive integer, got {v:?}"))
+    }),
+    ("--telemetry", Some("DIR"), &[RUNS], |c, v| {
+        store(c.telemetry_dir.get_or_insert_default(), v)
+    }),
+    ("--trace-dir", Some("DIR"), &[REPLAY, SWEEP], |c, v| store(&mut c.trace_dir, v)),
+    ("--shard", Some("K/N"), &[SWEEP], |c, v| {
+        let (k, n) = v
+            .split_once('/')
+            .and_then(|(k, n)| Some((k.parse().ok()?, n.parse().ok()?)))
+            .ok_or(format!("expected K/N, got {v:?}"))?;
+        if n == 0 || k >= n {
+            return Err(format!("index {k} out of range for {n} shards"));
         }
-    }
+        c.shard = (k, n);
+        Ok(())
+    }),
+    ("--sweep-dir", Some("DIR"), &[SWEEP], |c, v| store(&mut c.sweep_dir, v)),
+    ("--cache-dir", Some("DIR"), &[SWEEP], |c, v| store(&mut c.cache_dir, v)),
+    ("--resume", None, &[SWEEP], |c, v| store(&mut c.resume, v)),
+    ("--strict", None, &[SWEEP], |c, v| store(&mut c.strict, v)),
+    ("--fault-inject", Some("PLAN"), &[SWEEP], |c, v| {
+        // A directive naming a job or workload the composed grid does
+        // not have would inject nothing.
+        let (plan, n): (faults::FaultPlan, _) = (v.parse()?, SWEEP_WORKLOADS.len());
+        plan.check(sweeps::composed_grid().total_jobs(n), n)?;
+        c.fault_plan = Some(plan);
+        Ok(())
+    }),
+    ("--cell-budget", Some("SECS"), &[SWEEP], |c, v| {
+        let d = Duration::try_from_secs_f64(v.parse().unwrap_or(-1.0));
+        d.map(|d| c.cell_budget = Some(d))
+            .map_err(|_| format!("non-negative seconds up to ~1.8e19, got {v:?}"))
+    }),
+];
+
+/// Parses `v` into `slot`.
+fn store<T: FromStr<Err: Display>>(slot: &mut T, v: &str) -> Result<(), String> {
+    *slot = v.parse().map_err(|e: T::Err| e.to_string())?;
+    Ok(())
 }
 
-/// Flags only some modes read, with the modes that read them. Any other
-/// mode rejects the flag rather than ignore it.
-const MODAL_FLAGS: [(&str, &[Mode]); 9] = [
-    ("--shard", &[Mode::Sweep]),
-    ("--strict", &[Mode::Sweep]),
-    ("--resume", &[Mode::Sweep]),
-    ("--fault-inject", &[Mode::Sweep]),
-    ("--cell-budget", &[Mode::Sweep]),
-    ("--cache-dir", &[Mode::Sweep]),
-    ("--sweep-dir", &[Mode::Sweep]),
-    ("--trace-dir", &[Mode::Replay, Mode::Sweep]),
-    ("--telemetry", &[Mode::Experiments]),
-];
+/// A parsed command line: its mode, its experiment names and every
+/// flag's value, defaults filled in.
+struct Cli {
+    mode: Mode,
+    what: Vec<&'static str>,
+    scale: Scale,
+    jobs: usize,
+    telemetry_dir: Option<PathBuf>,
+    trace_dir: PathBuf,
+    shard: (usize, usize),
+    sweep_dir: PathBuf,
+    cache_dir: PathBuf,
+    resume: bool,
+    strict: bool,
+    fault_plan: Option<faults::FaultPlan>,
+    cell_budget: Option<Duration>,
+}
+
+/// The synopsis `--help` prints and every usage error repeats: one line
+/// per mode, built from [`FLAGS`] and [`EXPERIMENTS`].
+fn synopsis() -> String {
+    let lines = MODES.map(|mode| {
+        let reads = FLAGS
+            .iter()
+            .filter(|(_, _, modes, _)| modes.contains(&mode));
+        let mut words: Vec<String> = reads
+            .map(|&(flag, value, ..)| {
+                let word = value.map_or(flag.into(), |v| format!("{flag} {v}"));
+                if flag == mode {
+                    word
+                } else {
+                    format!("[{word}]")
+                }
+            })
+            .collect();
+        if mode == RUNS {
+            words.push(format!("[{}]", EXPERIMENTS.join("|")));
+        }
+        format!("repro {}\n       ", words.join(" "))
+    });
+    format!("usage: {}repro --help", lines.concat())
+}
 
 /// The `[build]` stderr line: how many workloads were built, how long
 /// it took, and the heap bytes their traces hold for the whole run.
 fn report_build(workloads: &[BuiltWorkload], t0: Instant) {
     let bytes: usize = workloads.iter().map(|w| w.trace.bytes()).sum();
-    eprintln!(
-        "[build] {} workloads in {:?}, traces {:.1} MiB",
-        workloads.len(),
-        t0.elapsed(),
-        bytes as f64 / (1 << 20) as f64
-    );
+    let mib = bytes as f64 / (1 << 20) as f64;
+    let (n, t) = (workloads.len(), t0.elapsed());
+    eprintln!("[build] {n} workloads in {t:?}, traces {mib:.1} MiB");
 }
 
 /// Prints the process's peak resident set to stderr when dropped, where
@@ -193,215 +236,125 @@ impl Drop for PeakRssOnExit {
         });
         if let Some(kib) = kib {
             // A failed write is ignored: `Drop` must not panic.
-            let _ = writeln!(
-                std::io::stderr(),
-                "[host] peak RSS {:.1} MiB",
-                kib as f64 / 1024.0
-            );
+            let mib = kib as f64 / 1024.0;
+            let _ = writeln!(std::io::stderr(), "[host] peak RSS {mib:.1} MiB");
         }
     }
 }
 
 fn usage_error(msg: &str) -> ! {
-    eprintln!("error: {msg}\n\n{USAGE}");
+    eprintln!("error: {msg}\n\n{}", synopsis());
     std::process::exit(2);
 }
 
-/// The value following a flag, or a usage error naming the flag — no
-/// `unwrap`/`expect` panics on user-typed command lines.
-fn next_value<'a>(it: &mut std::slice::Iter<'a, String>, msg: &str) -> &'a str {
-    it.next().map_or_else(|| usage_error(msg), String::as_str)
+/// Parses `args` against [`FLAGS`]. `--help` prints the synopsis and
+/// exits 0; anything the chosen mode cannot honour in full is a usage
+/// error, decided before any workload is built.
+fn parse(args: &[String]) -> Cli {
+    let mut cli = Cli {
+        mode: RUNS,
+        what: Vec::new(),
+        scale: Scale::Small,
+        jobs: std::thread::available_parallelism().map_or(4, |n| n.get()),
+        telemetry_dir: None,
+        trace_dir: PathBuf::from("target/traces"),
+        shard: (0, 1),
+        sweep_dir: PathBuf::from("target/sweeps"),
+        cache_dir: PathBuf::from("target/sweep-cache"),
+        resume: false,
+        strict: false,
+        fault_plan: None,
+        cell_budget: None,
+    };
+    let mut given: Vec<&Flag> = Vec::new();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if a == "--help" || a == "-h" {
+            println!("{}", synopsis());
+            std::process::exit(0);
+        }
+        if !a.starts_with('-') {
+            let name = EXPERIMENTS.into_iter().find(|e| a == e).unwrap_or_else(|| {
+                let names = EXPERIMENTS.join(", ");
+                usage_error(&format!(
+                    "unknown experiment: {a} (expected one of {names})"
+                ))
+            });
+            cli.what.push(name);
+            continue;
+        }
+        let f = FLAGS
+            .iter()
+            .find(|(flag, ..)| a == *flag)
+            .unwrap_or_else(|| usage_error(&format!("unknown flag: {a}")));
+        let (_, value, _, set) = *f;
+        let v = match value {
+            Some(meta) => it
+                .next()
+                .unwrap_or_else(|| usage_error(&format!("{a} needs {meta}"))),
+            None => "true",
+        };
+        set(&mut cli, v).unwrap_or_else(|e| usage_error(&format!("{a}: {e}")));
+        given.push(f);
+    }
+    let switches: Vec<Mode> = MODES
+        .into_iter()
+        .filter(|&m| given.iter().any(|(flag, ..)| *flag == m))
+        .collect();
+    if let Some(&mode) = switches.last() {
+        cli.mode = mode;
+        if switches.len() > 1 || !cli.what.is_empty() {
+            usage_error(&format!("{mode} runs alone"));
+        }
+    }
+    for &(flag, _, modes, _) in given {
+        if !modes.contains(&cli.mode) {
+            let (last, rest) = modes.split_last().expect("every flag has a mode");
+            let modes = match rest {
+                [] => last.to_string(),
+                _ => format!("{} and {last}", rest.join(", ")),
+            };
+            let mode = cli.mode;
+            usage_error(&format!("{flag} only applies to {modes}, not {mode}"));
+        }
+    }
+    cli
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = Scale::Small;
-    let mut what: Vec<String> = Vec::new();
-    let mut replay = false;
-    let mut sweep = false;
-    let mut shard: Option<(usize, usize)> = None;
-    let mut sweep_dir = PathBuf::from("target/sweeps");
-    let mut cache_dir = PathBuf::from("target/sweep-cache");
-    let mut sweep_merge: Option<PathBuf> = None;
-    let mut telemetry_dir: Option<PathBuf> = None;
-    let mut trace_dir = PathBuf::from("target/traces");
-    let mut jobs = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let mut strict = false;
-    let mut resume = false;
-    let mut fault_plan: Option<faults::FaultPlan> = None;
-    let mut cell_budget: Option<Duration> = None;
-    let mut flags: Vec<&str> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a.starts_with('-') {
-            flags.push(a);
-        }
-        if a == "--help" || a == "-h" {
-            println!("{USAGE}");
-            return;
-        } else if a == "--scale" {
-            let v = next_value(&mut it, "--scale needs a value");
-            scale = v
-                .parse()
-                .unwrap_or_else(|e| usage_error(&format!("--scale: {e}")));
-        } else if a == "--replay" {
-            replay = true;
-        } else if a == "--sweep" {
-            sweep = true;
-        } else if a == "--strict" {
-            strict = true;
-        } else if a == "--resume" {
-            resume = true;
-        } else if a == "--fault-inject" {
-            let v = next_value(
-                &mut it,
-                "--fault-inject needs a plan (e.g. panic=3@2;tear=7@10;kill=5)",
-            );
-            match v.parse::<faults::FaultPlan>() {
-                Ok(p) => fault_plan = Some(p),
-                Err(e) => usage_error(&format!("--fault-inject: {e}")),
-            }
-        } else if a == "--cell-budget" {
-            let v = next_value(&mut it, "--cell-budget needs seconds (0 disarms)");
-            let secs: f64 = v.parse().unwrap_or(-1.0);
-            match Duration::try_from_secs_f64(secs) {
-                Ok(d) => cell_budget = Some(d),
-                Err(_) => usage_error(&format!(
-                    "--cell-budget: non-negative seconds up to ~1.8e19, got {v:?}"
-                )),
-            }
-        } else if a == "--shard" {
-            let v = next_value(&mut it, "--shard needs K/N");
-            let (k, n) = v
-                .split_once('/')
-                .and_then(|(k, n)| Some((k.parse().ok()?, n.parse().ok()?)))
-                .unwrap_or_else(|| usage_error(&format!("--shard: expected K/N, got {v:?}")));
-            if n == 0 || k >= n {
-                usage_error(&format!("--shard: index {k} out of range for {n} shards"));
-            }
-            shard = Some((k, n));
-        } else if a == "--sweep-dir" {
-            sweep_dir = PathBuf::from(next_value(&mut it, "--sweep-dir needs a path"));
-        } else if a == "--cache-dir" {
-            cache_dir = PathBuf::from(next_value(&mut it, "--cache-dir needs a path"));
-        } else if a == "--sweep-merge" {
-            sweep_merge = Some(PathBuf::from(next_value(
-                &mut it,
-                "--sweep-merge needs a dir",
-            )));
-        } else if a == "--telemetry" {
-            telemetry_dir = Some(PathBuf::from(next_value(
-                &mut it,
-                "--telemetry needs a dir",
-            )));
-        } else if a == "--trace-dir" {
-            trace_dir = PathBuf::from(next_value(&mut it, "--trace-dir needs a path"));
-        } else if a == "--jobs" {
-            let v = next_value(&mut it, "--jobs needs a count");
-            jobs =
-                v.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
-                    usage_error(&format!("--jobs: positive integer, got {v:?}"))
-                });
-        } else if a.starts_with('-') {
-            usage_error(&format!("unknown flag: {a}"));
-        } else {
-            what.push(a.clone());
-        }
-    }
-    for w in &what {
-        if !EXPERIMENTS.contains(&w.as_str()) {
-            usage_error(&format!(
-                "unknown experiment: {w} (expected one of {})",
-                EXPERIMENTS.join(", ")
-            ));
-        }
-    }
-    let mode = if sweep_merge.is_some() {
-        Mode::SweepMerge
-    } else if sweep {
-        Mode::Sweep
-    } else if replay {
-        Mode::Replay
-    } else {
-        Mode::Experiments
-    };
-    for (flag, modes) in MODAL_FLAGS {
-        if flags.contains(&flag) && !modes.contains(&mode) {
-            let names: Vec<&str> = modes.iter().map(|m| m.name()).collect();
-            usage_error(&format!(
-                "{flag} only applies to {}, not {}",
-                names.join(" and "),
-                mode.name()
-            ));
-        }
-    }
+    let cli = parse(&args);
     let _peak_rss = PeakRssOnExit;
-    if let Some(dir) = sweep_merge {
-        if sweep || replay || !what.is_empty() {
-            usage_error("--sweep-merge runs alone");
-        }
-        run_sweep_merge(&dir);
-        return;
+    match cli.mode {
+        MERGE => run_sweep_merge(&cli.sweep_dir),
+        SWEEP => run_sweep_cmd(&cli),
+        REPLAY => run_replay(&cli),
+        _ => run_experiments(cli),
     }
-    if sweep {
-        if replay || !what.is_empty() {
-            usage_error("--sweep runs alone (it has its own grid)");
-        }
-        if let Some(plan) = &fault_plan {
-            let jobs = sweeps::composed_grid().total_jobs(SWEEP_WORKLOADS.len());
-            if let Err(e) = plan.check(jobs, SWEEP_WORKLOADS.len()) {
-                usage_error(&format!("--fault-inject: {e}"));
-            }
-        }
-        run_sweep_cmd(&SweepCli {
-            scale,
-            trace_dir,
-            jobs,
-            shard: shard.unwrap_or((0, 1)),
-            cache_dir,
-            sweep_dir,
-            strict,
-            resume,
-            fault_plan,
-            cell_budget,
-        });
-        return;
+}
+
+/// Experiment runs: one cycle-core grid for the named experiments (all
+/// but `telemetry` when none are named), then each one's table.
+fn run_experiments(cli: Cli) {
+    let (scale, jobs, mut what) = (cli.scale, cli.jobs, cli.what);
+    // `all`, or no name without `--telemetry`, is every experiment but
+    // the telemetry grid, which `--telemetry DIR` appends.
+    if what.contains(&"all") || what.is_empty() && cli.telemetry_dir.is_none() {
+        what = EXPERIMENTS
+            .into_iter()
+            .filter(|w| !matches!(*w, "telemetry" | "all"))
+            .collect();
     }
-    if replay {
-        if !what.is_empty() {
-            usage_error("--replay runs alone (it has its own fig7/fig11 replay grids)");
-        }
-        run_replay(scale, &trace_dir, jobs);
-        return;
-    }
-    // `--telemetry DIR` alone runs just the telemetry grid; alongside
-    // explicit experiments (or the default `all` expansion) it rides
-    // after them.
-    if what.is_empty() && telemetry_dir.is_some() {
-        what.push("telemetry".to_string());
-    } else if what.is_empty() || what.iter().any(|w| w == "all") {
-        what = [
-            "table1", "table2", "fig7", "fig8", "fig9a", "fig9b", "fig10", "fig11", "traffic",
-            "swpf", "ablate", "zoo",
-        ]
-        .into_iter()
-        .map(String::from)
-        .collect();
-        if telemetry_dir.is_some() {
-            what.push("telemetry".to_string());
-        }
-    } else if telemetry_dir.is_some() && !what.iter().any(|w| w == "telemetry") {
-        what.push("telemetry".to_string());
+    if cli.telemetry_dir.is_some() && !what.contains(&"telemetry") {
+        what.push("telemetry");
     }
     // Create the artifact dir before any workload is built, so a bad
     // path is reported before any simulation runs.
-    let telemetry_dir = telemetry_dir.unwrap_or_else(|| PathBuf::from("target/telemetry"));
-    if what.iter().any(|w| w == "telemetry") {
+    let telemetry_dir = cli.telemetry_dir.unwrap_or("target/telemetry".into());
+    if what.contains(&"telemetry") {
         if let Err(e) = std::fs::create_dir_all(&telemetry_dir) {
-            usage_error(&format!(
-                "--telemetry: cannot create {}: {e}",
-                telemetry_dir.display()
-            ));
+            let dir = telemetry_dir.display();
+            usage_error(&format!("--telemetry: cannot create {dir}: {e}"));
         }
     }
 
@@ -411,15 +364,12 @@ fn main() {
          All speedups are relative to the no-prefetching baseline at the same scale.\n"
     );
 
-    let needs_builds = what.iter().any(|w| w != "table1");
     let t0 = Instant::now();
-    let workloads = if needs_builds {
-        let w = ex::build_all(scale, jobs);
-        report_build(&w, t0);
-        w
-    } else {
-        Vec::new()
-    };
+    let mut workloads = Vec::new();
+    if what.iter().any(|&w| w != "table1") {
+        workloads = ex::build_all(scale, jobs);
+        report_build(&workloads, t0);
+    }
 
     // One cycle-core grid per invocation: the union of the mode columns
     // the requested experiments declare, over the rows they read. Every
@@ -436,8 +386,7 @@ fn main() {
     let t = Instant::now();
     let grid = Grid::run(&rows, &dense(rows.len(), &modes), jobs, cycle_cell);
     // Figure 9's off-paper (count, clock) points, once each for both panels.
-    let asked = |name: &str| what.iter().any(|w| w == name);
-    let fig9_cells = ex::fig9_cells(&rows, asked("fig9a"), asked("fig9b"));
+    let fig9_cells = ex::fig9_cells(&rows, what.contains(&"fig9a"), what.contains(&"fig9b"));
     if !fig9_cells.is_empty() {
         eprintln!("[grid] {} cells (Figure 9 PPU points)", fig9_cells.len());
     }
@@ -448,9 +397,9 @@ fn main() {
         eprintln!("[simulate] done in {:?}", t.elapsed());
     }
 
-    for w in &what {
+    for w in what {
         let t = Instant::now();
-        match w.as_str() {
+        match w {
             "table1" => print_table1(&cfg),
             "table2" => print_table2(&workloads),
             "fig7" | "fig8" | "fig10" | "fig11" | "traffic" => {
@@ -460,41 +409,37 @@ fn main() {
             "fig9b" => println!("{}", report::fig9b_table(&grid, &fig9)),
             "ablate" => {
                 let find = |name| workloads.iter().find(|w| w.name == name).expect("built");
-                let (hj8, intsort) = (find("HJ-8"), find("IntSort"));
+                let wls = [find("HJ-8"), find("IntSort")];
                 // One capture per workload, shared by every axis over it.
-                let caps = ex::map_indexed(jobs, 2, |i| ablations::capture([hj8, intsort][i]));
-                let (hj8_cap, intsort_cap) = (&caps[0], &caps[1]);
-                for (title, param, wl, cap, axis) in [
+                let caps = ex::map_indexed(jobs, 2, |i| ablations::capture(wls[i]));
+                let [hj8, intsort] = [0, 1];
+                for (title, param, i, axis) in [
                     (
                         "observation queue depth (HJ-8)",
                         "entries",
                         hj8,
-                        hj8_cap,
                         axes::obs_queue(&[4, 10, 40, 160]),
                     ),
                     (
                         "request queue depth (IntSort)",
                         "entries",
                         intsort,
-                        intsort_cap,
                         axes::req_queue(&[25, 50, 200, 800]),
                     ),
                     (
                         "EWMA look-ahead scale (IntSort)",
                         "scale",
                         intsort,
-                        intsort_cap,
                         axes::lookahead_scale(&[1, 2, 4, 8]),
                     ),
                     (
                         "prefetch buffer entries (IntSort)",
                         "entries",
                         intsort,
-                        intsort_cap,
                         axes::pf_buffer(&[0, 8, 16, 32, 64]),
                     ),
                 ] {
-                    let points = ablations::sweep(wl, cap, axis, jobs);
+                    let points = ablations::sweep(wls[i], &caps[i], axis, jobs);
                     println!("{}", ablations::table(title, param, &points));
                 }
             }
@@ -586,25 +531,10 @@ fn run_telemetry_report(
     }
 }
 
-/// Everything `--sweep` needs, bundled so the fault/resume flags ride
-/// along without a nine-argument signature.
-struct SweepCli {
-    scale: Scale,
-    trace_dir: PathBuf,
-    jobs: usize,
-    shard: (usize, usize),
-    cache_dir: PathBuf,
-    sweep_dir: PathBuf,
-    strict: bool,
-    resume: bool,
-    fault_plan: Option<faults::FaultPlan>,
-    cell_budget: Option<Duration>,
-}
-
 /// Exit 1 with a diagnostic naming the operation and path. Used for I/O
 /// on operator-supplied locations, where a panic backtrace would bury
 /// the actual problem (a bad path or full disk).
-fn io_fail(what: &str, path: &std::path::Path, e: &dyn std::fmt::Display) -> ! {
+fn io_fail(what: &str, path: &std::path::Path, e: &dyn Display) -> ! {
     eprintln!("error: {what} {}: {e}", path.display());
     std::process::exit(1);
 }
@@ -614,7 +544,7 @@ fn io_fail(what: &str, path: &std::path::Path, e: &dyn std::fmt::Display) -> ! {
 /// merged tables — read back from that log through the same
 /// parse-and-merge path `--sweep-merge` uses, so a 1-shard run and any
 /// N-shard merge are byte-identical.
-fn run_sweep_cmd(cli: &SweepCli) {
+fn run_sweep_cmd(cli: &Cli) {
     let cfg = SystemConfig::paper();
     let label = cli.scale.label();
     let spec = sweeps::composed_grid();
@@ -630,34 +560,12 @@ fn run_sweep_cmd(cli: &SweepCli) {
     report_build(&workloads, t0);
 
     let t0 = Instant::now();
-    let capture_results: Vec<Result<rp::KeyedCapture, String>> =
-        ex::map_indexed(jobs, workloads.len(), |i| {
-            rp::try_load_or_capture_keyed(
-                Some(&cli.trace_dir),
-                &cfg,
-                &workloads[i],
-                label,
-                etpp_trace::FORMAT_VERSION,
-            )
-        });
-    // A failed baseline capture is a diagnostic naming the workload and
-    // exit 1, not a worker panic backtrace: no job could run without it.
-    let mut captures: Vec<rp::KeyedCapture> = Vec::with_capacity(capture_results.len());
-    for (wl, result) in workloads.iter().zip(capture_results) {
-        match result {
-            Ok(c) => captures.push(c),
-            Err(e) => eprintln!("[capture] FAILED: {}: {e}", wl.name),
-        }
-    }
-    if captures.len() < workloads.len() {
-        std::process::exit(1);
-    }
+    let mut captures = load_or_capture(cli, &cfg, &workloads, 0..workloads.len());
     eprintln!("[capture] {} traces in {:?}", captures.len(), t0.elapsed());
 
     // Fault injection: corrupt the on-disk traces the plan names, then
-    // reload those workloads. The reload exercises the corruption-
-    // tolerant read path — a named decode diagnostic plus recapture,
-    // never a decoder panic.
+    // reload. The reload exercises the corruption-tolerant read path —
+    // a named decode diagnostic plus recapture, never a decoder panic.
     if let Some(plan) = &cli.fault_plan {
         let paths: Vec<PathBuf> = workloads
             .iter()
@@ -665,19 +573,13 @@ fn run_sweep_cmd(cli: &SweepCli) {
             .collect();
         let touched = faults::apply_trace_flips(plan, &paths)
             .unwrap_or_else(|e| io_fail("corrupt trace under", &cli.trace_dir, &e));
-        for wi in touched {
-            eprintln!(
-                "[faults] flipped a byte in {}; reloading",
-                paths[wi].display()
-            );
-            captures[wi] = rp::try_load_or_capture_keyed(
-                Some(&cli.trace_dir),
-                &cfg,
-                &workloads[wi],
-                label,
-                etpp_trace::FORMAT_VERSION,
-            )
-            .unwrap();
+        for &wi in &touched {
+            let path = paths[wi].display();
+            eprintln!("[faults] flipped a byte in {path}; reloading");
+        }
+        let reloaded = load_or_capture(cli, &cfg, &workloads, touched.iter().copied());
+        for (wi, cap) in touched.into_iter().zip(reloaded) {
+            captures[wi] = cap;
         }
     }
 
@@ -748,9 +650,39 @@ fn run_sweep_merge(dir: &std::path::Path) {
     }
 }
 
+/// The demand streams of `workloads[i]` for each `i` in `which`, loaded
+/// from `--trace-dir` or captured, `--jobs` at a time. A failed capture
+/// is a diagnostic naming the workload and exit 1, not a worker panic
+/// backtrace: no cell could run without it.
+fn load_or_capture(
+    cli: &Cli,
+    cfg: &SystemConfig,
+    workloads: &[BuiltWorkload],
+    which: impl Iterator<Item = usize>,
+) -> Vec<rp::KeyedCapture> {
+    let which: Vec<usize> = which.collect();
+    let (dir, label) = (Some(cli.trace_dir.as_path()), cli.scale.label());
+    let results = ex::map_indexed(cli.jobs, which.len(), |i| {
+        let (wl, v) = (&workloads[which[i]], etpp_trace::FORMAT_VERSION);
+        rp::try_load_or_capture_keyed(dir, cfg, wl, label, v)
+    });
+    let mut captures = Vec::with_capacity(which.len());
+    for (&wi, result) in which.iter().zip(results) {
+        match result {
+            Ok(c) => captures.push(c),
+            Err(e) => eprintln!("[capture] FAILED: {}: {e}", workloads[wi].name),
+        }
+    }
+    if captures.len() < which.len() {
+        std::process::exit(1);
+    }
+    captures
+}
+
 /// The trace-replay fast path: capture (or load) every workload's demand
 /// stream, then replay the Figure 7 and Figure 11 grids in parallel.
-fn run_replay(scale: Scale, trace_dir: &std::path::Path, jobs: usize) {
+fn run_replay(cli: &Cli) {
+    let (scale, trace_dir, jobs) = (cli.scale, &cli.trace_dir, cli.jobs);
     let cfg = SystemConfig::paper();
     let label = scale.label();
     println!(
@@ -770,16 +702,7 @@ fn run_replay(scale: Scale, trace_dir: &std::path::Path, jobs: usize) {
 
     // Capture (or load from cache) every workload's stream, `jobs` at a time.
     let t0 = Instant::now();
-    let captures: Vec<rp::KeyedCapture> = ex::map_indexed(jobs, workloads.len(), |i| {
-        rp::try_load_or_capture_keyed(
-            Some(trace_dir),
-            &cfg,
-            &workloads[i],
-            label,
-            etpp_trace::FORMAT_VERSION,
-        )
-        .unwrap()
-    });
+    let captures = load_or_capture(cli, &cfg, &workloads, 0..workloads.len());
     eprintln!("[capture] {} traces in {:?}", captures.len(), t0.elapsed());
 
     println!("## Trace corpus\n");
@@ -789,16 +712,15 @@ fn run_replay(scale: Scale, trace_dir: &std::path::Path, jobs: usize) {
         let (t, src) = (&cap.trace, cap.source);
         let path = rp::trace_path(trace_dir, w, label);
         let size = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+        let cycles = match t.meta.capture_cycles {
+            0 => "n/a".to_string(),
+            c => c.to_string(),
+        };
         println!(
-            "| {} | {} | {} | {} | {:?} | {} ({:.1} MiB) |",
+            "| {} | {} | {} | {cycles} | {:?} | {} ({:.1} MiB) |",
             w.name,
             t.records.len(),
             t.access_count(),
-            if t.meta.capture_cycles > 0 {
-                t.meta.capture_cycles.to_string()
-            } else {
-                "n/a".to_string()
-            },
             src,
             path.display(),
             size as f64 / (1024.0 * 1024.0),

@@ -30,7 +30,7 @@ fn usage_errors_exit_2_and_name_the_problem() {
     std::fs::write(&file, "").unwrap();
     let under_file = file.join("sub");
     let under_file = under_file.to_str().unwrap();
-    let cases: [(&[&str], &str); 18] = [
+    let cases: [(&[&str], &str); 20] = [
         (&["--bogus"], "unknown flag: --bogus"),
         // Retired with trace-format v1: no longer a flag at all.
         (&["--trace-format", "2"], "unknown flag: --trace-format"),
@@ -93,6 +93,14 @@ fn usage_errors_exit_2_and_name_the_problem() {
             "--trace-dir only applies to --replay and --sweep, not --sweep-merge",
         ),
         (&["--resume"], "--resume only applies to --sweep"),
+        (
+            &["--sweep-merge", empty_dir, "--jobs", "4"],
+            "--jobs only applies to experiment runs, --replay and --sweep, not --sweep-merge",
+        ),
+        (
+            &["--sweep-merge", empty_dir, "--scale", "paper"],
+            "--scale only applies to experiment runs, --replay and --sweep, not --sweep-merge",
+        ),
     ];
     for (args, needle) in cases {
         let (code, stderr) = repro(args);
@@ -127,5 +135,67 @@ fn help_prints_the_synopsis_and_exits_0() {
             "{flag}: got {stdout}"
         );
         assert!(out.stderr.is_empty(), "{flag} prints nothing else");
+        // Each mode's line lists exactly the flags that mode reads.
+        let lines: Vec<&str> = stdout.lines().collect();
+        assert_eq!(lines.len(), MODES.len() + 1, "one line per mode and --help");
+        for ((mode, _), line) in MODES.iter().zip(lines) {
+            let listed = line.split([' ', '[', ']']).filter(|w| w.starts_with("--"));
+            let reads = FLAGS.iter().filter(|(_, _, modes)| modes.contains(mode));
+            let reads: Vec<&str> = reads.map(|(flag, _, _)| *flag).collect();
+            assert_eq!(listed.collect::<Vec<_>>(), reads, "the {mode} line: {line}");
+        }
+    }
+}
+
+/// Each mode, named as `repro`'s errors name it, with the arguments
+/// that select it, in synopsis order.
+const MODES: [(&str, &[&str]); 4] = [
+    (RUNS, &[]),
+    ("--replay", &["--replay"]),
+    ("--sweep", &["--sweep"]),
+    ("--sweep-merge", &["--sweep-merge", "shards"]),
+];
+const RUNS: &str = "experiment runs";
+
+/// `repro`'s flag table as this contract expects it, in synopsis order:
+/// each flag, a valid value (`None` for a switch) and the modes that
+/// read it.
+const FLAGS: [(&str, Option<&str>, &[&str]); 14] = [
+    ("--replay", None, &["--replay"]),
+    ("--sweep", None, &["--sweep"]),
+    ("--sweep-merge", Some("shards"), &["--sweep-merge"]),
+    ("--scale", Some("tiny"), &[RUNS, "--replay", "--sweep"]),
+    ("--jobs", Some("2"), &[RUNS, "--replay", "--sweep"]),
+    ("--telemetry", Some("tel"), &[RUNS]),
+    ("--trace-dir", Some("t"), &["--replay", "--sweep"]),
+    ("--shard", Some("0/2"), &["--sweep"]),
+    ("--sweep-dir", Some("s"), &["--sweep"]),
+    ("--cache-dir", Some("c"), &["--sweep"]),
+    ("--resume", None, &["--sweep"]),
+    ("--strict", None, &["--sweep"]),
+    ("--fault-inject", Some("panic=1@1"), &["--sweep"]),
+    ("--cell-budget", Some("5"), &["--sweep"]),
+];
+
+#[test]
+fn each_flag_is_refused_under_every_mode_that_does_not_read_it() {
+    for (flag, value, modes) in FLAGS {
+        let switch = modes == [flag];
+        for (mode, select) in MODES.iter().filter(|(mode, _)| !modes.contains(mode)) {
+            if switch && select.is_empty() {
+                continue; // alone, a mode switch selects its own mode
+            }
+            let args = [*select, &[flag], value.as_slice()].concat();
+            let (code, stderr) = repro(&args);
+            assert_eq!(code, Some(2), "{args:?} must exit 2; stderr: {stderr}");
+            // A second mode switch is refused as such.
+            let refused = if switch {
+                stderr.contains("runs alone")
+            } else {
+                stderr.contains(&format!("{flag} only applies to "))
+                    && stderr.contains(&format!(", not {mode}\n"))
+            };
+            assert!(refused, "{args:?}: got {stderr}");
+        }
     }
 }

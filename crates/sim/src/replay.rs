@@ -161,7 +161,7 @@ pub struct KeyedCapture {
 /// `.unwrap()` the result.
 ///
 /// `trace_format` is vestigial: [`FORMAT_VERSION`] is the only value
-/// accepted (ROADMAP item 5 drops the argument with its last caller).
+/// accepted (ROADMAP item 4 drops the argument with its last caller).
 ///
 /// # Errors
 /// A human-readable message naming the workload and the capture
